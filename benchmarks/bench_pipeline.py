@@ -273,7 +273,6 @@ def run_pipeline(docs: int, seed: int) -> dict[str, Any]:
         group=INDEX_GROUP, partitions=PARTITIONS, replicas=REPLICAS,
         member='indexer', timeout=120.0,
     )
-    backend = consumer.coordinator._backend
     index: dict[int, int] = {}
     duplicates = 0
     broker_killed_at = None
@@ -302,7 +301,7 @@ def run_pipeline(docs: int, seed: int) -> dict[str, Any]:
             committed_before_kill = consumer.coordinator.fetch(
                 consumer.router.topics,
             )
-            victim_broker = backend.acting_broker
+            victim_broker = consumer.coordinator.acting_broker
             victim_proc = proc_by_port[int(victim_broker.rsplit(':', 1)[1])]
             run = FaultPlan(seed=seed).kill('coordinator-broker', at=0.0).start(
                 pids={'coordinator-broker': victim_proc.pid},
@@ -319,7 +318,7 @@ def run_pipeline(docs: int, seed: int) -> dict[str, Any]:
     index_stats = consumer.stats()
     committed_after = consumer.coordinator.fetch(consumer.router.topics)
     failovers = consumer.coordinator.failovers
-    acting_after = backend.acting_broker
+    acting_after = consumer.coordinator.acting_broker
     consumer.close()
     watcher.join(timeout=30)
     for proc in workers.values():

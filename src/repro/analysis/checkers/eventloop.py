@@ -6,7 +6,10 @@ that thread — a ``time.sleep``, a blocking socket call, an indefinite
 lock ``acquire()``, a ``select()`` with no timeout — stalls *all*
 clients at once and disables the dead-subscriber reaper.  This rule
 computes the set of methods reachable (via ``self.*()`` calls) from the
-loop entry points and flags blocking primitives found there.
+loop entry points and flags blocking primitives found there.  The topic
+and group state the handlers call into (:mod:`repro.kvserver.broker`)
+is reached through other objects, not ``self``, so every method of
+those classes is checked outright.
 
 ``with self._lock:`` context-manager acquisitions are deliberately
 *not* flagged: the server's convention is that ``with``-scoped critical
@@ -82,15 +85,19 @@ class BlockingCallInEventLoop(Checker):
     #: the traversal starts from (the loop itself plus request handlers).
     event_loop_classes: tuple[str, ...] = ('KVServer',)
     entry_methods: tuple[str, ...] = ('_serve_loop', '_handle')
+    #: Classes the loop's handlers run on its thread: every method counts.
+    loop_state_classes: tuple[str, ...] = ('GroupState', 'TopicRing')
 
     def check_module(self, module: Module) -> Iterable[Finding]:
         """Scan every event-loop class defined in ``module``."""
         for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.ClassDef)
-                and node.name in self.event_loop_classes
-            ):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name in self.event_loop_classes:
                 yield from self._check_class(module, node)
+            elif node.name in self.loop_state_classes:
+                for method in _method_map(node).values():
+                    yield from self._check_method(module, node.name, method)
 
     def _check_class(
         self, module: Module, cls: ast.ClassDef,

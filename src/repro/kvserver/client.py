@@ -38,10 +38,13 @@ from typing import Iterable
 from typing import Sequence
 
 from repro.exceptions import ConnectorError
+from repro.exceptions import GroupMembershipError
 from repro.exceptions import NodeUnavailableError
 from repro.faults import injection
 from repro.faults.retry import RetryPolicy
+from repro.kvserver.broker import GroupCommands
 from repro.kvserver.protocol import StreamDecoder
+from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import encode_message
 from repro.serialize.buffers import SerializedObject
 from repro.serialize.buffers import segments_of
@@ -266,8 +269,11 @@ class _Connection:
         self.join_reader()
 
 
-class KVClient:
+class KVClient(GroupCommands):
     """Pipelined client for a :class:`~repro.kvserver.server.KVServer`.
+
+    The consumer-group commands (``group_join`` … ``group_stats``) come
+    from :class:`~repro.kvserver.broker.GroupCommands`.
 
     Args:
         host: server host name.
@@ -350,7 +356,14 @@ class KVClient:
                 last_error = e.__cause__ or (e.args[0] if e.args else e)
                 continue
             if status != 'ok':
-                raise ConnectorError(f'SimKV error: {payload}')
+                # The one typed error reply: an expired group member must
+                # rejoin, which callers tell apart from a failed request.
+                error = (
+                    GroupMembershipError
+                    if str(payload).startswith(UNKNOWN_MEMBER)
+                    else ConnectorError
+                )
+                raise error(f'SimKV error: {payload}')
             return payload
         # Every attempt died at the connection level: the node itself is
         # unreachable (crashed or restarting), not the request malformed.
@@ -467,91 +480,6 @@ class KVClient:
     def topic_stats(self, topic: str) -> dict[str, Any] | None:
         """Return broker statistics for ``topic`` (``None`` if it never existed)."""
         return self._request('TSTATS', topic)
-
-    # -- consumer-group commands -------------------------------------------- #
-    def group_join(
-        self,
-        group: str,
-        member: str,
-        *,
-        session_timeout: float | None = None,
-    ) -> dict[str, Any]:
-        """Join ``group`` as ``member``; returns ``{'generation', 'members'}``.
-
-        ``session_timeout`` is the member's heartbeat lease: miss it and
-        the broker expires the member, bumping the group generation so
-        survivors rebalance its partitions.
-        """
-        return self._request('GROUP_JOIN', group, {
-            'member': member, 'session_timeout': session_timeout,
-        })
-
-    def group_heartbeat(
-        self,
-        group: str,
-        member: str,
-        positions: dict[str, int] | None = None,
-        ends: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        """Refresh ``member``'s lease, reporting delivered ``positions``.
-
-        ``ends`` reports partitions whose end-of-stream marker this member
-        delivered (topic -> marker seq) — the group-completion signal.
-        Returns the current ``{'generation', 'members'}`` view; raises
-        :class:`~repro.exceptions.ConnectorError` if the member was already
-        expired (it must rejoin and resync before consuming further).
-        """
-        return self._request('GROUP_HEARTBEAT', group, {
-            'member': member, 'positions': positions or {},
-            'ends': ends or {},
-        })
-
-    def group_leave(
-        self,
-        group: str,
-        member: str,
-        positions: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        """Leave ``group`` voluntarily (bumps the generation immediately)."""
-        return self._request('GROUP_LEAVE', group, {
-            'member': member, 'positions': positions or {},
-        })
-
-    def offset_commit(
-        self,
-        group: str,
-        offsets: dict[str, int],
-        *,
-        member: str | None = None,
-        positions: dict[str, int] | None = None,
-        ends: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        """Commit per-partition offsets (monotonic: stale commits are kept).
-
-        ``offsets`` maps partition topic to the first *un-acked* sequence
-        number; a successor claiming the partition resumes there.  ``ends``
-        reports delivered end-of-stream markers.  A commit from a live
-        ``member`` doubles as a heartbeat.
-        """
-        return self._request('OFFSET_COMMIT', group, {
-            'offsets': offsets,
-            'member': member or '',
-            'positions': positions or {},
-            'ends': ends or {},
-        })
-
-    def offset_fetch(self, group: str, topics: Sequence[str]) -> dict[str, Any]:
-        """Fetch per-partition offset state for ``topics``.
-
-        Each entry carries ``committed`` (replay point), ``watermark``
-        (furthest delivered), ``end`` (end-marker seq or ``None``) and
-        ``end_member`` (who reported it).
-        """
-        return self._request('OFFSET_FETCH', group, {'topics': list(topics)})
-
-    def group_stats(self, group: str) -> dict[str, Any]:
-        """Return the group's full broker-side state (members, offsets)."""
-        return self._request('GROUP_STATS', group)
 
     def topic_config(self, topic: str, *, retention: int) -> dict[str, Any]:
         """Set ``topic``'s ring-buffer retention (trimming immediately)."""

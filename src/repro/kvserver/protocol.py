@@ -45,6 +45,7 @@ __all__ = [
     'REPL_COMMANDS',
     'STREAM_COMMANDS',
     'StreamDecoder',
+    'UNKNOWN_MEMBER',
     'encode_message',
     'recv_message',
     'send_message',
@@ -65,6 +66,12 @@ GROUP_COMMANDS = frozenset({
     'GROUP_JOIN', 'GROUP_LEAVE', 'GROUP_HEARTBEAT',
     'OFFSET_COMMIT', 'OFFSET_FETCH', 'GROUP_STATS',
 })
+
+#: Prefix of the error reply to a ``GROUP_HEARTBEAT`` from a member whose
+#: lease expired (or that never joined).  The server writes it and the
+#: client recognises it — the reply is a plain string on the wire, so this
+#: text is the "member expired" signal and must not change.
+UNKNOWN_MEMBER = 'unknown member'
 
 #: Replication commands (broker failover, see repro.stream.failover):
 #: clients mirror a partition topic's retention ring (REPL_PUBLISH carries

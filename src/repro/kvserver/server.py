@@ -24,7 +24,10 @@ by a configurable retention) and fans it out to every connection that
 subscriber whose outgoing queue exceeds ``push_highwater`` bytes stops
 receiving pushes (the events stay in the ring; the client notices the
 sequence gap and issues a ``FETCH`` to catch up), so neither the ring nor
-any per-connection queue grows without bound.
+any per-connection queue grows without bound.  What the broker remembers
+— topic rings, consumer-group leases and offsets — is the pure state of
+:mod:`repro.kvserver.broker`, shared with the in-process bus; this module
+adds the wire: input checks, payload wrapping, push fan-out.
 """
 from __future__ import annotations
 
@@ -37,10 +40,15 @@ from collections import deque
 from itertools import islice
 from typing import Any
 
+from repro.exceptions import GroupMembershipError
+from repro.kvserver.broker import DEFAULT_SESSION_TIMEOUT
+from repro.kvserver.broker import GroupState
+from repro.kvserver.broker import TopicRing
 from repro.kvserver.protocol import EVENT_STATUS
 from repro.kvserver.protocol import GROUP_COMMANDS
 from repro.kvserver.protocol import REPL_COMMANDS
 from repro.kvserver.protocol import STREAM_COMMANDS
+from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import encode_message
 from repro.serialize.buffers import IOV_MAX
@@ -60,9 +68,6 @@ _PUSH_BATCH = 64
 #: Seconds a subscriber connection may sit with queued push bytes and make
 #: no read/write progress before the server reaps it (frees its buffers).
 DEFAULT_SUBSCRIBER_TIMEOUT = 30.0
-
-#: Default seconds without a heartbeat before a group member is expired.
-DEFAULT_SESSION_TIMEOUT = 10.0
 
 
 class _ClientConn:
@@ -89,180 +94,36 @@ class _ClientConn:
         self.last_progress = time.monotonic()
 
 
-class _Topic:
-    """Per-topic broker state: sequence counter, ring buffer, subscribers."""
+class _PushedTopic(TopicRing):
+    """A topic ring plus the connections its events are pushed to."""
 
-    __slots__ = (
-        'name', 'next_seq', 'ring', 'ring_bytes', 'retention',
-        'subscribers', 'dropped_events', 'dropped_pushes',
-        'reaped_subscribers',
-    )
+    __slots__ = ('name', 'subscribers', 'dropped_pushes', 'reaped_subscribers')
 
     def __init__(self, name: str, retention: int) -> None:
+        super().__init__(retention)
         self.name = name
-        #: Sequence number the next published event will receive.
-        self.next_seq = 0
-        #: Retained ``(seq, payload, nbytes)`` triples, oldest first.
-        self.ring: deque[tuple[int, Any, int]] = deque()
-        self.ring_bytes = 0
-        self.retention = retention
         self.subscribers: set[_ClientConn] = set()
-        #: Events that aged out of the ring before every consumer saw them.
-        self.dropped_events = 0
         #: Pushes skipped because a subscriber was over the highwater mark.
         self.dropped_pushes = 0
         #: Subscriber connections reaped by the no-progress sweep.
         self.reaped_subscribers = 0
 
-    def append(self, payload: Any, nbytes: int) -> int:
-        """Retain one event payload; returns its sequence number."""
-        seq = self.next_seq
-        self.next_seq += 1
-        self.ring.append((seq, payload, nbytes))
-        self.ring_bytes += nbytes
-        while len(self.ring) > self.retention:
-            _, _, old_nbytes = self.ring.popleft()
-            self.ring_bytes -= old_nbytes
-            self.dropped_events += 1
-        return seq
-
-    def append_at(self, seq: int, payload: Any, nbytes: int) -> bool:
-        """Retain a *replicated* event at an explicit sequence number.
-
-        Used by ``REPL_PUBLISH`` to mirror a primary broker's ring onto
-        this replica with identical numbering.  Idempotent and tolerant of
-        reordering: duplicates and events older than the ring's trim point
-        are dropped (returns ``False``), out-of-order arrivals are inserted
-        in sequence order, and ``next_seq`` only moves forward — so a
-        replica promoted to primary continues the primary's numbering.
-        """
-        if self.ring:
-            first = self.ring[0][0]
-            last = self.ring[-1][0]
-            if seq < first:
-                self.next_seq = max(self.next_seq, seq + 1)
-                return False
-            if seq <= last:
-                # Out-of-order arrival: scan from the right (arrivals are
-                # nearly ordered) for the insert point; drop duplicates.
-                index = len(self.ring)
-                while index > 0 and self.ring[index - 1][0] > seq:
-                    index -= 1
-                if index > 0 and self.ring[index - 1][0] == seq:
-                    return False
-                self.ring.insert(index, (seq, payload, nbytes))
-            else:
-                self.ring.append((seq, payload, nbytes))
-        else:
-            if seq < self.next_seq:
-                return False  # aged out of an empty ring
-            self.ring.append((seq, payload, nbytes))
-        self.ring_bytes += nbytes
-        self.next_seq = max(self.next_seq, seq + 1)
-        while len(self.ring) > self.retention:
-            _, _, old_nbytes = self.ring.popleft()
-            self.ring_bytes -= old_nbytes
-            self.dropped_events += 1
-        return True
-
-    def events_since(self, since: int, limit: int) -> tuple[list, int]:
-        """Retained ``(seq, payload)`` pairs with ``seq >= since``.
-
-        Returns ``(events, lost)`` where ``lost`` counts events that aged
-        out of the ring before ``since`` could observe them.
-        """
-        lost = 0
-        if self.ring and self.ring[0][0] > since:
-            lost = self.ring[0][0] - since
-        elif not self.ring and self.next_seq > since:
-            lost = self.next_seq - since
-        events = [
-            (seq, pickle.PickleBuffer(payload) if len(payload) else payload)
-            for seq, payload, _ in self.ring
-            if seq >= since
-        ]
-        return events[:limit], lost
-
-
-class _Group:
-    """Consumer-group state held by the group's designated broker.
-
-    Membership is leased: each member carries its own ``session_timeout``
-    and a deadline refreshed by ``GROUP_HEARTBEAT``.  Any group command
-    first sweeps expired members; every membership change bumps the
-    ``generation`` so clients detect that the partition assignment must be
-    recomputed.  Offsets are per partition topic: ``committed`` is the
-    at-least-once replay point (advanced only by ``OFFSET_COMMIT``, i.e.
-    after the consumer acked), ``watermark`` the furthest delivered
-    position any member reported — the gap between them is exactly the
-    un-acked window a successor must redeliver.
-    """
-
-    __slots__ = ('name', 'generation', 'members', 'committed', 'watermarks',
-                 'ends', 'expired_members')
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.generation = 0
-        #: member id -> (heartbeat deadline, session timeout seconds).
-        self.members: dict[str, tuple[float, float]] = {}
-        #: partition topic -> first un-acked sequence number.
-        self.committed: dict[str, int] = {}
-        #: partition topic -> furthest delivered position reported.
-        self.watermarks: dict[str, int] = {}
-        #: partition topic -> (end-marker seq, reporting member).  A
-        #: partition is *finished* once its end is recorded and either
-        #: committed reached it or the reporter is still a live member
-        #: (it will ack; if it dies first, expiry re-opens the partition).
-        self.ends: dict[str, tuple[int, str]] = {}
-        #: Members removed by heartbeat expiry (not voluntary leaves).
-        self.expired_members = 0
-
-    def sweep(self, now: float) -> bool:
-        """Expire members whose heartbeat deadline passed; True if any did."""
-        dead = [m for m, (deadline, _) in self.members.items() if now > deadline]
-        for member in dead:
-            del self.members[member]
-            self.expired_members += 1
-        if dead:
-            self.generation += 1
-        return bool(dead)
-
-    def touch(self, member: str, now: float, session_timeout: float | None = None) -> bool:
-        """Refresh (or create) ``member``'s lease; True if membership changed."""
-        known = member in self.members
-        timeout = (
-            session_timeout if session_timeout is not None
-            else self.members[member][1] if known
-            else DEFAULT_SESSION_TIMEOUT
-        )
-        self.members[member] = (now + timeout, timeout)
-        if not known:
-            self.generation += 1
-        return not known
-
-    def advance_watermarks(self, positions: Any) -> None:
-        """Fold member-reported delivered positions into the watermarks."""
-        if not isinstance(positions, dict):
-            return
-        for topic, position in positions.items():
-            position = int(position)
-            if position > self.watermarks.get(topic, 0):
-                self.watermarks[topic] = position
-
-    def record_ends(self, member: str, ends: Any) -> None:
-        """Record end-of-stream markers a member delivered on its partitions."""
-        if not isinstance(ends, dict):
-            return
-        for topic, end_seq in ends.items():
-            self.ends[topic] = (int(end_seq), member)
-
-    def view(self) -> dict[str, Any]:
-        """The membership snapshot returned by every group command."""
+    def stats(self) -> dict[str, int]:
+        """The ring's counters plus the connection-level ones."""
         return {
-            'generation': self.generation,
-            'members': sorted(self.members),
+            **super().stats(),
+            'subscribers': len(self.subscribers),
+            'dropped_pushes': self.dropped_pushes,
+            'reaped_subscribers': self.reaped_subscribers,
         }
+
+
+def _wire_events(events: list) -> list:
+    """``(seq, payload)`` pairs with payloads wrapped to travel out of band."""
+    return [
+        (seq, pickle.PickleBuffer(payload) if len(payload) else payload)
+        for seq, payload in events
+    ]
 
 
 class KVServer:
@@ -315,8 +176,8 @@ class KVServer:
         self._data: dict[str, Any] = {}
         # Topics and groups are touched exclusively from the event-loop
         # thread.
-        self._topics: dict[str, _Topic] = {}
-        self._groups: dict[str, _Group] = {}
+        self._topics: dict[str, _PushedTopic] = {}
+        self._groups: dict[str, GroupState] = {}
         self._lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._selector: selectors.BaseSelector | None = None
@@ -635,16 +496,16 @@ class KVServer:
         return (request_id, status, payload)
 
     # -- pub/sub ------------------------------------------------------------ #
-    def _topic(self, name: Any) -> _Topic:
+    def _topic(self, name: Any) -> _PushedTopic:
         """Return (creating on first use) the broker state for ``name``."""
         topic = self._topics.get(name)
         if topic is None:
-            topic = self._topics[name] = _Topic(
+            topic = self._topics[name] = _PushedTopic(
                 str(name), self.stream_retention,
             )
         return topic
 
-    def _push_events(self, topic: _Topic, events: list) -> None:
+    def _push_events(self, topic: _PushedTopic, events: list) -> None:
         """Fan ``(seq, payload)`` pairs out to the topic's subscribers.
 
         A subscriber whose queued outgoing bytes exceed ``push_highwater``
@@ -659,11 +520,9 @@ class KVServer:
         # the segments are read-only views and _flush never mutates them
         # (partial sends reslice into fresh views), so fan-out costs one
         # pickle regardless of the subscriber count.
-        wired = [
-            (seq, pickle.PickleBuffer(payload) if len(payload) else payload)
-            for seq, payload in events
-        ]
-        segments = encode_message((None, EVENT_STATUS, (topic.name, wired)))
+        segments = encode_message(
+            (None, EVENT_STATUS, (topic.name, _wire_events(events))),
+        )
         for conn in list(topic.subscribers):
             if conn.queued_bytes > self.push_highwater:
                 topic.dropped_pushes += len(events)
@@ -681,13 +540,18 @@ class KVServer:
         value: Any,
         conn: _ClientConn,
     ) -> tuple[str, Any]:
-        """Handle one pub/sub command (topics live on the loop thread only)."""
+        """Handle one pub/sub command (topics live on the loop thread only).
+
+        The ring itself is a :class:`~repro.kvserver.broker.TopicRing`;
+        what stays here is the server's own: checking what arrived from
+        the wire, out-of-band payload wrapping, and push fan-out.
+        """
         if command == 'PUBLISH':
             payload = self._own_value(value)
             if payload is None:
                 return ('error', 'PUBLISH payload must be bytes')
             topic = self._topic(key)
-            seq = topic.append(payload, len(payload))
+            seq = topic.append(payload)
             self._push_events(topic, [(seq, payload)])
             return ('ok', seq)
         if command == 'MPUBLISH':
@@ -700,7 +564,7 @@ class KVServer:
                     return ('error', 'MPUBLISH payloads must be bytes')
                 payloads.append(payload)
             topic = self._topic(key)
-            seqs = [topic.append(p, len(p)) for p in payloads]
+            seqs = [topic.append(p) for p in payloads]
             self._push_events(topic, list(zip(seqs, payloads)))
             return ('ok', seqs)
         if command == 'SUBSCRIBE':
@@ -715,9 +579,9 @@ class KVServer:
                 # enqueued before the SUBSCRIBE reply (responses are queued
                 # by _service_conn after _handle returns), so clients must
                 # accept EVENT frames ahead of the subscribe confirmation.
-                backlog, lost = topic.events_since(int(from_seq), len(topic.ring))
+                backlog, lost = topic.since(int(from_seq))
                 for start in range(0, len(backlog), _PUSH_BATCH):
-                    chunk = backlog[start:start + _PUSH_BATCH]
+                    chunk = _wire_events(backlog[start:start + _PUSH_BATCH])
                     self._enqueue(
                         conn,
                         encode_message((None, EVENT_STATUS, (topic.name, chunk))),
@@ -732,11 +596,12 @@ class KVServer:
         if command == 'FETCH':
             options = value if isinstance(value, dict) else {}
             topic = self._topic(key)
-            since = int(options.get('since', 0))
-            limit = int(options.get('max_events', 0)) or len(topic.ring) or 1
-            events, lost = topic.events_since(since, limit)
+            events, lost = topic.since(
+                int(options.get('since', 0)),
+                int(options.get('max_events', 0)) or None,
+            )
             return ('ok', {
-                'events': events,
+                'events': _wire_events(events),
                 'next_seq': topic.next_seq,
                 'lost': lost,
             })
@@ -745,37 +610,22 @@ class KVServer:
             topic = self._topic(key)
             retention = options.get('retention')
             if retention is not None:
-                retention = int(retention)
-                if retention < 1:
-                    return ('error', 'retention must be at least 1')
-                topic.retention = retention
-                while len(topic.ring) > topic.retention:
-                    _, _, old_nbytes = topic.ring.popleft()
-                    topic.ring_bytes -= old_nbytes
-                    topic.dropped_events += 1
+                try:
+                    topic.set_retention(int(retention))
+                except ValueError as e:
+                    return ('error', str(e))
             return ('ok', {'retention': topic.retention})
         if command == 'TSTATS':
             topic = self._topics.get(key)
-            if topic is None:
-                return ('ok', None)
-            return ('ok', {
-                'next_seq': topic.next_seq,
-                'ring_events': len(topic.ring),
-                'ring_bytes': topic.ring_bytes,
-                'retention': topic.retention,
-                'subscribers': len(topic.subscribers),
-                'dropped_events': topic.dropped_events,
-                'dropped_pushes': topic.dropped_pushes,
-                'reaped_subscribers': topic.reaped_subscribers,
-            })
+            return ('ok', None if topic is None else topic.stats())
         return ('error', f'unknown command {command!r}')  # pragma: no cover
 
     # -- consumer groups ----------------------------------------------------- #
-    def _group(self, name: Any) -> _Group:
+    def _group(self, name: Any) -> GroupState:
         """Return (creating on first use) the group state for ``name``."""
         group = self._groups.get(name)
         if group is None:
-            group = self._groups[name] = _Group(str(name))
+            group = self._groups[name] = GroupState()
         return group
 
     def _execute_group(
@@ -786,79 +636,27 @@ class KVServer:
     ) -> tuple[str, Any]:
         """Handle one consumer-group command (state lives on the loop thread).
 
-        Every command sweeps expired members first, so death detection
-        needs no dedicated timer: survivors heartbeat at a fraction of the
-        session timeout, and each heartbeat doubles as the expiry check
-        that bumps the generation when a member died.
+        Checks what arrived from the wire, then runs the command on the
+        group's :class:`~repro.kvserver.broker.GroupState`.
         """
         options = value if isinstance(value, dict) else {}
-        group = self._group(key)
-        now = time.monotonic()
-        group.sweep(now)
+        member = str(options.get('member', ''))
         if command == 'GROUP_JOIN':
-            member = str(options.get('member', ''))
             if not member:
                 return ('error', 'GROUP_JOIN requires a member id')
-            timeout = float(
-                options.get('session_timeout') or DEFAULT_SESSION_TIMEOUT,
-            )
-            if timeout <= 0:
+            timeout = options.get('session_timeout') or DEFAULT_SESSION_TIMEOUT
+            if float(timeout) <= 0:
                 return ('error', 'session_timeout must be positive')
-            group.touch(member, now, timeout)
-            return ('ok', group.view())
-        if command == 'GROUP_HEARTBEAT':
-            member = str(options.get('member', ''))
-            if member not in group.members:
-                # The member was expired (or never joined): it must rejoin
-                # and resync its assignment before consuming further.
-                return ('error', f'unknown member {member!r}')
-            group.touch(member, now)
-            group.advance_watermarks(options.get('positions'))
-            group.record_ends(member, options.get('ends'))
-            return ('ok', group.view())
-        if command == 'GROUP_LEAVE':
-            member = str(options.get('member', ''))
-            if group.members.pop(member, None) is not None:
-                group.generation += 1
-            group.advance_watermarks(options.get('positions'))
-            return ('ok', group.view())
-        if command == 'OFFSET_COMMIT':
-            offsets = options.get('offsets')
-            if not isinstance(offsets, dict):
+        elif command == 'OFFSET_COMMIT':
+            if not isinstance(options.get('offsets'), dict):
                 return ('error', 'OFFSET_COMMIT requires an offsets dict')
-            for topic, offset in offsets.items():
-                offset = int(offset)
-                if offset > group.committed.get(topic, 0):
-                    group.committed[topic] = offset
-            group.advance_watermarks(options.get('positions'))
-            member = str(options.get('member', ''))
-            group.record_ends(member, options.get('ends'))
-            if member in group.members:  # a commit doubles as a heartbeat
-                group.touch(member, now)
-            return ('ok', group.view())
-        if command == 'OFFSET_FETCH':
-            topics = options.get('topics')
-            if not isinstance(topics, (list, tuple)):
+        elif command == 'OFFSET_FETCH':
+            if not isinstance(options.get('topics'), (list, tuple)):
                 return ('error', 'OFFSET_FETCH requires a topics list')
-            payload = {}
-            for topic in topics:
-                end = group.ends.get(topic)
-                payload[topic] = {
-                    'committed': group.committed.get(topic, 0),
-                    'watermark': group.watermarks.get(topic, 0),
-                    'end': None if end is None else end[0],
-                    'end_member': None if end is None else end[1],
-                }
-            return ('ok', payload)
-        if command == 'GROUP_STATS':
-            return ('ok', {
-                **group.view(),
-                'committed': dict(group.committed),
-                'watermarks': dict(group.watermarks),
-                'ends': {t: e[0] for t, e in group.ends.items()},
-                'expired_members': group.expired_members,
-            })
-        return ('error', f'unknown command {command!r}')  # pragma: no cover
+        try:
+            return ('ok', self._group(key).execute(command, options, time.monotonic()))
+        except GroupMembershipError:
+            return ('error', f'{UNKNOWN_MEMBER} {member!r}')
 
     # -- replication (broker failover) --------------------------------------- #
     def _execute_repl(
@@ -875,9 +673,8 @@ class KVServer:
         so a subscriber that failed over to this replica keeps receiving
         live pushes even while producers still publish via the primary.
 
-        ``REPL_GROUP`` applies a coordinator-state delta *leniently*: the
-        member lease is created if missing (no error), committed offsets
-        merge monotonically, and the generation only moves forward — so
+        ``REPL_GROUP`` applies a coordinator-state delta leniently (see
+        :meth:`~repro.kvserver.broker.GroupState.apply_delta`), so
         mirrored deltas may arrive late, duplicated, or out of order
         without corrupting the replica's view.
         """
@@ -894,40 +691,13 @@ class KVServer:
                 payload = self._own_value(raw)
                 if payload is None:
                     return ('error', 'REPL_PUBLISH payloads must be bytes')
-                if topic.append_at(int(seq), payload, len(payload)):
+                if topic.append_at(int(seq), payload):
                     accepted.append((int(seq), payload))
             self._push_events(topic, accepted)
             return ('ok', {'accepted': len(accepted), 'next_seq': topic.next_seq})
         if command == 'REPL_GROUP':
             options = value if isinstance(value, dict) else {}
-            group = self._group(key)
-            now = time.monotonic()
-            group.sweep(now)
-            generation = int(options.get('generation', 0))
-            if generation > group.generation:
-                group.generation = generation
-            member = str(options.get('member', ''))
-            op = str(options.get('op', 'heartbeat'))
-            if member and op in ('join', 'heartbeat', 'commit'):
-                # Quiet lease refresh: create-if-missing without bumping the
-                # generation (the primary's bump arrives via ``generation``).
-                known = member in group.members
-                timeout = float(
-                    options.get('session_timeout')
-                    or (group.members[member][1] if known else DEFAULT_SESSION_TIMEOUT),
-                )
-                group.members[member] = (now + timeout, timeout)
-            elif member and op == 'leave':
-                group.members.pop(member, None)
-            offsets = options.get('offsets')
-            if isinstance(offsets, dict):
-                for topic_name, offset in offsets.items():
-                    offset = int(offset)
-                    if offset > group.committed.get(topic_name, 0):
-                        group.committed[topic_name] = offset
-            group.advance_watermarks(options.get('positions'))
-            group.record_ends(member, options.get('ends'))
-            return ('ok', group.view())
+            return ('ok', self._group(key).apply_delta(options, time.monotonic()))
         return ('error', f'unknown command {command!r}')  # pragma: no cover
 
     def _execute(

@@ -16,8 +16,10 @@ consumers:
 
 Two implementations ship with the library and more can be registered:
 
-* :class:`LocalEventBus` — in-process topics for single-node pipelines
+* :class:`LocalEventBus` — an in-process broker for single-node pipelines
   (``local://bus-id``); subscribers read straight from the shared ring.
+  It keeps the same :mod:`repro.kvserver.broker` topic and group state
+  the SimKV server keeps, so both transports share one set of semantics.
 * :class:`~repro.stream.kv.KVEventBus` — topics brokered by the SimKV
   event-loop server (``kv://host:port``), with server-side fan-out to
   subscriber connections.
@@ -29,6 +31,7 @@ transport-agnostic the same way stores are.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any
 from typing import Iterator
 from typing import Protocol
@@ -37,6 +40,9 @@ from typing import runtime_checkable
 
 from repro.connectors.registry import StoreURL
 from repro.exceptions import UnknownConnectorSchemeError
+from repro.kvserver.broker import GroupCommands
+from repro.kvserver.broker import GroupState
+from repro.kvserver.broker import TopicRing
 
 __all__ = [
     'DEFAULT_LOCAL_RETENTION',
@@ -212,50 +218,54 @@ def _lookup_scheme(scheme: str) -> type | None:
 # --------------------------------------------------------------------------- #
 # In-process bus
 # --------------------------------------------------------------------------- #
-class _LocalTopic:
-    """One in-process topic: a bounded ring plus a wakeup condition."""
+class _LocalBroker(GroupCommands):
+    """The in-process broker behind every bus handle with one ``bus_id``.
 
-    __slots__ = ('ring', 'ring_bytes', 'next_seq', 'retention', 'cond',
-                 'dropped_events')
+    Holds the same state a SimKV server holds — a
+    :class:`~repro.kvserver.broker.TopicRing` per topic (paired with the
+    condition its subscribers wait on) and a
+    :class:`~repro.kvserver.broker.GroupState` per consumer group — and
+    answers the group commands the way :class:`~repro.kvserver.KVClient`
+    does, minus the socket.
+    """
 
-    def __init__(self, retention: int) -> None:
-        self.ring: list[tuple[int, bytes]] = []
-        self.ring_bytes = 0
-        self.next_seq = 0
-        self.retention = retention
-        self.cond = threading.Condition()
-        self.dropped_events = 0
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.topics: dict[str, tuple[TopicRing, threading.Condition]] = {}
+        self.groups: dict[str, GroupState] = {}
 
-    def append_locked(self, payload: bytes) -> int:
-        """Append one payload (caller holds ``cond``); returns its seq."""
-        seq = self.next_seq
-        self.next_seq += 1
-        self.ring.append((seq, payload))
-        self.ring_bytes += len(payload)
-        overflow = len(self.ring) - self.retention
-        if overflow > 0:
-            for _, old in self.ring[:overflow]:
-                self.ring_bytes -= len(old)
-            del self.ring[:overflow]
-            self.dropped_events += overflow
-        return seq
+    def topic(self, name: str, retention: int) -> tuple[TopicRing, threading.Condition]:
+        """Return (creating with ``retention`` on first use) topic ``name``."""
+        with self.lock:
+            topic = self.topics.get(name)
+            if topic is None:
+                topic = self.topics[name] = (
+                    TopicRing(retention), threading.Condition(),
+                )
+            return topic
+
+    def _request(self, command: str, key: str | None = None, value: Any = None) -> Any:
+        with self.lock:
+            group = self.groups.get(key)
+            if group is None:
+                group = self.groups[key] = GroupState()
+            return group.execute(command, value or {}, time.monotonic())
 
 
-# Named in-process buses so a bus re-created from its config (or URL) in the
-# same process sees the same topics — mirroring LocalConnector's store_id.
-_GLOBAL_BUSES: dict[str, dict[str, _LocalTopic]] = {}
-_GLOBAL_LOCK = threading.Lock()
+# Named in-process brokers so a bus re-created from its config (or URL) in
+# the same process sees the same topics and groups — mirroring
+# LocalConnector's store_id.
+_BROKERS: dict[str, _LocalBroker] = {}
+_BROKERS_LOCK = threading.Lock()
 
 
 class _LocalSubscription:
-    """Cursor over a :class:`_LocalTopic`'s shared ring buffer."""
+    """Cursor over a local topic's shared ring buffer."""
 
     def __init__(self, bus: 'LocalEventBus', topic: str, from_seq: int | None) -> None:
-        self._topic = bus._topic(topic)
-        with self._topic.cond:
-            self._cursor = (
-                self._topic.next_seq if from_seq is None else from_seq
-            )
+        self._ring, self._cond = bus._topic(topic)
+        with self._cond:
+            self._cursor = self._ring.next_seq if from_seq is None else from_seq
         self._lost = 0
         self._closed = False
 
@@ -278,45 +288,38 @@ class _LocalSubscription:
         """
         if self._closed:
             return []
-        topic = self._topic
-        with topic.cond:
-            if topic.next_seq <= self._cursor:
+        ring = self._ring
+        with self._cond:
+            if ring.next_seq <= self._cursor:
                 # The predicate also checks closed so close() from another
                 # thread can wake an indefinitely blocked consumer.
-                topic.cond.wait_for(
-                    lambda: self._closed or topic.next_seq > self._cursor,
+                self._cond.wait_for(
+                    lambda: self._closed or ring.next_seq > self._cursor,
                     timeout=timeout,
                 )
-            if self._closed or topic.next_seq <= self._cursor:
+            if self._closed or ring.next_seq <= self._cursor:
                 return []
-            start = topic.ring[0][0] if topic.ring else topic.next_seq
-            if start > self._cursor:
-                self._lost += start - self._cursor
-                self._cursor = start
-            batch = [
-                (seq, payload)
-                for seq, payload in topic.ring
-                if seq >= self._cursor
-            ]
-            if batch:
-                self._cursor = batch[-1][0] + 1
+            batch, lost = ring.since(self._cursor)
+            self._lost += lost
+            self._cursor = batch[-1][0] + 1 if batch else self._cursor + lost
             return batch
 
     def close(self) -> None:
         """Detach from the topic, waking any thread blocked in ``next_batch``."""
         self._closed = True
-        with self._topic.cond:
-            self._topic.cond.notify_all()
+        with self._cond:
+            self._cond.notify_all()
 
 
 class LocalEventBus:
     """In-process event bus: per-topic bounded ring buffers plus wakeups.
 
     Args:
-        bus_id: name of a process-global topic namespace.  Two buses built
+        bus_id: name of a process-global broker namespace.  Two buses built
             with the same ``bus_id`` (e.g. one in a producer thread, one in
-            a consumer thread) share topics.  Omitted: a fresh anonymous
-            namespace (with a generated id, so ``config()`` round-trips).
+            a consumer thread) share topics and consumer groups.  Omitted:
+            a fresh anonymous namespace (with a generated id, so
+            ``config()`` round-trips).
         retention: ring-buffer bound applied to topics created through
             this handle.
 
@@ -339,36 +342,29 @@ class LocalEventBus:
 
         self.bus_id = bus_id if bus_id is not None else new_object_id()
         self.retention = retention
-        with _GLOBAL_LOCK:
-            self._topics = _GLOBAL_BUSES.setdefault(self.bus_id, {})
+        with _BROKERS_LOCK:
+            #: The broker's request client — the group and offset commands,
+            #: under the same names ``KVEventBus.client`` answers to.
+            self.client = _BROKERS.setdefault(self.bus_id, _LocalBroker())
 
     def __repr__(self) -> str:
         return f'LocalEventBus(bus_id={self.bus_id!r})'
 
-    def _topic(self, name: str) -> _LocalTopic:
-        with _GLOBAL_LOCK:
-            topic = self._topics.get(name)
-            if topic is None:
-                topic = self._topics[name] = _LocalTopic(self.retention)
-            return topic
+    def _topic(self, name: str) -> tuple[TopicRing, threading.Condition]:
+        return self.client.topic(name, self.retention)
 
     # -- EventBus protocol ------------------------------------------------- #
     def publish(self, topic: str, payload: 'bytes | bytearray | memoryview') -> int:
         """Publish one payload on ``topic``; returns its sequence number."""
-        t = self._topic(topic)
-        data = bytes(payload)
-        with t.cond:
-            seq = t.append_locked(data)
-            t.cond.notify_all()
-        return seq
+        return self.publish_batch(topic, [payload])[0]
 
     def publish_batch(self, topic: str, payloads: Sequence[Any]) -> list[int]:
         """Publish several payloads on ``topic`` under one lock acquisition."""
-        t = self._topic(topic)
+        ring, cond = self._topic(topic)
         datas = [bytes(p) for p in payloads]
-        with t.cond:
-            seqs = [t.append_locked(d) for d in datas]
-            t.cond.notify_all()
+        with cond:
+            seqs = [ring.append(d) for d in datas]
+            cond.notify_all()
         return seqs
 
     def subscribe(self, topic: str, *, from_seq: int | None = None) -> _LocalSubscription:
@@ -377,32 +373,19 @@ class LocalEventBus:
 
     def topic_stats(self, topic: str) -> dict[str, Any] | None:
         """Return ring statistics for ``topic`` (``None`` if never used)."""
-        with _GLOBAL_LOCK:
-            t = self._topics.get(topic)
-        if t is None:
+        with self.client.lock:
+            found = self.client.topics.get(topic)
+        if found is None:
             return None
-        with t.cond:
-            return {
-                'next_seq': t.next_seq,
-                'ring_events': len(t.ring),
-                'ring_bytes': t.ring_bytes,
-                'retention': t.retention,
-                'dropped_events': t.dropped_events,
-            }
+        ring, cond = found
+        with cond:
+            return ring.stats()
 
     def configure_topic(self, topic: str, *, retention: int) -> None:
         """Set ``topic``'s ring retention, trimming immediately."""
-        if retention < 1:
-            raise ValueError('retention must be at least 1')
-        t = self._topic(topic)
-        with t.cond:
-            t.retention = retention
-            overflow = len(t.ring) - retention
-            if overflow > 0:
-                for _, old in t.ring[:overflow]:
-                    t.ring_bytes -= len(old)
-                del t.ring[:overflow]
-                t.dropped_events += overflow
+        ring, cond = self._topic(topic)
+        with cond:
+            ring.set_retention(retention)
 
     def config(self) -> dict[str, Any]:
         """Return a picklable dict re-creating this bus (same process only)."""
@@ -435,8 +418,8 @@ class LocalEventBus:
         self.close()
 
     def __iter__(self) -> Iterator[str]:
-        with _GLOBAL_LOCK:
-            return iter(sorted(self._topics))
+        with self.client.lock:
+            return iter(sorted(self.client.topics))
 
 
 register_event_bus('local', LocalEventBus)

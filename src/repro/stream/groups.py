@@ -15,11 +15,14 @@ keys).  This module turns the bus into a fleet-scale delivery substrate:
 * **Consumer groups** — members of a group split the partitions among
   themselves (round-robin over the sorted member ids, recomputed locally
   by every member from the membership view, so assignment needs no
-  central assignor).  A :class:`GroupCoordinator` on the group's
-  *designated broker* (``ring.primary`` over the group name) tracks
-  membership with leased heartbeats, per-partition **committed offsets**
-  (advanced only on :meth:`GroupConsumer.ack`) and delivered
-  **watermarks** (the furthest position any member reported).
+  central assignor).  The group's *designated broker* (``ring.primary``
+  over the group name) tracks membership with leased heartbeats,
+  per-partition **committed offsets** (advanced only on
+  :meth:`GroupConsumer.ack`) and delivered **watermarks** (the furthest
+  position any member reported) in a
+  :class:`~repro.kvserver.broker.GroupState` — the same class whether the
+  broker is a SimKV server or the in-process bus; a
+  :class:`GroupCoordinator` is the client handle that reaches it.
 * **At-least-once redelivery** — when a member misses its heartbeats the
   broker expires it and bumps the group generation; survivors detect the
   change on their next heartbeat, claim the dead member's partitions, and
@@ -65,6 +68,7 @@ from repro.proxy.proxy import Proxy
 from repro.proxy.resolve import resolve
 from repro.proxy.resolve import resolve_async
 from repro.faults.retry import DEFAULT_RECONNECT_POLICY
+from repro.kvserver.broker import DEFAULT_SESSION_TIMEOUT
 from repro.store.factory import StoreFactory
 from repro.stream.bus import EventBus
 from repro.stream.bus import broker_id
@@ -85,9 +89,6 @@ __all__ = [
     'partition_for',
     'partition_topics',
 ]
-
-#: Default seconds without a heartbeat before a member is expired.
-DEFAULT_SESSION_TIMEOUT = 10.0
 
 #: Fraction of the session timeout between heartbeats (3 beats per lease).
 _HEARTBEAT_FRACTION = 3.0
@@ -257,7 +258,7 @@ class PartitionRouter:
         return self._by_id[node]
 
     def client_of(self, node: str) -> Any:
-        """The node's SimKV request client, or ``None`` (local transport)."""
+        """The node's broker request client (``None`` if the bus has none)."""
         return getattr(self._by_id[node], 'client', None)
 
     def record(
@@ -280,9 +281,9 @@ class PartitionRouter:
                 node, ok=ok, unavailable=unavailable, error=error,
             )
 
-    def bus_for(self, partition_topic: str) -> EventBus:
-        """The live broker bus that currently hosts ``partition_topic``."""
-        return self._by_id[self.ordered_owners(partition_topic)[0]]
+    def bus_for(self, key: str) -> EventBus:
+        """The live broker bus that currently hosts ``key`` (a partition topic)."""
+        return self._by_id[self.ordered_owners(key)[0]]
 
     def bus_for_partition(self, partition: int) -> EventBus:
         """The broker bus that hosts partition index ``partition``."""
@@ -290,11 +291,7 @@ class PartitionRouter:
 
     def designated(self, label: str) -> EventBus:
         """The live broker currently designated to coordinate ``label``."""
-        return self._by_id[self.coordinator_owners(label)[0]]
-
-    def coordinator_owners(self, label: str) -> list[str]:
-        """Owner node ids for coordinating ``label``, live brokers first."""
-        return self.ordered_owners(f'coordinator:{label}')
+        return self.bus_for(f'coordinator:{label}')
 
     # -- replicated publish -------------------------------------------------- #
     def publish(self, partition_topic: str, payload: Any) -> int:
@@ -308,49 +305,64 @@ class PartitionRouter:
         are then mirrored — with those explicit numbers — onto the other
         live owners via ``REPL_PUBLISH`` *before returning*, so a single
         broker death after the publish cannot lose an event the caller was
-        told succeeded.  Owner walk and retries use the shared jittered
-        backoff policy; a replica mirror failure is recorded against that
-        replica but does not fail the publish (the data is durable on the
-        primary — the fleet is merely under-replicated until it recovers).
+        told succeeded.
+        """
+        payloads = list(payloads)
+        node, seqs = self.first_live(
+            partition_topic,
+            lambda node: list(
+                self._by_id[node].publish_batch(partition_topic, payloads),
+            ),
+        )
+        if seqs:
+            self.mirror(
+                partition_topic, node,
+                'repl_publish', partition_topic, list(zip(seqs, payloads)),
+            )
+        return seqs
+
+    def first_live(self, key: str, op: Any) -> tuple[str, Any]:
+        """Run ``op(node)`` on ``key``'s first reachable owner.
+
+        The failover walk every routed request shares: owners are tried
+        live-first, a :class:`~repro.exceptions.NodeUnavailableError` is
+        recorded against the broker and moves on to the next owner, and
+        the whole walk is retried under the shared jittered backoff
+        policy — so a lone owner that is restarting is ridden out
+        (≈ 1 s) before the error is raised.  Any other error is the
+        request's own problem and propagates.  Returns ``(node, result)``.
         """
         last: Exception | None = None
         for _attempt in DEFAULT_RECONNECT_POLICY.attempts():
-            owners = self.ordered_owners(partition_topic)
-            for node in owners:
-                bus = self._by_id[node]
+            for node in self.ordered_owners(key):
                 try:
-                    seqs = list(bus.publish_batch(partition_topic, list(payloads)))
+                    result = op(node)
                 except NodeUnavailableError as e:
                     self.record(node, ok=False, unavailable=True, error=e)
                     last = e
                     continue
                 self.record(node, ok=True)
-                self._replicate(
-                    partition_topic, list(zip(seqs, payloads)), primary=node,
-                )
-                return seqs
+                return node, result
         raise last if last is not None else NodeUnavailableError(
-            f'no broker reachable for topic {partition_topic!r}',
+            f'no broker reachable for {key!r}',
         )
 
-    def _replicate(
-        self,
-        partition_topic: str,
-        entries: list[tuple[int, Any]],
-        *,
-        primary: str,
-    ) -> None:
-        """Mirror ``(seq, payload)`` events onto the non-primary live owners."""
-        if self.replicas < 2 or not entries:
-            return
-        for node in self.owners(partition_topic):
+    def mirror(self, key: str, primary: str, method: str, *args: Any) -> None:
+        """Best-effort ``client.<method>(*args)`` on ``key``'s other live owners.
+
+        A mirror failure is recorded against that replica but never fails
+        the caller's request: the data is durable on ``primary`` — the
+        fleet is merely under-replicated until the replica recovers.  With
+        one owner per key (``replicas=1``) there is nobody to mirror to.
+        """
+        for node in self.owners(key):
             if node == primary or not self._alive(node):
                 continue
-            repl = getattr(self.client_of(node), 'repl_publish', None)
-            if repl is None:
+            call = getattr(self.client_of(node), method, None)
+            if call is None:
                 continue  # transport without replication support
             try:
-                repl(partition_topic, entries)
+                call(*args)
             except NodeUnavailableError as e:
                 self.record(node, ok=False, unavailable=True, error=e)
             except ConnectorError as e:
@@ -402,277 +414,92 @@ class PartitionRouter:
 
 
 # --------------------------------------------------------------------------- #
-# Group state backends
+# The group coordinator
 # --------------------------------------------------------------------------- #
-class _LocalGroupState:
-    """In-process group state mirroring the broker-side ``_Group`` record."""
+class GroupCoordinator:
+    """Client handle to one group's membership and offset state.
 
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.generation = 0
-        self.members: dict[str, tuple[float, float]] = {}
-        self.committed: dict[str, int] = {}
-        self.watermarks: dict[str, int] = {}
-        self.ends: dict[str, tuple[int, str]] = {}
-
-    def sweep_locked(self, now: float) -> None:
-        dead = [m for m, (deadline, _) in self.members.items() if now > deadline]
-        for member in dead:
-            del self.members[member]
-        if dead:
-            self.generation += 1
-
-    def advance_locked(self, positions: dict[str, int] | None) -> None:
-        for topic, position in (positions or {}).items():
-            if int(position) > self.watermarks.get(topic, 0):
-                self.watermarks[topic] = int(position)
-
-    def record_ends_locked(self, member: str, ends: dict[str, int] | None) -> None:
-        for topic, end_seq in (ends or {}).items():
-            self.ends[topic] = (int(end_seq), member)
-
-    def view_locked(self) -> dict[str, Any]:
-        return {'generation': self.generation, 'members': sorted(self.members)}
-
-
-#: Process-global group states of the in-process transport, keyed by
-#: (local bus id, group name) — mirrors the shared-topic registry of
-#: :class:`~repro.stream.bus.LocalEventBus`.
-_LOCAL_GROUPS: dict[tuple[str, str], _LocalGroupState] = {}
-_LOCAL_GROUPS_LOCK = threading.Lock()
-
-
-class _LocalBackend:
-    """Group-state backend over the in-process transport."""
-
-    def __init__(self, namespace: str, group: str) -> None:
-        with _LOCAL_GROUPS_LOCK:
-            self._state = _LOCAL_GROUPS.setdefault(
-                (namespace, group), _LocalGroupState(),
-            )
-
-    def join(self, member: str, session_timeout: float) -> dict[str, Any]:
-        state = self._state
-        now = time.monotonic()
-        with state.lock:
-            state.sweep_locked(now)
-            if member not in state.members:
-                state.generation += 1
-            state.members[member] = (now + session_timeout, session_timeout)
-            return state.view_locked()
-
-    def heartbeat(
-        self,
-        member: str,
-        positions: dict[str, int],
-        ends: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        state = self._state
-        now = time.monotonic()
-        with state.lock:
-            state.sweep_locked(now)
-            if member not in state.members:
-                raise GroupMembershipError(
-                    f'member {member!r} expired from the group',
-                )
-            deadline, timeout = state.members[member]
-            state.members[member] = (now + timeout, timeout)
-            state.advance_locked(positions)
-            state.record_ends_locked(member, ends)
-            return state.view_locked()
-
-    def leave(self, member: str, positions: dict[str, int]) -> None:
-        state = self._state
-        with state.lock:
-            state.sweep_locked(time.monotonic())
-            if state.members.pop(member, None) is not None:
-                state.generation += 1
-            state.advance_locked(positions)
-
-    def commit(
-        self,
-        member: str,
-        offsets: dict[str, int],
-        positions: dict[str, int],
-        ends: dict[str, int] | None = None,
-    ) -> None:
-        state = self._state
-        now = time.monotonic()
-        with state.lock:
-            state.sweep_locked(now)
-            for topic, offset in offsets.items():
-                if int(offset) > state.committed.get(topic, 0):
-                    state.committed[topic] = int(offset)
-            state.advance_locked(positions)
-            state.record_ends_locked(member, ends)
-            if member in state.members:
-                deadline, timeout = state.members[member]
-                state.members[member] = (now + timeout, timeout)
-
-    def fetch(self, topics: Sequence[str]) -> dict[str, dict[str, int]]:
-        state = self._state
-        with state.lock:
-            fetched = {}
-            for topic in topics:
-                end = state.ends.get(topic)
-                fetched[topic] = {
-                    'committed': state.committed.get(topic, 0),
-                    'watermark': state.watermarks.get(topic, 0),
-                    'end': None if end is None else end[0],
-                    'end_member': None if end is None else end[1],
-                }
-            return fetched
-
-    def stats(self) -> dict[str, Any]:
-        state = self._state
-        with state.lock:
-            state.sweep_locked(time.monotonic())
-            return {
-                **state.view_locked(),
-                'committed': dict(state.committed),
-                'watermarks': dict(state.watermarks),
-                'ends': {t: e[0] for t, e in state.ends.items()},
-            }
-
-
-class _KVBackend:
-    """Group-state backend over a designated SimKV broker."""
-
-    def __init__(self, client: Any, group: str) -> None:
-        self._client = client
-        self._group = group
-
-    def join(self, member: str, session_timeout: float) -> dict[str, Any]:
-        return self._client.group_join(
-            self._group, member, session_timeout=session_timeout,
-        )
-
-    def heartbeat(
-        self,
-        member: str,
-        positions: dict[str, int],
-        ends: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        try:
-            return self._client.group_heartbeat(
-                self._group, member, positions, ends,
-            )
-        except ConnectorError as e:
-            if isinstance(e, NodeUnavailableError):
-                raise
-            if 'unknown member' in str(e):
-                raise GroupMembershipError(
-                    f'member {member!r} expired from the group',
-                ) from e
-            raise
-
-    def leave(self, member: str, positions: dict[str, int]) -> None:
-        self._client.group_leave(self._group, member, positions)
-
-    def commit(
-        self,
-        member: str,
-        offsets: dict[str, int],
-        positions: dict[str, int],
-        ends: dict[str, int] | None = None,
-    ) -> None:
-        self._client.offset_commit(
-            self._group, offsets,
-            member=member, positions=positions, ends=ends,
-        )
-
-    def fetch(self, topics: Sequence[str]) -> dict[str, dict[str, int]]:
-        return self._client.offset_fetch(self._group, topics)
-
-    def stats(self) -> dict[str, Any]:
-        return self._client.group_stats(self._group)
-
-
-class _ReplicatedKVBackend:
-    """Group-state backend over a replicated coordinator broker chain.
-
-    Every mutating command goes to the *acting* coordinator — the first
-    live broker in the fixed ring-owner list for ``coordinator:group:X``
-    — and is then mirrored to the other live owners as a lenient
-    ``REPL_GROUP`` delta carrying the primary's post-op generation.  When
-    the acting broker dies (a :class:`~repro.exceptions.NodeUnavailableError`
-    streak recorded into the router's failure detector), the owner walk
-    lands on the next live replica, whose mirrored state — membership
-    leases, generation, committed offsets, recorded ends — lets the group
-    continue without losing a commit.  :attr:`failovers` counts acting-
-    broker changes; consumers observing a bump force a rejoin/resync.
+    The state (a :class:`~repro.kvserver.broker.GroupState`) lives on the
+    group's *coordinator brokers* — the ring owners of
+    ``coordinator:group:{group}`` over the broker fleet — so every member
+    finds the coordinator without any lookup service (the same
+    coordinator-free placement partitions use).  Every command goes to the
+    *acting* coordinator, the first live owner, through the broker's
+    request client (``bus.client``: a SimKV connection, or the in-process
+    broker itself); mutating commands are then mirrored to the other live
+    owners as a lenient ``REPL_GROUP`` delta carrying the primary's
+    post-op generation.  When the acting broker dies the owner walk lands
+    on the next live replica, whose mirrored state — membership leases,
+    generation, committed offsets, recorded ends — lets the group continue
+    without losing a commit.  With ``replicas=1`` the same path runs with
+    one owner and nobody to mirror to.
     """
 
     def __init__(self, group: str, router: PartitionRouter) -> None:
-        self._group = group
+        if not group:
+            raise ValueError('group name must be non-empty')
+        self.group = group
         self._router = router
-        self._key = f'group:{group}'
+        self._owner_key = f'coordinator:group:{group}'
+        for node in router.owners(self._owner_key):
+            if not hasattr(router.client_of(node), 'group_join'):
+                raise StreamGroupError(
+                    f'bus {router.bus_of(node)!r} does not expose the '
+                    'consumer-group commands',
+                )
+        self.designated_broker = broker_id(router.bus_for(self._owner_key))
         #: Times the acting coordinator broker changed (observed by
-        #: consumers as the force-rejoin signal).
+        #: consumers as the force-rejoin signal; 0 without replication).
         self.failovers = 0
         self._acting: str | None = None
 
-    @property
-    def acting_broker(self) -> str | None:
-        """Node id of the broker that last served a coordinator command."""
-        return self._acting
-
-    def _call(self, op: Any, mirror: dict[str, Any] | None = None) -> Any:
-        """Run ``op(client)`` on the acting coordinator with failover.
-
-        Only :class:`~repro.exceptions.NodeUnavailableError` triggers the
-        failover walk — any other connector error is the request's own
-        problem (e.g. an expired member) and propagates to the caller.
-        """
-        last: Exception | None = None
-        for _attempt in DEFAULT_RECONNECT_POLICY.attempts():
-            for node in self._router.coordinator_owners(self._key):
-                client = self._router.client_of(node)
-                if client is None:
-                    continue
-                try:
-                    result = op(client)
-                except NodeUnavailableError as e:
-                    self._router.record(node, ok=False, unavailable=True, error=e)
-                    last = e
-                    continue
-                self._router.record(node, ok=True)
-                if self._acting is not None and node != self._acting:
-                    self.failovers += 1
-                self._acting = node
-                if mirror is not None:
-                    if isinstance(result, dict) and 'generation' in result:
-                        mirror['generation'] = result['generation']
-                    self._mirror(node, mirror)
-                return result
-        raise last if last is not None else NodeUnavailableError(
-            f'no coordinator broker reachable for group {self._group!r}',
+    def __repr__(self) -> str:
+        return (
+            f'GroupCoordinator(group={self.group!r}, '
+            f'broker={self.designated_broker!r})'
         )
 
-    def _mirror(self, primary: str, payload: dict[str, Any]) -> None:
-        """Best-effort REPL_GROUP mirror to the non-acting live owners."""
-        for node in self._router.owners(f'coordinator:{self._key}'):
-            if node == primary or not self._router._alive(node):
-                continue
-            client = self._router.client_of(node)
-            if client is None or not hasattr(client, 'repl_group'):
-                continue
-            try:
-                client.repl_group(self._group, payload)
-            except NodeUnavailableError as e:
-                self._router.record(node, ok=False, unavailable=True, error=e)
-            except ConnectorError as e:
-                self._router.record(node, ok=False, error=e)
-            else:
-                self._router.record(node, ok=True)
+    @property
+    def acting_broker(self) -> str:
+        """Node id of the broker serving this group's commands.
+
+        The broker that answered the last command — the designated broker
+        until a failover moves the group to a replica.
+        """
+        return self._acting or self.designated_broker
+
+    def _call(
+        self,
+        command: str,
+        *args: Any,
+        delta: dict[str, Any] | None = None,
+        **kwargs: Any,
+    ) -> Any:
+        """Run ``client.<command>(group, ...)`` on the acting coordinator.
+
+        ``delta`` is what a mutating command mirrors as ``REPL_GROUP``.
+        """
+        node, result = self._router.first_live(
+            self._owner_key,
+            lambda node: getattr(self._router.client_of(node), command)(
+                self.group, *args, **kwargs,
+            ),
+        )
+        if self._acting is not None and node != self._acting:
+            self.failovers += 1
+        self._acting = node
+        if delta is not None:
+            delta['generation'] = result['generation']
+            self._router.mirror(
+                self._owner_key, node, 'repl_group', self.group, delta,
+            )
+        return result
 
     def join(self, member: str, session_timeout: float) -> dict[str, Any]:
-        """Join on the acting coordinator; mirrored to the replicas."""
+        """Register ``member``; returns the ``{'generation', 'members'}`` view."""
         return self._call(
-            lambda c: c.group_join(
-                self._group, member, session_timeout=session_timeout,
-            ),
-            mirror={
+            'group_join', member, session_timeout=session_timeout,
+            delta={
                 'op': 'join', 'member': member,
                 'session_timeout': session_timeout,
             },
@@ -684,125 +511,29 @@ class _ReplicatedKVBackend:
         positions: dict[str, int],
         ends: dict[str, int] | None = None,
     ) -> dict[str, Any]:
-        """Heartbeat the acting coordinator (lease refresh mirrors too)."""
-        try:
-            return self._call(
-                lambda c: c.group_heartbeat(self._group, member, positions, ends),
-                mirror={
-                    'op': 'heartbeat', 'member': member,
-                    'positions': dict(positions), 'ends': dict(ends or {}),
-                },
-            )
-        except NodeUnavailableError:
-            raise
-        except ConnectorError as e:
-            if 'unknown member' in str(e):
-                raise GroupMembershipError(
-                    f'member {member!r} expired from the group',
-                ) from e
-            raise
-
-    def leave(self, member: str, positions: dict[str, int]) -> None:
-        """Leave via the acting coordinator; mirrored to the replicas."""
-        self._call(
-            lambda c: c.group_leave(self._group, member, positions),
-            mirror={
-                'op': 'leave', 'member': member, 'positions': dict(positions),
-            },
-        )
-
-    def commit(
-        self,
-        member: str,
-        offsets: dict[str, int],
-        positions: dict[str, int],
-        ends: dict[str, int] | None = None,
-    ) -> None:
-        """Commit offsets on the acting coordinator; mirrored monotonically."""
-        self._call(
-            lambda c: c.offset_commit(
-                self._group, offsets,
-                member=member, positions=positions, ends=ends,
-            ),
-            mirror={
-                'op': 'commit', 'member': member, 'offsets': dict(offsets),
-                'positions': dict(positions), 'ends': dict(ends or {}),
-            },
-        )
-
-    def fetch(self, topics: Sequence[str]) -> dict[str, dict[str, int]]:
-        """Fetch offset state from the acting coordinator (read-only)."""
-        return self._call(lambda c: c.offset_fetch(self._group, list(topics)))
-
-    def stats(self) -> dict[str, Any]:
-        """Fetch full group state from the acting coordinator (read-only)."""
-        return self._call(lambda c: c.group_stats(self._group))
-
-
-class GroupCoordinator:
-    """Client handle to one group's membership and offset state.
-
-    The state lives on the group's *designated broker* — the ring-primary
-    of ``coordinator:{group}`` over the broker fleet — so every member
-    finds the coordinator without any lookup service (the same
-    coordinator-free placement partitions use).  Over the in-process
-    transport the state is a process-global record keyed by the bus
-    namespace, giving tests and single-process pipelines identical
-    semantics without sockets.
-    """
-
-    def __init__(self, group: str, router: PartitionRouter) -> None:
-        if not group:
-            raise ValueError('group name must be non-empty')
-        self.group = group
-        designated = router.designated(f'group:{group}')
-        client = getattr(designated, 'client', None)
-        if client is not None and hasattr(client, 'group_join'):
-            if router.replicas > 1:
-                self._backend: Any = _ReplicatedKVBackend(group, router)
-            else:
-                self._backend = _KVBackend(client, group)
-        elif type(designated).__name__ == 'LocalEventBus':
-            self._backend = _LocalBackend(designated.bus_id, group)
-        else:
-            raise StreamGroupError(
-                f'bus {designated!r} supports no group-state backend',
-            )
-        self.designated_broker = broker_id(designated)
-
-    @property
-    def failovers(self) -> int:
-        """Coordinator-broker failovers observed (0 without replication)."""
-        return getattr(self._backend, 'failovers', 0)
-
-    def __repr__(self) -> str:
-        return (
-            f'GroupCoordinator(group={self.group!r}, '
-            f'broker={self.designated_broker!r})'
-        )
-
-    def join(self, member: str, session_timeout: float) -> dict[str, Any]:
-        """Register ``member``; returns the ``{'generation', 'members'}`` view."""
-        return self._backend.join(member, session_timeout)
-
-    def heartbeat(
-        self,
-        member: str,
-        positions: dict[str, int],
-        ends: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
         """Refresh the lease, report delivered positions and seen ends.
 
         Raises:
             GroupMembershipError: the member was expired and must rejoin.
-            NodeUnavailableError: the designated broker is unreachable
+            NodeUnavailableError: no coordinator broker is reachable
                 (transient — the caller retries on the next beat).
         """
-        return self._backend.heartbeat(member, positions, ends)
+        return self._call(
+            'group_heartbeat', member, positions, ends,
+            delta={
+                'op': 'heartbeat', 'member': member,
+                'positions': positions, 'ends': ends or {},
+            },
+        )
 
     def leave(self, member: str, positions: dict[str, int]) -> None:
         """Deregister ``member`` voluntarily (immediate generation bump)."""
-        self._backend.leave(member, positions)
+        self._call(
+            'group_leave', member, positions,
+            delta={
+                'op': 'leave', 'member': member, 'positions': positions,
+            },
+        )
 
     def commit(
         self,
@@ -812,15 +543,22 @@ class GroupCoordinator:
         ends: dict[str, int] | None = None,
     ) -> None:
         """Commit per-partition offsets (monotonic), positions, and ends."""
-        self._backend.commit(member, offsets, positions, ends)
+        self._call(
+            'offset_commit', offsets,
+            member=member, positions=positions, ends=ends,
+            delta={
+                'op': 'commit', 'member': member, 'offsets': offsets,
+                'positions': positions, 'ends': ends or {},
+            },
+        )
 
     def fetch(self, topics: Sequence[str]) -> dict[str, dict[str, Any]]:
         """Fetch ``{topic: {'committed', 'watermark', 'end', 'end_member'}}``."""
-        return self._backend.fetch(topics)
+        return self._call('offset_fetch', list(topics))
 
     def stats(self) -> dict[str, Any]:
         """Return the group's full coordinator-side state."""
-        return self._backend.stats()
+        return self._call('group_stats')
 
 
 # --------------------------------------------------------------------------- #

@@ -68,6 +68,32 @@ def test_rp001_flags_select_without_timeout(analyze):
     assert _rules(report) == ['RP001']
 
 
+def test_rp001_checks_every_method_of_the_broker_state_classes(analyze):
+    # The handlers reach GroupState/TopicRing through other objects, not
+    # ``self``, so the self-call walk from KVServer never sees them.
+    source = '''
+        import time
+
+        class GroupState:
+            def heartbeat(self, member, now):
+                time.sleep(0.01)
+
+        class TopicRing:
+            def append(self, payload):
+                self._lock.acquire()
+
+        class SomethingElse:
+            def heartbeat(self):
+                time.sleep(1)  # not loop state
+    '''
+    report = analyze({'src/repro/kvserver/broker.py': source},
+                     select=['RP001'])
+    assert _rules(report) == ['RP001', 'RP001']
+    messages = ' '.join(f.message for f in report.findings)
+    assert 'GroupState.heartbeat' in messages
+    assert 'TopicRing.append' in messages
+
+
 # -- RP002: stored exception pins buffers --------------------------------- #
 
 def test_rp002_flags_exception_stored_on_self(analyze):

@@ -69,7 +69,6 @@ def test_sigkill_coordinator_broker_loses_nothing():
             store, urls, TOPIC,
             group=GROUP, partitions=PARTITIONS, replicas=2, timeout=30.0,
         )
-        backend = consumer.coordinator._backend
         items = iter(consumer)
         got = []
         for _ in range(ITEMS // 4):
@@ -82,7 +81,7 @@ def test_sigkill_coordinator_broker_loses_nothing():
 
         # SIGKILL the broker acting as group coordinator — via a seeded
         # fault plan, the same mechanism bench_pipeline uses.
-        victim = backend.acting_broker
+        victim = consumer.coordinator.acting_broker
         victim_port = int(victim.rsplit(':', 1)[1])
         victim_proc = proc_by_port[victim_port]
         plan = FaultPlan(seed=7).kill('coordinator', at=0.0)
@@ -113,7 +112,7 @@ def test_sigkill_coordinator_broker_loses_nothing():
         assert sorted(set(got)) == list(range(ITEMS))
         assert consumer.lost == 0
         assert consumer.coordinator.failovers >= 1
-        assert backend.acting_broker != victim
+        assert consumer.coordinator.acting_broker != victim
         # Offsets committed before the kill survived onto the replica
         # coordinator — the group did not rewind past its acks.
         after = consumer.coordinator.fetch(consumer.router.topics)

@@ -19,6 +19,7 @@ from repro.kvserver.server import KVServer
 from repro.stream import StreamConsumer
 from repro.stream import StreamProducer
 from repro.stream.failover import FailoverSubscription
+from repro.stream.groups import GroupCoordinator
 from repro.stream.groups import PartitionRouter
 
 _STORE_COUNTER = iter(range(10**6))
@@ -169,7 +170,6 @@ def test_coordinator_failover_preserves_commits_and_coverage(fleet, store):
         store, urls, 'ha-docs',
         group='ha-group', partitions=4, replicas=2, timeout=20.0,
     )
-    backend = consumer.coordinator._backend
     got = []
     items = iter(consumer)
     for _ in range(5):
@@ -179,7 +179,7 @@ def test_coordinator_failover_preserves_commits_and_coverage(fleet, store):
 
     # Kill the acting coordinator broker: its replica holds the mirrored
     # membership and offsets, so the group continues without losing acks.
-    victim = backend.acting_broker
+    victim = consumer.coordinator.acting_broker
     _server_of(fleet, victim).stop()
 
     late = StreamProducer(store, urls, 'ha-docs', partitions=4, replicas=2)
@@ -194,7 +194,7 @@ def test_coordinator_failover_preserves_commits_and_coverage(fleet, store):
     assert sorted(set(got)) == list(range(20))
     assert consumer.lost == 0
     assert consumer.coordinator.failovers >= 1
-    assert backend.acting_broker != victim
+    assert consumer.coordinator.acting_broker != victim
     # Offsets committed before the failover survived onto the replica.
     after = consumer.coordinator.fetch(consumer.router.topics)
     for topic, entry in committed_before.items():
@@ -206,12 +206,10 @@ def test_coordinator_failover_preserves_commits_and_coverage(fleet, store):
 def test_coordinator_calls_raise_when_every_owner_is_dead(fleet):
     router = PartitionRouter('dead-topic', 2, _urls(fleet), replicas=2)
     try:
-        from repro.stream.groups import _ReplicatedKVBackend
-
-        backend = _ReplicatedKVBackend('doomed', router)
+        coordinator = GroupCoordinator('doomed', router)
         for server in fleet:
             server.stop()
         with pytest.raises(NodeUnavailableError):
-            backend.join('m1', 5.0)
+            coordinator.join('m1', 5.0)
     finally:
         router.close()

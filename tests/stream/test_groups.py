@@ -18,7 +18,10 @@ import pytest
 
 import repro
 from repro.exceptions import GroupMembershipError
+from repro.exceptions import NodeUnavailableError
 from repro.exceptions import StoreError
+from repro.exceptions import StreamGroupError
+from repro.kvserver import KVServer
 from repro.stream import LocalEventBus
 from repro.stream import StreamConsumer
 from repro.stream import StreamProducer
@@ -158,6 +161,68 @@ def test_coordinator_expires_silent_members(make_bus, topic):
     assert view['members'] == ['alive']
     with pytest.raises(GroupMembershipError):
         coordinator.heartbeat('quiet', {})
+    # Both transports count the expiry.
+    assert coordinator.stats()['expired_members'] == 1
+
+
+class _DelegatingBus:
+    """A bus wrapper that forwards everything it does not intercept."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.published = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def publish_batch(self, topic, payloads):
+        self.published += len(payloads)
+        return self._inner.publish_batch(topic, payloads)
+
+
+def test_coordinator_asks_for_the_group_commands_not_for_a_class(make_bus, topic):
+    # A wrapper (or subclass) is neither LocalEventBus nor KVEventBus by
+    # name; what matters is that the broker's group commands are reachable.
+    router = PartitionRouter(topic, 2, _DelegatingBus(make_bus()))
+    coordinator = GroupCoordinator(f'g-{topic}', router)
+    assert coordinator.join('m1', 5.0)['members'] == ['m1']
+    ptopic = router.topics[1]
+    coordinator.commit('m1', {ptopic: 6}, {ptopic: 7})
+    assert coordinator.fetch([ptopic])[ptopic]['committed'] == 6
+    # Without a failover the acting broker is the designated one.
+    assert coordinator.acting_broker == coordinator.designated_broker
+    assert coordinator.failovers == 0
+
+
+def test_coordinator_rejects_a_bus_without_group_commands(topic):
+    class Mute:
+        def config(self):
+            return {'scheme': 'mute', 'bus_id': 'm'}
+
+    with pytest.raises(StreamGroupError):
+        GroupCoordinator('g', PartitionRouter(topic, 1, Mute()))
+
+
+@pytest.mark.timeout(60)
+def test_lone_dead_coordinator_is_retried_then_raises_and_close_stays_bounded(
+    group_store,
+):
+    # replicas=1 is the replicated path with one owner: a dead broker is
+    # ridden out under the shared reconnect policy (~1 s), then surfaces.
+    server = KVServer()
+    server.start()
+    consumer = GroupConsumer(
+        group_store, f'kv://{server.host}:{server.port}', 'lonely',
+        group='g', partitions=2, timeout=5.0,
+    )
+    server.stop()
+    started = time.monotonic()
+    with pytest.raises(NodeUnavailableError):
+        consumer.coordinator.stats()
+    assert time.monotonic() - started > 0.3   # it did back off and retry
+    started = time.monotonic()
+    consumer.close()
+    assert time.monotonic() - started < 15.0
 
 
 # --------------------------------------------------------------------------- #
