@@ -12,6 +12,9 @@ cheap enough for any bookkeeping overhead to show:
   ``add_key`` per proxy, batch-evicted at close).
 * ``borrow``: taking and dropping a shared borrow (pure bookkeeping, no
   store traffic).
+* ``wire``: bytes of a pickled proxy (plain, owned, and per proxy in a list
+  of 100) — what a task queue carries in place of the object; printed and
+  written to the report so the CI artifact records it.
 
 The acceptance target for the ownership layer is **< 5% overhead** on the
 create and resolve paths; the report records the measured overhead so the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import pickle
 import platform
 import statistics
 import sys
@@ -37,6 +41,7 @@ from repro.proxy import OwnedProxy
 from repro.proxy import borrow
 from repro.proxy import drop
 from repro.proxy import extract
+from repro.proxy import get_factory
 from repro.store import ContextLifetime
 from repro.store import Store
 
@@ -67,8 +72,6 @@ def _time_per_op(fn, ops: int, repeats: int) -> float:
 
 def bench_create(store: Store, ops: int, repeats: int) -> dict:
     """Create cost only: eviction/cleanup happens outside the timed region."""
-    from repro.proxy import get_factory
-
     def timed_round(make) -> float:
         # Preallocate the holding list so the timed region contains
         # creation only — no list growth and no deallocation of earlier
@@ -119,8 +122,6 @@ def bench_create(store: Store, ops: int, repeats: int) -> dict:
 
 
 def bench_resolve(store: Store, ops: int, repeats: int) -> dict:
-    from repro.proxy import get_factory
-
     def resolve_batch(proxies: list) -> float:
         gc.collect()
         gc.disable()
@@ -203,6 +204,25 @@ def bench_borrow(store: Store, ops: int, repeats: int) -> dict:
     return {'case': 'borrow', 'borrow_us': borrow_s * 1e6}
 
 
+def bench_wire(store: Store) -> dict:
+    """Exact pickled sizes of the references this store hands out."""
+    proxies = [store.proxy(PAYLOAD) for _ in range(100)]
+    owner = store.owned_proxy(PAYLOAD)
+    try:
+        one = len(pickle.dumps(proxies[:1]))
+        return {
+            'case': 'wire',
+            'proxy_bytes': len(pickle.dumps(proxies[0])),
+            'owned_proxy_bytes': len(pickle.dumps(owner)),
+            'bytes_per_proxy_in_list_of_100': (
+                (len(pickle.dumps(proxies)) - one) / 99
+            ),
+        }
+    finally:
+        drop(owner)
+        store.evict_batch([get_factory(p).key for p in proxies])
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument('--out', default='BENCH_proxy.json')
@@ -227,9 +247,15 @@ def main(argv: list[str] | None = None) -> int:
             bench_lifetime_create(store, ops, repeats),
             bench_borrow(store, ops, repeats),
         ]
+        wire = bench_wire(store)
     finally:
         store.close(clear=True)
 
+    print(
+        f'pickled proxy {wire["proxy_bytes"]} B, owned '
+        f'{wire["owned_proxy_bytes"]} B, '
+        f'{wire["bytes_per_proxy_in_list_of_100"]:.1f} B per proxy in a list of 100',
+    )
     for entry in results:
         overhead = entry.get('overhead_pct')
         suffix = f'   overhead {overhead:+6.2f}%' if overhead is not None else ''
@@ -254,6 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         'overhead_target_pct': 5.0,
         'overhead_target_met': target_met,
         'results': results,
+        'wire': wire,
     }
     with open(args.out, 'w') as f:
         json.dump(report, f, indent=2)

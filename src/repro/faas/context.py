@@ -41,10 +41,10 @@ class TaskContext:
         already charged to the clock by the connector itself."""
         factory = get_factory(proxy)
         resolve(proxy)
-        store_config = getattr(factory, 'store_config', None)
-        if store_config is None:
+        store_name = getattr(factory, 'store_name', None)
+        if store_name is None:
             return 0.0, True
-        store = get_store(store_config.name)
+        store = get_store(store_name)
         if store is None or not isinstance(store.connector, CostedConnector):
             return 0.0, True
         connector = store.connector

@@ -34,14 +34,15 @@ class Factory(Generic[T]):
     computation (Section 3.5 of the paper).
     """
 
-    def __init__(self) -> None:
-        self._async_thread: threading.Thread | None = None
-        self._async_result: Any = None
-        self._async_error: BaseException | None = None
+    # Background-resolution state is process-local: class-level defaults
+    # until ``resolve_async`` runs, and never part of a pickle.
+    _async_thread: threading.Thread | None = None
+    _async_result: Any = None
+    _async_error: BaseException | None = None
 
     # -- the factory protocol ------------------------------------------- #
     def __call__(self) -> T:
-        thread = getattr(self, '_async_thread', None)
+        thread = self._async_thread
         if thread is not None:
             thread.join()
             self._async_thread = None
@@ -63,7 +64,7 @@ class Factory(Generic[T]):
         returns its result, raising any exception the background resolution
         produced.
         """
-        if getattr(self, '_async_thread', None) is not None:
+        if self._async_thread is not None:
             return
 
         def _run() -> None:
@@ -82,10 +83,8 @@ class Factory(Generic[T]):
     # -- pickling -------------------------------------------------------- #
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
-        # Background-resolution state is process-local and never pickled.
-        state['_async_thread'] = None
-        state['_async_result'] = None
-        state['_async_error'] = None
+        for name in ('_async_thread', '_async_result', '_async_error'):
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:

@@ -216,7 +216,9 @@ class _TrackedProxy(Proxy[T]):
     # ownership and borrow counts are process-local and must never silently
     # duplicate across processes.
     def __reduce__(self):
-        factory = _unowned_factory(object.__getattribute__(self, '__factory__'))
+        factory = object.__getattribute__(self, '__factory__')
+        if getattr(factory, 'owned', False):
+            factory = _unowned_factory(factory)
         return (RefProxy, (factory,))
 
     def __reduce_ex__(self, protocol: int):

@@ -14,6 +14,12 @@ class comes from the registry; otherwise the legacy ``module:ClassName``
 import path in ``connector`` is used.  The fallback keeps configs (and
 pickled proxy factories) produced before the scheme registry existed — or by
 third-party connectors that never registered a scheme — working unchanged.
+
+A config is a *value*: every factory a Store creates shares the one instance
+``Store.config()`` caches, so the dataclass is frozen.  Its compact
+:meth:`~StoreConfig.wire` form is what those factories pickle (see
+:mod:`repro.store.factory` and "What a proxy carries on the wire" in
+``docs/ARCHITECTURE.md``).
 """
 from __future__ import annotations
 
@@ -28,8 +34,55 @@ from repro.connectors.protocol import connector_path
 from repro.connectors.registry import get_connector_class
 from repro.exceptions import StoreError
 from repro.exceptions import UnknownConnectorSchemeError
+from repro.store.coalesce import DEFAULT_DEADLINE_S
+from repro.store.coalesce import DEFAULT_MAX_BYTES
+from repro.store.coalesce import DEFAULT_MAX_OPS
 
 __all__ = ['StoreConfig']
+
+# Flag bits of the wire form.  Bits 1, 2 and 4 belong to the factory that
+# embeds the config (repro.store.factory); the whole int stays below 256 so
+# it pickles to two bytes.
+METRICS = 8
+CUSTOM_SERIALIZER = 16
+CUSTOM_DESERIALIZER = 32
+COALESCE_WRITES = 64
+#: ``connector`` is the import path any process derives from ``scheme``.
+PATH_FROM_SCHEME = 128
+CONFIG_BITS = (
+    METRICS | CUSTOM_SERIALIZER | CUSTOM_DESERIALIZER | COALESCE_WRITES
+    | PATH_FROM_SCHEME
+)
+
+# Non-flag fields that travel as ``name, value`` pairs, and the value each
+# takes when absent: what a Store built with default options reports (the
+# coalescing bounds of a Store are never None), so such a store ships none.
+_WIRE_DEFAULTS: dict[str, Any] = {
+    'connector': None,
+    'cache_size': 16,
+    'cache_max_bytes': None,
+    'coalesce_max_bytes': DEFAULT_MAX_BYTES,
+    'coalesce_max_ops': DEFAULT_MAX_OPS,
+    'coalesce_deadline': DEFAULT_DEADLINE_S,
+}
+
+
+def _path_from_scheme(scheme: str | None) -> str | None:
+    """Import path every process can derive from ``scheme`` alone, if any.
+
+    Only the built-in connectors qualify: the registry imports them on
+    demand, whereas a third-party scheme exists only where its module was
+    imported, so its import path must keep travelling.
+    """
+    if scheme is None:
+        return None
+    try:
+        connector_cls = get_connector_class(scheme)
+    except UnknownConnectorSchemeError:
+        return None
+    if not connector_cls.__module__.startswith('repro.connectors.'):
+        return None
+    return connector_path(connector_cls)
 
 
 def _scheme_of(connector: Any) -> str | None:
@@ -51,7 +104,7 @@ def _scheme_of(connector: Any) -> str | None:
     return type(connector).__dict__.get('scheme')
 
 
-@dataclass
+@dataclass(frozen=True)
 class StoreConfig:
     """Picklable configuration from which a Store can be rebuilt.
 
@@ -130,6 +183,79 @@ class StoreConfig:
                 'scheme nor a connector import path',
             )
         return connector_from_path(self.connector, config)
+
+    # -- compact wire form ------------------------------------------------ #
+    def wire(self) -> tuple[int, tuple[Any, ...]]:
+        """Return ``(bits, (name, scheme, connector_config, *pairs))``.
+
+        Booleans travel as flag bits, ``connector`` as one bit when it is
+        the path a built-in ``scheme`` resolves to anyway, and the rest as
+        flat ``name, value`` pairs only where they differ from a default
+        Store's.  Computed once per config: the shared tuple (and the
+        constant strings in it) is also what lets a pickled *list* of one
+        store's proxies memoize everything but the keys.
+        """
+        cached = self.__dict__.get('_wire')
+        if cached is None:
+            bits = (
+                (METRICS if self.metrics else 0)
+                | (CUSTOM_SERIALIZER if self.custom_serializer else 0)
+                | (CUSTOM_DESERIALIZER if self.custom_deserializer else 0)
+                | (COALESCE_WRITES if self.coalesce_writes else 0)
+            )
+            values = {name: getattr(self, name) for name in _WIRE_DEFAULTS}
+            path = values['connector']
+            if path is not None and path == _path_from_scheme(self.scheme):
+                bits |= PATH_FROM_SCHEME
+                values['connector'] = None
+            pairs = [
+                item
+                for name, value in values.items()
+                if value != _WIRE_DEFAULTS[name]
+                for item in (name, value)
+            ]
+            cached = (
+                bits,
+                (self.name, self.scheme, self.connector_config, *pairs),
+            )
+            self.__dict__['_wire'] = cached
+        return cached
+
+    @classmethod
+    def from_wire(
+        cls,
+        bits: int,
+        name: str,
+        scheme: str | None,
+        connector_config: dict[str, Any],
+        *pairs: Any,
+    ) -> 'StoreConfig':
+        """Inverse of :meth:`wire` (exact, field for field)."""
+        fields = dict(_WIRE_DEFAULTS)
+        fields.update(zip(pairs[::2], pairs[1::2]))
+        if bits & PATH_FROM_SCHEME:
+            fields['connector'] = _path_from_scheme(scheme)
+        config = cls(
+            name=name,
+            scheme=scheme,
+            connector_config=connector_config,
+            metrics=bool(bits & METRICS),
+            custom_serializer=bool(bits & CUSTOM_SERIALIZER),
+            custom_deserializer=bool(bits & CUSTOM_DESERIALIZER),
+            coalesce_writes=bool(bits & COALESCE_WRITES),
+            **fields,
+        )
+        config.__dict__['_wire'] = (
+            bits & CONFIG_BITS, (name, scheme, connector_config, *pairs),
+        )
+        return config
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The cached wire form is derived state; a config pickled on its own
+        # (stream producers/consumers carry one) ships its fields only.
+        state = self.__dict__.copy()
+        state.pop('_wire', None)
+        return state
 
     def to_dict(self) -> dict[str, Any]:
         """Return a plain-dict representation (JSON-friendly apart from values)."""

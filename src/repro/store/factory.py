@@ -5,22 +5,73 @@ it creates.  It is fully self-contained: it carries the connector key, the
 :class:`~repro.store.config.StoreConfig` needed to re-create the Store on any
 process, and the evict flag.  Resolution goes through the (possibly freshly
 registered) Store so that deserialization caching and metrics apply.
+
+On the wire a factory is one flat positional tuple (``__reduce__``), a few
+hundred bytes smaller than its ``__dict__``::
+
+    (flags, attrs, key, key_connector, name, scheme, connector_config, *pairs)
+
+``flags`` holds ``evict``/``owned``, whether ``key`` is a plain
+:class:`~repro.connectors.protocol.ConnectorKey` travelling as its two bare
+fields (richer key types travel whole, with ``key_connector`` ``None``), and
+the config's boolean fields; ``attrs`` is ``None`` or a dict of the
+factory's own non-default attributes; the rest is
+:meth:`StoreConfig.wire() <repro.store.config.StoreConfig.wire>`.  The
+consumer side is lazy: an unpickled factory keeps that tail, finds its Store
+in the registry by name, and only builds a ``StoreConfig`` on a registry
+miss (or when ``store_config`` is read).
 """
 from __future__ import annotations
 
 from typing import Any
 from typing import TypeVar
 
+from repro.connectors.protocol import ConnectorKey
 from repro.exceptions import StoreKeyError
 from repro.proxy.factory import Factory
+from repro.store.config import CONFIG_BITS
 from repro.store.config import StoreConfig
 from repro.store.registry import get_or_create_store
+from repro.store.registry import get_store
 
 T = TypeVar('T')
 
 __all__ = ['StoreFactory']
 
 _MISSING = object()
+
+# Factory-level flag bits of the wire form (the config's start at 8).
+_EVICT = 1
+_OWNED = 2
+_PLAIN_KEY = 4
+
+
+def _load(
+    flags: int,
+    attrs: dict[str, Any] | None,
+    key: Any,
+    key_connector: str | None,
+    *config_wire: Any,
+    cls: 'type[StoreFactory] | None' = None,
+) -> 'StoreFactory':
+    """Rebuild a factory from its wire tuple (what ``__reduce__`` ships)."""
+    self = StoreFactory.__new__(cls or StoreFactory)
+    self.key = ConnectorKey(key, key_connector) if flags & _PLAIN_KEY else key
+    self.store_name = config_wire[0]
+    self.evict = bool(flags & _EVICT)
+    self.owned = bool(flags & _OWNED)
+    self.deserializer_name = None
+    self.connector_kwargs = {}
+    self._config = None
+    self._config_wire = (flags & CONFIG_BITS, config_wire)
+    if attrs:
+        self.__dict__.update(attrs)
+    return self
+
+
+def _load_as(cls: 'type[StoreFactory]', *wire: Any) -> 'StoreFactory':
+    """:func:`_load` for a subclass, which travels with its class."""
+    return _load(*wire, cls=cls)
 
 
 class StoreFactory(Factory[T]):
@@ -42,6 +93,13 @@ class StoreFactory(Factory[T]):
             :class:`~repro.proxy.owned.OwnedProxy` (which evicts it when the
             owner is dropped).  Mutually exclusive with ``evict`` — an owned
             key must survive resolution so it can be borrowed repeatedly.
+
+    Attributes:
+        store_name: the Store's name; unlike ``store_config`` reading it
+            never builds anything on an unpickled factory.
+
+    A subclass with attributes of its own extends :meth:`_wire_attrs`
+    (class-level defaults stand in for whatever it leaves out).
     """
 
     def __init__(
@@ -61,15 +119,66 @@ class StoreFactory(Factory[T]):
                 'ownership manages the key lifetime itself',
             )
         self.key = key
-        self.store_config = store_config
+        self.store_name = store_config.name
         self.evict = evict
         self.deserializer_name = deserializer_name
         self.connector_kwargs = dict(connector_kwargs) if connector_kwargs else {}
         self.owned = owned
+        self._config: StoreConfig | None = store_config
+        self._config_wire: tuple[int, tuple[Any, ...]] | None = None
+
+    @property
+    def store_config(self) -> StoreConfig:
+        """The Store's config (built on first read on an unpickled factory)."""
+        config = self._config
+        if config is None:
+            bits, tail = self._config_wire  # type: ignore[misc]
+            config = self._config = StoreConfig.from_wire(bits, *tail)
+        return config
+
+    # -- pickling / copying ---------------------------------------------- #
+    def _wire_attrs(self) -> dict[str, Any]:
+        """The factory's own attributes that differ from their defaults."""
+        attrs: dict[str, Any] = {}
+        if self.deserializer_name is not None:
+            attrs['deserializer_name'] = self.deserializer_name
+        if self.connector_kwargs:
+            attrs['connector_kwargs'] = self.connector_kwargs
+        return attrs
+
+    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
+        config = self._config
+        bits, tail = self._config_wire if config is None else config.wire()  # type: ignore[misc]
+        if self.evict:
+            bits |= _EVICT
+        if self.owned:
+            bits |= _OWNED
+        key = self.key
+        if type(key) is ConnectorKey:
+            wire = (bits | _PLAIN_KEY, self._wire_attrs() or None, *key, *tail)
+        else:
+            wire = (bits, self._wire_attrs() or None, key, None, *tail)
+        if type(self) is StoreFactory:
+            return _load, wire
+        return _load_as, (type(self), *wire)
+
+    def __copy__(self) -> 'StoreFactory[T]':
+        duplicate = type(self).__new__(type(self))
+        duplicate.__dict__.update(Factory.__getstate__(self))
+        return duplicate
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # Only pickles written before the wire tuple existed arrive here:
+        # they spell out ``__dict__``, ``store_config`` included.
+        config = state.pop('store_config')
+        self.__dict__.update(state)
+        self.store_name = config.name
+        self._config = config
+        self._config_wire = None
 
     def __repr__(self) -> str:
         return (
-            f'StoreFactory(key={self.key!r}, store={self.store_config.name!r}, '
+            f'StoreFactory(key={self.key!r}, store={self.store_name!r}, '
             f'evict={self.evict})'
         )
 
@@ -77,16 +186,19 @@ class StoreFactory(Factory[T]):
         return (
             isinstance(other, StoreFactory)
             and self.key == other.key
-            and self.store_config.name == other.store_config.name
+            and self.store_name == other.store_name
             and self.evict == other.evict
         )
 
     def __hash__(self) -> int:
-        return hash((self.key, self.store_config.name, self.evict))
+        return hash((self.key, self.store_name, self.evict))
 
     def get_store(self):
         """Return (creating and registering if needed) the Store for this factory."""
-        return get_or_create_store(self.store_config)
+        store = get_store(self.store_name)
+        if store is None:
+            store = get_or_create_store(self.store_config)
+        return store
 
     def resolve(self) -> T:
         """Fetch and deserialize the object from the store (evicting if asked).
@@ -99,7 +211,7 @@ class StoreFactory(Factory[T]):
         if obj is _MISSING:
             raise StoreKeyError(
                 f'Object with key {self.key!r} does not exist in store '
-                f'{self.store_config.name!r} (it may have been evicted).',
+                f'{self.store_name!r} (it may have been evicted).',
             )
         if self.evict:
             store.evict(self.key)

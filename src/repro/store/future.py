@@ -58,6 +58,11 @@ class FutureFactory(StoreFactory[T]):
             (``None`` waits forever).
     """
 
+    # Class-level defaults: the wire form ships the two only when they
+    # differ (see ``StoreFactory._wire_attrs``).
+    polling_interval: float = 0.05
+    timeout: float | None = 60.0
+
     def __init__(
         self,
         key: Any,
@@ -73,9 +78,17 @@ class FutureFactory(StoreFactory[T]):
 
     def __repr__(self) -> str:
         return (
-            f'FutureFactory(key={self.key!r}, store={self.store_config.name!r}, '
+            f'FutureFactory(key={self.key!r}, store={self.store_name!r}, '
             f'timeout={self.timeout})'
         )
+
+    def _wire_attrs(self) -> dict[str, Any]:
+        attrs = super()._wire_attrs()
+        for name in ('polling_interval', 'timeout'):
+            value = getattr(self, name)
+            if value != getattr(FutureFactory, name):
+                attrs[name] = value
+        return attrs
 
     def _wait_for_producer(self) -> None:
         store = self.get_store()
@@ -88,7 +101,7 @@ class FutureFactory(StoreFactory[T]):
                 if remaining <= 0:
                     raise ProxyFutureTimeoutError(
                         f'no producer wrote key {self.key!r} to store '
-                        f'{self.store_config.name!r} within {self.timeout}s',
+                        f'{self.store_name!r} within {self.timeout}s',
                     )
                 time.sleep(min(self.polling_interval, remaining))
             else:

@@ -49,9 +49,12 @@ def register_store(store: 'Store', exist_ok: bool = False) -> None:
 
 
 def get_store(name: str) -> 'Store | None':
-    """Return the registered store named ``name`` or ``None``."""
-    with _LOCK:
-        return _REGISTRY.get(name)
+    """Return the registered store named ``name`` or ``None``.
+
+    Lock-free: one ``dict.get`` is atomic, and this is the lookup every
+    proxy resolution starts with.
+    """
+    return _REGISTRY.get(name)
 
 
 def unregister_store(name: str) -> 'Store | None':
@@ -85,13 +88,9 @@ def get_or_create_store(config: StoreConfig, register: bool = True) -> 'Store':
         store = _REGISTRY.get(config.name)
         if store is not None:
             return store
-        store = Store(
-            config.name,
-            config.make_connector(),
-            cache_size=config.cache_size,
-            metrics=config.metrics,
-            register=False,
-        )
+        # One rebuild path: every option the config carries (cache byte
+        # bound, coalescing, the custom-serializer warning) applies here too.
+        store = Store.from_config(config, register=False)
         if register:
             _REGISTRY[config.name] = store
         return store

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 import warnings
+from time import perf_counter
 from typing import Any
 from typing import Callable
 from typing import Iterable
@@ -144,6 +145,7 @@ class Store:
                 deadline=coalesce_deadline,
                 record=self._record,
             )
+        self._config: StoreConfig | None = None
         self._registered = False
         self._closed = False
         if register:
@@ -163,8 +165,19 @@ class Store:
         self.close()
 
     def config(self) -> StoreConfig:
-        """Return a picklable config from which an equivalent store can be built."""
-        return StoreConfig.from_store(self)
+        """Return a picklable config from which an equivalent store can be built.
+
+        One (frozen) instance is cached and shared by every factory this
+        store creates; it is rebuilt only when ``connector.config()`` stops
+        matching it (e.g. after a cluster ``join_node``).
+        """
+        config = self._config
+        if (
+            config is None
+            or config.connector_config != self.connector.config()
+        ):
+            config = self._config = StoreConfig.from_store(self)
+        return config
 
     @classmethod
     def from_config(cls, config: StoreConfig, *, register: bool = True) -> 'Store':
@@ -327,6 +340,11 @@ class Store:
         if self.metrics is not None:
             self.metrics.record(operation, elapsed, nbytes)
 
+    # The per-object operations below (put, get, evict, proxy creation)
+    # read the clock only when metrics are on — ``timed`` guards in place
+    # of a ``Timer`` per step, whose cost shows on 1 KB objects.  Batch and
+    # rare operations keep the ``Timer`` form.
+
     def _outbound(self, data: Any) -> Any:
         """Adapt a serialized payload to what the connector can consume.
 
@@ -361,15 +379,18 @@ class Store:
         valid immediately either way.
         """
         serializer = serializer if serializer is not None else self.serializer
-        with Timer() as t_ser:
-            data = serializer(obj)
-        self._record('serialize', t_ser.elapsed, payload_nbytes(data))
-        with Timer() as t_put:
-            if self._coalescer is not None:
-                key = self._coalescer.put(self._outbound(data))
-            else:
-                key = self.connector.put(self._outbound(data))
-        self._record('put', t_put.elapsed, payload_nbytes(data))
+        timed = self.metrics is not None
+        start = perf_counter() if timed else 0.0
+        data = serializer(obj)
+        if timed:
+            self._record('serialize', perf_counter() - start, payload_nbytes(data))
+            start = perf_counter()
+        if self._coalescer is not None:
+            key = self._coalescer.put(self._outbound(data))
+        else:
+            key = self.connector.put(self._outbound(data))
+        if timed:
+            self._record('put', perf_counter() - start, payload_nbytes(data))
         return key
 
     def put_batch(
@@ -411,22 +432,26 @@ class Store:
             self._record('get_cached', 0.0)
             return cached
         deserializer = deserializer if deserializer is not None else self.deserializer
-        with Timer() as t_get:
-            data = None
-            if self._coalescer is not None:
-                # A buffered write not yet flushed: serve it directly so a
-                # put -> get in this process never races the flush.
-                data = self._coalescer.peek(key)
-            if data is None:
-                data = self.connector.get(key)
+        timed = self.metrics is not None
+        start = perf_counter() if timed else 0.0
+        data = None
+        if self._coalescer is not None:
+            # A buffered write not yet flushed: serve it directly so a
+            # put -> get in this process never races the flush.
+            data = self._coalescer.peek(key)
         if data is None:
-            self._record('get_miss', t_get.elapsed)
+            data = self.connector.get(key)
+        if data is None:
+            if timed:
+                self._record('get_miss', perf_counter() - start)
             return default
-        nbytes = payload_nbytes(data)
-        self._record('get', t_get.elapsed, nbytes)
-        with Timer() as t_des:
-            obj = deserializer(self._inbound(data, deserializer))
-        self._record('deserialize', t_des.elapsed, nbytes)
+        if timed:
+            nbytes = payload_nbytes(data)
+            self._record('get', perf_counter() - start, nbytes)
+            start = perf_counter()
+        obj = deserializer(self._inbound(data, deserializer))
+        if timed:
+            self._record('deserialize', perf_counter() - start, nbytes)
         self.cache.set(key, obj)
         return obj
 
@@ -497,9 +522,11 @@ class Store:
             # Drop any still-buffered write; the connector evict below also
             # covers a value that already flushed.
             self._coalescer.discard(key)
-        with Timer() as t:
-            self.connector.evict(key)
-        self._record('evict', t.elapsed)
+        timed = self.metrics is not None
+        start = perf_counter() if timed else 0.0
+        self.connector.evict(key)
+        if timed:
+            self._record('evict', perf_counter() - start)
 
     def evict_batch(self, keys: Iterable[Any]) -> None:
         """Remove several keys with a single connector batch eviction.
@@ -561,16 +588,19 @@ class Store:
         Returns ``(key, serialized nbytes)``.
         """
         serializer = serializer if serializer is not None else self.serializer
-        with Timer() as t_ser:
-            data = serializer(obj)
+        timed = self.metrics is not None
+        start = perf_counter() if timed else 0.0
+        data = serializer(obj)
         nbytes = payload_nbytes(data)
-        self._record('serialize', t_ser.elapsed, nbytes)
-        with Timer() as t_put:
-            if connector_kwargs:
-                key = self.connector.put(self._outbound(data), **connector_kwargs)  # type: ignore[call-arg]
-            else:
-                key = self.connector.put(self._outbound(data))
-        self._record('put', t_put.elapsed, nbytes)
+        if timed:
+            self._record('serialize', perf_counter() - start, nbytes)
+            start = perf_counter()
+        if connector_kwargs:
+            key = self.connector.put(self._outbound(data), **connector_kwargs)  # type: ignore[call-arg]
+        else:
+            key = self.connector.put(self._outbound(data))
+        if timed:
+            self._record('put', perf_counter() - start, nbytes)
         if cache_local:
             self.cache.set(key, obj)
         return key, nbytes
@@ -617,8 +647,19 @@ class Store:
         factory: StoreFactory = StoreFactory(
             key, self.config(), evict=evict, connector_kwargs=connector_kwargs,
         )
+        return self._timed_proxy(Proxy, factory, nbytes)
+
+    def _timed_proxy(
+        self,
+        make: Callable[[StoreFactory], Any],
+        factory: StoreFactory,
+        nbytes: int,
+    ) -> Any:
+        """Wrap ``factory`` with ``make``, recording a ``proxy`` metric."""
+        if self.metrics is None:
+            return make(factory)
         with Timer() as t_proxy:
-            proxy = Proxy(factory)
+            proxy = make(factory)
         self._record('proxy', t_proxy.elapsed, nbytes)
         return proxy
 
@@ -652,10 +693,7 @@ class Store:
             connector_kwargs=connector_kwargs,
             owned=True,
         )
-        with Timer() as t_proxy:
-            proxy = OwnedProxy._from_store(factory)
-        self._record('proxy', t_proxy.elapsed, nbytes)
-        return proxy
+        return self._timed_proxy(OwnedProxy._from_store, factory, nbytes)
 
     def _validate_put_kwargs(
         self,
@@ -751,17 +789,10 @@ class Store:
                 self.cache.set(key, obj)
             # Mirror the scalar proxy() metrics: one timed 'proxy' record
             # per proxy created.
-            with Timer() as t_proxy:
-                proxy = Proxy(
-                    StoreFactory(
-                        key,
-                        config,
-                        evict=evict,
-                        connector_kwargs=connector_kwargs,
-                    ),
-                )
-            self._record('proxy', t_proxy.elapsed, payload_nbytes(data))
-            proxies.append(proxy)
+            factory: StoreFactory = StoreFactory(
+                key, config, evict=evict, connector_kwargs=connector_kwargs,
+            )
+            proxies.append(self._timed_proxy(Proxy, factory, payload_nbytes(data)))
         return proxies
 
     def future(

@@ -26,6 +26,11 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         'markers',
+        'slow: paper-scale experiment runs that take tens of seconds '
+        "(deselect with -m 'not slow')",
+    )
+    config.addinivalue_line(
+        'markers',
         'timeout(seconds): fail the test if it runs longer than the bound '
         '(pytest-timeout when installed, SIGALRM fallback otherwise)',
     )

@@ -1,0 +1,546 @@
+"""What a proxy carries on the wire: size budget, compatibility, laziness.
+
+A proxy is meant to be a *small* reference, so its pickle has a byte budget
+(``docs/ARCHITECTURE.md``, "What a proxy carries on the wire").  The compact
+form must stay self-contained (a process that never saw the store resolves
+it), exact (the consumer's ``store_config`` equals the producer's field for
+field) and backward compatible (pickles written before it existed load).
+"""
+from __future__ import annotations
+
+import dataclasses
+import os
+import pickle
+import shutil
+import subprocess
+import sys
+import warnings
+
+import pytest
+from hypothesis import given
+from hypothesis import settings
+from hypothesis import strategies as st
+
+import repro
+from repro.connectors import ConnectorKey
+from repro.connectors import FileConnector
+from repro.connectors import LocalConnector
+from repro.connectors import RedisConnector
+from repro.connectors.multi import MultiKey
+from repro.faas.context import TaskContext
+from repro.kvserver import launch_server
+from repro.proxy import Proxy
+from repro.proxy import SimpleFactory
+from repro.proxy import extract
+from repro.proxy import get_factory
+from repro.proxy import resolve
+from repro.proxy.owned import RefProxy
+from repro.serialize import serialize
+from repro.serialize import to_bytes
+from repro.simulation.clock import VirtualClock
+from repro.store import FutureFactory
+from repro.store import Store
+from repro.store import StoreConfig
+from repro.store import StoreFactory
+from repro.store import get_store
+from repro.store import unregister_store
+from repro.store.coalesce import DEFAULT_DEADLINE_S
+from repro.store.coalesce import DEFAULT_MAX_BYTES
+from repro.store.coalesce import DEFAULT_MAX_OPS
+
+#: Bytes a pickled plain proxy may cost (BENCHMARK.json: ``proxy_wire_bytes``).
+PROXY_WIRE_BUDGET = 250
+#: Bytes each further proxy of the same store adds to a pickled list.
+PER_PROXY_IN_LIST = 70
+
+
+# --------------------------------------------------------------------------- #
+# (a) byte budget, (b) list memoization
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    'url',
+    [
+        'local:///wire-local',
+        'file://{tmp_path}/wire-data?name=wire-file',
+        'redis://127.0.0.1/wire-redis?launch=1',
+    ],
+    ids=['local', 'file', 'redis'],
+)
+def test_pickled_proxy_fits_the_byte_budget(tmp_path, url):
+    store = Store.from_url(url.format(tmp_path=tmp_path))
+    try:
+        obj = {'id': 1 << 24, 'blob': bytes(1000)}
+        for evict in (False, True):
+            wire = pickle.dumps(store.proxy(obj, evict=evict))
+            assert len(wire) <= PROXY_WIRE_BUDGET, len(wire)
+            assert pickle.loads(wire) == obj
+        wire = pickle.dumps(store.proxy_from_key(store.put(obj)))
+        assert len(wire) <= PROXY_WIRE_BUDGET, len(wire)
+    finally:
+        store.close(clear=True)
+
+
+def test_non_default_options_ship_only_what_differs(tmp_path):
+    plain = Store.from_url(f'file://{tmp_path}/a?name=wire-plain')
+    tuned = Store.from_url(
+        f'file://{tmp_path}/a?name=wire-tuned&cache_size=64&metrics=1',
+    )
+    try:
+        base = len(pickle.dumps(plain.proxy('x')))
+        extra = len(pickle.dumps(tuned.proxy('x'))) - base
+        # 'cache_size' + 64; metrics rides in the flags byte.
+        assert 0 < extra <= 20
+        restored = get_factory(pickle.loads(pickle.dumps(tuned.proxy('x'))))
+        assert restored.store_config == tuned.config()
+        assert restored.store_config.cache_size == 64
+        assert restored.store_config.metrics is True
+    finally:
+        plain.close(clear=True)
+        tuned.close(clear=True)
+
+
+def test_a_list_of_proxies_shares_one_header(local_store):
+    proxies = [local_store.proxy(i, cache_local=False) for i in range(100)]
+    one = len(pickle.dumps(proxies[:1]))
+    many = len(pickle.dumps(proxies))
+    assert many <= one + 99 * PER_PROXY_IN_LIST, (one, many)
+    assert [extract(p) for p in pickle.loads(pickle.dumps(proxies))] == list(range(100))
+
+
+def test_plain_factory_pickle_has_no_async_state():
+    factory = SimpleFactory('value')
+    factory.resolve_async()
+    assert factory() == 'value'
+    wire = pickle.dumps(factory)
+    assert b'_async' not in wire
+    restored = pickle.loads(wire)
+    assert restored._async_thread is None
+    restored.resolve_async()
+    assert restored() == 'value'
+
+
+# --------------------------------------------------------------------------- #
+# (c) pickles written by the parent commit (PR 16) still load and resolve
+# --------------------------------------------------------------------------- #
+# Exact ``pickle.dumps(proxy)`` bytes of ``store.proxy({'answer': 42})``,
+# ``store.future(timeout=5.0).proxy()`` and ``store.owned_proxy([1, 2, 3])``
+# for ``Store.from_url('file:///tmp/repro-legacy-proxy-fixture'
+# '?name=legacy-fixture&cache_size=8')`` at commit 01ac661.
+LEGACY_DIR = '/tmp/repro-legacy-proxy-fixture'
+LEGACY_PLAIN = bytes.fromhex(
+    '800495bc020000000000008c11726570726f2e70726f78792e70726f7879948c'
+    '0550726f78799493948c13726570726f2e73746f72652e666163746f7279948c'
+    '0c53746f7265466163746f72799493942981947d94288c0d5f6173796e635f74'
+    '6872656164944e8c0d5f6173796e635f726573756c74944e8c0c5f6173796e63'
+    '5f6572726f72944e8c036b6579948c19726570726f2e636f6e6e6563746f7273'
+    '2e70726f746f636f6c948c0c436f6e6e6563746f724b65799493948c20633266'
+    '3961623438386365623439653761336132356662363262393861333939948c04'
+    '66696c6594869481948c0c73746f72655f636f6e666967948c12726570726f2e'
+    '73746f72652e636f6e666967948c0b53746f7265436f6e666967949394298194'
+    '7d94288c046e616d65948c0e6c65676163792d66697874757265948c09636f6e'
+    '6e6563746f72948c23726570726f2e636f6e6e6563746f72732e66696c653a46'
+    '696c65436f6e6e6563746f72948c10636f6e6e6563746f725f636f6e66696794'
+    '7d94288c0973746f72655f646972948c1f2f746d702f726570726f2d6c656761'
+    '63792d70726f78792d66697874757265948c096d6d61705f726561649488758c'
+    '0a63616368655f73697a65944b088c0f63616368655f6d61785f627974657394'
+    '4e8c076d65747269637394898c06736368656d659468108c11637573746f6d5f'
+    '73657269616c697a657294898c13637573746f6d5f646573657269616c697a65'
+    '7294898c0f636f616c657363655f77726974657394898c12636f616c65736365'
+    '5f6d61785f6279746573944a000010008c10636f616c657363655f6d61785f6f'
+    '7073944b408c11636f616c657363655f646561646c696e6594473f847ae147ae'
+    '147b75628c05657669637494898c11646573657269616c697a65725f6e616d65'
+    '944e8c10636f6e6e6563746f725f6b7761726773947d948c056f776e65649489'
+    '7562859452942e',
+)
+LEGACY_FUTURE = bytes.fromhex(
+    '800495eb020000000000008c11726570726f2e70726f78792e70726f7879948c'
+    '0550726f78799493948c12726570726f2e73746f72652e667574757265948c0d'
+    '467574757265466163746f72799493942981947d94288c0d5f6173796e635f74'
+    '6872656164944e8c0d5f6173796e635f726573756c74944e8c0c5f6173796e63'
+    '5f6572726f72944e8c036b6579948c19726570726f2e636f6e6e6563746f7273'
+    '2e70726f746f636f6c948c0c436f6e6e6563746f724b65799493948c20373465'
+    '6132613564393631613466663738303162303537333834343634373766948c04'
+    '66696c6594869481948c0c73746f72655f636f6e666967948c12726570726f2e'
+    '73746f72652e636f6e666967948c0b53746f7265436f6e666967949394298194'
+    '7d94288c046e616d65948c0e6c65676163792d66697874757265948c09636f6e'
+    '6e6563746f72948c23726570726f2e636f6e6e6563746f72732e66696c653a46'
+    '696c65436f6e6e6563746f72948c10636f6e6e6563746f725f636f6e66696794'
+    '7d94288c0973746f72655f646972948c1f2f746d702f726570726f2d6c656761'
+    '63792d70726f78792d66697874757265948c096d6d61705f726561649488758c'
+    '0a63616368655f73697a65944b088c0f63616368655f6d61785f627974657394'
+    '4e8c076d65747269637394898c06736368656d659468108c11637573746f6d5f'
+    '73657269616c697a657294898c13637573746f6d5f646573657269616c697a65'
+    '7294898c0f636f616c657363655f77726974657394898c12636f616c65736365'
+    '5f6d61785f6279746573944a000010008c10636f616c657363655f6d61785f6f'
+    '7073944b408c11636f616c657363655f646561646c696e6594473f847ae147ae'
+    '147b75628c05657669637494898c11646573657269616c697a65725f6e616d65'
+    '944e8c10636f6e6e6563746f725f6b7761726773947d948c056f776e65649489'
+    '8c10706f6c6c696e675f696e74657276616c94473fa999999999999a8c077469'
+    '6d656f7574944740140000000000007562859452942e',
+)
+LEGACY_OWNED = bytes.fromhex(
+    '800495bf020000000000008c11726570726f2e70726f78792e6f776e6564948c'
+    '0852656650726f78799493948c13726570726f2e73746f72652e666163746f72'
+    '79948c0c53746f7265466163746f72799493942981947d94288c0d5f6173796e'
+    '635f746872656164944e8c0d5f6173796e635f726573756c74944e8c0c5f6173'
+    '796e635f6572726f72944e8c036b6579948c19726570726f2e636f6e6e656374'
+    '6f72732e70726f746f636f6c948c0c436f6e6e6563746f724b65799493948c20'
+    '3836666234623931323633383437616462393966646439613334376532663832'
+    '948c0466696c6594869481948c0c73746f72655f636f6e666967948c12726570'
+    '726f2e73746f72652e636f6e666967948c0b53746f7265436f6e666967949394'
+    '2981947d94288c046e616d65948c0e6c65676163792d66697874757265948c09'
+    '636f6e6e6563746f72948c23726570726f2e636f6e6e6563746f72732e66696c'
+    '653a46696c65436f6e6e6563746f72948c10636f6e6e6563746f725f636f6e66'
+    '6967947d94288c0973746f72655f646972948c1f2f746d702f726570726f2d6c'
+    '65676163792d70726f78792d66697874757265948c096d6d61705f7265616494'
+    '88758c0a63616368655f73697a65944b088c0f63616368655f6d61785f627974'
+    '6573944e8c076d65747269637394898c06736368656d659468108c1163757374'
+    '6f6d5f73657269616c697a657294898c13637573746f6d5f646573657269616c'
+    '697a657294898c0f636f616c657363655f77726974657394898c12636f616c65'
+    '7363655f6d61785f6279746573944a000010008c10636f616c657363655f6d61'
+    '785f6f7073944b408c11636f616c657363655f646561646c696e6594473f847a'
+    'e147ae147b75628c05657669637494898c11646573657269616c697a65725f6e'
+    '616d65944e8c10636f6e6e6563746f725f6b7761726773947d948c056f776e65'
+    '6494897562859452942e',
+)
+LEGACY_CONFIG = StoreConfig(
+    name='legacy-fixture',
+    connector='repro.connectors.file:FileConnector',
+    connector_config={'store_dir': LEGACY_DIR, 'mmap_read': True},
+    cache_size=8,
+    scheme='file',
+    coalesce_max_bytes=DEFAULT_MAX_BYTES,
+    coalesce_max_ops=DEFAULT_MAX_OPS,
+    coalesce_deadline=DEFAULT_DEADLINE_S,
+)
+
+
+@pytest.fixture()
+def legacy_dir():
+    """The directory the legacy pickles point at, with a writer into it."""
+    writer = FileConnector(LEGACY_DIR)
+    yield writer
+    store = unregister_store('legacy-fixture')
+    if store is not None:
+        store.close()
+    writer.close()
+    shutil.rmtree(LEGACY_DIR, ignore_errors=True)
+
+
+@pytest.mark.parametrize(
+    ('wire', 'proxy_type', 'factory_type', 'object_id', 'value'),
+    [
+        (LEGACY_PLAIN, Proxy, StoreFactory,
+         'c2f9ab488ceb49e7a3a25fb62b98a399', {'answer': 42}),
+        (LEGACY_FUTURE, Proxy, FutureFactory,
+         '74ea2a5d961a4ff7801b05738446477f', 'produced later'),
+        (LEGACY_OWNED, RefProxy, StoreFactory,
+         '86fb4b91263847adb99fdd9a347e2f82', [1, 2, 3]),
+    ],
+    ids=['plain', 'future', 'owned'],
+)
+def test_legacy_pickles_still_load_and_resolve(
+    legacy_dir, wire, proxy_type, factory_type, object_id, value,
+):
+    proxy = pickle.loads(wire)
+    assert type(proxy) is proxy_type
+    factory = get_factory(proxy)
+    assert type(factory) is factory_type
+    assert factory.key == ConnectorKey(object_id, 'file')
+    assert factory.store_name == 'legacy-fixture'
+    assert factory.store_config == LEGACY_CONFIG
+    assert (factory.evict, factory.owned) == (False, False)
+    assert factory.connector_kwargs == {} and factory.deserializer_name is None
+    if factory_type is FutureFactory:
+        assert (factory.polling_interval, factory.timeout) == (0.05, 5.0)
+    # No store of that name exists here: resolving rebuilds it from the
+    # legacy config.
+    assert get_store('legacy-fixture') is None
+    legacy_dir.set(factory.key, to_bytes(serialize(value)))
+    assert proxy == value
+    assert get_store('legacy-fixture').cache.maxsize == 8
+    # A legacy pickle re-pickles to the compact form and stays equivalent.
+    again = pickle.loads(pickle.dumps(proxy))
+    assert len(pickle.dumps(proxy)) < len(wire) // 2
+    assert get_factory(again).store_config == LEGACY_CONFIG
+    assert type(get_factory(again)) is factory_type
+    assert again == value
+
+
+# --------------------------------------------------------------------------- #
+# (d) self-contained: a fresh process with nothing registered resolves it
+# --------------------------------------------------------------------------- #
+_CHILD = '''
+import pickle, sys, warnings
+import repro
+from repro.proxy import get_factory
+assert repro.store.list_stores() == []
+with open(sys.argv[1], 'rb') as f:
+    proxy, config = pickle.load(f)
+factory = get_factory(proxy)
+assert factory.store_name == config.name
+assert repro.store.get_store(config.name) is None
+with warnings.catch_warnings():
+    warnings.simplefilter('error')
+    assert proxy == {'x': list(range(50))}, proxy
+store = repro.store.get_store(config.name)
+assert store is not None and store is factory.get_store()
+assert factory.store_config == config, (factory.store_config, config)
+assert store.config() == config, (store.config(), config)
+print('max_bytes', store.cache.max_bytes, 'maxsize', store.cache.maxsize)
+'''
+
+
+def test_fresh_process_resolves_a_compact_proxy(tmp_path):
+    store = Store.from_url(
+        f'file://{tmp_path}/data?name=wire-fresh&cache_size=3'
+        '&cache_max_bytes=123456',
+    )
+    try:
+        proxy = store.proxy({'x': list(range(50))}, cache_local=False)
+        assert len(pickle.dumps(proxy)) <= PROXY_WIRE_BUDGET + 40  # tmp path
+        message = tmp_path / 'message.pkl'
+        message.write_bytes(pickle.dumps((proxy, store.config())))
+        src = os.path.join(os.path.dirname(os.path.dirname(repro.__file__)))
+        result = subprocess.run(
+            [sys.executable, '-c', _CHILD, str(message)],
+            env={**os.environ, 'PYTHONPATH': src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        # The rebuilt store honours every option, not just cache_size.
+        assert result.stdout.split() == ['max_bytes', '123456', 'maxsize', '3']
+    finally:
+        store.close(clear=True)
+
+
+def test_store_rebuilt_from_a_proxy_keeps_every_option(tmp_path):
+    producer = Store(
+        'wire-rebuilt',
+        FileConnector(str(tmp_path / 'data')),
+        cache_size=5,
+        cache_max_bytes=4096,
+        serializer=lambda obj: serialize(obj),
+        coalesce_writes=True,
+        coalesce_max_ops=7,
+    )
+    wire = pickle.dumps(producer.proxy([1, 2, 3], cache_local=False))
+    expected = producer.config()
+    producer.close()  # unregisters; the data stays on disk
+    proxy = pickle.loads(wire)
+    with pytest.warns(UserWarning, match='custom serializer'):
+        assert proxy == [1, 2, 3]
+    rebuilt = get_store('wire-rebuilt')
+    try:
+        assert rebuilt is not producer
+        assert rebuilt.cache.max_bytes == 4096
+        assert rebuilt.cache.maxsize == 5
+        assert rebuilt.coalesce_writes and rebuilt.coalesce_max_ops == 7
+        assert get_factory(proxy).store_config == expected
+    finally:
+        rebuilt.close(clear=True)
+
+
+# --------------------------------------------------------------------------- #
+# One config per Store, lazy consumer side
+# --------------------------------------------------------------------------- #
+def test_store_config_is_one_shared_frozen_instance(local_store):
+    config = local_store.config()
+    assert local_store.config() is config
+    a, b = local_store.proxy('a'), local_store.proxy_from_key(local_store.put('b'))
+    future_proxy = local_store.future().proxy()
+    for proxy in (a, b, future_proxy):
+        assert get_factory(proxy).store_config is config
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.name = 'other'  # type: ignore[misc]
+    # A config pickled on its own carries its fields, not the cached wire form.
+    assert pickle.loads(pickle.dumps(config)) == config
+    assert b'_wire' not in pickle.dumps(config)
+
+
+def test_config_follows_the_connector_after_join_node():
+    servers = [launch_server() for _ in range(3)]
+    nodes = [f'127.0.0.1:{server.port}' for server in servers]
+    store = Store('wire-cluster', RedisConnector(nodes=nodes[:2], replicas=2))
+    try:
+        before = store.config()
+        assert store.config() is before
+        assert get_factory(store.proxy('early')).store_config is before
+        store.connector.join_node(nodes[2])
+        after = store.config()
+        assert after is not before and store.config() is after
+        assert before.connector_config['nodes'] == nodes[:2]
+        assert after.connector_config['nodes'] == nodes
+        proxy = pickle.loads(pickle.dumps(store.proxy('late')))
+        assert get_factory(proxy).store_config.connector_config['nodes'] == nodes
+        assert proxy == 'late'
+    finally:
+        store.close()
+        for server in servers:
+            server.stop()
+
+
+def test_unpickled_factory_never_builds_a_config_on_a_registry_hit(
+    local_store, monkeypatch,
+):
+    def boom(*args, **kwargs):
+        raise AssertionError('StoreConfig materialised on the fast path')
+
+    wire = pickle.dumps(local_store.proxy({'k': 'v'}, cache_local=False))
+    monkeypatch.setattr(StoreConfig, 'from_wire', boom)
+    proxy = pickle.loads(wire)
+    factory = get_factory(proxy)
+    assert factory.store_name == local_store.name
+    assert factory.get_store() is local_store
+    # FaaS store lookup goes by name too.
+    TaskContext(VirtualClock(), 'host').resolve_proxy(proxy)
+    assert proxy == {'k': 'v'}
+    # ... as does forwarding the still-unresolved reference onwards.
+    assert pickle.dumps(pickle.loads(wire)) == wire
+    monkeypatch.undo()
+    assert factory.store_config == local_store.config()
+
+
+# --------------------------------------------------------------------------- #
+# Who travels with an import path, and as which class
+# --------------------------------------------------------------------------- #
+class _ThirdPartyConnector(LocalConnector):
+    scheme = 'wire-third-party'
+
+
+class _TaggedFactory(StoreFactory):
+    tag = 'untagged'
+
+    def _wire_attrs(self):
+        attrs = super()._wire_attrs()
+        if self.tag != _TaggedFactory.tag:
+            attrs['tag'] = self.tag
+        return attrs
+
+
+def test_only_builtin_schemes_drop_the_import_path():
+    builtin = Store('wire-builtin', LocalConnector('wire-builtin'), register=False)
+    third = Store('wire-third', _ThirdPartyConnector('wire-third'), register=False)
+    try:
+        assert 'connector' not in builtin.config().wire()[1]
+        # A fresh process only knows the third-party scheme after importing
+        # its module, which is what the import path is for.
+        assert third.config().wire()[1][3:] == (
+            'connector', f'{__name__}:_ThirdPartyConnector',
+        )
+        for store in (builtin, third):
+            factory = pickle.loads(pickle.dumps(StoreFactory('k', store.config())))
+            assert factory.store_config == store.config()
+    finally:
+        builtin.close(clear=True)
+        third.close(clear=True)
+        repro.connectors.unregister_connector('wire-third-party')
+
+
+def test_factory_subclasses_travel_as_themselves(local_store):
+    config = local_store.config()
+    tagged = _TaggedFactory(ConnectorKey('a', 'local'), config)
+    assert type(pickle.loads(pickle.dumps(tagged))) is _TaggedFactory
+    assert pickle.loads(pickle.dumps(tagged)).tag == 'untagged'
+    tagged.tag = 'blue'
+    restored = pickle.loads(pickle.dumps(tagged))
+    assert (type(restored), restored.tag) == (_TaggedFactory, 'blue')
+
+    default = FutureFactory(ConnectorKey('a', 'local'), config)
+    tuned = FutureFactory(
+        ConnectorKey('a', 'local'), config, polling_interval=0.5, timeout=None,
+    )
+    assert len(pickle.dumps(default)) < len(pickle.dumps(tuned))
+    for factory in (default, tuned):
+        restored = pickle.loads(pickle.dumps(factory))
+        assert type(restored) is FutureFactory
+        assert restored.polling_interval == factory.polling_interval
+        assert restored.timeout == factory.timeout
+
+
+# --------------------------------------------------------------------------- #
+# (f) the compact form is exact for every field combination
+# --------------------------------------------------------------------------- #
+_names = st.text(min_size=1, max_size=12)
+_optional_ints = st.one_of(st.none(), st.integers(0, 1 << 40))
+_configs = st.builds(
+    StoreConfig,
+    name=_names,
+    connector=st.one_of(
+        st.none(),
+        st.sampled_from([
+            'repro.connectors.file:FileConnector',
+            'repro.connectors.local:LocalConnector',
+            'some.package:ThirdParty',
+        ]),
+    ),
+    connector_config=st.dictionaries(
+        _names, st.one_of(st.integers(), _names, st.lists(_names, max_size=3)),
+        max_size=4,
+    ),
+    cache_size=st.integers(0, 4096),
+    cache_max_bytes=_optional_ints,
+    metrics=st.booleans(),
+    scheme=st.one_of(st.none(), st.sampled_from(['file', 'local', 'no-such'])),
+    custom_serializer=st.booleans(),
+    custom_deserializer=st.booleans(),
+    coalesce_writes=st.booleans(),
+    coalesce_max_bytes=st.one_of(_optional_ints, st.just(DEFAULT_MAX_BYTES)),
+    coalesce_max_ops=st.one_of(_optional_ints, st.just(DEFAULT_MAX_OPS)),
+    coalesce_deadline=st.one_of(
+        st.none(), st.just(DEFAULT_DEADLINE_S), st.floats(0.001, 10.0),
+    ),
+)
+_keys = st.one_of(
+    st.builds(ConnectorKey, _names, _names),
+    st.builds(MultiKey, _names, st.builds(ConnectorKey, _names, _names)),
+    st.tuples(_names, st.integers()),
+    _names,
+)
+_lifetimes = st.sampled_from([(False, False), (True, False), (False, True)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=_configs,
+    key=_keys,
+    lifetime=_lifetimes,
+    deserializer_name=st.one_of(st.none(), _names),
+    connector_kwargs=st.dictionaries(_names, st.lists(_names, max_size=2), max_size=2),
+)
+def test_wire_form_round_trips_exactly(
+    config, key, lifetime, deserializer_name, connector_kwargs,
+):
+    evict, owned = lifetime
+    factory = StoreFactory(
+        key,
+        config,
+        evict=evict,
+        owned=owned,
+        deserializer_name=deserializer_name,
+        connector_kwargs=connector_kwargs,
+    )
+    once = pickle.loads(pickle.dumps(factory))
+    # The second generation is pickled from the kept tuple, config unbuilt.
+    twice = pickle.loads(pickle.dumps(pickle.loads(pickle.dumps(factory))))
+    for restored in (once, twice):
+        assert type(restored) is StoreFactory
+        assert restored.key == key and type(restored.key) is type(key)
+        assert restored.store_name == config.name
+        assert restored.store_config == config
+        assert dataclasses.asdict(restored.store_config) == dataclasses.asdict(config)
+        assert len(dataclasses.fields(restored.store_config)) == 13
+        assert (restored.evict, restored.owned) == (evict, owned)
+        assert restored.deserializer_name == deserializer_name
+        assert restored.connector_kwargs == connector_kwargs
+        assert restored == factory and hash(restored) == hash(factory)
+        assert not any(name.startswith('_async') for name in vars(restored))
+
+
+def test_the_budget_survives_warnings_as_errors(local_store):
+    """Producing and consuming a compact proxy raises no warning of its own."""
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        proxy = pickle.loads(pickle.dumps(local_store.proxy('quiet')))
+        resolve(proxy)
+    assert proxy == 'quiet'

@@ -47,7 +47,7 @@ def test_proxy_pickle_is_small_and_resolvable(local_store):
     big = np.zeros(250_000)  # ~2 MB when serialized
     p = local_store.proxy(big, cache_local=False)
     data = pickle.dumps(p)
-    assert len(data) < 2000  # only the factory travels
+    assert len(data) <= 250  # only the factory travels (test_proxy_wire.py)
     restored = pickle.loads(data)
     assert np.array_equal(extract(restored), big)
 
