@@ -1,4 +1,4 @@
-"""Ablations: component-level costs of the design choices in DESIGN.md."""
+"""Ablations: component-level costs of the design choices in docs/ARCHITECTURE.md."""
 from __future__ import annotations
 
 from benchmarks.conftest import print_table

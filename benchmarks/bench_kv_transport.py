@@ -406,18 +406,18 @@ def bench_chaos(*, n_keys: int, ops: int) -> dict:
 
             # Recovery: the crash discovered by the reads above triggered
             # the rebalancer; wait for it and verify full re-replication.
-            recovered = client.rebalancer.wait_idle(120)
+            recovered = client.cluster.rebalancer.wait_idle(120)
             survivors = [node_id for node_id, _, _ in peers if node_id != victim]
             under_replicated = sum(
                 1 for key in keys
                 if sum(
                     1 for node_id in survivors
-                    if client.cluster.backend(node_id).exists(key.object_id)
+                    if client.cluster.client.backend(node_id).exists(key.object_id)
                 ) < 2
             )
             recovery_s = time.perf_counter() - kill_time
-            stats = client.cluster.stats.as_dict()
-            rebalance = client.rebalancer.stats.as_dict()
+            stats = client.cluster.client.stats.as_dict()
+            rebalance = client.cluster.rebalancer.stats.as_dict()
         finally:
             client.close()
     finally:

@@ -3,58 +3,90 @@
 ProxyStore decouples control flow from data flow in distributed and federated
 Python applications via lazy transparent object proxies.  The top-level
 package re-exports the most commonly used pieces of the public API; see
-``README.md`` for a tour and ``DESIGN.md`` for the full system inventory.
+``README.md`` for a tour and ``docs/ARCHITECTURE.md`` for the full system
+inventory.
 """
-from typing import Any
+from __future__ import annotations
 
-from repro.exceptions import BorrowError
-from repro.exceptions import LifetimeError
-from repro.exceptions import OwnershipError
-from repro.exceptions import UseAfterFreeError
-from repro.proxy import Factory
-from repro.proxy import OwnedProxy
-from repro.proxy import Proxy
-from repro.proxy import borrow
-from repro.proxy import clone
-from repro.proxy import drop
-from repro.proxy import extract
-from repro.proxy import flush
-from repro.proxy import into_owned
-from repro.proxy import is_owned
-from repro.proxy import is_resolved
-from repro.proxy import mut_borrow
-from repro.proxy import resolve
-from repro.proxy import resolve_async
-from repro.store import ContextLifetime
-from repro.store import LeaseLifetime
-from repro.store import Lifetime
-from repro.store import ProxyFuture
-from repro.store import StaticLifetime
-from repro.store import Store
-from repro.store import StoreConfig
-from repro.store import StoreFactory
-from repro.store import get_store
-from repro.store import register_store
-from repro.store import unregister_store
-from repro.stream import EventBus
-from repro.stream import LocalEventBus
-from repro.stream import StreamConsumer
-from repro.stream import StreamEvent
-from repro.stream import StreamProducer
-from repro.stream import event_bus_from_url
+import importlib
+import pkgutil
+from typing import Any
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.store import Store
 
 __version__ = '2.2.0'
 
+#: Every re-exported name and the module that defines it.  Resolved on first
+#: use (PEP 562), so ``import repro`` — and ``import repro.kvserver``, which
+#: is all a storage-server process needs — does not load the store, stream,
+#: cluster and connector tiers.
+_EXPORTS = {
+    'BorrowError': 'repro.exceptions',
+    'LifetimeError': 'repro.exceptions',
+    'OwnershipError': 'repro.exceptions',
+    'UseAfterFreeError': 'repro.exceptions',
+    'Factory': 'repro.proxy',
+    'OwnedProxy': 'repro.proxy',
+    'Proxy': 'repro.proxy',
+    'borrow': 'repro.proxy',
+    'clone': 'repro.proxy',
+    'drop': 'repro.proxy',
+    'extract': 'repro.proxy',
+    'flush': 'repro.proxy',
+    'into_owned': 'repro.proxy',
+    'is_owned': 'repro.proxy',
+    'is_resolved': 'repro.proxy',
+    'mut_borrow': 'repro.proxy',
+    'resolve': 'repro.proxy',
+    'resolve_async': 'repro.proxy',
+    'ContextLifetime': 'repro.store',
+    'LeaseLifetime': 'repro.store',
+    'Lifetime': 'repro.store',
+    'ProxyFuture': 'repro.store',
+    'StaticLifetime': 'repro.store',
+    'Store': 'repro.store',
+    'StoreConfig': 'repro.store',
+    'StoreFactory': 'repro.store',
+    'get_store': 'repro.store',
+    'register_store': 'repro.store',
+    'unregister_store': 'repro.store',
+    'EventBus': 'repro.stream',
+    'LocalEventBus': 'repro.stream',
+    'StreamConsumer': 'repro.stream',
+    'StreamEvent': 'repro.stream',
+    'StreamProducer': 'repro.stream',
+    'event_bus_from_url': 'repro.stream',
+    'KVEventBus': 'repro.stream.kv',
+}
 
-def __getattr__(name: str):
-    # Lazy re-export: the KV event transport (and its kvserver/socket
-    # machinery) loads only when actually used — `repro.KVEventBus` or a
-    # kv:// bus URL — keeping bare `import repro` light.
-    if name == 'KVEventBus':
-        from repro.stream.kv import KVEventBus
 
-        return KVEventBus
-    raise AttributeError(f'module {__name__!r} has no attribute {name!r}')
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(module), name)
+    else:
+        # ``import repro; repro.store.get_store(...)`` keeps working: a
+        # subpackage loads on first attribute access.
+        missing = AttributeError(
+            f'module {__name__!r} has no attribute {name!r}',
+        )
+        if name.startswith('_'):
+            raise missing
+        try:
+            value = importlib.import_module(f'{__name__}.{name}')
+        except ModuleNotFoundError as e:
+            if e.name != f'{__name__}.{name}':
+                raise
+            raise missing from None
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    subpackages = (module.name for module in pkgutil.iter_modules(__path__))
+    return sorted({*globals(), *_EXPORTS, *subpackages})
 
 
 def store_from_url(url: str, **kwargs: Any) -> Store:
@@ -64,6 +96,8 @@ def store_from_url(url: str, **kwargs: Any) -> Store:
     shorthand for :meth:`Store.from_url`; see that method for the URL
     grammar and keyword arguments.
     """
+    from repro.store import Store
+
     return Store.from_url(url, **kwargs)
 
 

@@ -1,8 +1,8 @@
 """Baseline systems the paper compares ProxyStore against.
 
 Each baseline is a functional, from-scratch stand-in exercising the same
-interaction pattern as the real system (see DESIGN.md for the substitution
-table): IPFS (content-addressed peer-to-peer file sharing), DataSpaces (a
+interaction pattern as the real system (the stand-ins are listed under
+"Layer map" in ``docs/ARCHITECTURE.md``): IPFS (content-addressed peer-to-peer file sharing), DataSpaces (a
 tuple-space staging abstraction) and Redis reached through an SSH tunnel.
 Their wide-area timing behaviour is modelled by the corresponding cost models
 in :mod:`repro.simulation.costs`.

@@ -15,11 +15,16 @@ This package turns the fixed-topology DIM store into an elastic service:
   on partial failures.
 * :mod:`repro.cluster.rebalance` — throttled background migration of the
   ring-delta keys after any membership change.
+* :mod:`repro.cluster.attach` — the six knobs (:class:`ClusterOptions`) and
+  the one call (:class:`ClusterAttachment`) that wires the parts above
+  together for a connector.
 
 The DIM connectors (``zmq://``, ``ucx://``, ``margo://``) and the
-clustered Redis connector wire these together via ``replicas=`` and
-``ring_vnodes=`` configuration; see ``docs/ARCHITECTURE.md``.
+clustered Redis connector all join the tier through that one attachment;
+see ``docs/ARCHITECTURE.md`` ("Reaching a storage node").
 """
+from repro.cluster.attach import ClusterAttachment
+from repro.cluster.attach import ClusterOptions
 from repro.cluster.client import ClusterClient
 from repro.cluster.client import ClusterStats
 from repro.cluster.client import DEFAULT_HEDGE_THRESHOLD
@@ -33,10 +38,13 @@ from repro.cluster.ring import DEFAULT_VNODES
 from repro.cluster.ring import HashRing
 from repro.cluster.ring import LegacyRing
 from repro.cluster.ring import placement_delta
+from repro.cluster.ring import stable_hash64
 
 __all__ = [
+    'ClusterAttachment',
     'ClusterClient',
     'ClusterMembership',
+    'ClusterOptions',
     'ClusterStats',
     'DEFAULT_FAILURE_THRESHOLD',
     'DEFAULT_HEDGE_THRESHOLD',
@@ -48,4 +56,5 @@ __all__ = [
     'RebalanceStats',
     'Rebalancer',
     'placement_delta',
+    'stable_hash64',
 ]

@@ -2,13 +2,17 @@
 
 :class:`ClusterClient` is the generic replication engine shared by the DIM
 connectors (per-node storage servers) and the clustered Redis connector
-(multiple SimKV servers).  It is parameterized by a *backend factory* that
-returns a :class:`NodeBackend` — the per-node transport — so the engine
-itself contains no socket code.
+(multiple SimKV servers).  It is parameterized by a *resolver* that maps a
+node id to a :class:`NodeBackend` — anything speaking the eight storage
+verbs, in practice a :class:`~repro.kvserver.client.KVClient` or an
+in-process :class:`~repro.dim.node.DIMNode` — so the engine itself
+contains no socket code.  The engine speaks the same eight verbs (a
+cluster *is* a node, just a replicated one), which is what lets a
+connector bind either a single server or a cluster to one attribute.
 
 Semantics:
 
-* **put** writes the value to all ``replicas`` owners in parallel.  A
+* **set** writes the value to all ``replicas`` owners in parallel.  A
   partial failure first evicts the replicas that *did* land (a failed put
   must never leak broker memory — the orphan-replica guarantee), then
   either retries against the recomputed ring (the failure was a node
@@ -62,17 +66,21 @@ _MAX_PARALLEL = 8
 
 @runtime_checkable
 class NodeBackend(Protocol):
-    """Per-node transport the replication engine drives.
+    """The eight verbs every storage node speaks.
 
-    Implementations raise :class:`NodeUnavailableError` when the node
-    cannot be reached, which is the engine's failover/crash signal.
+    The names are :class:`~repro.kvserver.client.KVClient`'s, so a KV
+    client *is* a node backend with no adapter; the in-process
+    :class:`~repro.dim.node.DIMNode` and :class:`ClusterClient` implement
+    the same names.  Implementations raise :class:`NodeUnavailableError`
+    when the node cannot be reached, which is the engine's failover/crash
+    signal.  What ``delete``/``mdel`` return is not part of the contract.
     """
 
-    def put(self, key: str, value: Any) -> None:
+    def set(self, key: str, value: Any) -> Any:
         """Store ``value`` under ``key`` on this node."""
         ...
 
-    def put_batch(self, items: Sequence[Tuple[str, Any]]) -> None:
+    def mset(self, items: Sequence[Tuple[str, Any]]) -> Any:
         """Store several pairs in one round trip."""
         ...
 
@@ -80,19 +88,19 @@ class NodeBackend(Protocol):
         """Fetch ``key`` (``None`` when missing)."""
         ...
 
-    def get_batch(self, keys: Sequence[str]) -> List[Any]:
-        """Fetch several keys in one round trip."""
+    def mget(self, keys: Sequence[str]) -> List[Any]:
+        """Fetch several keys in one round trip (``None`` per miss)."""
         ...
 
     def exists(self, key: str) -> bool:
         """Whether ``key`` is stored on this node."""
         ...
 
-    def evict(self, key: str) -> None:
+    def delete(self, key: str) -> Any:
         """Remove ``key`` (no-op when missing)."""
         ...
 
-    def evict_batch(self, keys: Sequence[str]) -> None:
+    def mdel(self, keys: Sequence[str]) -> Any:
         """Remove several keys in one round trip."""
         ...
 
@@ -132,8 +140,10 @@ class ClusterClient:
     """Replicated operations against the membership's current ring.
 
     Args:
-        backend_factory: returns the :class:`NodeBackend` for a node id
-            (called once per node; results are cached).
+        node_for: resolves a node id to its :class:`NodeBackend`.  Called
+            on every operation — the owner caches what is worth caching —
+            so a rejoined node's fresh address is picked up; it raises
+            :class:`NodeUnavailableError` for a node it cannot reach.
         membership: the cluster membership supplying the placement ring.
         replicas: copies written per key (1 = no replication).
         hedge_threshold: seconds of primary silence before a read is
@@ -145,7 +155,7 @@ class ClusterClient:
 
     def __init__(
         self,
-        backend_factory: Callable[[str], NodeBackend],
+        node_for: Callable[[str], NodeBackend],
         membership: ClusterMembership,
         *,
         replicas: int = 2,
@@ -161,20 +171,15 @@ class ClusterClient:
         self.read_repair = read_repair
         self.put_retries = put_retries
         self.stats = ClusterStats()
-        self._backend_factory = backend_factory
-        self._backends: Dict[str, NodeBackend] = {}
+        self._node_for = node_for
         self._lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
         self._metrics: Any = None
 
     # -- plumbing ----------------------------------------------------------- #
     def backend(self, node_id: str) -> NodeBackend:
-        """The (cached) transport for ``node_id``."""
-        with self._lock:
-            backend = self._backends.get(node_id)
-            if backend is None:
-                backend = self._backends[node_id] = self._backend_factory(node_id)
-            return backend
+        """The node handle for ``node_id``, resolved afresh on every call."""
+        return self._node_for(node_id)
 
     def _pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -199,10 +204,9 @@ class ClusterClient:
 
     def _call(self, node_id: str, op: Callable[[NodeBackend], Any]) -> Any:
         """Run one backend operation, folding the outcome into health."""
-        backend = self.backend(node_id)
         start = perf_counter()
         try:
-            result = op(backend)
+            result = op(self.backend(node_id))
         except NodeUnavailableError as e:
             self.membership.record(
                 node_id, ok=False, unavailable=True, error=e,
@@ -219,7 +223,7 @@ class ClusterClient:
         return self.membership.ring.owners(key, self.replicas)
 
     # -- writes -------------------------------------------------------------- #
-    def put(self, key: str, value: Any) -> Tuple[str, ...]:
+    def set(self, key: str, value: Any) -> Tuple[str, ...]:
         """Write ``value`` to all owners of ``key``; returns where it landed.
 
         Self-healing: a replica that turns out to be dead is excluded from
@@ -227,10 +231,9 @@ class ClusterClient:
         (never leak a failed put), and the write is re-placed — so a put
         racing a node crash succeeds on the surviving nodes.
         """
-        results = self.put_batch([(key, value)])
-        return results[key]
+        return self.mset([(key, value)])[key]
 
-    def put_batch(
+    def mset(
         self, items: Sequence[Tuple[str, Any]],
     ) -> Dict[str, Tuple[str, ...]]:
         """Replicated write of several pairs, one batch per node per round.
@@ -259,7 +262,7 @@ class ClusterClient:
                     by_node.setdefault(node_id, []).append((key, value))
 
             def write(node_id: str, batch: List[Tuple[str, Any]]) -> None:
-                self._call(node_id, lambda b: b.put_batch(batch))
+                self._call(node_id, lambda b: b.mset(batch))
 
             pool = self._pool()
             futures = {
@@ -320,7 +323,7 @@ class ClusterClient:
         evicted = 0
         for node_id, keys in by_node.items():
             try:
-                self._call(node_id, lambda b, ks=keys: b.evict_batch(ks))
+                self._call(node_id, lambda b, ks=keys: b.mdel(ks))
                 evicted += len(keys)
             except Exception:  # noqa: BLE001 - best effort by design,
                 # but the miss is still visible on dashboards
@@ -401,18 +404,18 @@ class ClusterClient:
         ]
         for node_id in targets:
             try:
-                self._call(node_id, lambda b: b.put(key, value))
+                self._call(node_id, lambda b: b.set(key, value))
             except Exception:  # noqa: BLE001 - repair is best effort,
                 # but a node that refuses repairs should not hide
                 self._bump('repair_failures')
                 continue
             self._bump('read_repairs')
 
-    def get_batch(self, keys: Sequence[str]) -> List[Any]:
+    def mget(self, keys: Sequence[str]) -> List[Any]:
         """Fetch several keys: one batched read per primary, then repair.
 
         Keys are grouped by their primary owner and fetched with one
-        ``get_batch`` round trip per node in parallel; any key whose
+        ``mget`` round trip per node in parallel; any key whose
         primary missed (or whose node is down) falls back to the full
         replicated :meth:`get` path (failover + read-repair).
         """
@@ -429,7 +432,7 @@ class ClusterClient:
         def fetch(node_id: str, wanted: List[Tuple[int, str]]) -> None:
             try:
                 values = self._call(
-                    node_id, lambda b: b.get_batch([k for _, k in wanted]),
+                    node_id, lambda b: b.mget([k for _, k in wanted]),
                 )
             except NodeUnavailableError:
                 retry.extend(wanted)
@@ -466,11 +469,11 @@ class ClusterClient:
                 continue
         return False
 
-    def evict(self, key: str, candidates: Sequence[str] = ()) -> None:
+    def delete(self, key: str, candidates: Sequence[str] = ()) -> None:
         """Remove ``key`` from every node that may hold it (best effort)."""
-        self.evict_batch([key], {key: tuple(candidates)})
+        self.mdel([key], {key: tuple(candidates)})
 
-    def evict_batch(
+    def mdel(
         self,
         keys: Sequence[str],
         candidates: Dict[str, Tuple[str, ...]] | None = None,
@@ -491,7 +494,7 @@ class ClusterClient:
 
         def drop(node_id: str, batch: List[str]) -> None:
             try:
-                self._call(node_id, lambda b: b.evict_batch(batch))
+                self._call(node_id, lambda b: b.mdel(batch))
             except NodeUnavailableError:
                 pass
 
@@ -503,12 +506,20 @@ class ClusterClient:
         for future in futures:
             future.result()
 
-    def node_keys(self, node_id: str) -> List[str]:
-        """Enumerate a node's stored keys (rebalancer support)."""
-        return self._call(node_id, lambda b: b.keys())
+    def keys(self) -> List[str]:
+        """Every key held by any reachable node, each listed once."""
+        found: Dict[str, None] = {}
+        for node_id in self.membership.reachable():
+            try:
+                found.update(
+                    dict.fromkeys(self._call(node_id, lambda b: b.keys())),
+                )
+            except NodeUnavailableError:
+                continue
+        return list(found)
 
     def close(self) -> None:
-        """Shut down the fan-out executor (backends are owned by callers)."""
+        """Shut down the fan-out executor (node handles are owned by callers)."""
         with self._lock:
             executor, self._executor = self._executor, None
         if executor is not None:

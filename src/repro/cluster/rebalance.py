@@ -179,7 +179,7 @@ class Rebalancer:
         holders: Dict[str, Set[str]] = {}
         for node_id in self.cluster.membership.reachable():
             try:
-                stored = self.cluster.node_keys(node_id)
+                stored = self.cluster._call(node_id, lambda b: b.keys())
             except NodeUnavailableError:
                 continue
             for key in stored:
@@ -259,14 +259,14 @@ class Rebalancer:
 
     def _write_copy(self, node_id: str, key: str, value: Any) -> bool:
         try:
-            self.cluster._call(node_id, lambda b: b.put(key, value))
+            self.cluster._call(node_id, lambda b: b.set(key, value))
             return True
         except NodeUnavailableError:
             return False
 
     def _drop_copy(self, node_id: str, key: str) -> bool:
         try:
-            self.cluster._call(node_id, lambda b: b.evict(key))
+            self.cluster._call(node_id, lambda b: b.delete(key))
             return True
         except NodeUnavailableError:
             return False

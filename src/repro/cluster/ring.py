@@ -33,6 +33,7 @@ __all__ = [
     'HashRing',
     'LegacyRing',
     'placement_delta',
+    'stable_hash64',
 ]
 
 #: Virtual points per physical node.  64 keeps the ring small (a few KB for
@@ -40,8 +41,12 @@ __all__ = [
 DEFAULT_VNODES = 64
 
 
-def _point(label: str) -> int:
-    """Stable 64-bit ring position for ``label`` (process-independent)."""
+def stable_hash64(label: str) -> int:
+    """Stable 64-bit hash of ``label`` (process-independent).
+
+    The one placement hash: ring positions here and stream partition
+    indices (:func:`repro.stream.groups.partition_for`) both come from it.
+    """
     return int.from_bytes(
         hashlib.blake2b(label.encode(), digest_size=8).digest(), 'big',
     )
@@ -65,7 +70,7 @@ class HashRing:
         points: list[tuple[int, str]] = []
         for node in self._nodes:
             for i in range(vnodes):
-                points.append((_point(f'{node}#{i}'), node))
+                points.append((stable_hash64(f'{node}#{i}'), node))
         points.sort()
         self._points = [p for p, _ in points]
         self._owners_at = [n for _, n in points]
@@ -112,7 +117,7 @@ class HashRing:
         n = min(n, len(self._nodes))
         if n == len(self._nodes) == 1:
             return self._nodes
-        start = bisect.bisect_right(self._points, _point(key))
+        start = bisect.bisect_right(self._points, stable_hash64(key))
         total = len(self._points)
         found: list[str] = []
         for step in range(total):

@@ -16,23 +16,15 @@ Transport knobs (all URL-expressible, e.g.
 * ``shard_threshold`` — minimum object size for striping (0 disables).
 * ``pool_size`` — socket connections pooled per remote node.
 
-Cluster knobs (see :mod:`repro.cluster`), e.g.
-``zmq://node-0?peers=node-0,node-1,node-2&replicas=2``:
-
-* ``replicas`` — copies written per plain object; ``>= 2`` replaces the
-  static placement with a consistent-hash ring over ``peers`` and enables
-  hedged reads, read-repair, crash failover and background rebalancing.
-* ``ring_vnodes`` — virtual ring points per peer (ring placement even with
-  ``replicas=1``).
-* ``hedge_threshold`` — seconds of primary silence before a read is hedged
-  to the second replica.
-* ``failure_threshold`` — consecutive unreachable failures before a peer is
-  declared dead and dropped from the ring.
-* ``rebalance`` / ``rebalance_throttle`` — background ring-delta migration
-  on membership changes, optionally byte-rate capped.
+Cluster knobs, e.g. ``zmq://node-0?peers=node-0,node-1,node-2&replicas=2``:
+the six fields of :class:`repro.cluster.ClusterOptions`, which is their one
+definition.  ``replicas >= 2`` (or ``ring_vnodes > 0``) replaces the static
+placement with a consistent-hash ring over ``peers`` and enables hedged
+reads, read-repair, crash failover and background rebalancing.
 """
 from __future__ import annotations
 
+import dataclasses
 import socket
 from typing import Any
 from typing import Iterable
@@ -42,8 +34,7 @@ from repro.connectors.protocol import Connector
 from repro.connectors.protocol import ConnectorCapabilities
 from repro.connectors.protocol import PutData
 from repro.connectors.protocol import new_object_id
-from repro.cluster.client import DEFAULT_HEDGE_THRESHOLD
-from repro.cluster.membership import DEFAULT_FAILURE_THRESHOLD
+from repro.cluster.attach import ClusterOptions
 from repro.connectors.registry import StoreURL
 from repro.dim.client import DEFAULT_SHARD_THRESHOLD
 from repro.kvserver.client import DEFAULT_POOL_SIZE
@@ -71,19 +62,12 @@ class DIMConnectorBase(Connector):
         shard_threshold: minimum object size (bytes) to stripe across peers.
         pool_size: connections pooled per remote node.
         timeout: per-request inactivity bound (seconds) for the KV clients.
-        replicas: copies written per plain object; ``>= 2`` enables ring
-            placement over ``peers`` with replication, hedged reads,
-            read-repair and crash failover (``1`` keeps the legacy static
-            topology).
-        ring_vnodes: virtual ring points per peer (``0`` = legacy unless
-            ``replicas >= 2``).
-        hedge_threshold: seconds the primary replica may stay silent before
-            a read is hedged to the second replica.
-        failure_threshold: consecutive unreachable failures before a peer
-            is declared dead and dropped from the ring.
-        rebalance: migrate ring-delta keys in the background on membership
-            changes (clustered mode only).
-        rebalance_throttle: optional bytes/second cap on migration copies.
+        **cluster: the six replication-tier knobs — ``replicas``,
+            ``ring_vnodes``, ``hedge_threshold``, ``failure_threshold``,
+            ``rebalance``, ``rebalance_throttle`` — of
+            :class:`repro.cluster.ClusterOptions`.  The defaults
+            (``replicas=1``, ``ring_vnodes=0``) keep the legacy static
+            topology.
     """
 
     connector_name = 'dim'
@@ -105,12 +89,7 @@ class DIMConnectorBase(Connector):
         shard_threshold: int = DEFAULT_SHARD_THRESHOLD,
         pool_size: int = DEFAULT_POOL_SIZE,
         timeout: float = DEFAULT_TIMEOUT,
-        replicas: int = 1,
-        ring_vnodes: int = 0,
-        hedge_threshold: float = DEFAULT_HEDGE_THRESHOLD,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-        rebalance: bool = True,
-        rebalance_throttle: float | None = None,
+        **cluster: Any,
     ) -> None:
         self.node_id = node_id if node_id is not None else _default_node_id()
         self._client = DIMClient(
@@ -120,12 +99,7 @@ class DIMConnectorBase(Connector):
             shard_threshold=shard_threshold,
             pool_size=pool_size,
             timeout=timeout,
-            replicas=replicas,
-            ring_vnodes=ring_vnodes,
-            hedge_threshold=hedge_threshold,
-            failure_threshold=failure_threshold,
-            rebalance=rebalance,
-            rebalance_throttle=rebalance_throttle,
+            **cluster,
         )
 
     def __repr__(self) -> str:
@@ -156,12 +130,7 @@ class DIMConnectorBase(Connector):
 
     # -- deferred writes -------------------------------------------------- #
     def new_key(self) -> DIMKey:
-        return DIMKey(
-            object_id=new_object_id(),
-            node_id=self.node_id,
-            transport=self.transport,
-            address=self._client.local_node.address,
-        )
+        return self._client.key_at(new_object_id())
 
     def set(self, key: DIMKey, data: PutData) -> None:
         if key.node_id != self.node_id:
@@ -199,12 +168,7 @@ class DIMConnectorBase(Connector):
             'shard_threshold': self._client.shard_threshold,
             'pool_size': self._client.pool_size,
             'timeout': self._client.timeout,
-            'replicas': self._client.replicas,
-            'ring_vnodes': self._client.ring_vnodes,
-            'hedge_threshold': self._client.hedge_threshold,
-            'failure_threshold': self._client.failure_threshold,
-            'rebalance': self._client.rebalancer is not None,
-            'rebalance_throttle': self._client.rebalance_throttle,
+            **self._client.cluster.config(),
         }
 
     @classmethod
@@ -218,32 +182,18 @@ class DIMConnectorBase(Connector):
         ``rebalance_throttle`` (bytes/second).
         """
         url = StoreURL.parse(url)
-        peers = url.pop_tags('peers')
         shard_threshold = url.pop_int('shard_threshold', DEFAULT_SHARD_THRESHOLD)
         pool_size = url.pop_int('pool_size', DEFAULT_POOL_SIZE)
         timeout = url.pop_float('timeout', DEFAULT_TIMEOUT)
-        replicas = url.pop_int('replicas', 1)
-        ring_vnodes = url.pop_int('ring_vnodes', 0)
-        hedge_threshold = url.pop_float('hedge_threshold', DEFAULT_HEDGE_THRESHOLD)
-        failure_threshold = url.pop_int('failure_threshold', DEFAULT_FAILURE_THRESHOLD)
-        rebalance = url.pop_bool('rebalance', True)
-        rebalance_throttle = url.pop_float('rebalance_throttle', None)
         assert shard_threshold is not None and pool_size is not None
-        assert timeout is not None and replicas is not None
-        assert ring_vnodes is not None and hedge_threshold is not None
-        assert failure_threshold is not None
+        assert timeout is not None
         return cls(
             node_id=url.netloc or None,
-            peers=peers,
+            peers=url.pop_tags('peers'),
             shard_threshold=shard_threshold,
             pool_size=pool_size,
             timeout=timeout,
-            replicas=replicas,
-            ring_vnodes=ring_vnodes,
-            hedge_threshold=hedge_threshold,
-            failure_threshold=failure_threshold,
-            rebalance=rebalance,
-            rebalance_throttle=rebalance_throttle,
+            **dataclasses.asdict(ClusterOptions.from_url(url)),
         )
 
     def close(self, clear: bool = False) -> None:

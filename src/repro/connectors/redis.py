@@ -22,15 +22,13 @@ Because placement is deterministic, every process pointed at the same
 """
 from __future__ import annotations
 
+import dataclasses
 from typing import Any
 from typing import Iterable
 from typing import Sequence
 
-from repro.cluster.client import ClusterClient
-from repro.cluster.client import DEFAULT_HEDGE_THRESHOLD
-from repro.cluster.membership import ClusterMembership
-from repro.cluster.membership import DEFAULT_FAILURE_THRESHOLD
-from repro.cluster.rebalance import Rebalancer
+from repro.cluster.attach import ClusterAttachment
+from repro.cluster.attach import ClusterOptions
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.connectors.protocol import Connector
 from repro.connectors.protocol import ConnectorCapabilities
@@ -63,39 +61,6 @@ def _parse_node(node: Any) -> tuple[str, int]:
     )
 
 
-class _KVNodeBackend:
-    """One SimKV server as a cluster node (drives the replication engine)."""
-
-    __slots__ = ('_client',)
-
-    def __init__(self, client: KVClient) -> None:
-        self._client = client
-
-    def put(self, key: str, value: Any) -> None:
-        self._client.set(key, value)
-
-    def put_batch(self, items: Sequence[tuple[str, Any]]) -> None:
-        self._client.mset(items)
-
-    def get(self, key: str) -> Any | None:
-        return self._client.get(key)
-
-    def get_batch(self, keys: Sequence[str]) -> list[Any]:
-        return self._client.mget(keys)
-
-    def exists(self, key: str) -> bool:
-        return self._client.exists(key)
-
-    def evict(self, key: str) -> None:
-        self._client.delete(key)
-
-    def evict_batch(self, keys: Sequence[str]) -> None:
-        self._client.mdel(keys)
-
-    def keys(self) -> list[str]:
-        return self._client.keys()
-
-
 class RedisConnector(Connector):
     """Connector storing objects on a central SimKV (Redis stand-in) server.
 
@@ -117,15 +82,11 @@ class RedisConnector(Connector):
         launch_nodes: start this many in-process SimKV servers and use them
             as the cluster (convenience for tests; mutually exclusive with
             ``nodes``).
-        replicas: copies written per key in cluster mode.
-        ring_vnodes: virtual ring points per node.
-        hedge_threshold: seconds of primary silence before a read is hedged
-            to the second replica.
-        failure_threshold: consecutive unreachable failures before a node
-            is declared dead and dropped from the ring.
-        rebalance: re-replicate ring-delta keys in the background after
-            membership changes.
-        rebalance_throttle: optional bytes/second cap on migration copies.
+        **cluster: cluster mode's six replication-tier knobs — ``replicas``,
+            ``ring_vnodes``, ``hedge_threshold``, ``failure_threshold``,
+            ``rebalance``, ``rebalance_throttle`` — defined once, on
+            :class:`repro.cluster.ClusterOptions`.  Cluster mode defaults to
+            ``replicas=2`` and ``ring_vnodes=DEFAULT_VNODES``.
     """
 
     connector_name = 'redis'
@@ -149,12 +110,7 @@ class RedisConnector(Connector):
         timeout: float = DEFAULT_TIMEOUT,
         nodes: Sequence[Any] = (),
         launch_nodes: int = 0,
-        replicas: int = 2,
-        ring_vnodes: int = DEFAULT_VNODES,
-        hedge_threshold: float = DEFAULT_HEDGE_THRESHOLD,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-        rebalance: bool = True,
-        rebalance_throttle: float | None = None,
+        **cluster: Any,
     ) -> None:
         if nodes and launch_nodes:
             raise ConnectorError('pass either nodes or launch_nodes, not both')
@@ -163,92 +119,70 @@ class RedisConnector(Connector):
             nodes = [(s.host, s.port) for s in launched]
         self.pool_size = pool_size
         self.timeout = timeout
-        self.replicas = replicas
-        self.ring_vnodes = ring_vnodes
-        self.hedge_threshold = hedge_threshold
-        self.failure_threshold = failure_threshold
-        self.rebalance_throttle = rebalance_throttle
-        self._cluster: ClusterClient | None = None
-        self._rebalancer: Rebalancer | None = None
-        self._node_addrs: dict[str, tuple[str, int]] = {}
-        self._node_clients: list[KVClient] = []
-        if nodes:
-            addresses = [_parse_node(node) for node in nodes]
-            self.nodes = tuple(f'{h}:{p}' for h, p in addresses)
-            self._node_addrs = dict(zip(self.nodes, addresses))
+        options = ClusterOptions(
+            **{'replicas': 2, 'ring_vnodes': DEFAULT_VNODES, **cluster},
+        )
+        #: Every KV client this connector opened, by ``host:port`` node id.
+        self._clients: dict[str, KVClient] = {}
+        members = [self._open_node(node) for node in nodes]
+        if members:
             # The primary host/port fields point at the first node so that
             # repr/config stay meaningful; the cluster does the routing.
-            host, port = addresses[0]
-            self.host, self.port = host, port
-            self._client = None
-            membership = ClusterMembership(
-                self.nodes,
-                vnodes=ring_vnodes,
-                failure_threshold=failure_threshold,
-            )
-            self._cluster = ClusterClient(
-                self._node_backend,
-                membership,
-                replicas=replicas,
-                hedge_threshold=hedge_threshold,
-            )
-            if rebalance:
-                self._rebalancer = Rebalancer(
-                    self._cluster,
-                    throttle_bytes_per_s=rebalance_throttle,
-                )
-        else:
-            self.nodes = ()
-            if launch:
-                server = launch_server(host, port)
-                assert server.port is not None
-                host, port = server.host, server.port
-            self.host = host
-            self.port = port
-            self._client = KVClient(
-                host, port, pool_size=pool_size, timeout=timeout,
-            )
-
-    def _node_backend(self, node_id: str) -> _KVNodeBackend:
-        host, port = self._node_addrs[node_id]
-        client = KVClient(
-            host, port, pool_size=self.pool_size, timeout=self.timeout,
+            host, port = _parse_node(members[0])
+        elif launch:
+            server = launch_server(host, port)
+            assert server.port is not None
+            host, port = server.host, server.port
+        self.host = host
+        self.port = port
+        self._cluster = ClusterAttachment(
+            options, members, self._clients.__getitem__,
         )
-        self._node_clients.append(client)
-        return _KVNodeBackend(client)
+        # Bound once: the replication engine over the member servers, or
+        # the one server's own client.  Both speak the eight node verbs, so
+        # no data method below asks which it is — and the single-server
+        # path stays ``put -> KVClient.set`` with no engine in between.
+        self._kv: Any = (
+            self._cluster.client
+            or self._clients[self._open_node((host, port))]
+        )
+
+    def _open_node(self, node: Any) -> str:
+        """Open (lazily connecting) the KV client of a node; returns its id."""
+        host, port = _parse_node(node)
+        node_id = f'{host}:{port}'
+        if node_id not in self._clients:
+            self._clients[node_id] = KVClient(
+                host, port, pool_size=self.pool_size, timeout=self.timeout,
+            )
+        return node_id
+
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        """Cluster mode's live member list (empty for a single server)."""
+        return self._cluster.members
 
     def __repr__(self) -> str:
-        if self._cluster is not None:
+        if self._cluster.attached:
             return f'RedisConnector(nodes={list(self.nodes)!r})'
         return f'RedisConnector(host={self.host!r}, port={self.port})'
 
     # -- primary operations --------------------------------------------- #
     def put(self, data: PutData) -> ConnectorKey:
         key = ConnectorKey(object_id=new_object_id(), connector=self.connector_name)
-        if self._cluster is not None:
-            self._cluster.put(key.object_id, data)
-        else:
-            # The KV client scatter/gathers the payload's segments straight
-            # out of the caller's buffers (pickle-5 out-of-band) — no local
-            # copy.
-            self._client.set(key.object_id, data)
+        # The KV client scatter/gathers the payload's segments straight out
+        # of the caller's buffers (pickle-5 out-of-band) — no local copy.
+        self._kv.set(key.object_id, data)
         return key
 
     def get(self, key: ConnectorKey) -> 'bytes | bytearray | memoryview | None':
-        if self._cluster is not None:
-            return self._cluster.get(key.object_id)
-        return self._client.get(key.object_id)
+        return self._kv.get(key.object_id)
 
     def exists(self, key: ConnectorKey) -> bool:
-        if self._cluster is not None:
-            return self._cluster.exists(key.object_id)
-        return self._client.exists(key.object_id)
+        return self._kv.exists(key.object_id)
 
     def evict(self, key: ConnectorKey) -> None:
-        if self._cluster is not None:
-            self._cluster.evict(key.object_id)
-        else:
-            self._client.delete(key.object_id)
+        self._kv.delete(key.object_id)
 
     # -- batch operations (one MSET/MGET round trip per batch) ------------- #
     def put_batch(self, datas: Sequence[PutData]) -> list[ConnectorKey]:
@@ -256,83 +190,45 @@ class RedisConnector(Connector):
             ConnectorKey(object_id=new_object_id(), connector=self.connector_name)
             for _ in datas
         ]
-        items = [(key.object_id, data) for key, data in zip(keys, datas)]
-        if self._cluster is not None:
-            self._cluster.put_batch(items)
-        else:
-            self._client.mset(items)
+        self._kv.mset([(key.object_id, data) for key, data in zip(keys, datas)])
         return keys
 
     def get_batch(self, keys: Iterable[ConnectorKey]) -> list[Any]:
-        object_ids = [key.object_id for key in keys]
-        if self._cluster is not None:
-            return self._cluster.get_batch(object_ids)
-        return self._client.mget(object_ids)
+        return self._kv.mget([key.object_id for key in keys])
 
     def evict_batch(self, keys: Iterable[ConnectorKey]) -> None:
-        object_ids = [key.object_id for key in keys]
-        if self._cluster is not None:
-            self._cluster.evict_batch(object_ids)
-        else:
-            self._client.mdel(object_ids)
+        self._kv.mdel([key.object_id for key in keys])
 
     # -- deferred writes -------------------------------------------------- #
     def new_key(self) -> ConnectorKey:
         return ConnectorKey(object_id=new_object_id(), connector=self.connector_name)
 
     def set(self, key: ConnectorKey, data: PutData) -> None:
-        if self._cluster is not None:
-            self._cluster.put(key.object_id, data)
-        else:
-            self._client.set(key.object_id, data)
+        self._kv.set(key.object_id, data)
 
     def set_batch(self, items: Sequence[tuple[ConnectorKey, PutData]]) -> None:
         # One MSET round trip (or one clustered batch put) for the whole
         # coalesced buffer instead of a wire write per key.
-        pairs = [(key.object_id, data) for key, data in items]
-        if self._cluster is not None:
-            self._cluster.put_batch(pairs)
-        else:
-            self._client.mset(pairs)
+        self._kv.mset([(key.object_id, data) for key, data in items])
 
     # -- cluster ----------------------------------------------------------- #
     def bind_metrics(self, metrics: Any) -> None:
         """Thread per-node health and cluster events into store metrics."""
-        if self._cluster is not None:
-            self._cluster.bind_metrics(metrics)
+        self._cluster.bind_metrics(metrics)
 
     def cluster_health(self) -> dict[str, Any]:
         """Membership, per-node health, and self-healing counters."""
-        if self._cluster is None:
-            return {'clustered': False, 'replicas': 1}
-        health = {
-            'clustered': True,
-            'replicas': self.replicas,
-            'ring_vnodes': self._cluster.membership.vnodes,
-            'ring': list(self._cluster.membership.ring.nodes),
-            'nodes': self._cluster.membership.health(),
-            'stats': self._cluster.stats.as_dict(),
-        }
-        if self._rebalancer is not None:
-            health['rebalance'] = self._rebalancer.stats.as_dict()
-        return health
+        return self._cluster.health()
 
     def join_node(self, node: Any) -> None:
         """Add a ``host:port`` SimKV server to the cluster."""
-        if self._cluster is None:
-            raise ConnectorError('join_node requires a clustered RedisConnector')
-        address = _parse_node(node)
-        node_id = f'{address[0]}:{address[1]}'
-        self._node_addrs[node_id] = address
-        self.nodes = tuple(dict.fromkeys((*self.nodes, node_id)))
-        self._cluster.membership.join(node_id)
+        self._cluster.require('join_node')
+        self._cluster.join(self._open_node(node))
 
     def leave_node(self, node: Any) -> None:
         """Voluntarily drain a ``host:port`` server out of the cluster."""
-        if self._cluster is None:
-            raise ConnectorError('leave_node requires a clustered RedisConnector')
-        address = _parse_node(node)
-        self._cluster.membership.leave(f'{address[0]}:{address[1]}')
+        host, port = _parse_node(node)
+        self._cluster.leave(f'{host}:{port}')
 
     # -- configuration / lifecycle --------------------------------------- #
     def config(self) -> dict[str, Any]:
@@ -342,16 +238,10 @@ class RedisConnector(Connector):
             'pool_size': self.pool_size,
             'timeout': self.timeout,
         }
-        if self._cluster is not None:
-            config.update(
-                nodes=list(self.nodes),
-                replicas=self.replicas,
-                ring_vnodes=self.ring_vnodes,
-                hedge_threshold=self.hedge_threshold,
-                failure_threshold=self.failure_threshold,
-                rebalance=self._rebalancer is not None,
-                rebalance_throttle=self.rebalance_throttle,
-            )
+        if self._cluster.attached:
+            # The live member list: a store rebuilt from this config places
+            # keys on the ring this connector uses now, not at start-up.
+            config.update(nodes=list(self.nodes), **self._cluster.config())
         return config
 
     @classmethod
@@ -367,56 +257,31 @@ class RedisConnector(Connector):
         url = StoreURL.parse(url)
         pool_size = url.pop_int('pool_size', DEFAULT_POOL_SIZE)
         timeout = url.pop_float('timeout', DEFAULT_TIMEOUT)
-        nodes = url.pop_tags('nodes')
         launch_nodes = url.pop_int('launch_nodes', 0)
-        replicas = url.pop_int('replicas', 2)
-        ring_vnodes = url.pop_int('ring_vnodes', DEFAULT_VNODES)
-        hedge_threshold = url.pop_float('hedge_threshold', DEFAULT_HEDGE_THRESHOLD)
-        failure_threshold = url.pop_int('failure_threshold', DEFAULT_FAILURE_THRESHOLD)
-        rebalance = url.pop_bool('rebalance', True)
-        rebalance_throttle = url.pop_float('rebalance_throttle', None)
         assert pool_size is not None and timeout is not None
-        assert launch_nodes is not None and replicas is not None
-        assert ring_vnodes is not None and hedge_threshold is not None
-        assert failure_threshold is not None
+        assert launch_nodes is not None
+        options = ClusterOptions.from_url(
+            url, replicas=2, ring_vnodes=DEFAULT_VNODES,
+        )
         return cls(
             host=url.host or '127.0.0.1',
             port=url.port or 0,
             launch=url.pop_bool('launch', False),
             pool_size=pool_size,
             timeout=timeout,
-            nodes=nodes,
+            nodes=url.pop_tags('nodes'),
             launch_nodes=launch_nodes,
-            replicas=replicas,
-            ring_vnodes=ring_vnodes,
-            hedge_threshold=hedge_threshold,
-            failure_threshold=failure_threshold,
-            rebalance=rebalance,
-            rebalance_throttle=rebalance_throttle,
+            **dataclasses.asdict(options),
         )
 
     def close(self, clear: bool = False) -> None:
-        if self._rebalancer is not None:
-            self._rebalancer.stop()
-        if self._cluster is not None:
+        self._cluster.close()
+        for client in self._clients.values():
             if clear:
-                for node_id in self._cluster.membership.reachable():
-                    try:
-                        self._cluster.backend(node_id)._client.flush()
-                    # repro: ignore[RP004] - best-effort flush during
-                    # teardown; the node may already be gone
-                    except Exception:  # noqa: BLE001 - node may be gone
-                        pass
-            self._cluster.close()
-            for client in self._node_clients:
-                client.close()
-            self._node_clients.clear()
-            return
-        if clear:
-            try:
-                self._client.flush()
-            # repro: ignore[RP004] - best-effort flush during teardown;
-            # the server may already be gone
-            except Exception:  # noqa: BLE001 - server may already be gone
-                pass
-        self._client.close()
+                try:
+                    client.mdel(client.keys())
+                # repro: ignore[RP004] - best-effort flush during teardown;
+                # the server may already be gone
+                except Exception:  # noqa: BLE001 - server may already be gone
+                    pass
+            client.close()

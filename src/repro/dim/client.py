@@ -40,16 +40,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 from typing import Iterable
-from typing import NamedTuple
+from typing import Iterator
 from typing import Optional
 from typing import Sequence
 
-from repro.cluster.client import ClusterClient
-from repro.cluster.client import DEFAULT_HEDGE_THRESHOLD
-from repro.cluster.membership import ClusterMembership
-from repro.cluster.membership import DEFAULT_FAILURE_THRESHOLD
-from repro.cluster.rebalance import Rebalancer
-from repro.cluster.ring import DEFAULT_VNODES
+from repro.cluster.attach import ClusterAttachment
+from repro.cluster.attach import ClusterOptions
 from repro.cluster.ring import LegacyRing
 from repro.connectors.protocol import new_object_id
 from repro.dim.node import DIMKey
@@ -77,88 +73,6 @@ DEFAULT_SHARD_THRESHOLD = 64 * 1024 * 1024
 _MAX_PARALLEL_TRANSFERS = 8
 
 
-class _Target(NamedTuple):
-    """A resolved shard target: an in-process node or a remote address."""
-
-    node_id: str
-    address: tuple[str, int] | None  # None = reachable only in-process
-
-
-class _DIMBackend:
-    """Per-node transport driven by the cluster replication engine.
-
-    TCP nodes resolve their current address through the owning client on
-    every operation (a rejoined node gets a fresh port); memory nodes go
-    through the in-process registry, where a closed node means *crashed* —
-    surfaced as :class:`NodeUnavailableError`, never as silently empty.
-    """
-
-    __slots__ = ('node_id', '_client')
-
-    def __init__(self, node_id: str, client: 'DIMClient') -> None:
-        self.node_id = node_id
-        self._client = client
-
-    def _kv(self) -> KVClient:
-        address = self._client._peer_address(self.node_id)
-        return self._client._tcp_client(address)
-
-    def _node(self):
-        node = lookup_node(self.node_id, 'memory')
-        if node is None or node.closed:
-            raise NodeUnavailableError(
-                f'DIM node {self.node_id!r} is not available in this process',
-            )
-        return node
-
-    def put(self, key: str, value: Any) -> None:
-        if self._client.transport == 'tcp':
-            self._kv().set(key, value)
-        else:
-            self._node().put_local(key, value)
-
-    def put_batch(self, items: Sequence[tuple[str, Any]]) -> None:
-        if self._client.transport == 'tcp':
-            self._kv().mset(items)
-        else:
-            self._node().put_local_batch(items)
-
-    def get(self, key: str) -> Any | None:
-        if self._client.transport == 'tcp':
-            return self._kv().get(key)
-        return self._node().get_local(key)
-
-    def get_batch(self, keys: Sequence[str]) -> list[Any]:
-        if self._client.transport == 'tcp':
-            return self._kv().mget(keys)
-        node = self._node()
-        return [node.get_local(key) for key in keys]
-
-    def exists(self, key: str) -> bool:
-        if self._client.transport == 'tcp':
-            return self._kv().exists(key)
-        return self._node().exists_local(key)
-
-    def evict(self, key: str) -> None:
-        if self._client.transport == 'tcp':
-            self._kv().delete(key)
-        else:
-            self._node().evict_local(key)
-
-    def evict_batch(self, keys: Sequence[str]) -> None:
-        if self._client.transport == 'tcp':
-            self._kv().mdel(keys)
-        else:
-            node = self._node()
-            for key in keys:
-                node.evict_local(key)
-
-    def keys(self) -> list[str]:
-        if self._client.transport == 'tcp':
-            return self._kv().keys()
-        return self._node().keys_local()
-
-
 class DIMClient:
     """Puts objects on the local node and gets them from any node.
 
@@ -170,26 +84,20 @@ class DIMClient:
             ``(node_id, host, port)`` tuples for nodes in other processes
             (TCP transport only).  Sharding stripes across exactly this
             list; include the local node's id if it should hold a stripe.
-            Empty (the default) disables sharding.
+            Empty (the default) disables sharding.  When clustered these
+            are also the ring's members, and :attr:`peers` follows
+            ``join_peer``/``leave_peer``.
         shard_threshold: minimum payload size (bytes) for striping; ``0``
             disables sharding regardless of ``peers``.
         pool_size: connections pooled per remote node (parallel streams).
         timeout: per-request inactivity bound passed to the KV clients.
-        replicas: copies written per plain object.  ``1`` (default) keeps
-            the legacy static topology; ``>= 2`` enables ring placement
-            over ``peers`` with replication, hedged reads, read-repair and
-            crash failover.
-        ring_vnodes: virtual ring points per peer.  ``0`` (default) keeps
-            the legacy topology unless ``replicas >= 2`` (which implies
-            the default of ``repro.cluster.DEFAULT_VNODES``).
-        hedge_threshold: seconds the primary replica may stay silent
-            before a read is hedged to the second replica.
-        failure_threshold: consecutive unavailable-failures before a peer
-            is declared dead and dropped from the ring.
-        rebalance: run the background rebalancer (migrate ring-delta keys
-            on membership changes).  Only meaningful when clustered.
-        rebalance_throttle: optional bytes/second cap on migration copies
-            so foreground traffic keeps priority.
+        **cluster: the six replication-tier knobs — ``replicas``,
+            ``ring_vnodes``, ``hedge_threshold``, ``failure_threshold``,
+            ``rebalance``, ``rebalance_throttle`` — defined once, on
+            :class:`repro.cluster.ClusterOptions`.  ``replicas=1`` with
+            ``ring_vnodes=0`` (the defaults) keeps the legacy static
+            topology; anything else places plain objects on a ring over
+            ``peers``.
     """
 
     def __init__(
@@ -201,66 +109,43 @@ class DIMClient:
         shard_threshold: int = DEFAULT_SHARD_THRESHOLD,
         pool_size: int = DEFAULT_POOL_SIZE,
         timeout: float = DEFAULT_TIMEOUT,
-        replicas: int = 1,
-        ring_vnodes: int = 0,
-        hedge_threshold: float = DEFAULT_HEDGE_THRESHOLD,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-        rebalance: bool = True,
-        rebalance_throttle: float | None = None,
+        **cluster: Any,
     ) -> None:
-        if replicas < 1:
-            raise ValueError('replicas must be at least 1')
+        options = ClusterOptions(**cluster)
         self.node_id = node_id
         self.transport = transport
         self.local_node = get_local_node(node_id, transport)
-        self.peers = tuple(tuple(p) if isinstance(p, (list, tuple)) else p for p in peers)
+        self._peers = tuple(
+            tuple(p) if isinstance(p, (list, tuple)) else p for p in peers
+        )
         self.shard_threshold = shard_threshold
         self.pool_size = pool_size
         self.timeout = timeout
-        self.replicas = replicas
-        self.ring_vnodes = ring_vnodes
-        self.hedge_threshold = hedge_threshold
-        self.failure_threshold = failure_threshold
-        self.rebalance_throttle = rebalance_throttle
         self._tcp_clients: dict[tuple[str, int], KVClient] = {}
         self._executor: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
-        self.cluster: ClusterClient | None = None
-        self.rebalancer: Rebalancer | None = None
+        #: Cluster peers by node id: last known address, and the peer as
+        #: it was given (what ``config()`` must hand to the next client).
         self._peer_addrs: dict[str, tuple[str, int] | None] = {}
-        if replicas > 1 or ring_vnodes > 0:
-            if not self.peers:
+        self._peer_specs: dict[str, Any] = {}
+        members: list[str] = []
+        if options.replicas > 1 or options.ring_vnodes > 0:
+            if not self._peers:
                 raise ConnectorError(
                     'cluster placement (replicas>1 or ring_vnodes>0) '
                     'requires a non-empty peers list',
                 )
-            members = []
-            for peer in self.peers:
-                target = self._resolve_peer(peer)
-                self._peer_addrs[target.node_id] = target.address
-                members.append(target.node_id)
-            membership = ClusterMembership(
-                members,
-                vnodes=ring_vnodes or DEFAULT_VNODES,
-                failure_threshold=failure_threshold,
-            )
-            self.cluster = ClusterClient(
-                lambda nid: _DIMBackend(nid, self),
-                membership,
-                replicas=replicas,
-                hedge_threshold=hedge_threshold,
-            )
-            if rebalance:
-                self.rebalancer = Rebalancer(
-                    self.cluster,
-                    throttle_bytes_per_s=rebalance_throttle,
-                    # Stripe shards (`<id>.s<i>`) are pinned to the
-                    # locations recorded in their parent key — the ring
-                    # must not move them.
-                    key_filter=lambda key: '.s' not in key,
-                )
+            members = [self._meet_peer(peer) for peer in self._peers]
+        self.cluster = ClusterAttachment(
+            options,
+            members,
+            self._node,
+            # Stripe shards (`<id>.s<i>`) are pinned to the locations
+            # recorded in their parent key — the ring must not move them.
+            key_filter=lambda key: '.s' not in key,
+        )
 
-    # -- helpers ------------------------------------------------------------ #
+    # -- reaching a storage node --------------------------------------------- #
     def _tcp_client(self, address: tuple[str, int]) -> KVClient:
         address = tuple(address)  # type: ignore[assignment]
         with self._lock:
@@ -272,66 +157,104 @@ class DIMClient:
                 self._tcp_clients[address] = client
             return client
 
-    def _resolve_peer(self, peer: Any) -> _Target:
+    def _node(self, where: Any, *, required: bool = False) -> Any:
+        """Resolve a location to the handle that speaks the eight node verbs.
+
+        The one place that decides *how* a storage node is reached: a
+        memory-transport node is its in-process :class:`DIMNode`, a TCP node
+        is this client's pooled :class:`KVClient` for its address.  ``where``
+        is anything carrying ``node_id``/``transport``/``address`` — a
+        :class:`DIMKey`, :class:`DIMShard`, :class:`DIMReplica` or the local
+        :class:`DIMNode` — or a cluster peer's node id.
+
+        Unreachable from this process (a memory node living elsewhere, a
+        TCP location with no address) is ``None``, which callers turn into
+        their own answer — ``exists`` is ``False``, ``evict`` does nothing —
+        except where a handle is the only acceptable outcome:
+
+        * ``required=True`` (``get`` and stripe reads/writes) raises
+          :class:`ConnectorError`;
+        * a peer id (the cluster engine asking) raises
+          :class:`NodeUnavailableError` — its failover signal — and also
+          treats a *closed* memory node as unreachable: its data is gone,
+          which must never read as "silently empty".
+        """
+        peer = isinstance(where, str)
+        if peer:
+            where = DIMReplica(
+                where, self.transport, self._peer_addrs.get(where),
+            )
+        in_memory = where.transport == 'memory'
+        local = None
+        if in_memory or (peer and where.address is None):
+            # In-process.  (A TCP peer with no recorded address may be a
+            # node of this process, recreated on a fresh port since.)
+            local = lookup_node(where.node_id, where.transport)
+            if peer and local is not None and local.closed:
+                local = None
+        if in_memory:
+            node = local
+        else:
+            address = where.address or (local and local.address)
+            node = self._tcp_client(address) if address else None
+        if node is None and peer:
+            raise NodeUnavailableError(
+                f'DIM node {where.node_id!r} is not available in this process',
+            )
+        if node is None and required:
+            raise ConnectorError(
+                f'DIM node {where.node_id!r} is not reachable from this '
+                f'process (memory-transport nodes are process-local, TCP '
+                f'locations need an address): {where!r}',
+            )
+        return node
+
+    def _resolve_peer(self, peer: Any) -> DIMReplica:
         if isinstance(peer, str):
             node = get_local_node(peer, self.transport)
-            return _Target(peer, node.address)
+            return DIMReplica(peer, self.transport, node.address)
         if isinstance(peer, tuple) and len(peer) == 3:
             node_id, host, port = peer
             if self.transport != 'tcp':
                 raise ConnectorError(
                     f'addressed peer {peer!r} requires the tcp transport',
                 )
-            return _Target(str(node_id), (str(host), int(port)))
+            return DIMReplica(str(node_id), 'tcp', (str(host), int(port)))
         raise ConnectorError(
             f'malformed DIM peer {peer!r}: expected a node id or '
             '(node_id, host, port)',
         )
 
+    def _meet_peer(self, peer: Any) -> str:
+        """Resolve a cluster peer and remember where it is; returns its id."""
+        target = self._resolve_peer(peer)
+        self._peer_addrs[target.node_id] = target.address
+        self._peer_specs[target.node_id] = peer
+        return target.node_id
+
     # -- cluster placement --------------------------------------------------- #
+    @property
+    def peers(self) -> tuple[Any, ...]:
+        """Shard targets as given; when clustered, the live member list."""
+        if not self.cluster.attached:
+            return self._peers
+        return tuple(self._peer_specs[n] for n in self.cluster.members)
+
     @property
     def ring(self):
         """The placement function: the live hash ring, or the legacy pin."""
-        if self.cluster is not None:
+        if self.cluster.membership is not None:
             return self.cluster.membership.ring
         return LegacyRing(self.node_id)
 
-    def _peer_address(self, node_id: str) -> tuple[str, int]:
-        """Current TCP address of a cluster peer (refreshed on rejoin)."""
-        address = self._peer_addrs.get(node_id)
-        if address is None:
-            # In-process peer: its node (and port) may have been recreated.
-            node = lookup_node(node_id, 'tcp')
-            if node is not None and not node.closed and node.address is not None:
-                return node.address
-            raise NodeUnavailableError(
-                f'no address known for DIM peer {node_id!r}',
-            )
-        return address
-
     def bind_metrics(self, metrics: Any) -> None:
         """Thread per-node health and cluster events into store metrics."""
-        if self.cluster is not None:
-            self.cluster.bind_metrics(metrics)
+        self.cluster.bind_metrics(metrics)
 
     def cluster_health(self) -> dict[str, Any]:
         """Snapshot of membership, per-node health and self-healing stats."""
-        if self.cluster is None:
-            return {
-                'clustered': False,
-                'replicas': 1,
-                'ring': list(self.ring.nodes),
-            }
-        health = {
-            'clustered': True,
-            'replicas': self.replicas,
-            'ring_vnodes': self.cluster.membership.vnodes,
-            'ring': list(self.cluster.membership.ring.nodes),
-            'nodes': self.cluster.membership.health(),
-            'stats': self.cluster.stats.as_dict(),
-        }
-        if self.rebalancer is not None:
-            health['rebalance'] = self.rebalancer.stats.as_dict()
+        health = self.cluster.health()
+        health.setdefault('ring', list(self.ring.nodes))
         return health
 
     def join_peer(self, peer: Any) -> None:
@@ -341,130 +264,86 @@ class DIMClient:
         in-process) or ``(node_id, host, port)``.  Rejoining a crashed node
         id spawns a fresh, empty node.
         """
-        if self.cluster is None:
-            raise ConnectorError('join_peer requires a clustered DIMClient')
-        target = self._resolve_peer(peer)
-        self._peer_addrs[target.node_id] = target.address
-        self.cluster.membership.join(target.node_id)
+        self.cluster.require('join_peer')
+        self.cluster.join(self._meet_peer(peer))
 
     def leave_peer(self, node_id: str) -> None:
         """Voluntarily remove ``node_id``; its keys drain to the new owners.
 
         The node stays reachable while the background rebalancer copies its
-        share to the remaining members (use ``rebalancer.wait_idle()`` to
-        block until the drain completes before actually stopping it).
+        share to the remaining members (use
+        ``cluster.rebalancer.wait_idle()`` to block until the drain
+        completes before actually stopping it).
         """
-        if self.cluster is None:
-            raise ConnectorError('leave_peer requires a clustered DIMClient')
-        self.cluster.membership.leave(node_id)
+        self.cluster.leave(node_id)
 
-    def _replica_locations(self, owners: Sequence[str]) -> tuple[DIMReplica, ...]:
-        return tuple(
-            DIMReplica(
-                node_id=node_id,
-                transport=self.transport,
-                address=self._peer_addrs.get(node_id),
+    def key_at(self, object_id: str, owners: Sequence[str] = ()) -> DIMKey:
+        """The key of a plain object: on ``owners``, or pinned to this node."""
+        if not owners:
+            return DIMKey(
+                object_id, self.node_id, self.transport, self.local_node.address,
             )
+        replicas = tuple(
+            DIMReplica(node_id, self.transport, self._peer_addrs.get(node_id))
             for node_id in owners
         )
+        return DIMKey(
+            object_id, owners[0], self.transport, replicas[0].address,
+            replicas=replicas,
+        )
 
-    def _adopt_replica_addresses(self, key: DIMKey) -> None:
-        """Learn addresses recorded in a key for peers we have not met."""
+    def _replica_ids(self, key: DIMKey) -> tuple[str, ...]:
+        """A key's recorded replica nodes, learning addresses we have not met."""
         assert key.replicas is not None
         for replica in key.replicas:
             if replica.address is not None:
                 self._peer_addrs.setdefault(
                     replica.node_id, tuple(replica.address),
                 )
+        return tuple(replica.node_id for replica in key.replicas)
+
+    def _each_replica(self, key: DIMKey, op: Any) -> Iterator[Any]:
+        """Plain consumer (no cluster config): ``op(node)`` down the recorded list.
+
+        Straight failover: replicas this process cannot reach, or that are
+        down, are skipped.
+        """
+        assert key.replicas is not None
+        for replica in key.replicas:
+            node = self._node(replica)
+            if node is None:
+                continue
+            try:
+                yield op(node)
+            except NodeUnavailableError:
+                continue
 
     def _get_replicated(self, key: DIMKey) -> Any | None:
-        assert key.replicas is not None
-        if self.cluster is not None:
-            self._adopt_replica_addresses(key)
-            return self.cluster.get(
-                key.object_id, [r.node_id for r in key.replicas],
-            )
-        # Plain consumer (no cluster config): straight failover down the
-        # replica list recorded in the key.
-        for replica in key.replicas:
-            try:
-                if replica.transport == 'memory':
-                    node = lookup_node(replica.node_id, 'memory')
-                    if node is None or node.closed:
-                        continue
-                    value = node.get_local(key.object_id)
-                elif replica.address is None:
-                    continue
-                else:
-                    value = self._tcp_client(
-                        tuple(replica.address),
-                    ).get(key.object_id)
-            except NodeUnavailableError:
-                continue
-            if value is not None:
-                return value
-        return None
+        engine = self.cluster.client
+        if engine is not None:
+            return engine.get(key.object_id, self._replica_ids(key))
+        found = self._each_replica(key, lambda node: node.get(key.object_id))
+        return next((value for value in found if value is not None), None)
 
     def _exists_replicated(self, key: DIMKey) -> bool:
-        assert key.replicas is not None
-        if self.cluster is not None:
-            self._adopt_replica_addresses(key)
-            return self.cluster.exists(
-                key.object_id, [r.node_id for r in key.replicas],
-            )
-        for replica in key.replicas:
-            try:
-                if replica.transport == 'memory':
-                    node = lookup_node(replica.node_id, 'memory')
-                    if node is None or node.closed:
-                        continue
-                    if node.exists_local(key.object_id):
-                        return True
-                elif replica.address is not None:
-                    if self._tcp_client(
-                        tuple(replica.address),
-                    ).exists(key.object_id):
-                        return True
-            except NodeUnavailableError:
-                continue
-        return False
+        engine = self.cluster.client
+        if engine is not None:
+            return engine.exists(key.object_id, self._replica_ids(key))
+        return any(
+            self._each_replica(key, lambda node: node.exists(key.object_id)),
+        )
 
     def _evict_replicated(self, keys: Sequence[DIMKey]) -> None:
-        if self.cluster is not None:
-            candidates: dict[str, tuple[str, ...]] = {}
-            for key in keys:
-                assert key.replicas is not None
-                self._adopt_replica_addresses(key)
-                candidates[key.object_id] = tuple(
-                    r.node_id for r in key.replicas
-                )
-            self.cluster.evict_batch(list(candidates), candidates)
+        engine = self.cluster.client
+        if engine is not None:
+            candidates = {key.object_id: self._replica_ids(key) for key in keys}
+            engine.mdel(list(candidates), candidates)
             return
         for key in keys:
-            assert key.replicas is not None
-            for replica in key.replicas:
-                try:
-                    if replica.transport == 'memory':
-                        node = lookup_node(replica.node_id, 'memory')
-                        if node is not None and not node.closed:
-                            node.evict_local(key.object_id)
-                    elif replica.address is not None:
-                        self._tcp_client(
-                            tuple(replica.address),
-                        ).delete(key.object_id)
-                except NodeUnavailableError:
-                    continue
-
-    def _put_replicated(self, object_id: str, data: Any) -> DIMKey:
-        assert self.cluster is not None
-        owners = self.cluster.put(object_id, data)
-        return DIMKey(
-            object_id=object_id,
-            node_id=owners[0],
-            transport=self.transport,
-            address=self._peer_addrs.get(owners[0]),
-            replicas=self._replica_locations(owners),
-        )
+            for _ in self._each_replica(
+                key, lambda node, k=key: node.delete(k.object_id),
+            ):
+                pass
 
     def _parallel(self, tasks: 'list[Any]') -> list[Any]:
         """Run thunks concurrently (parallel streams for multi-node I/O).
@@ -530,13 +409,6 @@ class DIMClient:
             chunks.append(chunk)
         return chunks
 
-    def _put_shard(self, target: _Target, object_id: str, chunk: list[memoryview]) -> None:
-        payload = SerializedObject(chunk)
-        if self.transport == 'tcp' and target.address is not None:
-            self._tcp_client(target.address).set(object_id, payload)
-        else:
-            get_local_node(target.node_id, self.transport).put_local(object_id, payload)
-
     def _put_sharded(self, object_id: str, data: Any, nbytes: int) -> DIMKey:
         targets = [self._resolve_peer(peer) for peer in self.peers]
         chunks = self._split_segments(segments_of(data), len(targets))
@@ -553,35 +425,22 @@ class DIMClient:
         try:
             self._parallel(
                 [
-                    (lambda t=target, s=shard, c=chunk: self._put_shard(t, s.object_id, c))
-                    for target, shard, chunk in zip(targets, shards, chunks)
+                    (lambda s=shard, c=chunk: self._node(s, required=True).set(
+                        s.object_id, SerializedObject(c),
+                    ))
+                    for shard, chunk in zip(shards, chunks)
                 ],
             )
         except Exception:
             # The key never reaches the caller, so stripes already written
             # to healthy nodes would leak forever — best-effort clean-up.
-            self._evict_shards(shards, best_effort=True)
+            self._evict_located(shards, best_effort=True)
             raise
-        return DIMKey(
-            object_id=object_id,
-            node_id=self.node_id,
-            transport=self.transport,
-            address=self.local_node.address,
-            shards=shards,
-        )
+        return self.key_at(object_id)._replace(shards=shards)
 
-    def _get_shard(self, shard: DIMShard) -> Any | None:
-        if shard.transport == 'memory':
-            node = lookup_node(shard.node_id, 'memory')
-            if node is None:
-                raise ConnectorError(
-                    f'node {shard.node_id!r} is not reachable from this '
-                    'process (memory-transport DIM nodes are process-local)',
-                )
-            return node.get_local(shard.object_id)
-        if shard.address is None:
-            raise ConnectorError(f'TCP DIM shard missing an address: {shard!r}')
-        return self._tcp_client(shard.address).get(shard.object_id)
+    def _fetch(self, where: 'DIMKey | DIMShard') -> Any | None:
+        """Read one plain object or stripe from the node recorded in ``where``."""
+        return self._node(where, required=True).get(where.object_id)
 
     @staticmethod
     def _assemble_shards(parts: Sequence[Any]) -> Optional[SerializedObject]:
@@ -599,15 +458,15 @@ class DIMClient:
     def _get_sharded(self, key: DIMKey) -> Optional[SerializedObject]:
         assert key.shards is not None
         parts = self._parallel(
-            [(lambda s=shard: self._get_shard(s)) for shard in key.shards],
+            [(lambda s=shard: self._fetch(s)) for shard in key.shards],
         )
         return self._assemble_shards(parts)
 
     def _shardable(self, nbytes: int) -> bool:
         return (
-            bool(self.peers)
-            and self.shard_threshold > 0
+            self.shard_threshold > 0
             and nbytes >= self.shard_threshold
+            and bool(self.peers)
         )
 
     # -- operations ---------------------------------------------------------- #
@@ -615,113 +474,68 @@ class DIMClient:
         """Store on the local node, honouring this client's transport knobs.
 
         TCP writes go through this client's own pooled connection (so the
-        configured ``pool_size``/``timeout`` apply) rather than the shared
-        node's default client.
+        configured ``pool_size``/``timeout`` apply).
         """
-        if self.transport == 'tcp' and self.local_node.address is not None:
-            self._tcp_client(self.local_node.address).set(object_id, data)
-        else:
-            self.local_node.put_local(object_id, data)
-
-    def _put_local_batch(self, items: Sequence[tuple[str, Any]]) -> None:
-        if self.transport == 'tcp' and self.local_node.address is not None:
-            self._tcp_client(self.local_node.address).mset(items)
-        else:
-            self.local_node.put_local_batch(items)
+        self._node(self.local_node, required=True).set(object_id, data)
 
     def put(self, data) -> DIMKey:
+        """Store ``data``: striped if large, else on the ring or the local node."""
         object_id = new_object_id()
         nbytes = payload_nbytes(data)
         if self._shardable(nbytes):
             return self._put_sharded(object_id, data, nbytes)
-        if self.cluster is not None:
-            return self._put_replicated(object_id, data)
+        engine = self.cluster.client
+        if engine is not None:
+            return self.key_at(object_id, engine.set(object_id, data))
         self.put_local(object_id, data)
-        return DIMKey(
-            object_id=object_id,
-            node_id=self.node_id,
-            transport=self.transport,
-            address=self.local_node.address,
-        )
+        return self.key_at(object_id)
 
     def get(self, key: DIMKey) -> Optional[bytes]:
+        """Fetch ``key`` from wherever it says the object lives (``None`` if gone)."""
         if key.shards:
             return self._get_sharded(key)
         if key.replicas:
             return self._get_replicated(key)
-        if key.transport == 'memory':
-            node = lookup_node(key.node_id, 'memory')
-            if node is None:
-                raise ConnectorError(
-                    f'node {key.node_id!r} is not reachable from this process '
-                    '(memory-transport DIM nodes are process-local)',
-                )
-            return node.get_local(key.object_id)
-        if key.address is None:
-            raise ConnectorError(f'TCP DIM key missing an address: {key!r}')
-        return self._tcp_client(key.address).get(key.object_id)
+        return self._fetch(key)
+
+    def _exists_at(self, where: 'DIMKey | DIMShard') -> bool:
+        node = self._node(where)
+        return node is not None and node.exists(where.object_id)
 
     def exists(self, key: DIMKey) -> bool:
+        """Whether ``key``'s object (every stripe of it) is still stored."""
         if key.shards:
-            return all(self._shard_exists(shard) for shard in key.shards)
+            return all(self._exists_at(shard) for shard in key.shards)
         if key.replicas:
             return self._exists_replicated(key)
-        if key.transport == 'memory':
-            node = lookup_node(key.node_id, 'memory')
-            return node is not None and node.exists_local(key.object_id)
-        if key.address is None:
-            return False
-        return self._tcp_client(key.address).exists(key.object_id)
-
-    def _shard_exists(self, shard: DIMShard) -> bool:
-        if shard.transport == 'memory':
-            node = lookup_node(shard.node_id, 'memory')
-            return node is not None and node.exists_local(shard.object_id)
-        if shard.address is None:
-            return False
-        return self._tcp_client(shard.address).exists(shard.object_id)
+        return self._exists_at(key)
 
     def evict(self, key: DIMKey) -> None:
-        if key.shards:
-            self._evict_shards(key.shards)
-            return
-        if key.replicas:
-            self._evict_replicated([key])
-            return
-        if key.transport == 'memory':
-            node = lookup_node(key.node_id, 'memory')
-            if node is not None:
-                node.evict_local(key.object_id)
-            return
-        if key.address is not None:
-            self._tcp_client(key.address).delete(key.object_id)
+        """Remove ``key``'s object from every node holding a piece of it."""
+        self.evict_batch([key])
 
-    def _evict_shards(
+    def _evict_located(
         self,
-        shards: Iterable[DIMShard],
-        by_address: 'dict[tuple[str, int], list[str]] | None' = None,
+        located: 'Iterable[DIMKey | DIMShard]',
         *,
         best_effort: bool = False,
     ) -> None:
-        """Evict shards, folding TCP deletions into ``by_address`` batches.
+        """Evict plain keys and stripes: one ``mdel`` per node handle.
 
-        ``by_address`` may be pre-seeded with plain-key deletions (see
-        :meth:`evict_batch`) so each node still receives exactly one MDEL.
-        With ``best_effort`` an unreachable node does not stop the clean-up
-        of the remaining nodes (used when undoing a failed sharded put).
+        Locations this process cannot reach are skipped.  An unreachable
+        node does not stop the clean-up of the remaining nodes; its error
+        is raised afterwards unless ``best_effort`` (used when undoing a
+        failed sharded put).
         """
-        by_address = {} if by_address is None else by_address
-        for shard in shards:
-            if shard.transport == 'memory':
-                node = lookup_node(shard.node_id, 'memory')
-                if node is not None:
-                    node.evict_local(shard.object_id)
-            elif shard.address is not None:
-                by_address.setdefault(tuple(shard.address), []).append(shard.object_id)
+        by_node: dict[Any, list[str]] = {}
+        for where in located:
+            node = self._node(where)
+            if node is not None:
+                by_node.setdefault(node, []).append(where.object_id)
         first_error: ConnectorError | None = None
-        for address, object_ids in by_address.items():
+        for node, object_ids in by_node.items():
             try:
-                self._tcp_client(address).mdel(object_ids)
+                node.mdel(object_ids)
             except ConnectorError as e:
                 # Keep deleting on the remaining (healthy) nodes either
                 # way; an unreachable node must not leak their stripes.
@@ -732,7 +546,7 @@ class DIMClient:
 
     # -- batch operations ----------------------------------------------------- #
     def put_batch(self, datas: Sequence[Any]) -> list[DIMKey]:
-        """Store several payloads; small TCP payloads share one MSET."""
+        """Store several payloads; the unsharded ones share one ``mset`` per node."""
         keys: list[DIMKey | None] = [None] * len(datas)
         plain: list[tuple[int, str, Any]] = []
         for i, data in enumerate(datas):
@@ -741,42 +555,27 @@ class DIMClient:
                 keys[i] = self._put_sharded(new_object_id(), data, nbytes)
             else:
                 plain.append((i, new_object_id(), data))
-        if plain and self.cluster is not None:
-            placements = self.cluster.put_batch(
-                [(object_id, data) for _, object_id, data in plain],
-            )
-            for i, object_id, _ in plain:
-                owners = placements[object_id]
-                keys[i] = DIMKey(
-                    object_id=object_id,
-                    node_id=owners[0],
-                    transport=self.transport,
-                    address=self._peer_addrs.get(owners[0]),
-                    replicas=self._replica_locations(owners),
-                )
-        elif plain:
-            self._put_local_batch(
-                [(object_id, data) for _, object_id, data in plain],
-            )
-            for i, object_id, _ in plain:
-                keys[i] = DIMKey(
-                    object_id=object_id,
-                    node_id=self.node_id,
-                    transport=self.transport,
-                    address=self.local_node.address,
-                )
+        items = [(object_id, data) for _, object_id, data in plain]
+        engine = self.cluster.client
+        placements: dict[str, Any] = {}
+        if items and engine is not None:
+            placements = engine.mset(items)
+        elif items:
+            self._node(self.local_node, required=True).mset(items)
+        for i, object_id, _ in plain:
+            keys[i] = self.key_at(object_id, placements.get(object_id, ()))
         return keys  # type: ignore[return-value]
 
     def get_batch(self, keys: Sequence[DIMKey]) -> list[Any]:
-        """Fetch several keys: one MGET per node, in parallel across nodes.
+        """Fetch several keys: one ``mget`` per node, in parallel across nodes.
 
         Sharded keys contribute their individual stripe fetches to the same
-        parallel round as the per-node MGETs (flat — no nested fan-out), so
+        parallel round as the per-node reads (flat — no nested fan-out), so
         a batch of large striped objects overlaps their transfers instead of
         draining one object at a time.
         """
         results: list[Any] = [None] * len(keys)
-        by_address: dict[tuple[str, int], list[tuple[int, str]]] = {}
+        by_node: dict[Any, list[tuple[int, str]]] = {}
         shard_parts: dict[int, list[Any]] = {}
         thunks: list[Any] = []
         for i, key in enumerate(keys):
@@ -786,7 +585,7 @@ class DIMClient:
                 for j, shard in enumerate(key.shards):
                     thunks.append(
                         lambda i=i, j=j, s=shard: shard_parts[i].__setitem__(
-                            j, self._get_shard(s),
+                            j, self._fetch(s),
                         ),
                     )
             elif key.replicas:
@@ -797,23 +596,19 @@ class DIMClient:
                         i, self._get_replicated(k),
                     ),
                 )
-            elif key.transport == 'memory' or key.address is None:
-                results[i] = self.get(key)
             else:
-                by_address.setdefault(tuple(key.address), []).append(
+                by_node.setdefault(self._node(key, required=True), []).append(
                     (i, key.object_id),
                 )
 
-        def fetch(address: tuple[str, int], wanted: list[tuple[int, str]]) -> None:
-            values = self._tcp_client(address).mget(
-                [object_id for _, object_id in wanted],
-            )
+        def fetch(node: Any, wanted: list[tuple[int, str]]) -> None:
+            values = node.mget([object_id for _, object_id in wanted])
             for (i, _), value in zip(wanted, values):
                 results[i] = value
 
         thunks.extend(
-            (lambda a=address, w=wanted: fetch(a, w))
-            for address, wanted in by_address.items()
+            (lambda n=node, w=wanted: fetch(n, w))
+            for node, wanted in by_node.items()
         )
         if thunks:
             self._parallel(thunks)
@@ -822,30 +617,23 @@ class DIMClient:
         return results
 
     def evict_batch(self, keys: Sequence[DIMKey]) -> None:
-        """Evict several keys: one MDEL per node."""
-        by_address: dict[tuple[str, int], list[str]] = {}
-        shards: list[DIMShard] = []
+        """Evict several keys: one ``mdel`` per node."""
+        located: 'list[DIMKey | DIMShard]' = []
         replicated: list[DIMKey] = []
         for key in keys:
             if key.shards:
-                shards.extend(key.shards)
+                located.extend(key.shards)
             elif key.replicas:
                 replicated.append(key)
-            elif key.transport == 'memory':
-                node = lookup_node(key.node_id, 'memory')
-                if node is not None:
-                    node.evict_local(key.object_id)
-            elif key.address is not None:
-                by_address.setdefault(tuple(key.address), []).append(key.object_id)
+            else:
+                located.append(key)
         if replicated:
             self._evict_replicated(replicated)
-        self._evict_shards(shards, by_address)
+        self._evict_located(located)
 
     def close(self) -> None:
-        if self.rebalancer is not None:
-            self.rebalancer.stop()
-        if self.cluster is not None:
-            self.cluster.close()
+        """Leave the cluster tier and close this client's sockets and threads."""
+        self.cluster.close()
         with self._lock:
             for client in self._tcp_clients.values():
                 client.close()

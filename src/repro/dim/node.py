@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import threading
 from typing import Any
+from typing import Iterable
 from typing import NamedTuple
 from typing import Sequence
 
@@ -81,9 +82,13 @@ class DIMKey(NamedTuple):
 class DIMNode:
     """A single node's storage server.
 
-    ``memory`` nodes store objects in a dictionary owned by this process;
-    ``tcp`` nodes additionally expose them over a real socket so that other
-    processes (or concurrency tests) can reach them.
+    ``memory`` nodes store objects in a dictionary owned by this process
+    and speak the eight node verbs (``set/get/exists/delete/mset/mget/
+    mdel/keys`` — :class:`repro.cluster.NodeBackend`) over it directly, the
+    stand-in for RDMA access to a remote node's memory.  ``tcp`` nodes run a
+    real socket server instead: their objects live in that server, and the
+    handle speaking the verbs is a :class:`~repro.kvserver.client.KVClient`
+    at :attr:`address` (see ``DIMClient``'s resolver).
     """
 
     def __init__(self, node_id: str, transport: str = 'memory') -> None:
@@ -91,87 +96,76 @@ class DIMNode:
             raise ValueError(f'unknown DIM transport {transport!r}')
         self.node_id = node_id
         self.transport = transport
-        #: True once :meth:`close` ran — cluster backends treat a closed
+        #: True once :meth:`close` ran — cluster callers treat a closed
         #: node as crashed (its data is gone), never silently empty.
         self.closed = False
         self._data: dict[str, Any] = {}
         self._lock = threading.Lock()
         self._server: KVServer | None = None
-        self._client: Any = None
         if transport == 'tcp':
             self._server = KVServer()
             self._server.start()
 
-    # -- addressing ------------------------------------------------------- #
     @property
     def address(self) -> tuple[str, int] | None:
+        """``(host, port)`` of a tcp node's server; ``None`` for memory nodes."""
         if self._server is None:
             return None
         assert self._server.port is not None
         return (self._server.host, self._server.port)
 
-    def _own_client(self):
-        """Persistent pipelined client to this node's own server (tcp only)."""
-        client = self._client
-        if client is None:
-            with self._lock:
-                if self._client is None:
-                    from repro.kvserver.client import KVClient
-
-                    host, port = self.address  # type: ignore[misc]
-                    self._client = KVClient(host, port)
-                client = self._client
-        return client
-
-    # -- local (RDMA-like) access ------------------------------------------ #
-    def put_local(self, object_id: str, data: Any) -> None:
-        if self.transport == 'tcp':
-            # Store through the server so remote clients see the object; the
-            # KV client sends the payload's segments out-of-band (no copy).
-            self._own_client().set(object_id, data)
-        else:
-            with self._lock:
-                self._data[object_id] = freeze_payload(data)
-
-    def put_local_batch(self, items: Sequence[tuple[str, Any]]) -> None:
-        """Store several objects — one MSET round trip for TCP nodes."""
-        if self.transport == 'tcp':
-            self._own_client().mset(items)
-        else:
-            frozen = [(object_id, freeze_payload(data)) for object_id, data in items]
-            with self._lock:
-                for object_id, data in frozen:
-                    self._data[object_id] = data
-
-    def get_local(self, object_id: str) -> Any | None:
+    # -- the eight node verbs, over this process's memory ------------------ #
+    def set(self, key: str, value: Any) -> None:
+        """Store ``value`` (frozen, so later caller mutations cannot leak in)."""
+        frozen = freeze_payload(value)
         with self._lock:
-            return self._data.get(object_id)
+            self._data[key] = frozen
 
-    def exists_local(self, object_id: str) -> bool:
+    def mset(self, items: Sequence[tuple[str, Any]]) -> None:
+        """Store several pairs under one lock acquisition."""
+        frozen = [(key, freeze_payload(value)) for key, value in items]
         with self._lock:
-            return object_id in self._data
+            self._data.update(frozen)
 
-    def evict_local(self, object_id: str) -> None:
+    def get(self, key: str) -> Any | None:
+        """The stored value, ``None`` when missing."""
         with self._lock:
-            self._data.pop(object_id, None)
+            return self._data.get(key)
 
-    def keys_local(self) -> list[str]:
+    def mget(self, keys: Iterable[str]) -> list[Any]:
+        """The stored values in order (``None`` per missing key)."""
+        with self._lock:
+            return [self._data.get(key) for key in keys]
+
+    def exists(self, key: str) -> bool:
+        """Whether ``key`` is stored here."""
+        with self._lock:
+            return key in self._data
+
+    def delete(self, key: str) -> bool:
+        """Remove ``key``; returns whether it existed."""
+        return bool(self.mdel((key,)))
+
+    def mdel(self, keys: Iterable[str]) -> int:
+        """Remove several keys; returns how many existed."""
+        with self._lock:
+            return sum(self._data.pop(key, None) is not None for key in keys)
+
+    def keys(self) -> list[str]:
         """Every object id stored here (cluster rebalancer enumeration)."""
         with self._lock:
             return list(self._data)
 
     def close(self) -> None:
+        """Stop the server (tcp) and drop every object; marks the node closed."""
         self.closed = True
-        if self._client is not None:
-            self._client.close()
-            self._client = None
         if self._server is not None:
             self._server.stop()
         with self._lock:
             self._data.clear()
 
     def __len__(self) -> int:
-        if self.transport == 'tcp' and self._server is not None:
+        if self._server is not None:
             return len(self._server)
         with self._lock:
             return len(self._data)

@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for the design choices in ``docs/ARCHITECTURE.md``.
 
 These do not correspond to a specific paper figure; they quantify the costs
 and benefits of individual mechanisms in the implementation: raw proxy

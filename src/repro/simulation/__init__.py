@@ -5,8 +5,8 @@ interconnect and wide-area networks.  None of that hardware is available to
 this reproduction, so the benchmarks run the *real* library code paths while
 charging communication time to a virtual clock according to a fabric of
 sites, hosts and links whose latency/bandwidth parameters are calibrated to
-the paper's testbed.  See ``DESIGN.md`` (Section 3) for the substitution
-rationale.
+the paper's testbed.  See "Simulation and harnesses" in
+``docs/ARCHITECTURE.md`` for the substitution rationale.
 """
 from repro.simulation.clock import VirtualClock
 from repro.simulation.network import Fabric

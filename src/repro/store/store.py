@@ -923,9 +923,3 @@ class Store:
             'resident_bytes': self.cache.resident_bytes,
             'max_bytes': self.cache.max_bytes,
         }
-
-
-def _ensure_store_error_exported() -> type[StoreError]:
-    # Referenced so linters keep the import; StoreError is part of the public
-    # surface re-exported by repro.store.__init__.
-    return StoreError

@@ -47,7 +47,6 @@ plain consumer + ``ack``  at-most-once per consumer (no redelivery)
 """
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from typing import Any
@@ -58,6 +57,7 @@ from typing import TYPE_CHECKING
 from repro.cluster.membership import ClusterMembership
 from repro.cluster.membership import DEFAULT_FAILURE_THRESHOLD
 from repro.cluster.ring import HashRing
+from repro.cluster.ring import stable_hash64
 from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
 from repro.exceptions import NodeUnavailableError
@@ -114,17 +114,14 @@ def partition_topics(topic: str, partitions: int) -> list[str]:
 def partition_for(partition_key: str, partitions: int) -> int:
     """Deterministic partition index for ``partition_key``.
 
-    ``blake2b`` over the key string (the :mod:`repro.cluster` scheme, never
-    Python's randomized ``hash()``), so every producer process sends the
+    :func:`repro.cluster.ring.stable_hash64` of the key string (``blake2b``,
+    never Python's randomized ``hash()``), so every producer process sends the
     same key to the same partition — the property that makes per-key
     ordering survive multi-producer deployments.
     """
     if partitions < 1:
         raise ValueError('partitions must be at least 1')
-    digest = hashlib.blake2b(
-        str(partition_key).encode(), digest_size=8,
-    ).digest()
-    return int.from_bytes(digest, 'big') % partitions
+    return stable_hash64(str(partition_key)) % partitions
 
 
 def assign_partitions(

@@ -47,16 +47,16 @@ def test_kill_one_dim_node_mid_workload_loses_nothing():
 
         # The crash was detected and the membership reflects it.
         assert client.cluster.membership.state_of(victim) == 'dead'
-        assert client.cluster.stats.failovers >= 1
+        assert client.cluster.client.stats.failovers >= 1
 
         # Phase 4: background self-healing restored full replication of
         # every key onto the survivors.
-        assert client.rebalancer.wait_idle(15)
+        assert client.cluster.rebalancer.wait_idle(15)
         survivors = [n for n in ('c0', 'c1', 'c2') if n != victim]
         for key in list(keys.values()) + post:
             held = sum(
                 1 for n in survivors
-                if client.cluster.backend(n).exists(key.object_id)
+                if client.cluster.client.backend(n).exists(key.object_id)
             )
             assert held == 2, (key.object_id, held)
     finally:
@@ -83,7 +83,7 @@ def test_kill_one_simkv_node_mid_workload_loses_nothing():
             assert bytes(conn.get(key)) == b'post-%d' % i
         dead = f'{victim.host}:{victim.port}'
         assert conn._cluster.membership.state_of(dead) == 'dead'
-        assert conn._rebalancer.wait_idle(15)
+        assert conn._cluster.rebalancer.wait_idle(15)
     finally:
         conn.close()
         for server in servers[1:]:
@@ -100,16 +100,16 @@ def test_crashed_node_can_rejoin_and_reacquire_share():
         lookup_node(victim, 'tcp').close()
         for i, key in enumerate(keys):
             assert bytes(client.get(key)) == b'v%d' % i
-        assert client.rebalancer.wait_idle(15)
+        assert client.cluster.rebalancer.wait_idle(15)
 
         # Rejoin under the same id: a fresh empty server on a fresh port.
         client.join_peer(victim)
         assert client.cluster.membership.state_of(victim) == 'alive'
-        assert client.rebalancer.wait_idle(15)
+        assert client.cluster.rebalancer.wait_idle(15)
         # All data still present, and the rejoined node holds its share.
         for i, key in enumerate(keys):
             assert bytes(client.get(key)) == b'v%d' % i
-        rejoined = client.cluster.backend(victim)
+        rejoined = client.cluster.client.backend(victim)
         assert rejoined.keys()  # reacquired part of the key space
     finally:
         client.close()

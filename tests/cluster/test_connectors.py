@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
+from repro.connectors.margo import MargoConnector
 from repro.connectors.redis import RedisConnector
 from repro.connectors.zmq import ZMQConnector
 from repro.dim import lookup_node
@@ -71,12 +73,13 @@ def test_dim_cluster_url_parameters():
     )
     try:
         client = store.connector._client
-        assert client.replicas == 2
-        assert client.ring_vnodes == 16
-        assert client.hedge_threshold == 0.1
-        assert client.failure_threshold == 3
-        assert client.rebalancer is not None
-        assert client.rebalancer.throttle_bytes_per_s == 1000000
+        options = client.cluster.options
+        assert options.replicas == 2
+        assert options.ring_vnodes == 16
+        assert options.hedge_threshold == 0.1
+        assert options.failure_threshold == 3
+        assert client.cluster.rebalancer is not None
+        assert client.cluster.rebalancer.throttle_bytes_per_s == 1000000
         proxy_target = store.put('clustered value')
         assert store.get(proxy_target) == 'clustered value'
     finally:
@@ -88,8 +91,8 @@ def test_dim_url_rebalance_can_be_disabled():
         'zmq://d0/no-rebalance?peers=d0,d1&replicas=2&rebalance=0',
     )
     try:
-        assert store.connector._client.cluster is not None
-        assert store.connector._client.rebalancer is None
+        assert store.connector._client.cluster.attached
+        assert store.connector._client.cluster.rebalancer is None
     finally:
         store.close()
 
@@ -97,8 +100,8 @@ def test_dim_url_rebalance_can_be_disabled():
 def test_legacy_mode_is_unchanged():
     conn = ZMQConnector('solo')
     try:
-        assert conn._client.cluster is None
-        assert conn._client.rebalancer is None
+        assert not conn._client.cluster.attached
+        assert conn._client.cluster.rebalancer is None
         key = conn.put(b'plain')
         assert key.replicas is None  # legacy keys carry no replica list
         assert conn.config()['replicas'] == 1
@@ -122,9 +125,9 @@ def test_join_and_leave_through_connector():
         keys = [conn.put(b'x%d' % i) for i in range(10)]
         conn.join_peer('j2')
         assert 'j2' in conn._client.cluster.membership.ring
-        assert conn._client.rebalancer.wait_idle(10)
+        assert conn._client.cluster.rebalancer.wait_idle(10)
         conn.leave_peer('j1')
-        assert conn._client.rebalancer.wait_idle(10)
+        assert conn._client.cluster.rebalancer.wait_idle(10)
         for i, key in enumerate(keys):
             assert bytes(conn.get(key)) == b'x%d' % i
         # Drained: the departed node's share now lives on j0/j2 only.
@@ -177,7 +180,7 @@ def test_redis_launch_nodes_convenience():
 def test_redis_single_server_mode_unchanged():
     conn = RedisConnector(launch=True)
     try:
-        assert conn._cluster is None
+        assert not conn._cluster.attached
         key = conn.put(b'central')
         assert bytes(conn.get(key)) == b'central'
         assert conn.cluster_health() == {'clustered': False, 'replicas': 1}
@@ -224,3 +227,59 @@ def test_replicated_keys_survive_store_proxy_round_trip():
         assert proxy['answer'] == 42  # resolves through a surviving replica
     finally:
         store.close()
+
+
+def _redis_family():
+    servers = [launch_server('127.0.0.1', 0) for _ in range(4)]
+    ids = [f'{s.host}:{s.port}' for s in servers]
+    connector = RedisConnector(nodes=ids[:3], replicas=2)
+    return SimpleNamespace(
+        connector=connector, field='nodes', ids=ids,
+        join=connector.join_node, leave=connector.leave_node,
+        ring=lambda c: c._cluster.membership.ring,
+        stop=lambda: [server.stop() for server in servers],
+    )
+
+
+def _margo_family():
+    ids = ['s0', 's1', 's2', 's3']
+    connector = MargoConnector('s0', peers=ids[:3], replicas=2)
+    return SimpleNamespace(
+        connector=connector, field='peers', ids=ids,
+        join=connector.join_peer, leave=connector.leave_peer,
+        ring=lambda c: c._client.ring, stop=lambda: None,
+    )
+
+
+@pytest.mark.parametrize('family', [_redis_family, _margo_family])
+def test_config_follows_membership_after_join_and_leave(family):
+    """A consumer rebuilt from ``config()`` places keys on the producer's ring.
+
+    The member list in ``config()`` is the live one: a proxy minted after a
+    voluntary join or leave carries the ring the producer uses *now*.
+    """
+    f = family()
+    ids = f.ids
+    store = Store(f'live-config-{f.field}', f.connector, register=False)
+    try:
+        for change, member, expected in (
+            (f.join, ids[3], ids),
+            (f.leave, ids[1], [ids[0], ids[2], ids[3]]),
+        ):
+            before = store.config()
+            change(member)
+            after = store.config()
+            assert after is not before  # the Store's cached config is rebuilt
+            assert after.connector_config[f.field] == expected
+            consumer = Store.from_config(after, register=False)
+            try:
+                assert f.ring(consumer.connector) == f.ring(f.connector)
+                assert set(f.ring(f.connector).nodes) == set(expected)
+            finally:
+                consumer.connector.close()
+        # The departed node is drained, not forgotten by the membership.
+        health = f.connector.cluster_health()
+        assert health['nodes'][ids[1]]['state'] == 'left'
+    finally:
+        store.close()
+        f.stop()

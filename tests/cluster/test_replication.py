@@ -13,7 +13,7 @@ from repro.exceptions import NodeUnavailableError
 
 
 class FakeNode:
-    """In-memory NodeBackend with fault and latency injection."""
+    """In-memory NodeBackend (the eight node verbs) with fault and latency injection."""
 
     def __init__(self, node_id: str) -> None:
         self.node_id = node_id
@@ -29,14 +29,14 @@ class FakeNode:
         if self.down:
             raise NodeUnavailableError(f'{self.node_id} is down')
 
-    def put(self, key, value):
+    def set(self, key, value):
         self._gate()
         if self.fail_puts_with is not None:
             raise self.fail_puts_with
         with self.lock:
             self.data[key] = value
 
-    def put_batch(self, items):
+    def mset(self, items):
         self._gate()
         if self.fail_puts_with is not None:
             raise self.fail_puts_with
@@ -48,7 +48,7 @@ class FakeNode:
         with self.lock:
             return self.data.get(key)
 
-    def get_batch(self, keys):
+    def mget(self, keys):
         self._gate()
         with self.lock:
             return [self.data.get(k) for k in keys]
@@ -58,12 +58,12 @@ class FakeNode:
         with self.lock:
             return key in self.data
 
-    def evict(self, key):
+    def delete(self, key):
         self._gate()
         with self.lock:
             self.data.pop(key, None)
 
-    def evict_batch(self, keys):
+    def mdel(self, keys):
         self._gate()
         with self.lock:
             for key in keys:
@@ -95,21 +95,21 @@ def test_put_writes_exactly_n_replicas():
     cluster, nodes = make_cluster()
     for i in range(20):
         key = f'k{i}'
-        owners = cluster.put(key, b'v%d' % i)
+        owners = cluster.set(key, b'v%d' % i)
         assert len(owners) == 2
         assert holders(nodes, key) == set(owners)
 
 
 def test_get_prefers_primary_and_reads_value():
     cluster, nodes = make_cluster()
-    cluster.put('key', b'value')
+    cluster.set('key', b'value')
     assert cluster.get('key') == b'value'
     assert cluster.get('never-stored') is None
 
 
 def test_get_fails_over_when_primary_is_down():
     cluster, nodes = make_cluster(hedge_threshold=0)
-    owners = cluster.put('key', b'value')
+    owners = cluster.set('key', b'value')
     nodes[owners[0]].down = True
     assert cluster.get('key') == b'value'
     assert cluster.stats.failovers >= 1
@@ -119,7 +119,7 @@ def test_get_fails_over_when_primary_is_down():
 
 def test_hedged_read_wins_when_primary_is_slow():
     cluster, nodes = make_cluster(hedge_threshold=0.02)
-    owners = cluster.put('key', b'value')
+    owners = cluster.set('key', b'value')
     nodes[owners[0]].delay = 0.5  # far beyond the hedge threshold
     start = time.monotonic()
     assert cluster.get('key') == b'value'
@@ -131,7 +131,7 @@ def test_hedged_read_wins_when_primary_is_slow():
 
 def test_read_repair_restores_missing_replica():
     cluster, nodes = make_cluster(hedge_threshold=0)
-    owners = cluster.put('key', b'value')
+    owners = cluster.set('key', b'value')
     # Simulate a lost copy on the primary (e.g. a restarted node).
     del nodes[owners[0]].data['key']
     assert cluster.get('key') == b'value'
@@ -144,7 +144,7 @@ def test_put_replaces_dead_replica_and_retries():
     victim = 'n1'
     nodes[victim].down = True
     for i in range(10):
-        owners = cluster.put(f'k{i}', b'x')
+        owners = cluster.set(f'k{i}', b'x')
         assert victim not in owners
         assert holders(nodes, f'k{i}') == set(owners)
     assert cluster.membership.state_of(victim) == 'dead'
@@ -166,7 +166,7 @@ def test_partial_put_failure_evicts_orphan_replicas():
     )
     nodes['n1'].down = True
     with pytest.raises(NodeUnavailableError):
-        cluster.put(key, b'value')
+        cluster.set(key, b'value')
     assert holders(nodes, key) == set()  # no orphan copies anywhere
     assert cluster.stats.orphans_evicted >= 1
 
@@ -176,7 +176,7 @@ def test_non_unavailable_put_error_is_raised_not_retried():
     owners = cluster.membership.ring.owners('key', 2)
     nodes[owners[1]].fail_puts_with = ValueError('corrupt request')
     with pytest.raises(ValueError):
-        cluster.put('key', b'value')
+        cluster.set('key', b'value')
     # The healthy replica's copy was still cleaned up.
     assert holders(nodes, 'key') == set()
     # A bad request must not evict the node from the ring.
@@ -186,7 +186,7 @@ def test_non_unavailable_put_error_is_raised_not_retried():
 def test_put_batch_places_every_key():
     cluster, nodes = make_cluster()
     items = [(f'k{i}', b'v%d' % i) for i in range(30)]
-    placements = cluster.put_batch(items)
+    placements = cluster.mset(items)
     assert set(placements) == {k for k, _ in items}
     for key, owners in placements.items():
         assert holders(nodes, key) == set(owners)
@@ -195,29 +195,29 @@ def test_put_batch_places_every_key():
 def test_get_batch_falls_back_to_replicas():
     cluster, nodes = make_cluster(hedge_threshold=0)
     items = [(f'k{i}', b'v%d' % i) for i in range(20)]
-    cluster.put_batch(items)
+    cluster.mset(items)
     nodes['n0'].down = True
-    values = cluster.get_batch([k for k, _ in items])
+    values = cluster.mget([k for k, _ in items])
     assert values == [v for _, v in items]
 
 
 def test_evict_removes_all_replicas():
     cluster, nodes = make_cluster()
-    cluster.put('key', b'value')
-    cluster.evict('key')
+    cluster.set('key', b'value')
+    cluster.delete('key')
     assert holders(nodes, 'key') == set()
     assert not cluster.exists('key')
 
 
 def test_exists_consults_candidates_and_owners():
     cluster, nodes = make_cluster()
-    owners = cluster.put('key', b'value')
+    owners = cluster.set('key', b'value')
     assert cluster.exists('key')
     # Even if the ring has moved on, candidate hints still find the copy.
     nodes['extra'] = FakeNode('extra')
     nodes['extra'].data['key'] = b'value'
     for node in owners:
-        cluster.backend(node).evict('key')
+        cluster.backend(node).delete('key')
     assert cluster.exists('key', candidates=('extra',))
 
 
@@ -226,14 +226,14 @@ def test_put_with_no_alive_nodes_raises():
     for node in nodes.values():
         node.down = True
     with pytest.raises(NodeUnavailableError):
-        cluster.put('key', b'value')
+        cluster.set('key', b'value')
 
 
 def test_rebalancer_re_replicates_after_crash():
     cluster, nodes = make_cluster()
     rebalancer = Rebalancer(cluster, pause_s=0)
     try:
-        placements = cluster.put_batch([(f'k{i}', b'x') for i in range(40)])
+        placements = cluster.mset([(f'k{i}', b'x') for i in range(40)])
         victim = 'n2'
         nodes[victim].down = True
         cluster.membership.mark_dead(victim)
@@ -249,7 +249,7 @@ def test_rebalancer_drains_voluntary_leave():
     cluster, nodes = make_cluster()
     rebalancer = Rebalancer(cluster, pause_s=0)
     try:
-        placements = cluster.put_batch([(f'k{i}', b'x') for i in range(40)])
+        placements = cluster.mset([(f'k{i}', b'x') for i in range(40)])
         cluster.membership.leave('n0')  # still reachable: drains, not lost
         assert rebalancer.wait_idle(10)
         for key in placements:
@@ -266,7 +266,7 @@ def test_rebalancer_pulls_share_to_new_node():
     cluster, nodes = make_cluster()
     rebalancer = Rebalancer(cluster, pause_s=0)
     try:
-        cluster.put_batch([(f'k{i}', b'x') for i in range(60)])
+        cluster.mset([(f'k{i}', b'x') for i in range(60)])
         nodes['n3'] = FakeNode('n3')
         cluster.membership.join('n3')
         assert rebalancer.wait_idle(10)
@@ -286,7 +286,7 @@ def test_rebalancer_key_filter_excludes_keys():
         cluster, pause_s=0, key_filter=lambda key: '.s' not in key,
     )
     try:
-        cluster.put('plain', b'x')
+        cluster.set('plain', b'x')
         nodes['n0'].data['pinned.s0'] = b'stripe'  # placed outside the ring
         nodes['n3'] = FakeNode('n3')
         cluster.membership.join('n3')

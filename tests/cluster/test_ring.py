@@ -64,6 +64,29 @@ def test_placement_is_identical_across_processes():
     assert eval(output) == local  # noqa: S307 - trusted repr round-trip
 
 
+def test_placement_hash_is_pinned():
+    """One hash places both keys on the ring and events on partitions.
+
+    Literals captured before ``stable_hash64`` replaced the two private
+    copies: a changed digest would strand every stored key and reorder
+    every keyed stream.
+    """
+    from repro.cluster import stable_hash64
+    from repro.stream.groups import partition_for
+
+    ring = HashRing(['n0', 'n1', 'n2', 'n3'], 16)
+    pinned = {
+        'alpha': (5, ('n1', 'n2')),
+        'user-42': (4, ('n0', 'n3')),
+        'obj/0001': (2, ('n1', 'n3')),
+        'sensor:7:temp': (1, ('n1', 'n0')),
+        'ключ': (1, ('n2', 'n0')),
+    }
+    for key, (partition, owners) in pinned.items():
+        assert partition_for(key, 7) == partition == stable_hash64(key) % 7
+        assert ring.owners(key, 2) == owners
+
+
 def test_ring_pickle_round_trip():
     ring = HashRing(NODES, vnodes=32)
     clone = pickle.loads(pickle.dumps(ring))

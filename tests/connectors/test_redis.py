@@ -73,13 +73,13 @@ def test_put_batch_uses_one_round_trip(kv_server):
     conn = RedisConnector(kv_server.host, kv_server.port)
     try:
         requests: list[str] = []
-        original = conn._client._request
+        original = conn._kv._request
 
         def counting_request(command, key=None, value=None):
             requests.append(command)
             return original(command, key, value)
 
-        conn._client._request = counting_request
+        conn._kv._request = counting_request
         keys = conn.put_batch([f'item-{i}'.encode() for i in range(8)])
         assert requests == ['MSET']
         requests.clear()

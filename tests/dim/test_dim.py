@@ -26,11 +26,11 @@ def test_get_local_node_is_singleton_per_id():
 
 def test_memory_node_put_get_evict():
     node = get_local_node('n1')
-    node.put_local('obj', b'data')
-    assert node.exists_local('obj')
-    assert node.get_local('obj') == b'data'
-    node.evict_local('obj')
-    assert node.get_local('obj') is None
+    node.set('obj', b'data')
+    assert node.exists('obj')
+    assert node.get('obj') == b'data'
+    node.delete('obj')
+    assert node.get('obj') is None
     assert len(node) == 0
 
 

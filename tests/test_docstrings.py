@@ -1,7 +1,7 @@
 """Docstring coverage enforcement for the documented packages.
 
 CI runs ruff's pydocstyle rules (D100–D104 plus public-method D102) over
-``src/repro/{store,proxy,stream,cluster}``; this test enforces the same contract
+``src/repro/{store,proxy,stream,cluster,dim}``; this test enforces the same contract
 from the tier-1 suite so coverage cannot regress on machines without ruff
 installed.  Every module, public class, and public function/method in
 those packages must carry a docstring.
@@ -14,7 +14,9 @@ import pathlib
 import pytest
 
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / 'src' / 'repro'
-DOCUMENTED_PACKAGES = ('store', 'proxy', 'stream', 'cluster', 'faults', 'analysis')
+DOCUMENTED_PACKAGES = (
+    'store', 'proxy', 'stream', 'cluster', 'dim', 'faults', 'analysis',
+)
 
 
 def _documented_modules() -> list[pathlib.Path]:
