@@ -23,7 +23,7 @@ def _clean_global_state():
     """Benchmarks share the process: keep registries isolated between them."""
     yield
     from repro.dim import reset_nodes
-    from repro.endpoint.endpoint import reset_endpoint_registry
+    from repro.endpoint import reset_endpoint_registry
     from repro.globus_sim import reset_transfer_service
     from repro.store import unregister_all
 

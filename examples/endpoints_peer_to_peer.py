@@ -1,9 +1,9 @@
 """PS-endpoints: peer-to-peer object transfer between two 'sites'.
 
 Two endpoints register with a relay server; a proxy created at site A is
-resolved at site B, which causes B's endpoint to establish a peer connection
-to A's endpoint (offer/answer + ICE through the relay, then a chunked data
-channel) and pull the object directly — the relay never carries the data.
+resolved at site B, which causes B's endpoint to ask the relay for an
+introduction to A's endpoint, open a peer connection to it and pull the
+object directly — the relay never carries the data.
 
 Run with::
 
@@ -46,8 +46,8 @@ def main() -> None:
           f'(matches producer: {np.allclose(received, dataset)})')
 
     connection = site_b.peer_connections()[site_a.uuid]
-    print(f'peer connection stats: {connection.stats.messages_sent} messages, '
-          f'{connection.stats.chunks_sent} chunks, {connection.stats.bytes_sent} bytes sent')
+    print(f'peer connection: B -> A at {connection.host}:{connection.port} '
+          f'after {relay.messages_forwarded} introduction(s)')
     print(f'relay carried only signaling traffic: {relay.bytes_forwarded} bytes total')
 
     set_local_endpoint(None)

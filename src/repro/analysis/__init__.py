@@ -12,10 +12,10 @@ machine-checkably.
 Two halves:
 
 * **Static lint** (``python -m repro.analysis``): an AST-based checker
-  framework with a pluggable rule registry (``RP001``–``RP006``),
-  per-line ``# repro: ignore[RULE]`` suppressions, and a committed
-  baseline file for grandfathered findings.  See :mod:`repro.analysis.core`
-  and the rule modules under :mod:`repro.analysis.checkers`.
+  framework with a pluggable rule registry (``RP001``–``RP006``) and
+  per-line ``# repro: ignore[RULE] - reason`` suppressions.  See
+  :mod:`repro.analysis.core` and the rule modules under
+  :mod:`repro.analysis.checkers`.
 * **Runtime witness** (:mod:`repro.analysis.witness`): an opt-in
   ``threading`` lock wrapper that records per-thread lock-acquisition
   order and raises on observed order inversions — a lightweight
@@ -23,7 +23,7 @@ Two halves:
   suite installs it when ``REPRO_WITNESS=1``.
 
 ``docs/ANALYSIS.md`` describes each rule, its rationale, and the
-suppression/baseline workflow.
+suppression policy.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from repro.analysis.core import AnalysisReport
 from repro.analysis.core import Checker
 from repro.analysis.core import Finding
 from repro.analysis.core import all_checkers
-from repro.analysis.core import load_baseline
 from repro.analysis.core import register_checker
 from repro.analysis.core import run_analysis
 
@@ -40,7 +39,6 @@ __all__ = [
     'Checker',
     'Finding',
     'all_checkers',
-    'load_baseline',
     'register_checker',
     'run_analysis',
 ]

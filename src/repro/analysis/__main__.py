@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.analysis``.
 
 Exit status: 0 when clean (or not ``--strict``), 1 when ``--strict``
-and findings survived suppressions + baseline, 2 on usage errors.
+and findings survived suppressions, 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -12,12 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.core import all_checkers
-from repro.analysis.core import load_baseline
 from repro.analysis.core import run_analysis
-from repro.analysis.core import save_baseline
-
-#: Default baseline location, relative to ``--root``.
-BASELINE_NAME = '.repro-analysis-baseline.json'
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,20 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help='comma-separated rule ids to run (e.g. RP001,RP004)',
     )
     parser.add_argument(
-        '--baseline', type=Path, default=None, metavar='FILE',
-        help=f'baseline file (default: <root>/{BASELINE_NAME})',
-    )
-    parser.add_argument(
-        '--update-baseline', action='store_true',
-        help='rewrite the baseline file to grandfather current findings',
-    )
-    parser.add_argument(
-        '--no-baseline', action='store_true',
-        help='report baselined findings too (audit mode)',
-    )
-    parser.add_argument(
         '--strict', action='store_true',
-        help='exit 1 when any non-baselined finding survives',
+        help='exit 1 when any unsuppressed finding survives',
     )
     parser.add_argument(
         '--json', action='store_true', dest='as_json',
@@ -89,29 +72,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     root = (args.root or _detect_root()).resolve()
-    baseline_path = args.baseline or (root / BASELINE_NAME)
     select = (
         [r.strip() for r in args.select.split(',') if r.strip()]
         if args.select else None
     )
     paths = args.paths or None
 
-    if args.update_baseline:
-        try:
-            report = run_analysis(root, paths, select=select, baseline=None)
-        except (ValueError, SyntaxError) as exc:
-            print(f'error: {exc}', file=sys.stderr)
-            return 2
-        save_baseline(baseline_path, report.findings)
-        print(
-            f'baseline written: {len(report.findings)} finding(s) '
-            f'grandfathered in {baseline_path}',
-        )
-        return 0
-
-    baseline = None if args.no_baseline else load_baseline(baseline_path)
     try:
-        report = run_analysis(root, paths, select=select, baseline=baseline)
+        report = run_analysis(root, paths, select=select)
     except (ValueError, SyntaxError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
@@ -126,8 +94,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(
             f'{len(report.findings)} finding(s) '
             f'({summary or "clean"}) — {report.files_checked} file(s), '
-            f'{len(report.suppressed)} suppressed, '
-            f'{len(report.baselined)} baselined',
+            f'{len(report.suppressed)} suppressed',
         )
     if args.strict and not report.clean:
         return 1

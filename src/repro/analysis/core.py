@@ -1,19 +1,13 @@
-"""The checker framework: findings, registry, suppressions, baseline, runner.
+"""The checker framework: findings, registry, suppressions, runner.
 
 A :class:`Checker` inspects parsed modules and yields :class:`Finding`\\ s.
 Checkers register themselves in a process-global registry via
 :func:`register_checker`; :func:`run_analysis` walks a source tree, parses
 every ``*.py`` file once, runs each selected checker, and filters the raw
-findings through two project conventions:
-
-* **Suppressions** — a ``# repro: ignore[RP004]`` comment (optionally
-  ``# repro: ignore[RP001,RP003] - reason``) on the flagged line — or on
-  a standalone comment line directly above it — silences named rules
-  there.
-* **Baseline** — a committed JSON file of finding *fingerprints*
-  (rule + file + source-line text, deliberately line-number free so
-  unrelated edits do not invalidate it) grandfathers pre-existing
-  findings; ``--update-baseline`` regenerates it.
+findings through the one suppression mechanism: a ``# repro: ignore[RP004]``
+comment (optionally ``# repro: ignore[RP001,RP003] - reason``) on the
+flagged line — or on a standalone comment line directly above it —
+silences the named rules there.
 
 Everything here is dependency-free standard library so the analyzer can
 run in any environment the test suite runs in.
@@ -21,8 +15,6 @@ run in any environment the test suite runs in.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -40,7 +32,6 @@ __all__ = [
     'Module',
     'Project',
     'all_checkers',
-    'load_baseline',
     'register_checker',
     'run_analysis',
 ]
@@ -61,15 +52,6 @@ class Finding:
     line: int
     col: int = 0
     context: str = ''
-
-    def fingerprint(self) -> str:
-        """Location-stable identity used by the baseline file.
-
-        Hashes the rule, the file, and the *text* of the flagged line —
-        not its number — so findings survive unrelated edits above them.
-        """
-        payload = f'{self.rule}|{self.path}|{self.context.strip()}'
-        return hashlib.sha1(payload.encode()).hexdigest()[:16]
 
     def render(self) -> str:
         """Human-readable one-line form (``path:line:col RP00x message``)."""
@@ -221,13 +203,12 @@ class AnalysisReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     rules_run: tuple[str, ...] = ()
 
     @property
     def clean(self) -> bool:
-        """True when no finding survived suppression and baseline filters."""
+        """True when no finding survived suppression."""
         return not self.findings
 
     def counts_by_rule(self) -> dict[str, int]:
@@ -244,7 +225,6 @@ class AnalysisReport:
             'rules_run': list(self.rules_run),
             'counts': self.counts_by_rule(),
             'suppressed': len(self.suppressed),
-            'baselined': len(self.baselined),
             'findings': [
                 {
                     'rule': f.rule,
@@ -253,48 +233,10 @@ class AnalysisReport:
                     'line': f.line,
                     'col': f.col,
                     'context': f.context.strip(),
-                    'fingerprint': f.fingerprint(),
                 }
                 for f in self.findings
             ],
         }
-
-
-def load_baseline(path: Path) -> dict[str, int]:
-    """Read a baseline file into ``{fingerprint: allowed_count}``.
-
-    Counts matter: if a file legitimately gains a *second* identical
-    finding (same rule, same line text) the new instance is reported
-    rather than silently absorbed by the old entry.
-    """
-    if not path.exists():
-        return {}
-    data = json.loads(path.read_text())
-    counts: dict[str, int] = {}
-    for entry in data.get('findings', []):
-        counts[entry['fingerprint']] = counts.get(entry['fingerprint'], 0) + 1
-    return counts
-
-
-def save_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    """Write ``findings`` as the new grandfathered baseline."""
-    payload = {
-        'comment': (
-            'Grandfathered repro.analysis findings. Entries are keyed by a '
-            'line-number-free fingerprint (rule + file + source line text); '
-            'regenerate with: python -m repro.analysis --update-baseline'
-        ),
-        'findings': [
-            {
-                'fingerprint': f.fingerprint(),
-                'rule': f.rule,
-                'path': f.path,
-                'context': f.context.strip(),
-            }
-            for f in sorted(findings, key=lambda f: (f.path, f.line, f.rule))
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + '\n')
 
 
 def _iter_sources(root: Path, paths: Sequence[Path]) -> Iterator[Path]:
@@ -310,7 +252,6 @@ def run_analysis(
     paths: Sequence[Path] | None = None,
     *,
     select: Sequence[str] | None = None,
-    baseline: dict[str, int] | None = None,
     checker_factory: Callable[[type[Checker]], Checker] | None = None,
 ) -> AnalysisReport:
     """Run the (selected) rule set over ``paths`` and filter the findings.
@@ -320,8 +261,6 @@ def run_analysis(
             path-scoped rules match against those relative paths.
         paths: files or directories to analyze (default: ``root/src/repro``).
         select: rule ids to run (default: every registered rule).
-        baseline: ``{fingerprint: count}`` of grandfathered findings
-            (see :func:`load_baseline`).
         checker_factory: hook for constructing checkers with custom
             configuration (used by tests; default constructs with no args).
     """
@@ -359,16 +298,10 @@ def run_analysis(
         files_checked=len(modules),
         rules_run=tuple(registry),
     )
-    remaining = dict(baseline or {})
     for finding in raw:
         module = by_path.get(finding.path)
         if module is not None and module.is_suppressed(finding.rule, finding.line):
             report.suppressed.append(finding)
-            continue
-        fp = finding.fingerprint()
-        if remaining.get(fp, 0) > 0:
-            remaining[fp] -= 1
-            report.baselined.append(finding)
             continue
         report.findings.append(finding)
     return report

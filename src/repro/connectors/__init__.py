@@ -15,6 +15,12 @@ GlobusConnector disk       yes         yes         yes
 EndpointConn.   hybrid     yes         yes         yes
 MultiConnector  (varies)   (varies)    (varies)    (varies)
 ==============  =========  ==========  ==========  ===========
+
+The rows are the paper's Table 1 for the systems being modelled.  Here
+``RedisConnector`` and ``EndpointConnector`` both sit on the in-memory
+SimKV server (a PS-endpoint is a ``KVServer`` with a UUID), so "hybrid"
+and "persistence" describe Redis and the production endpoint, not these
+stand-ins.
 """
 from repro.connectors.protocol import Connector
 from repro.connectors.protocol import ConnectorCapabilities

@@ -23,9 +23,9 @@ from repro.connectors.protocol import ConnectorCapabilities
 from repro.connectors.protocol import PutData
 from repro.connectors.protocol import new_object_id
 from repro.connectors.registry import StoreURL
-from repro.endpoint.endpoint import Endpoint
-from repro.endpoint.endpoint import EndpointKey
-from repro.endpoint.endpoint import get_registered_endpoint
+from repro.endpoint import Endpoint
+from repro.endpoint import EndpointKey
+from repro.endpoint import get_registered_endpoint
 from repro.exceptions import EndpointError
 
 __all__ = ['EndpointConnector', 'set_local_endpoint', 'current_local_endpoint']
@@ -148,4 +148,4 @@ class EndpointConnector(Connector):
                 endpoint = self._local_endpoint()
             except EndpointError:
                 return
-            endpoint.storage.clear()
+            endpoint.clear()

@@ -276,10 +276,14 @@ class RedisConnector(Connector):
 
     def close(self, clear: bool = False) -> None:
         self._cluster.close()
-        for client in self._clients.values():
-            if clear:
+        # One FLUSH per reachable server: a node the membership marks dead
+        # is not dialled (detached single-server mode: the one client).
+        membership = self._cluster.membership
+        live = self._clients if membership is None else membership.alive()
+        for node_id, client in self._clients.items():
+            if clear and node_id in live:
                 try:
-                    client.mdel(client.keys())
+                    client.flush()
                 # repro: ignore[RP004] - best-effort flush during teardown;
                 # the server may already be gone
                 except Exception:  # noqa: BLE001 - server may already be gone

@@ -11,7 +11,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from dataclasses import field
 from typing import Iterator
 
 __all__ = ['OperationStats', 'StoreMetrics', 'Timer']
@@ -41,7 +40,6 @@ class OperationStats:
     min_time: float = float('inf')
     max_time: float = 0.0
     total_bytes: int = 0
-    _times: list[float] = field(default_factory=list, repr=False)
 
     def record(self, elapsed: float, nbytes: int = 0) -> None:
         """Fold one call taking ``elapsed`` seconds into the aggregates."""
@@ -50,17 +48,11 @@ class OperationStats:
         self.min_time = min(self.min_time, elapsed)
         self.max_time = max(self.max_time, elapsed)
         self.total_bytes += nbytes
-        self._times.append(elapsed)
 
     @property
     def avg_time(self) -> float:
         """Mean per-call duration in seconds (0.0 when never recorded)."""
         return self.total_time / self.count if self.count else 0.0
-
-    @property
-    def times(self) -> list[float]:
-        """Raw per-call durations (seconds), in call order."""
-        return list(self._times)
 
 
 class StoreMetrics:

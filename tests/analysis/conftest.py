@@ -24,7 +24,7 @@ def analyze(tmp_path):
     path-scoped rules see the prefixes they expect; ``docs`` (when
     given) becomes the body of the ``docs/API.md`` metric table.
     """
-    def _analyze(files, select, docs=None, baseline=None):
+    def _analyze(files, select, docs=None):
         for relpath, text in files.items():
             path = tmp_path / relpath
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -38,6 +38,6 @@ def analyze(tmp_path):
                 + textwrap.dedent(docs)
                 + '\n\n## Versioning\n',
             )
-        return run_analysis(tmp_path, select=select, baseline=baseline)
+        return run_analysis(tmp_path, select=select)
 
     return _analyze

@@ -1,12 +1,10 @@
-"""Framework behaviour: suppressions, baseline semantics, CLI, reports."""
+"""Framework behaviour: suppressions, CLI, reports."""
 from __future__ import annotations
 
 import json
 
-from repro.analysis import load_baseline
 from repro.analysis import run_analysis
 from repro.analysis.__main__ import main
-from repro.analysis.core import save_baseline
 
 SILENT = '''
 def pump():
@@ -81,44 +79,6 @@ def pump():
     assert [f.rule for f in report.findings] == ['RP004']
 
 
-# -- baseline -------------------------------------------------------------- #
-
-def test_baseline_filters_and_survives_line_shifts(tmp_path):
-    source_file = _write(tmp_path, 'src/repro/stream/x.py', SILENT)
-    first = run_analysis(tmp_path, select=['RP004'])
-    assert len(first.findings) == 1
-
-    baseline_path = tmp_path / 'baseline.json'
-    save_baseline(baseline_path, first.findings)
-    baseline = load_baseline(baseline_path)
-    filtered = run_analysis(tmp_path, select=['RP004'], baseline=baseline)
-    assert filtered.clean
-    assert len(filtered.baselined) == 1
-
-    # Unrelated edits above the finding keep the fingerprint stable.
-    source_file.write_text('import os  # new first line\n' + SILENT)
-    shifted = run_analysis(tmp_path, select=['RP004'], baseline=baseline)
-    assert shifted.clean
-
-
-def test_baseline_counts_do_not_absorb_new_duplicates(tmp_path):
-    _write(tmp_path, 'src/repro/stream/x.py', SILENT)
-    first = run_analysis(tmp_path, select=['RP004'])
-    baseline_path = tmp_path / 'baseline.json'
-    save_baseline(baseline_path, first.findings)
-
-    # A second identical handler produces an identical fingerprint; the
-    # single baseline entry must absorb only one of them.
-    _write(tmp_path, 'src/repro/stream/x.py', SILENT + SILENT.replace(
-        'def pump', 'def pump2',
-    ))
-    report = run_analysis(
-        tmp_path, select=['RP004'], baseline=load_baseline(baseline_path),
-    )
-    assert len(report.baselined) == 1
-    assert len(report.findings) == 1
-
-
 def test_unknown_rule_id_is_an_error(tmp_path):
     _write(tmp_path, 'src/repro/stream/x.py', 'x = 1\n')
     try:
@@ -139,28 +99,12 @@ def test_cli_strict_exit_codes(tmp_path, capsys):
     assert 'RP004' in out
 
 
-def test_cli_update_baseline_then_strict_is_clean(tmp_path, capsys):
-    _write(tmp_path, 'src/repro/stream/x.py', SILENT)
-    assert main([
-        '--root', str(tmp_path), '--select', 'RP004', '--update-baseline',
-    ]) == 0
-    assert main([
-        '--root', str(tmp_path), '--select', 'RP004', '--strict',
-    ]) == 0
-    # --no-baseline resurfaces the grandfathered finding (audit mode).
-    assert main([
-        '--root', str(tmp_path), '--select', 'RP004', '--strict',
-        '--no-baseline',
-    ]) == 1
-
-
 def test_cli_json_output(tmp_path, capsys):
     _write(tmp_path, 'src/repro/stream/x.py', SILENT)
     assert main(['--root', str(tmp_path), '--select', 'RP004', '--json']) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload['counts'] == {'RP004': 1}
     assert payload['findings'][0]['rule'] == 'RP004'
-    assert payload['findings'][0]['fingerprint']
 
 
 def test_cli_list_rules(capsys):

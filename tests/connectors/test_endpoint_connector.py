@@ -10,7 +10,7 @@ from repro.connectors.endpoint import current_local_endpoint
 from repro.connectors.endpoint import set_local_endpoint
 from repro.endpoint import Endpoint
 from repro.endpoint import RelayServer
-from repro.endpoint.endpoint import reset_endpoint_registry
+from repro.endpoint import reset_endpoint_registry
 from repro.exceptions import EndpointError
 from repro.store import Store
 from tests.connectors.behavior import ConnectorBehavior
@@ -64,8 +64,8 @@ def test_local_endpoint_override(relay):
         assert current_local_endpoint() == b.uuid
         key = conn.put(b'written at b')
         assert key.endpoint_id == b.uuid
-        assert b.storage.exists(key.object_id)
-        assert not a.storage.exists(key.object_id)
+        assert b.exists(key.object_id)
+        assert not a.exists(key.object_id)
     finally:
         set_local_endpoint(None)
         a.stop()
@@ -90,7 +90,7 @@ def test_cross_site_resolution_via_peer_connection(relay):
         assert consumer.get(key) == b'produced at A'
         assert consumer.exists(key)
         consumer.evict(key)
-        assert not a.storage.exists(key.object_id)
+        assert not a.exists(key.object_id)
     finally:
         set_local_endpoint(None)
         a.stop()
@@ -139,8 +139,17 @@ def test_close_clear_clears_local_storage(relay):
     a.start()
     conn = EndpointConnector([a.uuid])
     try:
-        conn.put(b'x')
+        key = conn.put(b'x')
+        commands: list[str] = []
+        original = a._local._request
+
+        def counting_request(command, key=None, value=None):
+            commands.append(command)
+            return original(command, key, value)
+
+        a._local._request = counting_request
         conn.close(clear=True)
-        assert len(a.storage) == 0
+        assert commands == ['FLUSH']  # one round trip, not KEYS + MDEL
+        assert a.get(key.object_id) is None
     finally:
         a.stop()

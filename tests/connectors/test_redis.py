@@ -104,3 +104,45 @@ def test_mget_returns_none_for_missing(kv_server):
         assert got[0] is None and bytes(got[1]) == b'b'
     finally:
         conn.close(clear=True)
+
+
+class _CountingClient:
+    """Stands in for a node's ``KVClient`` and records what close() sends."""
+
+    def __init__(self) -> None:
+        self.calls: list[str] = []
+
+    def flush(self) -> int:
+        self.calls.append('flush')
+        return 0
+
+    def close(self) -> None:
+        self.calls.append('close')
+
+
+def _swap_in_counting_clients(conn: RedisConnector) -> dict[str, _CountingClient]:
+    fakes = {node_id: _CountingClient() for node_id in conn._clients}
+    conn._clients.update(fakes)
+    return fakes
+
+
+def test_close_clear_is_one_flush_per_live_node_and_none_for_a_dead_one():
+    nodes = ['127.0.0.1:1', '127.0.0.1:2', '127.0.0.1:3']
+    conn = RedisConnector(nodes=nodes, rebalance=False)
+    fakes = _swap_in_counting_clients(conn)
+    conn._cluster.membership.mark_dead('127.0.0.1:3')
+    conn.close(clear=True)
+    assert fakes['127.0.0.1:1'].calls == ['flush', 'close']
+    assert fakes['127.0.0.1:2'].calls == ['flush', 'close']
+    assert fakes['127.0.0.1:3'].calls == ['close']  # never dialled
+
+
+def test_close_clear_single_server_is_one_flush():
+    conn = RedisConnector('127.0.0.1', 1)
+    (fake,) = _swap_in_counting_clients(conn).values()
+    conn.close(clear=True)
+    assert fake.calls == ['flush', 'close']
+    conn = RedisConnector('127.0.0.1', 1)
+    (fake,) = _swap_in_counting_clients(conn).values()
+    conn.close()
+    assert fake.calls == ['close']

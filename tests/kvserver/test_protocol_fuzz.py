@@ -1,0 +1,268 @@
+"""Randomized fuzzing of the SimKV frame decoder.
+
+``StreamDecoder`` decodes whatever the other end of a socket sends — and
+since a PS-endpoint is a ``KVServer``, that now includes another *site*.
+This suite feeds it well-formed streams cut and split at arbitrary byte
+boundaries and streams with damaged headers, and asserts for every draw
+that the decoder
+
+* yields exactly the original messages (for a damaged length table: the
+  original message with its buffer bytes re-sliced — there is no checksum),
+* or raises one of the protocol's decode errors (``DECODE_ERRORS``),
+* or reports the stream as closed/incomplete,
+
+and that it never spins (the fake socket has a call budget) and never
+asks for more memory than ``_check_frame`` allows (``bytearray`` is
+spied on, with the frame limit lowered so that "oversized" is cheap).
+
+Seeded RNG: failures print the seed so any draw reproduces exactly.
+"""
+from __future__ import annotations
+
+import os
+import pickle
+import random
+import struct
+
+import pytest
+
+from repro.kvserver import protocol
+from repro.kvserver.protocol import StreamDecoder
+from repro.kvserver.protocol import encode_message
+
+SEED = int(os.environ.get('REPRO_FUZZ_SEED', '20261003'))
+DRAWS = int(os.environ.get('REPRO_FUZZ_DRAWS', '40'))
+
+#: What a damaged stream may raise: ``_check_frame``'s ``ValueError`` or
+#: the unpickler rejecting a frame whose declared sizes no longer match.
+DECODE_ERRORS = (ValueError, pickle.UnpicklingError, EOFError)
+
+#: Frame limits while fuzzing (installed by the ``allocations`` fixture).
+LIMIT = 1 << 20
+MAX_BUFFERS = 64
+
+_HEADER = struct.Struct('>II')
+_U64 = struct.Struct('>Q')
+
+
+class FeedSocket:
+    """A socket that serves ``data`` in the given chunk sizes, then ends.
+
+    ``eof=True`` ends with a closed peer (``recv_into`` returns 0);
+    otherwise with ``BlockingIOError``, like a drained non-blocking socket.
+    """
+
+    def __init__(self, data: bytes, chunks: list[int] | None = None, *, eof: bool = True) -> None:
+        self._data = memoryview(data)
+        self._chunks = list(chunks) if chunks else [len(data)]
+        self._eof = eof
+        self._budget = 4 * (len(data) + len(self._chunks)) + 64
+
+    def recv_into(self, view: memoryview, nbytes: int = 0) -> int:
+        self._budget -= 1
+        assert self._budget > 0, 'decoder is spinning on the socket'
+        if len(view) == 0:
+            return 0  # what the kernel answers to a zero-length read
+        while self._chunks and self._chunks[0] == 0:
+            self._chunks.pop(0)
+        if not self._chunks or not len(self._data):
+            if self._eof:
+                return 0
+            raise BlockingIOError
+        n = min(len(view), self._chunks[0], len(self._data))
+        view[:n] = self._data[:n]
+        self._data = self._data[n:]
+        self._chunks[0] -= n
+        return n
+
+
+@pytest.fixture()
+def allocations(monkeypatch):
+    """Lower the frame limits and record every ``bytearray`` the decoder asks for."""
+    sizes: list[int] = []
+
+    def spying_bytearray(size=0):
+        if isinstance(size, int):
+            sizes.append(size)
+        return bytearray(size)
+
+    monkeypatch.setattr(protocol, 'MAX_FRAME_BYTES', LIMIT)
+    monkeypatch.setattr(protocol, '_MAX_BUFFERS', MAX_BUFFERS)
+    monkeypatch.setattr(protocol, 'bytearray', spying_bytearray, raising=False)
+    return sizes
+
+
+def _random_message(rng: random.Random) -> tuple:
+    """A request or response shaped like real traffic, buffers out of band."""
+    def value() -> list[pickle.PickleBuffer]:
+        sizes = [rng.choice((0, 1, 7, 4096, 70_000)) for _ in range(rng.randrange(1, 4))]
+        return [pickle.PickleBuffer(rng.randbytes(size)) for size in sizes]
+
+    shape = rng.randrange(4)
+    request_id = rng.randrange(1 << 31)
+    if shape == 0:
+        return (request_id, 'GET', f'key-{rng.randrange(100)}', None)
+    if shape == 1:
+        return (request_id, 'SET', f'key-{rng.randrange(100)}', value())
+    if shape == 2:
+        return (request_id, 'MSET', None, [(f'k{i}', value()) for i in range(rng.randrange(1, 4))])
+    return (request_id, 'ok', pickle.PickleBuffer(rng.randbytes(rng.choice((0, 3, 9000)))))
+
+
+def _plain(obj):
+    """Out-of-band buffers come back as writable views: compare by content."""
+    if isinstance(obj, (pickle.PickleBuffer, bytearray, memoryview)):
+        return bytes(obj)
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_plain(item) for item in obj)
+    return obj
+
+
+def _skeleton(obj):
+    """``obj`` with every payload blanked: what the pickle body alone says."""
+    if isinstance(obj, bytes):
+        return None
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_skeleton(item) for item in obj)
+    return obj
+
+
+def _wire(message) -> bytes:
+    return b''.join(bytes(segment) for segment in encode_message(message))
+
+
+def _drain(decoder: StreamDecoder, sock: FeedSocket) -> tuple[list, bool]:
+    """``read_from`` until the socket is exhausted; returns (messages, closed)."""
+    messages, closed = decoder.read_from(sock)
+    return [_plain(m) for m in messages], closed
+
+
+def _random_chunks(rng: random.Random, total: int) -> list[int]:
+    chunks = []
+    while total > 0:
+        n = min(total, rng.choice((1, 2, 3, 8, 9, 64, 5000, 1 << 17)))
+        chunks.append(n)
+        total -= n
+    return chunks
+
+
+# -- well-formed streams ---------------------------------------------------- #
+
+def test_fuzz_split_feeds_yield_the_original_messages(allocations):
+    for draw in range(DRAWS):
+        rng = random.Random(f'{SEED}-split-{draw}')
+        messages = [_random_message(rng) for _ in range(rng.randrange(1, 5))]
+        stream = b''.join(_wire(m) for m in messages)
+        decoder = StreamDecoder()
+        got, closed = _drain(decoder, FeedSocket(stream, _random_chunks(rng, len(stream)), eof=False))
+        assert not closed
+        assert got == [_plain(m) for m in messages], f'seed={SEED} draw={draw}'
+        assert max(allocations) <= LIMIT
+
+
+def test_fuzz_one_decoder_survives_many_partial_drains():
+    """Each ``read_from`` call sees a few bytes; frames complete across calls."""
+    rng = random.Random(f'{SEED}-partial')
+    messages = [_random_message(rng) for _ in range(12)]
+    stream = b''.join(_wire(m) for m in messages)
+    decoder = StreamDecoder()
+    got: list = []
+    offset = 0
+    while offset < len(stream):
+        step = rng.choice((1, 5, 13, 4000, 100_000))
+        part, closed = _drain(decoder, FeedSocket(stream[offset:offset + step], eof=False))
+        assert not closed
+        got.extend(part)
+        offset += step
+    assert got == [_plain(m) for m in messages]
+
+
+def test_truncation_at_every_byte_boundary_never_yields_a_partial_message():
+    rng = random.Random(f'{SEED}-truncate')
+    first = (1, 'SET', 'k', [pickle.PickleBuffer(rng.randbytes(40)), pickle.PickleBuffer(b'')])
+    second = (2, 'ok', pickle.PickleBuffer(rng.randbytes(9)))
+    wires = [_wire(first), _wire(second)]
+    stream = b''.join(wires)
+    for cut in range(len(stream)):
+        expected = [_plain(first)] if cut >= len(wires[0]) else []
+        got, closed = _drain(StreamDecoder(), FeedSocket(stream[:cut]))
+        assert closed and got == expected, f'cut={cut}'
+        # The blocking style (client reader thread) agrees: None on EOF.
+        decoder, sock = StreamDecoder(), FeedSocket(stream[:cut], _random_chunks(rng, cut))
+        for message in expected:
+            assert _plain(decoder.read_message(sock)) == message
+        assert decoder.read_message(sock) is None, f'cut={cut}'
+
+
+# -- damaged headers ---------------------------------------------------------- #
+
+def _outcome(stream: bytes, rng: random.Random):
+    """Decode ``stream`` to the end; returns messages or the error raised."""
+    try:
+        return _drain(StreamDecoder(), FeedSocket(stream, _random_chunks(rng, len(stream))))[0]
+    except DECODE_ERRORS as e:
+        return e
+
+
+def test_fuzz_corrupted_header_bytes(allocations):
+    """Flip bytes inside the header / length table of a valid frame."""
+    for draw in range(DRAWS * 5):
+        rng = random.Random(f'{SEED}-header-{draw}')
+        message = _random_message(rng)
+        wire = bytearray(_wire(message))
+        _, n_buffers = _HEADER.unpack_from(wire)
+        table_end = _HEADER.size + _U64.size * n_buffers
+        for _ in range(rng.randrange(1, 4)):
+            wire[rng.randrange(table_end)] = rng.randrange(256)
+        allocations.clear()
+        outcome = _outcome(bytes(wire), rng)
+        note = f'seed={SEED} draw={draw} outcome={outcome!r}'
+        if not isinstance(outcome, Exception) and outcome:
+            # Nothing (still waiting for bytes a larger declared size
+            # promised) or the message itself.  Frames carry no checksum
+            # (TCP has its own), so a damaged length table whose total still
+            # fits can re-slice where buffer bytes land — but the pickled
+            # body is intact: same ids, command, keys and buffer count.
+            (decoded,) = outcome
+            assert _skeleton(decoded) == _skeleton(_plain(message)), note
+        assert sum(allocations) <= LIMIT + _U64.size * MAX_BUFFERS + _HEADER.size * 2, note
+
+
+@pytest.mark.parametrize(
+    ('pickle_len', 'n_buffers', 'lengths'),
+    [
+        (LIMIT + 1, 0, ()),                       # oversized pickle_len
+        (0xFFFFFFFF, 0, ()),
+        (16, MAX_BUFFERS + 1, ()),                # oversized n_buffers
+        (16, 0xFFFFFFFF, ()),
+        (16, 2, (LIMIT, 1)),                      # length table sums past the limit
+        (16, 1, (0xFFFFFFFFFFFFFFFF,)),
+        (LIMIT - 8, 1, (9,)),
+    ],
+)
+def test_oversized_dimensions_are_rejected_before_allocating(
+    allocations, pickle_len, n_buffers, lengths,
+):
+    header = _HEADER.pack(pickle_len, n_buffers) + b''.join(_U64.pack(n) for n in lengths)
+    sock = FeedSocket(header + b'\x00' * 64, eof=False)
+    allocations.clear()
+    with pytest.raises(ValueError, match='corrupt or oversized SimKV frame'):
+        StreamDecoder().read_from(sock)
+    # Only the header and (for a bad table) the table itself and the pickle
+    # target were ever requested — nothing sized by the rejected numbers.
+    assert sum(allocations) <= LIMIT + _U64.size * MAX_BUFFERS + _HEADER.size
+
+
+def test_largest_legal_dimensions_are_accepted(allocations):
+    """The bound is tight: a frame exactly at the limit is not an error."""
+    header = _HEADER.pack(LIMIT - 9, 1) + _U64.pack(9)
+    messages, closed = StreamDecoder().read_from(FeedSocket(header, eof=False))
+    assert (messages, closed) == ([], False)  # waiting for the pickle bytes
+    assert max(allocations) == LIMIT - 9
+
+
+def test_zero_length_pickle_reads_as_closed_not_a_spin():
+    """No sender emits ``pickle_len == 0``; the decoder must not loop on it."""
+    stream = _HEADER.pack(0, 0) + _wire((1, 'GET', 'k', None))
+    messages, closed = StreamDecoder().read_from(FeedSocket(stream, eof=False))
+    assert (messages, closed) == ([], True)

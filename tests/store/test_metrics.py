@@ -1,6 +1,9 @@
 """Tests for StoreMetrics and OperationStats."""
 from __future__ import annotations
 
+import gc
+import sys
+
 import pytest
 
 from repro.store.metrics import OperationStats
@@ -24,7 +27,19 @@ def test_operation_stats_record_and_aggregate():
     assert stats.min_time == pytest.approx(0.5)
     assert stats.max_time == pytest.approx(1.5)
     assert stats.total_bytes == 30
-    assert stats.times == [0.5, 1.5]
+
+
+def test_operation_stats_memory_is_flat_over_many_records():
+    """A long-running ``metrics=True`` store must not grow per call."""
+    stats = OperationStats()
+    stats.record(0.001, nbytes=1)
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for i in range(100_000):
+        stats.record(i * 1e-6, nbytes=1)  # a distinct float object per call
+    gc.collect()
+    # Aggregates only: a per-call list would add ~10^5 float blocks here.
+    assert sys.getallocatedblocks() - before < 100
 
 
 def test_operation_stats_empty_defaults():

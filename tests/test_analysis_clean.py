@@ -2,48 +2,28 @@
 
 This is the enforcement end of ``repro.analysis``: every rule runs over
 ``src/repro`` exactly as ``python -m repro.analysis --strict`` does in
-CI, and any non-suppressed, non-baselined finding fails the build.
+CI, and any non-suppressed finding fails the build.
 """
 from __future__ import annotations
 
 from pathlib import Path
 
 from repro.analysis import all_checkers
-from repro.analysis import load_baseline
 from repro.analysis import run_analysis
-from repro.analysis.__main__ import BASELINE_NAME
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_default_rule_set_is_clean():
-    baseline = load_baseline(REPO_ROOT / BASELINE_NAME)
-    report = run_analysis(REPO_ROOT, baseline=baseline)
+    report = run_analysis(REPO_ROOT)
     rendered = '\n'.join(f.render() for f in report.findings)
     assert report.clean, f'repro.analysis found new violations:\n{rendered}'
     assert report.files_checked > 100  # the walk really covered src/repro
 
 
 def test_all_six_rules_are_registered_and_ran():
-    baseline = load_baseline(REPO_ROOT / BASELINE_NAME)
-    report = run_analysis(REPO_ROOT, baseline=baseline)
+    report = run_analysis(REPO_ROOT)
     expected = ('RP001', 'RP002', 'RP003', 'RP004', 'RP005', 'RP006')
     assert tuple(all_checkers()) == expected
     assert report.rules_run == expected
 
-
-def test_baseline_entries_are_still_live():
-    """Every grandfathered fingerprint still matches a real finding.
-
-    When a baselined site gets fixed, its entry must be removed (run
-    ``python -m repro.analysis --update-baseline``) so the baseline
-    never papers over future regressions at other sites.
-    """
-    baseline = load_baseline(REPO_ROOT / BASELINE_NAME)
-    report = run_analysis(REPO_ROOT, baseline=baseline)
-    matched = {f.fingerprint() for f in report.baselined}
-    stale = set(baseline) - matched
-    assert not stale, (
-        f'baseline entries no longer match any finding: {sorted(stale)}; '
-        'regenerate with python -m repro.analysis --update-baseline'
-    )

@@ -1,9 +1,9 @@
 """Docstring coverage enforcement for the documented packages.
 
 CI runs ruff's pydocstyle rules (D100–D104 plus public-method D102) over
-``src/repro/{store,proxy,stream,cluster,dim}``; this test enforces the same contract
-from the tier-1 suite so coverage cannot regress on machines without ruff
-installed.  Every module, public class, and public function/method in
+the packages in ``DOCUMENTED_PACKAGES``; this test enforces the same
+contract from the tier-1 suite so coverage cannot regress on machines
+without ruff installed.  Every module, public class, and public function/method in
 those packages must carry a docstring.
 """
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 REPO_SRC = pathlib.Path(__file__).resolve().parent.parent / 'src' / 'repro'
 DOCUMENTED_PACKAGES = (
     'store', 'proxy', 'stream', 'cluster', 'dim', 'faults', 'analysis',
+    'endpoint',
 )
 
 

@@ -21,7 +21,7 @@ from repro.connectors.policy import Policy
 from repro.connectors.redis import RedisConnector
 from repro.endpoint import Endpoint
 from repro.endpoint import RelayServer
-from repro.endpoint.endpoint import reset_endpoint_registry
+from repro.endpoint import reset_endpoint_registry
 from repro.faas import CloudFaaSService
 from repro.faas import ComputeEndpoint
 from repro.faas import Executor
