@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from benchmarks.conftest import print_table
-from repro.harness.ablations import run_ablations
+from benchmarks.paper.figures.ablations import run_ablations
 
 
 def test_ablations(benchmark):

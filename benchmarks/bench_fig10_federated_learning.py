@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from benchmarks.conftest import print_table
-from repro.harness.fig10 import PAYLOAD_LIMIT_BYTES
-from repro.harness.fig10 import run_figure10
+from benchmarks.paper.faas import DEFAULT_PAYLOAD_LIMIT_BYTES
+from benchmarks.paper.figures.fig10 import run_figure10
 
 
 def test_fig10_federated_learning_transfers(benchmark):
@@ -15,7 +15,7 @@ def test_fig10_federated_learning_transfers(benchmark):
     largest = max(blocks)
     assert table.value('transfer_s', hidden_blocks=largest, method='cloud-transfer') is None
     assert table.value('transfer_s', hidden_blocks=largest, method='endpoint-store') is not None
-    assert table.value('model_bytes', hidden_blocks=largest, method='cloud-transfer') > PAYLOAD_LIMIT_BYTES
+    assert table.value('model_bytes', hidden_blocks=largest, method='cloud-transfer') > DEFAULT_PAYLOAD_LIMIT_BYTES
     # Where both work, ProxyStore reduces transfer time substantially
     # (the paper reports ~68 % on average).
     improvements = []

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from benchmarks.conftest import print_table
-from repro.harness.fig11 import run_figure11
+from benchmarks.paper.figures.fig11 import run_figure11
 
 
 def test_fig11_molecular_design_utilization(benchmark):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from benchmarks.conftest import full_sweeps
 from benchmarks.conftest import print_table
-from repro.harness.fig5 import run_figure5
-from repro.simulation import size_sweep
+from benchmarks.paper.figures.fig5 import run_figure5
+from benchmarks.paper.sim import size_sweep
 
 
 def _sizes() -> list[int]:

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 from benchmarks.conftest import full_sweeps
 from benchmarks.conftest import print_table
-from repro.harness.fig6 import run_figure6
-from repro.simulation import size_sweep
+from benchmarks.paper.figures.fig6 import run_figure6
+from benchmarks.paper.sim import size_sweep
 
 
 def _sizes() -> list[int]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import full_sweeps
 from benchmarks.conftest import print_table
-from repro.harness.fig7 import run_figure7
+from benchmarks.paper.figures.fig7 import run_figure7
 
 
 def _sizes() -> tuple[int, ...]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import full_sweeps
 from benchmarks.conftest import print_table
-from repro.harness.fig8 import run_figure8
+from benchmarks.paper.figures.fig8 import run_figure8
 
 
 def test_fig8_endpoint_client_scaling(benchmark):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import full_sweeps
 from benchmarks.conftest import print_table
-from repro.harness.fig9 import run_figure9
+from benchmarks.paper.figures.fig9 import run_figure9
 
 
 def test_fig9_endpoint_peering(benchmark):

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from benchmarks.conftest import print_table
-from repro.harness.table1 import run_table1
+from benchmarks.paper.figures.table1 import run_table1
 
 
 def test_table1_connector_summary(benchmark):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import full_sweeps
 from benchmarks.conftest import print_table
-from repro.harness.table2 import run_table2
+from benchmarks.paper.figures.table2 import run_table2
 
 
 def test_table2_defect_analysis(benchmark):

@@ -1,16 +1,24 @@
 """Shared configuration for the benchmark suite.
 
-Each benchmark regenerates one table or figure of the paper by calling the
-corresponding ``repro.harness`` function under ``pytest-benchmark`` and then
-printing the resulting rows/series (captured with ``-s`` or in the pytest
-summary output).  Set ``REPRO_BENCH_FULL=1`` to run the full parameter sweeps
-used in EXPERIMENTS.md instead of the quicker default sweeps.
+Each ``bench_fig*``/``bench_table*`` script regenerates one table or figure
+of the paper by calling the corresponding ``benchmarks.paper.figures``
+function under ``pytest-benchmark`` and then printing the resulting
+rows/series (captured with ``-s`` or in the pytest summary output).  Set
+``REPRO_BENCH_FULL=1`` to run the paper-scale parameter sweeps instead of the
+quicker default ones.
 """
 from __future__ import annotations
 
 import os
 
 import pytest
+
+# repro.connectors before repro.dim: importing repro.dim first hits a
+# circular import (dim.client -> connectors -> dim_base -> dim.client).
+from repro.connectors.globus_service import reset_transfer_service
+from repro.dim import reset_nodes
+from repro.endpoint import reset_endpoint_registry
+from repro.store import unregister_all
 
 
 def full_sweeps() -> bool:
@@ -22,11 +30,6 @@ def full_sweeps() -> bool:
 def _clean_global_state():
     """Benchmarks share the process: keep registries isolated between them."""
     yield
-    from repro.dim import reset_nodes
-    from repro.endpoint import reset_endpoint_registry
-    from repro.globus_sim import reset_transfer_service
-    from repro.store import unregister_all
-
     unregister_all()
     reset_nodes()
     reset_endpoint_registry()

@@ -5,9 +5,11 @@ simulated Globus-Compute-like cloud service.  Passing the 8 MB input directly
 is rejected by the service's 5 MB payload limit; passing a proxy of it works
 and moves the data over the shared file system instead of through the cloud.
 
-Run with::
+The FaaS substrate and the virtual-time testbed are paper scaffolding
+(``benchmarks/paper``), not part of ``repro``, so run from the repository
+root with it on the path::
 
-    python examples/faas_offload.py
+    PYTHONPATH=src:. python examples/faas_offload.py
 """
 from __future__ import annotations
 
@@ -15,17 +17,17 @@ import tempfile
 
 import numpy as np
 
+from benchmarks.paper.faas import CloudFaaSService
+from benchmarks.paper.faas import ComputeEndpoint
+from benchmarks.paper.faas import Executor
+from benchmarks.paper.faas import PayloadTooLargeError
+from benchmarks.paper.sim import VirtualClock
+from benchmarks.paper.sim import paper_testbed
+from benchmarks.paper.sim.context import on_host
+from benchmarks.paper.sim.costed import CostedConnector
+from benchmarks.paper.sim.costs import SharedFilesystemCost
 from repro import store_from_url
-from repro.exceptions import PayloadTooLargeError
-from repro.faas import CloudFaaSService
-from repro.faas import ComputeEndpoint
-from repro.faas import Executor
 from repro.proxy import Proxy
-from repro.simulation import VirtualClock
-from repro.simulation import paper_testbed
-from repro.simulation.context import on_host
-from repro.simulation.costed import CostedConnector
-from repro.simulation.costs import SharedFilesystemCost
 
 
 def analyze(data, ctx=None) -> float:

@@ -16,21 +16,23 @@ round is an ``OwnedProxy`` whose key is evicted when its ``with`` block ends,
 and every device-result future is bound to a run-scoped ``ContextLifetime``
 that batch-evicts all trained-model keys once the run finishes.
 
-Run with::
+The model and training code is the paper's application
+(``benchmarks/paper/apps``), not part of ``repro``, so run from the
+repository root with it on the path::
 
-    python examples/federated_learning.py
+    PYTHONPATH=src:. python examples/federated_learning.py
 """
 from __future__ import annotations
 
 import numpy as np
 
+from benchmarks.paper.apps.federated_learning import create_model
+from benchmarks.paper.apps.federated_learning import federated_average
+from benchmarks.paper.apps.federated_learning import generate_client_data
+from benchmarks.paper.apps.federated_learning import model_nbytes
+from benchmarks.paper.apps.federated_learning import train_local
 from repro import ContextLifetime
 from repro import store_from_url
-from repro.apps.federated_learning import create_model
-from repro.apps.federated_learning import federated_average
-from repro.apps.federated_learning import generate_client_data
-from repro.apps.federated_learning import model_nbytes
-from repro.apps.federated_learning import train_local
 from repro.connectors.endpoint import set_local_endpoint
 from repro.endpoint import Endpoint
 from repro.endpoint import RelayServer

@@ -57,6 +57,7 @@ class CacheStats:
 
     @property
     def accesses(self) -> int:
+        """Total lookups: hits plus misses."""
         return self.hits + self.misses
 
     @property

@@ -20,7 +20,9 @@ The rows are the paper's Table 1 for the systems being modelled.  Here
 ``RedisConnector`` and ``EndpointConnector`` both sit on the in-memory
 SimKV server (a PS-endpoint is a ``KVServer`` with a UUID), so "hybrid"
 and "persistence" describe Redis and the production endpoint, not these
-stand-ins.
+stand-ins.  ``GlobusConnector`` submits its transfers to
+:mod:`repro.connectors.globus_service`, an in-process stand-in for the
+Globus Transfer cloud service.
 """
 from repro.connectors.protocol import Connector
 from repro.connectors.protocol import ConnectorCapabilities

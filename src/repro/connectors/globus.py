@@ -30,8 +30,8 @@ from repro.connectors.registry import StoreURL
 from repro.serialize.buffers import write_payload_to_path
 from repro.exceptions import ConnectorError
 from repro.exceptions import TransferError
-from repro.globus_sim.service import GlobusTransferService
-from repro.globus_sim.service import get_transfer_service
+from repro.connectors.globus_service import GlobusTransferService
+from repro.connectors.globus_service import get_transfer_service
 
 __all__ = [
     'GlobusConnector',

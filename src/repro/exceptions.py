@@ -149,25 +149,5 @@ class RelayError(EndpointError):
     """Raised for relay (signaling) server protocol violations."""
 
 
-class FaaSError(ReproError):
-    """Base class for the simulated FaaS substrate."""
-
-
-class PayloadTooLargeError(FaaSError):
-    """Raised when a task payload exceeds the cloud service payload limit."""
-
-
-class TaskExecutionError(FaaSError):
-    """Raised when a task submitted to the FaaS substrate raises an exception."""
-
-
 class WorkflowError(ReproError):
     """Base class for the workflow (Parsl/Colmena-like) substrate."""
-
-
-class SimulationError(ReproError):
-    """Base class for errors in the network/time simulation substrate."""
-
-
-class UnknownSiteError(SimulationError):
-    """Raised when a fabric lookup references a site that does not exist."""

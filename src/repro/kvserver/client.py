@@ -407,6 +407,7 @@ class KVClient(GroupCommands):
         return self._request('PING') == 'PONG'
 
     def set(self, key: str, value: 'bytes | bytearray | memoryview | SerializedObject') -> None:
+        """Store ``value`` under ``key``, replacing any previous value."""
         self._request('SET', key, _wrap_value(value))
 
     def get(self, key: str) -> 'bytes | bytearray | memoryview | None':
@@ -518,6 +519,7 @@ class KVClient(GroupCommands):
         return self._request('REPL_GROUP', group, dict(state))
 
     def delete(self, key: str) -> bool:
+        """Remove ``key``; returns whether it existed."""
         return bool(self._request('DEL', key))
 
     def flush(self) -> int:
@@ -525,4 +527,5 @@ class KVClient(GroupCommands):
         return int(self._request('FLUSH'))
 
     def size(self) -> int:
+        """Return the number of keys the server holds."""
         return int(self._request('SIZE'))

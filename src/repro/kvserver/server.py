@@ -233,6 +233,7 @@ class KVServer:
 
     @property
     def running(self) -> bool:
+        """Whether the event loop is serving (between ``start`` and ``stop``)."""
         return self._running.is_set()
 
     def __enter__(self) -> 'KVServer':

@@ -51,6 +51,7 @@ class Result:
 
     @property
     def roundtrip_time(self) -> float:
+        """Seconds from the task's creation to its result reaching the thinker."""
         return self.time_returned - self.time_created
 
 
@@ -77,6 +78,7 @@ class ColmenaQueues:
         self.tasks.put((topic, inputs, result_future))
 
     def get_result(self, timeout: float | None = 60.0) -> Result:
+        """Block for the next result; raises ``WorkflowError`` after ``timeout``."""
         try:
             return self.results.get(timeout=timeout)
         except queue.Empty:
@@ -203,10 +205,12 @@ class TaskServer:
             return config.store.future(**future_kwargs)
 
     def topics(self) -> list[str]:
+        """Return the registered topic names, sorted."""
         return sorted(self._topics)
 
     # -- lifecycle --------------------------------------------------------------- #
     def start(self) -> None:
+        """Start the serving thread (no-op when already running)."""
         if self._running.is_set():
             return
         self._running.set()
@@ -216,6 +220,7 @@ class TaskServer:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop the serving thread and join it (no-op when not running)."""
         if not self._running.is_set():
             return
         self._running.clear()
@@ -360,9 +365,11 @@ class Thinker:
         *inputs: Any,
         result_future: ProxyFuture | None = None,
     ) -> None:
+        """Queue one task on ``topic`` without waiting for its result."""
         self.queues.send_task(topic, *inputs, result_future=result_future)
 
     def wait_for_result(self, timeout: float | None = 60.0) -> Result:
+        """Block for the next result and record it in ``results``."""
         result = self.queues.get_result(timeout=timeout)
         self.results.append(result)
         return result

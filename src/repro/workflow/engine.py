@@ -70,6 +70,7 @@ class WorkflowFuture:
         self._event.set()
 
     def done(self) -> bool:
+        """Return whether the task has finished (with a result or an error)."""
         return self._event.is_set()
 
     def result(self, timeout: float | None = 60.0) -> Any:

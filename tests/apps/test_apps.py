@@ -4,20 +4,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps.defect_analysis import DefectAnalysisResult
-from repro.apps.defect_analysis import defect_inference_task
-from repro.apps.defect_analysis import generate_micrograph
-from repro.apps.defect_analysis import segment_defects
-from repro.apps.federated_learning import create_model
-from repro.apps.federated_learning import federated_average
-from repro.apps.federated_learning import generate_client_data
-from repro.apps.federated_learning import model_nbytes
-from repro.apps.federated_learning import train_local
-from repro.apps.molecular_design import CampaignConfig
-from repro.apps.molecular_design import MoleculeDataset
-from repro.apps.molecular_design import SurrogateModel
-from repro.apps.molecular_design import run_campaign
-from repro.apps.molecular_design import simulate_ionization_potential
+from benchmarks.paper.apps.defect_analysis import DefectAnalysisResult
+from benchmarks.paper.apps.defect_analysis import defect_inference_task
+from benchmarks.paper.apps.defect_analysis import generate_micrograph
+from benchmarks.paper.apps.defect_analysis import segment_defects
+from benchmarks.paper.apps.federated_learning import create_model
+from benchmarks.paper.apps.federated_learning import federated_average
+from benchmarks.paper.apps.federated_learning import generate_client_data
+from benchmarks.paper.apps.federated_learning import model_nbytes
+from benchmarks.paper.apps.federated_learning import train_local
+from benchmarks.paper.apps.molecular_design import CampaignConfig
+from benchmarks.paper.apps.molecular_design import MoleculeDataset
+from benchmarks.paper.apps.molecular_design import SurrogateModel
+from benchmarks.paper.apps.molecular_design import run_campaign
+from benchmarks.paper.apps.molecular_design import simulate_ionization_potential
 from repro.connectors.local import LocalConnector
 from repro.store import Store
 

@@ -3,13 +3,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import DataSpacesClient
-from repro.baselines import DataSpacesServer
-from repro.baselines import IPFSNetwork
-from repro.baselines import IPFSNode
-from repro.baselines import SSHTunnelRedis
+from benchmarks.paper.baselines import DataSpacesClient
+from benchmarks.paper.baselines import DataSpacesServer
+from benchmarks.paper.baselines import IPFSNetwork
+from benchmarks.paper.baselines import IPFSNode
 from repro.exceptions import ConnectorError
-from repro.kvserver import KVServer
 
 
 # --------------------------------------------------------------------------- #
@@ -116,35 +114,3 @@ def test_dataspaces_client_marks_server_started():
     assert not server.started
     DataSpacesClient(server)
     assert server.started
-
-
-# --------------------------------------------------------------------------- #
-# Redis over SSH
-# --------------------------------------------------------------------------- #
-@pytest.fixture()
-def kv_server():
-    server = KVServer()
-    server.start()
-    yield server
-    server.stop()
-
-
-def test_ssh_tunnel_requires_manual_open(kv_server):
-    tunnel = SSHTunnelRedis(kv_server)
-    with pytest.raises(ConnectorError, match='tunnel'):
-        tunnel.get('key')
-    tunnel.open_tunnel()
-    tunnel.set('key', b'value')
-    assert tunnel.get('key') == b'value'
-    assert tunnel.exists('key')
-    assert tunnel.delete('key')
-    tunnel.close_tunnel()
-    with pytest.raises(ConnectorError):
-        tunnel.get('key')
-
-
-def test_ssh_tunnel_requires_running_server():
-    server = KVServer()  # never started
-    tunnel = SSHTunnelRedis(server)
-    with pytest.raises(ConnectorError):
-        tunnel.open_tunnel()

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.connectors.local import LocalConnector
 from repro.serialize.registry import default_registry
 from repro.store import unregister_all
 
@@ -80,6 +81,23 @@ def _clean_global_state():
     yield
     unregister_all()
     default_registry.clear()
+
+
+class CountingConnector(LocalConnector):
+    """LocalConnector that counts scalar vs batched evictions."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.evict_calls = 0
+        self.evict_batch_calls = 0
+
+    def evict(self, key):
+        self.evict_calls += 1
+        super().evict(key)
+
+    def evict_batch(self, keys):
+        self.evict_batch_calls += 1
+        super().evict_batch(list(keys))
 
 
 #: The witness wraps every lock the suite creates when this env var is

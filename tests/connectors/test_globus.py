@@ -8,9 +8,9 @@ from repro.connectors.globus import current_hostname
 from repro.connectors.globus import set_current_hostname
 from repro.exceptions import ConnectorError
 from repro.exceptions import TransferError
-from repro.globus_sim import GlobusEndpointSpec
-from repro.globus_sim import GlobusTransferService
-from repro.globus_sim import reset_transfer_service
+from repro.connectors.globus_service import GlobusEndpointSpec
+from repro.connectors.globus_service import GlobusTransferService
+from repro.connectors.globus_service import reset_transfer_service
 from tests.connectors.behavior import ConnectorBehavior
 
 

@@ -1,22 +1,26 @@
 """Tests of the Globus-Compute-like FaaS substrate."""
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
+from benchmarks.paper.faas import CloudFaaSService
+from benchmarks.paper.faas import ComputeEndpoint
+from benchmarks.paper.faas import Executor
+from benchmarks.paper.faas import FaaSError
+from benchmarks.paper.faas import PayloadTooLargeError
+from benchmarks.paper.faas import TaskContext
+from benchmarks.paper.faas import TaskExecutionError
+from benchmarks.paper.sim import VirtualClock
+from benchmarks.paper.sim import paper_testbed
+from benchmarks.paper.sim.context import on_host
+from benchmarks.paper.sim.costed import CostedConnector
+from benchmarks.paper.sim.costs import SharedFilesystemCost
 from repro.connectors.local import LocalConnector
-from repro.exceptions import FaaSError
-from repro.exceptions import PayloadTooLargeError
-from repro.exceptions import TaskExecutionError
-from repro.faas import CloudFaaSService
-from repro.faas import ComputeEndpoint
-from repro.faas import Executor
 from repro.proxy import Proxy
-from repro.simulation import VirtualClock
-from repro.simulation import paper_testbed
-from repro.simulation.context import on_host
-from repro.simulation.costed import CostedConnector
-from repro.simulation.costs import SharedFilesystemCost
 from repro.store import Store
+from repro.store import StoreConfig
 
 
 @pytest.fixture()
@@ -146,7 +150,7 @@ def test_executor_map(executor):
 
 
 def test_endpoint_runs_tasks_on_its_host(cloud, clock, fabric):
-    from repro.simulation.context import current_host
+    from benchmarks.paper.sim.context import current_host
 
     def where_am_i(ctx=None):
         return current_host()
@@ -165,3 +169,20 @@ def test_endpoint_task_counter(cloud, executor):
 def test_fetch_result_unknown_task(cloud):
     with pytest.raises(FaaSError):
         cloud.fetch_result('theta-login', 'bogus')
+
+
+def test_task_context_finds_the_store_by_name_without_a_config(monkeypatch):
+    """``resolve_proxy`` looks the store up by the factory's plain name: an
+    unpickled proxy is resolved without its ``StoreConfig`` ever being built."""
+    def boom(*args, **kwargs):
+        raise AssertionError('StoreConfig materialised on the fast path')
+
+    store = Store.from_url('local:///task-context-by-name')
+    try:
+        wire = pickle.dumps(store.proxy({'k': 'v'}, cache_local=False))
+        monkeypatch.setattr(StoreConfig, 'from_wire', boom)
+        proxy = pickle.loads(wire)
+        TaskContext(VirtualClock(), 'host').resolve_proxy(proxy)
+        assert proxy == {'k': 'v'}
+    finally:
+        store.close(clear=True)

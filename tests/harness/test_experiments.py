@@ -2,28 +2,74 @@
 
 These tests execute the same code the benchmarks run, with small sweeps, and
 check the *qualitative* findings of the paper: who wins, where the payload
-limit bites, and how improvements trend with size/scale.  EXPERIMENTS.md
-records the full-sweep numbers.
+limit bites, and how improvements trend with size/scale.
 """
 from __future__ import annotations
 
+import difflib
+import functools
+from pathlib import Path
+
 import pytest
 
-from repro.harness.ablations import run_ablations
-from repro.harness.fig5 import FIG5_CONFIGURATIONS
-from repro.harness.fig5 import run_figure5
-from repro.harness.fig6 import run_figure6
-from repro.harness.fig7 import run_figure7
-from repro.harness.fig8 import run_figure8
-from repro.harness.fig9 import run_figure9
-from repro.harness.fig10 import run_figure10
-from repro.harness.fig11 import run_figure11
-from repro.harness.table1 import run_table1
-from repro.harness.table2 import run_table2
+from benchmarks.paper.figures.ablations import run_ablations
+from benchmarks.paper.figures.fig10 import run_figure10
+from benchmarks.paper.figures.fig11 import run_figure11
+from benchmarks.paper.figures.fig5 import FIG5_CONFIGURATIONS
+from benchmarks.paper.figures.fig5 import run_figure5
+from benchmarks.paper.figures.fig6 import run_figure6
+from benchmarks.paper.figures.fig7 import run_figure7
+from benchmarks.paper.figures.fig8 import run_figure8
+from benchmarks.paper.figures.fig9 import run_figure9
+from benchmarks.paper.figures.table1 import run_table1
+from benchmarks.paper.figures.table2 import run_table2
+
+EXPECTED = Path(__file__).resolve().parents[2] / 'benchmarks' / 'paper' / 'expected'
+
+#: The virtual-time tables at the reduced parameters the qualitative tests
+#: below assert on.  Each is computed once per session (``_table``) and also
+#: compared byte for byte with its committed rendering.
+_RUNS = {
+    'table1': run_table1,
+    'fig5_noop': lambda: run_figure5(
+        task_type='noop', sizes=[10, 1_000_000, 10_000_000],
+    ),
+    'fig5_sleep': lambda: run_figure5(
+        task_type='sleep', sizes=[10, 1_000_000],
+        configurations=FIG5_CONFIGURATIONS[2:3],
+    ),
+    'fig6': lambda: run_figure6(sizes=[1_000, 100_000_000]),
+    'fig9': lambda: run_figure9(payload_sizes=(1_000, 1_000_000), requests=2),
+    'fig10': lambda: run_figure10(hidden_blocks=(1, 30, 50)),
+    'fig11': lambda: run_figure11(node_counts=(128, 1024)),
+    'table2': lambda: run_table2(repeats=2, image_side=512),
+}
+
+
+@functools.cache
+def _table(name):
+    return _RUNS[name]()
+
+
+@pytest.mark.parametrize('name', sorted(_RUNS))
+def test_virtual_time_table_matches_golden(name):
+    """Virtual time is deterministic: a refactor may not move one digit.
+
+    When a cost model changes on purpose, replace the file with the ``+``
+    side of the diff this prints.  ``fig10``'s ``model_bytes`` column is the
+    size of a pickled ``MLPModel`` and so also depends on that class's import
+    path (see ``benchmarks/paper/README.md``).
+    """
+    expected = (EXPECTED / f'{name}.txt').read_text().splitlines()
+    actual = str(_table(name)).splitlines()
+    diff = '\n'.join(difflib.unified_diff(
+        expected, actual, f'expected/{name}.txt', 'actual', lineterm='',
+    ))
+    assert not diff, diff
 
 
 def test_table1_lists_all_paper_connectors():
-    table = run_table1()
+    table = _table('table1')
     names = set(table.column('connector'))
     for expected in ('FileConnector', 'RedisConnector', 'MargoConnector', 'UCXConnector',
                      'ZMQConnector', 'GlobusConnector', 'EndpointConnector'):
@@ -33,8 +79,7 @@ def test_table1_lists_all_paper_connectors():
 
 
 def test_fig5_noop_qualitative_findings():
-    sizes = [10, 1_000_000, 10_000_000]
-    table = run_figure5(task_type='noop', sizes=sizes)
+    table = _table('fig5_noop')
     theta = 'Theta -> Theta'
     # Cloud baseline is cut off by the payload limit; ProxyStore is not.
     assert table.value('roundtrip_s', configuration=theta, method='cloud',
@@ -56,11 +101,8 @@ def test_fig5_noop_qualitative_findings():
 
 
 def test_fig5_sleep_overlap_hides_transfer():
-    sizes = [10, 1_000_000]
-    noop = run_figure5(task_type='noop', sizes=sizes,
-                       configurations=FIG5_CONFIGURATIONS[2:3])
-    sleep = run_figure5(task_type='sleep', sizes=sizes,
-                        configurations=FIG5_CONFIGURATIONS[2:3])
+    noop = _table('fig5_noop')
+    sleep = _table('fig5_sleep')
     cfg = FIG5_CONFIGURATIONS[2].label
     # The asynchronous resolve lets the 1 MB transfer hide inside the 1 s
     # sleep: sleep-task time grows by (far) less than the no-op delta plus 1 s.
@@ -72,7 +114,7 @@ def test_fig5_sleep_overlap_hides_transfer():
 
 
 def test_fig6_qualitative_findings():
-    table = run_figure6(sizes=[1_000, 100_000_000])
+    table = _table('fig6')
     polaris = 'Polaris Login -> Polaris Compute'
     chameleon = 'Chameleon Node -> Chameleon Node'
     size = 100_000_000
@@ -102,7 +144,7 @@ def test_fig8_latency_grows_with_concurrency():
 
 
 def test_fig9_redis_ssh_faster_but_endpoints_competitive():
-    table = run_figure9(payload_sizes=(1_000, 1_000_000), requests=2)
+    table = _table('fig9')
     pair = 'Frontera -> Theta'
     endpoint = table.value('avg_time_ms', site_pair=pair, system='ps-endpoints',
                            operation='get', payload_bytes=1_000_000)
@@ -113,7 +155,7 @@ def test_fig9_redis_ssh_faster_but_endpoints_competitive():
 
 
 def test_fig10_payload_limit_and_speedup():
-    table = run_figure10(hidden_blocks=(1, 30, 50))
+    table = _table('fig10')
     assert table.value('transfer_s', hidden_blocks=50, method='cloud-transfer') is None
     assert table.value('transfer_s', hidden_blocks=50, method='endpoint-store') is not None
     cloud = table.value('transfer_s', hidden_blocks=30, method='cloud-transfer')
@@ -122,14 +164,14 @@ def test_fig10_payload_limit_and_speedup():
 
 
 def test_fig11_utilization_trends():
-    table = run_figure11(node_counts=(128, 1024))
+    table = _table('fig11')
     assert table.value('cpu_utilization', cpu_nodes=1024, configuration='baseline') < \
         table.value('cpu_utilization', cpu_nodes=128, configuration='baseline')
     assert table.value('cpu_utilization', cpu_nodes=1024, configuration='proxystore') > 0.9
 
 
 def test_table2_proxying_inputs_improves_roundtrip():
-    table = run_table2(repeats=2, image_side=512)
+    table = _table('table2')
     assert table.value('improvement_pct', configuration='FileStore (inputs)') > 10.0
     assert table.value('improvement_pct', configuration='EndpointStore (inputs)') > 0.0
 

@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness import ResultTable
-from repro.harness import format_table
-from repro.harness.reporting import mean
-from repro.harness.reporting import stdev
+from benchmarks.paper.figures import ResultTable
+from benchmarks.paper.figures import format_table
+from benchmarks.paper.figures.reporting import mean
+from benchmarks.paper.figures.reporting import stdev
 
 
 def test_mean_and_stdev():

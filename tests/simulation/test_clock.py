@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simulation import VirtualClock
+from benchmarks.paper.sim import VirtualClock
 
 
 def test_clock_starts_at_zero_by_default():

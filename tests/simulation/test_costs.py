@@ -3,22 +3,26 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.paper.sim import VirtualClock
+from benchmarks.paper.sim import paper_testbed
+from benchmarks.paper.sim.context import current_host
+from benchmarks.paper.sim.context import on_host
+from benchmarks.paper.sim.context import set_current_host
+from benchmarks.paper.sim.costed import CostedConnector
+from benchmarks.paper.sim.costs import CentralServerCost
+from benchmarks.paper.sim.costs import CloudRelayCost
+from benchmarks.paper.sim.costs import DataSpacesCost
+from benchmarks.paper.sim.costs import DistributedMemoryCost
+from benchmarks.paper.sim.costs import EndpointPeerCost
+from benchmarks.paper.sim.costs import GlobusTransferCost
+from benchmarks.paper.sim.costs import IPFSCost
+from benchmarks.paper.sim.costs import SharedFilesystemCost
+from benchmarks.paper.sim.costs import SSHTunnelRedisCost
+from benchmarks.paper.sim.costs import TransferCostModel
 from repro.connectors.local import LocalConnector
-from repro.simulation import VirtualClock
-from repro.simulation import paper_testbed
-from repro.simulation.context import current_host
-from repro.simulation.context import on_host
-from repro.simulation.context import set_current_host
-from repro.simulation.costed import CostedConnector
-from repro.simulation.costs import CentralServerCost
-from repro.simulation.costs import CloudRelayCost
-from repro.simulation.costs import DataSpacesCost
-from repro.simulation.costs import DistributedMemoryCost
-from repro.simulation.costs import EndpointPeerCost
-from repro.simulation.costs import GlobusTransferCost
-from repro.simulation.costs import IPFSCost
-from repro.simulation.costs import SharedFilesystemCost
-from repro.simulation.costs import SSHTunnelRedisCost
+from repro.store import ContextLifetime
+from repro.store import Store
+from tests.conftest import CountingConnector
 
 
 @pytest.fixture()
@@ -151,3 +155,96 @@ def test_costed_connector_config_delegates_to_inner(fabric):
     assert connector.config() == inner.config()
     with pytest.raises(NotImplementedError):
         CostedConnector.from_config({})
+
+
+# --------------------------------------------------------------------------- #
+# Per-key bookkeeping and batched eviction through the wrapper
+# --------------------------------------------------------------------------- #
+class _FirstFetchModel(TransferCostModel):
+    """Free puts; a get costs 1 s the first time a host fetches a key, 0.25 s after."""
+
+    name = 'first-fetch'
+
+    def put_cost(self, nbytes, host):
+        return 0.0
+
+    def get_cost(self, nbytes, origin_host, consumer_host, *, first_fetch=True):
+        return 1.0 if first_fetch else 0.25
+
+
+@pytest.fixture()
+def cost_model():
+    return _FirstFetchModel()
+
+
+def test_costed_connector_delegates_evict_batch(cost_model):
+    inner = CountingConnector()
+    costed = CostedConnector(inner, cost_model)
+    store = Store('costed-evict-batch', costed, metrics=True, register=False)
+    keys = store.put_batch([b'a' * 64, b'b' * 64, b'c' * 64])
+    store.evict_batch(keys)
+    assert inner.evict_batch_calls == 1
+    assert inner.evict_calls == 0
+    assert not any(store.exists(key) for key in keys)
+    assert store.metrics is not None
+    stats = store.metrics.get('evict_batch')
+    assert stats is not None and stats.count == 1
+    assert store.metrics.get('evict') is None
+
+
+def _per_key_state(costed):
+    """Every per-key container a CostedConnector holds (not its lock/ledger)."""
+    return {
+        name: value for name, value in vars(costed).items()
+        if isinstance(value, (dict, set, list))
+    }
+
+
+def test_costed_connector_evict_batch_clears_bookkeeping(cost_model):
+    inner = CountingConnector()
+    costed = CostedConnector(inner, cost_model)
+    keys = [costed.put(b'x' * 128) for _ in range(3)]
+    for key in keys:
+        costed.get(key)
+    state = _per_key_state(costed)
+    assert set(state) == {'_origins', '_fetched_at'}
+    assert all(set(held) == set(keys) for held in state.values())
+    costed.evict_batch(keys[:2])
+    costed.evict(keys[2])
+    assert not any(_per_key_state(costed).values())
+
+
+def test_costed_connector_rewritten_key_is_a_new_transfer(cost_model):
+    """evict -> set -> get at the same host pays the first-fetch cost again."""
+    costed = CostedConnector(LocalConnector(), cost_model)
+    key = costed.new_key()
+    costed.set(key, b'v1')
+    costed.get(key)
+    costed.get(key)
+    assert costed.ledger.last_get_cost == 0.25
+    costed.evict(key)
+    costed.set(key, b'v2')
+    assert costed.get(key) == b'v2'
+    assert costed.ledger.last_get_cost == 1.0
+    # An overwrite without an evict is a new object as well.
+    costed.set(key, b'v3')
+    costed.get(key)
+    assert costed.ledger.last_get_cost == 1.0
+
+
+def test_lifetime_close_is_one_batch_through_costed_store(cost_model):
+    inner = CountingConnector()
+    store = Store(
+        'costed-lifetime',
+        CostedConnector(inner, cost_model),
+        metrics=True,
+        register=False,
+    )
+    with ContextLifetime(store=store) as lifetime:
+        for i in range(5):
+            store.proxy(i, lifetime=lifetime)
+    assert inner.evict_batch_calls == 1
+    assert inner.evict_calls == 0
+    assert store.metrics is not None
+    stats = store.metrics.get('evict_batch')
+    assert stats is not None and stats.count == 1

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.exceptions import SimulationError
-from repro.exceptions import UnknownSiteError
-from repro.simulation import Fabric
-from repro.simulation import Host
-from repro.simulation import Link
-from repro.simulation.fabric import CLOUD_SERVICE_HOST
-from repro.simulation.fabric import paper_testbed
+from benchmarks.paper.sim import Fabric
+from benchmarks.paper.sim import Host
+from benchmarks.paper.sim import Link
+from benchmarks.paper.sim.fabric import CLOUD_SERVICE_HOST
+from benchmarks.paper.sim.fabric import paper_testbed
+from benchmarks.paper.sim.network import SimulationError
+from benchmarks.paper.sim.network import UnknownSiteError
 
 
 def make_simple_fabric() -> Fabric:

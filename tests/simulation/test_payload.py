@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simulation import payload_of_size
-from repro.simulation import size_sweep
-from repro.simulation.payload import human_size
+from benchmarks.paper.sim import payload_of_size
+from benchmarks.paper.sim import size_sweep
+from benchmarks.paper.sim.payload import human_size
 
 
 def test_payload_exact_size():

@@ -1,80 +1,14 @@
-"""Batched eviction stays batched through wrapper and routing connectors.
+"""Batched eviction stays batched through a routing connector.
 
 Lifetime closes and consumer acks tear down through ``Store.evict_batch``;
-these tests pin that the teardown is one batched connector operation (and
-one ``evict_batch`` metric) rather than a per-key fallback loop — the
-regression fixed for ``CostedConnector`` and ``MultiConnector``.
+these tests pin that ``MultiConnector`` turns the teardown into one batched
+operation per inner connector rather than a per-key fallback loop.
 """
 from __future__ import annotations
 
-import pytest
-
-from repro.connectors.local import LocalConnector
 from repro.connectors.multi import MultiConnector
 from repro.connectors.policy import Policy
-from repro.simulation.costed import CostedConnector
-from repro.simulation.costs import TransferCostModel
-from repro.store import ContextLifetime
-from repro.store import Store
-
-
-class CountingConnector(LocalConnector):
-    """LocalConnector that counts scalar vs batched evictions."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.evict_calls = 0
-        self.evict_batch_calls = 0
-
-    def evict(self, key):
-        self.evict_calls += 1
-        super().evict(key)
-
-    def evict_batch(self, keys):
-        self.evict_batch_calls += 1
-        super().evict_batch(list(keys))
-
-
-class _FreeModel(TransferCostModel):
-    """Cost model charging nothing — these tests care about call counts."""
-
-    name = 'free'
-
-    def put_cost(self, nbytes, host):
-        return 0.0
-
-    def get_cost(self, nbytes, origin_host, consumer_host, *, first_fetch=True):
-        return 0.0
-
-
-@pytest.fixture()
-def cost_model():
-    return _FreeModel()
-
-
-def test_costed_connector_delegates_evict_batch(cost_model):
-    inner = CountingConnector()
-    costed = CostedConnector(inner, cost_model)
-    store = Store('costed-evict-batch', costed, metrics=True, register=False)
-    keys = store.put_batch([b'a' * 64, b'b' * 64, b'c' * 64])
-    store.evict_batch(keys)
-    assert inner.evict_batch_calls == 1
-    assert inner.evict_calls == 0
-    assert not any(store.exists(key) for key in keys)
-    assert store.metrics is not None
-    stats = store.metrics.get('evict_batch')
-    assert stats is not None and stats.count == 1
-    assert store.metrics.get('evict') is None
-
-
-def test_costed_connector_evict_batch_clears_bookkeeping(cost_model):
-    inner = CountingConnector()
-    costed = CostedConnector(inner, cost_model)
-    keys = [costed.put(b'x' * 128) for _ in range(3)]
-    assert set(costed._origins) == set(keys)
-    costed.evict_batch(keys)
-    assert not costed._origins
-    assert not costed._sizes
+from tests.conftest import CountingConnector
 
 
 def test_multi_connector_groups_evictions_per_inner():
@@ -108,21 +42,3 @@ def test_multi_connector_batched_get_routes_per_inner():
     assert [bytes(d) for d in datas] == [b's' * 10, b'l' * 1000, b's2' * 5]
     missing = multi.get_batch([keys[0]._replace(inner_key=None)])
     assert missing == [None]
-
-
-def test_lifetime_close_is_one_batch_through_costed_store(cost_model):
-    inner = CountingConnector()
-    store = Store(
-        'costed-lifetime',
-        CostedConnector(inner, cost_model),
-        metrics=True,
-        register=False,
-    )
-    with ContextLifetime(store=store) as lifetime:
-        for i in range(5):
-            store.proxy(i, lifetime=lifetime)
-    assert inner.evict_batch_calls == 1
-    assert inner.evict_calls == 0
-    assert store.metrics is not None
-    stats = store.metrics.get('evict_batch')
-    assert stats is not None and stats.count == 1

@@ -18,9 +18,9 @@ from repro.connectors.ucx import UCXConnector
 from repro.connectors.zmq import ZMQConnector
 from repro.endpoint import Endpoint
 from repro.endpoint import RelayServer
-from repro.globus_sim import GlobusEndpointSpec
-from repro.globus_sim import reset_transfer_service
-from repro.globus_sim.service import get_transfer_service
+from repro.connectors.globus_service import GlobusEndpointSpec
+from repro.connectors.globus_service import reset_transfer_service
+from repro.connectors.globus_service import get_transfer_service
 from repro.store import Store
 
 

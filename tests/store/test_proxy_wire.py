@@ -27,7 +27,6 @@ from repro.connectors import FileConnector
 from repro.connectors import LocalConnector
 from repro.connectors import RedisConnector
 from repro.connectors.multi import MultiKey
-from repro.faas.context import TaskContext
 from repro.kvserver import launch_server
 from repro.proxy import Proxy
 from repro.proxy import SimpleFactory
@@ -37,7 +36,6 @@ from repro.proxy import resolve
 from repro.proxy.owned import RefProxy
 from repro.serialize import serialize
 from repro.serialize import to_bytes
-from repro.simulation.clock import VirtualClock
 from repro.store import FutureFactory
 from repro.store import Store
 from repro.store import StoreConfig
@@ -392,8 +390,6 @@ def test_unpickled_factory_never_builds_a_config_on_a_registry_hit(
     factory = get_factory(proxy)
     assert factory.store_name == local_store.name
     assert factory.get_store() is local_store
-    # FaaS store lookup goes by name too.
-    TaskContext(VirtualClock(), 'host').resolve_proxy(proxy)
     assert proxy == {'k': 'v'}
     # ... as does forwarding the still-unresolved reference onwards.
     assert pickle.dumps(pickle.loads(wire)) == wire

@@ -184,16 +184,23 @@ def test_proxy_connector_kwargs_rejected_for_plain_connector(local_store):
         local_store.proxy('x', subset_tags=('gpu',))
 
 
+class _PassThrough(LocalConnector):
+    """A wrapper connector: ``put`` forwards any kwargs to ``inner``."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+
+    def put(self, data, **kwargs):
+        return self.inner.put(data, **kwargs)
+
+
 def test_proxy_connector_kwargs_rejected_through_wrapper():
     """Validation follows wrapper connectors' inner chain instead of being
     fooled by their pass-through **kwargs signature."""
-    from repro.simulation.costed import CostedConnector
-    from repro.simulation.costs import SharedFilesystemCost
-    from repro.simulation.network import Fabric
-
-    fabric = Fabric()
-    wrapped = CostedConnector(LocalConnector(), SharedFilesystemCost(fabric))
-    store = Store('wrapped-kwargs-store', wrapped, register=False)
+    store = Store(
+        'wrapped-kwargs-store', _PassThrough(LocalConnector()), register=False,
+    )
     with pytest.raises(StoreError, match='subset_tags'):
         store.proxy('x', subset_tags=('gpu',))
     store.close(clear=True)

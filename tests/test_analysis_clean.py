@@ -18,7 +18,7 @@ def test_default_rule_set_is_clean():
     report = run_analysis(REPO_ROOT)
     rendered = '\n'.join(f.render() for f in report.findings)
     assert report.clean, f'repro.analysis found new violations:\n{rendered}'
-    assert report.files_checked > 100  # the walk really covered src/repro
+    assert report.files_checked > 70  # the walk really covered src/repro
 
 
 def test_all_six_rules_are_registered_and_ran():

@@ -12,6 +12,14 @@ import pickle
 import numpy as np
 import pytest
 
+from benchmarks.paper.faas import CloudFaaSService
+from benchmarks.paper.faas import ComputeEndpoint
+from benchmarks.paper.faas import Executor
+from benchmarks.paper.sim import VirtualClock
+from benchmarks.paper.sim import paper_testbed
+from benchmarks.paper.sim.context import on_host
+from benchmarks.paper.sim.costed import CostedConnector
+from benchmarks.paper.sim.costs import SharedFilesystemCost
 from repro.connectors.endpoint import EndpointConnector
 from repro.connectors.endpoint import set_local_endpoint
 from repro.connectors.file import FileConnector
@@ -22,18 +30,10 @@ from repro.connectors.redis import RedisConnector
 from repro.endpoint import Endpoint
 from repro.endpoint import RelayServer
 from repro.endpoint import reset_endpoint_registry
-from repro.faas import CloudFaaSService
-from repro.faas import ComputeEndpoint
-from repro.faas import Executor
 from repro.proxy import Proxy
 from repro.proxy import extract
 from repro.proxy import get_factory
 from repro.proxy import is_resolved
-from repro.simulation import VirtualClock
-from repro.simulation import paper_testbed
-from repro.simulation.context import on_host
-from repro.simulation.costed import CostedConnector
-from repro.simulation.costs import SharedFilesystemCost
 from repro.store import Store
 from repro.store import get_store
 from repro.store import unregister_store

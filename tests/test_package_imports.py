@@ -1,7 +1,15 @@
-"""``import repro`` is lazy: the tiers load on first use, not on import."""
+"""What ``import repro`` loads, and what the library may import at all.
+
+``import repro`` is lazy (the tiers load on first use, not on import), and
+``src/repro`` is the store only: the paper-reproduction scaffolding lives in
+``benchmarks/paper`` and the dependency runs one way.
+"""
 from __future__ import annotations
 
+import ast
+import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -40,3 +48,87 @@ def test_every_export_resolves_and_is_listed():
     # imported them eagerly.
     assert repro.store.get_store is repro.get_store
     assert not hasattr(repro, 'no_such_name')
+
+
+# --------------------------------------------------------------------------- #
+# The library / paper-scaffolding boundary
+# --------------------------------------------------------------------------- #
+REPO = pathlib.Path(repro.__file__).resolve().parents[2]
+FORMER_PACKAGES = ('harness', 'simulation', 'apps', 'faas', 'baselines', 'globus_sim')
+#: The scaffolding's own tests, still under ``tests/`` (their move to
+#: ``benchmarks/paper/tests`` is an open ROADMAP item); every other file there
+#: tests the library and may not reach for ``benchmarks.paper``.
+PAPER_TESTS = (
+    ('harness',), ('simulation',), ('apps',), ('faas',), ('baselines',),
+    ('test_integration.py',),
+)
+
+
+def _imported_modules(path: pathlib.Path, absolute_only: bool = False) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (absolute_only and node.level), f'{path}: relative import'
+            if node.module and not node.level:
+                names.add(node.module)
+                names.update(f'{node.module}.{alias.name}' for alias in node.names)
+    return names
+
+
+def test_library_imports_nothing_from_the_paper_scaffolding():
+    banned = ('benchmarks',) + tuple(f'repro.{name}' for name in FORMER_PACKAGES)
+    offenders = [
+        f'{path.relative_to(REPO)}: {name}'
+        for path in sorted((REPO / 'src' / 'repro').rglob('*.py'))
+        for name in sorted(_imported_modules(path))
+        if name.startswith(banned)
+    ]
+    assert not offenders, offenders
+    for name in FORMER_PACKAGES:
+        assert not (REPO / 'src' / 'repro' / name).exists()
+
+
+_WALK_LIBRARY = '''
+import pkgutil
+import repro
+names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.', onerror=None)]
+for name in names:
+    __import__(name)
+assert len(names) > 60, names
+print(len(names))
+'''
+
+
+def test_every_library_module_imports_with_only_src_on_the_path(tmp_path):
+    """The library needs nothing from the repo root (``benchmarks/``)."""
+    result = subprocess.run(
+        [sys.executable, '-c', _WALK_LIBRARY],
+        env={**os.environ, 'PYTHONPATH': str(REPO / 'src')},
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_only_the_paper_tests_import_the_paper_scaffolding():
+    offenders = [
+        str(path.relative_to(REPO))
+        for path in sorted((REPO / 'tests').rglob('*.py'))
+        if path.relative_to(REPO / 'tests').parts[:1] not in PAPER_TESTS
+        and any(name.startswith('benchmarks.paper') for name in _imported_modules(path))
+    ]
+    assert not offenders, offenders
+
+
+def test_the_scaffolding_is_imported_under_one_name():
+    """``benchmarks/`` is on ``sys.path`` while a ``bench_*`` script runs, so
+    a relative or ``paper.``-rooted import would load a second copy of it."""
+    importlib.import_module('benchmarks.paper.figures')  # never a vacuous check
+    twice = [
+        name for name in sys.modules if name == 'paper' or name.startswith('paper.')
+    ]
+    assert not twice, twice
+    for path in sorted((REPO / 'benchmarks' / 'paper').rglob('*.py')):
+        for name in _imported_modules(path, absolute_only=True):
+            assert not name.startswith('paper'), f'{path}: {name}'
