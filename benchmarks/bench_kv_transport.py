@@ -51,7 +51,7 @@ from typing import Any
 from repro.dim.client import DIMClient
 from repro.dim.node import reset_nodes
 from repro.kvserver.client import KVClient
-from repro.kvserver.protocol import recv_message
+from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import send_message
 from repro.kvserver.server import KVServer
 
@@ -186,13 +186,14 @@ class SerializedBaselineClient:
         self.sock = socket.create_connection((host, port))
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._lock = threading.Lock()
+        self._decoder = StreamDecoder()
         self._next_id = 0
 
     def request(self, command: str, key: str | None = None, value: Any = None) -> Any:
         with self._lock:
             self._next_id += 1
             send_message(self.sock, (self._next_id, command, key, value))
-            response = recv_message(self.sock)
+            response = self._decoder.read_message(self.sock)
             assert response is not None and response[1] == 'ok', response
             return response[2]
 

@@ -13,8 +13,6 @@ import os
 
 import pytest
 
-# repro.connectors before repro.dim: importing repro.dim first hits a
-# circular import (dim.client -> connectors -> dim_base -> dim.client).
 from repro.connectors.globus_service import reset_transfer_service
 from repro.dim import reset_nodes
 from repro.endpoint import reset_endpoint_registry

@@ -37,6 +37,7 @@ the rebalancer skips stripe ids.
 from __future__ import annotations
 
 import threading
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 from typing import Iterable
@@ -47,7 +48,6 @@ from typing import Sequence
 from repro.cluster.attach import ClusterAttachment
 from repro.cluster.attach import ClusterOptions
 from repro.cluster.ring import LegacyRing
-from repro.connectors.protocol import new_object_id
 from repro.dim.node import DIMKey
 from repro.dim.node import DIMReplica
 from repro.dim.node import DIMShard
@@ -480,7 +480,7 @@ class DIMClient:
 
     def put(self, data) -> DIMKey:
         """Store ``data``: striped if large, else on the ring or the local node."""
-        object_id = new_object_id()
+        object_id = uuid.uuid4().hex
         nbytes = payload_nbytes(data)
         if self._shardable(nbytes):
             return self._put_sharded(object_id, data, nbytes)
@@ -552,9 +552,9 @@ class DIMClient:
         for i, data in enumerate(datas):
             nbytes = payload_nbytes(data)
             if self._shardable(nbytes):
-                keys[i] = self._put_sharded(new_object_id(), data, nbytes)
+                keys[i] = self._put_sharded(uuid.uuid4().hex, data, nbytes)
             else:
-                plain.append((i, new_object_id(), data))
+                plain.append((i, uuid.uuid4().hex, data))
         items = [(object_id, data) for _, object_id, data in plain]
         engine = self.cluster.client
         placements: dict[str, Any] = {}

@@ -21,7 +21,6 @@ from repro.faults.plan import FaultAction
 from repro.faults.plan import FaultPlan
 from repro.faults.plan import FaultPlanRun
 from repro.faults.retry import DEFAULT_RECONNECT_POLICY
-from repro.faults.retry import IMMEDIATE_POLICY
 from repro.faults.retry import RetryPolicy
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     'FaultInjector',
     'FaultPlan',
     'FaultPlanRun',
-    'IMMEDIATE_POLICY',
     'RetryPolicy',
     'current_injector',
     'install_injector',

@@ -1,10 +1,12 @@
 """Shared retry policy: jittered exponential backoff.
 
-Every reconnect/retry path in the code base — the SimKV client's
-stale-connection loop, streaming subscription reconnects, broker
-failover, and the workflow engine's transient-fault resubmission —
-derives its delays from one :class:`RetryPolicy` so backoff behaviour
-(growth rate, cap, jitter) is tuned in exactly one place.
+The two retry loops in the code base — the SimKV client's immediate
+stale-connection retry (``KVClient._request``) and the broker owner walk
+every routed publish, coordinator command and subscription shares
+(``PartitionRouter.first_live``) — iterate a :class:`RetryPolicy`, and
+the workflow engine's transient-fault resubmission takes its delays from
+one, so backoff behaviour (growth rate, cap, jitter) is tuned in exactly
+one place.
 
 The jitter is *full-spread around the nominal delay*: attempt ``n``
 sleeps ``base * multiplier**n`` (capped at ``max_delay``), scaled by a
@@ -16,13 +18,8 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Callable
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Any
-from typing import TypeVar
-
-T = TypeVar('T')
 
 #: Process-wide rng used when a policy call does not supply one.
 _GLOBAL_RNG = random.Random()
@@ -91,32 +88,6 @@ class RetryPolicy:
                     time.sleep(pause)
             yield attempt
 
-    def call(
-        self,
-        fn: Callable[[], T],
-        *,
-        retry_on: tuple[type[BaseException], ...] = (Exception,),
-        rng: random.Random | None = None,
-        on_retry: Callable[[int, BaseException], Any] | None = None,
-    ) -> T:
-        """Call ``fn`` under this policy, retrying on ``retry_on`` failures.
-
-        ``on_retry(attempt, error)`` is invoked before each backoff sleep;
-        the final failure is re-raised unmodified.
-        """
-        for attempt in range(self.max_attempts):
-            try:
-                return fn()
-            except retry_on as error:
-                if attempt + 1 >= self.max_attempts:
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, error)
-                pause = self.delay(attempt, rng)
-                if pause > 0.0:
-                    time.sleep(pause)
-        raise AssertionError('unreachable')  # pragma: no cover
-
 
 #: Default policy for broker reconnect/failover paths: ~6 attempts spanning
 #: roughly 1.5 s of nominal backoff — long enough to ride out a broker
@@ -124,8 +95,3 @@ class RetryPolicy:
 DEFAULT_RECONNECT_POLICY = RetryPolicy(
     max_attempts=6, base_delay=0.05, max_delay=0.5, jitter=0.5,
 )
-
-#: Default policy for pipelined request clients: retry immediately on a
-#: stale pooled connection (no sleep), bounded by the pool size at the
-#: call site.
-IMMEDIATE_POLICY = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)

@@ -9,7 +9,10 @@ wire's capability.  This client removes that serialization:
   receives response frames and hands each to the waiter registered under
   its id.  Many requests from many threads are therefore *in flight on one
   connection at once* — the send path only locks long enough to write the
-  frame (the pickling happens outside the lock).
+  frame (the pickling happens outside the lock).  Server-initiated
+  ``EVENT`` frames go to the connection's ``on_event`` sink instead: a
+  push subscription (:mod:`repro.stream.kv`) is this same connection class
+  with a sink, not a second socket stack.
 * A small **connection pool** (``pool_size``) spreads requests round-robin
   across sockets, so a large transfer streaming down one connection does
   not head-of-line block small operations, and sharded transfers to one
@@ -34,6 +37,7 @@ import struct
 import threading
 import time
 from typing import Any
+from typing import Callable
 from typing import Iterable
 from typing import Sequence
 
@@ -43,6 +47,7 @@ from repro.exceptions import NodeUnavailableError
 from repro.faults import injection
 from repro.faults.retry import RetryPolicy
 from repro.kvserver.broker import GroupCommands
+from repro.kvserver.protocol import EVENT_STATUS
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import encode_message
@@ -50,7 +55,7 @@ from repro.serialize.buffers import SerializedObject
 from repro.serialize.buffers import segments_of
 from repro.serialize.buffers import vectored_write
 
-__all__ = ['DEFAULT_POOL_SIZE', 'DEFAULT_TIMEOUT', 'KVClient']
+__all__ = ['DEFAULT_POOL_SIZE', 'DEFAULT_TIMEOUT', 'KVClient', 'open_connection']
 
 #: Default number of pooled connections per client.  Two keeps small
 #: operations flowing while a bulk transfer occupies the other socket;
@@ -67,8 +72,8 @@ def _wrap_value(data: 'bytes | bytearray | memoryview | SerializedObject') -> li
     return [pickle.PickleBuffer(segment) for segment in segments_of(data)]
 
 
-class _StaleConnectionError(Exception):
-    """A pooled connection died under a request (candidate for one retry)."""
+class _StaleConnectionError(NodeUnavailableError):
+    """A connection died under a request (a pooled one is retried afresh)."""
 
 
 class _Pending:
@@ -83,16 +88,28 @@ class _Pending:
 
 
 class _Connection:
-    """One pooled socket: a send lock, a reader thread, and in-flight waiters.
+    """One client socket: a send lock, a reader thread, and in-flight waiters.
 
     The reader thread is the only consumer of the socket; it dispatches
     each ``(request_id, status, payload)`` response to the matching waiter.
     Sends are serialized by ``_send_lock`` but *responses are not awaited
     under it*, which is what allows pipelining.
+
+    ``on_event`` is the sink for server pushes: it is called on the reader
+    thread with the payload of every ``EVENT`` frame, and once with ``None``
+    when the connection dies.  Frames are dispatched in wire order, so a
+    sink that blocks stalls the replies queued behind it.
     """
 
-    def __init__(self, host: str, port: int, timeout: float) -> None:
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        timeout: float,
+        on_event: 'Callable[[Any], None] | None' = None,
+    ) -> None:
         self._addr = (host, port)
+        self._on_event = on_event
         injection.on_connect(host, port)  # fault seam: refuse/latency
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -145,6 +162,12 @@ class _Connection:
                 return
             try:
                 request_id, status, payload = message
+                if status == EVENT_STATUS:
+                    # A push, not a reply; the sink rejects a payload of
+                    # the wrong shape by raising like the unpack above.
+                    if self._on_event is not None:
+                        self._on_event(payload)
+                    continue
             except (TypeError, ValueError):
                 self._fail(ConnectorError(f'malformed SimKV response: {message!r}'))
                 return
@@ -171,6 +194,8 @@ class _Connection:
         for waiter in pending.values():
             waiter.error = error
             waiter.event.set()
+        if self._on_event is not None:
+            self._on_event(None)
         # shutdown() (unlike a bare close()) reliably wakes a reader thread
         # blocked in recv so join_reader() returns promptly.
         try:
@@ -269,6 +294,26 @@ class _Connection:
         self.join_reader()
 
 
+def open_connection(
+    host: str,
+    port: int,
+    timeout: float,
+    on_event: 'Callable[[Any], None] | None' = None,
+) -> _Connection:
+    """Connect to a SimKV server; the one place a client socket is made.
+
+    A refused or timed-out connect is typed
+    :class:`~repro.exceptions.NodeUnavailableError`, so replicated callers
+    know the node is down (retry elsewhere) rather than the request bad.
+    """
+    try:
+        return _Connection(host, port, timeout, on_event)
+    except OSError as e:
+        raise NodeUnavailableError(
+            f'cannot connect to SimKV server at {host}:{port}: {e}',
+        ) from e
+
+
 class KVClient(GroupCommands):
     """Pipelined client for a :class:`~repro.kvserver.server.KVServer`.
 
@@ -283,11 +328,6 @@ class KVClient(GroupCommands):
             connection has received no bytes for this long, so large
             transfers that are still streaming never trip it.
         pool_size: number of pooled connections requests round-robin over.
-        retry_policy: backoff schedule for stale-connection retries.  The
-            default retries immediately (zero delay) ``pool_size + 1``
-            times — cycling to a fresh pooled socket costs nothing — but
-            failover-aware callers may install a jittered schedule from
-            :mod:`repro.faults.retry` to ride out broker restarts.
     """
 
     def __init__(
@@ -297,7 +337,6 @@ class KVClient(GroupCommands):
         *,
         timeout: float = DEFAULT_TIMEOUT,
         pool_size: int = DEFAULT_POOL_SIZE,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         if pool_size < 1:
             raise ValueError('pool_size must be at least 1')
@@ -305,7 +344,10 @@ class KVClient(GroupCommands):
         self.port = port
         self.timeout = timeout
         self.pool_size = pool_size
-        self.retry_policy = retry_policy or RetryPolicy(
+        # Stale-connection retries are immediate: cycling to a fresh pooled
+        # socket costs nothing, and riding out a restart is the owner
+        # walk's job (PartitionRouter.first_live), not this client's.
+        self._retry = RetryPolicy(
             max_attempts=pool_size + 1, base_delay=0.0, jitter=0.0,
         )
         self._pool: list[_Connection | None] = [None] * pool_size
@@ -324,15 +366,7 @@ class KVClient(GroupCommands):
         with self._slot_locks[index]:
             connection = self._pool[index]
             if connection is None or connection.dead:
-                try:
-                    connection = _Connection(self.host, self.port, self.timeout)
-                except OSError as e:
-                    # Typed so replicated callers know this node is down
-                    # (retry elsewhere) rather than the request being bad.
-                    raise NodeUnavailableError(
-                        f'cannot connect to SimKV server at '
-                        f'{self.host}:{self.port}: {e}',
-                    ) from e
+                connection = open_connection(self.host, self.port, self.timeout)
                 self._pool[index] = connection
             return connection
 
@@ -343,12 +377,11 @@ class KVClient(GroupCommands):
         retried on a fresh connection (every SimKV command is idempotent).
         Up to ``pool_size`` stale connections may be encountered before a
         fresh one (e.g. after a server restart every pooled socket is
-        dead), so stale failures do not consume the retry — by default the
-        request only fails after ``pool_size + 1`` immediate attempts;
-        ``retry_policy`` governs the attempt count and any backoff.
+        dead), so stale failures do not consume the retry — the request
+        only fails after ``pool_size + 1`` immediate attempts.
         """
         last_error: Exception | None = None
-        for _attempt in self.retry_policy.attempts():
+        for _attempt in self._retry.attempts():
             connection = self._connection()
             try:
                 status, payload = connection.request((command, key, value), self.timeout)

@@ -21,12 +21,13 @@ back to waiters, so the transport no longer serializes round trips.
 Pickle is acceptable here because both ends are this library (SimKV is an
 internal substrate, not an internet-facing service).
 
-Two consumption styles are provided on the receive side:
-
-* :func:`recv_message` — blocking, used by the client reader thread.
-* :class:`StreamDecoder` — an incremental state machine fed from a
-  non-blocking socket, used by the event-loop server.  Both read
-  out-of-band buffers straight into pre-sized ``bytearray`` objects.
+There is one frame reader, :class:`StreamDecoder`: an incremental state
+machine with two entry points — :meth:`StreamDecoder.read_from` drains a
+non-blocking socket for the event-loop server, and
+:meth:`StreamDecoder.read_message` blocks for one frame on the client's
+reader thread (the only thread that receives on a client connection,
+whether the frame is a reply or a pushed ``EVENT``).  Out-of-band buffers
+are read straight into pre-sized ``bytearray`` objects.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ __all__ = [
     'StreamDecoder',
     'UNKNOWN_MEMBER',
     'encode_message',
-    'recv_message',
     'send_message',
 ]
 
@@ -111,11 +111,6 @@ def _check_frame(pickle_len: int, n_buffers: int, buffer_bytes: int = 0) -> None
         )
 
 
-def _sendmsg_all(sock: socket.socket, buffers: list[memoryview]) -> None:
-    """Send every buffer with scatter/gather writes, handling partial sends."""
-    vectored_write(sock.sendmsg, buffers)
-
-
 def encode_message(message: Any) -> list[memoryview]:
     """Pickle ``message`` (buffers out-of-band) into wire-order segments.
 
@@ -141,67 +136,17 @@ def encode_message(message: Any) -> list[memoryview]:
 
 
 def send_message(sock: socket.socket, message: Any) -> None:
-    """Pickle ``message`` (buffers out-of-band) and send it with one frame."""
-    _sendmsg_all(sock, encode_message(message))
+    """Pickle ``message`` (buffers out-of-band) and send it as one frame.
 
-
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = nbytes
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b''.join(chunks)
-
-
-def _recv_into_exact(sock: socket.socket, buffer: bytearray) -> bool:
-    """Fill ``buffer`` completely from the socket; False on a closed peer."""
-    view = memoryview(buffer)
-    while len(view) > 0:
-        received = sock.recv_into(view, len(view))
-        if received == 0:
-            return False
-        view = view[received:]
-    return True
-
-
-def recv_message(sock: socket.socket) -> Any | None:
-    """Receive one framed message; ``None`` on a cleanly closed socket.
-
-    Out-of-band buffers are received straight into fresh ``bytearray``
-    objects (one allocation, no join) and surface inside the unpickled
-    message as writable buffer views.
+    Scatter/gather writes, partial sends handled.  The client and the
+    server queue :func:`encode_message` segments themselves; this is the
+    blocking one-liner for raw-socket tests and baselines.
     """
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    pickle_len, n_buffers = _HEADER.unpack(header)
-    _check_frame(pickle_len, n_buffers)
-    buffers: list[bytearray] = []
-    if n_buffers:
-        lengths_raw = _recv_exact(sock, _U64.size * n_buffers)
-        if lengths_raw is None:
-            return None
-        lengths = [
-            _U64.unpack_from(lengths_raw, i * _U64.size)[0]
-            for i in range(n_buffers)
-        ]
-        _check_frame(pickle_len, n_buffers, sum(lengths))
-        buffers = [bytearray(length) for length in lengths]
-    payload = _recv_exact(sock, pickle_len)
-    if payload is None:
-        return None
-    for buffer in buffers:
-        if not _recv_into_exact(sock, buffer):
-            return None
-    return pickle.loads(payload, buffers=buffers)
+    vectored_write(sock.sendmsg, encode_message(message))
 
 
 # --------------------------------------------------------------------------- #
-# Incremental decoding for the non-blocking event-loop server
+# Incremental decoding
 # --------------------------------------------------------------------------- #
 _STAGE_HEADER = 0
 _STAGE_LENGTHS = 1
@@ -212,14 +157,13 @@ _NO_MESSAGE = object()
 
 
 class StreamDecoder:
-    """Incremental frame decoder fed from a non-blocking socket.
+    """Incremental frame decoder, the only reader of SimKV frames.
 
     The decoder keeps exactly one fill target at a time (frame header,
     buffer-length table, pickle bytes, or the current out-of-band buffer)
-    and reads into it with ``recv_into`` — the same one-allocation,
-    no-join receive path as :func:`recv_message`, restartable at any byte
-    boundary so a single event-loop thread can interleave many
-    connections.
+    and reads into it with ``recv_into`` — one allocation per section, no
+    join — restartable at any byte boundary so a single event-loop thread
+    can interleave many connections.
     """
 
     __slots__ = (

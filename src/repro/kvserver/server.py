@@ -473,20 +473,15 @@ class KVServer:
     def _handle(self, request: Any, conn: _ClientConn) -> tuple[Any, str, Any]:
         """Execute one request; returns the ``(request_id, status, payload)``.
 
-        Requests are ``(request_id, command, key, value)``; bare legacy
-        ``(command, key, value)`` triples are still accepted and answered
-        with a ``None`` request id.  ``conn`` is the issuing connection —
-        pub/sub commands bind subscriptions to it and fan pushes out from
-        it.
+        Requests are ``(request_id, command, key, value)``; any other
+        shape is answered *malformed request* with a ``None`` request id.
+        ``conn`` is the issuing connection — pub/sub commands bind
+        subscriptions to it and fan pushes out from it.
         """
-        request_id: Any = None
         try:
-            if isinstance(request, tuple) and len(request) == 4:
-                request_id, command, key, value = request
-            else:
-                command, key, value = request
+            request_id, command, key, value = request
         except (TypeError, ValueError):
-            return (request_id, 'error', f'malformed request: {request!r}')
+            return (None, 'error', f'malformed request: {request!r}')
         try:
             status, payload = self._execute(str(command).upper(), key, value, conn)
         # repro: ignore[RP004] - not swallowed: the failure is returned

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import ast
 import io
-import os
 import pickle
 import struct
 from typing import Any
@@ -110,17 +109,7 @@ __all__ = [
 _DEFAULT_SMALL_FRAME_THRESHOLD = 16 * 1024
 
 
-def _initial_threshold() -> int:
-    raw = os.environ.get('REPRO_SMALL_FRAME_THRESHOLD')
-    if raw is None:
-        return _DEFAULT_SMALL_FRAME_THRESHOLD
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return _DEFAULT_SMALL_FRAME_THRESHOLD
-
-
-_small_threshold = _initial_threshold()
+_small_threshold = _DEFAULT_SMALL_FRAME_THRESHOLD
 
 
 def small_frame_threshold() -> int:
@@ -128,8 +117,7 @@ def small_frame_threshold() -> int:
 
     Payloads strictly smaller than this are serialized as one compact
     ``bytes`` frame instead of a segmented :class:`SerializedObject`.  The
-    initial value is 16 KiB, overridable through the
-    ``REPRO_SMALL_FRAME_THRESHOLD`` environment variable.
+    initial value is 16 KiB.
     """
     return _small_threshold
 

@@ -564,10 +564,14 @@ class StreamConsumer:
 
     # -- event plumbing ----------------------------------------------------- #
     def _ensure_subscribed(self) -> Any:
+        """Subscribe through a one-partition router (same topic name on the
+        wire), whose owner walk rides out a restart of the broker."""
         if self._subscription is None:
-            self._subscription = self.bus.subscribe(
-                self.topic, from_seq=self._from_seq,
-            )
+            from repro.stream.groups import PartitionRouter
+
+            self._subscription = PartitionRouter(
+                self.topic, 1, self.bus,
+            ).subscribe(self.topic, from_seq=self._from_seq)
         return self._subscription
 
     @property

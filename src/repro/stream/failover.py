@@ -19,8 +19,10 @@ the DIM cluster uses for data keys:
   dies it re-subscribes on the next live ring owner *from its own
   cursor*.  Because replicas share the primary's numbering, the resume
   is exact: delivered/redelivered/lost accounting carries over without
-  renumbering, and reconnects use the shared jittered backoff policy
-  from :mod:`repro.faults.retry`.
+  renumbering.  Finding the next owner is the router's one owner walk
+  (:meth:`~repro.stream.groups.PartitionRouter.first_live`) — the same
+  loop, and the only backoff, that publishes and coordinator commands
+  use; with one owner per partition it is what rides out a restart.
 
 The placement ring itself deliberately stays **static** over the full
 broker fleet: failover changes which *owner in the list* serves a
@@ -35,8 +37,6 @@ from typing import TYPE_CHECKING
 
 from repro.exceptions import ConnectorError
 from repro.exceptions import NodeUnavailableError
-from repro.faults.retry import DEFAULT_RECONNECT_POLICY
-from repro.faults.retry import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.stream.groups import PartitionRouter
@@ -66,11 +66,9 @@ class FailoverSubscription:
         topic: str,
         *,
         from_seq: int | None = None,
-        policy: RetryPolicy | None = None,
     ) -> None:
         self._router = router
         self.topic = topic
-        self._policy = policy or DEFAULT_RECONNECT_POLICY
         self._sub: Any = None
         #: Ring node id of the broker currently serving the subscription.
         self.broker: str | None = None
@@ -90,35 +88,22 @@ class FailoverSubscription:
 
     # -- connection management ---------------------------------------------- #
     def _connect(self, from_seq: int | None) -> None:
-        """(Re)subscribe on the first live ring owner, with backoff.
+        """(Re)subscribe on the first live ring owner.
 
-        Each backoff attempt walks the owner list alive-first, so a dead
-        primary costs one recorded failure before the replica answers.
+        The router's owner walk tries owners alive-first, so a dead primary
+        costs one recorded failure before the replica answers; a broker
+        that refuses the ``SUBSCRIBE`` for any other reason is walked past
+        the same way.
         """
-        last: Exception | None = None
-        for _attempt in self._policy.attempts():
-            if self._closed:
-                return
-            for node in self._router.ordered_owners(self.topic):
-                bus = self._router.bus_of(node)
-                try:
-                    sub = bus.subscribe(self.topic, from_seq=from_seq)
-                except ConnectorError as e:
-                    self._router.record(
-                        node,
-                        ok=False,
-                        unavailable=isinstance(e, NodeUnavailableError),
-                        error=e,
-                    )
-                    last = e
-                    continue
-                self._router.record(node, ok=True)
-                self._sub = sub
-                self.broker = node
-                return
-        raise last if last is not None else NodeUnavailableError(
-            f'no broker reachable for topic {self.topic!r}',
+        self.broker, self._sub = self._router.first_live(
+            self.topic,
+            lambda node: self._router.bus_of(node).subscribe(
+                self.topic, from_seq=from_seq,
+            ),
+            walk_past=ConnectorError,
         )
+        if self._closed:  # closed from another thread during the walk
+            self._sub.close()
 
     def _failover(self) -> None:
         """Swap to the next live owner, resuming from the current cursor."""

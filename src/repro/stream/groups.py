@@ -318,24 +318,38 @@ class PartitionRouter:
             )
         return seqs
 
-    def first_live(self, key: str, op: Any) -> tuple[str, Any]:
+    def first_live(
+        self,
+        key: str,
+        op: Any,
+        *,
+        walk_past: type[ConnectorError] = NodeUnavailableError,
+    ) -> tuple[str, Any]:
         """Run ``op(node)`` on ``key``'s first reachable owner.
 
-        The failover walk every routed request shares: owners are tried
-        live-first, a :class:`~repro.exceptions.NodeUnavailableError` is
-        recorded against the broker and moves on to the next owner, and
-        the whole walk is retried under the shared jittered backoff
-        policy — so a lone owner that is restarting is ridden out
-        (≈ 1 s) before the error is raised.  Any other error is the
-        request's own problem and propagates.  Returns ``(node, result)``.
+        The failover walk every routed request and subscription shares:
+        owners are tried live-first, a
+        :class:`~repro.exceptions.NodeUnavailableError` is recorded
+        against the broker and moves on to the next owner, and the whole
+        walk is retried under the shared jittered backoff policy — so a
+        lone owner that is restarting is ridden out (≈ 1 s) before the
+        error is raised.  Any other error is the request's own problem and
+        propagates, unless ``walk_past`` widens what moves the walk on (a
+        subscription tries the next owner whatever the refusal was).
+        Returns ``(node, result)``.
         """
         last: Exception | None = None
         for _attempt in DEFAULT_RECONNECT_POLICY.attempts():
             for node in self.ordered_owners(key):
                 try:
                     result = op(node)
-                except NodeUnavailableError as e:
-                    self.record(node, ok=False, unavailable=True, error=e)
+                except walk_past as e:
+                    self.record(
+                        node,
+                        ok=False,
+                        unavailable=isinstance(e, NodeUnavailableError),
+                        error=e,
+                    )
                     last = e
                     continue
                 self.record(node, ok=True)
@@ -370,16 +384,12 @@ class PartitionRouter:
     def subscribe(self, partition_topic: str, *, from_seq: int | None = None) -> Any:
         """Subscribe to ``partition_topic`` on its current live owner.
 
-        With replication on, returns a
-        :class:`~repro.stream.failover.FailoverSubscription` that rides
-        out broker death by re-subscribing on the next live owner from
-        its cursor; otherwise a plain transport subscription.
+        Returns a :class:`~repro.stream.failover.FailoverSubscription`,
+        which rides out the death of the broker under it by re-subscribing
+        from its cursor on the next live owner — with ``replicas=1`` that
+        is the same broker once it is back.
         """
-        if self.replicas > 1:
-            return FailoverSubscription(self, partition_topic, from_seq=from_seq)
-        return self.bus_for(partition_topic).subscribe(
-            partition_topic, from_seq=from_seq,
-        )
+        return FailoverSubscription(self, partition_topic, from_seq=from_seq)
 
     def config(self) -> dict[str, Any]:
         """Return a picklable dict re-creating an equivalent router."""

@@ -7,15 +7,17 @@ ring buffer and fans it out to subscribed connections as unsolicited
 
 * Publishing and catch-up fetches reuse the **pipelined** :class:`KVClient`
   (batched ``MPUBLISH`` frames, many publishes in flight on one socket).
-* Each subscription holds a **dedicated connection**: the server pushes
-  event batches to it, a reader thread queues them, and the consumer
-  drains the queue.  The queue is bounded — a consumer that stops draining
-  stalls its own TCP receive window, the server's outgoing queue for that
-  connection hits the ``push_highwater`` mark and pushes stop, and the
-  topic's ring retention bounds what the server keeps.  When the consumer
-  resumes, the sequence gap is detected and a ``FETCH`` replays whatever
-  the ring still holds (the rest is counted as *lost*, never silently
-  skipped).
+* Each subscription holds a **dedicated connection** of the same class the
+  pipelined client pools (:func:`~repro.kvserver.client.open_connection`):
+  the server pushes event batches to it, the connection's reader thread
+  hands them to the subscription's sink, which queues them, and the
+  consumer drains the queue.  The queue is bounded — a consumer that
+  stops draining stalls its own TCP receive window, the server's outgoing
+  queue for that connection hits the ``push_highwater`` mark and pushes
+  stop, and the topic's ring retention bounds what the server keeps.
+  When the consumer resumes, the sequence gap is detected and a ``FETCH``
+  replays whatever the ring still holds (the rest is counted as *lost*,
+  never silently skipped).
 
 The bus registers under the ``kv`` and ``redis`` URL schemes, so
 ``event_bus_from_url('kv://127.0.0.1:7777?launch=1')`` selects it through
@@ -24,7 +26,6 @@ the same scheme-registry pattern stores use.
 from __future__ import annotations
 
 import queue
-import socket
 import threading
 import time
 from typing import Any
@@ -33,15 +34,10 @@ from typing import Sequence
 from repro.connectors.registry import StoreURL
 from repro.exceptions import ConnectorError
 from repro.exceptions import NodeUnavailableError
-from repro.faults import injection
-from repro.faults.retry import DEFAULT_RECONNECT_POLICY
-from repro.faults.retry import RetryPolicy
 from repro.kvserver.client import DEFAULT_POOL_SIZE
 from repro.kvserver.client import DEFAULT_TIMEOUT
 from repro.kvserver.client import KVClient
-from repro.kvserver.protocol import EVENT_STATUS
-from repro.kvserver.protocol import StreamDecoder
-from repro.kvserver.protocol import send_message
+from repro.kvserver.client import open_connection
 from repro.kvserver.server import launch_server
 from repro.stream.bus import register_event_bus
 
@@ -52,19 +48,23 @@ __all__ = ['KVEventBus', 'KVSubscription']
 #: highwater backpressure — bounded memory at every hop.
 DEFAULT_MAX_QUEUED_BATCHES = 64
 
-_SUBSCRIBE_REQUEST_ID = 0
-
 
 class KVSubscription:
     """One consumer's subscription to a topic on a SimKV broker.
 
-    The subscription owns a dedicated socket (server pushes are
-    per-connection) plus a reader thread feeding a bounded queue.
-    :meth:`next_batch` reconciles pushed batches with the expected sequence
-    number: gaps (pushes dropped while this consumer lagged, or a
-    reconnect) are backfilled from the topic ring via the bus's pipelined
-    client, and events that aged out of retention are counted in
-    :attr:`lost`.
+    The subscription is a dedicated client connection (server pushes are
+    per-connection) whose event sink feeds a bounded queue, plus the
+    ``SUBSCRIBE`` request issued over it.  :meth:`next_batch` reconciles
+    pushed batches with the expected sequence number: gaps (pushes dropped
+    while this consumer lagged) are backfilled from the topic ring via the
+    bus's pipelined client, and events that aged out of retention are
+    counted in :attr:`lost`.
+
+    The subscription does not reconnect: once its connection dies and the
+    queued batches are drained, :meth:`next_batch` raises
+    :class:`~repro.exceptions.NodeUnavailableError`.  Resuming from the
+    cursor — on the same broker after a restart, or on a replica — is the
+    owner walk's job (:meth:`~repro.stream.groups.PartitionRouter.subscribe`).
     """
 
     def __init__(
@@ -75,64 +75,35 @@ class KVSubscription:
         *,
         max_queued_batches: int = DEFAULT_MAX_QUEUED_BATCHES,
         poll_interval: float = 0.5,
-        reconnect_policy: RetryPolicy | None = None,
     ) -> None:
         self._bus = bus
         self.topic = topic
         self._poll_interval = poll_interval
-        self._reconnect_policy = reconnect_policy or DEFAULT_RECONNECT_POLICY
         self._queue: queue.Queue[list[tuple[int, Any]]] = queue.Queue(
             maxsize=max_queued_batches,
         )
         self._lost = 0
         self._closed = False
-        self._dead = threading.Event()
-        self._sock: socket.socket | None = None
-        self._reader: threading.Thread | None = None
-        self._expected = 0
-        self._connect(from_seq)
-
-    # -- wire ------------------------------------------------------------- #
-    def _connect(self, from_seq: int | None) -> None:
-        """Open the dedicated push connection and issue the SUBSCRIBE."""
-        reply_box: queue.Queue[Any] = queue.Queue(maxsize=1)
+        # The server sends a from_seq backlog *ahead of* the SUBSCRIBE reply
+        # and the sink runs on the thread that dispatches that reply, so
+        # until the reply is in, pushes are held here instead of blocking
+        # on the bounded queue.  next_batch() delivers them first.
+        self._held: list[tuple[int, Any]] | None = []
+        self._held_lock = threading.Lock()
+        self._connection = open_connection(
+            bus.host, bus.port, bus.timeout, self._on_event,
+        )
         try:
-            injection.on_connect(self._bus.host, self._bus.port)
-            sock = socket.create_connection(
-                (self._bus.host, self._bus.port), timeout=self._bus.timeout,
+            status, reply = self._connection.request(
+                ('SUBSCRIBE', topic, {'from_seq': from_seq}), bus.timeout,
             )
-        except OSError as e:
-            # Typed as node-unavailable so failover layers know the broker
-            # itself is gone (vs. a request-level failure).
-            raise NodeUnavailableError(
-                f'cannot connect to SimKV broker at '
-                f'{self._bus.host}:{self._bus.port}: {e}',
-            ) from e
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(None)
-        self._sock = sock
-        self._dead.clear()
-        send_message(
-            sock,
-            (_SUBSCRIBE_REQUEST_ID, 'SUBSCRIBE', self.topic, {'from_seq': from_seq}),
-        )
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            args=(sock, reply_box),
-            name='simkv-subscription',
-            daemon=True,
-        )
-        self._reader.start()
-        try:
-            reply = reply_box.get(timeout=self._bus.timeout)
-        except queue.Empty:
+            if status != 'ok':
+                raise ConnectorError(f'SUBSCRIBE failed: {reply}')
+        except ConnectorError:
             self.close()
-            raise ConnectorError(
-                f'SUBSCRIBE to topic {self.topic!r} timed out',
-            ) from None
-        if isinstance(reply, Exception):
-            self.close()
-            raise ConnectorError(f'SUBSCRIBE failed: {reply}') from reply
+            raise
+        with self._held_lock:
+            self._replay, self._held = self._held, None
         reply_lost = int(reply.get('lost', 0))
         self._lost += reply_lost
         # Replay starts at the oldest retained event past from_seq; with no
@@ -143,50 +114,29 @@ class KVSubscription:
             else int(reply['next_seq'])
         )
 
-    def _read_loop(self, sock: socket.socket, reply_box: queue.Queue[Any]) -> None:
-        """Reader thread: queue pushed event batches, hand over the reply."""
-        decoder = StreamDecoder()
-        pending_events: list[list[tuple[int, Any]]] = []
-        replied = False
-        while True:
+    def _on_event(self, payload: Any) -> None:
+        """The connection's sink: queue one pushed batch (reader thread)."""
+        if payload is None:
+            # The connection died: wake a blocked next_batch to notice.
             try:
-                message = decoder.read_message(sock)
-            # repro: ignore[RP004] - not swallowed: message=None signals
-            # death below (_dead is set, waiters get ConnectionError)
-            except Exception:  # noqa: BLE001 - any failure ends the stream
-                message = None
-            if message is None:
-                self._dead.set()
-                if not replied:
-                    reply_box.put(ConnectionError('broker closed the connection'))
-                # Wake a blocked next_batch so it notices the death.
-                try:
-                    self._queue.put_nowait([])
-                except queue.Full:
-                    pass
+                self._queue.put_nowait([])
+            except queue.Full:
+                pass
+            return
+        _topic, events = payload
+        batch = [(int(seq), data) for seq, data in events]
+        with self._held_lock:
+            if self._held is not None:
+                self._held.extend(batch)
                 return
+        # Blocks while the consumer lags (that is the backpressure), but
+        # in slices: close() must be able to get this thread out and joined.
+        while not self._closed:
             try:
-                request_id, status, payload = message
-            except (TypeError, ValueError):
+                self._queue.put(batch, timeout=0.1)
+                return
+            except queue.Full:
                 continue
-            if status == EVENT_STATUS:
-                _topic, events = payload
-                batch = [(int(seq), data) for seq, data in events]
-                if not replied:
-                    # Backlog frames may arrive before the SUBSCRIBE reply;
-                    # hold them so the reply is processed first.
-                    pending_events.append(batch)
-                else:
-                    self._queue.put(batch)
-            elif request_id == _SUBSCRIBE_REQUEST_ID and not replied:
-                replied = True
-                if status != 'ok':
-                    reply_box.put(ConnectorError(str(payload)))
-                    return
-                reply_box.put(payload)
-                for batch in pending_events:
-                    self._queue.put(batch)
-                pending_events.clear()
 
     # -- consumption ------------------------------------------------------- #
     @property
@@ -262,27 +212,36 @@ class KVSubscription:
         surviving event exactly once, in order.  When pushes go quiet for
         ``poll_interval`` the ring is polled directly, so events whose
         pushes were dropped under backpressure are still delivered.
+
+        Raises:
+            NodeUnavailableError: the push connection died and everything
+                it had queued has been delivered.
         """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
         while not self._closed:
-            wait = self._poll_interval
-            if deadline is not None:
-                wait = min(wait, max(0.0, deadline - time.monotonic()))
-            try:
-                raw = self._queue.get(timeout=wait)
-            except queue.Empty:
-                raw = None
-            if raw is None:
-                if self._dead.is_set():
-                    self._reconnect()
-                polled = self._poll_ring()
-                if polled:
-                    return polled
-                if deadline is not None and time.monotonic() >= deadline:
-                    return []
-                continue
+            # Read before the get: a dying connection sets this, then
+            # queues the empty wake-up batch.
+            dead = self._connection.dead
+            raw = self._replay
+            if raw:
+                self._replay = []
+            else:
+                wait = 0.0 if dead else self._poll_interval
+                if deadline is not None:
+                    wait = min(wait, max(0.0, deadline - time.monotonic()))
+                try:
+                    raw = self._queue.get(timeout=wait)
+                except queue.Empty:
+                    if dead:
+                        break
+                    polled = self._poll_ring()
+                    if polled:
+                        return polled
+                    if deadline is not None and time.monotonic() >= deadline:
+                        return []
+                    continue
             # Drain whatever else is already queued — batching is free here.
             while True:
                 try:
@@ -301,59 +260,20 @@ class KVSubscription:
                 self._expected = seq + 1
             if out:
                 return out
-            if self._dead.is_set():
-                self._reconnect()
             if deadline is not None and time.monotonic() >= deadline:
                 return []
-        return []
-
-    def _reconnect(self) -> None:
-        """Re-establish a died push connection, resuming from the cursor.
-
-        Retries with the subscription's jittered-backoff policy: a broker
-        that is restarting (same address, new process) answers within a
-        few attempts and the cursor-driven SUBSCRIBE backfills the gap
-        from its ring.  Only after the policy is exhausted does the
-        failure propagate — at which point a replication-aware wrapper
-        (:class:`~repro.stream.failover.FailoverSubscription`) fails over
-        to another broker instead.
-        """
         if self._closed:
-            return
-        self._teardown_socket()
-        last: Exception | None = None
-        for _attempt in self._reconnect_policy.attempts():
-            if self._closed:
-                return
-            try:
-                self._connect(self._expected)
-            except ConnectorError as e:
-                last = e
-                continue
-            return
-        if last is not None:
-            raise last
+            return []
+        raise NodeUnavailableError(
+            f'push connection to SimKV broker at {self._bus.host}:'
+            f'{self._bus.port} died: {self._connection.dead_error}',
+        )
 
     # -- lifecycle --------------------------------------------------------- #
-    def _teardown_socket(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover - platform dependent
-                pass
-        reader, self._reader = self._reader, None
-        if reader is not None and reader is not threading.current_thread():
-            reader.join(timeout=2.0)
-
     def close(self) -> None:
         """Close the push connection (the server drops the subscription)."""
         self._closed = True
-        self._teardown_socket()
+        self._connection.close()
 
     def __enter__(self) -> 'KVSubscription':
         return self
@@ -380,9 +300,6 @@ class KVEventBus:
         poll_interval: seconds an idle subscription waits between direct
             ring polls (the liveness net when its pushes were dropped
             under backpressure); lower it for latency-sensitive consumers.
-        reconnect_policy: jittered-backoff schedule subscriptions use to
-            re-establish a died push connection (default:
-            :data:`~repro.faults.retry.DEFAULT_RECONNECT_POLICY`).
     """
 
     scheme = 'kv'
@@ -398,7 +315,6 @@ class KVEventBus:
         pool_size: int = DEFAULT_POOL_SIZE,
         max_queued_batches: int = DEFAULT_MAX_QUEUED_BATCHES,
         poll_interval: float = 0.5,
-        reconnect_policy: RetryPolicy | None = None,
     ) -> None:
         if launch:
             server = launch_server(host, port)
@@ -411,7 +327,6 @@ class KVEventBus:
         self.pool_size = pool_size
         self.max_queued_batches = max_queued_batches
         self.poll_interval = poll_interval
-        self.reconnect_policy = reconnect_policy or DEFAULT_RECONNECT_POLICY
         self.client = KVClient(host, port, timeout=timeout, pool_size=pool_size)
         self._configured: set[str] = set()
         self._configure_lock = threading.Lock()
@@ -445,7 +360,10 @@ class KVEventBus:
 
         ``from_seq`` replays the retained backlog from that sequence
         number; events older than the ring are counted on the
-        subscription's ``lost``.
+        subscription's ``lost``.  The subscription reports the death of
+        its connection as ``NodeUnavailableError``; subscribe through a
+        :class:`~repro.stream.groups.PartitionRouter` (as the stream
+        consumers do) to resume from the cursor instead.
         """
         self._ensure_topic(topic)
         return KVSubscription(
@@ -454,7 +372,6 @@ class KVEventBus:
             from_seq,
             max_queued_batches=self.max_queued_batches,
             poll_interval=self.poll_interval,
-            reconnect_policy=self.reconnect_policy,
         )
 
     def topic_stats(self, topic: str) -> dict[str, Any] | None:

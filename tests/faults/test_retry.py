@@ -8,7 +8,6 @@ import pytest
 
 from repro.faults import DEFAULT_RECONNECT_POLICY
 from repro.faults import RetryPolicy
-from repro.faults.retry import IMMEDIATE_POLICY
 
 
 def test_validation():
@@ -56,47 +55,6 @@ def test_attempts_loop_shape():
     assert tries == 3
 
 
-def test_call_retries_then_succeeds():
-    policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-    calls = {'n': 0}
-
-    def flaky():
-        calls['n'] += 1
-        if calls['n'] < 3:
-            raise OSError('transient')
-        return 'ok'
-
-    assert policy.call(flaky, retry_on=(OSError,)) == 'ok'
-    assert calls['n'] == 3
-
-
-def test_call_exhausts_and_reraises():
-    policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-    seen = []
-
-    def always_fails():
-        raise OSError('down')
-
-    with pytest.raises(OSError):
-        policy.call(
-            always_fails,
-            retry_on=(OSError,),
-            on_retry=lambda attempt, err: seen.append(attempt),
-        )
-    assert seen == [0]  # one retry notification before the final failure
-
-
-def test_call_does_not_swallow_unlisted_errors():
-    policy = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0)
-
-    def typerror():
-        raise TypeError('not transient')
-
-    with pytest.raises(TypeError):
-        policy.call(typerror, retry_on=(OSError,))
-
-
 def test_shared_policies_are_frozen():
     with pytest.raises(AttributeError):
         DEFAULT_RECONNECT_POLICY.max_attempts = 1  # type: ignore[misc]
-    assert IMMEDIATE_POLICY.base_delay == 0.0

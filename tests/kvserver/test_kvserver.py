@@ -90,12 +90,12 @@ def test_unknown_command_errors(client):
 def test_malformed_request_errors(server):
     import socket
 
-    from repro.kvserver.protocol import recv_message
+    from repro.kvserver.protocol import StreamDecoder
     from repro.kvserver.protocol import send_message
 
     with socket.create_connection((server.host, server.port)) as sock:
         send_message(sock, ('only', 'two'))
-        request_id, status, payload = recv_message(sock)
+        request_id, status, payload = StreamDecoder().read_message(sock)
         assert request_id is None
         assert status == 'error'
         assert 'malformed' in payload

@@ -10,8 +10,13 @@ import pytest
 from repro.exceptions import ConnectorError
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
-from repro.kvserver.protocol import recv_message
+from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import send_message
+
+
+def _read_frame(sock):
+    """Blocking read of one frame, the way the client's reader thread does."""
+    return StreamDecoder().read_message(sock)
 
 
 @pytest.fixture()
@@ -98,8 +103,8 @@ def test_graceful_shutdown_drains_in_flight_request():
         send_message(sock, (8, 'GET', 'k', None))
         stopper = threading.Thread(target=server.stop)
         stopper.start()
-        first = recv_message(sock)
-        second = recv_message(sock)
+        first = _read_frame(sock)
+        second = _read_frame(sock)
         stopper.join(timeout=10)
         assert first == (7, 'ok', True)
         assert second is not None
@@ -107,7 +112,7 @@ def test_graceful_shutdown_drains_in_flight_request():
         assert (request_id, status) == (8, 'ok')
         assert bytes(payload) == b'drained'
         # After the drain the server closes the connection.
-        assert recv_message(sock) is None
+        assert _read_frame(sock) is None
     assert not server.running
 
 
@@ -210,7 +215,7 @@ def test_inactivity_timeout_allows_slow_streaming_responses():
     def serve() -> None:
         conn, _addr = listener.accept()
         with conn:
-            request = recv_message(conn)
+            request = _read_frame(conn)
             assert request is not None
             segments = encode_message(
                 (request[0], 'ok', pickle.PickleBuffer(payload)),
@@ -247,7 +252,7 @@ def test_malformed_frame_kills_only_that_connection(server):
         # that cannot unpickle.
         bad.sendall(struct.pack('>II', 8, 0) + b'\xffGARBAGE')
         # The server closes the offending connection...
-        assert recv_message(bad) is None
+        assert _read_frame(bad) is None
     # ...but keeps serving everyone else.
     assert bytes(healthy.get('before')) == b'1'
     healthy.set('after', b'2')
@@ -262,7 +267,7 @@ def test_oversized_frame_header_rejected(server):
     healthy = KVClient(server.host, server.port)
     with socket.create_connection((server.host, server.port)) as bad:
         bad.sendall(struct.pack('>II', 0xFFFFFFFF, 0xFFFFFFFF))
-        assert recv_message(bad) is None  # connection dropped
+        assert _read_frame(bad) is None  # connection dropped
     assert healthy.ping()
     assert server.running
     healthy.close()

@@ -6,13 +6,16 @@ backpressure.
 """
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
 import pytest
 
+from repro.exceptions import NodeUnavailableError
 from repro.stream import event_bus_from_url
 from repro.stream.bus import LocalEventBus
+from repro.stream.groups import PartitionRouter
 
 
 def test_publish_assigns_monotonic_seqs(make_bus, topic):
@@ -238,19 +241,70 @@ def test_kv_subscription_survives_reconnect(make_bus, topic):
     if make_bus.transport != 'kv':
         pytest.skip('dedicated push connections are KV-transport behavior')
     bus = make_bus()
-    sub = bus.subscribe(topic)
+    # Through the one-owner router, as the stream consumers subscribe: its
+    # owner walk is what re-subscribes from the cursor.
+    sub = PartitionRouter(topic, 1, bus).subscribe(topic)
     bus.publish(topic, b'before')
     assert [bytes(d) for _, d in sub.next_batch(timeout=5.0)] == [b'before']
     # Kill the push connection out from under the subscription.
-    assert sub._sock is not None
-    sub._sock.close()
+    sub._sub._connection.sock.shutdown(socket.SHUT_RDWR)
     bus.publish(topic, b'after')
     received = []
     deadline = time.monotonic() + 10.0
     while not received and time.monotonic() < deadline:
         received = sub.next_batch(timeout=1.0)
     assert [bytes(d) for _, d in received] == [b'after']
+    assert sub.failovers == 1 and sub.lost == 0
     sub.close()
+
+
+def test_raw_kv_subscription_reports_a_dead_connection(make_bus, topic):
+    if make_bus.transport != 'kv':
+        pytest.skip('dedicated push connections are KV-transport behavior')
+    sub = make_bus().subscribe(topic)
+    sub._connection.sock.shutdown(socket.SHUT_RDWR)
+    with pytest.raises(NodeUnavailableError, match='push connection'):
+        sub.next_batch(timeout=5.0)
+    sub.close()
+
+
+def test_kv_backlog_larger_than_the_queue_does_not_block_subscribe(make_bus, topic):
+    """The server sends a ``from_seq`` backlog (64 events per frame) ahead
+    of the SUBSCRIBE reply: a bounded queue must not stall the reader
+    thread before that reply is dispatched."""
+    if make_bus.transport != 'kv':
+        pytest.skip('dedicated push connections are KV-transport behavior')
+    count = 3 * 64 + 8
+    bus = make_bus(max_queued_batches=1)
+    bus.publish_batch(topic, [b'%d' % i for i in range(count)])
+    started = time.monotonic()
+    sub = bus.subscribe(topic, from_seq=0)
+    assert time.monotonic() - started < 2.0  # the request timeout is 10 s
+    received = []
+    while len(received) < count:
+        batch = sub.next_batch(timeout=5.0)
+        assert batch, 'timed out waiting for the backlog'
+        received.extend(batch)
+    assert [seq for seq, _ in received] == list(range(count))
+    assert [bytes(data) for _, data in received] == [b'%d' % i for i in range(count)]
+    assert sub.lost == 0
+    sub.close()
+
+
+def test_kv_close_reaps_a_reader_blocked_on_the_full_queue(make_bus, topic):
+    if make_bus.transport != 'kv':
+        pytest.skip('dedicated push connections are KV-transport behavior')
+    bus = make_bus(max_queued_batches=1)
+    sub = bus.subscribe(topic)
+    for _ in range(4):  # separate frames: one queued, the next blocks the sink
+        bus.publish(topic, b'x')
+        time.sleep(0.02)
+    time.sleep(0.1)
+    reader = sub._connection._reader
+    started = time.monotonic()
+    sub.close()
+    assert time.monotonic() - started < 1.0  # join_reader() gives up at 2 s
+    assert not reader.is_alive()
 
 
 def test_stalled_subscriber_is_reaped():
@@ -263,7 +317,7 @@ def test_stalled_subscriber_is_reaped():
     import socket as socket_mod
 
     from repro.kvserver.client import KVClient
-    from repro.kvserver.protocol import recv_message
+    from repro.kvserver.protocol import StreamDecoder
     from repro.kvserver.protocol import send_message
     from repro.kvserver.server import KVServer
 
@@ -285,7 +339,7 @@ def test_stalled_subscriber_is_reaped():
         )
         stalled.connect((host, port))
         send_message(stalled, (1, 'SUBSCRIBE', topic, {'from_seq': None}))
-        reply = recv_message(stalled)
+        reply = StreamDecoder().read_message(stalled)
         assert reply[0] == 1 and reply[1] == 'ok'
         assert client.topic_stats(topic)['subscribers'] == 1
 

@@ -6,6 +6,7 @@ with SIGKILL lives in ``test_broker_chaos.py`` under the ``chaos`` marker.
 from __future__ import annotations
 
 import time
+import types
 
 import pytest
 
@@ -128,7 +129,16 @@ def test_publish_fails_over_when_primary_dies(fleet):
 # Subscriber failover
 # --------------------------------------------------------------------------- #
 @pytest.mark.timeout(120)
-def test_subscription_fails_over_and_resumes_from_cursor(fleet):
+def test_subscription_fails_over_and_resumes_from_cursor(fleet, monkeypatch):
+    backoff_sleeps = []
+
+    def counting_sleep(seconds):
+        backoff_sleeps.append(seconds)
+        time.sleep(seconds)
+
+    monkeypatch.setattr(
+        'repro.faults.retry.time', types.SimpleNamespace(sleep=counting_sleep),
+    )
     router = PartitionRouter('sub-topic', 2, _urls(fleet), replicas=2)
     try:
         topic = router.topics[0]
@@ -143,12 +153,18 @@ def test_subscription_fails_over_and_resumes_from_cursor(fleet):
 
         victim = subscription.broker
         _server_of(fleet, victim).stop()
+        stopped = time.monotonic()
+        backoff_sleeps.clear()
         router.publish_batch(topic, [b'e3', b'e4'])
 
         deadline = time.monotonic() + 30.0
         while len(got) < 5 and time.monotonic() < deadline:
             got.extend(subscription.next_batch(timeout=1.0))
         assert [seq for seq, _ in got] == [0, 1, 2, 3, 4]
+        # With a live replica the owner walk is the only reconnect loop and
+        # it never backs off: the dead owner costs one refused connect.
+        assert backoff_sleeps == []
+        assert time.monotonic() - stopped < 0.5
         assert subscription.failovers >= 1
         assert subscription.broker != victim
         assert subscription.lost == 0

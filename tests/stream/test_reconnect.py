@@ -4,8 +4,8 @@ The satellite scenario for broker failover: a subscriber's push
 connection dies when its broker goes down; the broker comes back on the
 *same* port (here: a fresh server process whose ring is repopulated at
 the original sequence numbers, exactly what ``REPL_PUBLISH`` mirroring
-produces); the subscription reconnects from its cursor and the
-SUBSCRIBE-time backfill delivers the missed events exactly once.
+produces); the one-owner router's walk re-subscribes from the cursor and
+the SUBSCRIBE-time backfill delivers the missed events exactly once.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import pytest
 
 from repro.kvserver.client import KVClient
 from repro.kvserver.server import KVServer
+from repro.stream.groups import PartitionRouter
 
 TOPIC = 'reconnect-topic'
 
@@ -43,7 +44,7 @@ def test_restarted_broker_backfills_cursor_gap_exactly_once():
     for payload in payloads[:5]:
         bus.publish(TOPIC, payload)
 
-    subscription = bus.subscribe(TOPIC, from_seq=0)
+    subscription = PartitionRouter(TOPIC, 1, bus).subscribe(TOPIC, from_seq=0)
     first = _collect(subscription, 5)
     assert [seq for seq, _ in first] == [0, 1, 2, 3, 4]
     assert subscription.position == 5
@@ -62,8 +63,8 @@ def test_restarted_broker_backfills_cursor_gap_exactly_once():
         )
         mirror.close()
 
-        # The subscription notices the dead connection, reconnects with
-        # backoff, and the cursor-driven SUBSCRIBE backfills 5..9.
+        # The subscription reports the dead connection, the owner walk
+        # re-subscribes, and the cursor-driven SUBSCRIBE backfills 5..9.
         gap = _collect(subscription, 5)
         assert [seq for seq, _ in gap] == [5, 6, 7, 8, 9]
         assert [bytes(data) for _seq, data in gap] == payloads[5:]

@@ -92,17 +92,28 @@ def test_library_imports_nothing_from_the_paper_scaffolding():
 
 _WALK_LIBRARY = '''
 import pkgutil
+import sys
 import repro
 names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.', onerror=None)]
-for name in names:
-    __import__(name)
 assert len(names) > 60, names
+failed = {}
+for name in names:
+    # Every module is the first thing a fresh interpreter imports: purge
+    # what the previous one loaded, so no import order hides a cycle.
+    for loaded in [m for m in sys.modules if m.partition('.')[0] == 'repro']:
+        del sys.modules[loaded]
+    try:
+        __import__(name)
+    except Exception as e:
+        failed[name] = repr(e)
+assert not failed, failed
 print(len(names))
 '''
 
 
 def test_every_library_module_imports_with_only_src_on_the_path(tmp_path):
-    """The library needs nothing from the repo root (``benchmarks/``)."""
+    """The library needs nothing from the repo root (``benchmarks/``), and
+    no module needs another imported before it (no import cycles)."""
     result = subprocess.run(
         [sys.executable, '-c', _WALK_LIBRARY],
         env={**os.environ, 'PYTHONPATH': str(REPO / 'src')},
@@ -132,3 +143,36 @@ def test_the_scaffolding_is_imported_under_one_name():
     for path in sorted((REPO / 'benchmarks' / 'paper').rglob('*.py')):
         for name in _imported_modules(path, absolute_only=True):
             assert not name.startswith('paper'), f'{path}: {name}'
+
+
+# --------------------------------------------------------------------------- #
+# One client side of the KV wire
+# --------------------------------------------------------------------------- #
+def _calls(path: pathlib.Path) -> set[str]:
+    """Dotted names of everything ``path`` calls (``socket.socket``, ``Foo``)."""
+    return {
+        ast.unparse(node.func)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_one_module_opens_client_sockets_and_two_read_frames():
+    """``kvserver/client.py`` owns every client socket (a push subscription
+    is one of its connections with an event sink), ``StreamDecoder`` is read
+    by that client and by the server only, and nothing outside ``kvserver/``
+    makes a socket at all."""
+    library = REPO / 'src' / 'repro'
+    makers = {'socket.socket', 'socket.create_connection', 'socket.socketpair'}
+    connects, decodes, sockets = set(), set(), set()
+    for path in sorted(library.rglob('*.py')):
+        calls, name = _calls(path), str(path.relative_to(library))
+        if 'socket.create_connection' in calls:
+            connects.add(name)
+        if 'StreamDecoder' in calls:
+            decodes.add(name)
+        if calls & makers:
+            sockets.add(name)
+    assert connects == {'kvserver/client.py'}
+    assert decodes == {'kvserver/client.py', 'kvserver/server.py'}
+    assert sockets == {'kvserver/client.py', 'kvserver/server.py'}
