@@ -10,24 +10,27 @@ any :class:`pickle.PickleBuffer` inside the message (payload segments of a
 ``SET``/``MSET``, response values of a ``GET``/``MGET``) travels *out of
 band* — its bytes are never copied into the pickle stream.  The sender
 pushes header, pickle and raw buffers through one scatter/gather
-(``sendmsg``) loop; the receiver reads each buffer straight into a fresh
-``bytearray`` via ``recv_into`` and hands the views to ``pickle.loads``.
+(``sendmsg``) loop; the receiver gives each buffer a fresh ``bytearray``
+(a bulk one is filled straight from the socket by ``recv_into``) and hands
+the views to ``pickle.loads``.
 
 Requests are ``(request_id, command, key, value)`` tuples; responses are
 ``(request_id, status, payload)`` tuples where ``status`` is ``'ok'`` or
 ``'error'``.  Request ids let many requests share one connection: a
-pipelined client tags each request and a reader thread matches responses
-back to waiters, so the transport no longer serializes round trips.
+pipelined client tags each request and whichever thread is receiving
+matches responses back to waiters, so the transport no longer serializes
+round trips.
 Pickle is acceptable here because both ends are this library (SimKV is an
 internal substrate, not an internet-facing service).
 
 There is one frame reader, :class:`StreamDecoder`: an incremental state
-machine with two entry points — :meth:`StreamDecoder.read_from` drains a
+machine behind a fixed read-ahead buffer, so a small frame costs one
+``recv``, with two entry points — :meth:`StreamDecoder.read_from` drains a
 non-blocking socket for the event-loop server, and
-:meth:`StreamDecoder.read_message` blocks for one frame on the client's
-reader thread (the only thread that receives on a client connection,
-whether the frame is a reply or a pushed ``EVENT``).  Out-of-band buffers
-are read straight into pre-sized ``bytearray`` objects.
+:meth:`StreamDecoder.read_message` blocks for one frame on whichever client
+thread holds the connection's receive role (see
+:mod:`repro.kvserver.client`), whether the frame is a reply or a pushed
+``EVENT``.  A decoder belongs to one socket for that socket's life.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ __all__ = [
     'EVENT_STATUS',
     'GROUP_COMMANDS',
     'MAX_FRAME_BYTES',
+    'READ_AHEAD_BYTES',
     'REPL_COMMANDS',
     'STREAM_COMMANDS',
     'StreamDecoder',
@@ -101,10 +105,20 @@ _U64 = struct.Struct('>Q')
 MAX_FRAME_BYTES = 1 << 34  # 16 GiB
 _MAX_BUFFERS = 1 << 20
 
+#: Size of a :class:`StreamDecoder`'s receive scratch: the most one small
+#: ``recv`` can bring, and the threshold above which the missing part of a
+#: section is received in place instead (so only the ends of a bulk
+#: payload, less than this much each, are ever copied).
+READ_AHEAD_BYTES = 1 << 16
+
 
 def _check_frame(pickle_len: int, n_buffers: int, buffer_bytes: int = 0) -> None:
     """Reject frame dimensions no legitimate sender produces."""
-    if n_buffers > _MAX_BUFFERS or pickle_len + buffer_bytes > MAX_FRAME_BYTES:
+    if (
+        pickle_len == 0
+        or n_buffers > _MAX_BUFFERS
+        or pickle_len + buffer_bytes > MAX_FRAME_BYTES
+    ):
         raise ValueError(
             f'corrupt or oversized SimKV frame: pickle_len={pickle_len}, '
             f'n_buffers={n_buffers}, buffer_bytes={buffer_bytes}',
@@ -159,19 +173,31 @@ _NO_MESSAGE = object()
 class StreamDecoder:
     """Incremental frame decoder, the only reader of SimKV frames.
 
-    The decoder keeps exactly one fill target at a time (frame header,
-    buffer-length table, pickle bytes, or the current out-of-band buffer)
-    and reads into it with ``recv_into`` — one allocation per section, no
-    join — restartable at any byte boundary so a single event-loop thread
-    can interleave many connections.
+    Every receive lands in one fixed scratch buffer of
+    :data:`READ_AHEAD_BYTES`, so a single ``recv_into`` brings a whole small
+    frame — and any pipelined frames behind it.  The frame's sections
+    (header, buffer-length table, pickle bytes, each out-of-band buffer) are
+    filled from the scratch, one allocation per section, no join; a section
+    that still misses at least a scratch-full is received straight into its
+    own ``bytearray``, so bulk payloads are never copied.  Decoding is
+    restartable at any byte boundary, so a single event-loop thread can
+    interleave many connections.
+
+    A decoder owns its socket's read-ahead: keep **one decoder per socket**
+    for the socket's whole life.  A throwaway ``StreamDecoder()`` per frame
+    drops whatever arrived behind that frame.
     """
 
     __slots__ = (
+        '_scratch', '_start', '_end',
         '_stage', '_target', '_filled',
         '_pickle', '_buffers', '_buffer_index',
     )
 
     def __init__(self) -> None:
+        #: Received bytes not yet decoded are ``_scratch[_start:_end]``.
+        self._scratch = memoryview(bytearray(READ_AHEAD_BYTES))
+        self._start = self._end = 0
         self._reset()
 
     def _reset(self) -> None:
@@ -201,7 +227,7 @@ class StreamDecoder:
 
     def _finish(self) -> Any:
         assert self._pickle is not None
-        message = pickle.loads(bytes(self._pickle), buffers=self._buffers)
+        message = pickle.loads(self._pickle, buffers=self._buffers)
         self._reset()
         return message
 
@@ -240,6 +266,43 @@ class StreamDecoder:
         self._buffer_index += 1
         return self._next_buffer_stage()
 
+    def _next(self) -> Any:
+        """Decode from the bytes already received.
+
+        Returns the next message, or ``_NO_MESSAGE`` once the scratch is
+        used up and the current section still misses bytes.
+        """
+        while True:
+            missing = len(self._target) - self._filled
+            if missing:
+                taken = min(missing, self._end - self._start)
+                if taken:
+                    self._target[self._filled:self._filled + taken] = (
+                        self._scratch[self._start:self._start + taken]
+                    )
+                    self._filled += taken
+                    self._start += taken
+                if taken < missing:
+                    return _NO_MESSAGE
+            message = self._advance()
+            if message is not _NO_MESSAGE:
+                return message
+
+    def _receive(self, sock: socket.socket) -> int:
+        """One ``recv_into`` (only once :meth:`_next` has emptied the scratch).
+
+        The bytes go to the scratch — whatever they turn out to be — unless
+        the current section still misses at least a scratch-full: then they
+        can only be that section's, and go straight to its own memory.
+        """
+        if len(self._target) - self._filled >= READ_AHEAD_BYTES:
+            received = sock.recv_into(self._target[self._filled:])
+            self._filled += received
+        else:
+            received = sock.recv_into(self._scratch)
+            self._start, self._end = 0, received
+        return received
+
     def read_message(
         self,
         sock: socket.socket,
@@ -252,16 +315,14 @@ class StreamDecoder:
         transfer that is still streaming from a dead connection).
         """
         while True:
-            received = sock.recv_into(self._target[self._filled:])
+            message = self._next()
+            if message is not _NO_MESSAGE:
+                return message
+            received = self._receive(sock)
             if received == 0:
                 return None
             if on_bytes is not None:
                 on_bytes(received)
-            self._filled += received
-            if self._filled == len(self._target):
-                message = self._advance()
-                if message is not _NO_MESSAGE:
-                    return message
 
     def read_from(self, sock: socket.socket) -> tuple[list[Any], bool]:
         """Drain readable bytes from ``sock``; returns ``(messages, closed)``.
@@ -272,16 +333,13 @@ class StreamDecoder:
         """
         messages: list[Any] = []
         while True:
+            while (message := self._next()) is not _NO_MESSAGE:
+                messages.append(message)
             try:
-                received = sock.recv_into(self._target[self._filled:])
+                received = self._receive(sock)
             except (BlockingIOError, InterruptedError):
                 return messages, False
             except OSError:
                 return messages, True
             if received == 0:
                 return messages, True
-            self._filled += received
-            if self._filled == len(self._target):
-                message = self._advance()
-                if message is not _NO_MESSAGE:
-                    messages.append(message)

@@ -94,8 +94,9 @@ def test_malformed_request_errors(server):
     from repro.kvserver.protocol import send_message
 
     with socket.create_connection((server.host, server.port)) as sock:
+        decoder = StreamDecoder()  # one per socket: it owns the read-ahead
         send_message(sock, ('only', 'two'))
-        request_id, status, payload = StreamDecoder().read_message(sock)
+        request_id, status, payload = decoder.read_message(sock)
         assert request_id is None
         assert status == 'error'
         assert 'malformed' in payload

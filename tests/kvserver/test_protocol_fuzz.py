@@ -14,6 +14,10 @@ that the decoder
 and that it never spins (the fake socket has a call budget) and never
 asks for more memory than ``_check_frame`` allows (``bytearray`` is
 spied on, with the frame limit lowered so that "oversized" is cheap).
+Every draw runs through both entry points, ``read_from`` and
+``read_message``.  The fake socket also records the views it was handed,
+which is how the read-ahead is pinned down: one ``recv_into`` per small
+frame, bulk bytes received in place.
 
 Seeded RNG: failures print the seed so any draw reproduces exactly.
 """
@@ -27,6 +31,7 @@ import struct
 import pytest
 
 from repro.kvserver import protocol
+from repro.kvserver.protocol import READ_AHEAD_BYTES
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import encode_message
 
@@ -50,6 +55,7 @@ class FeedSocket:
 
     ``eof=True`` ends with a closed peer (``recv_into`` returns 0);
     otherwise with ``BlockingIOError``, like a drained non-blocking socket.
+    ``views`` holds the view of every ``recv_into`` call, in order.
     """
 
     def __init__(self, data: bytes, chunks: list[int] | None = None, *, eof: bool = True) -> None:
@@ -57,8 +63,10 @@ class FeedSocket:
         self._chunks = list(chunks) if chunks else [len(data)]
         self._eof = eof
         self._budget = 4 * (len(data) + len(self._chunks)) + 64
+        self.views: list[memoryview] = []
 
     def recv_into(self, view: memoryview, nbytes: int = 0) -> int:
+        self.views.append(view)
         self._budget -= 1
         assert self._budget > 0, 'decoder is spinning on the socket'
         if len(view) == 0:
@@ -131,10 +139,27 @@ def _wire(message) -> bytes:
     return b''.join(bytes(segment) for segment in encode_message(message))
 
 
-def _drain(decoder: StreamDecoder, sock: FeedSocket) -> tuple[list, bool]:
+def _read_from(decoder: StreamDecoder, sock: FeedSocket) -> tuple[list, bool]:
     """``read_from`` until the socket is exhausted; returns (messages, closed)."""
     messages, closed = decoder.read_from(sock)
     return [_plain(m) for m in messages], closed
+
+
+def _read_messages(decoder: StreamDecoder, sock: FeedSocket) -> tuple[list, bool]:
+    """The same through ``read_message``, one frame at a time."""
+    messages: list = []
+    while True:
+        try:
+            message = decoder.read_message(sock)
+        except BlockingIOError:
+            return messages, False
+        if message is None:
+            return messages, True
+        messages.append(_plain(message))
+
+
+#: Both entry points, each as ``drain(decoder, sock) -> (messages, closed)``.
+ENTRY_POINTS = (_read_from, _read_messages)
 
 
 def _random_chunks(rng: random.Random, total: int) -> list[int]:
@@ -153,28 +178,33 @@ def test_fuzz_split_feeds_yield_the_original_messages(allocations):
         rng = random.Random(f'{SEED}-split-{draw}')
         messages = [_random_message(rng) for _ in range(rng.randrange(1, 5))]
         stream = b''.join(_wire(m) for m in messages)
-        decoder = StreamDecoder()
-        got, closed = _drain(decoder, FeedSocket(stream, _random_chunks(rng, len(stream)), eof=False))
-        assert not closed
-        assert got == [_plain(m) for m in messages], f'seed={SEED} draw={draw}'
+        chunks = _random_chunks(rng, len(stream))
+        for drain in ENTRY_POINTS:
+            got, closed = drain(StreamDecoder(), FeedSocket(stream, chunks, eof=False))
+            assert not closed
+            assert got == [_plain(m) for m in messages], f'seed={SEED} draw={draw}'
         assert max(allocations) <= LIMIT
 
 
 def test_fuzz_one_decoder_survives_many_partial_drains():
-    """Each ``read_from`` call sees a few bytes; frames complete across calls."""
+    """Each drain sees a few bytes; frames complete across calls."""
     rng = random.Random(f'{SEED}-partial')
     messages = [_random_message(rng) for _ in range(12)]
     stream = b''.join(_wire(m) for m in messages)
-    decoder = StreamDecoder()
-    got: list = []
+    pieces = []
     offset = 0
     while offset < len(stream):
         step = rng.choice((1, 5, 13, 4000, 100_000))
-        part, closed = _drain(decoder, FeedSocket(stream[offset:offset + step], eof=False))
-        assert not closed
-        got.extend(part)
+        pieces.append(stream[offset:offset + step])
         offset += step
-    assert got == [_plain(m) for m in messages]
+    for drain in ENTRY_POINTS:
+        decoder = StreamDecoder()
+        got: list = []
+        for piece in pieces:
+            part, closed = drain(decoder, FeedSocket(piece, eof=False))
+            assert not closed
+            got.extend(part)
+        assert got == [_plain(m) for m in messages]
 
 
 def test_truncation_at_every_byte_boundary_never_yields_a_partial_message():
@@ -185,21 +215,18 @@ def test_truncation_at_every_byte_boundary_never_yields_a_partial_message():
     stream = b''.join(wires)
     for cut in range(len(stream)):
         expected = [_plain(first)] if cut >= len(wires[0]) else []
-        got, closed = _drain(StreamDecoder(), FeedSocket(stream[:cut]))
-        assert closed and got == expected, f'cut={cut}'
-        # The blocking style (client reader thread) agrees: None on EOF.
-        decoder, sock = StreamDecoder(), FeedSocket(stream[:cut], _random_chunks(rng, cut))
-        for message in expected:
-            assert _plain(decoder.read_message(sock)) == message
-        assert decoder.read_message(sock) is None, f'cut={cut}'
+        for chunks in (None, _random_chunks(rng, cut)):
+            for drain in ENTRY_POINTS:
+                got, closed = drain(StreamDecoder(), FeedSocket(stream[:cut], chunks))
+                assert closed and got == expected, f'cut={cut} chunks={chunks}'
 
 
 # -- damaged headers ---------------------------------------------------------- #
 
-def _outcome(stream: bytes, rng: random.Random):
+def _outcome(drain, stream: bytes, chunks: list[int]):
     """Decode ``stream`` to the end; returns messages or the error raised."""
     try:
-        return _drain(StreamDecoder(), FeedSocket(stream, _random_chunks(rng, len(stream))))[0]
+        return drain(StreamDecoder(), FeedSocket(stream, chunks))[0]
     except DECODE_ERRORS as e:
         return e
 
@@ -214,18 +241,23 @@ def test_fuzz_corrupted_header_bytes(allocations):
         table_end = _HEADER.size + _U64.size * n_buffers
         for _ in range(rng.randrange(1, 4)):
             wire[rng.randrange(table_end)] = rng.randrange(256)
-        allocations.clear()
-        outcome = _outcome(bytes(wire), rng)
-        note = f'seed={SEED} draw={draw} outcome={outcome!r}'
-        if not isinstance(outcome, Exception) and outcome:
-            # Nothing (still waiting for bytes a larger declared size
-            # promised) or the message itself.  Frames carry no checksum
-            # (TCP has its own), so a damaged length table whose total still
-            # fits can re-slice where buffer bytes land — but the pickled
-            # body is intact: same ids, command, keys and buffer count.
-            (decoded,) = outcome
-            assert _skeleton(decoded) == _skeleton(_plain(message)), note
-        assert sum(allocations) <= LIMIT + _U64.size * MAX_BUFFERS + _HEADER.size * 2, note
+        chunks = _random_chunks(rng, len(wire))
+        for drain in ENTRY_POINTS:
+            allocations.clear()
+            outcome = _outcome(drain, bytes(wire), chunks)
+            note = f'seed={SEED} draw={draw} outcome={outcome!r}'
+            if not isinstance(outcome, Exception) and outcome:
+                # Nothing (still waiting for bytes a larger declared size
+                # promised) or the message itself.  Frames carry no checksum
+                # (TCP has its own), so a damaged length table whose total
+                # still fits can re-slice where buffer bytes land — but the
+                # pickled body is intact: same ids, command, keys and buffer
+                # count.
+                (decoded,) = outcome
+                assert _skeleton(decoded) == _skeleton(_plain(message)), note
+            assert sum(allocations) <= (
+                LIMIT + _U64.size * MAX_BUFFERS + _HEADER.size * 2 + READ_AHEAD_BYTES
+            ), note
 
 
 @pytest.mark.parametrize(
@@ -248,9 +280,12 @@ def test_oversized_dimensions_are_rejected_before_allocating(
     allocations.clear()
     with pytest.raises(ValueError, match='corrupt or oversized SimKV frame'):
         StreamDecoder().read_from(sock)
-    # Only the header and (for a bad table) the table itself and the pickle
-    # target were ever requested — nothing sized by the rejected numbers.
-    assert sum(allocations) <= LIMIT + _U64.size * MAX_BUFFERS + _HEADER.size
+    # Only the decoder's fixed scratch, the header and (for a bad table) the
+    # table itself and the pickle target were ever requested — nothing sized
+    # by the rejected numbers.
+    assert sum(allocations) <= (
+        LIMIT + _U64.size * MAX_BUFFERS + _HEADER.size + READ_AHEAD_BYTES
+    )
 
 
 def test_largest_legal_dimensions_are_accepted(allocations):
@@ -261,8 +296,50 @@ def test_largest_legal_dimensions_are_accepted(allocations):
     assert max(allocations) == LIMIT - 9
 
 
-def test_zero_length_pickle_reads_as_closed_not_a_spin():
-    """No sender emits ``pickle_len == 0``; the decoder must not loop on it."""
+def test_zero_length_pickle_is_rejected_as_corrupt():
+    """No sender emits ``pickle_len == 0``: it is a damaged frame, not an empty one."""
     stream = _HEADER.pack(0, 0) + _wire((1, 'GET', 'k', None))
-    messages, closed = StreamDecoder().read_from(FeedSocket(stream, eof=False))
-    assert (messages, closed) == ([], True)
+    for drain in ENTRY_POINTS:
+        with pytest.raises(ValueError, match='corrupt or oversized SimKV frame'):
+            drain(StreamDecoder(), FeedSocket(stream, eof=False))
+
+
+# -- read-ahead: what one receive brings -------------------------------------- #
+
+def _small_set(key: str = 'k') -> tuple:
+    return (1, 'SET', key, [pickle.PickleBuffer(bytes(1024))])
+
+
+def test_small_frame_costs_one_receive():
+    """A 1 KB ``SET`` that arrived whole is one ``recv_into``, not one a section."""
+    wire = _wire(_small_set())
+    sock = FeedSocket(wire, eof=False)
+    assert _plain(StreamDecoder().read_message(sock)) == _plain(_small_set())
+    assert len(sock.views) == 1
+    # The event loop pays one more: the receive that says "drained".
+    sock = FeedSocket(wire, eof=False)
+    messages, closed = _read_from(StreamDecoder(), sock)
+    assert (messages, closed) == ([_plain(_small_set())], False)
+    assert len(sock.views) == 2
+
+
+def test_pipelined_frames_decode_from_one_receive():
+    wire = _wire(_small_set('a')) + _wire(_small_set('b'))
+    decoder, sock = StreamDecoder(), FeedSocket(wire, eof=False)
+    assert _plain(decoder.read_message(sock)) == _plain(_small_set('a'))
+    assert _plain(decoder.read_message(sock)) == _plain(_small_set('b'))
+    assert len(sock.views) == 1
+
+
+def test_bulk_buffer_is_received_in_place():
+    """Of a 4 MiB buffer at most one scratch-full is copied; the rest is not."""
+    payload = random.Random(SEED).randbytes(4 << 20)
+    sock = FeedSocket(_wire((1, 'ok', pickle.PickleBuffer(payload))))
+    _request_id, _status, received = StreamDecoder().read_message(sock)
+    assert received == payload
+    scratch, in_place = sock.views
+    assert len(scratch) == READ_AHEAD_BYTES
+    # The second receive was handed the memory the reply is a view of, past
+    # what the first had already brought.
+    assert in_place.obj is received.obj
+    assert len(in_place) > len(payload) - READ_AHEAD_BYTES

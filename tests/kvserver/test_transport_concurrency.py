@@ -1,6 +1,7 @@
 """Tests of the concurrent SimKV transport: pipelining, drain, retry."""
 from __future__ import annotations
 
+import functools
 import socket
 import threading
 import time
@@ -14,9 +15,12 @@ from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import send_message
 
 
-def _read_frame(sock):
-    """Blocking read of one frame, the way the client's reader thread does."""
-    return StreamDecoder().read_message(sock)
+def _frame_reader(sock):
+    """Blocking frame-at-a-time reads of ``sock``, the way the client does.
+
+    One decoder per socket: it holds whatever arrived behind a frame.
+    """
+    return functools.partial(StreamDecoder().read_message, sock)
 
 
 @pytest.fixture()
@@ -103,8 +107,9 @@ def test_graceful_shutdown_drains_in_flight_request():
         send_message(sock, (8, 'GET', 'k', None))
         stopper = threading.Thread(target=server.stop)
         stopper.start()
-        first = _read_frame(sock)
-        second = _read_frame(sock)
+        read_frame = _frame_reader(sock)
+        first = read_frame()
+        second = read_frame()
         stopper.join(timeout=10)
         assert first == (7, 'ok', True)
         assert second is not None
@@ -112,7 +117,7 @@ def test_graceful_shutdown_drains_in_flight_request():
         assert (request_id, status) == (8, 'ok')
         assert bytes(payload) == b'drained'
         # After the drain the server closes the connection.
-        assert _read_frame(sock) is None
+        assert read_frame() is None
     assert not server.running
 
 
@@ -215,7 +220,7 @@ def test_inactivity_timeout_allows_slow_streaming_responses():
     def serve() -> None:
         conn, _addr = listener.accept()
         with conn:
-            request = _read_frame(conn)
+            request = _frame_reader(conn)()
             assert request is not None
             segments = encode_message(
                 (request[0], 'ok', pickle.PickleBuffer(payload)),
@@ -252,7 +257,7 @@ def test_malformed_frame_kills_only_that_connection(server):
         # that cannot unpickle.
         bad.sendall(struct.pack('>II', 8, 0) + b'\xffGARBAGE')
         # The server closes the offending connection...
-        assert _read_frame(bad) is None
+        assert _frame_reader(bad)() is None
     # ...but keeps serving everyone else.
     assert bytes(healthy.get('before')) == b'1'
     healthy.set('after', b'2')
@@ -267,7 +272,7 @@ def test_oversized_frame_header_rejected(server):
     healthy = KVClient(server.host, server.port)
     with socket.create_connection((server.host, server.port)) as bad:
         bad.sendall(struct.pack('>II', 0xFFFFFFFF, 0xFFFFFFFF))
-        assert _read_frame(bad) is None  # connection dropped
+        assert _frame_reader(bad)() is None  # connection dropped
     assert healthy.ping()
     assert server.running
     healthy.close()

@@ -338,8 +338,9 @@ def test_stalled_subscriber_is_reaped():
             socket_mod.SOL_SOCKET, socket_mod.SO_RCVBUF, 4096,
         )
         stalled.connect((host, port))
+        decoder = StreamDecoder()  # one per socket: it owns the read-ahead
         send_message(stalled, (1, 'SUBSCRIBE', topic, {'from_seq': None}))
-        reply = StreamDecoder().read_message(stalled)
+        reply = decoder.read_message(stalled)
         assert reply[0] == 1 and reply[1] == 'ok'
         assert client.topic_stats(topic)['subscribers'] == 1
 
