@@ -5,14 +5,24 @@ full round trip before the next could start and N threads sharing a client
 (the normal situation: one connector instance per Store) ran at 1/N of the
 wire's capability.  This client removes that serialization:
 
-* Every request carries a **request id**; a reader thread per connection
-  receives response frames and hands each to the waiter registered under
-  its id.  Many requests from many threads are therefore *in flight on one
-  connection at once* — the send path only locks long enough to write the
-  frame (the pickling happens outside the lock).  Server-initiated
-  ``EVENT`` frames go to the connection's ``on_event`` sink instead: a
-  push subscription (:mod:`repro.stream.kv`) is this same connection class
-  with a sink, not a second socket stack.
+* Every request carries a **request id**; whichever thread is receiving
+  on the connection hands each response frame to the waiter registered
+  under its id.  Many requests from many threads are therefore *in flight
+  on one connection at once* — the send path only locks long enough to
+  write the frame (the pickling happens outside the lock).
+* **No thread per connection, no hand-off per request.**  The receiver is
+  one of the requesters (leader/follower): after its send, a thread that
+  finds the connection's receive role free takes it and reads the socket
+  itself until its own reply arrives, passing on any reply that is not
+  its own; a thread that finds the role taken waits for the leader to
+  deliver; a leader that leaves wakes one remaining waiter to take over.
+  A lone requester therefore does ``sendmsg``, ``recv``, done — no
+  context switch inside the client.
+* Server-initiated ``EVENT`` frames go to a connection's ``on_event``
+  sink: a push subscription (:mod:`repro.stream.kv`) is this same
+  connection class with a sink, not a second socket stack.  Pushes arrive
+  whether or not anyone is waiting, so only such a connection has a
+  reader thread, which holds the receive role for good.
 * A small **connection pool** (``pool_size``) spreads requests round-robin
   across sockets, so a large transfer streaming down one connection does
   not head-of-line block small operations, and sharded transfers to one
@@ -25,9 +35,8 @@ wire's capability.  This client removes that serialization:
 Payload values are transmitted zero-copy: :meth:`KVClient.set` wraps the
 payload's segments in :class:`pickle.PickleBuffer`, so the wire protocol
 scatter/gathers them straight from the caller's memory without building an
-intermediate copy.  ``get`` returns the buffer received by the reader
-thread (a ``bytes``-like view over freshly received data), again without a
-defensive copy.
+intermediate copy.  ``get`` returns the received buffer (a ``bytes``-like
+view over freshly received data), again without a defensive copy.
 """
 from __future__ import annotations
 
@@ -88,17 +97,22 @@ class _Pending:
 
 
 class _Connection:
-    """One client socket: a send lock, a reader thread, and in-flight waiters.
+    """One client socket: a send lock, a receive role, and in-flight waiters.
 
-    The reader thread is the only consumer of the socket; it dispatches
-    each ``(request_id, status, payload)`` response to the matching waiter.
-    Sends are serialized by ``_send_lock`` but *responses are not awaited
-    under it*, which is what allows pipelining.
+    One thread at a time receives; it dispatches each ``(request_id,
+    status, payload)`` response to the matching waiter.  Sends are
+    serialized by ``_send_lock`` but *responses are not awaited under it*,
+    which is what allows pipelining.
 
-    ``on_event`` is the sink for server pushes: it is called on the reader
-    thread with the payload of every ``EVENT`` frame, and once with ``None``
-    when the connection dies.  Frames are dispatched in wire order, so a
-    sink that blocks stalls the replies queued behind it.
+    Without ``on_event`` no thread is started and the receive role
+    (``_read_lock``) moves between the requesters: see :meth:`request`.
+
+    ``on_event`` is the sink for server pushes: it is called with the
+    payload of every ``EVENT`` frame, and once with ``None`` when the
+    connection dies.  A connection with a sink starts a reader thread that
+    holds the receive role for good (its requesters only ever wait), so
+    the sink runs on that thread.  Frames are dispatched in wire order, so
+    a sink that blocks stalls the replies queued behind it.
     """
 
     def __init__(
@@ -113,22 +127,23 @@ class _Connection:
         injection.on_connect(host, port)  # fault seam: refuse/latency
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        # The reader thread owns all receives and blocks until frames
-        # arrive; request waits are bounded client-side by *inactivity*
-        # (see request()), so recv never times out.  Sends are bounded in
-        # the kernel instead (SO_SNDTIMEO does not affect recv): a server
-        # that stops reading makes sendmsg fail after ~timeout rather than
-        # blocking the sender (and _send_lock) forever.
+        # A blocking socket, bounded in the kernel in both directions: a
+        # server that stops reading makes sendmsg fail after ~timeout
+        # rather than blocking the sender (and _send_lock) forever, and a
+        # recv that saw no byte for ~timeout returns EAGAIN so the thread
+        # receiving can apply the inactivity bound (see request()).
         self.sock.settimeout(None)
-        try:
-            self.sock.setsockopt(
-                socket.SOL_SOCKET,
-                socket.SO_SNDTIMEO,
-                struct.pack('ll', int(timeout), int((timeout % 1.0) * 1e6)),
-            )
-        except (OSError, ValueError):  # pragma: no cover - niche platforms
-            pass
+        bound = struct.pack('ll', int(timeout), int((timeout % 1.0) * 1e6))
+        for option in (socket.SO_SNDTIMEO, socket.SO_RCVTIMEO):
+            try:
+                self.sock.setsockopt(socket.SOL_SOCKET, option, bound)
+            except (OSError, ValueError):  # pragma: no cover - niche platforms
+                pass
         self._send_lock = threading.Lock()
+        #: The receive role: held by the requester that is reading the
+        #: socket.  Taken before ``_state_lock``, never the other way.
+        self._read_lock = threading.Lock()
+        self._decoder = StreamDecoder()
         self._state_lock = threading.Lock()
         self._pending: dict[int, _Pending] = {}
         self._next_id = 0
@@ -138,20 +153,33 @@ class _Connection:
         #: that is still streaming keeps refreshing this, so waiters do not
         #: time out on transfers that are making progress.
         self.last_activity = time.monotonic()
-        self._reader = threading.Thread(
-            target=self._read_loop, name='simkv-client-reader', daemon=True,
-        )
-        self._reader.start()
+        self._reader: threading.Thread | None = None
+        if on_event is not None:
+            self._reader = threading.Thread(
+                target=self._receive_until, args=(None,),
+                name='simkv-client-reader', daemon=True,
+            )
+            self._reader.start()
 
     # -- receive side ------------------------------------------------------ #
     def _touch(self, _nbytes: int) -> None:
         self.last_activity = time.monotonic()
 
-    def _read_loop(self) -> None:
-        decoder = StreamDecoder()
-        while True:
+    def _receive_until(self, own: '_Pending | None') -> None:
+        """Dispatch incoming frames until ``own`` has its answer.
+
+        Run by whoever holds the receive role: a leader (which also
+        returns when a receive times out, for :meth:`request` to judge) or,
+        with ``own=None``, the reader thread (until the connection dies).
+        """
+        while own is None or (own.result is None and own.error is None):
             try:
-                message = decoder.read_message(self.sock, on_bytes=self._touch)
+                message = self._decoder.read_message(self.sock, on_bytes=self._touch)
+            except BlockingIOError:
+                # SO_RCVTIMEO: no byte for a whole timeout.
+                if own is None:
+                    continue
+                return
             # repro: ignore[RP004] - not swallowed: _fail() delivers the
             # error to every waiter and poisons the connection
             except Exception as e:  # noqa: BLE001 - any failure kills the conn
@@ -175,7 +203,24 @@ class _Connection:
                 pending = self._pending.pop(request_id, None)
             if pending is not None:
                 pending.result = (status, payload)
-                pending.event.set()
+                if pending is not own:
+                    pending.event.set()
+
+    def _hand_on(self, leaving: '_Pending | None' = None) -> None:
+        """Wake one waiter (not ``leaving``) to try for the receive role.
+
+        A waiter registers before it sends and so before it first tries
+        ``_read_lock``: one that registers after this unlocked peek finds
+        the role free by itself.
+        """
+        if self._pending:
+            with self._state_lock:
+                successor = next(
+                    (w for w in self._pending.values() if w is not leaving),
+                    None,
+                )
+            if successor is not None:
+                successor.event.set()
 
     def _fail(self, error: Exception) -> None:
         """Mark the connection dead and wake every in-flight waiter."""
@@ -196,8 +241,9 @@ class _Connection:
             waiter.event.set()
         if self._on_event is not None:
             self._on_event(None)
-        # shutdown() (unlike a bare close()) reliably wakes a reader thread
-        # blocked in recv so join_reader() returns promptly.
+        # shutdown() (unlike a bare close()) reliably wakes a thread
+        # blocked in recv: a leader returns to its caller, the reader
+        # thread exits so close() can join it promptly.
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -207,26 +253,14 @@ class _Connection:
         except OSError:  # pragma: no cover - platform dependent
             pass
 
-    def join_reader(self, timeout: float = 2.0) -> None:
-        """Wait for the reader thread to exit (after :meth:`_fail`).
-
-        Leaving the daemon reader alive at interpreter shutdown can crash
-        teardown (it may hold buffer exports over memory being finalized),
-        so :meth:`KVClient.close` joins it.  A reader joining itself (a
-        failure detected *on* the reader thread) is skipped.
-        """
-        if self._reader is not threading.current_thread():
-            try:
-                self._reader.join(timeout=timeout)
-            except RuntimeError:  # pragma: no cover - interpreter shutdown
-                # join() can refuse during interpreter teardown (daemon
-                # threads are being finalized); close() must stay safe to
-                # call from __del__ at that point.
-                pass
-
     # -- send side --------------------------------------------------------- #
     def request(self, message_tail: tuple, timeout: float | None) -> tuple[Any, Any]:
         """Issue one request and wait for its response.
+
+        After the send the thread takes the receive role if it is free and
+        reads the socket itself until its own response arrives (handing
+        the others to their waiters); otherwise it waits for whoever holds
+        the role to deliver — or to leave and wake it to take over.
 
         ``timeout`` bounds *inactivity*, not total duration: as long as the
         connection keeps receiving bytes (a large response streaming in, or
@@ -269,29 +303,50 @@ class _Connection:
             self._fail(e)
             raise _StaleConnectionError(e) from e
         sent_at = time.monotonic()
-        if timeout is None:
-            waiter.event.wait()
-        else:
-            while not waiter.event.is_set():
+        while waiter.result is None and waiter.error is None:
+            remaining = None
+            if timeout is not None:
                 idle_for = time.monotonic() - max(self.last_activity, sent_at)
                 remaining = timeout - idle_for
                 if remaining <= 0:
                     with self._state_lock:
                         self._pending.pop(request_id, None)
+                    self._hand_on()  # this thread may be the one woken to lead
                     raise ConnectorError(
                         f'SimKV request timed out after {timeout}s of '
                         'connection inactivity',
                     )
+            if self._reader is None and self._read_lock.acquire(blocking=False):
+                try:
+                    self._receive_until(waiter)
+                finally:
+                    self._read_lock.release()
+                    self._hand_on(waiter)
+            else:
                 waiter.event.wait(remaining)
+                waiter.event.clear()
         if waiter.error is not None:
             raise _StaleConnectionError(waiter.error)
         assert waiter.result is not None
         return waiter.result
 
     def close(self) -> None:
-        """Fail the connection and reap its reader (idempotent)."""
+        """Fail the connection and reap its reader thread (idempotent).
+
+        Leaving a daemon reader alive at interpreter shutdown can crash
+        teardown (it may hold buffer exports over memory being finalized).
+        A reader closing its own connection (from its sink) is not joined.
+        """
         self._fail(ConnectionError('client closed the connection'))
-        self.join_reader()
+        reader = self._reader
+        if reader is not None and reader is not threading.current_thread():
+            try:
+                reader.join(timeout=2.0)
+            except RuntimeError:  # pragma: no cover - interpreter shutdown
+                # join() can refuse during interpreter teardown (daemon
+                # threads are being finalized); close() must stay safe to
+                # call from __del__ at that point.
+                pass
 
 
 def open_connection(
@@ -409,9 +464,7 @@ class KVClient(GroupCommands):
         """Close every pooled connection (a later request reconnects).
 
         Idempotent and safe from ``__del__``: a second close sees an empty
-        pool and does nothing, and connection teardown tolerates reader
-        threads that already exited (or cannot be joined at interpreter
-        shutdown).
+        pool and does nothing.
         """
         with self._pool_lock:
             connections = [c for c in self._pool if c is not None]
@@ -420,7 +473,7 @@ class KVClient(GroupCommands):
             connection.close()
 
     def __del__(self) -> None:
-        """Best-effort close so dropped clients never leak reader threads."""
+        """Best-effort close so dropped clients never leak sockets."""
         try:
             self.close()
         # repro: ignore[RP004] - __del__ during interpreter teardown;

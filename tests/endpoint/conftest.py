@@ -17,7 +17,7 @@ def _no_leaked_threads_or_fds():
 
     ``Endpoint.stop()`` has to close the server (listener, wake pipe,
     selector, accepted sockets, loop thread) and every pooled client
-    (socket + reader thread); a miss shows here as a count that grew.
+    (a socket; no thread of its own); a miss shows here as a count that grew.
     """
     threads_before = threading.active_count()
     fds_before = _open_fds()

@@ -1,16 +1,23 @@
-"""Tests of the concurrent SimKV transport: pipelining, drain, retry."""
+"""Tests of the concurrent SimKV transport: pipelining, drain, retry.
+
+And of who receives: a plain client starts no thread — the requesters
+pass the connection's receive role among themselves (leader/follower).
+"""
 from __future__ import annotations
 
 import functools
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.exceptions import ConnectorError
+from repro.exceptions import NodeUnavailableError
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
+from repro.kvserver.client import open_connection
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import send_message
 
@@ -81,6 +88,76 @@ def test_pipelined_responses_match_requests(server):
     for t in threads:
         t.join()
     assert errors == []
+    client.close()
+
+
+def _reader_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == 'simkv-client-reader']
+
+
+def test_plain_client_starts_no_thread(server):
+    """Only a connection with an event sink (a subscription) has a reader."""
+    threads_before = threading.active_count()
+    client = KVClient(server.host, server.port, pool_size=3)
+    for i in range(9):  # every pooled connection has carried requests
+        client.set(f'k{i}', b'v')
+        assert bytes(client.get(f'k{i}')) == b'v'
+    assert all(c is not None for c in client._pool)
+    assert threading.active_count() == threads_before
+    assert _reader_threads() == []
+
+    subscription = open_connection(server.host, server.port, 5.0, on_event=lambda _: None)
+    try:
+        assert [t.is_alive() for t in _reader_threads()] == [True]
+        assert subscription.request(('PING', None, None), 5.0) == ('ok', 'PONG')
+    finally:
+        subscription.close()
+    assert _reader_threads() == []
+    client.close()
+    assert threading.active_count() == threads_before
+
+
+def test_leadership_is_handed_on_between_requesters(server, monkeypatch):
+    """16 threads on one connection: own replies only, and more than one led."""
+    client = KVClient(server.host, server.port, pool_size=1)
+    client.ping()
+    (connection,) = client._pool
+    leaders: set[int] = set()
+    receive_until = connection._receive_until
+
+    def recording(own):
+        leaders.add(threading.get_ident())
+        return receive_until(own)
+
+    monkeypatch.setattr(connection, '_receive_until', recording)
+    errors: list[Exception] = []
+    barrier = threading.Barrier(16)
+
+    def worker(n: int) -> None:
+        try:
+            barrier.wait(timeout=10)
+            for i in range(50):
+                value = f'{n}-{i}'.encode() * 20
+                client.set(f'w{n}', value)
+                assert bytes(client.get(f'w{n}')) == value
+        except Exception as e:  # pragma: no cover - only on failure
+            errors.append(e)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch inside the hand-over, not around it
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert errors == []
+    assert len(leaders) > 1
+    assert client._pool == [connection] and not connection.dead
+    assert not connection._read_lock.locked() and not connection._pending
     client.close()
 
 
@@ -202,6 +279,96 @@ def test_request_timeout_surfaces_as_connector_error():
             client.ping()
     finally:
         client.close()
+        listener.close()
+
+
+def test_timed_out_leader_hands_the_connection_to_a_follower():
+    """The leader's request times out; the follower's reply still arrives.
+
+    The server accepts, never answers request 0, and answers request 1
+    only after request 0 has timed out — so the reply can only be read by
+    the follower taking the receive role over from the departed leader.
+    """
+    timeout = 0.4
+    listener = socket.socket()
+    listener.bind(('127.0.0.1', 0))
+    listener.listen(1)
+    host, port = listener.getsockname()
+    leader_gone = threading.Event()
+
+    def serve() -> None:
+        conn, _addr = listener.accept()
+        with conn:
+            read_frame = _frame_reader(conn)
+            assert read_frame()[0] == 0
+            second = read_frame()
+            assert leader_gone.wait(timeout=10)
+            time.sleep(0.05)
+            send_message(conn, (second[0], 'ok', 'PONG'))
+            read_frame()  # hold the connection open until the client closes
+
+    server_thread = threading.Thread(target=serve, daemon=True)
+    server_thread.start()
+    connection = open_connection(host, port, timeout)
+    outcome: list = []
+
+    def lead() -> None:
+        started = time.monotonic()
+        try:
+            connection.request(('PING', None, None), timeout)
+        except ConnectorError as e:
+            outcome.append((e, time.monotonic() - started))
+        leader_gone.set()
+
+    leader = threading.Thread(target=lead)
+    try:
+        leader.start()
+        while not connection._read_lock.locked():  # the leader is in recv
+            time.sleep(0.005)
+        time.sleep(timeout * 0.6)
+        # Sent later than the leader's, so still inside its own bound when
+        # the leader gives up.
+        assert connection.request(('PING', None, None), timeout) == ('ok', 'PONG')
+        leader.join(timeout=5)
+        ((error, elapsed),) = outcome
+        assert 'connection inactivity' in str(error)
+        assert timeout <= elapsed < 1.5 * timeout
+        assert not connection.dead
+    finally:
+        connection.close()
+        listener.close()
+        server_thread.join(timeout=5)
+        assert not server_thread.is_alive()
+
+
+def test_close_wakes_a_leader_blocked_in_recv():
+    listener = socket.socket()
+    listener.bind(('127.0.0.1', 0))
+    listener.listen(1)
+    host, port = listener.getsockname()
+    connection = open_connection(host, port, 30.0)
+    outcome: list = []
+
+    def ask() -> None:
+        try:
+            connection.request(('PING', None, None), 30.0)
+        except NodeUnavailableError as e:
+            outcome.append(e)
+
+    asker = threading.Thread(target=ask)
+    asker.start()
+    try:
+        while not connection._read_lock.locked():
+            time.sleep(0.005)
+        time.sleep(0.05)  # into the recv itself
+        started = time.monotonic()
+        connection.close()
+        asker.join(timeout=5)
+        assert not asker.is_alive()
+        assert time.monotonic() - started < 1.0
+        assert 'client closed the connection' in str(outcome[0])
+    finally:
+        connection.close()
         listener.close()
 
 

@@ -303,7 +303,7 @@ def test_kv_close_reaps_a_reader_blocked_on_the_full_queue(make_bus, topic):
     reader = sub._connection._reader
     started = time.monotonic()
     sub.close()
-    assert time.monotonic() - started < 1.0  # join_reader() gives up at 2 s
+    assert time.monotonic() - started < 1.0  # close() gives up joining at 2 s
     assert not reader.is_alive()
 
 
