@@ -175,12 +175,13 @@ class StreamDecoder:
 
     Every receive lands in one fixed scratch buffer of
     :data:`READ_AHEAD_BYTES`, so a single ``recv_into`` brings a whole small
-    frame — and any pipelined frames behind it.  The frame's sections
-    (header, buffer-length table, pickle bytes, each out-of-band buffer) are
-    filled from the scratch, one allocation per section, no join; a section
-    that still misses at least a scratch-full is received straight into its
-    own ``bytearray``, so bulk payloads are never copied.  Decoding is
-    restartable at any byte boundary, so a single event-loop thread can
+    frame — and any pipelined frames behind it.  A frame that lies wholly
+    in the scratch is decoded in one step.  Otherwise its sections (header,
+    buffer-length table, pickle bytes, each out-of-band buffer) are filled
+    from the scratch, one allocation per section, no join; a section that
+    still misses at least a scratch-full is received straight into its own
+    ``bytearray``, so the body of a bulk payload is never copied.  Decoding
+    is restartable at any byte boundary, so a single event-loop thread can
     interleave many connections.
 
     A decoder owns its socket's read-ahead: keep **one decoder per socket**
@@ -266,6 +267,37 @@ class StreamDecoder:
         self._buffer_index += 1
         return self._next_buffer_stage()
 
+    def _whole_frame(self) -> Any:
+        """Decode a frame that lies wholly in the scratch, in one step.
+
+        The caller found a complete header at ``_start``.  Returns
+        ``_NO_MESSAGE`` (and consumes nothing) when the rest of the frame
+        is not all there: it then goes section by section.
+        """
+        scratch, start, end = self._scratch, self._start, self._end
+        pickle_len, n_buffers = _HEADER.unpack_from(scratch, start)
+        _check_frame(pickle_len, n_buffers)
+        body = start + _HEADER.size + _U64.size * n_buffers
+        if body + pickle_len > end:
+            return _NO_MESSAGE
+        lengths = [
+            _U64.unpack_from(scratch, offset)[0]
+            for offset in range(start + _HEADER.size, body, _U64.size)
+        ]
+        buffer_bytes = sum(lengths)
+        _check_frame(pickle_len, n_buffers, buffer_bytes)
+        offset = body + pickle_len
+        if offset + buffer_bytes > end:
+            return _NO_MESSAGE
+        buffers = []
+        for length in lengths:
+            # A copy: the message must not alias the scratch.
+            buffers.append(bytearray(scratch[offset:offset + length]))
+            offset += length
+        message = pickle.loads(scratch[body:body + pickle_len], buffers=buffers)
+        self._start = offset
+        return message
+
     def _next(self) -> Any:
         """Decode from the bytes already received.
 
@@ -273,6 +305,14 @@ class StreamDecoder:
         used up and the current section still misses bytes.
         """
         while True:
+            if (
+                self._stage == _STAGE_HEADER
+                and not self._filled
+                and self._end - self._start >= _HEADER.size
+            ):
+                message = self._whole_frame()
+                if message is not _NO_MESSAGE:
+                    return message
             missing = len(self._target) - self._filled
             if missing:
                 taken = min(missing, self._end - self._start)

@@ -326,9 +326,13 @@ def test_small_frame_costs_one_receive():
 def test_pipelined_frames_decode_from_one_receive():
     wire = _wire(_small_set('a')) + _wire(_small_set('b'))
     decoder, sock = StreamDecoder(), FeedSocket(wire, eof=False)
-    assert _plain(decoder.read_message(sock)) == _plain(_small_set('a'))
+    first = decoder.read_message(sock)
+    assert _plain(first) == _plain(_small_set('a'))
     assert _plain(decoder.read_message(sock)) == _plain(_small_set('b'))
     assert len(sock.views) == 1
+    # A decoded message owns its bytes: the next receive reuses the scratch.
+    decoder.read_message(FeedSocket(_wire((2, 'ok', pickle.PickleBuffer(b'\xff' * 2048)))))
+    assert _plain(first) == _plain(_small_set('a'))
 
 
 def test_bulk_buffer_is_received_in_place():
