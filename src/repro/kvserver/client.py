@@ -209,9 +209,10 @@ class _Connection:
     def _hand_on(self, leaving: '_Pending | None' = None) -> None:
         """Wake one waiter (not ``leaving``) to try for the receive role.
 
-        A waiter registers before it sends and so before it first tries
-        ``_read_lock``: one that registers after this unlocked peek finds
-        the role free by itself.
+        The unlocked peek at ``_pending`` cannot miss anyone: a waiter
+        registers before it sends, hence before it first tries
+        ``_read_lock``, so one that registers after the peek finds the
+        role free by itself.
         """
         if self._pending:
             with self._state_lock:
