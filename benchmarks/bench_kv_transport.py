@@ -30,9 +30,12 @@ there is no network to win back — every transport is equally CPU-bound:
 Run directly (also used as a CI step)::
 
     PYTHONPATH=src python benchmarks/bench_kv_transport.py --out BENCH_kv.json
-    PYTHONPATH=src python benchmarks/bench_kv_transport.py --smoke
+    PYTHONPATH=src python benchmarks/bench_kv_transport.py --smoke --gate
 
-``--smoke`` shrinks the sweep (fewer ops, 32 MiB payload) for CI.
+``--smoke`` shrinks the sweep (fewer ops, 32 MiB payload) for CI.  With
+``--gate`` the run exits non-zero unless the pipelined client reaches 3x
+the serialized one (which leans on the follower wake-up: 16 threads share
+one connection) and the chaos scenario lost no key.
 """
 from __future__ import annotations
 
@@ -454,6 +457,12 @@ def main(argv: list[str] | None = None) -> int:
         action='store_true',
         help='quick CI run: fewer ops and a 32 MiB sharded payload',
     )
+    parser.add_argument(
+        '--gate',
+        action='store_true',
+        help='exit non-zero unless pipelined >= 3x serialized and the '
+             'chaos scenario lost no key',
+    )
     args = parser.parse_args(argv)
 
     ops = 40 if args.smoke else 150
@@ -502,6 +511,12 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, 'w') as f:
         json.dump(report, f, indent=2)
     print(f'wrote {args.out}')
+    if args.gate and not (pipelining['passes_3x'] and chaos['passes_zero_lost']):
+        print(
+            f'GATE FAILED: pipelining speedup {pipelining["speedup"]:.2f}x '
+            f'(needs >= 3x), lost keys {chaos["lost_keys"]} (needs 0)',
+        )
+        return 1
     return 0
 
 

@@ -48,7 +48,7 @@ class TaskContext:
         if store is None or not isinstance(store.connector, CostedConnector):
             return 0.0, True
         connector = store.connector
-        charged = connector.charge_clock and connector.clock is self.clock
+        charged = connector.clock is self.clock
         return connector.ledger.last_get_cost, charged
 
     def resolve_proxy(self, proxy: Any) -> float:

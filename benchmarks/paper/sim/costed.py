@@ -32,25 +32,19 @@ class CostLedger:
     get_cost: float = 0.0
     put_count: int = 0
     get_count: int = 0
-    put_bytes: int = 0
-    get_bytes: int = 0
-    last_put_cost: float = 0.0
     last_get_cost: float = 0.0
 
     @property
     def total_cost(self) -> float:
         return self.put_cost + self.get_cost
 
-    def record_put(self, cost: float, nbytes: int) -> None:
+    def record_put(self, cost: float) -> None:
         self.put_cost += cost
         self.put_count += 1
-        self.put_bytes += nbytes
-        self.last_put_cost = cost
 
-    def record_get(self, cost: float, nbytes: int) -> None:
+    def record_get(self, cost: float) -> None:
         self.get_cost += cost
         self.get_count += 1
-        self.get_bytes += nbytes
         self.last_get_cost = cost
 
 
@@ -62,8 +56,6 @@ class CostedConnector(Connector):
         model: cost model describing this communication method.
         clock: virtual clock charged for every operation (optional: when
             omitted only the ledger is updated).
-        charge_clock: whether to advance the clock (disable when a higher
-            layer, e.g. the FaaS simulator, wants to account for overlap).
     """
 
     connector_name = 'costed'
@@ -73,13 +65,10 @@ class CostedConnector(Connector):
         inner: Connector,
         model: TransferCostModel,
         clock: VirtualClock | None = None,
-        *,
-        charge_clock: bool = True,
     ) -> None:
         self.inner = inner
         self.model = model
         self.clock = clock
-        self.charge_clock = charge_clock
         self.ledger = CostLedger()
         self.capabilities = inner.capabilities
         # Buffer support is inherited: the wrapper forwards payloads as-is.
@@ -99,7 +88,7 @@ class CostedConnector(Connector):
 
     # -- cost helpers ------------------------------------------------------- #
     def _charge(self, cost: float) -> None:
-        if self.charge_clock and self.clock is not None:
+        if self.clock is not None:
             self.clock.advance(cost)
 
     def _charge_put(self, key: Any, nbytes: int) -> None:
@@ -108,7 +97,7 @@ class CostedConnector(Connector):
         with self._lock:
             self._origins[key] = host
             self._fetched_at.pop(key, None)
-        self.ledger.record_put(cost, nbytes)
+        self.ledger.record_put(cost)
         self._charge(cost)
 
     def _charge_get(self, key: Any, nbytes: int) -> None:
@@ -119,7 +108,7 @@ class CostedConnector(Connector):
             first = consumer not in fetched_at
             fetched_at.add(consumer)
         cost = self.model.get_cost(nbytes, origin, consumer, first_fetch=first)
-        self.ledger.record_get(cost, nbytes)
+        self.ledger.record_get(cost)
         self._charge(cost)
 
     # -- connector protocol --------------------------------------------------- #

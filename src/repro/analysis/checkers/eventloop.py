@@ -6,7 +6,9 @@ that thread — a ``time.sleep``, a blocking socket call, an indefinite
 lock ``acquire()``, a ``select()`` with no timeout — stalls *all*
 clients at once and disables the dead-subscriber reaper.  This rule
 computes the set of methods reachable (via ``self.*()`` calls) from the
-loop entry points and flags blocking primitives found there.  The topic
+loop entry points — the loop, the request handler, and every ``_cmd_*``
+command handler (those are called through the server's dispatch table,
+not as ``self.*()``) — and flags blocking primitives found there.  The topic
 and group state the handlers call into (:mod:`repro.kvserver.broker`)
 is reached through other objects, not ``self``, so every method of
 those classes is checked outright.
@@ -82,9 +84,11 @@ class BlockingCallInEventLoop(Checker):
         'select() without a timeout reachable from the KVServer event loop'
     )
     #: Classes whose ``self``-call graph is traversed, and the methods
-    #: the traversal starts from (the loop itself plus request handlers).
+    #: the traversal starts from (the loop itself plus request handlers,
+    #: by name or by prefix).
     event_loop_classes: tuple[str, ...] = ('KVServer',)
     entry_methods: tuple[str, ...] = ('_serve_loop', '_handle')
+    entry_prefix = '_cmd_'
     #: Classes the loop's handlers run on its thread: every method counts.
     loop_state_classes: tuple[str, ...] = ('GroupState', 'TopicRing')
 
@@ -104,7 +108,10 @@ class BlockingCallInEventLoop(Checker):
     ) -> Iterator[Finding]:
         methods = _method_map(cls)
         reachable: set[str] = set()
-        frontier = [name for name in self.entry_methods if name in methods]
+        frontier = [
+            name for name in methods
+            if name in self.entry_methods or name.startswith(self.entry_prefix)
+        ]
         while frontier:
             name = frontier.pop()
             if name in reachable:

@@ -17,7 +17,10 @@ wire's capability.  This client removes that serialization:
   its own; a thread that finds the role taken waits for the leader to
   deliver; a leader that leaves wakes one remaining waiter to take over.
   A lone requester therefore does ``sendmsg``, ``recv``, done — no
-  context switch inside the client.
+  context switch inside the client.  What it pays around those two calls
+  is kept small too: its waiter is a bare pre-acquired lock (not a
+  ``threading.Event``), the pool slot comes from a lock-free counter, and
+  a frame of at most ``IOV_MAX`` segments is one ``sendmsg``.
 * Server-initiated ``EVENT`` frames go to a connection's ``on_event``
   sink: a push subscription (:mod:`repro.stream.kv`) is this same
   connection class with a sink, not a second socket stack.  Pushes arrive
@@ -40,6 +43,8 @@ view over freshly received data), again without a defensive copy.
 """
 from __future__ import annotations
 
+import _thread
+import itertools
 import pickle
 import socket
 import struct
@@ -54,14 +59,15 @@ from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
 from repro.exceptions import NodeUnavailableError
 from repro.faults import injection
-from repro.faults.retry import RetryPolicy
 from repro.kvserver.broker import GroupCommands
 from repro.kvserver.protocol import EVENT_STATUS
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import encode_message
+from repro.serialize.buffers import IOV_MAX
 from repro.serialize.buffers import SerializedObject
 from repro.serialize.buffers import segments_of
+from repro.serialize.buffers import unsent
 from repro.serialize.buffers import vectored_write
 
 __all__ = ['DEFAULT_POOL_SIZE', 'DEFAULT_TIMEOUT', 'KVClient', 'open_connection']
@@ -86,14 +92,38 @@ class _StaleConnectionError(NodeUnavailableError):
 
 
 class _Pending:
-    """A waiter for one in-flight request."""
+    """A waiter for one in-flight request.
 
-    __slots__ = ('event', 'result', 'error')
+    Its wake-up is a bare lock the waiter holds from birth (a fraction of
+    the cost of a ``threading.Event`` and the ``Condition`` inside it):
+    :meth:`wait` blocks acquiring it, :meth:`wake` releases it.  A wake
+    that comes before the wait is kept — the lock stays free until the
+    wait takes it — so none is lost; a second wake before the wait is a
+    no-op, so a waiter woken twice and then waiting again does not wake
+    early; a wait that returns holds the lock again, ready for the next.
+    It is a ``_thread`` lock, as ``threading.Condition``'s own waiter locks
+    are: a wake-up signal that orders nothing, so a lock-order witness
+    patching ``threading.Lock`` must not count it as held.
+    """
+
+    __slots__ = ('_wake', 'result', 'error')
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self._wake = _thread.allocate_lock()
+        self._wake.acquire()
         self.result: tuple[Any, Any] | None = None
         self.error: Exception | None = None
+
+    def wake(self) -> None:
+        """Let :meth:`wait` return (now, or at once when it is next called)."""
+        try:
+            self._wake.release()
+        except RuntimeError:
+            pass  # already woken and not yet waited on: one wake is kept
+
+    def wait(self, timeout: float | None) -> None:
+        """Block until woken or ``timeout`` seconds pass (``None``: forever)."""
+        self._wake.acquire(True, -1 if timeout is None else timeout)
 
 
 class _Connection:
@@ -204,7 +234,7 @@ class _Connection:
             if pending is not None:
                 pending.result = (status, payload)
                 if pending is not own:
-                    pending.event.set()
+                    pending.wake()
 
     def _hand_on(self, leaving: '_Pending | None' = None) -> None:
         """Wake one waiter (not ``leaving``) to try for the receive role.
@@ -221,7 +251,7 @@ class _Connection:
                     None,
                 )
             if successor is not None:
-                successor.event.set()
+                successor.wake()
 
     def _fail(self, error: Exception) -> None:
         """Mark the connection dead and wake every in-flight waiter."""
@@ -239,7 +269,7 @@ class _Connection:
             pending, self._pending = self._pending, {}
         for waiter in pending.values():
             waiter.error = error
-            waiter.event.set()
+            waiter.wake()
         if self._on_event is not None:
             self._on_event(None)
         # shutdown() (unlike a bare close()) reliably wakes a thread
@@ -292,7 +322,15 @@ class _Connection:
                     head = bytes(segments[0])
                     self.sock.sendall(head[: max(1, len(head) // 2)])
                     raise ConnectionResetError('injected payload truncation')
-                vectored_write(self.sock.sendmsg, segments)
+                # One sendmsg for the whole frame; only after a partial
+                # send (or past IOV_MAX segments) does the rest go through
+                # the loop — still the caller's memory, never joined.
+                rest = (
+                    segments if len(segments) > IOV_MAX
+                    else unsent(segments, self.sock.sendmsg(segments))
+                )
+                if rest:
+                    vectored_write(self.sock.sendmsg, rest)
         except OSError as e:
             # Drop the frame's reference to the wire segments before the
             # exception (whose traceback pins this frame) escapes: their
@@ -304,8 +342,18 @@ class _Connection:
             self._fail(e)
             raise _StaleConnectionError(e) from e
         sent_at = time.monotonic()
-        while waiter.result is None and waiter.error is None:
-            remaining = None
+        remaining = timeout  # the first pass: nothing has been idle yet
+        while True:
+            if self._reader is None and self._read_lock.acquire(blocking=False):
+                try:
+                    self._receive_until(waiter)
+                finally:
+                    self._read_lock.release()
+                    self._hand_on(waiter)
+            else:
+                waiter.wait(remaining)
+            if waiter.result is not None or waiter.error is not None:
+                break
             if timeout is not None:
                 idle_for = time.monotonic() - max(self.last_activity, sent_at)
                 remaining = timeout - idle_for
@@ -317,15 +365,6 @@ class _Connection:
                         f'SimKV request timed out after {timeout}s of '
                         'connection inactivity',
                     )
-            if self._reader is None and self._read_lock.acquire(blocking=False):
-                try:
-                    self._receive_until(waiter)
-                finally:
-                    self._read_lock.release()
-                    self._hand_on(waiter)
-            else:
-                waiter.event.wait(remaining)
-                waiter.event.clear()
         if waiter.error is not None:
             raise _StaleConnectionError(waiter.error)
         assert waiter.result is not None
@@ -400,31 +439,27 @@ class KVClient(GroupCommands):
         self.port = port
         self.timeout = timeout
         self.pool_size = pool_size
-        # Stale-connection retries are immediate: cycling to a fresh pooled
-        # socket costs nothing, and riding out a restart is the owner
-        # walk's job (PartitionRouter.first_live), not this client's.
-        self._retry = RetryPolicy(
-            max_attempts=pool_size + 1, base_delay=0.0, jitter=0.0,
-        )
         self._pool: list[_Connection | None] = [None] * pool_size
         self._pool_lock = threading.Lock()
-        # Per-slot locks so a blocking (re)connect of one slot never stalls
-        # requests using the other, healthy pooled connections.
+        # Per-slot locks, taken only to (re)connect, so a blocking connect
+        # of one slot never stalls requests using the other, healthy
+        # pooled connections.
         self._slot_locks = [threading.Lock() for _ in range(pool_size)]
-        self._round_robin = 0
+        # next() on a count is atomic under the GIL: no lock to pick a slot.
+        self._round_robin = itertools.count()
 
     # -- connection management -------------------------------------------- #
     def _connection(self) -> _Connection:
         """Return the next pooled connection, (re)connecting a dead slot."""
-        with self._pool_lock:
-            index = self._round_robin % self.pool_size
-            self._round_robin += 1
-        with self._slot_locks[index]:
-            connection = self._pool[index]
-            if connection is None or connection.dead:
-                connection = open_connection(self.host, self.port, self.timeout)
-                self._pool[index] = connection
-            return connection
+        index = next(self._round_robin) % self.pool_size
+        connection = self._pool[index]
+        if connection is None or connection.dead:
+            with self._slot_locks[index]:
+                connection = self._pool[index]
+                if connection is None or connection.dead:
+                    connection = open_connection(self.host, self.port, self.timeout)
+                    self._pool[index] = connection
+        return connection
 
     def _request(self, command: str, key: str | None = None, value: Any = None) -> Any:
         """Issue ``command`` and return its payload.
@@ -434,10 +469,13 @@ class KVClient(GroupCommands):
         Up to ``pool_size`` stale connections may be encountered before a
         fresh one (e.g. after a server restart every pooled socket is
         dead), so stale failures do not consume the retry — the request
-        only fails after ``pool_size + 1`` immediate attempts.
+        only fails after ``pool_size + 1`` immediate attempts: cycling to a
+        fresh pooled socket costs nothing, and riding out a restart is the
+        owner walk's job (``PartitionRouter.first_live``), not this
+        client's.
         """
         last_error: Exception | None = None
-        for _attempt in self._retry.attempts():
+        for _attempt in range(self.pool_size + 1):
             connection = self._connection()
             try:
                 status, payload = connection.request((command, key, value), self.timeout)

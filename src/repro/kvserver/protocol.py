@@ -19,14 +19,17 @@ Requests are ``(request_id, command, key, value)`` tuples; responses are
 ``'error'``.  Request ids let many requests share one connection: a
 pipelined client tags each request and whichever thread is receiving
 matches responses back to waiters, so the transport no longer serializes
-round trips.
+round trips.  The commands are the keys of the server's dispatch table
+(:mod:`repro.kvserver.server`), the one list of them.
 Pickle is acceptable here because both ends are this library (SimKV is an
 internal substrate, not an internet-facing service).
 
 There is one frame reader, :class:`StreamDecoder`: an incremental state
 machine behind a fixed read-ahead buffer, so a small frame costs one
-``recv``, with two entry points — :meth:`StreamDecoder.read_from` drains a
-non-blocking socket for the event-loop server, and
+``recv``, with two entry points — :meth:`StreamDecoder.read_from` reads a
+non-blocking socket for the event-loop server until one receive comes back
+short (the selector is level-triggered, so whatever arrived after that
+receive is reported again), and
 :meth:`StreamDecoder.read_message` blocks for one frame on whichever client
 thread holds the connection's receive role (see
 :mod:`repro.kvserver.client`), whether the frame is a reply or a pushed
@@ -42,54 +45,20 @@ from typing import Any
 from repro.serialize.buffers import vectored_write
 
 __all__ = [
-    'COMMANDS',
     'EVENT_STATUS',
-    'GROUP_COMMANDS',
     'MAX_FRAME_BYTES',
     'READ_AHEAD_BYTES',
-    'REPL_COMMANDS',
-    'STREAM_COMMANDS',
     'StreamDecoder',
     'UNKNOWN_MEMBER',
     'encode_message',
     'send_message',
 ]
 
-#: Pub/sub commands (stream event transport): see repro.stream.kv.  The
-#: server dispatches these to its broker handler, so they live here, next
-#: to COMMANDS, as the single source of truth.
-STREAM_COMMANDS = frozenset({
-    'PUBLISH', 'MPUBLISH', 'SUBSCRIBE', 'UNSUBSCRIBE', 'FETCH',
-    'TSTATS', 'TCONFIG',
-})
-
-#: Consumer-group commands (see repro.stream.groups): membership with
-#: heartbeat-timeout expiry plus per-partition committed offsets and
-#: delivered watermarks, all held by the group's designated broker.
-GROUP_COMMANDS = frozenset({
-    'GROUP_JOIN', 'GROUP_LEAVE', 'GROUP_HEARTBEAT',
-    'OFFSET_COMMIT', 'OFFSET_FETCH', 'GROUP_STATS',
-})
-
 #: Prefix of the error reply to a ``GROUP_HEARTBEAT`` from a member whose
 #: lease expired (or that never joined).  The server writes it and the
 #: client recognises it — the reply is a plain string on the wire, so this
 #: text is the "member expired" signal and must not change.
 UNKNOWN_MEMBER = 'unknown member'
-
-#: Replication commands (broker failover, see repro.stream.failover):
-#: clients mirror a partition topic's retention ring (REPL_PUBLISH carries
-#: events *with explicit sequence numbers*) and the group coordinator's
-#: state (REPL_GROUP carries a lenient, monotonic state delta) onto the
-#: hash-ring successor brokers, so a replica can take over with the same
-#: sequence numbering and committed offsets when the primary dies.
-REPL_COMMANDS = frozenset({'REPL_PUBLISH', 'REPL_GROUP'})
-
-#: Commands understood by the server.
-COMMANDS = frozenset({
-    'SET', 'GET', 'EXISTS', 'DEL', 'FLUSH', 'PING', 'SIZE', 'SHUTDOWN',
-    'MSET', 'MGET', 'MDEL',
-}) | STREAM_COMMANDS | GROUP_COMMANDS | REPL_COMMANDS
 
 #: ``status`` value of a server-initiated push frame (not a response to any
 #: request): ``(None, EVENT_STATUS, (topic, [(seq, payload), ...]))``.
@@ -328,20 +297,23 @@ class StreamDecoder:
             if message is not _NO_MESSAGE:
                 return message
 
-    def _receive(self, sock: socket.socket) -> int:
+    def _receive(self, sock: socket.socket) -> tuple[int, bool]:
         """One ``recv_into`` (only once :meth:`_next` has emptied the scratch).
 
         The bytes go to the scratch — whatever they turn out to be — unless
         the current section still misses at least a scratch-full: then they
         can only be that section's, and go straight to its own memory.
+        Returns the byte count and whether the receive was short (brought
+        less than it had room for: the kernel had no more to give).
         """
-        if len(self._target) - self._filled >= READ_AHEAD_BYTES:
+        missing = len(self._target) - self._filled
+        if missing >= READ_AHEAD_BYTES:
             received = sock.recv_into(self._target[self._filled:])
             self._filled += received
-        else:
-            received = sock.recv_into(self._scratch)
-            self._start, self._end = 0, received
-        return received
+            return received, received < missing
+        received = sock.recv_into(self._scratch)
+        self._start, self._end = 0, received
+        return received, received < READ_AHEAD_BYTES
 
     def read_message(
         self,
@@ -358,25 +330,32 @@ class StreamDecoder:
             message = self._next()
             if message is not _NO_MESSAGE:
                 return message
-            received = self._receive(sock)
+            received, _short = self._receive(sock)
             if received == 0:
                 return None
             if on_bytes is not None:
                 on_bytes(received)
 
     def read_from(self, sock: socket.socket) -> tuple[list[Any], bool]:
-        """Drain readable bytes from ``sock``; returns ``(messages, closed)``.
+        """Read what ``sock`` has ready; returns ``(messages, closed)``.
 
-        Reads until the socket would block (``messages`` holds every frame
-        completed by the drained bytes) or the peer closes/errors
-        (``closed`` is True; partially received frames are discarded).
+        For a non-blocking socket behind a *level-triggered* selector.
+        Receives until one receive comes back short (or would block), so a
+        small request costs one ``recv_into``: bytes the kernel got after
+        that receive keep the socket readable, and the selector reports it
+        again.  ``messages`` holds every frame the received bytes
+        completed; ``closed`` is True when the peer closed or the socket
+        failed (partially received frames are then discarded).
         """
         messages: list[Any] = []
+        short = False
         while True:
             while (message := self._next()) is not _NO_MESSAGE:
                 messages.append(message)
+            if short:
+                return messages, False
             try:
-                received = self._receive(sock)
+                received, short = self._receive(sock)
             except (BlockingIOError, InterruptedError):
                 return messages, False
             except OSError:

@@ -4,12 +4,16 @@ One server instance holds an in-memory ``dict`` and serves any number of
 concurrent client connections from a single ``selectors`` event loop —
 no thread is spawned per connection, so thousands of pipelined clients
 cost one file descriptor each instead of a Python thread each.  The loop
-keeps the scatter/gather zero-copy framing of the wire protocol: requests
-are decoded incrementally with ``recv_into`` into pre-sized buffers
-(:class:`~repro.kvserver.protocol.StreamDecoder`) and responses are queued
-as wire-order segments flushed with non-blocking ``sendmsg``, so payload
+keeps the scatter/gather zero-copy framing of the wire protocol, so payload
 bytes go straight between storage and the socket without intermediate
-joins.
+joins.  A small request costs the loop one receive and one send: the
+decoder (:class:`~repro.kvserver.protocol.StreamDecoder`) stops at a short
+``recv_into`` (the selector is level-triggered and reports the socket again
+if more arrives), the command finds its handler in one lookup
+(``KVServer._HANDLERS``), and the reply goes out in one non-blocking
+``sendmsg`` when nothing is queued ahead of it — only an unsent tail is
+queued for the loop to flush.  The dead-subscriber reaper runs once per
+loop tick.
 
 Shutdown drains: :meth:`KVServer.stop` closes the listener, keeps the loop
 running until every already-received request has been answered and every
@@ -37,6 +41,7 @@ import socket
 import threading
 import time
 from collections import deque
+from functools import partial
 from itertools import islice
 from typing import Any
 
@@ -45,13 +50,11 @@ from repro.kvserver.broker import DEFAULT_SESSION_TIMEOUT
 from repro.kvserver.broker import GroupState
 from repro.kvserver.broker import TopicRing
 from repro.kvserver.protocol import EVENT_STATUS
-from repro.kvserver.protocol import GROUP_COMMANDS
-from repro.kvserver.protocol import REPL_COMMANDS
-from repro.kvserver.protocol import STREAM_COMMANDS
 from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import encode_message
 from repro.serialize.buffers import IOV_MAX
+from repro.serialize.buffers import unsent
 
 __all__ = ['DEFAULT_RETENTION', 'KVServer', 'launch_server']
 
@@ -255,7 +258,10 @@ class KVServer:
         drain_deadline = 0.0
         # Bounded select so the dead-subscriber reaper runs even when no
         # socket is active; fine-grained enough for short test timeouts.
+        # The reaper walks every connection, so it runs once per tick, not
+        # after every select of a busy loop.
         tick = min(1.0, self.subscriber_timeout / 4)
+        next_reap = time.monotonic() + tick
         try:
             while True:
                 if draining:
@@ -266,7 +272,10 @@ class KVServer:
                         break  # quiet pass with nothing left to flush: drained
                 else:
                     events = selector.select(timeout=tick)
-                    self._reap_stalled_subscribers()
+                    now = time.monotonic()
+                    if now >= next_reap:
+                        self._reap_stalled_subscribers()
+                        next_reap = now + tick
                 for key, _mask in events:
                     if key.data == 'listener':
                         self._accept_ready()
@@ -366,7 +375,8 @@ class KVServer:
             if messages:
                 conn.last_progress = time.monotonic()
             for request in messages:
-                self._enqueue(conn, encode_message(self._handle(request, conn)))
+                if not self._send(conn, encode_message(self._handle(request, conn))):
+                    closed = True
         if conn.out:
             # Optimistic flush: most responses fit the socket buffer, so
             # this usually completes without a round through the selector.
@@ -376,6 +386,29 @@ class KVServer:
             self._close_conn(conn)
         else:
             self._update_interest(conn)
+
+    def _send(self, conn: _ClientConn, segments: list[memoryview]) -> bool:
+        """Send a reply straight away; queue only what the kernel left.
+
+        With nothing queued ahead of it the frame goes out in one
+        ``sendmsg`` of at most ``IOV_MAX`` segments, and only an unsent
+        tail reaches ``conn.out``.  (The receive that brought the request
+        already counted as progress for the reaper.)  Returns False when
+        the connection failed and must be closed.
+        """
+        if not conn.out:
+            try:
+                sent = conn.sock.sendmsg(
+                    segments if len(segments) <= IOV_MAX else segments[:IOV_MAX],
+                )
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError:
+                return False
+            segments = unsent(segments, sent)
+        if segments:
+            self._enqueue(conn, segments)
+        return True
 
     def _flush(self, conn: _ClientConn) -> bool:
         """Write queued segments until empty or the socket would block.
@@ -475,15 +508,20 @@ class KVServer:
 
         Requests are ``(request_id, command, key, value)``; any other
         shape is answered *malformed request* with a ``None`` request id.
-        ``conn`` is the issuing connection — pub/sub commands bind
-        subscriptions to it and fan pushes out from it.
+        The command picks its handler from :attr:`_HANDLERS` in one
+        lookup.  ``conn`` is the issuing connection — pub/sub commands
+        bind subscriptions to it and fan pushes out from it.
         """
         try:
             request_id, command, key, value = request
         except (TypeError, ValueError):
             return (None, 'error', f'malformed request: {request!r}')
         try:
-            status, payload = self._execute(str(command).upper(), key, value, conn)
+            command = str(command).upper()
+            handler = self._HANDLERS.get(command)
+            if handler is None:
+                return (request_id, 'error', f'unknown command {command!r}')
+            status, payload = handler(self, key, value, conn)
         # repro: ignore[RP004] - not swallowed: the failure is returned
         # to the client as an error response
         except Exception as e:  # noqa: BLE001 - one bad request must not
@@ -491,7 +529,86 @@ class KVServer:
             status, payload = 'error', f'internal error: {e!r}'
         return (request_id, status, payload)
 
-    # -- pub/sub ------------------------------------------------------------ #
+    # -- key-value commands ---------------------------------------------------- #
+    def _cmd_ping(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        return ('ok', 'PONG')
+
+    def _cmd_set(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        data = self._own_value(value)
+        if data is None:
+            return ('error', 'SET value must be bytes')
+        with self._lock:
+            self._data[key] = data
+        return ('ok', True)
+
+    def _cmd_get(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        with self._lock:
+            data = self._data.get(key)
+        # Out-of-band response: the payload bytes bypass the pickle
+        # stream and go straight from storage to the socket.
+        return ('ok', pickle.PickleBuffer(data) if data else data)
+
+    def _cmd_mset(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        if not isinstance(value, list):
+            return ('error', 'MSET value must be a list of (key, value) pairs')
+        owned = []
+        for entry in value:
+            try:
+                entry_key, entry_value = entry
+            except (TypeError, ValueError):
+                return ('error', f'malformed MSET entry: {entry!r}')
+            data = self._own_value(entry_value)
+            if data is None:
+                return ('error', 'MSET values must be bytes')
+            owned.append((entry_key, data))
+        with self._lock:
+            for entry_key, data in owned:
+                self._data[entry_key] = data
+        return ('ok', True)
+
+    def _cmd_mget(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        if not isinstance(value, list):
+            return ('error', 'MGET value must be a list of keys')
+        with self._lock:
+            datas = [self._data.get(k) for k in value]
+        return ('ok', [pickle.PickleBuffer(d) if d else d for d in datas])
+
+    def _cmd_mdel(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        if not isinstance(value, list):
+            return ('error', 'MDEL value must be a list of keys')
+        with self._lock:
+            removed = sum(1 for k in value if self._data.pop(k, None) is not None)
+        return ('ok', removed)
+
+    def _cmd_exists(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        with self._lock:
+            return ('ok', key in self._data)
+
+    def _cmd_keys(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        # Key enumeration for the cluster rebalancer: names only (no
+        # payload bytes), so even a full node answers in one small frame.
+        with self._lock:
+            return ('ok', list(self._data))
+
+    def _cmd_del(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        with self._lock:
+            return ('ok', self._data.pop(key, None) is not None)
+
+    def _cmd_flush(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        with self._lock:
+            count = len(self._data)
+            self._data.clear()
+        return ('ok', count)
+
+    def _cmd_size(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        with self._lock:
+            return ('ok', len(self._data))
+
+    # -- pub/sub (stream event transport, see repro.stream.kv) ----------------- #
+    # Topics live on the loop thread only.  The ring itself is a
+    # :class:`~repro.kvserver.broker.TopicRing`; what stays here is the
+    # server's own: checking what arrived from the wire, out-of-band
+    # payload wrapping, and push fan-out.
     def _topic(self, name: Any) -> _PushedTopic:
         """Return (creating on first use) the broker state for ``name``."""
         topic = self._topics.get(name)
@@ -529,94 +646,87 @@ class KVServer:
             else:
                 self._update_interest(conn)
 
-    def _execute_stream(
-        self,
-        command: str,
-        key: Any,
-        value: Any,
-        conn: _ClientConn,
-    ) -> tuple[str, Any]:
-        """Handle one pub/sub command (topics live on the loop thread only).
+    def _cmd_publish(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        payload = self._own_value(value)
+        if payload is None:
+            return ('error', 'PUBLISH payload must be bytes')
+        topic = self._topic(key)
+        seq = topic.append(payload)
+        self._push_events(topic, [(seq, payload)])
+        return ('ok', seq)
 
-        The ring itself is a :class:`~repro.kvserver.broker.TopicRing`;
-        what stays here is the server's own: checking what arrived from
-        the wire, out-of-band payload wrapping, and push fan-out.
-        """
-        if command == 'PUBLISH':
-            payload = self._own_value(value)
+    def _cmd_mpublish(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        if not isinstance(value, list):
+            return ('error', 'MPUBLISH value must be a list of payloads')
+        payloads = []
+        for entry in value:
+            payload = self._own_value(entry)
             if payload is None:
-                return ('error', 'PUBLISH payload must be bytes')
-            topic = self._topic(key)
-            seq = topic.append(payload)
-            self._push_events(topic, [(seq, payload)])
-            return ('ok', seq)
-        if command == 'MPUBLISH':
-            if not isinstance(value, list):
-                return ('error', 'MPUBLISH value must be a list of payloads')
-            payloads = []
-            for entry in value:
-                payload = self._own_value(entry)
-                if payload is None:
-                    return ('error', 'MPUBLISH payloads must be bytes')
-                payloads.append(payload)
-            topic = self._topic(key)
-            seqs = [topic.append(p) for p in payloads]
-            self._push_events(topic, list(zip(seqs, payloads)))
-            return ('ok', seqs)
-        if command == 'SUBSCRIBE':
-            options = value if isinstance(value, dict) else {}
-            topic = self._topic(key)
-            topic.subscribers.add(conn)
-            conn.topics.add(topic.name)
-            from_seq = options.get('from_seq')
-            lost = 0
-            if from_seq is not None:
-                # Replay the retained backlog in bounded frames.  These are
-                # enqueued before the SUBSCRIBE reply (responses are queued
-                # by _service_conn after _handle returns), so clients must
-                # accept EVENT frames ahead of the subscribe confirmation.
-                backlog, lost = topic.since(int(from_seq))
-                for start in range(0, len(backlog), _PUSH_BATCH):
-                    chunk = _wire_events(backlog[start:start + _PUSH_BATCH])
-                    self._enqueue(
-                        conn,
-                        encode_message((None, EVENT_STATUS, (topic.name, chunk))),
-                    )
-            return ('ok', {'next_seq': topic.next_seq, 'lost': lost})
-        if command == 'UNSUBSCRIBE':
-            topic = self._topics.get(key)
-            if topic is not None:
-                topic.subscribers.discard(conn)
-            conn.topics.discard(str(key))
-            return ('ok', True)
-        if command == 'FETCH':
-            options = value if isinstance(value, dict) else {}
-            topic = self._topic(key)
-            events, lost = topic.since(
-                int(options.get('since', 0)),
-                int(options.get('max_events', 0)) or None,
-            )
-            return ('ok', {
-                'events': _wire_events(events),
-                'next_seq': topic.next_seq,
-                'lost': lost,
-            })
-        if command == 'TCONFIG':
-            options = value if isinstance(value, dict) else {}
-            topic = self._topic(key)
-            retention = options.get('retention')
-            if retention is not None:
-                try:
-                    topic.set_retention(int(retention))
-                except ValueError as e:
-                    return ('error', str(e))
-            return ('ok', {'retention': topic.retention})
-        if command == 'TSTATS':
-            topic = self._topics.get(key)
-            return ('ok', None if topic is None else topic.stats())
-        return ('error', f'unknown command {command!r}')  # pragma: no cover
+                return ('error', 'MPUBLISH payloads must be bytes')
+            payloads.append(payload)
+        topic = self._topic(key)
+        seqs = [topic.append(p) for p in payloads]
+        self._push_events(topic, list(zip(seqs, payloads)))
+        return ('ok', seqs)
 
-    # -- consumer groups ----------------------------------------------------- #
+    def _cmd_subscribe(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        options = value if isinstance(value, dict) else {}
+        topic = self._topic(key)
+        topic.subscribers.add(conn)
+        conn.topics.add(topic.name)
+        from_seq = options.get('from_seq')
+        lost = 0
+        if from_seq is not None:
+            # Replay the retained backlog in bounded frames.  These are
+            # enqueued before the SUBSCRIBE reply (responses are sent by
+            # _service_conn after _handle returns, behind anything queued),
+            # so clients must accept EVENT frames ahead of the subscribe
+            # confirmation.
+            backlog, lost = topic.since(int(from_seq))
+            for start in range(0, len(backlog), _PUSH_BATCH):
+                chunk = _wire_events(backlog[start:start + _PUSH_BATCH])
+                self._enqueue(
+                    conn,
+                    encode_message((None, EVENT_STATUS, (topic.name, chunk))),
+                )
+        return ('ok', {'next_seq': topic.next_seq, 'lost': lost})
+
+    def _cmd_unsubscribe(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        topic = self._topics.get(key)
+        if topic is not None:
+            topic.subscribers.discard(conn)
+        conn.topics.discard(str(key))
+        return ('ok', True)
+
+    def _cmd_fetch(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        options = value if isinstance(value, dict) else {}
+        topic = self._topic(key)
+        events, lost = topic.since(
+            int(options.get('since', 0)),
+            int(options.get('max_events', 0)) or None,
+        )
+        return ('ok', {
+            'events': _wire_events(events),
+            'next_seq': topic.next_seq,
+            'lost': lost,
+        })
+
+    def _cmd_tconfig(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        options = value if isinstance(value, dict) else {}
+        topic = self._topic(key)
+        retention = options.get('retention')
+        if retention is not None:
+            try:
+                topic.set_retention(int(retention))
+            except ValueError as e:
+                return ('error', str(e))
+        return ('ok', {'retention': topic.retention})
+
+    def _cmd_tstats(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        topic = self._topics.get(key)
+        return ('ok', None if topic is None else topic.stats())
+
+    # -- consumer groups (see repro.stream.groups) ------------------------------ #
     def _group(self, name: Any) -> GroupState:
         """Return (creating on first use) the group state for ``name``."""
         group = self._groups.get(name)
@@ -624,16 +734,20 @@ class KVServer:
             group = self._groups[name] = GroupState()
         return group
 
-    def _execute_group(
+    def _cmd_group(
         self,
-        command: str,
         key: Any,
         value: Any,
+        conn: _ClientConn,
+        *,
+        command: str,
     ) -> tuple[str, Any]:
         """Handle one consumer-group command (state lives on the loop thread).
 
-        Checks what arrived from the wire, then runs the command on the
-        group's :class:`~repro.kvserver.broker.GroupState`.
+        Membership with heartbeat-timeout expiry plus per-partition
+        committed offsets and delivered watermarks, all held by the group's
+        designated broker: checks what arrived from the wire, then runs the
+        command on the group's :class:`~repro.kvserver.broker.GroupState`.
         """
         options = value if isinstance(value, dict) else {}
         member = str(options.get('member', ''))
@@ -654,131 +768,75 @@ class KVServer:
         except GroupMembershipError:
             return ('error', f'{UNKNOWN_MEMBER} {member!r}')
 
-    # -- replication (broker failover) --------------------------------------- #
-    def _execute_repl(
-        self,
-        command: str,
-        key: Any,
-        value: Any,
-    ) -> tuple[str, Any]:
-        """Handle one replication command from a mirroring client.
+    # -- replication (broker failover, see repro.stream.failover) --------------- #
+    # Clients mirror a partition topic's retention ring and the group
+    # coordinator's state onto the hash-ring successor brokers, so a replica
+    # can take over with the same sequence numbering and committed offsets
+    # when the primary dies.
+    def _cmd_repl_publish(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        """Insert events *with explicit sequence numbers* into ``key``'s ring.
 
-        ``REPL_PUBLISH`` inserts events *with explicit sequence numbers*
-        into ``key``'s ring (idempotent, reorder-tolerant) and fans the
-        newly retained ones out to any subscribers already attached here —
-        so a subscriber that failed over to this replica keeps receiving
-        live pushes even while producers still publish via the primary.
-
-        ``REPL_GROUP`` applies a coordinator-state delta leniently (see
-        :meth:`~repro.kvserver.broker.GroupState.apply_delta`), so
-        mirrored deltas may arrive late, duplicated, or out of order
-        without corrupting the replica's view.
+        Idempotent and reorder-tolerant; the newly retained events fan out
+        to any subscribers already attached here — so a subscriber that
+        failed over to this replica keeps receiving live pushes even while
+        producers still publish via the primary.
         """
-        if command == 'REPL_PUBLISH':
-            if not isinstance(value, list):
-                return ('error', 'REPL_PUBLISH value must be [(seq, payload), ...]')
-            topic = self._topic(key)
-            accepted = []
-            for entry in value:
-                try:
-                    seq, raw = entry
-                except (TypeError, ValueError):
-                    return ('error', f'malformed REPL_PUBLISH entry: {entry!r}')
-                payload = self._own_value(raw)
-                if payload is None:
-                    return ('error', 'REPL_PUBLISH payloads must be bytes')
-                if topic.append_at(int(seq), payload):
-                    accepted.append((int(seq), payload))
-            self._push_events(topic, accepted)
-            return ('ok', {'accepted': len(accepted), 'next_seq': topic.next_seq})
-        if command == 'REPL_GROUP':
-            options = value if isinstance(value, dict) else {}
-            return ('ok', self._group(key).apply_delta(options, time.monotonic()))
-        return ('error', f'unknown command {command!r}')  # pragma: no cover
+        if not isinstance(value, list):
+            return ('error', 'REPL_PUBLISH value must be [(seq, payload), ...]')
+        topic = self._topic(key)
+        accepted = []
+        for entry in value:
+            try:
+                seq, raw = entry
+            except (TypeError, ValueError):
+                return ('error', f'malformed REPL_PUBLISH entry: {entry!r}')
+            payload = self._own_value(raw)
+            if payload is None:
+                return ('error', 'REPL_PUBLISH payloads must be bytes')
+            if topic.append_at(int(seq), payload):
+                accepted.append((int(seq), payload))
+        self._push_events(topic, accepted)
+        return ('ok', {'accepted': len(accepted), 'next_seq': topic.next_seq})
 
-    def _execute(
-        self,
-        command: str,
-        key: Any,
-        value: Any,
-        conn: _ClientConn,
-    ) -> tuple[str, Any]:
-        """Execute one parsed command; returns ``(status, payload)``."""
-        if command in STREAM_COMMANDS:
-            return self._execute_stream(command, key, value, conn)
-        if command in GROUP_COMMANDS:
-            return self._execute_group(command, key, value)
-        if command in REPL_COMMANDS:
-            return self._execute_repl(command, key, value)
-        if command == 'PING':
-            return ('ok', 'PONG')
-        if command == 'SET':
-            data = self._own_value(value)
-            if data is None:
-                return ('error', 'SET value must be bytes')
-            with self._lock:
-                self._data[key] = data
-            return ('ok', True)
-        if command == 'GET':
-            with self._lock:
-                data = self._data.get(key)
-            # Out-of-band response: the payload bytes bypass the pickle
-            # stream and go straight from storage to the socket.
-            return ('ok', pickle.PickleBuffer(data) if data else data)
-        if command == 'MSET':
-            if not isinstance(value, list):
-                return ('error', 'MSET value must be a list of (key, value) pairs')
-            owned = []
-            for entry in value:
-                try:
-                    entry_key, entry_value = entry
-                except (TypeError, ValueError):
-                    return ('error', f'malformed MSET entry: {entry!r}')
-                data = self._own_value(entry_value)
-                if data is None:
-                    return ('error', 'MSET values must be bytes')
-                owned.append((entry_key, data))
-            with self._lock:
-                for entry_key, data in owned:
-                    self._data[entry_key] = data
-            return ('ok', True)
-        if command == 'MGET':
-            if not isinstance(value, list):
-                return ('error', 'MGET value must be a list of keys')
-            with self._lock:
-                datas = [self._data.get(k) for k in value]
-            return (
-                'ok',
-                [pickle.PickleBuffer(d) if d else d for d in datas],
-            )
-        if command == 'MDEL':
-            if not isinstance(value, list):
-                return ('error', 'MDEL value must be a list of keys')
-            with self._lock:
-                removed = sum(
-                    1 for k in value if self._data.pop(k, None) is not None
-                )
-            return ('ok', removed)
-        if command == 'EXISTS':
-            with self._lock:
-                return ('ok', key in self._data)
-        if command == 'KEYS':
-            # Key enumeration for the cluster rebalancer: names only (no
-            # payload bytes), so even a full node answers in one small frame.
-            with self._lock:
-                return ('ok', list(self._data))
-        if command == 'DEL':
-            with self._lock:
-                return ('ok', self._data.pop(key, None) is not None)
-        if command == 'FLUSH':
-            with self._lock:
-                count = len(self._data)
-                self._data.clear()
-            return ('ok', count)
-        if command == 'SIZE':
-            with self._lock:
-                return ('ok', len(self._data))
-        return ('error', f'unknown command {command!r}')
+    def _cmd_repl_group(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
+        """Apply a coordinator-state delta leniently (see
+        :meth:`~repro.kvserver.broker.GroupState.apply_delta`), so mirrored
+        deltas may arrive late, duplicated, or out of order without
+        corrupting the replica's view.
+        """
+        options = value if isinstance(value, dict) else {}
+        return ('ok', self._group(key).apply_delta(options, time.monotonic()))
+
+    #: Command → handler ``(self, key, value, conn) -> (status, payload)``:
+    #: the one list of the commands the server understands.
+    _HANDLERS = {
+        'PING': _cmd_ping,
+        'SET': _cmd_set,
+        'GET': _cmd_get,
+        'MSET': _cmd_mset,
+        'MGET': _cmd_mget,
+        'MDEL': _cmd_mdel,
+        'EXISTS': _cmd_exists,
+        'KEYS': _cmd_keys,
+        'DEL': _cmd_del,
+        'FLUSH': _cmd_flush,
+        'SIZE': _cmd_size,
+        'PUBLISH': _cmd_publish,
+        'MPUBLISH': _cmd_mpublish,
+        'SUBSCRIBE': _cmd_subscribe,
+        'UNSUBSCRIBE': _cmd_unsubscribe,
+        'FETCH': _cmd_fetch,
+        'TCONFIG': _cmd_tconfig,
+        'TSTATS': _cmd_tstats,
+        'GROUP_JOIN': partial(_cmd_group, command='GROUP_JOIN'),
+        'GROUP_LEAVE': partial(_cmd_group, command='GROUP_LEAVE'),
+        'GROUP_HEARTBEAT': partial(_cmd_group, command='GROUP_HEARTBEAT'),
+        'OFFSET_COMMIT': partial(_cmd_group, command='OFFSET_COMMIT'),
+        'OFFSET_FETCH': partial(_cmd_group, command='OFFSET_FETCH'),
+        'GROUP_STATS': partial(_cmd_group, command='GROUP_STATS'),
+        'REPL_PUBLISH': _cmd_repl_publish,
+        'REPL_GROUP': _cmd_repl_group,
+    }
 
 
 # Process-local registry of servers started implicitly by connectors so that

@@ -39,6 +39,7 @@ __all__ = [
     'payload_nbytes',
     'segments_of',
     'to_bytes',
+    'unsent',
     'vectored_write',
     'write_payload_to_path',
     'write_segments',
@@ -203,6 +204,21 @@ except (AttributeError, OSError, ValueError):  # pragma: no cover - non-POSIX
 """Maximum iovec entries per vectored syscall (``writev``/``sendmsg``)."""
 
 
+def unsent(segments: Sequence[memoryview], written: int) -> list[memoryview]:
+    """What is left of ``segments`` after a vectored write of ``written`` bytes.
+
+    The segment the write stopped inside is re-sliced (a view, no copy);
+    an empty list means everything was written.
+    """
+    for index, segment in enumerate(segments):
+        size = len(segment)
+        if written < size:
+            rest = list(segments[index + 1:])
+            return [segment[written:], *rest] if written else [segment, *rest]
+        written -= size
+    return []
+
+
 def vectored_write(
     write: 'Callable[[list[memoryview]], int]',
     segments: Iterable[memoryview],
@@ -212,22 +228,16 @@ def vectored_write(
     ``write`` is the syscall wrapper (``os.writev`` on a fd, ``sendmsg`` on
     a socket); it receives at most ``IOV_MAX`` iovec entries per call and
     returns the number of bytes written.  Partial writes advance across
-    segment boundaries, so one multi-segment payload lands contiguously
-    without ever being joined in userspace.  Returns total bytes written.
+    segment boundaries (:func:`unsent`), so one multi-segment payload lands
+    contiguously without ever being joined in userspace.  Returns total
+    bytes written.
     """
     pending = [s for s in segments if len(s)]
     total = 0
     while pending:
         written = write(pending[:IOV_MAX])
         total += written
-        while written:
-            head = pending[0]
-            if written >= len(head):
-                written -= len(head)
-                pending.pop(0)
-            else:
-                pending[0] = head[written:]
-                written = 0
+        pending = unsent(pending, written)
     return total
 
 

@@ -68,6 +68,30 @@ def test_rp001_flags_select_without_timeout(analyze):
     assert _rules(report) == ['RP001']
 
 
+def test_rp001_checks_table_dispatched_command_handlers(analyze):
+    # ``_cmd_*`` handlers are called through the dispatch table, never as
+    # ``self._cmd_x()``, so each one is an entry of the walk.
+    source = '''
+        import time
+
+        class KVServer:
+            def _cmd_get(self, key, value, conn):
+                self._slow()
+
+            def _slow(self):
+                time.sleep(0.01)
+
+            def cmd_helper(self):
+                time.sleep(1)  # neither an entry nor reached from one
+
+            _HANDLERS = {'GET': _cmd_get}
+    '''
+    report = analyze({'src/repro/kvserver/server.py': source},
+                     select=['RP001'])
+    assert _rules(report) == ['RP001']
+    assert 'KVServer._slow' in report.findings[0].message
+
+
 def test_rp001_checks_every_method_of_the_broker_state_classes(analyze):
     # The handlers reach GroupState/TopicRing through other objects, not
     # ``self``, so the self-call walk from KVServer never sees them.

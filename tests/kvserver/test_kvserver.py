@@ -177,3 +177,80 @@ def test_launch_server_ephemeral_ports_are_distinct():
     finally:
         a.stop()
         b.stop()
+
+
+# -- frames one sendmsg cannot take whole ------------------------------------ #
+
+def _spy(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call to ``owner.name``."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_frames_past_iov_max_segments_round_trip(server, client, monkeypatch):
+    """1 100 values: the ``MSET`` request and the ``MGET`` reply each carry
+    more segments than one ``sendmsg`` accepts, and the reply still takes
+    the server's direct-send path (its first ``IOV_MAX``, then the rest)."""
+    from repro.serialize.buffers import IOV_MAX
+
+    keys = [f'k{i}' for i in range(1100)]
+    assert len(keys) > IOV_MAX
+    values = [f'value-{i}'.encode() * (1 + i % 7) for i in range(len(keys))]
+    client.mset(list(zip(keys, values)))
+    sends = _spy(monkeypatch, server, '_send')
+    assert [bytes(v) for v in client.mget(keys)] == values
+    ((conn, segments),) = sends
+    assert len(segments) > IOV_MAX
+    assert server.faulted_connections == 0
+
+
+class _ShortSends:
+    """A client socket whose ``sendmsg`` takes at most 64 KiB of one segment.
+
+    A blocking socket sends everything or times out, so this is how the
+    client's partial-send fallback is reached on demand.
+    """
+
+    def __init__(self, sock) -> None:
+        self._sock = sock
+
+    def __getattr__(self, name: str):
+        return getattr(self._sock, name)
+
+    def sendmsg(self, buffers) -> int:
+        return self._sock.sendmsg([buffers[0][:1 << 16]])
+
+
+def test_partial_sends_both_ways_round_trip_a_bulk_value(server, monkeypatch):
+    """A 4 MiB value: the client's ``sendmsg`` stops short and the rest
+    follows zero-copy; the server's direct send into a 4 KiB send buffer
+    stops short and the loop flushes the queued tail — byte for byte."""
+    import random
+    import socket
+
+    from repro.kvserver import client as client_module
+
+    client = KVClient(server.host, server.port, pool_size=1)
+    try:
+        assert client.ping()
+        (server_conn,) = server._conns.values()
+        server_conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        connection = client._pool[0]
+        connection.sock = _ShortSends(connection.sock)
+        payload = random.Random(4).randbytes(4 << 20)
+        client_rests = _spy(monkeypatch, client_module, 'vectored_write')
+        client.set('bulk', payload)
+        assert client_rests  # the request's tail followed a partial send
+        server_tails = _spy(monkeypatch, server, '_enqueue')
+        assert bytes(client.get('bulk')) == payload
+        assert server_tails  # the reply's tail was queued for the loop
+        assert server.faulted_connections == 0
+    finally:
+        client.close()

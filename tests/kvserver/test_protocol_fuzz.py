@@ -14,10 +14,11 @@ that the decoder
 and that it never spins (the fake socket has a call budget) and never
 asks for more memory than ``_check_frame`` allows (``bytearray`` is
 spied on, with the frame limit lowered so that "oversized" is cheap).
-Every draw runs through both entry points, ``read_from`` and
-``read_message``.  The fake socket also records the views it was handed,
-which is how the read-ahead is pinned down: one ``recv_into`` per small
-frame, bulk bytes received in place.
+Every draw runs through both entry points, ``read_from`` (re-polled the
+way a level-triggered selector would) and ``read_message``.  The fake
+socket also records the views it was handed, which is how the read-ahead
+is pinned down: one ``recv_into`` per small frame, bulk bytes received
+in place.
 
 Seeded RNG: failures print the seed so any draw reproduces exactly.
 """
@@ -83,6 +84,10 @@ class FeedSocket:
         self._chunks[0] -= n
         return n
 
+    def readable(self) -> bool:
+        """What a level-triggered selector reports: bytes left, or EOF."""
+        return self._eof or bool(len(self._data) and any(self._chunks))
+
 
 @pytest.fixture()
 def allocations(monkeypatch):
@@ -140,9 +145,18 @@ def _wire(message) -> bytes:
 
 
 def _read_from(decoder: StreamDecoder, sock: FeedSocket) -> tuple[list, bool]:
-    """``read_from`` until the socket is exhausted; returns (messages, closed)."""
-    messages, closed = decoder.read_from(sock)
-    return [_plain(m) for m in messages], closed
+    """``read_from`` while the socket is readable; returns (messages, closed).
+
+    ``read_from`` stops after a short receive, so this is the event loop:
+    call again for as long as a level-triggered selector would report the
+    socket.
+    """
+    messages: list = []
+    while True:
+        part, closed = decoder.read_from(sock)
+        messages.extend(_plain(m) for m in part)
+        if closed or not sock.readable():
+            return messages, closed
 
 
 def _read_messages(decoder: StreamDecoder, sock: FeedSocket) -> tuple[list, bool]:
@@ -316,11 +330,24 @@ def test_small_frame_costs_one_receive():
     sock = FeedSocket(wire, eof=False)
     assert _plain(StreamDecoder().read_message(sock)) == _plain(_small_set())
     assert len(sock.views) == 1
-    # The event loop pays one more: the receive that says "drained".
+    # The event loop pays no more: a short receive says "drained".
     sock = FeedSocket(wire, eof=False)
-    messages, closed = _read_from(StreamDecoder(), sock)
-    assert (messages, closed) == ([_plain(_small_set())], False)
-    assert len(sock.views) == 2
+    messages, closed = StreamDecoder().read_from(sock)
+    assert ([_plain(m) for m in messages], closed) == ([_plain(_small_set())], False)
+    assert len(sock.views) == 1
+
+
+def test_frame_split_across_two_receives_decodes_over_two_calls():
+    """Each short receive ends a ``read_from``; the next call finishes the frame."""
+    wire = _wire(_small_set())
+    cut = len(wire) // 2
+    decoder = StreamDecoder()
+    sock = FeedSocket(wire, [cut, len(wire) - cut], eof=False)
+    assert decoder.read_from(sock) == ([], False)
+    assert len(sock.views) == 1 and sock.readable()
+    messages, closed = decoder.read_from(sock)
+    assert ([_plain(m) for m in messages], closed) == ([_plain(_small_set())], False)
+    assert len(sock.views) == 2 and not sock.readable()
 
 
 def test_pipelined_frames_decode_from_one_receive():

@@ -17,6 +17,7 @@ from repro.exceptions import ConnectorError
 from repro.exceptions import NodeUnavailableError
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
+from repro.kvserver.client import _Pending
 from repro.kvserver.client import open_connection
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import send_message
@@ -36,6 +37,15 @@ def server():
     srv.start()
     yield srv
     srv.stop()
+
+
+@pytest.fixture()
+def fast_switching():
+    """Switch threads inside the hand-overs and wake-ups, not around them."""
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(switch_interval)
 
 
 def test_many_threads_pipeline_one_client(server):
@@ -117,19 +127,30 @@ def test_plain_client_starts_no_thread(server):
     assert threading.active_count() == threads_before
 
 
-def test_leadership_is_handed_on_between_requesters(server, monkeypatch):
-    """16 threads on one connection: own replies only, and more than one led."""
-    client = KVClient(server.host, server.port, pool_size=1)
-    client.ping()
-    (connection,) = client._pool
+def test_leadership_is_handed_on_between_requesters(server, monkeypatch, fast_switching):
+    """16 threads per pool: own replies only, and more than one led."""
+    for pool_size in (1, 2):
+        with monkeypatch.context() as patch:
+            _hand_on_leadership(server, patch, pool_size)
+
+
+def _hand_on_leadership(server, monkeypatch, pool_size: int) -> None:
+    client = KVClient(server.host, server.port, pool_size=pool_size)
+    for _ in range(pool_size):
+        client.ping()
+    connections = list(client._pool)
     leaders: set[int] = set()
-    receive_until = connection._receive_until
 
-    def recording(own):
-        leaders.add(threading.get_ident())
-        return receive_until(own)
+    def recording(receive_until):
+        def record(own):
+            leaders.add(threading.get_ident())
+            return receive_until(own)
+        return record
 
-    monkeypatch.setattr(connection, '_receive_until', recording)
+    for connection in connections:
+        monkeypatch.setattr(
+            connection, '_receive_until', recording(connection._receive_until),
+        )
     errors: list[Exception] = []
     barrier = threading.Barrier(16)
 
@@ -144,21 +165,61 @@ def test_leadership_is_handed_on_between_requesters(server, monkeypatch):
             errors.append(e)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
-    switch_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch inside the hand-over, not around it
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(switch_interval)
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
     assert errors == []
     assert len(leaders) > 1
-    assert client._pool == [connection] and not connection.dead
-    assert not connection._read_lock.locked() and not connection._pending
+    assert client._pool == connections
+    for connection in connections:
+        assert not connection.dead
+        assert not connection._read_lock.locked() and not connection._pending
     client.close()
+
+
+def test_lone_request_creates_no_event_or_condition(server, monkeypatch):
+    """A plain connection's waiter is a bare lock: no ``Event``/``Condition``."""
+    made: list[str] = []
+
+    def counting(name):
+        original = getattr(threading, name)
+
+        def make(*args, **kwargs):
+            made.append(name)
+            return original(*args, **kwargs)
+        return make
+
+    monkeypatch.setattr(threading, 'Event', counting('Event'))
+    monkeypatch.setattr(threading, 'Condition', counting('Condition'))
+    client = KVClient(server.host, server.port, pool_size=1)
+    try:
+        client.set('k', b'v')
+        assert bytes(client.get('k')) == b'v'
+        assert client.delete('k')
+    finally:
+        client.close()
+    assert made == []
+
+
+def test_waiter_woken_twice_then_reused_neither_raises_nor_wakes_early():
+    """A reply and a hand-on may both wake one waiter: one wake is kept."""
+    waiter = _Pending()
+    waker = threading.Thread(target=waiter.wake)
+    waker.start()
+    waker.join()
+    waiter.wake()  # the second wake: not an error, not a second token
+    started = time.monotonic()
+    waiter.wait(5.0)  # the kept wake: returns at once
+    assert time.monotonic() - started < 1.0
+    started = time.monotonic()
+    waiter.wait(0.2)  # reused by a follower: nothing left to return early on
+    assert time.monotonic() - started >= 0.15
+    threading.Timer(0.05, waiter.wake).start()
+    started = time.monotonic()
+    waiter.wait(5.0)  # and a later wake still reaches it
+    assert time.monotonic() - started < 1.0
 
 
 def test_connection_pool_spreads_requests(server):
@@ -282,13 +343,18 @@ def test_request_timeout_surfaces_as_connector_error():
         listener.close()
 
 
-def test_timed_out_leader_hands_the_connection_to_a_follower():
+def test_timed_out_leader_hands_the_connection_to_a_follower(fast_switching):
     """The leader's request times out; the follower's reply still arrives.
 
     The server accepts, never answers request 0, and answers request 1
     only after request 0 has timed out — so the reply can only be read by
     the follower taking the receive role over from the departed leader.
     """
+    for pool_size in (1, 2):
+        _time_out_the_leader(pool_size)
+
+
+def _time_out_the_leader(pool_size: int) -> None:
     timeout = 0.4
     listener = socket.socket()
     listener.bind(('127.0.0.1', 0))
@@ -309,7 +375,8 @@ def test_timed_out_leader_hands_the_connection_to_a_follower():
 
     server_thread = threading.Thread(target=serve, daemon=True)
     server_thread.start()
-    connection = open_connection(host, port, timeout)
+    client = KVClient(host, port, timeout=timeout, pool_size=pool_size)
+    connection = client._connection()
     outcome: list = []
 
     def lead() -> None:
@@ -335,18 +402,24 @@ def test_timed_out_leader_hands_the_connection_to_a_follower():
         assert timeout <= elapsed < 1.5 * timeout
         assert not connection.dead
     finally:
-        connection.close()
+        client.close()
         listener.close()
         server_thread.join(timeout=5)
         assert not server_thread.is_alive()
 
 
-def test_close_wakes_a_leader_blocked_in_recv():
+def test_close_wakes_a_leader_blocked_in_recv(fast_switching):
+    for pool_size in (1, 2):
+        _close_under_the_leader(pool_size)
+
+
+def _close_under_the_leader(pool_size: int) -> None:
     listener = socket.socket()
     listener.bind(('127.0.0.1', 0))
     listener.listen(1)
     host, port = listener.getsockname()
-    connection = open_connection(host, port, 30.0)
+    client = KVClient(host, port, timeout=30.0, pool_size=pool_size)
+    connection = client._connection()
     outcome: list = []
 
     def ask() -> None:
@@ -362,13 +435,13 @@ def test_close_wakes_a_leader_blocked_in_recv():
             time.sleep(0.005)
         time.sleep(0.05)  # into the recv itself
         started = time.monotonic()
-        connection.close()
+        client.close()
         asker.join(timeout=5)
         assert not asker.is_alive()
         assert time.monotonic() - started < 1.0
         assert 'client closed the connection' in str(outcome[0])
     finally:
-        connection.close()
+        client.close()
         listener.close()
 
 
