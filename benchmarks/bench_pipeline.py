@@ -103,12 +103,12 @@ def _transform_worker(
     the document downstream (the index stage dedups), but never drops it.
     """
     from repro.exceptions import StoreKeyError
-    from repro.stream import StreamConsumer
+    from repro.stream import GroupConsumer
     from repro.stream import StreamProducer
 
     host, port = store_addr
     store = repro.store_from_url(f'redis://{host}:{port}/{STORE_NAME}')
-    consumer = StreamConsumer(
+    consumer = GroupConsumer(
         store, broker_urls, INGEST_TOPIC,
         group=TRANSFORM_GROUP, partitions=PARTITIONS, replicas=REPLICAS,
         member=member, session_timeout=WORKER_SESSION_TIMEOUT, timeout=120.0,
@@ -157,7 +157,7 @@ def _transform_worker(
 
 def run_pipeline(docs: int, seed: int) -> dict[str, Any]:
     from repro.kvserver.server import KVServer
-    from repro.stream import StreamConsumer
+    from repro.stream import GroupConsumer
     from repro.stream import StreamProducer
 
     # The data-plane store lives on its own parent-owned server — the
@@ -268,7 +268,7 @@ def run_pipeline(docs: int, seed: int) -> dict[str, Any]:
     watcher.start()
 
     # ---- Stage 3: index, with faults injected mid-drain ------------------
-    consumer = StreamConsumer(
+    consumer = GroupConsumer(
         store, urls, INDEX_TOPIC,
         group=INDEX_GROUP, partitions=PARTITIONS, replicas=REPLICAS,
         member='indexer', timeout=120.0,

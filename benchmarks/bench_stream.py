@@ -65,6 +65,7 @@ from repro.connectors.zmq import ZMQConnector  # noqa: E402
 from repro.dim.node import reset_nodes  # noqa: E402
 from repro.kvserver.server import KVServer  # noqa: E402
 from repro.store import Store  # noqa: E402
+from repro.stream import GroupConsumer  # noqa: E402
 from repro.stream import KVEventBus  # noqa: E402
 from repro.stream import StreamConsumer  # noqa: E402
 from repro.stream import StreamProducer  # noqa: E402
@@ -155,7 +156,7 @@ def _run_stream(
         timeout=300.0,
         prefetch=PREFETCH if mode == 'proxy' else 0,
     )
-    consumer._ensure_subscribed()
+    consumer._sync_claims()  # subscribe before the clock starts
     policy = {'proxy': 'proxy', 'inline': 'inline', 'auto': 'auto'}[mode]
     producer = StreamProducer(store, bus, topic, policy=policy)
     payload = b'\xab' * nbytes
@@ -376,7 +377,7 @@ def _group_member_main(
     )
     store = Store('stream-group-bench', connector, cache_size=0)
     bus = KVEventBus(*broker_addr, poll_interval=0.05)
-    consumer = StreamConsumer(
+    consumer = GroupConsumer(
         store, bus, topic,
         group=GROUP_NAME,
         partitions=GROUP_PARTITIONS,

@@ -10,10 +10,10 @@ in-process pipelines and :class:`~repro.stream.kv.KVEventBus` for
 multi-process streams brokered by the SimKV server (server-side fan-out,
 ring-buffer retention, consumer catch-up).
 
-Consumer groups (:class:`~repro.stream.groups.GroupConsumer`, built by
-``StreamConsumer(group=..., partitions=N)``) add partitioned topics,
-committed offsets, and at-least-once crash redelivery on top of either
-transport.
+Consumer groups (:class:`~repro.stream.groups.GroupConsumer`) add
+partitioned topics, committed offsets, and at-least-once crash redelivery
+on top of either transport.  A plain consumer is the one-member,
+one-partition case of a group, delivered by the same core.
 
 See ``docs/ARCHITECTURE.md`` ("The stream path") for the data-flow
 diagram and ``examples/streaming_pipeline.py`` for a runnable tour.

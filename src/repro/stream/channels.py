@@ -26,31 +26,25 @@ shipped to another process, resume where it left off, and still evict
 everything it was responsible for, the same way proxies rebuild their
 stores anywhere.
 
-Two fleet-scale extensions live on top of this module:
-
-* ``StreamProducer(partitions=N, ...)`` splits the topic into N partition
-  topics spread deterministically over a broker fleet (see
-  :class:`~repro.stream.groups.PartitionRouter`), routing each send by an
-  optional ``partition_key`` (stable ``blake2b`` hashing) or round-robin.
-* ``StreamConsumer(group=..., partitions=N)`` constructs a
-  :class:`~repro.stream.groups.GroupConsumer` instead: members of the
-  group split the partitions, commit offsets on ``ack()``, and redeliver
-  a crashed member's un-acked events — at-least-once delivery.
+Both ends are the one-partition case of :mod:`repro.stream.groups`.  A
+producer always publishes through a
+:class:`~repro.stream.groups.PartitionRouter` (``partitions=1`` keeps the
+plain topic name; more split the topic over a broker fleet, routed by an
+optional ``partition_key`` or round-robin).  A plain consumer is one
+partition claim with no coordinator, delivered by the same core as a
+:class:`~repro.stream.groups.GroupConsumer`, whose members split the
+partitions, commit offsets on ``ack()`` and redeliver a crashed member's
+un-acked events.
 """
 from __future__ import annotations
 
-import time
-from collections import deque
 from typing import Any
 from typing import Callable
-from typing import Iterator
 from typing import Sequence
 from typing import TYPE_CHECKING
 
 from repro.exceptions import StoreError
 from repro.proxy.owned import OwnedProxy
-from repro.proxy.proxy import Proxy
-from repro.proxy.resolve import resolve_async
 from repro.serialize.buffers import payload_nbytes
 from repro.serialize.buffers import to_bytes
 from repro.serialize.serializer import small_frame_threshold
@@ -60,6 +54,10 @@ from repro.stream.bus import EventBus
 from repro.stream.bus import bus_from_config
 from repro.stream.bus import event_bus_from_url
 from repro.stream.events import StreamEvent
+from repro.stream.groups import PartitionRouter
+from repro.stream.groups import _DeliveryCore
+from repro.stream.groups import _PartitionClaim
+from repro.stream.groups import partition_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.store.lifetimes import Lifetime
@@ -74,15 +72,8 @@ DEFAULT_CONSUME_TIMEOUT = 30.0
 PRODUCER_POLICIES = ('proxy', 'inline', 'auto')
 
 
-def _resolve_bus(bus: 'EventBus | str') -> EventBus:
-    """Accept either an event-bus instance or a bus URL."""
-    if isinstance(bus, str):
-        return event_bus_from_url(bus)
-    return bus
-
-
 def _preserialized(data: Any) -> Any:
-    """Serializer passed to ``Store.put`` for already-serialized payloads."""
+    """Serializer passed to ``Store.put_batch`` for already-serialized payloads."""
     return data
 
 
@@ -93,7 +84,8 @@ class StreamProducer:
         store: store the bulk data of each item is put into (any
             connector; the zero-copy path applies unchanged).
         bus: event bus carrying the per-item events, or a bus URL
-            (``local://...``, ``kv://host:port``).
+            (``local://...``, ``kv://host:port``), or a sequence of them
+            forming a broker fleet.
         topic: topic the events are published on.
         inline: embed each item's serialized payload in the event itself
             instead of storing it — the "data rides the message bus"
@@ -114,9 +106,8 @@ class StreamProducer:
         serializer: optional per-producer serializer override.
         partitions: split the topic into this many partition topics placed
             over the broker(s) by consistent hashing.  ``1`` (the default)
-            keeps the plain, unpartitioned topic; more enable consumer
-            groups to divide the stream (``bus`` may then be a sequence of
-            buses/URLs forming a broker fleet).
+            keeps the plain topic name; more enable consumer groups to
+            divide the stream.
         replicas: mirror each partition's events onto this many ring
             brokers (requires ``partitions > 1``).  Above 1, publishes
             survive a broker death: the producer fails over to the next
@@ -147,23 +138,12 @@ class StreamProducer:
                 f'unknown stream policy {policy!r}; '
                 f'expected one of {PRODUCER_POLICIES}',
             )
-        if partitions < 1:
-            raise ValueError('partitions must be at least 1')
         if replicas > 1 and partitions < 2:
             raise ValueError('replicas > 1 requires a partitioned topic')
         self.store = store
-        if partitions > 1 or (
-            not isinstance(bus, (str, bytes)) and isinstance(bus, Sequence)
-        ):
-            from repro.stream.groups import PartitionRouter
-
-            self._router = PartitionRouter(
-                topic, partitions, bus, replicas=replicas,
-            )
-            self.bus = self._router.brokers[0]
-        else:
-            self._router = None
-            self.bus = _resolve_bus(bus)  # type: ignore[arg-type]
+        # One publish path: a plain topic is a one-partition router (same
+        # topic name on the wire), whose owner walk rides out a restart.
+        self._router = PartitionRouter(topic, partitions, bus, replicas=replicas)
         self.topic = topic
         self.partitions = partitions
         self.policy = policy
@@ -184,13 +164,6 @@ class StreamProducer:
             f'StreamProducer(store={self.store.name!r}, topic={self.topic!r})'
         )
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StoreError(
-                f'producer for topic {self.topic!r} is closed; the '
-                'end-of-stream marker has already been published',
-            )
-
     def _record_route(self, inline: bool, nbytes: int) -> None:
         """Count one routed send (and mirror it into the store's metrics)."""
         metrics = self.store.metrics
@@ -203,57 +176,32 @@ class StreamProducer:
             if metrics is not None:
                 metrics.record('stream.proxy_sends', 0.0, nbytes)
 
-    def _event_for(
+    def _route(
         self,
-        obj: Any,
-        metadata: dict[str, Any] | None,
-        policy: str,
-    ) -> StreamEvent:
-        """Route one item per ``policy`` and build its event."""
-        if policy != 'proxy':
-            serializer = (
-                self._serializer if self._serializer is not None
-                else self.store.serializer
-            )
-            data = serializer(obj)
-            nbytes = payload_nbytes(data)
-            if policy == 'inline' or nbytes <= self.inline_threshold:
-                self._record_route(True, nbytes)
-                return StreamEvent(
-                    metadata=dict(metadata or {}),
-                    nbytes=nbytes,
-                    payload=to_bytes(data),
-                )
-            # Too large to inline: reuse the bytes already serialized for
-            # the size measurement rather than serializing twice.
-            key = self.store.put(data, serializer=_preserialized)
-            self._record_route(False, nbytes)
-            return StreamEvent(key=key, metadata=dict(metadata or {}))
-        key = self.store.put(obj, serializer=self._serializer)
-        self._record_route(False, 0)
-        return StreamEvent(key=key, metadata=dict(metadata or {}))
-
-    def _route_batch(
-        self,
-        objs: list[Any],
+        objs: Sequence[Any],
         metas: 'list[dict[str, Any] | None]',
+        policy: str,
     ) -> list[StreamEvent]:
-        """Auto-route a batch: inline the small items, batch-store the rest.
+        """Route each item per ``policy`` and build its event.
 
-        All over-threshold items still go through one ``put_batch`` (one
-        connector round trip on batching connectors), with their
-        already-serialized bytes reused.
+        Inlined items carry their serialized bytes.  Every stored item goes
+        through one ``put_batch`` (one connector round trip on batching
+        connectors); under ``'auto'`` the bytes serialized to measure an
+        item are the bytes stored, so nothing is serialized twice.
         """
         serializer = (
             self._serializer if self._serializer is not None
             else self.store.serializer
         )
         events: list[StreamEvent | None] = [None] * len(objs)
-        to_store: list[tuple[int, Any, int]] = []
+        stored: list[tuple[int, Any, int]] = []
         for index, obj in enumerate(objs):
+            if policy == 'proxy':
+                stored.append((index, obj, 0))
+                continue
             data = serializer(obj)
             nbytes = payload_nbytes(data)
-            if nbytes <= self.inline_threshold:
+            if policy == 'inline' or nbytes <= self.inline_threshold:
                 self._record_route(True, nbytes)
                 events[index] = StreamEvent(
                     metadata=dict(metas[index] or {}),
@@ -261,13 +209,13 @@ class StreamProducer:
                     payload=to_bytes(data),
                 )
             else:
-                to_store.append((index, data, nbytes))
-        if to_store:
+                stored.append((index, data, nbytes))
+        if stored:
             keys = self.store.put_batch(
-                [data for _, data, _ in to_store],
-                serializer=_preserialized,
+                [data for _, data, _ in stored],
+                serializer=self._serializer if policy == 'proxy' else _preserialized,
             )
-            for (index, _, nbytes), key in zip(to_store, keys):
+            for (index, _, nbytes), key in zip(stored, keys):
                 self._record_route(False, nbytes)
                 events[index] = StreamEvent(
                     key=key, metadata=dict(metas[index] or {}),
@@ -276,20 +224,11 @@ class StreamProducer:
 
     def _partition_of(self, partition_key: 'str | None') -> int:
         """Partition index for one send: keyed hash or round-robin."""
-        if self._router is None:
-            return 0
         if partition_key is not None:
-            from repro.stream.groups import partition_for
-
             return partition_for(partition_key, self.partitions)
         index = self._rr % self.partitions
         self._rr += 1
         return index
-
-    def _publish(self, partition: int, data: bytes) -> int:
-        if self._router is None:
-            return self.bus.publish(self.topic, data)
-        return self._router.publish(self._router.topics[partition], data)
 
     def send(
         self,
@@ -301,7 +240,7 @@ class StreamProducer:
     ) -> int:
         """Publish one item; returns its sequence number on its partition.
 
-        The item's bytes go through ``store.put`` (zero-copy where the
+        The item's bytes go through the store (zero-copy where the
         connector supports it) and only the key travels in the event —
         unless ``inline`` embeds the payload in the event itself.  On a
         partitioned topic the event lands on the partition chosen by
@@ -311,15 +250,10 @@ class StreamProducer:
         Raises:
             StoreError: if the producer is already closed.
         """
-        self._check_open()
-        policy = (
-            self.policy if inline is None
-            else ('inline' if inline else 'proxy')
-        )
-        event = self._event_for(obj, metadata, policy)
-        seq = self._publish(self._partition_of(partition_key), event.encode())
-        self.sent += 1
-        return seq
+        return self.send_batch(
+            [obj], metadata=[metadata], inline=inline,
+            partition_keys=[partition_key],
+        )[0]
 
     def send_batch(
         self,
@@ -335,7 +269,11 @@ class StreamProducer:
         round trip on batching connectors) and all events through one
         ``publish_batch`` frame per partition touched.
         """
-        self._check_open()
+        if self._closed:
+            raise StoreError(
+                f'producer for topic {self.topic!r} is closed; the '
+                'end-of-stream marker has already been published',
+            )
         policy = (
             self.policy if inline is None
             else ('inline' if inline else 'proxy')
@@ -349,39 +287,18 @@ class StreamProducer:
         )
         if len(pkeys) != len(objs):
             raise ValueError('partition_keys must match objs in length')
-        if policy == 'inline':
-            events = [
-                self._event_for(obj, meta, 'inline')
-                for obj, meta in zip(objs, metas)
-            ]
-        elif policy == 'auto':
-            events = self._route_batch(list(objs), metas)
-        else:
-            keys = self.store.put_batch(list(objs), serializer=self._serializer)
-            events = [
-                StreamEvent(key=key, metadata=dict(meta or {}))
-                for key, meta in zip(keys, metas)
-            ]
-            for _ in keys:
-                self._record_route(False, 0)
-        if self._router is None:
-            seqs = list(self.bus.publish_batch(
-                self.topic, [event.encode() for event in events],
-            ))
-        else:
-            by_partition: dict[int, list[int]] = {}
-            for index, pkey in enumerate(pkeys):
-                by_partition.setdefault(
-                    self._partition_of(pkey), [],
-                ).append(index)
-            seqs = [0] * len(events)
-            for partition, indices in by_partition.items():
-                topic = self._router.topics[partition]
-                batch_seqs = self._router.publish_batch(
-                    topic, [events[i].encode() for i in indices],
-                )
-                for i, seq in zip(indices, batch_seqs):
-                    seqs[i] = seq
+        events = self._route(objs, metas, policy)
+        by_partition: dict[int, list[int]] = {}
+        for index, pkey in enumerate(pkeys):
+            by_partition.setdefault(self._partition_of(pkey), []).append(index)
+        seqs = [0] * len(events)
+        for partition, indices in by_partition.items():
+            batch_seqs = self._router.publish_batch(
+                self._router.topics[partition],
+                [events[i].encode() for i in indices],
+            )
+            for i, seq in zip(indices, batch_seqs):
+                seqs[i] = seq
         self.sent += len(objs)
         return seqs
 
@@ -389,9 +306,9 @@ class StreamProducer:
         """Mark the stream finished.
 
         Args:
-            end: publish an end-of-stream event so iterating consumers
-                terminate (set ``False`` when other producers will keep
-                publishing on the topic).
+            end: publish an end-of-stream event on every partition so
+                iterating consumers terminate (set ``False`` when other
+                producers will keep publishing on the topic).
 
         The store and bus are shared handles and are *not* closed.
         Idempotent.
@@ -400,15 +317,10 @@ class StreamProducer:
             return
         self._closed = True
         if end:
-            if self._router is None:
-                self.bus.publish(self.topic, StreamEvent(end=True).encode())
-            else:
-                # Every partition gets its own marker: group members end
-                # independently once each of their partitions is drained.
-                for topic in self._router.topics:
-                    self._router.publish(
-                        topic, StreamEvent(end=True).encode(),
-                    )
+            # Every partition gets its own marker: group members end
+            # independently once each of their partitions is drained.
+            for topic in self._router.topics:
+                self._router.publish(topic, StreamEvent(end=True).encode())
 
     def __enter__(self) -> 'StreamProducer':
         return self
@@ -423,49 +335,27 @@ class StreamProducer:
                 'a producer with a custom serializer cannot be pickled '
                 '(callables do not travel); create it in the target process',
             )
-        state = {
+        return {
             'store_config': self.store.config(),
-            'bus_config': self.bus.config(),
-            'topic': self.topic,
-            'inline': self.inline,
+            'router_config': self._router.config(),
             'policy': self.policy,
             'inline_threshold': self.inline_threshold,
         }
-        if self._router is not None:
-            state['router_config'] = self._router.config()
-        return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        self.store = get_or_create_store(state['store_config'])
-        router_config = state.get('router_config')
-        if router_config is not None:
-            from repro.stream.groups import PartitionRouter
-
-            self._router = PartitionRouter.from_config(router_config)
-            self.bus = self._router.brokers[0]
-            self.partitions = self._router.partitions
-        else:
-            self._router = None
-            self.bus = bus_from_config(state['bus_config'])
-            self.partitions = 1
-        self.topic = state['topic']
-        # 'policy' may be absent in state pickled by older producers.
-        self.policy = state.get(
-            'policy', 'inline' if state['inline'] else 'proxy',
+        router = state['router_config']
+        self.__init__(  # type: ignore[misc]
+            get_or_create_store(state['store_config']),
+            [bus_from_config(config) for config in router['brokers']],
+            router['topic'],
+            policy=state['policy'],
+            inline_threshold=state['inline_threshold'],
+            partitions=router['partitions'],
+            replicas=router['replicas'],
         )
-        self.inline = self.policy == 'inline'
-        self.inline_threshold = state.get(
-            'inline_threshold', small_frame_threshold(),
-        )
-        self._serializer = None
-        self._closed = False
-        self._rr = 0
-        self.sent = 0
-        self.inline_sends = 0
-        self.proxy_sends = 0
 
 
-class StreamConsumer:
+class StreamConsumer(_DeliveryCore):
     """Iterates a topic, yielding a lazy proxy per published item.
 
     Args:
@@ -482,7 +372,8 @@ class StreamConsumer:
             ``owned``.
         from_seq: consume from this topic sequence number, replaying
             whatever the bus retention still holds; ``None`` consumes only
-            events published after subscribing.
+            events published after the consumer subscribes (on its first
+            read).
         timeout: seconds to wait for the next event before iteration
             raises ``TimeoutError`` (``None`` = wait forever).
         prefetch: resolve up to this many upcoming items in the background
@@ -492,26 +383,10 @@ class StreamConsumer:
 
     Iterating yields one item per event: a :class:`~repro.proxy.Proxy`
     (or ``OwnedProxy``) for proxied items, or the deserialized object for
-    inline events.  Iteration ends at an end-of-stream event.
-
-    Passing ``group=...`` (with ``partitions=N``) returns a
-    :class:`~repro.stream.groups.GroupConsumer` instead: a member of a
-    consumer group with committed offsets and at-least-once redelivery.
+    inline events.  Iteration ends at an end-of-stream event.  For
+    committed offsets and at-least-once redelivery across consumers,
+    construct a :class:`~repro.stream.groups.GroupConsumer` instead.
     """
-
-    def __new__(
-        cls,
-        store: 'Store | None' = None,
-        bus: Any = None,
-        topic: str | None = None,
-        **kwargs: Any,
-    ) -> Any:
-        """Dispatch to a group consumer when ``group=`` is given."""
-        if kwargs.get('group') is not None:
-            from repro.stream.groups import GroupConsumer
-
-            return GroupConsumer(store, bus, topic, **kwargs)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -524,155 +399,65 @@ class StreamConsumer:
         from_seq: int | None = None,
         timeout: float | None = DEFAULT_CONSUME_TIMEOUT,
         prefetch: int = 0,
-        group: str | None = None,
-        replicas: int = 1,
     ) -> None:
-        assert group is None  # group=... dispatched to GroupConsumer in __new__
-        if replicas != 1:
-            raise ValueError(
-                'replicas requires a consumer group (pass group=... and '
-                'partitions=N); a plain consumer has no partition ring to '
-                'fail over on',
-            )
         if owned and lifetime is not None:
             raise ValueError(
                 'owned=True and lifetime=... are mutually exclusive: owned '
                 'items are evicted by their owner, not by a lifetime',
             )
-        if prefetch < 0:
-            raise ValueError('prefetch must be non-negative')
-        self.store = store
-        self.bus = _resolve_bus(bus)
-        self.topic = topic
+        super().__init__(store, topic, timeout, prefetch)
+        self.bus = event_bus_from_url(bus) if isinstance(bus, str) else bus
         self.owned = owned
         self.lifetime = lifetime
-        self.timeout = timeout
-        self.prefetch = prefetch
-        self._from_seq = from_seq
-        self._subscription: Any = None
-        self._pending: list[StreamEvent] = []
-        self._ready: deque[tuple[StreamEvent, Any]] = deque()
-        self._unacked: list[Any] = []
-        self._ended = False
-        self._closed = False
-        self.delivered = 0
+        # The claim's cursor is from_seq until it subscribes (None: the
+        # head of the topic at that moment).
+        self._claims[topic] = _PartitionClaim(topic, None, from_seq, 0)
 
     def __repr__(self) -> str:
         return (
             f'StreamConsumer(store={self.store.name!r}, topic={self.topic!r})'
         )
 
-    # -- event plumbing ----------------------------------------------------- #
-    def _ensure_subscribed(self) -> Any:
-        """Subscribe through a one-partition router (same topic name on the
-        wire), whose owner walk rides out a restart of the broker."""
-        if self._subscription is None:
-            from repro.stream.groups import PartitionRouter
-
-            self._subscription = PartitionRouter(
-                self.topic, 1, self.bus,
-            ).subscribe(self.topic, from_seq=self._from_seq)
-        return self._subscription
-
-    @property
-    def lost(self) -> int:
-        """Events that aged out of bus retention before this consumer saw them."""
-        subscription = self._subscription
-        return subscription.lost if subscription is not None else 0
-
-    def _wait_for_events(self) -> None:
-        """Block until at least one decoded event is pending (or stream end).
-
-        Raises:
-            TimeoutError: when nothing arrives within ``timeout`` seconds.
-        """
-        deadline = (
-            None if self.timeout is None
-            else time.monotonic() + self.timeout
-        )
-        while not self._pending:
-            if self._closed:
-                return
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f'no event on topic {self.topic!r} within '
-                        f'{self.timeout}s',
-                    )
-            # An empty batch is not necessarily a timeout (duplicate-only
-            # pushes, a reconnect wake-up): keep polling until the deadline.
-            batch = self._ensure_subscribed().next_batch(timeout=remaining)
-            self._pending.extend(
-                StreamEvent.decode(data, seq=seq) for seq, data in batch
+    def _sync_claims(self) -> bool:
+        """Subscribe the one claim on first read, through a one-partition
+        router whose owner walk rides out a restart of the broker."""
+        claim = self._claims[self.topic]
+        if claim.subscription is None:
+            claim.subscription = PartitionRouter(self.topic, 1, self.bus).subscribe(
+                self.topic, from_seq=claim.position,
             )
+            claim.read_pos = claim.position = claim.subscription.position
+        return False
 
-    def _item_for(self, event: StreamEvent) -> Any:
-        """Materialize one event: proxy, owned proxy, or inline object."""
-        if event.inline:
-            assert event.payload is not None
-            return self.store.deserializer(event.payload)
+    def _proxy(self, key: Any) -> Any:
         if self.owned:
             return OwnedProxy._from_store(
-                StoreFactory(event.key, self.store.config(), owned=True),
+                StoreFactory(key, self.store.config(), owned=True),
             )
+        return super()._proxy(key)
+
+    def _deliver(self, claim: _PartitionClaim, event: StreamEvent, item: Any) -> bool:
+        """Owned items evict themselves and lifetime-bound keys go with their
+        scope; every other delivered key waits for :meth:`ack`."""
+        if event.inline or self.owned:
+            return True
         if self.lifetime is not None:
             self.lifetime.add_key(event.key, store=self.store)
-        else:
-            self._unacked.append(event.key)
-        return Proxy(StoreFactory(event.key, self.store.config()))
-
-    def _top_up_ready(self) -> None:
-        """Materialize pending events into the delivery window.
-
-        With ``prefetch > 0`` up to that many items beyond the next one are
-        materialized early and their resolution kicked off in the
-        background, so the store gets of upcoming items overlap with the
-        caller's processing of the current one.
-        """
-        window = self.prefetch + 1
-        while self._pending and len(self._ready) < window and not self._ended:
-            event = self._pending.pop(0)
-            if event.end:
-                self._ended = True
-                return
-            item = self._item_for(event)
-            if self.prefetch and not event.inline and not self.owned:
-                resolve_async(item)
-            self._ready.append((event, item))
-
-    # -- iteration ---------------------------------------------------------- #
-    def events(self) -> Iterator[tuple[StreamEvent, Any]]:
-        """Yield ``(event, item)`` pairs — items plus their metadata/seq."""
-        while True:
-            self._top_up_ready()
-            if self._ready:
-                pair = self._ready.popleft()
-                self.delivered += 1
-                yield pair
-                continue
-            if self._ended or self._closed:
-                return
-            self._wait_for_events()
-
-    def __iter__(self) -> Iterator[Any]:
-        for _event, item in self.events():
-            yield item
+            return True
+        return super()._deliver(claim, event, item)
 
     # -- eviction ----------------------------------------------------------- #
     def ack(self) -> int:
         """Evict every item delivered since the last ack; returns the count.
 
         One ``evict_batch`` round trip per call (recorded under the
-        store's single ``evict_batch`` metric).  Owned and lifetime-bound
-        items are excluded — their eviction is governed by the owner drop
-        or the lifetime close respectively.
+        store's single ``evict_batch`` metric).  Only items already handed
+        to the caller count: prefetched items still in the window stay
+        stored.  Owned and lifetime-bound items are excluded — their
+        eviction is governed by the owner drop or the lifetime close
+        respectively.
         """
-        keys, self._unacked = self._unacked, []
-        if keys:
-            self.store.evict_batch(keys)
-        return len(keys)
+        return self._evict_unacked()
 
     def close(self, *, evict_pending: bool = True) -> None:
         """Detach from the topic.
@@ -684,20 +469,14 @@ class StreamConsumer:
                 them stored (e.g. when another party will resolve them);
                 the caller then owns their eviction.
         """
-        if self._closed:
+        if self._closed.is_set():
             return
-        self._closed = True
-        if self._subscription is not None:
-            self._subscription.close()
-            self._subscription = None
+        self._closed.set()
+        subscription = self._claims[self.topic].subscription
+        if subscription is not None:
+            subscription.close()
         if evict_pending:
             self.ack()
-
-    def __enter__(self) -> 'StreamConsumer':
-        return self
-
-    def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
-        self.close()
 
     # -- pickling ----------------------------------------------------------- #
     def __getstate__(self) -> dict[str, Any]:
@@ -707,29 +486,20 @@ class StreamConsumer:
                 'lifetime and its eviction duty stay in this process); '
                 'bind a lifetime in the target process instead',
             )
-        subscription = self._subscription
-        if self._ready:
-            # Materialized-but-undelivered items replay on resume.
-            position: int | None = self._ready[0][0].seq
-        elif self._pending:
-            # Decoded-but-undelivered events replay on resume.
-            position = self._pending[0].seq
-        elif subscription is not None:
-            position = subscription.position
-        else:
-            position = self._from_seq
+        claim = self._claims[self.topic]
         return {
             'store_config': self.store.config(),
             'bus_config': self.bus.config(),
             'topic': self.topic,
             'owned': self.owned,
-            'from_seq': position,
+            # The yield cursor: items read ahead but never yielded replay.
+            'from_seq': claim.position,
             'timeout': self.timeout,
             'prefetch': self.prefetch,
             # The clone inherits the eviction duty for everything this
             # consumer delivered but never acked — a pickle handoff must
             # not strand keys (evict_batch tolerates double eviction).
-            'unacked': list(self._unacked),
+            'unacked': list(claim.unacked),
         }
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -740,6 +510,6 @@ class StreamConsumer:
             owned=state['owned'],
             from_seq=state['from_seq'],
             timeout=state['timeout'],
-            prefetch=state.get('prefetch', 0),
+            prefetch=state['prefetch'],
         )
-        self._unacked = list(state.get('unacked', []))
+        self._claims[self.topic].unacked = list(state['unacked'])

@@ -34,21 +34,28 @@ keys).  This module turns the bus into a fleet-scale delivery substrate:
   work.  Per-group ``delivered`` / ``redelivered`` / ``lost`` /
   ``deduplicated`` accounting is kept on the consumer and surfaced
   through store metrics (``stream.group.*``).
+* **One delivery core** — a partition claimed by a member and the topic
+  a plain :class:`~repro.stream.StreamConsumer` reads are the same
+  ``_PartitionClaim``, read and delivered by the same ``_DeliveryCore``:
+  a plain stream is a group of one member with one claim and no
+  coordinator.  A group member adds only membership, redelivery and the
+  fenced ack on top.
 
 Delivery guarantees, by construction:
 
-========================  ==========================================
-mode                      guarantee
-========================  ==========================================
-inline events             at-most-once (data dies with the event)
-plain consumer + ``ack``  at-most-once per consumer (no redelivery)
-``group=...`` + ``ack``   at-least-once across the group
-========================  ==========================================
+============================  ======================================
+mode                          guarantee
+============================  ======================================
+inline events                 at-most-once (data dies with the event)
+plain consumer + ``ack``      at-most-once per consumer (no redelivery)
+``GroupConsumer`` + ``ack``   at-least-once across the group
+============================  ======================================
 """
 from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Any
 from typing import Iterator
 from typing import Sequence
@@ -74,11 +81,11 @@ from repro.stream.bus import EventBus
 from repro.stream.bus import broker_id
 from repro.stream.bus import bus_from_config
 from repro.stream.bus import event_bus_from_url
+from repro.stream.events import StreamEvent
 from repro.stream.failover import FailoverSubscription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.store.store import Store
-    from repro.stream.events import StreamEvent
 
 __all__ = [
     'DEFAULT_SESSION_TIMEOUT',
@@ -92,9 +99,6 @@ __all__ = [
 
 #: Fraction of the session timeout between heartbeats (3 beats per lease).
 _HEARTBEAT_FRACTION = 3.0
-
-#: Seconds one poll pass spreads across the assigned subscriptions.
-_POLL_SLICE = 0.1
 
 
 def partition_topics(topic: str, partitions: int) -> list[str]:
@@ -281,10 +285,6 @@ class PartitionRouter:
     def bus_for(self, key: str) -> EventBus:
         """The live broker bus that currently hosts ``key`` (a partition topic)."""
         return self._by_id[self.ordered_owners(key)[0]]
-
-    def bus_for_partition(self, partition: int) -> EventBus:
-        """The broker bus that hosts partition index ``partition``."""
-        return self.bus_for(self.topics[partition])
 
     def designated(self, label: str) -> EventBus:
         """The live broker currently designated to coordinate ``label``."""
@@ -569,10 +569,11 @@ class GroupCoordinator:
 
 
 # --------------------------------------------------------------------------- #
-# The group consumer
+# The delivery core
 # --------------------------------------------------------------------------- #
 class _PartitionClaim:
-    """One claimed partition: its subscription, cursor, and un-acked keys."""
+    """One claimed partition (a plain consumer's whole topic): its
+    subscription, cursor, and un-acked keys."""
 
     __slots__ = (
         'topic', 'subscription', 'read_pos', 'position', 'acked_through',
@@ -583,7 +584,7 @@ class _PartitionClaim:
         self,
         topic: str,
         subscription: Any,
-        committed: int,
+        committed: Any,
         watermark: int,
     ) -> None:
         self.topic = topic
@@ -605,16 +606,196 @@ class _PartitionClaim:
         self.ended = False
         #: Sequence number of the end-of-stream marker (once delivered).
         self.end_seq: int | None = None
-        #: Subscription lost-count already folded into the group totals.
+        #: Subscription lost-count already folded into the consumer's total.
         self.lost_seen = 0
 
 
-class GroupConsumer:
+class _DeliveryCore:
+    """What both stream consumers share: reading claims and delivering items.
+
+    The core decodes each claim's events, drops duplicates against
+    ``read_pos``, stops a claim at its end marker, materializes each event
+    as an inline object or a lazy proxy, resolves the next ``prefetch``
+    proxies in the background, and hands the ready window out in
+    ``events()`` under one deadline.  An item is delivered when it is
+    *yielded*, not when it is read: only then does the claim's cursor move
+    and (through :meth:`_deliver`) its key join the un-acked ledger.
+
+    A subclass keeps ``_claims`` current in ``_sync_claims()`` (``True``
+    when they changed, which restarts the deadline) and may cap one wait
+    with ``_poll_slice`` (``None``: the whole remaining timeout).
+    """
+
+    _poll_slice: float | None = None
+
+    def __init__(
+        self,
+        store: 'Store',
+        topic: str,
+        timeout: float | None,
+        prefetch: int,
+    ) -> None:
+        if prefetch < 0:
+            raise ValueError('prefetch must be non-negative')
+        self.store = store
+        self.topic = topic
+        self.timeout = timeout
+        self.prefetch = prefetch
+        self._claims: dict[str, _PartitionClaim] = {}
+        self._ready: deque[tuple[_PartitionClaim, StreamEvent, Any]] = deque()
+        self._closed = threading.Event()
+        self._rr = 0
+        self.delivered = 0
+        self._lost = 0
+
+    # -- reading ------------------------------------------------------------ #
+    def _proxy(self, key: Any) -> Any:
+        """The lazy proxy a proxied event is delivered as."""
+        return Proxy(StoreFactory(key, self.store.config()))
+
+    def _prefetch(self, index: int) -> None:
+        """Start resolving the ready window's ``index``-th item in the background."""
+        if index < len(self._ready):
+            _claim, event, item = self._ready[index]
+            if not event.inline and type(item) is Proxy:
+                resolve_async(item)
+
+    def _poll_once(self, wait: float | None) -> None:
+        """Read one pass over the open claims into the ready window.
+
+        ``wait`` is spread over the claims; with none open (nothing
+        assigned, or all drained while the group is not done) it idles.
+        """
+        claims = [c for c in self._claims.values() if not c.ended]
+        if not claims:
+            self._closed.wait(wait)
+            return
+        per_claim = None if wait is None else wait / len(claims)
+        for offset in range(len(claims)):
+            claim = claims[(self._rr + offset) % len(claims)]
+            batch = claim.subscription.next_batch(timeout=per_claim)
+            self._harvest_lost(claim)
+            for seq, data in batch:
+                if seq < claim.read_pos:
+                    continue  # duplicate push/fetch overlap
+                event = StreamEvent.decode(data, seq=seq)
+                claim.read_pos = seq + 1
+                if event.end:
+                    claim.ended = True
+                    claim.end_seq = seq
+                    break
+                if event.inline:
+                    assert event.payload is not None
+                    item = self.store.deserializer(event.payload)
+                else:
+                    item = self._proxy(event.key)
+                self._ready.append((claim, event, item))
+                if self.prefetch and len(self._ready) <= self.prefetch + 1:
+                    self._prefetch(len(self._ready) - 1)
+        self._rr += 1
+
+    def _harvest_lost(self, claim: _PartitionClaim) -> int:
+        """Fold the claim's newly lost events into ``lost``; returns them."""
+        delta = claim.subscription.lost - claim.lost_seen
+        if delta > 0:
+            self._lost += delta
+            claim.lost_seen += delta
+        return delta
+
+    @property
+    def lost(self) -> int:
+        """Events that aged out of broker retention before delivery here."""
+        for claim in list(self._claims.values()):
+            if claim.subscription is not None:
+                self._harvest_lost(claim)
+        return self._lost
+
+    # -- delivering --------------------------------------------------------- #
+    def _deliver(self, claim: _PartitionClaim, event: StreamEvent, item: Any) -> bool:
+        """Record a proxied item's key for the next ack's eviction."""
+        if not event.inline:
+            claim.unacked.append((event.seq, event.key))
+        return True
+
+    def _group_done(self) -> bool:
+        """A consumer of one's stream is done once its claims are drained."""
+        return True
+
+    def events(self) -> 'Iterator[tuple[StreamEvent, Any]]':
+        """Yield ``(event, item)`` pairs — items plus their metadata/seq.
+
+        Raises:
+            TimeoutError: when no event arrives within ``timeout`` seconds
+                (a change of claims resets the clock — a handoff is progress).
+        """
+        timeout = self.timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self._closed.is_set():
+            if self._sync_claims() and timeout is not None:
+                deadline = time.monotonic() + timeout
+            if not self._ready:
+                if self._claims and all(
+                    claim.ended for claim in self._claims.values()
+                ) and self._group_done():
+                    return
+                wait = self._poll_slice
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError(
+                            f'no event for {self!r} within {timeout}s',
+                        )
+                    wait = remaining if wait is None else min(wait, remaining)
+                self._poll_once(wait)
+                if not self._ready:
+                    continue
+            claim, event, item = self._ready.popleft()
+            if self.prefetch:
+                self._prefetch(self.prefetch)
+            if self._claims.get(claim.topic) is not claim:
+                continue  # the partition was reassigned away mid-window
+            # Delivery happens *here*, not at read time: the yield cursor
+            # (commits, watermarks, the un-acked ledger) covers exactly
+            # what the application has seen.
+            claim.position = event.seq + 1
+            if self._deliver(claim, event, item):
+                self.delivered += 1
+                yield event, item
+                if timeout is not None:
+                    deadline = time.monotonic() + timeout
+
+    def __iter__(self) -> Iterator[Any]:
+        for _event, item in self.events():
+            yield item
+
+    # -- eviction and lifecycle --------------------------------------------- #
+    def _evict_unacked(self) -> int:
+        """Evict every key delivered since the last call in one ``evict_batch``."""
+        keys = []
+        for claim in self._claims.values():
+            keys.extend(key for _seq, key in claim.unacked)
+            claim.unacked = []
+        if keys:
+            self.store.evict_batch(keys)
+        return len(keys)
+
+    def __enter__(self) -> Any:
+        return self
+
+    def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
+        self.close()  # type: ignore[attr-defined]
+
+
+# --------------------------------------------------------------------------- #
+# The group consumer
+# --------------------------------------------------------------------------- #
+class GroupConsumer(_DeliveryCore):
     """A member of a consumer group over a partitioned topic.
 
     Joins ``group`` at construction, heartbeats in the background, and
     iterates exactly the partitions assigned to this member — yielding
-    lazy proxies like :class:`~repro.stream.StreamConsumer`, but with
+    lazy proxies like :class:`~repro.stream.StreamConsumer` (the same
+    delivery core, with one claim per assigned partition), but with
     **at-least-once** semantics: :meth:`ack` first evicts the delivered
     keys, then commits the per-partition offsets, so a crash at any point
     is recovered by redelivery (never by stranding keys).  When another
@@ -651,6 +832,10 @@ class GroupConsumer:
     claimant terminates too.
     """
 
+    #: Seconds one poll pass spreads across the assigned subscriptions:
+    #: membership syncs between polls, so no wait may outlast it.
+    _poll_slice = 0.1
+
     def __init__(
         self,
         store: 'Store',
@@ -668,13 +853,10 @@ class GroupConsumer:
     ) -> None:
         if session_timeout <= 0:
             raise ValueError('session_timeout must be positive')
-        if prefetch < 0:
-            raise ValueError('prefetch must be non-negative')
         from repro.connectors.protocol import new_object_id
 
-        self.store = store
+        super().__init__(store, topic, timeout, prefetch)
         self.router = PartitionRouter(topic, partitions, bus, replicas=replicas)
-        self.topic = topic
         self.group = group
         self.member = member if member is not None else f'member-{new_object_id()}'
         self.session_timeout = session_timeout
@@ -682,25 +864,17 @@ class GroupConsumer:
             heartbeat_interval if heartbeat_interval is not None
             else session_timeout / _HEARTBEAT_FRACTION
         )
-        self.timeout = timeout
-        self.prefetch = prefetch
         self.coordinator = GroupCoordinator(group, self.router)
 
-        self._claims: dict[str, _PartitionClaim] = {}
-        self._ready: list[tuple[str, Any, Any, bool, bool]] = []
         self._view_lock = threading.Lock()
         self._view: dict[str, Any] = {'generation': -1, 'members': []}
         self._needs_rejoin = False
         self._synced_generation = -1
         self._seen_failovers = 0
-        self._closed = threading.Event()
-        self._rr = 0
 
-        self.delivered = 0
         self.redelivered = 0
         self.deduplicated = 0
         self.acked = 0
-        self._lost = 0
 
         self._set_view(self.coordinator.join(self.member, session_timeout))
         self._heartbeat_thread = threading.Thread(
@@ -745,34 +919,10 @@ class GroupConsumer:
             if claim.end_seq is not None and claim.position >= claim.end_seq
         }
 
-    def _heartbeat_loop(self) -> None:
-        while not self._closed.wait(self.heartbeat_interval):
-            try:
-                self._set_view(
-                    self.coordinator.heartbeat(
-                        self.member, self._positions(), self._ends(),
-                    ),
-                )
-            except GroupMembershipError:
-                self._needs_rejoin = True
-            except ConnectorError:
-                # The designated broker is unreachable or mid-restart: a
-                # transient condition — the next beat retries, and the
-                # session only ends if the broker itself expires us.
-                continue
+    def _heartbeat(self) -> bool:
+        """Refresh the lease, report positions and ends, adopt the view.
 
-    @property
-    def generation(self) -> int:
-        """The membership generation this member has synced to."""
-        return self._synced_generation
-
-    def refresh(self) -> int:
-        """Heartbeat immediately and sync the partition assignment.
-
-        Normally membership changes propagate at the heartbeat cadence;
-        this forces a round trip now — useful to make a fleet converge on
-        one generation deterministically (e.g. before starting a load, or
-        in tests).  Returns the generation synced to.
+        Returns ``False`` when the member was expired and must rejoin.
         """
         try:
             self._set_view(
@@ -782,7 +932,29 @@ class GroupConsumer:
             )
         except GroupMembershipError:
             self._needs_rejoin = True
-        self._sync_membership()
+            return False
+        return True
+
+    def _heartbeat_loop(self) -> None:
+        while not self._closed.wait(self.heartbeat_interval):
+            try:
+                self._heartbeat()
+            except ConnectorError:
+                # The designated broker is unreachable or mid-restart: a
+                # transient condition — the next beat retries, and the
+                # session only ends if the broker itself expires us.
+                continue
+
+    def refresh(self) -> int:
+        """Heartbeat immediately and sync the partition assignment.
+
+        Normally membership changes propagate at the heartbeat cadence;
+        this forces a round trip now — useful to make a fleet converge on
+        one generation deterministically (e.g. before starting a load, or
+        in tests).  Returns the generation synced to.
+        """
+        self._heartbeat()
+        self._sync_claims()
         return self._synced_generation
 
     @property
@@ -790,8 +962,11 @@ class GroupConsumer:
         """The partition topics currently claimed by this member."""
         return sorted(self._claims)
 
-    def _sync_membership(self) -> None:
-        """Re-derive this member's partition claims from the latest view."""
+    def _sync_claims(self) -> bool:
+        """Re-derive this member's partition claims from the latest view.
+
+        Returns whether a new generation was synced.
+        """
         failovers = self.coordinator.failovers
         if failovers != self._seen_failovers:
             # The coordinator broker changed under us.  The replica's
@@ -817,7 +992,7 @@ class GroupConsumer:
         with self._view_lock:
             view = dict(self._view)
         if view['generation'] == self._synced_generation:
-            return
+            return False
         mine = assign_partitions(
             view['members'], self.router.topics,
         ).get(self.member, [])
@@ -837,6 +1012,7 @@ class GroupConsumer:
                     topic, subscription, committed, watermark,
                 )
         self._synced_generation = view['generation']
+        return True
 
     def _drop_claims(self, topics: list[str]) -> None:
         """Release partitions reassigned away from this member.
@@ -844,6 +1020,7 @@ class GroupConsumer:
         Their delivered-but-unacked events are *not* evicted and *not*
         committed: the new claimant resumes from the committed offset and
         redelivers them — the nack-back path that keeps handoff lossless.
+        Their entries left in the ready window are skipped on delivery.
         """
         for topic in topics:
             claim = self._claims.pop(topic, None)
@@ -851,16 +1028,11 @@ class GroupConsumer:
                 continue
             self._harvest_lost(claim)
             claim.subscription.close()
-            self._ready = [
-                entry for entry in self._ready if entry[0] != topic
-            ]
 
-    def _harvest_lost(self, claim: _PartitionClaim) -> None:
-        delta = claim.subscription.lost - claim.lost_seen
-        if delta > 0:
-            self._lost += delta
-            claim.lost_seen = claim.subscription.lost
-            self._record('stream.group.lost', delta)
+    def _harvest_lost(self, claim: _PartitionClaim) -> int:
+        lost = super()._harvest_lost(claim)
+        self._record('stream.group.lost', lost)
+        return lost
 
     # -- delivery ----------------------------------------------------------- #
     def _record(self, operation: str, count: int = 1, nbytes: int = 0) -> None:
@@ -870,57 +1042,31 @@ class GroupConsumer:
         for _ in range(count):
             metrics.record(operation, 0.0, nbytes)
 
-    def _materialize(self, claim: _PartitionClaim, event: 'StreamEvent') -> None:
-        """Deliver one decoded event from ``claim`` into the ready window."""
-        from repro.stream.events import StreamEvent  # local: cycle avoidance
-
-        assert isinstance(event, StreamEvent)
-        if event.seq < claim.read_pos:
-            return  # duplicate push/fetch overlap
-        claim.read_pos = event.seq + 1
-        if event.end:
-            claim.ended = True
-            claim.end_seq = event.seq
-            return
+    def _deliver(self, claim: _PartitionClaim, event: StreamEvent, item: Any) -> bool:
+        """Skip work a previous claimant already acked; count the rest."""
         redelivered = event.seq < claim.redeliver_below
-        if redelivered and event.key is not None and not self.store.exists(event.key):
-            # The previous claimant evicted the key but died before its
-            # commit landed: the work was done — skip, don't re-deliver a
-            # proxy that can no longer resolve.  The skip still advances
-            # the yield cursor so the commit can move past it.
-            self.deduplicated += 1
-            self._record('stream.group.deduplicated')
-            # A skip entry keeps the yield cursor advancing in seq order.
-            self._ready.append((claim.topic, event, None, redelivered, True))
-            return
-        if event.inline:
-            assert event.payload is not None
-            item: Any = self.store.deserializer(event.payload)
-        else:
-            item = Proxy(StoreFactory(event.key, self.store.config()))
-            if self.prefetch and len(self._ready) <= self.prefetch:
-                resolve_async(item)
-        self._ready.append((claim.topic, event, item, redelivered, False))
-
-    def _poll_once(self, slice_timeout: float) -> None:
-        """One pass over the assigned subscriptions, budgeting the wait."""
-        from repro.stream.events import StreamEvent
-
-        claims = [c for c in self._claims.values() if not c.ended]
-        if not claims:
-            if not self._claims:
-                # No partitions assigned (more members than partitions):
-                # idle until a rebalance hands us some.
-                self._closed.wait(slice_timeout)
-            return
-        per_claim = slice_timeout / len(claims)
-        for offset in range(len(claims)):
-            claim = claims[(self._rr + offset) % len(claims)]
-            batch = claim.subscription.next_batch(timeout=per_claim)
-            self._harvest_lost(claim)
-            for seq, data in batch:
-                self._materialize(claim, StreamEvent.decode(data, seq=seq))
-        self._rr += 1
+        if redelivered and not event.inline:
+            # A redelivered key that is gone was evicted by the previous
+            # claimant, which died before its commit landed: the work was
+            # done.  The rest resolve *eagerly*: that claimant's fenced ack
+            # may still be in flight, and its evict can land between our
+            # check and the application's resolve.  A failed resolve here
+            # means the work was acked after all — dedup, don't crash.
+            try:
+                done = not self.store.exists(event.key)
+                if not done:
+                    resolve(item)
+            except ProxyResolveError:
+                done = True
+            if done:
+                self.deduplicated += 1
+                self._record('stream.group.deduplicated')
+                return False
+        self._record('stream.group.delivered', 1, event.nbytes)
+        if redelivered:
+            self.redelivered += 1
+            self._record('stream.group.redelivered')
+        return super()._deliver(claim, event, item)
 
     def _group_done(self) -> bool:
         """Whether every partition of the topic is finished for the group.
@@ -933,15 +1079,9 @@ class GroupConsumer:
         concurrently observe each other's markers.
         """
         try:
-            self._set_view(
-                self.coordinator.heartbeat(
-                    self.member, self._positions(), self._ends(),
-                ),
-            )
+            if not self._heartbeat():
+                return False
             state = self.coordinator.fetch(self.router.topics)
-        except GroupMembershipError:
-            self._needs_rejoin = True
-            return False
         except ConnectorError:
             return False
         with self._view_lock:
@@ -956,76 +1096,6 @@ class GroupConsumer:
             if entry.get('end_member') not in members:
                 return False
         return True
-
-    def events(self) -> 'Iterator[tuple[StreamEvent, Any]]':
-        """Yield ``(event, item)`` pairs from this member's partitions.
-
-        Raises:
-            TimeoutError: when no event arrives within ``timeout`` seconds
-                (rebalances reset the clock — a claim handoff is progress).
-        """
-        deadline = (
-            None if self.timeout is None
-            else time.monotonic() + self.timeout
-        )
-        while not self._closed.is_set():
-            before = self._synced_generation
-            self._sync_membership()
-            if self._synced_generation != before and deadline is not None:
-                deadline = time.monotonic() + self.timeout  # type: ignore[operator]
-            if not self._ready:
-                self._poll_once(_POLL_SLICE)
-            if self._ready:
-                topic, event, item, redelivered, skip = self._ready.pop(0)
-                claim = self._claims.get(topic)
-                if claim is None:
-                    continue  # partition was reassigned away mid-window
-                # Delivery happens *here*, not at read time: the yield
-                # cursor (commits, watermarks, the un-acked ledger) covers
-                # exactly what the application has seen.
-                claim.position = event.seq + 1
-                if skip:
-                    continue
-                if redelivered and not event.inline:
-                    # Resolve redelivered proxies *eagerly*: the previous
-                    # claimant's fenced ack may still be in flight, and
-                    # its evict can land between our exists check and the
-                    # application's resolve.  A failed resolve here means
-                    # the work was acked after all — dedup, don't crash.
-                    try:
-                        resolve(item)
-                    except ProxyResolveError:
-                        self.deduplicated += 1
-                        self._record('stream.group.deduplicated')
-                        continue
-                if not event.inline:
-                    claim.unacked.append((event.seq, event.key))
-                self.delivered += 1
-                self._record('stream.group.delivered', 1, event.nbytes)
-                if redelivered:
-                    self.redelivered += 1
-                    self._record('stream.group.redelivered')
-                yield event, item
-                if deadline is not None:
-                    deadline = time.monotonic() + self.timeout  # type: ignore[operator]
-                continue
-            if self._claims and all(c.ended for c in self._claims.values()):
-                # Our partitions are drained, but the *group* may not be
-                # done: a dead member's partitions could still rebalance
-                # to us.  Return only once every partition of the topic is
-                # finished; otherwise keep heartbeating and syncing.
-                if self._group_done():
-                    return
-                self._closed.wait(_POLL_SLICE)
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f'no event for group {self.group!r} member '
-                    f'{self.member!r} within {self.timeout}s',
-                )
-
-    def __iter__(self) -> Iterator[Any]:
-        for _event, item in self.events():
-            yield item
 
     # -- acknowledgement ---------------------------------------------------- #
     def ack(self) -> int:
@@ -1047,19 +1117,12 @@ class GroupConsumer:
         a failed resolve.
         """
         self.refresh()
-        keys = []
+        counted = self._evict_unacked()
         offsets: dict[str, int] = {}
-        counted = 0
         for claim in self._claims.values():
-            if claim.unacked:
-                keys.extend(key for _seq, key in claim.unacked)
-                counted += len(claim.unacked)
-                claim.unacked = []
             if claim.position > claim.acked_through or claim.ended:
                 offsets[claim.topic] = claim.position
                 claim.acked_through = claim.position
-        if keys:
-            self.store.evict_batch(keys)
         if offsets:
             self.coordinator.commit(
                 self.member, offsets, self._positions(), self._ends(),
@@ -1069,13 +1132,6 @@ class GroupConsumer:
         return counted
 
     # -- accounting ---------------------------------------------------------- #
-    @property
-    def lost(self) -> int:
-        """Events that aged out of broker retention before delivery here."""
-        for claim in self._claims.values():
-            self._harvest_lost(claim)
-        return self._lost
-
     def stats(self) -> dict[str, Any]:
         """This member's delivery accounting and membership position."""
         return {
@@ -1109,17 +1165,9 @@ class GroupConsumer:
             self.coordinator.leave(self.member, self._positions())
         except ConnectorError:  # broker already gone: expiry will handle it
             pass
-        for claim in self._claims.values():
-            claim.subscription.close()
-        self._claims.clear()
+        self._drop_claims(list(self._claims))
         self._heartbeat_thread.join(timeout=2.0)
         self.router.close()
-
-    def __enter__(self) -> 'GroupConsumer':
-        return self
-
-    def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
-        self.close()
 
     def __reduce__(self) -> Any:
         """Group consumers do not pickle: membership is a live lease.

@@ -149,58 +149,39 @@ class KVSubscription:
         """Sequence number of the next event this subscriber will deliver."""
         return self._expected
 
-    def _account_lost(self, fetched: dict[str, Any], cap: int | None = None) -> None:
-        """Count a fetch's lost events once, advancing the cursor past them.
-
-        The cursor must move to the oldest retained event: leaving it
-        inside the lost region would re-count the same loss on the next
-        fetch.  ``cap`` bounds the accounting to a known gap — events past
-        the gap may still be in flight as pushes, so only a later fetch
-        may declare them lost.
-        """
-        lost = int(fetched.get('lost', 0))
-        if cap is not None:
-            lost = min(lost, cap)
-        if lost > 0:
-            self._lost += lost
-            self._expected += lost
-
-    def _backfill(self, up_to: int) -> list[tuple[int, Any]]:
-        """Fetch ``[expected, up_to)`` from the topic ring after a push gap."""
-        recovered: list[tuple[int, Any]] = []
-        gap = up_to - self._expected
-        fetched = self._bus.client.fetch_events(
-            self.topic, since=self._expected, max_events=gap,
-        )
-        self._account_lost(fetched, cap=gap)
-        for seq, data in fetched.get('events', []):
-            seq = int(seq)
-            if self._expected <= seq < up_to:
-                recovered.append((seq, data))
-                self._expected = seq + 1
-        # Whatever the ring no longer held below up_to is lost for good.
-        if self._expected < up_to:
-            self._lost += up_to - self._expected
-            self._expected = up_to
-        return recovered
-
-    def _poll_ring(self) -> list[tuple[int, Any]]:
+    def _fetch(self, up_to: int | None = None) -> list[tuple[int, Any]]:
         """Fetch events past the cursor straight from the topic ring.
 
-        The liveness net under server-side push dropping: when this
-        consumer lagged past the highwater mark, the events it missed sit
-        in the ring but no push will ever re-announce them unless someone
-        publishes again — so an idle wait periodically asks the ring
-        directly.
+        With ``up_to`` this backfills a push gap ``[expected, up_to)``:
+        events from ``up_to`` on may still be in flight as pushes, so only
+        the gap is accounted, and whatever the ring no longer holds below
+        ``up_to`` is lost for good.  Without it, it is the liveness net
+        under server-side push dropping: when this consumer lagged past
+        the highwater mark, the events it missed sit in the ring but no
+        push will ever re-announce them unless someone publishes again —
+        so an idle wait periodically asks the ring directly.
+
+        Lost events are counted once and the cursor moves past them:
+        leaving it inside the lost region would re-count the same loss on
+        the next fetch.
         """
-        fetched = self._bus.client.fetch_events(self.topic, since=self._expected)
-        self._account_lost(fetched)
+        gap = None if up_to is None else up_to - self._expected
+        fetched = self._bus.client.fetch_events(
+            self.topic, since=self._expected, max_events=gap or 0,
+        )
+        lost = int(fetched.get('lost', 0))
+        lost = lost if gap is None else min(lost, gap)
+        self._lost += lost
+        self._expected += lost
         out: list[tuple[int, Any]] = []
         for seq, data in fetched.get('events', []):
             seq = int(seq)
-            if seq >= self._expected:
+            if self._expected <= seq and (up_to is None or seq < up_to):
                 out.append((seq, data))
                 self._expected = seq + 1
+        if up_to is not None and self._expected < up_to:
+            self._lost += up_to - self._expected
+            self._expected = up_to
         return out
 
     def next_batch(self, timeout: float | None = None) -> list[tuple[int, Any]]:
@@ -236,7 +217,7 @@ class KVSubscription:
                 except queue.Empty:
                     if dead:
                         break
-                    polled = self._poll_ring()
+                    polled = self._fetch()
                     if polled:
                         return polled
                     if deadline is not None and time.monotonic() >= deadline:
@@ -253,9 +234,7 @@ class KVSubscription:
                 if seq < self._expected:
                     continue
                 if seq > self._expected:
-                    out.extend(self._backfill(seq))
-                    if seq < self._expected:  # aged out under the backfill
-                        continue
+                    out.extend(self._fetch(up_to=seq))
                 out.append((seq, data))
                 self._expected = seq + 1
             if out:

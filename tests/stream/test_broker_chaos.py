@@ -44,7 +44,7 @@ def _broker(ports_queue):
 @pytest.mark.chaos
 @pytest.mark.timeout(180)
 def test_sigkill_coordinator_broker_loses_nothing():
-    from repro.stream import StreamConsumer
+    from repro.stream import GroupConsumer
     from repro.stream import StreamProducer
 
     ctx = multiprocessing.get_context('spawn')
@@ -65,7 +65,7 @@ def test_sigkill_coordinator_broker_loses_nothing():
         )
         producer.send_batch(list(range(ITEMS // 2)))
 
-        consumer = StreamConsumer(
+        consumer = GroupConsumer(
             store, urls, TOPIC,
             group=GROUP, partitions=PARTITIONS, replicas=2, timeout=30.0,
         )

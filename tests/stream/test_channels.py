@@ -294,3 +294,21 @@ def test_consumer_pickle_clone_inherits_eviction_duty(stream_store, make_bus, to
     finally:
         if clone.store is not stream_store:
             clone.store.close()
+
+
+def test_ack_evicts_only_items_already_yielded(stream_store, make_bus, topic):
+    """Prefetched items still in the window are not the caller's yet: an
+    ack must leave their keys stored, and they must still resolve."""
+    producer, consumer = _channel(stream_store, make_bus, topic, prefetch=2)
+    for i in range(3):
+        producer.send(i)
+    producer.close()
+    events = consumer.events()
+    first, item = next(events)
+    assert int(item) == 0
+    assert consumer.ack() == 1
+    assert not stream_store.exists(first.key)
+    rest = list(events)
+    assert all(stream_store.exists(event.key) for event, _ in rest)
+    assert [int(item) for _, item in rest] == [1, 2]
+    assert consumer.ack() == 2

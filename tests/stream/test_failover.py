@@ -17,7 +17,7 @@ from repro.exceptions import NodeUnavailableError
 from repro.exceptions import StreamGroupError
 from repro.kvserver.client import KVClient
 from repro.kvserver.server import KVServer
-from repro.stream import StreamConsumer
+from repro.stream import GroupConsumer
 from repro.stream import StreamProducer
 from repro.stream.failover import FailoverSubscription
 from repro.stream.groups import GroupCoordinator
@@ -66,11 +66,6 @@ def test_group_membership_error_is_connector_error():
     # first in except chains, which subclassing makes possible.
     assert issubclass(GroupMembershipError, StreamGroupError)
     assert issubclass(GroupMembershipError, ConnectorError)
-
-
-def test_plain_consumer_rejects_replicas(store):
-    with pytest.raises(ValueError, match='consumer group'):
-        StreamConsumer(store, 'local://b', 'topic', replicas=2)
 
 
 def test_producer_requires_partitions_for_replicas(store):
@@ -182,7 +177,7 @@ def test_coordinator_failover_preserves_commits_and_coverage(fleet, store):
     producer = StreamProducer(store, urls, 'ha-docs', partitions=4, replicas=2)
     producer.send_batch(list(range(10)))
 
-    consumer = StreamConsumer(
+    consumer = GroupConsumer(
         store, urls, 'ha-docs',
         group='ha-group', partitions=4, replicas=2, timeout=20.0,
     )

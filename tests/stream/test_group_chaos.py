@@ -43,11 +43,11 @@ def _member(host, port, member, pace, ack, events_queue):
     """One group member process: construct in-process (members don't pickle),
     report every processed value, optionally ack as it goes."""
     from repro.stream import KVEventBus
-    from repro.stream import StreamConsumer
+    from repro.stream import GroupConsumer
 
     store = repro.store_from_url(f'redis://{host}:{port}/chaos-store')
     bus = KVEventBus(host, port)
-    consumer = StreamConsumer(
+    consumer = GroupConsumer(
         store, bus, TOPIC,
         group=GROUP, partitions=PARTITIONS, member=member,
         session_timeout=SESSION_TIMEOUT, timeout=30.0,

@@ -23,7 +23,6 @@ from repro.exceptions import StoreError
 from repro.exceptions import StreamGroupError
 from repro.kvserver import KVServer
 from repro.stream import LocalEventBus
-from repro.stream import StreamConsumer
 from repro.stream import StreamProducer
 from repro.stream import broker_id
 from repro.stream import partition_topics
@@ -255,18 +254,7 @@ def _drain_all(consumers, sinks):
 
 def _group_consumer(group_store, bus, topic, **kwargs):
     kwargs.setdefault('timeout', 15.0)
-    return StreamConsumer(group_store, bus, topic, **kwargs)
-
-
-def test_stream_consumer_dispatches_group_kwarg(group_store, make_bus, topic):
-    consumer = StreamConsumer(
-        group_store, make_bus(), topic, group='g', partitions=2,
-    )
-    try:
-        assert isinstance(consumer, GroupConsumer)
-        assert not isinstance(consumer, StreamConsumer)
-    finally:
-        consumer.close()
+    return GroupConsumer(group_store, bus, topic, **kwargs)
 
 
 def test_two_members_split_partitions_exactly_once(group_store, make_bus, topic):
@@ -490,6 +478,32 @@ def test_group_consumer_refuses_to_pickle(group_store, make_bus, topic):
             pickle.dumps(consumer)
     finally:
         consumer.close()
+
+
+def test_group_counts_events_lost_to_retention(make_bus, topic):
+    """Events that aged out of a partition's ring before anyone claimed it
+    are counted on the member and in the ``stream.group.lost`` metric."""
+    store = repro.store_from_url(
+        f'local:///group-lost-store-{next(_STORE_COUNTER)}?metrics=1',
+    )
+    try:
+        bus = make_bus(retention=5)
+        bus.configure_topic(topic, retention=5)
+        producer = StreamProducer(store, bus, topic, partitions=1)
+        for i in range(12):
+            producer.send({'i': i})
+        producer.close()  # the end marker is event 12: the ring keeps 8..12
+        consumer = _group_consumer(
+            store, make_bus(), topic, group=f'g-{topic}', partitions=1,
+        )
+        sink: list = []
+        _drain_all([consumer], [sink])
+        assert [value for _key, value in sink] == [8, 9, 10, 11]
+        assert consumer.lost == 8
+        consumer.close()
+        assert store.metrics_summary()['stream.group.lost']['count'] == 8
+    finally:
+        store.close(clear=True)
 
 
 # --------------------------------------------------------------------------- #

@@ -176,3 +176,36 @@ def test_one_module_opens_client_sockets_and_two_read_frames():
     assert connects == {'kvserver/client.py'}
     assert decodes == {'kvserver/client.py', 'kvserver/server.py'}
     assert sockets == {'kvserver/client.py', 'kvserver/server.py'}
+
+
+# --------------------------------------------------------------------------- #
+# One delivery core, one publish path
+# --------------------------------------------------------------------------- #
+def test_one_delivery_core_and_one_publish_path():
+    """A plain stream is a one-claim group in ``repro.stream``: one function
+    decodes events and one starts background resolution, no constructor
+    dispatches through ``__new__``, and the producer has no unrouted path."""
+    callers: dict[str, set[str]] = {'StreamEvent.decode': set(), 'resolve_async': set()}
+    news, unrouted = [], []
+    for path in sorted((REPO / 'src' / 'repro' / 'stream').glob('*.py')):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                news.extend(
+                    f'{path.name}: {node.name}' for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == '__new__'
+                )
+            elif isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and ast.unparse(call.func) in callers:
+                        callers[ast.unparse(call.func)].add(f'{path.name}:{node.name}')
+            elif (
+                isinstance(node, ast.Compare)
+                and ast.unparse(node.left).endswith('_router')
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            ):
+                unrouted.append(f'{path.name}:{node.lineno}')
+    assert {name: len(found) for name, found in callers.items()} == {
+        'StreamEvent.decode': 1, 'resolve_async': 1,
+    }, callers
+    assert not news, news
+    assert not unrouted, unrouted
