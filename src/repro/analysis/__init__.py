@@ -1,7 +1,7 @@
 """Project-specific static analysis and runtime concurrency witnesses.
 
 The codebase carries the full concurrency surface of the paper's
-production system — an event-loop broker, pipelined reader threads,
+production system — an event-loop broker, pipelined leader/follower clients,
 background rebalancers and heartbeats, and zero-copy pickle-5 buffer
 exports.  The invariants that keep that surface correct (no blocking
 calls on the event loop, no stored tracebacks pinning buffer exports, a

@@ -4,8 +4,8 @@ The SimKV server serves every connection from one ``selectors`` event
 loop (:class:`repro.kvserver.server.KVServer`).  Anything that blocks on
 that thread — a ``time.sleep``, a blocking socket call, an indefinite
 lock ``acquire()``, a ``select()`` with no timeout — stalls *all*
-clients at once and disables the dead-subscriber reaper.  This rule
-computes the set of methods reachable (via ``self.*()`` calls) from the
+clients at once, the expiry of their parked ``FETCH`` requests
+included.  This rule computes the set of methods reachable (via ``self.*()`` calls) from the
 loop entry points — the loop, the request handler, and every ``_cmd_*``
 command handler (those are called through the server's dispatch table,
 not as ``self.*()``) — and flags blocking primitives found there.  The topic

@@ -20,12 +20,10 @@ wire's capability.  This client removes that serialization:
   context switch inside the client.  What it pays around those two calls
   is kept small too: its waiter is a bare pre-acquired lock (not a
   ``threading.Event``), the pool slot comes from a lock-free counter, and
-  a frame of at most ``IOV_MAX`` segments is one ``sendmsg``.
-* Server-initiated ``EVENT`` frames go to a connection's ``on_event``
-  sink: a push subscription (:mod:`repro.stream.kv`) is this same
-  connection class with a sink, not a second socket stack.  Pushes arrive
-  whether or not anyone is waiting, so only such a connection has a
-  reader thread, which holds the receive role for good.
+  a frame of at most ``IOV_MAX`` segments is one ``sendmsg``.  The
+  server sends nothing but replies, so nothing needs a reader thread: a
+  stream subscriber's long-polling ``FETCH`` (:mod:`repro.stream.kv`) is
+  one more request on a pooled connection.
 * A small **connection pool** (``pool_size``) spreads requests round-robin
   across sockets, so a large transfer streaming down one connection does
   not head-of-line block small operations, and sharded transfers to one
@@ -51,7 +49,6 @@ import struct
 import threading
 import time
 from typing import Any
-from typing import Callable
 from typing import Iterable
 from typing import Sequence
 
@@ -60,7 +57,6 @@ from repro.exceptions import GroupMembershipError
 from repro.exceptions import NodeUnavailableError
 from repro.faults import injection
 from repro.kvserver.broker import GroupCommands
-from repro.kvserver.protocol import EVENT_STATUS
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import encode_message
@@ -132,28 +128,12 @@ class _Connection:
     One thread at a time receives; it dispatches each ``(request_id,
     status, payload)`` response to the matching waiter.  Sends are
     serialized by ``_send_lock`` but *responses are not awaited under it*,
-    which is what allows pipelining.
-
-    Without ``on_event`` no thread is started and the receive role
-    (``_read_lock``) moves between the requesters: see :meth:`request`.
-
-    ``on_event`` is the sink for server pushes: it is called with the
-    payload of every ``EVENT`` frame, and once with ``None`` when the
-    connection dies.  A connection with a sink starts a reader thread that
-    holds the receive role for good (its requesters only ever wait), so
-    the sink runs on that thread.  Frames are dispatched in wire order, so
-    a sink that blocks stalls the replies queued behind it.
+    which is what allows pipelining.  No thread is started: the receive
+    role (``_read_lock``) moves between the requesters, see :meth:`request`.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float,
-        on_event: 'Callable[[Any], None] | None' = None,
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout: float) -> None:
         self._addr = (host, port)
-        self._on_event = on_event
         injection.on_connect(host, port)  # fault seam: refuse/latency
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -183,33 +163,22 @@ class _Connection:
         #: that is still streaming keeps refreshing this, so waiters do not
         #: time out on transfers that are making progress.
         self.last_activity = time.monotonic()
-        self._reader: threading.Thread | None = None
-        if on_event is not None:
-            self._reader = threading.Thread(
-                target=self._receive_until, args=(None,),
-                name='simkv-client-reader', daemon=True,
-            )
-            self._reader.start()
 
     # -- receive side ------------------------------------------------------ #
     def _touch(self, _nbytes: int) -> None:
         self.last_activity = time.monotonic()
 
-    def _receive_until(self, own: '_Pending | None') -> None:
+    def _receive_until(self, own: _Pending) -> None:
         """Dispatch incoming frames until ``own`` has its answer.
 
-        Run by whoever holds the receive role: a leader (which also
-        returns when a receive times out, for :meth:`request` to judge) or,
-        with ``own=None``, the reader thread (until the connection dies).
+        Run by whoever holds the receive role (the leader), which also
+        returns when a receive times out, for :meth:`request` to judge.
         """
-        while own is None or (own.result is None and own.error is None):
+        while own.result is None and own.error is None:
             try:
                 message = self._decoder.read_message(self.sock, on_bytes=self._touch)
             except BlockingIOError:
-                # SO_RCVTIMEO: no byte for a whole timeout.
-                if own is None:
-                    continue
-                return
+                return  # SO_RCVTIMEO: no byte for a whole timeout
             # repro: ignore[RP004] - not swallowed: _fail() delivers the
             # error to every waiter and poisons the connection
             except Exception as e:  # noqa: BLE001 - any failure kills the conn
@@ -220,12 +189,6 @@ class _Connection:
                 return
             try:
                 request_id, status, payload = message
-                if status == EVENT_STATUS:
-                    # A push, not a reply; the sink rejects a payload of
-                    # the wrong shape by raising like the unpack above.
-                    if self._on_event is not None:
-                        self._on_event(payload)
-                    continue
             except (TypeError, ValueError):
                 self._fail(ConnectorError(f'malformed SimKV response: {message!r}'))
                 return
@@ -270,11 +233,8 @@ class _Connection:
         for waiter in pending.values():
             waiter.error = error
             waiter.wake()
-        if self._on_event is not None:
-            self._on_event(None)
         # shutdown() (unlike a bare close()) reliably wakes a thread
-        # blocked in recv: a leader returns to its caller, the reader
-        # thread exits so close() can join it promptly.
+        # blocked in recv: a leader returns to its caller.
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -344,7 +304,7 @@ class _Connection:
         sent_at = time.monotonic()
         remaining = timeout  # the first pass: nothing has been idle yet
         while True:
-            if self._reader is None and self._read_lock.acquire(blocking=False):
+            if self._read_lock.acquire(blocking=False):
                 try:
                     self._receive_until(waiter)
                 finally:
@@ -371,30 +331,11 @@ class _Connection:
         return waiter.result
 
     def close(self) -> None:
-        """Fail the connection and reap its reader thread (idempotent).
-
-        Leaving a daemon reader alive at interpreter shutdown can crash
-        teardown (it may hold buffer exports over memory being finalized).
-        A reader closing its own connection (from its sink) is not joined.
-        """
+        """Fail the connection, waking every waiter (idempotent)."""
         self._fail(ConnectionError('client closed the connection'))
-        reader = self._reader
-        if reader is not None and reader is not threading.current_thread():
-            try:
-                reader.join(timeout=2.0)
-            except RuntimeError:  # pragma: no cover - interpreter shutdown
-                # join() can refuse during interpreter teardown (daemon
-                # threads are being finalized); close() must stay safe to
-                # call from __del__ at that point.
-                pass
 
 
-def open_connection(
-    host: str,
-    port: int,
-    timeout: float,
-    on_event: 'Callable[[Any], None] | None' = None,
-) -> _Connection:
+def open_connection(host: str, port: int, timeout: float) -> _Connection:
     """Connect to a SimKV server; the one place a client socket is made.
 
     A refused or timed-out connect is typed
@@ -402,7 +343,7 @@ def open_connection(
     know the node is down (retry elsewhere) rather than the request bad.
     """
     try:
-        return _Connection(host, port, timeout, on_event)
+        return _Connection(host, port, timeout)
     except OSError as e:
         raise NodeUnavailableError(
             f'cannot connect to SimKV server at {host}:{port}: {e}',
@@ -571,8 +512,8 @@ class KVClient(GroupCommands):
         """Publish one event payload on ``topic``; returns its sequence number.
 
         The payload's segments travel out-of-band (scatter/gather, no copy);
-        the server retains the event in the topic's ring buffer and fans it
-        out to current subscribers.
+        the server retains the event in the topic's ring buffer and answers
+        the fetches parked there.
         """
         return int(self._request('PUBLISH', topic, _wrap_value(payload)))
 
@@ -591,17 +532,23 @@ class KVClient(GroupCommands):
         topic: str,
         since: int,
         max_events: int = 0,
+        *,
+        wait: float = 0.0,
     ) -> dict[str, Any]:
         """Fetch retained events with ``seq >= since`` from ``topic``'s ring.
 
         Returns ``{'events': [(seq, payload), ...], 'next_seq': int,
         'lost': int}`` where ``lost`` counts events that aged out of the
-        ring before ``since`` — the consumer catch-up path after a gap.
-        ``max_events`` bounds the reply (0 = everything retained).
+        ring before ``since``.  ``max_events`` bounds the reply (0 =
+        everything retained).  With ``wait`` seconds (kept below this
+        client's ``timeout``) a fetch that finds nothing at or past
+        ``since`` waits on the server for the next publish, and returns
+        empty if none comes in time.
         """
-        return self._request(
-            'FETCH', topic, {'since': since, 'max_events': max_events},
-        )
+        options = {'since': since, 'max_events': max_events}
+        if wait:
+            options['wait'] = wait
+        return self._request('FETCH', topic, options)
 
     def topic_stats(self, topic: str) -> dict[str, Any] | None:
         """Return broker statistics for ``topic`` (``None`` if it never existed)."""

@@ -16,10 +16,10 @@ the views to ``pickle.loads``.
 
 Requests are ``(request_id, command, key, value)`` tuples; responses are
 ``(request_id, status, payload)`` tuples where ``status`` is ``'ok'`` or
-``'error'``.  Request ids let many requests share one connection: a
-pipelined client tags each request and whichever thread is receiving
-matches responses back to waiters, so the transport no longer serializes
-round trips.  The commands are the keys of the server's dispatch table
+``'error'``; the server writes nothing else.  Request ids let many
+requests share one connection: a pipelined client tags each request and
+whichever thread is receiving matches responses back to waiters, so the
+transport no longer serializes round trips.  The commands are the keys of the server's dispatch table
 (:mod:`repro.kvserver.server`), the one list of them.
 Pickle is acceptable here because both ends are this library (SimKV is an
 internal substrate, not an internet-facing service).
@@ -32,8 +32,8 @@ short (the selector is level-triggered, so whatever arrived after that
 receive is reported again), and
 :meth:`StreamDecoder.read_message` blocks for one frame on whichever client
 thread holds the connection's receive role (see
-:mod:`repro.kvserver.client`), whether the frame is a reply or a pushed
-``EVENT``.  A decoder belongs to one socket for that socket's life.
+:mod:`repro.kvserver.client`).  A decoder belongs to one socket for that
+socket's life.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ from typing import Any
 from repro.serialize.buffers import vectored_write
 
 __all__ = [
-    'EVENT_STATUS',
     'MAX_FRAME_BYTES',
     'READ_AHEAD_BYTES',
     'StreamDecoder',
@@ -59,11 +58,6 @@ __all__ = [
 #: client recognises it — the reply is a plain string on the wire, so this
 #: text is the "member expired" signal and must not change.
 UNKNOWN_MEMBER = 'unknown member'
-
-#: ``status`` value of a server-initiated push frame (not a response to any
-#: request): ``(None, EVENT_STATUS, (topic, [(seq, payload), ...]))``.
-#: Only connections that issued a SUBSCRIBE ever receive these.
-EVENT_STATUS = 'EVENT'
 
 _HEADER = struct.Struct('>II')
 _U64 = struct.Struct('>Q')

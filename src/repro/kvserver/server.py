@@ -12,26 +12,27 @@ decoder (:class:`~repro.kvserver.protocol.StreamDecoder`) stops at a short
 if more arrives), the command finds its handler in one lookup
 (``KVServer._HANDLERS``), and the reply goes out in one non-blocking
 ``sendmsg`` when nothing is queued ahead of it — only an unsent tail is
-queued for the loop to flush.  The dead-subscriber reaper runs once per
-loop tick.
+queued for the loop to flush.
 
-Shutdown drains: :meth:`KVServer.stop` closes the listener, keeps the loop
-running until every already-received request has been answered and every
-queued response byte flushed (bounded by ``drain_timeout``), and only then
-closes the client connections.
+Shutdown drains: :meth:`KVServer.stop` closes the listener, answers every
+parked ``FETCH``, keeps the loop running until every already-received
+request has been answered and every queued response byte flushed (bounded
+by ``drain_timeout``), and only then closes the client connections.
 
 Beyond plain key-value storage the server is also a **pub/sub event
 broker** (the transport behind :class:`repro.stream.KVEventBus`):
 ``PUBLISH`` appends an opaque payload to a per-topic ring buffer (bounded
-by a configurable retention) and fans it out to every connection that
-``SUBSCRIBE``-d to the topic as an unsolicited ``EVENT`` frame.  A slow
-subscriber whose outgoing queue exceeds ``push_highwater`` bytes stops
-receiving pushes (the events stay in the ring; the client notices the
-sequence gap and issues a ``FETCH`` to catch up), so neither the ring nor
-any per-connection queue grows without bound.  What the broker remembers
-— topic rings, consumer-group leases and offsets — is the pure state of
-:mod:`repro.kvserver.broker`, shared with the in-process bus; this module
-adds the wire: input checks, payload wrapping, push fan-out.
+by a configurable retention) and ``FETCH`` reads the ring from a sequence
+number.  A ``FETCH`` with a ``wait`` that finds nothing at or past its
+``since`` *parks* on the topic: the next ``PUBLISH``, ``MPUBLISH`` or
+``REPL_PUBLISH`` there answers it, or its deadline does with an empty
+batch, and the loop's select timeout is the earliest parked deadline.  The
+server writes nothing but replies, so a client that stops reading pins
+only the replies to its own requests, and broker memory is bounded by
+retention alone.  What the broker remembers — topic rings, consumer-group
+leases and offsets — is the pure state of :mod:`repro.kvserver.broker`,
+shared with the in-process bus; this module adds the wire: input checks,
+payload wrapping, parked fetches.
 """
 from __future__ import annotations
 
@@ -44,12 +45,12 @@ from collections import deque
 from functools import partial
 from itertools import islice
 from typing import Any
+from typing import Callable
 
 from repro.exceptions import GroupMembershipError
 from repro.kvserver.broker import DEFAULT_SESSION_TIMEOUT
 from repro.kvserver.broker import GroupState
 from repro.kvserver.broker import TopicRing
-from repro.kvserver.protocol import EVENT_STATUS
 from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import encode_message
@@ -61,25 +62,17 @@ __all__ = ['DEFAULT_RETENTION', 'KVServer', 'launch_server']
 #: Default per-topic ring-buffer retention (events kept for catch-up).
 DEFAULT_RETENTION = 256
 
-#: Queued-but-unsent bytes on a subscriber connection above which event
-#: pushes are skipped (the subscriber catches up from the ring instead).
-DEFAULT_PUSH_HIGHWATER = 8 * 1024 * 1024
+#: Longest ``wait`` (seconds) a ``FETCH`` may park for.
+MAX_FETCH_WAIT = 60.0
 
-#: Events per pushed ``EVENT`` frame when replaying a backlog.
-_PUSH_BATCH = 64
-
-#: Seconds a subscriber connection may sit with queued push bytes and make
-#: no read/write progress before the server reaps it (frees its buffers).
-DEFAULT_SUBSCRIBER_TIMEOUT = 30.0
+#: Status a handler returns for a ``FETCH`` it parked (never on the wire).
+_PARKED = 'parked'
 
 
 class _ClientConn:
     """Per-connection state tracked by the event loop."""
 
-    __slots__ = (
-        'sock', 'decoder', 'out', 'events', 'queued_bytes', 'topics',
-        'last_progress',
-    )
+    __slots__ = ('sock', 'decoder', 'out', 'events')
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -88,45 +81,35 @@ class _ClientConn:
         self.out: deque[memoryview] = deque()
         #: Currently registered selector interest mask.
         self.events = selectors.EVENT_READ
-        #: Bytes in ``out`` not yet accepted by the kernel (push backpressure).
-        self.queued_bytes = 0
-        #: Topics this connection has subscribed to.
-        self.topics: set[str] = set()
-        #: Monotonic timestamp of the last read or write progress — the
-        #: dead-subscriber reaper's liveness signal.
-        self.last_progress = time.monotonic()
 
 
-class _PushedTopic(TopicRing):
-    """A topic ring plus the connections its events are pushed to."""
+class _ParkedFetch:
+    """A ``FETCH`` waiting for its topic to reach ``since``."""
 
-    __slots__ = ('name', 'subscribers', 'dropped_pushes', 'reaped_subscribers')
+    __slots__ = ('conn', 'request_id', 'since', 'limit', 'deadline')
 
-    def __init__(self, name: str, retention: int) -> None:
-        super().__init__(retention)
-        self.name = name
-        self.subscribers: set[_ClientConn] = set()
-        #: Pushes skipped because a subscriber was over the highwater mark.
-        self.dropped_pushes = 0
-        #: Subscriber connections reaped by the no-progress sweep.
-        self.reaped_subscribers = 0
-
-    def stats(self) -> dict[str, int]:
-        """The ring's counters plus the connection-level ones."""
-        return {
-            **super().stats(),
-            'subscribers': len(self.subscribers),
-            'dropped_pushes': self.dropped_pushes,
-            'reaped_subscribers': self.reaped_subscribers,
-        }
+    def __init__(
+        self, conn: _ClientConn, request_id: Any, since: int, limit: int, deadline: float,
+    ) -> None:
+        self.conn = conn
+        self.request_id = request_id
+        self.since = since
+        self.limit = limit
+        self.deadline = deadline
 
 
-def _wire_events(events: list) -> list:
-    """``(seq, payload)`` pairs with payloads wrapped to travel out of band."""
-    return [
-        (seq, pickle.PickleBuffer(payload) if len(payload) else payload)
-        for seq, payload in events
-    ]
+def _fetch_reply(topic: TopicRing, since: int, limit: int) -> dict[str, Any]:
+    """A ``FETCH`` reply: the retained events from ``since`` (at most
+    ``limit``, 0 = all), payloads wrapped to travel out of band."""
+    events, lost = topic.since(since, limit or None)
+    return {
+        'events': [
+            (seq, pickle.PickleBuffer(payload) if len(payload) else payload)
+            for seq, payload in events
+        ],
+        'next_seq': topic.next_seq,
+        'lost': lost,
+    }
 
 
 class KVServer:
@@ -139,12 +122,6 @@ class KVServer:
             in-flight requests and flush queued responses.
         stream_retention: default per-topic ring-buffer size (events kept
             for subscriber catch-up); ``TCONFIG`` overrides it per topic.
-        push_highwater: queued outgoing bytes on a subscriber connection
-            above which event pushes are skipped (backpressure bound).
-        subscriber_timeout: seconds a subscriber connection may hold queued
-            push bytes without any read/write progress before the server
-            reaps it — a dead push connection must not pin
-            ``push_highwater`` bytes per topic forever.
     """
 
     def __init__(
@@ -154,22 +131,14 @@ class KVServer:
         *,
         drain_timeout: float = 5.0,
         stream_retention: int = DEFAULT_RETENTION,
-        push_highwater: int = DEFAULT_PUSH_HIGHWATER,
-        subscriber_timeout: float = DEFAULT_SUBSCRIBER_TIMEOUT,
     ) -> None:
         if stream_retention < 1:
             raise ValueError('stream_retention must be at least 1')
-        if subscriber_timeout <= 0:
-            raise ValueError('subscriber_timeout must be positive')
         self.host = host
         self._requested_port = port
         self.port: int | None = None
         self.drain_timeout = drain_timeout
         self.stream_retention = stream_retention
-        self.push_highwater = push_highwater
-        self.subscriber_timeout = subscriber_timeout
-        #: Subscriber connections closed by the no-progress reaper.
-        self.reaped_subscribers = 0
         #: Connections closed because servicing them raised (fault
         #: isolation events — the per-connection failures the event loop
         #: deliberately survives).
@@ -177,9 +146,10 @@ class KVServer:
         # Values are whatever buffer the protocol layer received into
         # (bytes, bytearray, or a view thereof) — stored without copying.
         self._data: dict[str, Any] = {}
-        # Topics and groups are touched exclusively from the event-loop
-        # thread.
-        self._topics: dict[str, _PushedTopic] = {}
+        # Topics, parked fetches and groups are touched exclusively from
+        # the event-loop thread.
+        self._topics: dict[str, TopicRing] = {}
+        self._parked: dict[Any, list[_ParkedFetch]] = {}
         self._groups: dict[str, GroupState] = {}
         self._lock = threading.Lock()
         self._listener: socket.socket | None = None
@@ -256,12 +226,6 @@ class KVServer:
         assert selector is not None
         draining = False
         drain_deadline = 0.0
-        # Bounded select so the dead-subscriber reaper runs even when no
-        # socket is active; fine-grained enough for short test timeouts.
-        # The reaper walks every connection, so it runs once per tick, not
-        # after every select of a busy loop.
-        tick = min(1.0, self.subscriber_timeout / 4)
-        next_reap = time.monotonic() + tick
         try:
             while True:
                 if draining:
@@ -271,11 +235,8 @@ class KVServer:
                     if not events and not any(c.out for c in self._conns.values()):
                         break  # quiet pass with nothing left to flush: drained
                 else:
-                    events = selector.select(timeout=tick)
-                    now = time.monotonic()
-                    if now >= next_reap:
-                        self._reap_stalled_subscribers()
-                        next_reap = now + tick
+                    # Sleep until a socket is ready or a parked fetch is due.
+                    events = selector.select(timeout=self._expire_parked())
                 for key, _mask in events:
                     if key.data == 'listener':
                         self._accept_ready()
@@ -285,6 +246,8 @@ class KVServer:
                             draining = True
                             drain_deadline = time.monotonic() + self.drain_timeout
                             self._close_listener()
+                            for topic in list(self._parked):
+                                self._release(topic, lambda fetch: True)
                     else:
                         # Fault isolation: a malformed frame or per-request
                         # failure kills only the offending connection — the
@@ -338,44 +301,13 @@ class KVServer:
         except OSError:  # pragma: no cover - platform dependent
             pass
 
-    def _enqueue(self, conn: _ClientConn, segments: list[memoryview]) -> None:
-        """Queue wire segments on ``conn``, tracking queued byte counts."""
-        conn.out.extend(segments)
-        conn.queued_bytes += sum(len(segment) for segment in segments)
-
-    def _reap_stalled_subscribers(self) -> None:
-        """Close subscriber connections holding push bytes with no progress.
-
-        A subscriber that stops reading (a crashed-but-connected consumer,
-        a host that vanished without a TCP reset) keeps its queued ``EVENT``
-        frames pinned in ``out`` forever — up to ``push_highwater`` bytes
-        per topic.  Any connection that is subscribed, has queued bytes,
-        and has made no read/write progress for ``subscriber_timeout``
-        seconds is reaped: the close frees its buffers and unsubscribes it
-        from every topic (counted per topic in ``reaped_subscribers``).
-        """
-        cutoff = time.monotonic() - self.subscriber_timeout
-        stalled = [
-            conn
-            for conn in self._conns.values()
-            if conn.topics and conn.queued_bytes and conn.last_progress < cutoff
-        ]
-        for conn in stalled:
-            self.reaped_subscribers += 1
-            for topic_name in conn.topics:
-                topic = self._topics.get(topic_name)
-                if topic is not None:
-                    topic.reaped_subscribers += 1
-            self._close_conn(conn)
-
     def _service_conn(self, conn: _ClientConn, mask: int) -> None:
         closed = False
         if mask & selectors.EVENT_READ:
             messages, closed = conn.decoder.read_from(conn.sock)
-            if messages:
-                conn.last_progress = time.monotonic()
             for request in messages:
-                if not self._send(conn, encode_message(self._handle(request, conn))):
+                reply = self._handle(request, conn)
+                if reply is not None and not self._send(conn, encode_message(reply)):
                     closed = True
         if conn.out:
             # Optimistic flush: most responses fit the socket buffer, so
@@ -392,9 +324,8 @@ class KVServer:
 
         With nothing queued ahead of it the frame goes out in one
         ``sendmsg`` of at most ``IOV_MAX`` segments, and only an unsent
-        tail reaches ``conn.out``.  (The receive that brought the request
-        already counted as progress for the reaper.)  Returns False when
-        the connection failed and must be closed.
+        tail reaches ``conn.out``.  Returns False when the connection
+        failed and must be closed.
         """
         if not conn.out:
             try:
@@ -410,6 +341,10 @@ class KVServer:
             self._enqueue(conn, segments)
         return True
 
+    def _enqueue(self, conn: _ClientConn, segments: list[memoryview]) -> None:
+        """Queue a reply's unsent segments for the loop to flush."""
+        conn.out.extend(segments)
+
     def _flush(self, conn: _ClientConn) -> bool:
         """Write queued segments until empty or the socket would block.
 
@@ -424,9 +359,6 @@ class KVServer:
                 return True
             except OSError:
                 return False
-            conn.queued_bytes -= sent
-            if sent:
-                conn.last_progress = time.monotonic()
             while sent:
                 head = out[0]
                 if sent >= len(head):
@@ -452,11 +384,12 @@ class KVServer:
             self._selector.unregister(conn.sock)
         except (KeyError, ValueError):  # pragma: no cover - already gone
             pass
-        for topic_name in conn.topics:
-            topic = self._topics.get(topic_name)
-            if topic is not None:
-                topic.subscribers.discard(conn)
-        conn.topics.clear()
+        for topic, parked in list(self._parked.items()):
+            kept = [fetch for fetch in parked if fetch.conn is not conn]
+            if kept:
+                self._parked[topic] = kept
+            else:
+                del self._parked[topic]
         self._conns.pop(conn.sock, None)
         try:
             conn.sock.close()
@@ -468,6 +401,7 @@ class KVServer:
         for conn in list(self._conns.values()):
             self._close_conn(conn)
         self._topics.clear()
+        self._parked.clear()
         self._groups.clear()
         if self._selector is not None:
             self._selector.close()
@@ -503,14 +437,15 @@ class KVServer:
             return b''.join(segments)
         return None
 
-    def _handle(self, request: Any, conn: _ClientConn) -> tuple[Any, str, Any]:
+    def _handle(self, request: Any, conn: _ClientConn) -> tuple[Any, str, Any] | None:
         """Execute one request; returns the ``(request_id, status, payload)``.
 
         Requests are ``(request_id, command, key, value)``; any other
         shape is answered *malformed request* with a ``None`` request id.
         The command picks its handler from :attr:`_HANDLERS` in one
-        lookup.  ``conn`` is the issuing connection — pub/sub commands
-        bind subscriptions to it and fan pushes out from it.
+        lookup.  ``conn`` is the issuing connection.  A ``FETCH`` that
+        parks returns ``None``: its reply is sent later, by
+        :meth:`_release`.
         """
         try:
             request_id, command, key, value = request
@@ -527,6 +462,10 @@ class KVServer:
         except Exception as e:  # noqa: BLE001 - one bad request must not
             # take down the connection (let alone the event loop).
             status, payload = 'error', f'internal error: {e!r}'
+        if status is _PARKED:
+            payload.request_id = request_id
+            self._parked.setdefault(key, []).append(payload)
+            return None
         return (request_id, status, payload)
 
     # -- key-value commands ---------------------------------------------------- #
@@ -608,43 +547,48 @@ class KVServer:
     # Topics live on the loop thread only.  The ring itself is a
     # :class:`~repro.kvserver.broker.TopicRing`; what stays here is the
     # server's own: checking what arrived from the wire, out-of-band
-    # payload wrapping, and push fan-out.
-    def _topic(self, name: Any) -> _PushedTopic:
+    # payload wrapping, and parked fetches.
+    def _topic(self, name: Any) -> TopicRing:
         """Return (creating on first use) the broker state for ``name``."""
         topic = self._topics.get(name)
         if topic is None:
-            topic = self._topics[name] = _PushedTopic(
-                str(name), self.stream_retention,
-            )
+            topic = self._topics[name] = TopicRing(self.stream_retention)
         return topic
 
-    def _push_events(self, topic: _PushedTopic, events: list) -> None:
-        """Fan ``(seq, payload)`` pairs out to the topic's subscribers.
-
-        A subscriber whose queued outgoing bytes exceed ``push_highwater``
-        is skipped (counted in ``dropped_pushes``): the events remain in the
-        ring buffer and the client catches up with a ``FETCH`` when it
-        notices the sequence gap.  Pushes go through the same non-blocking
-        flush as responses, so a slow socket never stalls the loop.
-        """
-        if not events or not topic.subscribers:
+    def _release(self, key: Any, due: Callable[[_ParkedFetch], bool]) -> None:
+        """Answer the fetches parked on topic ``key`` for which ``due`` holds."""
+        parked = self._parked.pop(key, None)
+        if not parked:
             return
-        # Encode the frame once and share its segments across subscribers:
-        # the segments are read-only views and _flush never mutates them
-        # (partial sends reslice into fresh views), so fan-out costs one
-        # pickle regardless of the subscriber count.
-        segments = encode_message(
-            (None, EVENT_STATUS, (topic.name, _wire_events(events))),
-        )
-        for conn in list(topic.subscribers):
-            if conn.queued_bytes > self.push_highwater:
-                topic.dropped_pushes += len(events)
-                continue
-            self._enqueue(conn, segments)
-            if not self._flush(conn):
-                self._close_conn(conn)
-            else:
+        ready, kept = [], []
+        for fetch in parked:
+            (ready if due(fetch) else kept).append(fetch)
+        if kept:
+            self._parked[key] = kept
+        topic = self._topic(key)
+        for fetch in ready:
+            conn = fetch.conn
+            if self._conns.get(conn.sock) is not conn:
+                continue  # an earlier failed reply closed its connection
+            reply = (fetch.request_id, 'ok', _fetch_reply(topic, fetch.since, fetch.limit))
+            if self._send(conn, encode_message(reply)):
                 self._update_interest(conn)
+            else:
+                self._close_conn(conn)
+
+    def _expire_parked(self) -> float | None:
+        """Answer the parked fetches whose wait is over.
+
+        Returns the seconds until the next parked deadline (``None``:
+        nothing is parked), the loop's select timeout.
+        """
+        if not self._parked:
+            return None
+        now = time.monotonic()
+        for key in list(self._parked):
+            self._release(key, lambda fetch: fetch.deadline <= now)
+        deadlines = [f.deadline for parked in self._parked.values() for f in parked]
+        return min(deadlines) - now if deadlines else None
 
     def _cmd_publish(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         payload = self._own_value(value)
@@ -652,7 +596,7 @@ class KVServer:
             return ('error', 'PUBLISH payload must be bytes')
         topic = self._topic(key)
         seq = topic.append(payload)
-        self._push_events(topic, [(seq, payload)])
+        self._release(key, lambda fetch: fetch.since < topic.next_seq)
         return ('ok', seq)
 
     def _cmd_mpublish(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
@@ -666,50 +610,24 @@ class KVServer:
             payloads.append(payload)
         topic = self._topic(key)
         seqs = [topic.append(p) for p in payloads]
-        self._push_events(topic, list(zip(seqs, payloads)))
+        self._release(key, lambda fetch: fetch.since < topic.next_seq)
         return ('ok', seqs)
-
-    def _cmd_subscribe(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
-        options = value if isinstance(value, dict) else {}
-        topic = self._topic(key)
-        topic.subscribers.add(conn)
-        conn.topics.add(topic.name)
-        from_seq = options.get('from_seq')
-        lost = 0
-        if from_seq is not None:
-            # Replay the retained backlog in bounded frames.  These are
-            # enqueued before the SUBSCRIBE reply (responses are sent by
-            # _service_conn after _handle returns, behind anything queued),
-            # so clients must accept EVENT frames ahead of the subscribe
-            # confirmation.
-            backlog, lost = topic.since(int(from_seq))
-            for start in range(0, len(backlog), _PUSH_BATCH):
-                chunk = _wire_events(backlog[start:start + _PUSH_BATCH])
-                self._enqueue(
-                    conn,
-                    encode_message((None, EVENT_STATUS, (topic.name, chunk))),
-                )
-        return ('ok', {'next_seq': topic.next_seq, 'lost': lost})
-
-    def _cmd_unsubscribe(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
-        topic = self._topics.get(key)
-        if topic is not None:
-            topic.subscribers.discard(conn)
-        conn.topics.discard(str(key))
-        return ('ok', True)
 
     def _cmd_fetch(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         options = value if isinstance(value, dict) else {}
+        since = options.get('since', 0)
+        limit = options.get('max_events', 0)
+        wait = options.get('wait', 0)
+        if not all(isinstance(n, int) and n >= 0 for n in (since, limit)):
+            return ('error', 'FETCH since and max_events must be ints >= 0')
+        if not (isinstance(wait, (int, float)) and 0 <= wait <= MAX_FETCH_WAIT):
+            return ('error', f'FETCH wait must be seconds in [0, {MAX_FETCH_WAIT}]')
         topic = self._topic(key)
-        events, lost = topic.since(
-            int(options.get('since', 0)),
-            int(options.get('max_events', 0)) or None,
-        )
-        return ('ok', {
-            'events': _wire_events(events),
-            'next_seq': topic.next_seq,
-            'lost': lost,
-        })
+        if wait and topic.next_seq <= since and self._running.is_set():
+            # Nothing at or past since: the next publish here answers it,
+            # or its deadline does (a draining server answers at once).
+            return (_PARKED, _ParkedFetch(conn, None, since, limit, time.monotonic() + wait))
+        return ('ok', _fetch_reply(topic, since, limit))
 
     def _cmd_tconfig(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         options = value if isinstance(value, dict) else {}
@@ -776,15 +694,15 @@ class KVServer:
     def _cmd_repl_publish(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         """Insert events *with explicit sequence numbers* into ``key``'s ring.
 
-        Idempotent and reorder-tolerant; the newly retained events fan out
-        to any subscribers already attached here — so a subscriber that
-        failed over to this replica keeps receiving live pushes even while
-        producers still publish via the primary.
+        Idempotent and reorder-tolerant; newly retained events answer the
+        fetches parked here — so a subscriber that failed over to this
+        replica keeps receiving events even while producers still publish
+        via the primary.
         """
         if not isinstance(value, list):
             return ('error', 'REPL_PUBLISH value must be [(seq, payload), ...]')
         topic = self._topic(key)
-        accepted = []
+        accepted = 0
         for entry in value:
             try:
                 seq, raw = entry
@@ -793,10 +711,9 @@ class KVServer:
             payload = self._own_value(raw)
             if payload is None:
                 return ('error', 'REPL_PUBLISH payloads must be bytes')
-            if topic.append_at(int(seq), payload):
-                accepted.append((int(seq), payload))
-        self._push_events(topic, accepted)
-        return ('ok', {'accepted': len(accepted), 'next_seq': topic.next_seq})
+            accepted += topic.append_at(int(seq), payload)
+        self._release(key, lambda fetch: fetch.since < topic.next_seq)
+        return ('ok', {'accepted': accepted, 'next_seq': topic.next_seq})
 
     def _cmd_repl_group(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         """Apply a coordinator-state delta leniently (see
@@ -823,8 +740,6 @@ class KVServer:
         'SIZE': _cmd_size,
         'PUBLISH': _cmd_publish,
         'MPUBLISH': _cmd_mpublish,
-        'SUBSCRIBE': _cmd_subscribe,
-        'UNSUBSCRIBE': _cmd_unsubscribe,
         'FETCH': _cmd_fetch,
         'TCONFIG': _cmd_tconfig,
         'TSTATS': _cmd_tstats,

@@ -37,14 +37,14 @@ from repro.stream.groups import partition_topics
 
 
 def __getattr__(name: str):
-    # KVEventBus/KVSubscription are re-exported lazily: importing them
-    # eagerly would pull the whole kvserver/socket machinery into every
-    # `import repro`, defeating the registry's deferred loading of the KV
-    # transport (kv:// URLs import it on first use).
-    if name in ('KVEventBus', 'KVSubscription'):
-        import repro.stream.kv as kv
+    # KVEventBus is re-exported lazily: importing it eagerly would pull
+    # the whole kvserver/socket machinery into every `import repro`,
+    # defeating the registry's deferred loading of the KV transport
+    # (kv:// URLs import it on first use).
+    if name == 'KVEventBus':
+        from repro.stream.kv import KVEventBus
 
-        return getattr(kv, name)
+        return KVEventBus
     raise AttributeError(f'module {__name__!r} has no attribute {name!r}')
 
 
@@ -54,7 +54,6 @@ __all__ = [
     'GroupConsumer',
     'GroupCoordinator',
     'KVEventBus',
-    'KVSubscription',
     'LocalEventBus',
     'PartitionRouter',
     'StreamConsumer',

@@ -6,23 +6,25 @@ consumers:
 
 * ``publish(topic, payload)`` appends the payload to the topic's bounded
   *ring buffer* and returns its monotonically increasing sequence number.
-* ``subscribe(topic)`` returns a :class:`Subscription` that yields
-  ``(seq, payload)`` pairs in publication order.  Subscribing with
-  ``from_seq`` replays retained history (catch-up); events that aged out
-  of the ring before the subscriber observed them are counted in
-  :attr:`Subscription.lost` instead of blocking the producer — retention
-  is the explicit, bounded trade-off that keeps a slow consumer from
-  growing broker memory without bound.
+* ``fetch(topic, since, wait)`` reads the ring from ``since``, waiting up
+  to ``wait`` seconds for a publish when nothing is there yet.
+* ``subscribe(topic)`` returns a :class:`Subscription`: a cursor that
+  long-polls ``fetch`` and yields ``(seq, payload)`` pairs in publication
+  order.  Subscribing with ``from_seq`` replays retained history
+  (catch-up); events that aged out of the ring before the subscriber
+  observed them are counted in :attr:`Subscription.lost` instead of
+  blocking the producer — retention is the explicit, bounded trade-off
+  that keeps a slow consumer from growing broker memory without bound.
 
 Two implementations ship with the library and more can be registered:
 
 * :class:`LocalEventBus` — an in-process broker for single-node pipelines
-  (``local://bus-id``); subscribers read straight from the shared ring.
+  (``local://bus-id``); a fetch reads straight from the shared ring.
   It keeps the same :mod:`repro.kvserver.broker` topic and group state
   the SimKV server keeps, so both transports share one set of semantics.
 * :class:`~repro.stream.kv.KVEventBus` — topics brokered by the SimKV
-  event-loop server (``kv://host:port``), with server-side fan-out to
-  subscriber connections.
+  event-loop server (``kv://host:port``); a fetch is one ``FETCH``
+  request, parked on the server until an event arrives.
 
 :func:`event_bus_from_url` selects the implementation by URL scheme
 through a registry mirroring the connector registry, so streaming code is
@@ -47,6 +49,7 @@ from repro.kvserver.broker import TopicRing
 __all__ = [
     'DEFAULT_LOCAL_RETENTION',
     'EventBus',
+    'FETCH_SLICE',
     'LocalEventBus',
     'Subscription',
     'broker_id',
@@ -58,33 +61,59 @@ __all__ = [
 #: Default per-topic ring retention of the in-process bus.
 DEFAULT_LOCAL_RETENTION = 256
 
+#: Longest wait (seconds) of one fetch in :meth:`Subscription.next_batch`:
+#: how soon ``close()`` from another thread takes effect, and how often an
+#: idle subscription asks its broker again.
+FETCH_SLICE = 0.5
 
-@runtime_checkable
-class Subscription(Protocol):
-    """A consumer's position on one topic.
 
-    Iterating a subscription yields ``(seq, payload)`` pairs in sequence
-    order; :meth:`next_batch` is the non-blocking-friendly form used by
-    :class:`~repro.stream.StreamConsumer`.
+class Subscription:
+    """A consumer's cursor on one topic, as every bus hands it out.
+
+    :meth:`next_batch` long-polls the bus's ``fetch`` from ``position`` in
+    waits of at most :data:`FETCH_SLICE`.  Events the ring dropped before
+    the cursor reached them — aged out of retention, or a hole in a
+    replica's ring — are counted in ``lost`` and stepped over.  The cursor
+    does not reconnect: a transport failure propagates from
+    :meth:`next_batch`, and resuming from ``position`` (on the same broker
+    after a restart, or on a replica) is
+    :class:`~repro.stream.failover.FailoverSubscription`'s job.
     """
 
+    def __init__(self, bus: 'EventBus', topic: str, from_seq: int | None = None) -> None:
+        if from_seq is not None and from_seq < 0:
+            raise ValueError(f'from_seq must be >= 0, not {from_seq}')
+        if from_seq is None:  # start at the head: only events published from now
+            stats = bus.topic_stats(topic)
+            from_seq = stats['next_seq'] if stats else 0
+        self.bus = bus
+        self.topic = topic
+        #: Sequence number of the next event this cursor will deliver.
+        self.position = from_seq
+        #: Events that aged out of retention before this cursor saw them.
+        self.lost = 0
+        self.closed = False
+
     def next_batch(self, timeout: float | None = None) -> list[tuple[int, Any]]:
-        """Return the next available events (empty list on timeout)."""
-        ...
-
-    @property
-    def lost(self) -> int:
-        """Events that aged out of retention before this subscriber saw them."""
-        ...
-
-    @property
-    def position(self) -> int:
-        """Sequence number of the next event this subscriber will deliver."""
-        ...
+        """Return the next events in order (empty on timeout or once closed)."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.closed:
+            wait = FETCH_SLICE
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            events, lost = self.bus.fetch(self.topic, self.position, wait)
+            if events:  # counts holes below the last event as well
+                lost = events[-1][0] + 1 - self.position - len(events)
+            self.lost += lost
+            self.position += lost + len(events)
+            if events or (deadline is not None and time.monotonic() >= deadline):
+                return events
+        return []
 
     def close(self) -> None:
-        """Detach from the topic and release transport resources."""
-        ...
+        """Stop reading: a ``next_batch`` in another thread returns within
+        one :data:`FETCH_SLICE`."""
+        self.closed = True
 
 
 @runtime_checkable
@@ -99,8 +128,17 @@ class EventBus(Protocol):
         """Publish several payloads on ``topic`` (one round trip where possible)."""
         ...
 
+    def fetch(self, topic: str, since: int, wait: float = 0.0) -> tuple[list, int]:
+        """Return ``(events, lost)``: the retained ``(seq, payload)`` pairs
+        with ``seq >= since``, and how many before them aged out.
+
+        With nothing at or past ``since``, waits up to ``wait`` seconds
+        for a publish (an empty list when none comes).
+        """
+        ...
+
     def subscribe(self, topic: str, *, from_seq: int | None = None) -> Subscription:
-        """Return a :class:`Subscription` to ``topic``.
+        """Return a :class:`Subscription` cursor on ``topic``.
 
         ``from_seq`` replays retained history from that sequence number;
         ``None`` delivers only events published after the subscription.
@@ -223,7 +261,7 @@ class _LocalBroker(GroupCommands):
 
     Holds the same state a SimKV server holds — a
     :class:`~repro.kvserver.broker.TopicRing` per topic (paired with the
-    condition its subscribers wait on) and a
+    condition its fetches wait on) and a
     :class:`~repro.kvserver.broker.GroupState` per consumer group — and
     answers the group commands the way :class:`~repro.kvserver.KVClient`
     does, minus the socket.
@@ -259,58 +297,6 @@ _BROKERS: dict[str, _LocalBroker] = {}
 _BROKERS_LOCK = threading.Lock()
 
 
-class _LocalSubscription:
-    """Cursor over a local topic's shared ring buffer."""
-
-    def __init__(self, bus: 'LocalEventBus', topic: str, from_seq: int | None) -> None:
-        self._ring, self._cond = bus._topic(topic)
-        with self._cond:
-            self._cursor = self._ring.next_seq if from_seq is None else from_seq
-        self._lost = 0
-        self._closed = False
-
-    @property
-    def lost(self) -> int:
-        """Events that aged out of retention before this subscriber saw them."""
-        return self._lost
-
-    @property
-    def position(self) -> int:
-        """Sequence number of the next event this subscriber will deliver."""
-        return self._cursor
-
-    def next_batch(self, timeout: float | None = None) -> list[tuple[int, bytes]]:
-        """Return every retained event past the cursor (empty on timeout).
-
-        A cursor that fell behind the ring start (slow consumer) skips
-        ahead to the oldest retained event and counts the difference in
-        :attr:`lost` — the retention bound in action.
-        """
-        if self._closed:
-            return []
-        ring = self._ring
-        with self._cond:
-            if ring.next_seq <= self._cursor:
-                # The predicate also checks closed so close() from another
-                # thread can wake an indefinitely blocked consumer.
-                self._cond.wait_for(
-                    lambda: self._closed or ring.next_seq > self._cursor,
-                    timeout=timeout,
-                )
-            if self._closed or ring.next_seq <= self._cursor:
-                return []
-            batch, lost = ring.since(self._cursor)
-            self._lost += lost
-            self._cursor = batch[-1][0] + 1 if batch else self._cursor + lost
-            return batch
-
-    def close(self) -> None:
-        """Detach from the topic, waking any thread blocked in ``next_batch``."""
-        self._closed = True
-        with self._cond:
-            self._cond.notify_all()
-
-
 class LocalEventBus:
     """In-process event bus: per-topic bounded ring buffers plus wakeups.
 
@@ -323,7 +309,7 @@ class LocalEventBus:
         retention: ring-buffer bound applied to topics created through
             this handle.
 
-    Subscribers read directly from the shared ring, so broker memory per
+    A fetch reads directly from the shared ring, so broker memory per
     topic is exactly the ring: a slow consumer loses aged-out events
     (counted on its subscription) rather than growing any queue.
     """
@@ -367,9 +353,18 @@ class LocalEventBus:
             cond.notify_all()
         return seqs
 
-    def subscribe(self, topic: str, *, from_seq: int | None = None) -> _LocalSubscription:
+    def fetch(self, topic: str, since: int, wait: float = 0.0) -> tuple[list, int]:
+        """Read ``topic``'s ring from ``since``, waiting up to ``wait``
+        seconds for a publish when nothing is there yet."""
+        ring, cond = self._topic(topic)
+        with cond:
+            if wait > 0:
+                cond.wait_for(lambda: ring.next_seq > since, timeout=wait)
+            return ring.since(since)
+
+    def subscribe(self, topic: str, *, from_seq: int | None = None) -> Subscription:
         """Return a subscription cursor over ``topic``'s shared ring."""
-        return _LocalSubscription(self, topic, from_seq)
+        return Subscription(self, topic, from_seq)
 
     def topic_stats(self, topic: str) -> dict[str, Any] | None:
         """Return ring statistics for ``topic`` (``None`` if never used)."""

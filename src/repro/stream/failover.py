@@ -15,11 +15,12 @@ the DIM cluster uses for data keys:
   a streak of :class:`~repro.exceptions.NodeUnavailableError` failures
   marks the broker dead, after which owner resolution simply skips it.
 * **Cursor-preserving subscriber failover** — :class:`FailoverSubscription`
-  wraps one transport subscription at a time; when the broker under it
-  dies it re-subscribes on the next live ring owner *from its own
-  cursor*.  Because replicas share the primary's numbering, the resume
-  is exact: delivered/redelivered/lost accounting carries over without
-  renumbering.  Finding the next owner is the router's one owner walk
+  wraps one :class:`~repro.stream.bus.Subscription` cursor at a time; when
+  the broker under it dies it opens a cursor on the next live ring owner
+  *from the old cursor's position*.  Because replicas share the primary's
+  numbering, the resume is exact: delivered/redelivered/lost accounting
+  carries over without renumbering.  Finding the next owner is the
+  router's one owner walk
   (:meth:`~repro.stream.groups.PartitionRouter.first_live`) — the same
   loop, and the only backoff, that publishes and coordinator commands
   use; with one owner per partition it is what rides out a restart.
@@ -47,17 +48,18 @@ __all__ = ['FailoverSubscription']
 class FailoverSubscription:
     """A subscription that survives broker death by re-subscribing.
 
-    Wraps one transport subscription (``bus.subscribe``) on the partition
-    topic's current live ring owner.  When the underlying subscription
-    fails with a :class:`~repro.exceptions.ConnectorError`, the failure is
-    recorded into the router's failure detector (a streak of
+    Wraps one cursor (``bus.subscribe``) on the partition topic's current
+    live ring owner.  When its fetch fails with a
+    :class:`~repro.exceptions.ConnectorError`, the failure is recorded
+    into the router's failure detector (a streak of
     :class:`~repro.exceptions.NodeUnavailableError` marks the broker
-    dead) and the subscription is rebuilt on the next live owner from the
-    current cursor position — which is exact, because replicas mirror the
-    primary's sequence numbering.
+    dead) and a cursor is opened on the next live owner from the current
+    position — which is exact, because replicas mirror the primary's
+    sequence numbering.
 
-    Implements the :class:`~repro.stream.bus.Subscription` protocol, so
-    group consumers use it interchangeably with a plain subscription.
+    Has the cursor's interface (``next_batch``, ``position``, ``lost``,
+    ``close``), so group consumers use it interchangeably with a plain
+    :class:`~repro.stream.bus.Subscription`.
     """
 
     def __init__(
@@ -92,7 +94,7 @@ class FailoverSubscription:
 
         The router's owner walk tries owners alive-first, so a dead primary
         costs one recorded failure before the replica answers; a broker
-        that refuses the ``SUBSCRIBE`` for any other reason is walked past
+        that refuses the subscription for any other reason is walked past
         the same way.
         """
         self.broker, self._sub = self._router.first_live(
@@ -113,36 +115,30 @@ class FailoverSubscription:
             # Fold the dead subscription's accounting into ours before it
             # goes away: its cursor is where delivery stopped, its lost
             # count stays counted.
-            resume = max(resume, int(getattr(old, 'position', resume)))
-            self._lost_prior += int(getattr(old, 'lost', 0))
-            try:
-                old.close()
-            except ConnectorError:  # the broker is gone; nothing to tell it
-                pass
+            resume = max(resume, old.position)
+            self._lost_prior += old.lost
+            old.close()
         self._position = resume
         self.failovers += 1
         self._connect(resume)
 
-    # -- Subscription protocol ---------------------------------------------- #
+    # -- the cursor's interface --------------------------------------------- #
     @property
     def position(self) -> int:
         """The next sequence number expected (cursor in primary numbering)."""
-        if self._sub is not None:
-            return int(getattr(self._sub, 'position', self._position))
-        return self._position
+        return self._position if self._sub is None else self._sub.position
 
     @property
     def lost(self) -> int:
         """Events lost to retention ageing, summed across failovers."""
-        current = int(getattr(self._sub, 'lost', 0)) if self._sub is not None else 0
-        return self._lost_prior + current
+        return self._lost_prior + (0 if self._sub is None else self._sub.lost)
 
     def next_batch(self, timeout: float | None = None) -> list:
         """Return the next delivered ``(seq, payload)`` batch.
 
-        A connector failure from the wrapped subscription triggers
-        failover instead of propagating: the failure is recorded against
-        the broker, the subscription is rebuilt on the next live owner,
+        A connector failure from the wrapped cursor triggers failover
+        instead of propagating: the failure is recorded against the
+        broker, a cursor is opened on the next live owner,
         and an empty batch is returned for this slice (delivery resumes
         on the following poll).
         """
@@ -150,8 +146,9 @@ class FailoverSubscription:
             return []
         if self._sub is None:
             self._connect(self._position)
+        sub = self._sub  # close() from another thread may drop it meanwhile
         try:
-            batch = self._sub.next_batch(timeout=timeout)
+            batch = sub.next_batch(timeout=timeout)
         except ConnectorError as e:
             if self.broker is not None:
                 self._router.record(
@@ -162,20 +159,17 @@ class FailoverSubscription:
                 )
             self._failover()
             return []
-        self._position = max(self._position, int(getattr(self._sub, 'position', 0)))
+        self._position = max(self._position, sub.position)
         return batch
 
     def close(self) -> None:
-        """Close the wrapped subscription (idempotent)."""
+        """Close the wrapped cursor (idempotent)."""
         if self._closed:
             return
         self._closed = True
         sub, self._sub = self._sub, None
         if sub is not None:
-            try:
-                sub.close()
-            except ConnectorError:  # the broker is gone; nothing to tell it
-                pass
+            sub.close()
 
     def __enter__(self) -> 'FailoverSubscription':
         """Context-manager entry (closes the subscription on exit)."""

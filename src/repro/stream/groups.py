@@ -677,7 +677,7 @@ class _DeliveryCore:
             self._harvest_lost(claim)
             for seq, data in batch:
                 if seq < claim.read_pos:
-                    continue  # duplicate push/fetch overlap
+                    continue  # already read (a failover resumes at the cursor)
                 event = StreamEvent.decode(data, seq=seq)
                 claim.read_pos = seq + 1
                 if event.end:

@@ -11,6 +11,9 @@ wire, with the error text old clients see.
 from __future__ import annotations
 
 import pickle
+import socket
+import threading
+import time
 
 import pytest
 
@@ -18,6 +21,8 @@ from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
+from repro.kvserver.protocol import StreamDecoder
+from repro.kvserver.protocol import send_message
 
 G_VIEW = {'generation': 2, 'members': ['m1', 'm2']}
 
@@ -75,15 +80,13 @@ TRANSCRIPT = [
       'next_seq': 8, 'lost': 4}),
     ('TSTATS', 't', None, {
         'next_seq': 8, 'ring_events': 4, 'ring_bytes': 8, 'retention': 4,
-        'subscribers': 0, 'dropped_events': 4, 'dropped_pushes': 0,
-        'reaped_subscribers': 0,
+        'dropped_events': 4,
     }),
     ('TSTATS', 'nope', None, None),
     ('TCONFIG', 't', {'retention': 2}, {'retention': 2}),
     ('TSTATS', 't', None, {
         'next_seq': 8, 'ring_events': 2, 'ring_bytes': 4, 'retention': 2,
-        'subscribers': 0, 'dropped_events': 6, 'dropped_pushes': 0,
-        'reaped_subscribers': 0,
+        'dropped_events': 6,
     }),
     ('REPL_PUBLISH', 'r',
      [(1, [b'a']), (3, [b'c']), (3, [b'c']), (2, [b'b'])],
@@ -92,10 +95,12 @@ TRANSCRIPT = [
      {'events': [(1, b'a'), (2, b'b'), (3, b'c')], 'next_seq': 4, 'lost': 1}),
     ('TSTATS', 'r', None, {
         'next_seq': 4, 'ring_events': 3, 'ring_bytes': 3, 'retention': 4,
-        'subscribers': 0, 'dropped_events': 0, 'dropped_pushes': 0,
-        'reaped_subscribers': 0,
+        'dropped_events': 0,
     }),
 ]
+
+FETCH_BOUNDS = 'FETCH since and max_events must be ints >= 0'
+FETCH_WAIT = 'FETCH wait must be seconds in [0, 60.0]'
 
 REJECTED = [
     ('GROUP_JOIN', {'member': ''}, 'GROUP_JOIN requires a member id'),
@@ -112,6 +117,14 @@ REJECTED = [
     ('REPL_PUBLISH', 5, 'REPL_PUBLISH value must be [(seq, payload), ...]'),
     ('REPL_PUBLISH', [5], 'malformed REPL_PUBLISH entry: 5'),
     ('TCONFIG', {'retention': 0}, 'retention must be at least 1'),
+    ('FETCH', {'since': -4}, FETCH_BOUNDS),
+    ('FETCH', {'since': 0, 'max_events': -2}, FETCH_BOUNDS),
+    ('FETCH', {'since': 1.5}, FETCH_BOUNDS),
+    ('FETCH', {'since': 0, 'wait': -1}, FETCH_WAIT),
+    ('FETCH', {'since': 0, 'wait': 61}, FETCH_WAIT),
+    ('FETCH', {'since': 0, 'wait': float('inf')}, FETCH_WAIT),
+    ('FETCH', {'since': 0, 'wait': float('nan')}, FETCH_WAIT),
+    ('FETCH', {'since': 0, 'wait': '1'}, FETCH_WAIT),
 ]
 
 
@@ -188,3 +201,102 @@ def test_server_rejects_malformed_wire_input(server, command, value, message):
         expired = command == 'GROUP_HEARTBEAT'
         assert isinstance(caught.value, GroupMembershipError) is expired
         assert client.ping()  # the connection survived the bad request
+
+
+# --------------------------------------------------------------------------- #
+# A FETCH with a wait parks on its topic
+# --------------------------------------------------------------------------- #
+def _park(server, topic, since, wait=5.0):
+    """Park a ``FETCH`` (request id 1) on a raw socket; returns the socket
+    and its frame reader.
+
+    A ``PING`` sent behind the fetch comes back first: that proves the
+    fetch was handled — and parked — without holding up the connection.
+    """
+    sock = socket.create_connection((server.host, server.port))
+    decoder = StreamDecoder()  # one per socket: it owns the read-ahead
+    send_message(sock, (1, 'FETCH', topic, {'since': since, 'max_events': 0, 'wait': wait}))
+    send_message(sock, (2, 'PING', None, None))
+    assert decoder.read_message(sock) == (2, 'ok', 'PONG')
+    return sock, lambda: _plain(decoder.read_message(sock))
+
+
+def test_publish_and_mpublish_wake_a_parked_fetch(server):
+    with KVClient(server.host, server.port) as client:
+        sock, read = _park(server, 'w', since=0)
+        client.publish('w', b'x0')
+        assert read() == (1, 'ok', {'events': [(0, b'x0')], 'next_seq': 1, 'lost': 0})
+        sock.close()
+        sock, read = _park(server, 'w', since=1)
+        client.publish_batch('w', [b'x1', b'x2'])
+        assert read() == (1, 'ok', {
+            'events': [(1, b'x1'), (2, b'x2')], 'next_seq': 3, 'lost': 0,
+        })
+        sock.close()
+
+
+def test_repl_publish_wakes_a_fetch_parked_on_a_replica(server):
+    """A subscriber that failed over to a replica keeps receiving events
+    while producers still publish via the primary and mirror here."""
+    with KVClient(server.host, server.port) as client:
+        sock, read = _park(server, 'r', since=5)
+        client.repl_publish('r', [(4, b'old')])  # below since: still parked
+        client.repl_publish('r', [(5, b'new')])
+        assert read() == (1, 'ok', {'events': [(5, b'new')], 'next_seq': 6, 'lost': 0})
+        sock.close()
+
+
+def test_parked_fetch_expires_empty_and_never_early(server):
+    wait = 0.3
+    started = time.monotonic()
+    sock, read = _park(server, 'quiet', since=0, wait=wait)
+    assert read() == (1, 'ok', {'events': [], 'next_seq': 0, 'lost': 0})
+    assert time.monotonic() - started >= wait
+    sock.close()
+
+
+def test_parked_fetch_does_not_hold_up_a_later_get(server):
+    with KVClient(server.host, server.port) as client:
+        client.set('k', b'value')
+        sock, read = _park(server, 'g', since=0)
+        send_message(sock, (3, 'GET', 'k', None))
+        assert read() == (3, 'ok', b'value')  # out of order: the fetch waits on
+        client.publish('g', b'e')
+        assert read()[0] == 1
+        sock.close()
+
+
+def test_closing_the_connection_drops_its_parked_fetch(server):
+    sock, _read = _park(server, 'c', since=0, wait=30.0)
+    assert server._parked
+    sock.close()
+    deadline = time.monotonic() + 5.0
+    while server._parked:
+        assert time.monotonic() < deadline, 'parked fetch outlived its connection'
+        time.sleep(0.01)
+    with KVClient(server.host, server.port) as client:
+        assert client.publish('c', b'e') == 0
+        assert client.ping()
+    assert server.faulted_connections == 0
+
+
+def test_stop_answers_a_parked_fetch_within_the_drain_timeout():
+    server = KVServer(drain_timeout=1.0)
+    server.start()
+    client = KVClient(server.host, server.port)
+    replies = []
+    fetcher = threading.Thread(
+        target=lambda: replies.append(client.fetch_events('s', 0, wait=5.0)),
+    )
+    fetcher.start()
+    deadline = time.monotonic() + 5.0
+    while not server._parked:
+        assert time.monotonic() < deadline, 'the fetch never parked'
+        time.sleep(0.01)
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < server.drain_timeout
+    fetcher.join(timeout=2.0)
+    assert not fetcher.is_alive(), 'the client hung on a parked fetch'
+    assert _plain(replies) == [{'events': [], 'next_seq': 0, 'lost': 0}]
+    client.close()

@@ -18,7 +18,6 @@ from repro.exceptions import NodeUnavailableError
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
 from repro.kvserver.client import _Pending
-from repro.kvserver.client import open_connection
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import send_message
 
@@ -106,7 +105,7 @@ def _reader_threads() -> list[threading.Thread]:
 
 
 def test_plain_client_starts_no_thread(server):
-    """Only a connection with an event sink (a subscription) has a reader."""
+    """The requesting threads do every receive: no reader thread."""
     threads_before = threading.active_count()
     client = KVClient(server.host, server.port, pool_size=3)
     for i in range(9):  # every pooled connection has carried requests
@@ -114,14 +113,6 @@ def test_plain_client_starts_no_thread(server):
         assert bytes(client.get(f'k{i}')) == b'v'
     assert all(c is not None for c in client._pool)
     assert threading.active_count() == threads_before
-    assert _reader_threads() == []
-
-    subscription = open_connection(server.host, server.port, 5.0, on_event=lambda _: None)
-    try:
-        assert [t.is_alive() for t in _reader_threads()] == [True]
-        assert subscription.request(('PING', None, None), 5.0) == ('ok', 'PONG')
-    finally:
-        subscription.close()
     assert _reader_threads() == []
     client.close()
     assert threading.active_count() == threads_before

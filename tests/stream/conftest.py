@@ -1,7 +1,7 @@
 """Fixtures for the streaming tests: both event transports, one KV server.
 
 Every bus-facing test is parametrized over the ``local`` (in-process ring
-buffers) and ``kv`` (SimKV broker with push fan-out) transports so the
+buffers) and ``kv`` (SimKV broker, long-polled ``FETCH``) transports so the
 ordering/retention/backpressure guarantees are verified end to end on
 each.
 """

@@ -1,8 +1,8 @@
 """Event-bus guarantees, verified against both transports.
 
 Ordering, retention-bounded catch-up, lost-event accounting, per-topic
-configuration, and (for the KV transport) push fan-out and slow-consumer
-backpressure.
+configuration, fan-out, and (for the KV transport) a slow consumer's
+retention-bounded recovery and a dead broker surfacing from ``next_batch``.
 """
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ import time
 import pytest
 
 from repro.exceptions import NodeUnavailableError
+from repro.kvserver import KVServer
+from repro.stream import KVEventBus
 from repro.stream import event_bus_from_url
 from repro.stream.bus import LocalEventBus
 from repro.stream.groups import PartitionRouter
@@ -185,6 +187,18 @@ def test_event_bus_from_url_rejects_unknown_params():
         event_bus_from_url('local://x?retentoin=5')
 
 
+def test_negative_from_seq_is_rejected(make_bus, topic):
+    """A cursor below zero would count events that never existed as lost."""
+    bus = make_bus()
+    bus.publish_batch(topic, [b'a', b'b'])
+    with pytest.raises(ValueError, match='from_seq'):
+        bus.subscribe(topic, from_seq=-3)
+    sub = bus.subscribe(topic, from_seq=0)
+    assert [seq for seq, _ in sub.next_batch(timeout=5.0)] == [0, 1]
+    assert sub.lost == 0
+    sub.close()
+
+
 def test_close_wakes_blocked_subscriber(make_bus, topic):
     """close() from another thread must wake a next_batch(timeout=None)."""
     bus = make_bus()
@@ -207,18 +221,17 @@ def test_close_wakes_blocked_subscriber(make_bus, topic):
 # KV-transport-specific behavior
 # --------------------------------------------------------------------------- #
 def test_kv_slow_consumer_backpressure(make_bus, topic):
-    """A subscriber that stops draining cannot grow broker memory: pushes
-    stop at the highwater mark, the ring stays retention-bounded, and the
-    consumer recovers retained events (counting the rest as lost)."""
+    """A subscriber that stops draining cannot grow broker memory: the ring
+    stays retention-bounded, and the consumer recovers retained events
+    (counting the rest as lost)."""
     if make_bus.transport != 'kv':
-        pytest.skip('server-side push backpressure is KV-transport behavior')
+        pytest.skip('the broker-side memory bound is KV-transport behavior')
     retention = 8
-    bus = make_bus(retention=retention, max_queued_batches=1)
+    bus = make_bus(retention=retention)
     sub = bus.subscribe(topic)
     payload = b'p' * (256 * 1024)
     for _ in range(64):
         bus.publish(topic, payload)
-    time.sleep(0.2)  # let pushes land / be dropped
     stats = bus.topic_stats(topic)
     assert stats is not None
     assert stats['ring_events'] <= retention
@@ -239,43 +252,47 @@ def test_kv_slow_consumer_backpressure(make_bus, topic):
 
 def test_kv_subscription_survives_reconnect(make_bus, topic):
     if make_bus.transport != 'kv':
-        pytest.skip('dedicated push connections are KV-transport behavior')
+        pytest.skip('pooled client connections are KV-transport behavior')
     bus = make_bus()
-    # Through the one-owner router, as the stream consumers subscribe: its
-    # owner walk is what re-subscribes from the cursor.
+    # Through the one-owner router, as the stream consumers subscribe.
     sub = PartitionRouter(topic, 1, bus).subscribe(topic)
     bus.publish(topic, b'before')
     assert [bytes(d) for _, d in sub.next_batch(timeout=5.0)] == [b'before']
-    # Kill the push connection out from under the subscription.
-    sub._sub._connection.sock.shutdown(socket.SHUT_RDWR)
+    # Kill every pooled connection out from under the subscription.
+    for connection in bus.client._pool:
+        connection.sock.shutdown(socket.SHUT_RDWR)
     bus.publish(topic, b'after')
     received = []
     deadline = time.monotonic() + 10.0
     while not received and time.monotonic() < deadline:
         received = sub.next_batch(timeout=1.0)
     assert [bytes(d) for _, d in received] == [b'after']
-    assert sub.failovers == 1 and sub.lost == 0
+    # The client's stale-connection retry rode it out: no owner walk.
+    assert sub.failovers == 0 and sub.lost == 0
     sub.close()
 
 
 def test_raw_kv_subscription_reports_a_dead_connection(make_bus, topic):
     if make_bus.transport != 'kv':
-        pytest.skip('dedicated push connections are KV-transport behavior')
-    sub = make_bus().subscribe(topic)
-    sub._connection.sock.shutdown(socket.SHUT_RDWR)
-    with pytest.raises(NodeUnavailableError, match='push connection'):
+        pytest.skip('a stopped SimKV server is KV-transport behavior')
+    server = KVServer()
+    server.start()
+    bus = KVEventBus(server.host, server.port)
+    sub = bus.subscribe(topic)
+    server.stop()
+    with pytest.raises(NodeUnavailableError, match='SimKV server'):
         sub.next_batch(timeout=5.0)
     sub.close()
+    bus.close()
 
 
 def test_kv_backlog_larger_than_the_queue_does_not_block_subscribe(make_bus, topic):
-    """The server sends a ``from_seq`` backlog (64 events per frame) ahead
-    of the SUBSCRIBE reply: a bounded queue must not stall the reader
-    thread before that reply is dispatched."""
+    """A ``from_seq`` backlog far past one frame's worth of events arrives
+    in order and in full, and subscribing does not wait for it."""
     if make_bus.transport != 'kv':
-        pytest.skip('dedicated push connections are KV-transport behavior')
+        pytest.skip('the SimKV request timeout is KV-transport behavior')
     count = 3 * 64 + 8
-    bus = make_bus(max_queued_batches=1)
+    bus = make_bus()
     bus.publish_batch(topic, [b'%d' % i for i in range(count)])
     started = time.monotonic()
     sub = bus.subscribe(topic, from_seq=0)
@@ -289,78 +306,3 @@ def test_kv_backlog_larger_than_the_queue_does_not_block_subscribe(make_bus, top
     assert [bytes(data) for _, data in received] == [b'%d' % i for i in range(count)]
     assert sub.lost == 0
     sub.close()
-
-
-def test_kv_close_reaps_a_reader_blocked_on_the_full_queue(make_bus, topic):
-    if make_bus.transport != 'kv':
-        pytest.skip('dedicated push connections are KV-transport behavior')
-    bus = make_bus(max_queued_batches=1)
-    sub = bus.subscribe(topic)
-    for _ in range(4):  # separate frames: one queued, the next blocks the sink
-        bus.publish(topic, b'x')
-        time.sleep(0.02)
-    time.sleep(0.1)
-    reader = sub._connection._reader
-    started = time.monotonic()
-    sub.close()
-    assert time.monotonic() - started < 1.0  # close() gives up joining at 2 s
-    assert not reader.is_alive()
-
-
-def test_stalled_subscriber_is_reaped():
-    """A subscriber that stops reading with bytes queued is evicted.
-
-    Without the no-progress sweep one dead (but not closed) subscriber
-    connection would hold its queued frames forever — the broker-side
-    leak the subscriber_timeout reaper exists to stop.
-    """
-    import socket as socket_mod
-
-    from repro.kvserver.client import KVClient
-    from repro.kvserver.protocol import StreamDecoder
-    from repro.kvserver.protocol import send_message
-    from repro.kvserver.server import KVServer
-
-    server = KVServer(
-        stream_retention=8,
-        push_highwater=64 * 1024,
-        subscriber_timeout=0.5,
-    )
-    host, port = server.start()
-    stalled = socket_mod.socket()
-    client = KVClient(host, port)
-    topic = 'reap-topic'
-    try:
-        # A raw subscriber with a tiny receive window that never reads:
-        # the kernel buffers fill, the server's queue backs up, and the
-        # connection makes no progress.
-        stalled.setsockopt(
-            socket_mod.SOL_SOCKET, socket_mod.SO_RCVBUF, 4096,
-        )
-        stalled.connect((host, port))
-        decoder = StreamDecoder()  # one per socket: it owns the read-ahead
-        send_message(stalled, (1, 'SUBSCRIBE', topic, {'from_seq': None}))
-        reply = decoder.read_message(stalled)
-        assert reply[0] == 1 and reply[1] == 'ok'
-        assert client.topic_stats(topic)['subscribers'] == 1
-
-        payload = b'x' * (32 * 1024)
-        deadline = time.monotonic() + 20
-        while server.reaped_subscribers == 0:
-            assert time.monotonic() < deadline, 'subscriber never reaped'
-            client.publish(topic, payload)
-            time.sleep(0.02)
-
-        stats = client.topic_stats(topic)
-        assert stats['reaped_subscribers'] == 1
-        assert stats['subscribers'] == 0
-        assert server.reaped_subscribers == 1
-        # The reap closed the connection: the stalled socket sees EOF
-        # once the already-buffered bytes are drained.
-        stalled.settimeout(5.0)
-        while stalled.recv(1 << 16):
-            pass
-    finally:
-        stalled.close()
-        client.close()
-        server.stop()

@@ -22,6 +22,7 @@ from repro.exceptions import NodeUnavailableError
 from repro.exceptions import StoreError
 from repro.exceptions import StreamGroupError
 from repro.kvserver import KVServer
+from repro.stream import KVEventBus
 from repro.stream import LocalEventBus
 from repro.stream import StreamProducer
 from repro.stream import broker_id
@@ -222,6 +223,30 @@ def test_lone_dead_coordinator_is_retried_then_raises_and_close_stays_bounded(
     started = time.monotonic()
     consumer.close()
     assert time.monotonic() - started < 15.0
+
+
+def test_kv_group_consumer_runs_no_reader_thread(group_store):
+    """Four partitions on the KV bus are four cursors long-polling ``FETCH``
+    through the bus's pooled client: the only threads are the consumer's
+    heartbeat and the in-process server's loop, no reader per partition."""
+    before = set(threading.enumerate())
+    with KVServer() as server:
+        bus = KVEventBus(server.host, server.port)
+        producer = StreamProducer(group_store, bus, 'readers', policy='inline', partitions=4)
+        consumer = GroupConsumer(
+            group_store, bus, 'readers', group='g', member='m', partitions=4, timeout=10.0,
+        )
+        try:
+            producer.send_batch([{'i': i} for i in range(16)])
+            events = consumer.events()
+            assert sorted(int(next(events)[1]['i']) for _ in range(16)) == list(range(16))
+            assert len(consumer._claims) == 4
+            started = sorted(t.name for t in set(threading.enumerate()) - before)
+            assert started == ['group-heartbeat-m', 'simkv-loop']
+        finally:
+            consumer.close()
+            producer.close(end=False)
+            bus.close()
 
 
 # --------------------------------------------------------------------------- #

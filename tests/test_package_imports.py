@@ -158,10 +158,9 @@ def _calls(path: pathlib.Path) -> set[str]:
 
 
 def test_one_module_opens_client_sockets_and_two_read_frames():
-    """``kvserver/client.py`` owns every client socket (a push subscription
-    is one of its connections with an event sink), ``StreamDecoder`` is read
-    by that client and by the server only, and nothing outside ``kvserver/``
-    makes a socket at all."""
+    """``kvserver/client.py`` owns every client socket, ``StreamDecoder`` is
+    read by that client and by the server only, and nothing outside
+    ``kvserver/`` makes a socket at all."""
     library = REPO / 'src' / 'repro'
     makers = {'socket.socket', 'socket.create_connection', 'socket.socketpair'}
     connects, decodes, sockets = set(), set(), set()
@@ -176,6 +175,33 @@ def test_one_module_opens_client_sockets_and_two_read_frames():
     assert connects == {'kvserver/client.py'}
     assert decodes == {'kvserver/client.py', 'kvserver/server.py'}
     assert sockets == {'kvserver/client.py', 'kvserver/server.py'}
+
+
+def test_one_way_to_read_a_topic():
+    """A topic is read by long-polling ``FETCH`` only: no server push, no
+    client reader thread, and one cursor class (plus the failover wrapper
+    around it) in ``repro.stream``."""
+    library = REPO / 'src' / 'repro'
+    assert 'threading.Thread' not in _calls(library / 'kvserver' / 'client.py')
+    pushes = []
+    for path in sorted(library.rglob('*.py')):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == 'EVENT_STATUS') or (
+                isinstance(node, ast.Constant) and node.value == 'SUBSCRIBE'
+            ):
+                pushes.append(f'{path.relative_to(library)}:{node.lineno}')
+    assert not pushes, pushes
+    readers = sorted(
+        f'{path.name}:{node.name}'
+        for path in (library / 'stream').glob('*.py')
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == 'next_batch'
+            for item in node.body
+        )
+    )
+    assert readers == ['bus.py:Subscription', 'failover.py:FailoverSubscription']
 
 
 # --------------------------------------------------------------------------- #
