@@ -540,14 +540,15 @@ class KVClient(GroupCommands):
         Returns ``{'events': [(seq, payload), ...], 'next_seq': int,
         'lost': int}`` where ``lost`` counts events that aged out of the
         ring before ``since``.  ``max_events`` bounds the reply (0 =
-        everything retained).  With ``wait`` seconds (kept below this
-        client's ``timeout``) a fetch that finds nothing at or past
-        ``since`` waits on the server for the next publish, and returns
-        empty if none comes in time.
+        everything retained).  With ``wait`` seconds a fetch that finds
+        nothing at or past ``since`` waits on the server for the next
+        publish, and returns empty if none comes in time; the wait is
+        capped at half this client's ``timeout``, so a parked fetch is
+        never mistaken for a dead server.
         """
         options = {'since': since, 'max_events': max_events}
         if wait:
-            options['wait'] = wait
+            options['wait'] = min(wait, self.timeout / 2)
         return self._request('FETCH', topic, options)
 
     def topic_stats(self, topic: str) -> dict[str, Any] | None:

@@ -36,6 +36,7 @@ payload wrapping, parked fetches.
 """
 from __future__ import annotations
 
+import heapq
 import pickle
 import selectors
 import socket
@@ -43,6 +44,7 @@ import threading
 import time
 from collections import deque
 from functools import partial
+from itertools import count
 from itertools import islice
 from typing import Any
 from typing import Callable
@@ -150,6 +152,11 @@ class KVServer:
         # the event-loop thread.
         self._topics: dict[str, TopicRing] = {}
         self._parked: dict[Any, list[_ParkedFetch]] = {}
+        # Heap of (deadline, tiebreak, topic), one entry per parked fetch;
+        # an entry whose fetch was answered early goes stale and is
+        # dropped when its deadline comes.
+        self._deadlines: list[tuple[float, int, Any]] = []
+        self._park_ids = count()
         self._groups: dict[str, GroupState] = {}
         self._lock = threading.Lock()
         self._listener: socket.socket | None = None
@@ -337,13 +344,8 @@ class KVServer:
             except OSError:
                 return False
             segments = unsent(segments, sent)
-        if segments:
-            self._enqueue(conn, segments)
-        return True
-
-    def _enqueue(self, conn: _ClientConn, segments: list[memoryview]) -> None:
-        """Queue a reply's unsent segments for the loop to flush."""
         conn.out.extend(segments)
+        return True
 
     def _flush(self, conn: _ClientConn) -> bool:
         """Write queued segments until empty or the socket would block.
@@ -402,6 +404,7 @@ class KVServer:
             self._close_conn(conn)
         self._topics.clear()
         self._parked.clear()
+        self._deadlines.clear()
         self._groups.clear()
         if self._selector is not None:
             self._selector.close()
@@ -465,6 +468,7 @@ class KVServer:
         if status is _PARKED:
             payload.request_id = request_id
             self._parked.setdefault(key, []).append(payload)
+            heapq.heappush(self._deadlines, (payload.deadline, next(self._park_ids), key))
             return None
         return (request_id, status, payload)
 
@@ -582,13 +586,16 @@ class KVServer:
         Returns the seconds until the next parked deadline (``None``:
         nothing is parked), the loop's select timeout.
         """
-        if not self._parked:
+        deadlines = self._deadlines
+        if not deadlines:
             return None
         now = time.monotonic()
-        for key in list(self._parked):
+        due = set()
+        while deadlines and deadlines[0][0] <= now:
+            due.add(heapq.heappop(deadlines)[2])
+        for key in due:
             self._release(key, lambda fetch: fetch.deadline <= now)
-        deadlines = [f.deadline for parked in self._parked.values() for f in parked]
-        return min(deadlines) - now if deadlines else None
+        return deadlines[0][0] - now if deadlines else None
 
     def _cmd_publish(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         payload = self._own_value(value)

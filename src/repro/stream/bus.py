@@ -83,8 +83,11 @@ class Subscription:
     def __init__(self, bus: 'EventBus', topic: str, from_seq: int | None = None) -> None:
         if from_seq is not None and from_seq < 0:
             raise ValueError(f'from_seq must be >= 0, not {from_seq}')
+        # One round trip at creation, whatever ``from_seq``: a broker that
+        # cannot be reached fails the subscribe, where an owner walk backs
+        # off, not each later fetch.
+        stats = bus.topic_stats(topic)
         if from_seq is None:  # start at the head: only events published from now
-            stats = bus.topic_stats(topic)
             from_seq = stats['next_seq'] if stats else 0
         self.bus = bus
         self.topic = topic

@@ -104,7 +104,7 @@ class KVEventBus:
     def fetch(self, topic: str, since: int, wait: float = 0.0) -> tuple[list, int]:
         """One ``FETCH`` of ``topic`` from ``since``, parked on the broker
         for up to ``wait`` seconds (capped below the request timeout)."""
-        reply = self.client.fetch_events(topic, since, wait=min(wait, self.timeout / 2))
+        reply = self.client.fetch_events(topic, since, wait=wait)
         return reply['events'], reply['lost']
 
     def subscribe(self, topic: str, *, from_seq: int | None = None) -> Subscription:

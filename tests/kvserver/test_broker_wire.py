@@ -255,6 +255,36 @@ def test_parked_fetch_expires_empty_and_never_early(server):
     sock.close()
 
 
+def test_parked_fetches_on_one_topic_expire_each_at_its_own_deadline(server):
+    """One topic, three parked fetches: one answered early by a publish
+    (its deadline entry goes stale), a short one that expires empty, and
+    a long one that is still parked after both and woken by a publish."""
+    with KVClient(server.host, server.port) as client:
+        early, read_early = _park(server, 'd', since=0, wait=0.2)
+        client.publish('d', b'e0')
+        assert read_early()[2]['events'] == [(0, b'e0')]
+        long_, read_long = _park(server, 'd', since=1, wait=30.0)
+        started = time.monotonic()
+        short, read_short = _park(server, 'd', since=1, wait=0.3)
+        assert read_short() == (1, 'ok', {'events': [], 'next_seq': 1, 'lost': 0})
+        assert time.monotonic() - started >= 0.3
+        assert len(server._parked['d']) == 1  # the long fetch still waits
+        client.publish('d', b'e1')
+        assert read_long() == (1, 'ok', {'events': [(1, b'e1')], 'next_seq': 2, 'lost': 0})
+        for sock in (early, long_, short):
+            sock.close()
+
+
+def test_fetch_wait_is_capped_below_the_client_timeout(server):
+    """A wait past the client's timeout is cut to half of it, so the
+    parked fetch comes back empty instead of timing the request out."""
+    with KVClient(server.host, server.port, timeout=1.0) as client:
+        started = time.monotonic()
+        reply = client.fetch_events('capped', 0, wait=5.0)
+        assert _plain(reply) == {'events': [], 'next_seq': 0, 'lost': 0}
+        assert 0.5 <= time.monotonic() - started < 1.0
+
+
 def test_parked_fetch_does_not_hold_up_a_later_get(server):
     with KVClient(server.host, server.port) as client:
         client.set('k', b'value')

@@ -248,9 +248,10 @@ def test_partial_sends_both_ways_round_trip_a_bulk_value(server, monkeypatch):
         client_rests = _spy(monkeypatch, client_module, 'vectored_write')
         client.set('bulk', payload)
         assert client_rests  # the request's tail followed a partial send
-        server_tails = _spy(monkeypatch, server, '_enqueue')
+        server_tails = _spy(monkeypatch, server, '_flush')
         assert bytes(client.get('bulk')) == payload
-        assert server_tails  # the reply's tail was queued for the loop
+        # The loop flushes only a queued tail: the reply's tail was queued.
+        assert server_tails
         assert server.faulted_connections == 0
     finally:
         client.close()

@@ -286,6 +286,30 @@ def test_raw_kv_subscription_reports_a_dead_connection(make_bus, topic):
     bus.close()
 
 
+@pytest.mark.timeout(60)
+def test_routed_subscription_on_a_dead_lone_broker_backs_off_then_raises(
+    make_bus, topic,
+):
+    """A lone owner that stays down: re-subscribing from the cursor must
+    reach the broker, so the router's owner walk backs off (≈ 1 s) and
+    ``next_batch`` raises instead of failing over in a busy loop."""
+    if make_bus.transport != 'kv':
+        pytest.skip('a stopped SimKV server is KV-transport behavior')
+    server = KVServer()
+    server.start()
+    bus = KVEventBus(server.host, server.port)
+    sub = PartitionRouter(topic, 1, bus).subscribe(topic)
+    server.stop()
+    started = time.monotonic()
+    with pytest.raises(NodeUnavailableError):
+        while time.monotonic() - started < 10.0:
+            sub.next_batch(timeout=None)
+    assert 0.3 < time.monotonic() - started < 5.0  # backed off, then raised
+    assert sub.failovers == 1
+    sub.close()
+    bus.close()
+
+
 def test_kv_backlog_larger_than_the_queue_does_not_block_subscribe(make_bus, topic):
     """A ``from_seq`` backlog far past one frame's worth of events arrives
     in order and in full, and subscribing does not wait for it."""

@@ -1,11 +1,11 @@
 """Subscriber reconnect-resume: a broker restart must not lose the gap.
 
-The satellite scenario for broker failover: a subscriber's push
-connection dies when its broker goes down; the broker comes back on the
-*same* port (here: a fresh server process whose ring is repopulated at
-the original sequence numbers, exactly what ``REPL_PUBLISH`` mirroring
-produces); the one-owner router's walk re-subscribes from the cursor and
-the SUBSCRIBE-time backfill delivers the missed events exactly once.
+The satellite scenario for broker failover: a subscriber's ``FETCH``
+fails when its broker goes down; the broker comes back on the *same*
+port (here: a fresh server process whose ring is repopulated at the
+original sequence numbers, exactly what ``REPL_PUBLISH`` mirroring
+produces); the one-owner router's walk opens a cursor at the old
+position and its first ``FETCH`` delivers the missed events exactly once.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def test_restarted_broker_backfills_cursor_gap_exactly_once():
         mirror.close()
 
         # The subscription reports the dead connection, the owner walk
-        # re-subscribes, and the cursor-driven SUBSCRIBE backfills 5..9.
+        # re-subscribes, and the new cursor's first FETCH returns 5..9.
         gap = _collect(subscription, 5)
         assert [seq for seq, _ in gap] == [5, 6, 7, 8, 9]
         assert [bytes(data) for _seq, data in gap] == payloads[5:]
