@@ -114,12 +114,6 @@ class LocalConnector(Connector):
         with self._lock:
             self._store[key] = freeze_payload(data)
 
-    def set_batch(self, items: Sequence[tuple[ConnectorKey, PutData]]) -> None:
-        frozen = [(key, freeze_payload(data)) for key, data in items]
-        with self._lock:
-            for key, data in frozen:
-                self._store[key] = data
-
     # -- configuration / lifecycle --------------------------------------- #
     def config(self) -> dict[str, Any]:
         return {'store_id': self.store_id}

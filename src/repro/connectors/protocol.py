@@ -158,8 +158,9 @@ class Connector(ABC):
     def new_key(self) -> Any:
         """Pre-allocate and return a key that :meth:`set` can later fill.
 
-        Deferred writes let a proxy of an object be handed out *before* the
-        object is produced (``Store.future``).  Connectors whose keys embed
+        Deferred writes exist for one caller only: ``Store.future``, which
+        hands out a proxy of an object *before* the object is produced (a
+        :class:`~repro.store.future.ProxyFuture`).  Connectors whose keys embed
         information only known at write time cannot support this and keep
         the default, which raises ``NotImplementedError``.
         """
@@ -172,18 +173,6 @@ class Connector(ABC):
         raise NotImplementedError(
             f'{type(self).__name__} does not support deferred writes',
         )
-
-    def set_batch(self, items: Sequence[tuple[Any, PutData]]) -> None:
-        """Store several ``(key, data)`` pairs under pre-allocated keys.
-
-        The substrate of store-level write coalescing: connectors with a
-        native multi-set (e.g. Redis ``MSET``) override this to turn a batch
-        of tiny deferred writes into one wire operation.  The default loops
-        over :meth:`set`, so any connector with deferred writes coalesces
-        correctly, just without the round-trip savings.
-        """
-        for key, data in items:
-            self.set(key, data)
 
     # -- configuration / lifecycle --------------------------------------- #
     @abstractmethod

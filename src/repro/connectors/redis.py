@@ -206,11 +206,6 @@ class RedisConnector(Connector):
     def set(self, key: ConnectorKey, data: PutData) -> None:
         self._kv.set(key.object_id, data)
 
-    def set_batch(self, items: Sequence[tuple[ConnectorKey, PutData]]) -> None:
-        # One MSET round trip (or one clustered batch put) for the whole
-        # coalesced buffer instead of a wire write per key.
-        self._kv.mset([(key.object_id, data) for key, data in items])
-
     # -- cluster ----------------------------------------------------------- #
     def bind_metrics(self, metrics: Any) -> None:
         """Thread per-node health and cluster events into store metrics."""

@@ -34,36 +34,26 @@ from repro.connectors.protocol import connector_path
 from repro.connectors.registry import get_connector_class
 from repro.exceptions import StoreError
 from repro.exceptions import UnknownConnectorSchemeError
-from repro.store.coalesce import DEFAULT_DEADLINE_S
-from repro.store.coalesce import DEFAULT_MAX_BYTES
-from repro.store.coalesce import DEFAULT_MAX_OPS
 
 __all__ = ['StoreConfig']
 
 # Flag bits of the wire form.  Bits 1, 2 and 4 belong to the factory that
-# embeds the config (repro.store.factory); the whole int stays below 256 so
-# it pickles to two bytes.
+# embeds the config (repro.store.factory); 64 is unassigned.  The whole int
+# stays below 256 so it pickles to two bytes.
 METRICS = 8
 CUSTOM_SERIALIZER = 16
 CUSTOM_DESERIALIZER = 32
-COALESCE_WRITES = 64
 #: ``connector`` is the import path any process derives from ``scheme``.
 PATH_FROM_SCHEME = 128
-CONFIG_BITS = (
-    METRICS | CUSTOM_SERIALIZER | CUSTOM_DESERIALIZER | COALESCE_WRITES
-    | PATH_FROM_SCHEME
-)
+CONFIG_BITS = METRICS | CUSTOM_SERIALIZER | CUSTOM_DESERIALIZER | PATH_FROM_SCHEME
 
 # Non-flag fields that travel as ``name, value`` pairs, and the value each
-# takes when absent: what a Store built with default options reports (the
-# coalescing bounds of a Store are never None), so such a store ships none.
+# takes when absent: what a Store built with default options reports, so
+# such a store ships none.
 _WIRE_DEFAULTS: dict[str, Any] = {
     'connector': None,
     'cache_size': 16,
     'cache_max_bytes': None,
-    'coalesce_max_bytes': DEFAULT_MAX_BYTES,
-    'coalesce_max_ops': DEFAULT_MAX_OPS,
-    'coalesce_deadline': DEFAULT_DEADLINE_S,
 }
 
 
@@ -121,11 +111,6 @@ class StoreConfig:
         custom_serializer: the originating store used a caller-supplied
             serializer, which cannot travel inside a config.
         custom_deserializer: ditto for the deserializer.
-        coalesce_writes: whether the store batches tiny puts into one
-            MSET-style wire operation (see ``repro.store.coalesce``).
-        coalesce_max_bytes: pending-payload-bytes flush bound.
-        coalesce_max_ops: pending-write-count flush bound.
-        coalesce_deadline: seconds the oldest buffered write may wait.
     """
 
     name: str
@@ -137,10 +122,6 @@ class StoreConfig:
     scheme: str | None = None
     custom_serializer: bool = False
     custom_deserializer: bool = False
-    coalesce_writes: bool = False
-    coalesce_max_bytes: int | None = None
-    coalesce_max_ops: int | None = None
-    coalesce_deadline: float | None = None
 
     @classmethod
     def from_store(cls, store: Any) -> 'StoreConfig':
@@ -155,10 +136,6 @@ class StoreConfig:
             scheme=_scheme_of(store.connector),
             custom_serializer=getattr(store, '_custom_serializer', False),
             custom_deserializer=getattr(store, '_custom_deserializer', False),
-            coalesce_writes=getattr(store, 'coalesce_writes', False),
-            coalesce_max_bytes=getattr(store, 'coalesce_max_bytes', None),
-            coalesce_max_ops=getattr(store, 'coalesce_max_ops', None),
-            coalesce_deadline=getattr(store, 'coalesce_deadline', None),
         )
 
     def make_connector(self) -> Connector:
@@ -201,7 +178,6 @@ class StoreConfig:
                 (METRICS if self.metrics else 0)
                 | (CUSTOM_SERIALIZER if self.custom_serializer else 0)
                 | (CUSTOM_DESERIALIZER if self.custom_deserializer else 0)
-                | (COALESCE_WRITES if self.coalesce_writes else 0)
             )
             values = {name: getattr(self, name) for name in _WIRE_DEFAULTS}
             path = values['connector']
@@ -242,7 +218,6 @@ class StoreConfig:
             metrics=bool(bits & METRICS),
             custom_serializer=bool(bits & CUSTOM_SERIALIZER),
             custom_deserializer=bool(bits & CUSTOM_DESERIALIZER),
-            coalesce_writes=bool(bits & COALESCE_WRITES),
             **fields,
         )
         config.__dict__['_wire'] = (

@@ -57,9 +57,15 @@ def get_store(name: str) -> 'Store | None':
     return _REGISTRY.get(name)
 
 
-def unregister_store(name: str) -> 'Store | None':
-    """Remove and return the registered store named ``name`` (or ``None``)."""
+def unregister_store(name: str, store: 'Store | None' = None) -> 'Store | None':
+    """Remove and return the registered store named ``name`` (or ``None``).
+
+    With ``store`` given, the entry is removed only if it *is* that store, so
+    closing a store that has since been replaced leaves its successor alone.
+    """
     with _LOCK:
+        if store is not None and _REGISTRY.get(name) is not store:
+            return None
         return _REGISTRY.pop(name, None)
 
 
@@ -89,8 +95,6 @@ def get_or_create_store(config: StoreConfig, register: bool = True) -> 'Store':
         if store is not None:
             return store
         # One rebuild path: every option the config carries (cache byte
-        # bound, coalescing, the custom-serializer warning) applies here too.
-        store = Store.from_config(config, register=False)
-        if register:
-            _REGISTRY[config.name] = store
-        return store
+        # bound, the custom-serializer warning) applies here too, and a
+        # registered store unregisters itself on close.
+        return Store.from_config(config, register=register)

@@ -33,10 +33,6 @@ from repro.serialize.buffers import payload_nbytes
 from repro.serialize.buffers import to_bytes
 from repro.serialize.serializer import deserialize as default_deserializer
 from repro.serialize.serializer import serialize as default_serializer
-from repro.store.coalesce import DEFAULT_DEADLINE_S
-from repro.store.coalesce import DEFAULT_MAX_BYTES
-from repro.store.coalesce import DEFAULT_MAX_OPS
-from repro.store.coalesce import WriteCoalescer
 from repro.store.config import StoreConfig
 from repro.store.factory import StoreFactory
 from repro.store.future import ProxyFuture
@@ -74,18 +70,6 @@ class Store:
         metrics: record per-operation timing/byte metrics.
         register: automatically register the store globally by name (the
             common case); set to ``False`` for anonymous, short-lived stores.
-        coalesce_writes: opt-in write coalescing — buffer ``put``/
-            ``put_batch`` payloads and flush them as one MSET-style
-            ``set_batch`` wire operation.  Keys stay immediately valid
-            (allocated through the connector's deferred writes) and local
-            reads see buffered values; remote visibility is bounded by
-            ``coalesce_deadline``.  Requires a connector with
-            ``new_key``/``set`` support.  Proxy creation always writes
-            through (a proxy may be resolved remotely right away).
-        coalesce_max_bytes: flush when this much payload is buffered.
-        coalesce_max_ops: flush when this many writes are buffered.
-        coalesce_deadline: seconds the oldest buffered write may wait
-            before a background flush.
     """
 
     def __init__(
@@ -99,10 +83,6 @@ class Store:
         cache_max_bytes: int | None = None,
         metrics: bool = False,
         register: bool = True,
-        coalesce_writes: bool = False,
-        coalesce_max_bytes: int = DEFAULT_MAX_BYTES,
-        coalesce_max_ops: int = DEFAULT_MAX_OPS,
-        coalesce_deadline: float = DEFAULT_DEADLINE_S,
     ) -> None:
         if not isinstance(name, str) or not name:
             raise ValueError('store name must be a non-empty string')
@@ -122,29 +102,6 @@ class Store:
             # Clustered connectors thread per-node health and self-healing
             # events into the same metrics the store's timings land in.
             connector.bind_metrics(self.metrics)
-        self.coalesce_writes = coalesce_writes
-        self.coalesce_max_bytes = coalesce_max_bytes
-        self.coalesce_max_ops = coalesce_max_ops
-        self.coalesce_deadline = coalesce_deadline
-        self._coalescer: WriteCoalescer | None = None
-        if coalesce_writes:
-            supports_deferred = (
-                type(connector).new_key is not Connector.new_key
-                and type(connector).set is not Connector.set
-            )
-            if not supports_deferred:
-                raise StoreError(
-                    f'connector {type(connector).__name__} does not support '
-                    'the deferred writes (new_key/set) write coalescing '
-                    'requires',
-                )
-            self._coalescer = WriteCoalescer(
-                connector,
-                max_bytes=coalesce_max_bytes,
-                max_ops=coalesce_max_ops,
-                deadline=coalesce_deadline,
-                record=self._record,
-            )
         self._config: StoreConfig | None = None
         self._registered = False
         self._closed = False
@@ -196,8 +153,6 @@ class Store:
                 UserWarning,
                 stacklevel=2,
             )
-        # getattr guards keep configs pickled before the coalescing fields
-        # existed loading cleanly.
         return cls(
             config.name,
             config.make_connector(),
@@ -205,16 +160,6 @@ class Store:
             cache_max_bytes=config.cache_max_bytes,
             metrics=config.metrics,
             register=register,
-            coalesce_writes=getattr(config, 'coalesce_writes', False),
-            coalesce_max_bytes=(
-                getattr(config, 'coalesce_max_bytes', None) or DEFAULT_MAX_BYTES
-            ),
-            coalesce_max_ops=(
-                getattr(config, 'coalesce_max_ops', None) or DEFAULT_MAX_OPS
-            ),
-            coalesce_deadline=(
-                getattr(config, 'coalesce_deadline', None) or DEFAULT_DEADLINE_S
-            ),
         )
 
     @classmethod
@@ -239,11 +184,9 @@ class Store:
             Store.from_url('local://shared-id')
 
         Reserved query parameters: ``name``, ``cache_size``,
-        ``cache_max_bytes``, ``metrics``, ``register``,
-        ``coalesce_writes``, ``coalesce_max_bytes``, ``coalesce_max_ops``,
-        ``coalesce_deadline``.  Everything else must be consumed by the
-        connector's ``from_url`` — leftovers raise ``ValueError`` so typos
-        fail loudly.
+        ``cache_max_bytes``, ``metrics``, ``register``.  Everything else
+        must be consumed by the connector's ``from_url`` — leftovers raise
+        ``ValueError`` so typos fail loudly.
 
         Args:
             url: store URL (or an already-parsed :class:`StoreURL`).
@@ -269,13 +212,6 @@ class Store:
         cache_max_bytes = parsed.pop_int('cache_max_bytes')
         metrics = parsed.pop_bool('metrics', False)
         register = parsed.pop_bool('register', register)
-        coalesce_writes = parsed.pop_bool('coalesce_writes', False)
-        coalesce_max_bytes = parsed.pop_int('coalesce_max_bytes', DEFAULT_MAX_BYTES)
-        assert coalesce_max_bytes is not None
-        coalesce_max_ops = parsed.pop_int('coalesce_max_ops', DEFAULT_MAX_OPS)
-        assert coalesce_max_ops is not None
-        coalesce_deadline = parsed.pop_float('coalesce_deadline', DEFAULT_DEADLINE_S)
-        assert coalesce_deadline is not None
         connector: Connector = connector_cls.from_url(parsed)
         parsed.ensure_consumed()
         if name is None:
@@ -292,10 +228,6 @@ class Store:
             cache_max_bytes=cache_max_bytes,
             metrics=metrics,
             register=register,
-            coalesce_writes=coalesce_writes,
-            coalesce_max_bytes=coalesce_max_bytes,
-            coalesce_max_ops=coalesce_max_ops,
-            coalesce_deadline=coalesce_deadline,
         )
 
     def close(self, clear: bool = False) -> None:
@@ -311,22 +243,13 @@ class Store:
                 drop this store's local deserialized-object cache.
         """
         if self._registered:
-            unregister_store(self.name)
+            unregister_store(self.name, self)
             self._registered = False
         if clear:
             self.cache.clear()
-        if self._coalescer is not None and not self._closed:
-            # Joins the deadline thread and writes out any buffered puts so
-            # handed-out keys stay resolvable after close.
-            self._coalescer.close()
         if not self._closed or clear:
             self.connector.close(clear=clear)
         self._closed = True
-
-    def flush(self) -> None:
-        """Force any coalesced writes onto the wire (no-op otherwise)."""
-        if self._coalescer is not None:
-            self._coalescer.flush()
 
     def __del__(self) -> None:
         """Best-effort close so dropped stores release connector resources."""
@@ -372,26 +295,10 @@ class Store:
     # Object-level operations
     # ------------------------------------------------------------------ #
     def put(self, obj: Any, *, serializer: Callable[[Any], bytes] | None = None) -> Any:
-        """Serialize ``obj``, store it via the connector, and return its key.
-
-        With write coalescing enabled the wire write may be deferred (see
-        the ``coalesce_writes`` constructor argument); the returned key is
-        valid immediately either way.
-        """
-        serializer = serializer if serializer is not None else self.serializer
-        timed = self.metrics is not None
-        start = perf_counter() if timed else 0.0
-        data = serializer(obj)
-        if timed:
-            self._record('serialize', perf_counter() - start, payload_nbytes(data))
-            start = perf_counter()
-        if self._coalescer is not None:
-            key = self._coalescer.put(self._outbound(data))
-        else:
-            key = self.connector.put(self._outbound(data))
-        if timed:
-            self._record('put', perf_counter() - start, payload_nbytes(data))
-        return key
+        """Serialize ``obj``, store it via the connector, and return its key."""
+        return self._store_object(
+            obj, serializer=serializer, cache_local=False, connector_kwargs={},
+        )[0]
 
     def put_batch(
         self,
@@ -400,20 +307,7 @@ class Store:
         serializer: Callable[[Any], bytes] | None = None,
     ) -> list[Any]:
         """Store several objects with a single connector batch operation."""
-        serializer = serializer if serializer is not None else self.serializer
-        with Timer() as t_ser:
-            datas = [serializer(obj) for obj in objs]
-        total = sum(payload_nbytes(d) for d in datas)
-        self._record('serialize', t_ser.elapsed, total)
-        with Timer() as t_put:
-            if self._coalescer is not None:
-                keys = [self._coalescer.put(self._outbound(d)) for d in datas]
-            else:
-                keys = self.connector.put_batch(
-                    [self._outbound(d) for d in datas],
-                )
-        self._record('put_batch', t_put.elapsed, total)
-        return keys
+        return self._store_batch(objs, serializer=serializer, connector_kwargs={})[0]
 
     def get(
         self,
@@ -434,13 +328,7 @@ class Store:
         deserializer = deserializer if deserializer is not None else self.deserializer
         timed = self.metrics is not None
         start = perf_counter() if timed else 0.0
-        data = None
-        if self._coalescer is not None:
-            # A buffered write not yet flushed: serve it directly so a
-            # put -> get in this process never races the flush.
-            data = self._coalescer.peek(key)
-        if data is None:
-            data = self.connector.get(key)
+        data = self.connector.get(key)
         if data is None:
             if timed:
                 self._record('get_miss', perf_counter() - start)
@@ -463,9 +351,6 @@ class Store:
     ) -> list[Any]:
         """Return the objects stored under ``keys`` (``None`` for missing keys)."""
         deserializer = deserializer if deserializer is not None else self.deserializer
-        if self._coalescer is not None:
-            # Push buffered writes out so one connector batch serves all.
-            self._coalescer.flush()
         keys = list(keys)
         results: list[Any] = [_MISSING] * len(keys)
         to_fetch: list[tuple[int, Any]] = []
@@ -504,8 +389,6 @@ class Store:
         """Return whether ``key`` is present in the store (or its cache)."""
         if self.cache.exists(key):
             return True
-        if self._coalescer is not None and self._coalescer.peek(key) is not None:
-            return True
         with Timer() as t:
             found = self.connector.exists(key)
         self._record('exists', t.elapsed)
@@ -518,10 +401,6 @@ class Store:
     def evict(self, key: Any) -> None:
         """Remove ``key`` from both the connector and the local cache."""
         self.cache.evict(key)
-        if self._coalescer is not None:
-            # Drop any still-buffered write; the connector evict below also
-            # covers a value that already flushed.
-            self._coalescer.discard(key)
         timed = self.metrics is not None
         start = perf_counter() if timed else 0.0
         self.connector.evict(key)
@@ -540,8 +419,6 @@ class Store:
             return
         for key in keys:
             self.cache.evict(key)
-            if self._coalescer is not None:
-                self._coalescer.discard(key)
         with Timer() as t:
             self.connector.evict_batch(keys)
         self._record('evict_batch', t.elapsed)
@@ -583,7 +460,7 @@ class Store:
         cache_local: bool,
         connector_kwargs: dict[str, Any],
     ) -> tuple[Any, int]:
-        """Shared serialize/put/metrics pipeline behind every proxy creator.
+        """Shared serialize/put/metrics pipeline behind every single write.
 
         Returns ``(key, serialized nbytes)``.
         """
@@ -604,6 +481,31 @@ class Store:
         if cache_local:
             self.cache.set(key, obj)
         return key, nbytes
+
+    def _store_batch(
+        self,
+        objs: Sequence[Any],
+        *,
+        serializer: Callable[[Any], bytes] | None,
+        connector_kwargs: dict[str, Any],
+    ) -> tuple[list[Any], list[Any]]:
+        """Serialize ``objs`` and write them with one connector ``put_batch``.
+
+        Returns ``(keys, serialized payloads)``.
+        """
+        serializer = serializer if serializer is not None else self.serializer
+        with Timer() as t_ser:
+            datas = [serializer(obj) for obj in objs]
+        total = sum(payload_nbytes(d) for d in datas)
+        self._record('serialize', t_ser.elapsed, total)
+        outbound = [self._outbound(d) for d in datas]
+        with Timer() as t_put:
+            if connector_kwargs:
+                keys = self.connector.put_batch(outbound, **connector_kwargs)  # type: ignore[call-arg]
+            else:
+                keys = self.connector.put_batch(outbound)
+        self._record('put_batch', t_put.elapsed, total)
+        return keys, datas
 
     def proxy(
         self,
@@ -768,18 +670,9 @@ class Store:
         self._validate_lifetime(lifetime, evict)
         if connector_kwargs:
             self._validate_put_kwargs(connector_kwargs, method='put_batch')
-        serializer = serializer if serializer is not None else self.serializer
-        with Timer() as t_ser:
-            datas = [serializer(obj) for obj in objs]
-        total = sum(payload_nbytes(d) for d in datas)
-        self._record('serialize', t_ser.elapsed, total)
-        outbound = [self._outbound(d) for d in datas]
-        with Timer() as t_put:
-            if connector_kwargs:
-                keys = self.connector.put_batch(outbound, **connector_kwargs)  # type: ignore[call-arg]
-            else:
-                keys = self.connector.put_batch(outbound)
-        self._record('put_batch', t_put.elapsed, total)
+        keys, datas = self._store_batch(
+            objs, serializer=serializer, connector_kwargs=connector_kwargs,
+        )
         if lifetime is not None:
             self._bind_lifetime(lifetime, *keys)
         config = self.config()

@@ -251,36 +251,3 @@ class ConnectorBehavior:
             proxy = store.proxy(obj, cache_local=False)
             assert extract(proxy) == obj
             store.evict(get_factory(proxy).key)
-
-    def test_coalesced_puts_match_uncoalesced(self, connector: Connector):
-        # With write coalescing on, the same keys/values must become
-        # visible as without it.  Only meaningful on connectors with
-        # deferred-write (new_key/set) support.
-        supports_deferred = (
-            type(connector).new_key is not Connector.new_key
-            and type(connector).set is not Connector.set
-        )
-        if not supports_deferred:
-            pytest.skip('connector does not support deferred writes')
-        store = Store(
-            f'behavior-coalesce-{new_object_id()[:8]}',
-            connector,
-            cache_size=0,
-            register=True,
-            coalesce_writes=True,
-            coalesce_max_ops=4,
-            coalesce_deadline=5.0,  # only explicit flushes in this test
-        )
-        try:
-            objs = [f'co-{i}'.encode() for i in range(6)]
-            keys = store.put_batch(objs)
-            # Buffered or not, every key reads back its own value...
-            assert store.get_batch(keys) == objs
-            # ...and after an explicit flush the values are on the
-            # connector itself, indistinguishable from uncoalesced puts.
-            store.flush()
-            assert [deserialize(connector.get(k)) for k in keys] == objs
-        finally:
-            # Join the deadline thread without closing the shared
-            # connector fixture.
-            store._coalescer.close()

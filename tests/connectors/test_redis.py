@@ -4,7 +4,9 @@ from __future__ import annotations
 import pytest
 
 from repro.connectors.redis import RedisConnector
+from repro.kvserver import KVClient
 from repro.kvserver import KVServer
+from repro.kvserver import launch_server
 from repro.store import Store
 from tests.connectors.behavior import ConnectorBehavior
 
@@ -135,6 +137,39 @@ def test_close_clear_is_one_flush_per_live_node_and_none_for_a_dead_one():
     assert fakes['127.0.0.1:1'].calls == ['flush', 'close']
     assert fakes['127.0.0.1:2'].calls == ['flush', 'close']
     assert fakes['127.0.0.1:3'].calls == ['close']  # never dialled
+
+
+def test_clustered_close_clear_flushes_each_live_server_once(monkeypatch):
+    conn = RedisConnector(launch_nodes=3, replicas=2, rebalance=False)
+    servers = {
+        node: launch_server(node.rsplit(':', 1)[0], int(node.rsplit(':', 1)[1]))
+        for node in conn.nodes
+    }
+    try:
+        conn.put_batch([bytes([i]) * 64 for i in range(12)])
+        dead, *live = sorted(servers)
+        servers[dead].stop()
+        conn._cluster.membership.mark_dead(dead)
+        flushed: list[str] = []
+        real_flush = KVClient.flush
+
+        def spy(client: KVClient) -> int:
+            flushed.append(f'{client.host}:{client.port}')
+            return real_flush(client)
+
+        monkeypatch.setattr(KVClient, 'flush', spy)
+        conn.close(clear=True)
+        assert sorted(flushed) == live
+        for node in live:
+            server = servers[node]
+            probe = KVClient(server.host, server.port)
+            try:
+                assert probe.size() == 0
+            finally:
+                probe.close()
+    finally:
+        for server in servers.values():
+            server.stop()
 
 
 def test_close_clear_single_server_is_one_flush():

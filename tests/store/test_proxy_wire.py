@@ -42,9 +42,6 @@ from repro.store import StoreConfig
 from repro.store import StoreFactory
 from repro.store import get_store
 from repro.store import unregister_store
-from repro.store.coalesce import DEFAULT_DEADLINE_S
-from repro.store.coalesce import DEFAULT_MAX_BYTES
-from repro.store.coalesce import DEFAULT_MAX_OPS
 
 #: Bytes a pickled plain proxy may cost (BENCHMARK.json: ``proxy_wire_bytes``).
 PROXY_WIRE_BUDGET = 250
@@ -207,9 +204,6 @@ LEGACY_CONFIG = StoreConfig(
     connector_config={'store_dir': LEGACY_DIR, 'mmap_read': True},
     cache_size=8,
     scheme='file',
-    coalesce_max_bytes=DEFAULT_MAX_BYTES,
-    coalesce_max_ops=DEFAULT_MAX_OPS,
-    coalesce_deadline=DEFAULT_DEADLINE_S,
 )
 
 
@@ -319,8 +313,6 @@ def test_store_rebuilt_from_a_proxy_keeps_every_option(tmp_path):
         cache_size=5,
         cache_max_bytes=4096,
         serializer=lambda obj: serialize(obj),
-        coalesce_writes=True,
-        coalesce_max_ops=7,
     )
     wire = pickle.dumps(producer.proxy([1, 2, 3], cache_local=False))
     expected = producer.config()
@@ -333,7 +325,6 @@ def test_store_rebuilt_from_a_proxy_keeps_every_option(tmp_path):
         assert rebuilt is not producer
         assert rebuilt.cache.max_bytes == 4096
         assert rebuilt.cache.maxsize == 5
-        assert rebuilt.coalesce_writes and rebuilt.coalesce_max_ops == 7
         assert get_factory(proxy).store_config == expected
     finally:
         rebuilt.close(clear=True)
@@ -480,12 +471,6 @@ _configs = st.builds(
     scheme=st.one_of(st.none(), st.sampled_from(['file', 'local', 'no-such'])),
     custom_serializer=st.booleans(),
     custom_deserializer=st.booleans(),
-    coalesce_writes=st.booleans(),
-    coalesce_max_bytes=st.one_of(_optional_ints, st.just(DEFAULT_MAX_BYTES)),
-    coalesce_max_ops=st.one_of(_optional_ints, st.just(DEFAULT_MAX_OPS)),
-    coalesce_deadline=st.one_of(
-        st.none(), st.just(DEFAULT_DEADLINE_S), st.floats(0.001, 10.0),
-    ),
 )
 _keys = st.one_of(
     st.builds(ConnectorKey, _names, _names),
@@ -525,7 +510,7 @@ def test_wire_form_round_trips_exactly(
         assert restored.store_name == config.name
         assert restored.store_config == config
         assert dataclasses.asdict(restored.store_config) == dataclasses.asdict(config)
-        assert len(dataclasses.fields(restored.store_config)) == 13
+        assert len(dataclasses.fields(restored.store_config)) == 9
         assert (restored.evict, restored.owned) == (evict, owned)
         assert restored.deserializer_name == deserializer_name
         assert restored.connector_kwargs == connector_kwargs

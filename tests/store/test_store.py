@@ -1,6 +1,7 @@
 """Tests of the Store object-level API."""
 from __future__ import annotations
 
+import gc
 import pickle
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.exceptions import StoreExistsError
 from repro.proxy import get_factory
 from repro.proxy import is_resolved
 from repro.store import Store
+from repro.store import get_or_create_store
 from repro.store import get_store
 from repro.store import list_stores
 from repro.store import register_store
@@ -133,6 +135,38 @@ def test_unregistered_store_not_in_registry():
     store = Store('anon', LocalConnector(), register=False)
     assert get_store('anon') is None
     store.close()
+
+
+@pytest.mark.parametrize('drop', ['close', 'collect'])
+def test_closing_a_replaced_store_leaves_its_successor_registered(drop):
+    a = Store('replaced', LocalConnector())
+    b = Store('replaced', LocalConnector(), register=False)
+    register_store(b, exist_ok=True)
+    if drop == 'close':
+        a.close()
+    else:
+        del a
+        gc.collect()
+    try:
+        assert get_store('replaced') is b
+    finally:
+        unregister_store('replaced')
+        b.close()
+
+
+def test_a_store_rebuilt_from_its_config_unregisters_on_close():
+    producer = Store('rebuilt-closes', LocalConnector(), register=False)
+    rebuilt = get_or_create_store(producer.config())
+    assert get_store('rebuilt-closes') is rebuilt
+    rebuilt.close()
+    assert get_store('rebuilt-closes') is None
+    producer.close()
+
+
+def test_from_url_rejects_the_removed_coalescing_options():
+    with pytest.raises(ValueError, match='coalesce_writes'):
+        Store.from_url('local://g30?coalesce_writes=1')
+    assert get_store('g30') is None
 
 
 def test_store_config_roundtrip(tmp_path):

@@ -235,3 +235,38 @@ def test_one_delivery_core_and_one_publish_path():
     }, callers
     assert not news, news
     assert not unrouted, unrouted
+
+
+# --------------------------------------------------------------------------- #
+# One write path in the Store
+# --------------------------------------------------------------------------- #
+def test_one_write_path_in_the_store():
+    """Every Store write goes straight to its connector: no write buffer
+    module, no background thread in ``repro.store``, no deferred batch write
+    on the connector protocol, and no option beyond the six below."""
+    store_pkg = REPO / 'src' / 'repro' / 'store'
+    assert not (store_pkg / 'coalesce.py').exists()
+    threads = [
+        path.name for path in sorted(store_pkg.glob('*.py'))
+        if 'threading.Thread' in _calls(path)
+    ]
+    assert not threads, threads
+    set_batch = [
+        f'{path.name}:{node.lineno}'
+        for path in sorted((REPO / 'src' / 'repro' / 'connectors').glob('*.py'))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == 'set_batch'
+    ]
+    assert not set_batch, set_batch
+    store_cls = next(
+        node for node in ast.parse((store_pkg / 'store.py').read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == 'Store'
+    )
+    init = next(
+        item for item in store_cls.body
+        if isinstance(item, ast.FunctionDef) and item.name == '__init__'
+    )
+    assert [arg.arg for arg in init.args.kwonlyargs] == [
+        'serializer', 'deserializer', 'cache_size', 'cache_max_bytes',
+        'metrics', 'register',
+    ]
