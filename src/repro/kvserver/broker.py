@@ -42,6 +42,14 @@ __all__ = [
 DEFAULT_SESSION_TIMEOUT = 10.0
 
 
+def _nbytes(payload: Any) -> int:
+    """Size of an event payload: one buffer, or the tuple of segments the
+    SimKV server keeps a multi-segment payload as."""
+    if isinstance(payload, tuple):
+        return sum(len(segment) for segment in payload)
+    return len(payload)
+
+
 class TopicRing:
     """One topic's sequence counter and bounded retention ring.
 
@@ -67,7 +75,7 @@ class TopicRing:
     def _trim(self) -> None:
         while len(self.ring) > self.retention:
             _, old = self.ring.popleft()
-            self.ring_bytes -= len(old)
+            self.ring_bytes -= _nbytes(old)
             self.dropped_events += 1
 
     def append(self, payload: Any) -> int:
@@ -75,7 +83,7 @@ class TopicRing:
         seq = self.next_seq
         self.next_seq += 1
         self.ring.append((seq, payload))
-        self.ring_bytes += len(payload)
+        self.ring_bytes += _nbytes(payload)
         self._trim()
         return seq
 
@@ -103,7 +111,7 @@ class TopicRing:
             # arrival would have trimmed it by now.
             return False
         ring.insert(index, (seq, payload))
-        self.ring_bytes += len(payload)
+        self.ring_bytes += _nbytes(payload)
         self.next_seq = max(self.next_seq, seq + 1)
         self._trim()
         return True

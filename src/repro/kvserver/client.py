@@ -36,8 +36,13 @@ wire's capability.  This client removes that serialization:
 Payload values are transmitted zero-copy: :meth:`KVClient.set` wraps the
 payload's segments in :class:`pickle.PickleBuffer`, so the wire protocol
 scatter/gathers them straight from the caller's memory without building an
-intermediate copy.  ``get`` returns the received buffer (a ``bytes``-like
-view over freshly received data), again without a defensive copy.
+intermediate copy.  Only a multi-segment payload smaller than
+:data:`~repro.kvserver.protocol.READ_AHEAD_BYTES` is joined first: the
+receiver copies a frame that small out of its read-ahead buffer anyway, and
+one buffer is cheaper to store, send back and read than several.  ``get``
+returns what was received without a defensive copy: a ``bytes``-like view,
+or a :class:`~repro.serialize.buffers.SerializedObject` over the segments
+of a payload the server keeps in pieces.
 """
 from __future__ import annotations
 
@@ -57,11 +62,13 @@ from repro.exceptions import GroupMembershipError
 from repro.exceptions import NodeUnavailableError
 from repro.faults import injection
 from repro.kvserver.broker import GroupCommands
+from repro.kvserver.protocol import READ_AHEAD_BYTES
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import encode_message
 from repro.serialize.buffers import IOV_MAX
 from repro.serialize.buffers import SerializedObject
+from repro.serialize.buffers import payload_nbytes
 from repro.serialize.buffers import segments_of
 from repro.serialize.buffers import unsent
 from repro.serialize.buffers import vectored_write
@@ -79,8 +86,28 @@ DEFAULT_TIMEOUT = 10.0
 
 
 def _wrap_value(data: 'bytes | bytearray | memoryview | SerializedObject') -> list:
-    """Payload segments wrapped for out-of-band transmission."""
-    return [pickle.PickleBuffer(segment) for segment in segments_of(data)]
+    """Payload segments wrapped for out-of-band transmission.
+
+    Segments of a payload smaller than :data:`READ_AHEAD_BYTES` are joined
+    into one buffer: the server would copy them out of its read-ahead
+    scratch anyway, and it keeps (and sends back) what it received, so one
+    buffer here saves every later reader the cost of several.  A larger
+    payload goes out segment by segment, never joined.
+    """
+    segments = segments_of(data)
+    if len(segments) > 1 and payload_nbytes(data) < READ_AHEAD_BYTES:
+        segments = [b''.join(segments)]
+    return [pickle.PickleBuffer(segment) for segment in segments]
+
+
+def _received(value: Any) -> Any:
+    """A stored value as ``get``, ``mget`` and ``fetch_events`` return it.
+
+    The server sends a payload it keeps in pieces as a tuple of buffers;
+    that becomes a :class:`SerializedObject`, which ``deserialize`` reads
+    without joining.  One buffer (or ``None``) is returned as received.
+    """
+    return SerializedObject(value) if isinstance(value, tuple) else value
 
 
 class _StaleConnectionError(NodeUnavailableError):
@@ -476,9 +503,15 @@ class KVClient(GroupCommands):
         """Store ``value`` under ``key``, replacing any previous value."""
         self._request('SET', key, _wrap_value(value))
 
-    def get(self, key: str) -> 'bytes | bytearray | memoryview | None':
-        """Return the stored value (a bytes-like view of the received data)."""
-        return self._request('GET', key)
+    def get(self, key: str) -> 'bytes | bytearray | memoryview | SerializedObject | None':
+        """Return the stored value as received, without a copy.
+
+        A bytes-like view of the received data, or a
+        :class:`~repro.serialize.buffers.SerializedObject` over the
+        received segments when the value was stored in several (a payload
+        of at least ``READ_AHEAD_BYTES`` sent in segments).
+        """
+        return _received(self._request('GET', key))
 
     def mset(
         self,
@@ -487,9 +520,15 @@ class KVClient(GroupCommands):
         """Store several key/value pairs in one round trip."""
         self._request('MSET', None, [(k, _wrap_value(v)) for k, v in items])
 
-    def mget(self, keys: Iterable[str]) -> 'list[bytes | bytearray | memoryview | None]':
-        """Fetch several keys in one round trip (``None`` for missing keys)."""
-        return self._request('MGET', None, list(keys))
+    def mget(
+        self, keys: Iterable[str],
+    ) -> 'list[bytes | bytearray | memoryview | SerializedObject | None]':
+        """Fetch several keys in one round trip (``None`` for missing keys).
+
+        Each value comes back as :meth:`get` returns it: a bytes-like view
+        or a :class:`~repro.serialize.buffers.SerializedObject`.
+        """
+        return [_received(value) for value in self._request('MGET', None, list(keys))]
 
     def mdel(self, keys: Iterable[str]) -> int:
         """Delete several keys in one round trip; returns how many existed."""
@@ -538,8 +577,9 @@ class KVClient(GroupCommands):
         """Fetch retained events with ``seq >= since`` from ``topic``'s ring.
 
         Returns ``{'events': [(seq, payload), ...], 'next_seq': int,
-        'lost': int}`` where ``lost`` counts events that aged out of the
-        ring before ``since``.  ``max_events`` bounds the reply (0 =
+        'lost': int}`` where each payload is as :meth:`get` returns a value
+        and ``lost`` counts events that aged out of the ring before
+        ``since``.  ``max_events`` bounds the reply (0 =
         everything retained).  With ``wait`` seconds a fetch that finds
         nothing at or past ``since`` waits on the server for the next
         publish, and returns empty if none comes in time; the wait is
@@ -549,7 +589,9 @@ class KVClient(GroupCommands):
         options = {'since': since, 'max_events': max_events}
         if wait:
             options['wait'] = min(wait, self.timeout / 2)
-        return self._request('FETCH', topic, options)
+        reply = self._request('FETCH', topic, options)
+        reply['events'] = [(seq, _received(payload)) for seq, payload in reply['events']]
+        return reply
 
     def topic_stats(self, topic: str) -> dict[str, Any] | None:
         """Return broker statistics for ``topic`` (``None`` if it never existed)."""

@@ -10,9 +10,12 @@ any :class:`pickle.PickleBuffer` inside the message (payload segments of a
 ``SET``/``MSET``, response values of a ``GET``/``MGET``) travels *out of
 band* — its bytes are never copied into the pickle stream.  The sender
 pushes header, pickle and raw buffers through one scatter/gather
-(``sendmsg``) loop; the receiver gives each buffer a fresh ``bytearray``
-(a bulk one is filled straight from the socket by ``recv_into``) and hands
-the views to ``pickle.loads``.
+(``sendmsg``) loop; the receiver gives each buffer memory of its own and
+hands the views to ``pickle.loads``.  A buffer of at least
+:data:`READ_AHEAD_BYTES` is received straight from the socket by
+``recv_into`` into memory that is *not* zero-filled first (the kernel
+writes every byte of it before the frame can complete); a smaller one is a
+``bytearray`` filled from the read-ahead scratch.
 
 Requests are ``(request_id, command, key, value)`` tuples; responses are
 ``(request_id, status, payload)`` tuples where ``status`` is ``'ok'`` or
@@ -41,6 +44,8 @@ import pickle
 import socket
 import struct
 from typing import Any
+
+import numpy
 
 from repro.serialize.buffers import vectored_write
 
@@ -73,6 +78,23 @@ _MAX_BUFFERS = 1 << 20
 #: section is received in place instead (so only the ends of a bulk
 #: payload, less than this much each, are ever copied).
 READ_AHEAD_BYTES = 1 << 16
+
+
+def _section_buffer(size: int) -> 'bytearray | memoryview':
+    """Memory for a frame section whose size the wire declared.
+
+    The pickle section and every out-of-band buffer come from here, always
+    after :func:`_check_frame` has accepted the frame's dimensions.  Below
+    :data:`READ_AHEAD_BYTES` the section is filled from the scratch: a
+    ``bytearray``.  At or above it, the section can be received in place,
+    where a zero-fill would only be overwritten by ``recv_into``: an
+    uninitialised ``numpy`` allocation instead.  No byte of it reaches a
+    caller unwritten, because a section completes only once it is full and
+    a frame cut short is discarded.
+    """
+    if size < READ_AHEAD_BYTES:
+        return bytearray(size)
+    return memoryview(numpy.empty(size, numpy.uint8))
 
 
 def _check_frame(pickle_len: int, n_buffers: int, buffer_bytes: int = 0) -> None:
@@ -143,7 +165,8 @@ class StreamDecoder:
     buffer-length table, pickle bytes, each out-of-band buffer) are filled
     from the scratch, one allocation per section, no join; a section that
     still misses at least a scratch-full is received straight into its own
-    ``bytearray``, so the body of a bulk payload is never copied.  Decoding
+    memory (see :func:`_section_buffer`), so the body of a bulk payload is
+    never copied nor zero-filled.  Decoding
     is restartable at any byte boundary, so a single event-loop thread can
     interleave many connections.
 
@@ -168,8 +191,8 @@ class StreamDecoder:
         self._stage = _STAGE_HEADER
         self._target = memoryview(bytearray(_HEADER.size))
         self._filled = 0
-        self._pickle: bytearray | None = None
-        self._buffers: list[bytearray] = []
+        self._pickle: bytearray | memoryview | None = None
+        self._buffers: list[bytearray | memoryview] = []
         self._buffer_index = 0
 
     def _begin(self, stage: int, size: int) -> None:
@@ -200,7 +223,7 @@ class StreamDecoder:
         if self._stage == _STAGE_HEADER:
             pickle_len, n_buffers = _HEADER.unpack(self._target)
             _check_frame(pickle_len, n_buffers)
-            self._pickle = bytearray(pickle_len)
+            self._pickle = _section_buffer(pickle_len)
             if n_buffers:
                 self._begin(_STAGE_LENGTHS, _U64.size * n_buffers)
             else:
@@ -216,7 +239,7 @@ class StreamDecoder:
             ]
             assert self._pickle is not None
             _check_frame(len(self._pickle), len(lengths), sum(lengths))
-            self._buffers = [bytearray(length) for length in lengths]
+            self._buffers = [_section_buffer(length) for length in lengths]
             self._stage = _STAGE_PICKLE
             self._target = memoryview(self._pickle)
             self._filled = 0

@@ -100,15 +100,25 @@ class _ParkedFetch:
         self.deadline = deadline
 
 
+def _wire_value(data: Any) -> Any:
+    """A stored value (see :meth:`KVServer._own_value`) wrapped for a reply.
+
+    Each segment travels out of band, straight from storage to the
+    socket: a tuple of segments as a tuple of that many
+    :class:`pickle.PickleBuffer` objects, one buffer as one.  Empty and
+    missing values go in band.
+    """
+    if isinstance(data, tuple):
+        return tuple(pickle.PickleBuffer(segment) for segment in data)
+    return pickle.PickleBuffer(data) if data else data
+
+
 def _fetch_reply(topic: TopicRing, since: int, limit: int) -> dict[str, Any]:
     """A ``FETCH`` reply: the retained events from ``since`` (at most
     ``limit``, 0 = all), payloads wrapped to travel out of band."""
     events, lost = topic.since(since, limit or None)
     return {
-        'events': [
-            (seq, pickle.PickleBuffer(payload) if len(payload) else payload)
-            for seq, payload in events
-        ],
+        'events': [(seq, _wire_value(payload)) for seq, payload in events],
         'next_seq': topic.next_seq,
         'lost': lost,
     }
@@ -420,24 +430,25 @@ class KVServer:
 
     # -- command handling --------------------------------------------------- #
     @staticmethod
-    def _own_value(value: Any) -> 'bytes | bytearray | memoryview | None':
-        """Normalize a SET payload into a buffer the server can own.
+    def _own_value(value: Any) -> 'bytes | bytearray | memoryview | tuple | None':
+        """A ``SET``/``MSET``/``PUBLISH``/``MPUBLISH``/``REPL_PUBLISH``
+        payload in the shape the server keeps it, without a copy.
 
-        Clients send payloads as a list of out-of-band buffer segments
-        (views over the bytearrays the protocol layer received into — fresh
-        memory this server exclusively owns, so single segments are stored
-        without a copy).  Plain ``bytes``/``bytearray`` values are accepted
-        for backward compatibility.
+        Clients send a payload as a list of out-of-band segments: views over
+        memory the decoder received them into, fresh and owned by this
+        server alone.  One non-empty segment is kept as that buffer; several
+        are kept as the tuple of the buffers received, never joined
+        (:func:`_wire_value` sends them back the same way).  Plain
+        ``bytes``/``bytearray`` values are accepted for backward
+        compatibility.  ``None`` for anything else.
         """
         if isinstance(value, (bytes, bytearray)):
             return value
         if isinstance(value, list):
-            segments = [v for v in value if len(v)]
-            if not segments:
-                return b''
-            if len(segments) == 1:
-                return segments[0]
-            return b''.join(segments)
+            segments = tuple(v for v in value if len(v))
+            if len(segments) > 1:
+                return segments
+            return segments[0] if segments else b''
         return None
 
     def _handle(self, request: Any, conn: _ClientConn) -> tuple[Any, str, Any] | None:
@@ -487,9 +498,7 @@ class KVServer:
     def _cmd_get(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         with self._lock:
             data = self._data.get(key)
-        # Out-of-band response: the payload bytes bypass the pickle
-        # stream and go straight from storage to the socket.
-        return ('ok', pickle.PickleBuffer(data) if data else data)
+        return ('ok', _wire_value(data))
 
     def _cmd_mset(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         if not isinstance(value, list):
@@ -514,7 +523,7 @@ class KVServer:
             return ('error', 'MGET value must be a list of keys')
         with self._lock:
             datas = [self._data.get(k) for k in value]
-        return ('ok', [pickle.PickleBuffer(d) if d else d for d in datas])
+        return ('ok', [_wire_value(d) for d in datas])
 
     def _cmd_mdel(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         if not isinstance(value, list):

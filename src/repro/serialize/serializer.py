@@ -63,6 +63,7 @@ buffers, memory-mapped files, a same-process producer's memory); call
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import pickle
 import struct
@@ -398,6 +399,48 @@ def serialize(obj: Any) -> 'bytes | SerializedObject':
 # --------------------------------------------------------------------------- #
 # Deserialization
 # --------------------------------------------------------------------------- #
+class _FieldList(tuple):
+    """A structured dtype's field list, frozen for the header cache."""
+
+
+def _freeze(descr: Any) -> Any:
+    """``descr`` with every list made a :class:`_FieldList` (hashable, immutable)."""
+    if isinstance(descr, list):
+        return _FieldList(_freeze(item) for item in descr)
+    if isinstance(descr, tuple):
+        return tuple(_freeze(item) for item in descr)
+    return descr
+
+
+def _thaw(descr: Any) -> Any:
+    """Inverse of :func:`_freeze`: the ``descr`` NumPy's header held."""
+    if isinstance(descr, _FieldList):
+        return [_thaw(item) for item in descr]
+    if isinstance(descr, tuple):
+        return tuple(_thaw(item) for item in descr)
+    return descr
+
+
+@functools.lru_cache(maxsize=256)
+def _npy_header_fields(header_bytes: bytes) -> 'tuple[Any, bool, tuple]':
+    """``(descr, fortran_order, shape)`` of a ``.npy`` header dict.
+
+    ``ast.literal_eval`` compiles the header text on every call, which
+    cost more than the rest of deserialising a 16 KB array; a stream of
+    same-shaped arrays repeats the same header, so the literal parse is
+    memoised by the header bytes.  Only immutable values are cached: the
+    dtype is built by the caller on every call, because a dtype can be
+    changed in place (``arr.dtype.names = ...``) and a cached one would
+    carry that change into every later array.
+    """
+    header = ast.literal_eval(header_bytes.decode('latin1'))
+    return (
+        _freeze(header['descr']),
+        bool(header.get('fortran_order')),
+        tuple(header['shape']),
+    )
+
+
 def _parse_npy_header(
     view: memoryview,
 ) -> 'tuple[np.dtype, tuple, str, int] | None':
@@ -424,17 +467,17 @@ def _parse_npy_header(
         header_bytes = bytes(view[12:data_start])
     else:
         return None
-    header = ast.literal_eval(header_bytes.decode('latin1'))
+    descr, fortran_order, shape = _npy_header_fields(header_bytes)
+    descr = _thaw(descr)
     try:
-        dtype = np.lib.format.descr_to_dtype(header['descr'])
+        dtype = np.lib.format.descr_to_dtype(descr)
     except AttributeError:  # pragma: no cover - very old numpy
-        dtype = np.dtype(header['descr'])
+        dtype = np.dtype(descr)
     if dtype.hasobject:
         raise SerializationError(
             'refusing to load an object-dtype array (allow_pickle disabled)',
         )
-    order = 'F' if header.get('fortran_order') else 'C'
-    return dtype, tuple(header['shape']), order, data_start
+    return dtype, shape, 'F' if fortran_order else 'C', data_start
 
 
 def _npy_from_buffer(

@@ -1,12 +1,15 @@
 """Tests for RedisConnector (backed by the SimKV server)."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.connectors.redis import RedisConnector
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
 from repro.kvserver import launch_server
+from repro.kvserver.protocol import READ_AHEAD_BYTES
+from repro.serialize import SerializedObject
 from repro.store import Store
 from tests.connectors.behavior import ConnectorBehavior
 
@@ -181,3 +184,58 @@ def test_close_clear_single_server_is_one_flush():
     (fake,) = _swap_in_counting_clients(conn).values()
     conn.close()
     assert fake.calls == ['close']
+
+
+def _segmented_arrays(count: int) -> list[np.ndarray]:
+    """Arrays that serialize to >= ``READ_AHEAD_BYTES`` in three segments."""
+    return [np.full(READ_AHEAD_BYTES + i, i, dtype=np.uint8) for i in range(count)]
+
+
+def test_replicated_store_round_trips_segmented_arrays():
+    store = Store(
+        'redis-segmented-replicas',
+        RedisConnector(launch_nodes=3, replicas=2, rebalance=False),
+    )
+    try:
+        arrays = _segmented_arrays(6)
+        keys = [store.put(a) for a in arrays]
+        keys += store.put_batch(arrays)
+        for key, array in zip(keys, arrays + arrays):
+            assert np.array_equal(store.get(key), array)
+        store.cache.clear()
+        for got, array in zip(store.get_batch(keys), arrays + arrays):
+            assert np.array_equal(got, array)
+        # Each copy is kept in the segments it arrived in.
+        clients = store.connector._clients.values()
+        copies = [c.get(keys[0].object_id) for c in clients]
+        held = [c for c in copies if c is not None]
+        assert len(held) == 2
+        assert all(isinstance(c, SerializedObject) and len(c.pieces) == 3 for c in held)
+    finally:
+        store.close(clear=True)
+
+
+def test_rebalancer_moves_segmented_arrays_to_a_joining_node():
+    servers = [launch_server('127.0.0.1', 0) for _ in range(4)]
+    ids = [f'{s.host}:{s.port}' for s in servers]
+    store = Store(
+        'redis-segmented-rebalance', RedisConnector(nodes=ids[:3], replicas=2),
+    )
+    try:
+        arrays = _segmented_arrays(24)
+        keys = [store.put(a) for a in arrays]
+        store.connector.join_node(ids[3])
+        rebalancer = store.connector._cluster.rebalancer
+        assert rebalancer.wait_idle(15)
+        assert rebalancer.stats.keys_migrated > 0
+        moved = servers[3]._data
+        assert moved and all(isinstance(v, tuple) for v in moved.values())
+        for server in servers[:3]:
+            server.stop()  # only the joined node's copies remain reachable
+        for key, array in zip(keys, arrays):
+            if key.object_id in moved:
+                assert np.array_equal(store.get(key), array)
+    finally:
+        store.close()
+        for server in servers:
+            server.stop()

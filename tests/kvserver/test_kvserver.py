@@ -3,12 +3,18 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConnectorError
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
 from repro.kvserver import launch_server
+from repro.kvserver import protocol
+from repro.kvserver.protocol import READ_AHEAD_BYTES
+from repro.serialize import SerializedObject
+from repro.serialize import deserialize
+from repro.serialize import serialize
 
 
 @pytest.fixture()
@@ -255,3 +261,95 @@ def test_partial_sends_both_ways_round_trip_a_bulk_value(server, monkeypatch):
         assert server.faulted_connections == 0
     finally:
         client.close()
+
+
+# -- bulk payloads: the server keeps the segments it received ----------------- #
+
+def _owner(buffer):
+    """The object whose memory ``buffer`` is (a view's exporter, else itself)."""
+    return buffer.obj if isinstance(buffer, memoryview) else buffer
+
+
+@pytest.fixture()
+def section_buffers(monkeypatch):
+    """Every section buffer the decoders (server's and client's) allocate."""
+    allocated: list = []
+    original = protocol._section_buffer
+
+    def spy(size):
+        allocated.append(original(size))
+        return allocated[-1]
+
+    monkeypatch.setattr(protocol, '_section_buffer', spy)
+    return allocated
+
+
+def _array(nbytes: int) -> np.ndarray:
+    return np.arange(nbytes, dtype=np.uint8)
+
+
+def test_bulk_segments_are_stored_as_received_and_served_as_segments(
+    server, client, section_buffers,
+):
+    """A >= 64 KiB three-segment ``SET`` is kept as the decoder's own
+    buffers, never joined, and ``GET`` hands back the same segments."""
+    array = _array(READ_AHEAD_BYTES + 4096)
+    payload = serialize(array)
+    lengths = [len(p) for p in payload.segments()]
+    assert len(lengths) == 3
+    client.set('bulk', payload)
+    stored = server._data['bulk']
+    assert isinstance(stored, tuple)
+    assert [len(s) for s in stored] == lengths
+    received = {id(_owner(b)) for b in section_buffers}
+    assert all(id(_owner(s)) in received for s in stored)
+    got = client.get('bulk')
+    assert isinstance(got, SerializedObject)
+    assert [len(p) for p in got.pieces] == lengths
+    assert np.array_equal(deserialize(got), array)
+
+
+def test_mid_sized_segments_are_joined_by_the_sender(server, client):
+    """Below ``READ_AHEAD_BYTES`` the client sends one buffer: the server
+    stores it whole and ``GET`` returns one buffer."""
+    for nbytes in (16 << 10, 32 << 10, READ_AHEAD_BYTES - 200):
+        array = _array(nbytes)
+        payload = serialize(array)
+        assert isinstance(payload, SerializedObject) and len(payload.segments()) == 3
+        client.set('mid', payload)
+        stored = server._data['mid']
+        assert not isinstance(stored, tuple) and len(stored) == len(payload)
+        got = client.get('mid')
+        assert not isinstance(got, SerializedObject) and len(got) == len(payload)
+        assert np.array_equal(deserialize(got), array)
+
+
+def test_mset_mget_mix_whole_and_segmented_values(server, client):
+    arrays = {
+        'small': _array(20 << 10),
+        'large': _array(READ_AHEAD_BYTES * 3),
+        'bytes': b'plain',
+    }
+    client.mset([(k, serialize(v)) for k, v in arrays.items()])
+    assert isinstance(server._data['large'], tuple)
+    assert not isinstance(server._data['small'], tuple)
+    small, large, plain, missing = client.mget(['small', 'large', 'bytes', 'gone'])
+    assert isinstance(large, SerializedObject) and len(large.pieces) == 3
+    assert not isinstance(small, SerializedObject)
+    assert np.array_equal(deserialize(small), arrays['small'])
+    assert np.array_equal(deserialize(large), arrays['large'])
+    assert deserialize(plain) == b'plain' and missing is None
+
+
+def test_published_segments_round_trip_through_fetch(server, client):
+    arrays = [_array(READ_AHEAD_BYTES + i) for i in (1, 2, 3)]
+    payloads = [serialize(a) for a in arrays]
+    assert client.publish('t', payloads[0]) == 0
+    assert client.publish_batch('t', payloads[1:]) == [1, 2]
+    reply = client.fetch_events('t', 0)
+    assert [seq for seq, _ in reply['events']] == [0, 1, 2]
+    for (_, got), array in zip(reply['events'], arrays):
+        assert isinstance(got, SerializedObject) and len(got.pieces) == 3
+        assert np.array_equal(deserialize(got), array)
+    # The ring counts bytes, not segments.
+    assert client.topic_stats('t')['ring_bytes'] == sum(len(p) for p in payloads)

@@ -12,8 +12,9 @@ that the decoder
 * or reports the stream as closed/incomplete,
 
 and that it never spins (the fake socket has a call budget) and never
-asks for more memory than ``_check_frame`` allows (``bytearray`` is
-spied on, with the frame limit lowered so that "oversized" is cheap).
+asks for more memory than ``_check_frame`` allows (``bytearray`` and the
+decoder's section allocator are spied on, with the frame limit lowered so
+that "oversized" is cheap).
 Every draw runs through both entry points, ``read_from`` (re-polled the
 way a level-triggered selector would) and ``read_message``.  The fake
 socket also records the views it was handed, which is how the read-ahead
@@ -91,17 +92,29 @@ class FeedSocket:
 
 @pytest.fixture()
 def allocations(monkeypatch):
-    """Lower the frame limits and record every ``bytearray`` the decoder asks for."""
+    """Lower the frame limits and record every allocation the decoder asks for.
+
+    That is every ``bytearray`` and every section buffer (which is a
+    ``bytearray`` below ``READ_AHEAD_BYTES``, recorded as such, and
+    uninitialised memory from there up).
+    """
     sizes: list[int] = []
+    section_buffer = protocol._section_buffer
 
     def spying_bytearray(size=0):
         if isinstance(size, int):
             sizes.append(size)
         return bytearray(size)
 
+    def spying_section_buffer(size):
+        if size >= READ_AHEAD_BYTES:
+            sizes.append(size)
+        return section_buffer(size)
+
     monkeypatch.setattr(protocol, 'MAX_FRAME_BYTES', LIMIT)
     monkeypatch.setattr(protocol, '_MAX_BUFFERS', MAX_BUFFERS)
     monkeypatch.setattr(protocol, 'bytearray', spying_bytearray, raising=False)
+    monkeypatch.setattr(protocol, '_section_buffer', spying_section_buffer)
     return sizes
 
 
@@ -374,3 +387,25 @@ def test_bulk_buffer_is_received_in_place():
     # what the first had already brought.
     assert in_place.obj is received.obj
     assert len(in_place) > len(payload) - READ_AHEAD_BYTES
+
+
+@pytest.mark.parametrize('where', ['first', 'scratch', 'middle', 'last'])
+def test_bulk_frame_cut_inside_its_buffer_yields_nothing(where):
+    """Memory received in place is not zero-filled: a frame cut anywhere
+    inside its 4 MiB buffer must never come out, and a whole one must come
+    out byte for byte."""
+    payload = random.Random(f'{SEED}-cut-{where}').randbytes(4 << 20)
+    wire = _wire((1, 'ok', pickle.PickleBuffer(payload)))
+    start = len(wire) - len(payload)
+    cut = {
+        'first': start + 1,
+        'scratch': start + READ_AHEAD_BYTES,
+        'middle': start + len(payload) // 2,
+        'last': len(wire) - 1,
+    }[where]
+    for drain in ENTRY_POINTS:
+        for eof in (True, False):
+            got, closed = drain(StreamDecoder(), FeedSocket(wire[:cut], eof=eof))
+            assert (got, closed) == ([], eof), f'{drain.__name__} eof={eof}'
+        (message,), closed = drain(StreamDecoder(), FeedSocket(wire, eof=False))
+        assert message == (1, 'ok', payload) and not closed

@@ -431,3 +431,35 @@ def test_legacy_contiguous_format_still_parses():
     assert np.array_equal(deserialize(b'\x03' + legacy.getvalue()), arr)
     assert deserialize(b'\x01raw') == b'raw'
     assert deserialize(b'\x05' + pickle.dumps([1, 2])) == [1, 2]
+
+
+# --------------------------------------------------------------------------- #
+# The memoised .npy header parse
+# --------------------------------------------------------------------------- #
+def test_renaming_fields_does_not_leak_into_the_next_deserialize():
+    """Only the header literal is cached; every array gets its own dtype."""
+    from repro.serialize.serializer import _npy_header_fields
+
+    arr = np.zeros(4096, dtype=[('x', '<i8'), ('y', '<f8', (2,))])
+    for frame in (serialize(arr), bytes(serialize(arr))):
+        _npy_header_fields.cache_clear()
+        first = deserialize(frame)
+        first.dtype.names = ('p', 'q')
+        second = deserialize(frame)
+        assert _npy_header_fields.cache_info().hits == 1
+        assert second.dtype.names == ('x', 'y')
+        assert second.dtype == arr.dtype and np.array_equal(second, arr)
+
+
+def test_object_dtype_header_is_refused_every_time():
+    import io
+
+    from repro.serialize.serializer import _npy_header_fields
+
+    npy = io.BytesIO()
+    np.save(npy, np.array([{'a': 1}, None], dtype=object), allow_pickle=True)
+    frame = b'\x03' + npy.getvalue()
+    _npy_header_fields.cache_clear()
+    for _ in range(2):  # uncached, then cached
+        with pytest.raises(SerializationError, match='object-dtype'):
+            deserialize(frame)

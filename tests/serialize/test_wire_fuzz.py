@@ -32,7 +32,8 @@ from repro.serialize import deserialize
 from repro.serialize import serialize
 from repro.serialize.serializer import small_frame_threshold
 
-SEED = int(os.environ.get('REPRO_FUZZ_SEED', '20260807'))
+DEFAULT_SEED = 20260807
+SEED = int(os.environ.get('REPRO_FUZZ_SEED', DEFAULT_SEED))
 DRAWS_PER_KIND = int(os.environ.get('REPRO_FUZZ_DRAWS', '24'))
 
 THRESHOLD = small_frame_threshold()
@@ -78,8 +79,9 @@ def _make_memoryview(rng: random.Random, size: int) -> memoryview:
 
 def _make_str(rng: random.Random, size: int) -> str:
     # Mix of ASCII and multibyte so encoded length != character count.
+    # One ``choices`` call: a ``choice`` per character took ~2 s per 8 MiB.
     alphabet = string.ascii_letters + string.digits + 'é世界'
-    return ''.join(rng.choice(alphabet) for _ in range(size))
+    return ''.join(rng.choices(alphabet, k=size))
 
 
 def _make_ndarray(rng: random.Random, size: int) -> np.ndarray:
@@ -104,6 +106,16 @@ KINDS = {
 }
 
 
+def _check_str_coverage(kind: str, sizes: set[int]) -> None:
+    """Under the default seed the ``str`` draws hit every boundary size.
+
+    Pinned because ``str`` draws are the slow ones, the first to be cut;
+    another ``REPRO_FUZZ_SEED`` may draw a different mix.
+    """
+    if kind == 'str' and SEED == DEFAULT_SEED:
+        assert set(BOUNDARY_SIZES) <= sizes, sorted(set(BOUNDARY_SIZES) - sizes)
+
+
 def _values_equal(a: object, b: object) -> bool:
     if isinstance(a, np.ndarray):
         return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
@@ -118,8 +130,10 @@ def test_fuzz_round_trip(kind: str) -> None:
     """Every draw round-trips value-identically on either frame family."""
     rng = random.Random(f'{SEED}-{kind}')
     make = KINDS[kind]
+    sizes = set()
     for draw in range(DRAWS_PER_KIND):
         size = _random_size(rng)
+        sizes.add(size)
         obj = make(rng, size)
         frame = serialize(obj)
         result = deserialize(frame)
@@ -136,6 +150,7 @@ def test_fuzz_round_trip(kind: str) -> None:
                 f'non-deterministic wire bytes: seed={SEED} kind={kind} '
                 f'draw={draw} size={size}'
             )
+    _check_str_coverage(kind, sizes)
 
 
 @pytest.mark.parametrize('kind', sorted(KINDS))
@@ -143,8 +158,10 @@ def test_fuzz_frame_family_matches_size(kind: str) -> None:
     """Sub-threshold payloads become compact frames, large ones segment."""
     rng = random.Random(f'{SEED}-family-{kind}')
     make = KINDS[kind]
+    sizes = set()
     for _ in range(DRAWS_PER_KIND):
         size = _random_size(rng)
+        sizes.add(size)
         frame = serialize(make(rng, size))
         if isinstance(frame, SerializedObject):
             # The segmented family only appears beyond the threshold.
@@ -153,6 +170,7 @@ def test_fuzz_frame_family_matches_size(kind: str) -> None:
             assert isinstance(frame, bytes)
             # One ident byte plus payload; headers may add a little.
             assert len(frame) >= 1
+    _check_str_coverage(kind, sizes)
 
 
 @pytest.mark.parametrize('kind', ['bytes', 'str', 'ndarray', 'pickled'])
@@ -165,8 +183,10 @@ def test_fuzz_legacy_flat_frames_still_deserialize(kind: str) -> None:
     """
     rng = random.Random(f'{SEED}-legacy-{kind}')
     make = KINDS[kind]
+    sizes = set()
     for draw in range(DRAWS_PER_KIND):
         size = _random_size(rng)
+        sizes.add(size)
         obj = make(rng, size)
         flat = bytes(serialize(obj))  # joining segments = the legacy frame
         result = deserialize(flat)
@@ -176,6 +196,7 @@ def test_fuzz_legacy_flat_frames_still_deserialize(kind: str) -> None:
         )
         # Legacy frames also arrive as memoryviews (e.g. from sockets).
         assert _values_equal(obj, deserialize(memoryview(flat)))
+    _check_str_coverage(kind, sizes)
 
 
 def test_fuzz_large_path_zero_copy_aliasing() -> None:
