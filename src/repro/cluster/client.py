@@ -148,7 +148,6 @@ class ClusterClient:
         replicas: copies written per key (1 = no replication).
         hedge_threshold: seconds of primary silence before a read is
             hedged to the second replica (``0`` disables hedging).
-        read_repair: write recovered values back to owners missing them.
         put_retries: times a put is re-placed against the updated ring
             after a replica-unavailable failure.
     """
@@ -160,7 +159,6 @@ class ClusterClient:
         *,
         replicas: int = 2,
         hedge_threshold: float = DEFAULT_HEDGE_THRESHOLD,
-        read_repair: bool = True,
         put_retries: int = 2,
     ) -> None:
         if replicas < 1:
@@ -168,7 +166,6 @@ class ClusterClient:
         self.membership = membership
         self.replicas = replicas
         self.hedge_threshold = hedge_threshold
-        self.read_repair = read_repair
         self.put_retries = put_retries
         self.stats = ClusterStats()
         self._node_for = node_for
@@ -390,7 +387,7 @@ class ClusterClient:
                 next_node = rest.pop(0)
                 self._bump('failovers')
                 inflight[pool.submit(self._fetch, next_node, key)] = next_node
-        if value is not None and self.read_repair:
+        if value is not None:
             self._repair(key, value, outcomes)
         return value
 

@@ -1,22 +1,16 @@
-"""Fault tolerance and fault injection toolkit.
-
-This package has two halves that mirror each other:
+"""Fault tolerance and fault scheduling.
 
 * :mod:`repro.faults.retry` — the *tolerance* half: a single, shared
   :class:`~repro.faults.retry.RetryPolicy` (jittered exponential backoff)
-  used by every reconnect/retry path in the code base — the SimKV client,
-  streaming subscriptions, broker failover, and the workflow engine — so
-  backoff behaviour is tuned in exactly one place.
-* :mod:`repro.faults.injection` / :mod:`repro.faults.plan` — the
-  *injection* half: process-global fault hooks at the transport seams
-  (connect/send) plus seeded, schedulable :class:`~repro.faults.plan.FaultPlan`
-  scripts (SIGKILL, connection reset, added latency, payload truncation)
-  that tests and benchmarks use to prove the tolerance half works.
+  used by the broker owner walk (``PartitionRouter.first_live``, which
+  every routed publish, coordinator command, subscription and failover
+  shares) and by the workflow engine's resubmission delays, so backoff
+  behaviour is tuned in exactly one place.
+* :mod:`repro.faults.plan` — the *fault* half: seeded, schedulable
+  :class:`~repro.faults.plan.FaultPlan` scripts of process SIGKILLs that
+  the chaos tests and the pipeline benchmark use to prove the tolerance
+  half works against real process death.
 """
-from repro.faults.injection import FaultInjector
-from repro.faults.injection import current_injector
-from repro.faults.injection import install_injector
-from repro.faults.injection import uninstall_injector
 from repro.faults.plan import FaultAction
 from repro.faults.plan import FaultPlan
 from repro.faults.plan import FaultPlanRun
@@ -26,11 +20,7 @@ from repro.faults.retry import RetryPolicy
 __all__ = [
     'DEFAULT_RECONNECT_POLICY',
     'FaultAction',
-    'FaultInjector',
     'FaultPlan',
     'FaultPlanRun',
     'RetryPolicy',
-    'current_injector',
-    'install_injector',
-    'uninstall_injector',
 ]

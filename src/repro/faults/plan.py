@@ -1,17 +1,16 @@
 """Seeded, schedulable fault plans.
 
-A :class:`FaultPlan` is a script of timed :class:`FaultAction` entries —
-process SIGKILLs, connection resets/refusals, added latency, payload
-truncation — executed by a background thread relative to
-:meth:`FaultPlan.start`.  Action times can carry seeded jitter so chaos
+A :class:`FaultPlan` is a script of timed process SIGKILLs
+(:class:`FaultAction` entries) executed by a background thread relative
+to :meth:`FaultPlan.start`.  Action times can carry seeded jitter so chaos
 runs are *randomised but reproducible*: the same seed always produces
 the same schedule.
 
 Process kills resolve their target through a ``pids`` mapping supplied
 at start time (values may be ints or zero-argument callables, so a plan
-can be built before its victims are spawned).  Network faults are
-applied through a :class:`~repro.faults.injection.FaultInjector`
-installed at the transport seams.
+can be built before its victims are spawned).  Network faults (resets,
+latency, truncation) are not scheduled in-process: they belong to a
+seeded transport simulator, not to hooks on the request path.
 
 Used by the chaos tests and by ``benchmarks/bench_pipeline.py`` to kill
 a broker and a consumer mid-run under a recorded, reproducible schedule.
@@ -27,44 +26,28 @@ from collections.abc import Callable
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.faults.injection import FaultInjector
-from repro.faults.injection import current_injector
-from repro.faults.injection import install_injector
-
 __all__ = ['FaultAction', 'FaultPlan', 'FaultPlanRun']
-
-#: Action kinds a plan may schedule.
-KINDS = ('kill', 'reset', 'refuse', 'latency', 'truncate')
 
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One scheduled fault.
+    """One scheduled SIGKILL.
 
-    ``at`` is seconds from plan start.  ``target`` names a process (for
-    ``kill``, resolved via the ``pids`` mapping) or a ``host:port``
-    transport address (for network faults; ``'*'`` matches every
-    connection).  ``count`` applies to reset/refuse/truncate; ``delay``
-    and ``duration`` to latency.
+    ``at`` is seconds from plan start.  ``target`` names a process,
+    resolved via the ``pids`` mapping when the action fires.
     """
 
     at: float
-    kind: str
     target: str
-    count: int = 1
-    delay: float = 0.0
-    duration: float | None = None
 
     def __post_init__(self) -> None:
-        """Validate the action kind and schedule time."""
-        if self.kind not in KINDS:
-            raise ValueError(f'unknown fault kind {self.kind!r}')
+        """Validate the schedule time."""
         if self.at < 0:
             raise ValueError('action time must be >= 0')
 
 
 class FaultPlan:
-    """An ordered, optionally seed-jittered schedule of faults."""
+    """An ordered, optionally seed-jittered schedule of process kills."""
 
     def __init__(self, *, seed: int | None = None) -> None:
         self.seed = seed
@@ -78,64 +61,19 @@ class FaultPlan:
 
     def kill(self, target: str, at: float, *, jitter: float = 0.0) -> 'FaultPlan':
         """Schedule a SIGKILL of process ``target`` at ``at`` (± ``jitter``) s."""
-        self.actions.append(FaultAction(self._jittered(at, jitter), 'kill', target))
-        return self
-
-    def reset(self, target: str, at: float, *, count: int = 1, jitter: float = 0.0) -> 'FaultPlan':
-        """Schedule ``count`` connection resets against ``target``."""
-        self.actions.append(
-            FaultAction(self._jittered(at, jitter), 'reset', target, count=count),
-        )
-        return self
-
-    def refuse(self, target: str, at: float, *, count: int = 1, jitter: float = 0.0) -> 'FaultPlan':
-        """Schedule ``count`` connection refusals against ``target``."""
-        self.actions.append(
-            FaultAction(self._jittered(at, jitter), 'refuse', target, count=count),
-        )
-        return self
-
-    def latency(
-        self,
-        target: str,
-        at: float,
-        *,
-        delay: float,
-        duration: float | None = None,
-        jitter: float = 0.0,
-    ) -> 'FaultPlan':
-        """Schedule added per-operation latency against ``target``."""
-        self.actions.append(
-            FaultAction(
-                self._jittered(at, jitter), 'latency', target,
-                delay=delay, duration=duration,
-            ),
-        )
-        return self
-
-    def truncate(self, target: str, at: float, *, count: int = 1, jitter: float = 0.0) -> 'FaultPlan':
-        """Schedule ``count`` mid-frame payload truncations against ``target``."""
-        self.actions.append(
-            FaultAction(self._jittered(at, jitter), 'truncate', target, count=count),
-        )
+        self.actions.append(FaultAction(self._jittered(at, jitter), target))
         return self
 
     def start(
         self,
         *,
         pids: Mapping[str, 'int | Callable[[], int | None]'] | None = None,
-        injector: FaultInjector | None = None,
     ) -> 'FaultPlanRun':
         """Begin executing the plan on a background thread.
 
-        ``pids`` resolves ``kill`` targets; network faults go through
-        ``injector`` (defaulting to the installed process-global one,
-        installing a fresh one if none exists).
+        ``pids`` resolves each action's target to a process id.
         """
-        needs_network = any(a.kind != 'kill' for a in self.actions)
-        if injector is None and needs_network:
-            injector = current_injector() or install_injector()
-        return FaultPlanRun(self.actions, pids=pids or {}, injector=injector)
+        return FaultPlanRun(self.actions, pids=pids or {})
 
 
 @dataclass
@@ -155,11 +93,9 @@ class FaultPlanRun:
         actions: list[FaultAction],
         *,
         pids: Mapping[str, 'int | Callable[[], int | None]'],
-        injector: FaultInjector | None,
     ) -> None:
         self._actions = sorted(actions, key=lambda a: a.at)
         self._pids = pids
-        self._injector = injector
         self._stop = threading.Event()
         self._started = time.monotonic()
         #: Execution log: one :class:`_Fired` per action that came due.
@@ -189,7 +125,7 @@ class FaultPlanRun:
         return [
             {
                 'elapsed_s': round(f.elapsed, 3),
-                'kind': f.action.kind,
+                'kind': 'kill',
                 'target': f.action.target,
                 'at_s': round(f.action.at, 3),
                 'error': f.error,
@@ -205,27 +141,13 @@ class FaultPlanRun:
         return int(entry) if entry is not None else None
 
     def _fire(self, action: FaultAction) -> str | None:
-        if action.kind == 'kill':
-            pid = self._resolve_pid(action.target)
-            if pid is None:
-                return f'no pid known for target {action.target!r}'
-            try:
-                os.kill(pid, getattr(signal, 'SIGKILL', signal.SIGTERM))
-            except ProcessLookupError:
-                return 'process already gone'
-            return None
-        if self._injector is None:
-            return 'no injector installed for network fault'
-        if action.kind == 'reset':
-            self._injector.add_reset(action.target, action.count)
-        elif action.kind == 'refuse':
-            self._injector.add_refuse(action.target, action.count)
-        elif action.kind == 'truncate':
-            self._injector.add_truncate(action.target, action.count)
-        elif action.kind == 'latency':
-            self._injector.add_latency(
-                action.target, action.delay, duration=action.duration,
-            )
+        pid = self._resolve_pid(action.target)
+        if pid is None:
+            return f'no pid known for target {action.target!r}'
+        try:
+            os.kill(pid, getattr(signal, 'SIGKILL', signal.SIGTERM))
+        except ProcessLookupError:
+            return 'process already gone'
         return None
 
     def _run(self) -> None:

@@ -1,12 +1,12 @@
 """Shared retry policy: jittered exponential backoff.
 
-The two retry loops in the code base — the SimKV client's immediate
-stale-connection retry (``KVClient._request``) and the broker owner walk
-every routed publish, coordinator command and subscription shares
-(``PartitionRouter.first_live``) — iterate a :class:`RetryPolicy`, and
-the workflow engine's transient-fault resubmission takes its delays from
-one, so backoff behaviour (growth rate, cap, jitter) is tuned in exactly
-one place.
+The broker owner walk that every routed publish, coordinator command
+and subscription shares (``PartitionRouter.first_live``) iterates a
+:class:`RetryPolicy`, and the workflow engine's transient-fault
+resubmission takes its delays from one, so backoff behaviour (growth
+rate, cap, jitter) is tuned in exactly one place.  The SimKV client's
+stale-connection retry is not a policy: ``KVClient._request`` makes at
+most ``pool_size + 1`` immediate attempts, cycling through the pool.
 
 The jitter is *full-spread around the nominal delay*: attempt ``n``
 sleeps ``base * multiplier**n`` (capped at ``max_delay``), scaled by a
@@ -59,11 +59,6 @@ class RetryPolicy:
         rng = rng if rng is not None else _GLOBAL_RNG
         spread = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return nominal * spread
-
-    def backoffs(self, rng: random.Random | None = None) -> Iterator[float]:
-        """Yield the ``max_attempts - 1`` delays between consecutive attempts."""
-        for attempt in range(self.max_attempts - 1):
-            yield self.delay(attempt, rng)
 
     def attempts(self, rng: random.Random | None = None) -> Iterator[int]:
         """Yield attempt indices ``0..max_attempts-1``, sleeping in between.

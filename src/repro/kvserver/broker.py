@@ -29,6 +29,7 @@ from collections import deque
 from typing import Any
 from typing import Sequence
 
+from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
 
 __all__ = [
@@ -320,10 +321,23 @@ class GroupState:
         return self._view()
 
     def execute(self, command: str, options: dict[str, Any], now: float) -> Any:
-        """Run one group command from the option dict :class:`GroupCommands` built."""
+        """Run one group command from the option dict :class:`GroupCommands` built.
+
+        This is also where the options are checked, for both transports.
+
+        Raises:
+            ConnectorError: the options are malformed (no member id to
+                join with, a non-positive ``session_timeout``, no offsets
+                dict to commit, no topics list to fetch).
+        """
         member = str(options.get('member', ''))
         if command == 'GROUP_JOIN':
-            return self.join(member, options.get('session_timeout'), now)
+            if not member:
+                raise ConnectorError('GROUP_JOIN requires a member id')
+            timeout = float(options.get('session_timeout') or DEFAULT_SESSION_TIMEOUT)
+            if timeout <= 0:
+                raise ConnectorError('session_timeout must be positive')
+            return self.join(member, timeout, now)
         if command == 'GROUP_HEARTBEAT':
             return self.heartbeat(
                 member, options.get('positions'), options.get('ends'), now,
@@ -331,12 +345,16 @@ class GroupState:
         if command == 'GROUP_LEAVE':
             return self.leave(member, options.get('positions'), now)
         if command == 'OFFSET_COMMIT':
+            if not isinstance(options.get('offsets'), dict):
+                raise ConnectorError('OFFSET_COMMIT requires an offsets dict')
             return self.commit(
                 member, options.get('offsets'), options.get('positions'),
                 options.get('ends'), now,
             )
         if command == 'OFFSET_FETCH':
-            return self.fetch(options.get('topics', ()), now)
+            if not isinstance(options.get('topics'), (list, tuple)):
+                raise ConnectorError('OFFSET_FETCH requires a topics list')
+            return self.fetch(options['topics'], now)
         if command == 'GROUP_STATS':
             return self.stats(now)
         raise ValueError(f'unknown group command {command!r}')

@@ -60,7 +60,6 @@ from typing import Sequence
 from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
 from repro.exceptions import NodeUnavailableError
-from repro.faults import injection
 from repro.kvserver.broker import GroupCommands
 from repro.kvserver.protocol import READ_AHEAD_BYTES
 from repro.kvserver.protocol import StreamDecoder
@@ -160,8 +159,6 @@ class _Connection:
     """
 
     def __init__(self, host: str, port: int, timeout: float) -> None:
-        self._addr = (host, port)
-        injection.on_connect(host, port)  # fault seam: refuse/latency
         self.sock = socket.create_connection((host, port), timeout=timeout)
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # A blocking socket, bounded in the kernel in both directions: a
@@ -299,16 +296,7 @@ class _Connection:
         # on the actual socket write.
         segments = encode_message((request_id, *message_tail))
         try:
-            fault = injection.on_send(*self._addr)  # fault seam
-            if fault == 'reset':
-                raise ConnectionResetError('injected connection reset')
             with self._send_lock:
-                if fault == 'truncate':
-                    # A strict prefix of the frame, then death — exactly
-                    # what a peer crashing mid-write produces on the wire.
-                    head = bytes(segments[0])
-                    self.sock.sendall(head[: max(1, len(head) // 2)])
-                    raise ConnectionResetError('injected payload truncation')
                 # One sendmsg for the whole frame; only after a partial
                 # send (or past IOV_MAX segments) does the rest go through
                 # the loop — still the caller's memory, never joined.

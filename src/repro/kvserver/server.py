@@ -49,8 +49,8 @@ from itertools import islice
 from typing import Any
 from typing import Callable
 
+from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
-from repro.kvserver.broker import DEFAULT_SESSION_TIMEOUT
 from repro.kvserver.broker import GroupState
 from repro.kvserver.broker import TopicRing
 from repro.kvserver.protocol import UNKNOWN_MEMBER
@@ -680,27 +680,18 @@ class KVServer:
 
         Membership with heartbeat-timeout expiry plus per-partition
         committed offsets and delivered watermarks, all held by the group's
-        designated broker: checks what arrived from the wire, then runs the
-        command on the group's :class:`~repro.kvserver.broker.GroupState`.
+        designated broker: runs the command on the group's
+        :class:`~repro.kvserver.broker.GroupState`, which also checks what
+        arrived from the wire.
         """
         options = value if isinstance(value, dict) else {}
-        member = str(options.get('member', ''))
-        if command == 'GROUP_JOIN':
-            if not member:
-                return ('error', 'GROUP_JOIN requires a member id')
-            timeout = options.get('session_timeout') or DEFAULT_SESSION_TIMEOUT
-            if float(timeout) <= 0:
-                return ('error', 'session_timeout must be positive')
-        elif command == 'OFFSET_COMMIT':
-            if not isinstance(options.get('offsets'), dict):
-                return ('error', 'OFFSET_COMMIT requires an offsets dict')
-        elif command == 'OFFSET_FETCH':
-            if not isinstance(options.get('topics'), (list, tuple)):
-                return ('error', 'OFFSET_FETCH requires a topics list')
         try:
             return ('ok', self._group(key).execute(command, options, time.monotonic()))
         except GroupMembershipError:
+            member = str(options.get('member', ''))
             return ('error', f'{UNKNOWN_MEMBER} {member!r}')
+        except ConnectorError as e:
+            return ('error', str(e))
 
     # -- replication (broker failover, see repro.stream.failover) --------------- #
     # Clients mirror a partition topic's retention ring and the group

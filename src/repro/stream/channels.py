@@ -87,18 +87,16 @@ class StreamProducer:
             (``local://...``, ``kv://host:port``), or a sequence of them
             forming a broker fleet.
         topic: topic the events are published on.
-        inline: embed each item's serialized payload in the event itself
-            instead of storing it — the "data rides the message bus"
-            baseline.  Per-call ``send(..., inline=...)`` overrides this.
-            Shorthand for ``policy='inline'``.
         policy: per-item routing policy — ``'proxy'`` (store + key event,
-            the default), ``'inline'`` (payload rides the event), or
+            the default), ``'inline'`` (payload rides the event: the "data
+            rides the message bus" baseline), or
             ``'auto'`` (measure each item's serialized size and inline it
             when at most ``inline_threshold`` bytes, proxy it otherwise —
             small items skip the store round trip entirely, large items
             keep the cheap control plane).  Routes taken are counted in
             ``inline_sends``/``proxy_sends`` and, when the store records
             metrics, under ``stream.inline_sends``/``stream.proxy_sends``.
+            Per-call ``send(..., inline=...)`` overrides the policy.
         inline_threshold: byte bound for the ``'auto'`` decision; defaults
             to the serializer's small-frame threshold so the streaming
             fast path and the serializer fast path agree on what "small"
@@ -124,16 +122,13 @@ class StreamProducer:
         bus: 'EventBus | str | Sequence[EventBus | str]',
         topic: str,
         *,
-        inline: bool = False,
-        policy: str | None = None,
+        policy: str = 'proxy',
         inline_threshold: int | None = None,
         serializer: Callable[[Any], bytes] | None = None,
         partitions: int = 1,
         replicas: int = 1,
     ) -> None:
-        if policy is None:
-            policy = 'inline' if inline else 'proxy'
-        elif policy not in PRODUCER_POLICIES:
+        if policy not in PRODUCER_POLICIES:
             raise ValueError(
                 f'unknown stream policy {policy!r}; '
                 f'expected one of {PRODUCER_POLICIES}',
@@ -147,7 +142,6 @@ class StreamProducer:
         self.topic = topic
         self.partitions = partitions
         self.policy = policy
-        self.inline = policy == 'inline'
         self.inline_threshold = (
             inline_threshold if inline_threshold is not None
             else small_frame_threshold()

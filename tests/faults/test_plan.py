@@ -1,4 +1,4 @@
-"""Fault-plan tests: seeded schedules, process kills, network actions."""
+"""Fault-plan tests: seeded schedules and process kills."""
 from __future__ import annotations
 
 import subprocess
@@ -7,47 +7,25 @@ import time
 
 import pytest
 
-from repro.faults import FaultInjector
 from repro.faults import FaultPlan
 from repro.faults.plan import FaultAction
 
 
 def test_action_validation():
     with pytest.raises(ValueError):
-        FaultAction(0.0, 'explode', 't')
-    with pytest.raises(ValueError):
-        FaultAction(-1.0, 'kill', 't')
+        FaultAction(-1.0, 't')
 
 
 def test_seeded_jitter_is_reproducible():
     def build(seed):
         plan = FaultPlan(seed=seed)
-        plan.kill('a', 1.0, jitter=0.5).reset('b', 2.0, jitter=0.5)
+        plan.kill('a', 1.0, jitter=0.5).kill('b', 2.0, jitter=0.5)
         return [action.at for action in plan.actions]
 
     assert build(42) == build(42)
     assert build(42) != build(43)  # different seed, different schedule
     for at in build(42):
         assert at >= 0.0
-
-
-def test_network_actions_arm_the_injector():
-    injector = FaultInjector()
-    plan = (
-        FaultPlan()
-        .reset('h:1', 0.0, count=2)
-        .refuse('h:2', 0.0)
-        .latency('h:3', 0.0, delay=0.01, duration=0.1)
-        .truncate('h:4', 0.0)
-    )
-    run = plan.start(injector=injector)
-    run.join(timeout=5.0)
-    assert run.done
-    assert [f['error'] for f in run.report()] == [None] * 4
-    assert injector.on_send('h:1') == 'reset'
-    assert injector.on_send('h:4') == 'truncate'
-    with pytest.raises(ConnectionRefusedError):
-        injector.on_connect('h:2')
 
 
 def test_kill_action_sigkills_subprocess():
@@ -94,11 +72,9 @@ def test_unknown_kill_target_is_recorded_not_raised():
 
 
 def test_stop_cancels_pending_actions():
-    injector = FaultInjector()
-    plan = FaultPlan().reset('h:1', 30.0)  # far in the future
-    run = plan.start(injector=injector)
+    plan = FaultPlan().kill('victim', 30.0)  # far in the future
+    run = plan.start(pids={})
     time.sleep(0.05)
     run.stop()
     assert run.done
     assert run.report() == []
-    assert injector.on_send('h:1') is None  # never armed

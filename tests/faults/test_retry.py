@@ -32,8 +32,9 @@ def test_delay_exponential_and_capped():
 
 def test_jitter_is_bounded_and_seed_reproducible():
     policy = RetryPolicy(max_attempts=6, base_delay=0.1, jitter=0.5)
-    schedule_a = list(policy.backoffs(random.Random(7)))
-    schedule_b = list(policy.backoffs(random.Random(7)))
+    rng_a, rng_b = random.Random(7), random.Random(7)
+    schedule_a = [policy.delay(n, rng_a) for n in range(policy.max_attempts - 1)]
+    schedule_b = [policy.delay(n, rng_b) for n in range(policy.max_attempts - 1)]
     assert schedule_a == schedule_b  # same seed, same schedule
     for attempt, delay in enumerate(schedule_a):
         nominal = min(0.1 * (2.0 ** attempt), policy.max_delay)

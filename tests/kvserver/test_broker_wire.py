@@ -6,7 +6,8 @@ noticed.  ``TRANSCRIPT`` is the request value and reply of every group,
 offset, replication and topic command as the server answered them *before*
 the move (captured from that commit with the same script), and
 ``REJECTED`` is every check the server makes on what arrives from the
-wire, with the error text old clients see.
+wire, with the error text old clients see; the in-process broker makes
+the group-command checks among them too.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from repro.kvserver import KVClient
 from repro.kvserver import KVServer
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import send_message
+from repro.stream import LocalEventBus
 
 G_VIEW = {'generation': 2, 'members': ['m1', 'm2']}
 
@@ -201,6 +203,20 @@ def test_server_rejects_malformed_wire_input(server, command, value, message):
         expired = command == 'GROUP_HEARTBEAT'
         assert isinstance(caught.value, GroupMembershipError) is expired
         assert client.ping()  # the connection survived the bad request
+
+
+@pytest.mark.parametrize(
+    ('command', 'value', 'message'),
+    [row for row in REJECTED
+     if row[0] in ('GROUP_JOIN', 'OFFSET_COMMIT', 'OFFSET_FETCH')],
+)
+def test_in_process_broker_rejects_what_the_server_rejects(command, value, message):
+    broker = LocalEventBus().client
+    with pytest.raises(ConnectorError) as caught:
+        broker._request(command, 'g', value)
+    assert str(caught.value) == message
+    assert not isinstance(caught.value, GroupMembershipError)
+    assert broker.group_stats('g')['members'] == []
 
 
 # --------------------------------------------------------------------------- #

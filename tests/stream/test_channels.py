@@ -138,7 +138,8 @@ def test_owned_and_lifetime_are_mutually_exclusive(stream_store, make_bus, topic
 
 def test_inline_events_bypass_the_store(stream_store, make_bus, topic):
     bus = make_bus()
-    producer = StreamProducer(stream_store, bus, topic, inline=True)
+    producer = StreamProducer(stream_store, bus, topic, policy='inline')
+    assert producer.policy == 'inline'
     consumer = StreamConsumer(
         stream_store, make_bus(), topic, from_seq=0, timeout=10.0,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -270,3 +271,21 @@ def test_one_write_path_in_the_store():
         'serializer', 'deserializer', 'cache_size', 'cache_max_bytes',
         'metrics', 'register',
     ]
+
+
+# --------------------------------------------------------------------------- #
+# No fault seams on the KV request path
+# --------------------------------------------------------------------------- #
+def test_the_kv_transport_has_no_fault_seams():
+    """Faults are process kills scheduled from outside: nothing under
+    ``repro.kvserver`` imports ``repro.faults``, and ``repro.faults`` has
+    no in-process network-fault injector to import."""
+    library = REPO / 'src' / 'repro'
+    seams = [
+        f'{path.relative_to(library)}: {name}'
+        for path in sorted((library / 'kvserver').rglob('*.py'))
+        for name in sorted(_imported_modules(path))
+        if name == 'repro.faults' or name.startswith('repro.faults.')
+    ]
+    assert not seams, seams
+    assert importlib.util.find_spec('repro.faults.injection') is None
