@@ -36,7 +36,6 @@ from repro.cluster.rebalance import RebalanceStats
 from repro.cluster.rebalance import Rebalancer
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.cluster.ring import HashRing
-from repro.cluster.ring import LegacyRing
 from repro.cluster.ring import placement_delta
 from repro.cluster.ring import stable_hash64
 
@@ -50,7 +49,6 @@ __all__ = [
     'DEFAULT_HEDGE_THRESHOLD',
     'DEFAULT_VNODES',
     'HashRing',
-    'LegacyRing',
     'NodeBackend',
     'NodeHealth',
     'RebalanceStats',

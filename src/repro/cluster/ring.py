@@ -14,10 +14,6 @@ Placement must satisfy three properties for a self-healing store:
   keys in the arcs it gains or loses: ~``1/N`` of the key space, which is
   what makes live rebalancing affordable (migrate the delta, not the
   world).
-
-:class:`LegacyRing` preserves the pre-cluster static behaviour (every key
-pinned to the local node, ``replicas=1``) behind the same ``owners()``
-interface, so the client has one placement code path.
 """
 from __future__ import annotations
 
@@ -31,7 +27,6 @@ from typing import Tuple
 __all__ = [
     'DEFAULT_VNODES',
     'HashRing',
-    'LegacyRing',
     'placement_delta',
     'stable_hash64',
 ]
@@ -144,49 +139,6 @@ class HashRing:
         return HashRing(
             (n for n in self._nodes if n not in dropped), self.vnodes,
         )
-
-
-class LegacyRing:
-    """Static pre-cluster placement: every key owned by one pinned node.
-
-    This is the ``replicas=1`` compatibility mode — puts land on the local
-    node exactly as they did before the cluster subsystem existed, but
-    through the same ``owners()`` interface the consistent-hash ring
-    provides.
-    """
-
-    __slots__ = ('node_id',)
-
-    def __init__(self, node_id: str) -> None:
-        self.node_id = node_id
-
-    @property
-    def nodes(self) -> Tuple[str, ...]:
-        """The single pinned node."""
-        return (self.node_id,)
-
-    def __len__(self) -> int:
-        return 1
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id == self.node_id
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LegacyRing) and self.node_id == other.node_id
-
-    def __hash__(self) -> int:
-        return hash(('legacy', self.node_id))
-
-    def __repr__(self) -> str:
-        return f'LegacyRing(node_id={self.node_id!r})'
-
-    def owners(self, key: str, n: int = 1) -> Tuple[str, ...]:
-        """Always the pinned node, regardless of key or requested count."""
-        return (self.node_id,)
-
-    def primary(self, key: str) -> str:
-        """The pinned node."""
-        return self.node_id
 
 
 def placement_delta(

@@ -29,10 +29,10 @@ and read-repair.  A crashed peer is detected through the KV transport's
 typed :class:`~repro.exceptions.NodeUnavailableError`, removed from the
 ring, and a background :class:`~repro.cluster.Rebalancer` re-replicates
 exactly the ring-delta keys.  ``replicas=1`` without ``ring_vnodes``
-preserves the legacy static topology (a :class:`~repro.cluster.LegacyRing`
-pinning every put to the local node).  Sharded stripes remain pinned to
-their recorded locations — striping and replication are orthogonal, and
-the rebalancer skips stripe ids.
+preserves the legacy static topology: every put is pinned to the local
+node.  Sharded stripes remain pinned to their recorded locations —
+striping and replication are orthogonal, and the rebalancer skips stripe
+ids.
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ from typing import Sequence
 
 from repro.cluster.attach import ClusterAttachment
 from repro.cluster.attach import ClusterOptions
-from repro.cluster.ring import LegacyRing
 from repro.dim.node import DIMKey
 from repro.dim.node import DIMReplica
 from repro.dim.node import DIMShard
@@ -240,13 +239,6 @@ class DIMClient:
             return self._peers
         return tuple(self._peer_specs[n] for n in self.cluster.members)
 
-    @property
-    def ring(self):
-        """The placement function: the live hash ring, or the legacy pin."""
-        if self.cluster.membership is not None:
-            return self.cluster.membership.ring
-        return LegacyRing(self.node_id)
-
     def bind_metrics(self, metrics: Any) -> None:
         """Thread per-node health and cluster events into store metrics."""
         self.cluster.bind_metrics(metrics)
@@ -254,7 +246,7 @@ class DIMClient:
     def cluster_health(self) -> dict[str, Any]:
         """Snapshot of membership, per-node health and self-healing stats."""
         health = self.cluster.health()
-        health.setdefault('ring', list(self.ring.nodes))
+        health.setdefault('ring', [self.node_id])
         return health
 
     def join_peer(self, peer: Any) -> None:

@@ -693,7 +693,7 @@ class KVServer:
         except ConnectorError as e:
             return ('error', str(e))
 
-    # -- replication (broker failover, see repro.stream.failover) --------------- #
+    # -- replication (broker failover, see repro.stream.groups) ----------------- #
     # Clients mirror a partition topic's retention ring and the group
     # coordinator's state onto the hash-ring successor brokers, so a replica
     # can take over with the same sequence numbering and committed offsets
@@ -715,10 +715,12 @@ class KVServer:
                 seq, raw = entry
             except (TypeError, ValueError):
                 return ('error', f'malformed REPL_PUBLISH entry: {entry!r}')
+            if not (isinstance(seq, int) and seq >= 0):
+                return ('error', 'REPL_PUBLISH seq must be an int >= 0')
             payload = self._own_value(raw)
             if payload is None:
                 return ('error', 'REPL_PUBLISH payloads must be bytes')
-            accepted += topic.append_at(int(seq), payload)
+            accepted += topic.append_at(seq, payload)
         self._release(key, lambda fetch: fetch.since < topic.next_seq)
         return ('ok', {'accepted': accepted, 'next_seq': topic.next_seq})
 

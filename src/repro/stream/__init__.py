@@ -13,7 +13,9 @@ ring-buffer retention, consumer catch-up).
 Consumer groups (:class:`~repro.stream.groups.GroupConsumer`) add
 partitioned topics, committed offsets, and at-least-once crash redelivery
 on top of either transport.  A plain consumer is the one-member,
-one-partition case of a group, delivered by the same core.
+one-partition case of a group, delivered by the same core, which also
+fails a claim's cursor over to the next live broker (from its position)
+when the broker under it dies.
 
 See ``docs/ARCHITECTURE.md`` ("The stream path") for the data-flow
 diagram and ``examples/streaming_pipeline.py`` for a runnable tour.
@@ -29,7 +31,6 @@ from repro.stream.bus import register_event_bus
 from repro.stream.channels import StreamConsumer
 from repro.stream.channels import StreamProducer
 from repro.stream.events import StreamEvent
-from repro.stream.failover import FailoverSubscription
 from repro.stream.groups import GroupConsumer
 from repro.stream.groups import GroupCoordinator
 from repro.stream.groups import PartitionRouter
@@ -50,7 +51,6 @@ def __getattr__(name: str):
 
 __all__ = [
     'EventBus',
-    'FailoverSubscription',
     'GroupConsumer',
     'GroupCoordinator',
     'KVEventBus',

@@ -75,9 +75,8 @@ class Subscription:
     the cursor reached them — aged out of retention, or a hole in a
     replica's ring — are counted in ``lost`` and stepped over.  The cursor
     does not reconnect: a transport failure propagates from
-    :meth:`next_batch`, and resuming from ``position`` (on the same broker
-    after a restart, or on a replica) is
-    :class:`~repro.stream.failover.FailoverSubscription`'s job.
+    :meth:`next_batch`, and the stream consumers resume from ``position``
+    on a new cursor (on the same broker after a restart, or on a replica).
     """
 
     def __init__(self, bus: 'EventBus', topic: str, from_seq: int | None = None) -> None:

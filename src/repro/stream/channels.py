@@ -399,13 +399,17 @@ class StreamConsumer(_DeliveryCore):
                 'owned=True and lifetime=... are mutually exclusive: owned '
                 'items are evicted by their owner, not by a lifetime',
             )
-        super().__init__(store, topic, timeout, prefetch)
         self.bus = event_bus_from_url(bus) if isinstance(bus, str) else bus
+        # A one-partition router over the one broker: its owner walk is
+        # what rides out a restart of the broker.
+        super().__init__(
+            store, PartitionRouter(topic, 1, self.bus), timeout, prefetch,
+        )
         self.owned = owned
         self.lifetime = lifetime
         # The claim's cursor is from_seq until it subscribes (None: the
         # head of the topic at that moment).
-        self._claims[topic] = _PartitionClaim(topic, None, from_seq, 0)
+        self._claims[topic] = _PartitionClaim(topic, from_seq, 0)
 
     def __repr__(self) -> str:
         return (
@@ -413,13 +417,10 @@ class StreamConsumer(_DeliveryCore):
         )
 
     def _sync_claims(self) -> bool:
-        """Subscribe the one claim on first read, through a one-partition
-        router whose owner walk rides out a restart of the broker."""
+        """Subscribe the one claim on first read."""
         claim = self._claims[self.topic]
         if claim.subscription is None:
-            claim.subscription = PartitionRouter(self.topic, 1, self.bus).subscribe(
-                self.topic, from_seq=claim.position,
-            )
+            self._open(claim, claim.position)
             claim.read_pos = claim.position = claim.subscription.position
         return False
 

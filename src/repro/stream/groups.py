@@ -40,6 +40,18 @@ keys).  This module turns the bus into a fleet-scale delivery substrate:
   a plain stream is a group of one member with one claim and no
   coordinator.  A group member adds only membership, redelivery and the
   fenced ack on top.
+* **Broker failover** — with ``replicas > 1`` a publish goes to the
+  partition's ring primary, which numbers the events, and is mirrored
+  with those numbers onto the next ring owners (``REPL_PUBLISH``).  A
+  streak of :class:`~repro.exceptions.NodeUnavailableError` marks a
+  broker dead in the router's
+  :class:`~repro.cluster.membership.ClusterMembership`.  When a claim's
+  cursor fails, the core opens a new one *from the old cursor's
+  position* on the next live owner; the numbering is shared, so the
+  resume is exact.  The ring stays static over the full fleet: failover
+  changes which owner serves a partition, never the owner list, so
+  processes with independent failure detectors converge on the same
+  replica.
 
 Delivery guarantees, by construction:
 
@@ -62,7 +74,6 @@ from typing import Sequence
 from typing import TYPE_CHECKING
 
 from repro.cluster.membership import ClusterMembership
-from repro.cluster.membership import DEFAULT_FAILURE_THRESHOLD
 from repro.cluster.ring import HashRing
 from repro.cluster.ring import stable_hash64
 from repro.exceptions import ConnectorError
@@ -82,7 +93,6 @@ from repro.stream.bus import broker_id
 from repro.stream.bus import bus_from_config
 from repro.stream.bus import event_bus_from_url
 from repro.stream.events import StreamEvent
-from repro.stream.failover import FailoverSubscription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from repro.store.store import Store
@@ -162,8 +172,6 @@ class PartitionRouter:
             :class:`~repro.cluster.membership.ClusterMembership`, and
             fails publishes and subscriptions over to the next live owner
             when a broker dies.
-        failure_threshold: consecutive unavailable-failures before a
-            broker is declared dead by this router's failure detector.
 
     Placement hashes each partition topic onto a consistent-hash ring over
     the brokers' stable ids, so adding a broker moves ~``1/N`` of the
@@ -181,7 +189,6 @@ class PartitionRouter:
         brokers: 'Sequence[EventBus | str] | EventBus | str',
         *,
         replicas: int = 1,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
     ) -> None:
         if isinstance(brokers, (str, bytes)) or not isinstance(brokers, Sequence):
             brokers = [brokers]  # type: ignore[list-item]
@@ -210,9 +217,7 @@ class PartitionRouter:
         #: replication is on (with one owner per partition there is no
         #: live replica to fail over to, so detection buys nothing).
         self.membership: ClusterMembership | None = (
-            ClusterMembership(
-                list(self._by_id), failure_threshold=failure_threshold,
-            )
+            ClusterMembership(list(self._by_id))
             if self.replicas > 1
             else None
         )
@@ -272,7 +277,8 @@ class PartitionRouter:
     ) -> None:
         """Fold one broker-operation outcome into the failure detector.
 
-        A streak of ``unavailable`` failures (``failure_threshold``
+        A streak of ``unavailable`` failures
+        (:data:`~repro.cluster.membership.DEFAULT_FAILURE_THRESHOLD`
         consecutive) marks the broker dead, after which
         :meth:`ordered_owners` routes around it.  A no-op when
         replication (and therefore the detector) is off.
@@ -380,16 +386,6 @@ class PartitionRouter:
                 self.record(node, ok=False, error=e)
             else:
                 self.record(node, ok=True)
-
-    def subscribe(self, partition_topic: str, *, from_seq: int | None = None) -> Any:
-        """Subscribe to ``partition_topic`` on its current live owner.
-
-        Returns a :class:`~repro.stream.failover.FailoverSubscription`,
-        which rides out the death of the broker under it by re-subscribing
-        from its cursor on the next live owner — with ``replicas=1`` that
-        is the same broker once it is back.
-        """
-        return FailoverSubscription(self, partition_topic, from_seq=from_seq)
 
     def config(self) -> dict[str, Any]:
         """Return a picklable dict re-creating an equivalent router."""
@@ -576,19 +572,17 @@ class _PartitionClaim:
     subscription, cursor, and un-acked keys."""
 
     __slots__ = (
-        'topic', 'subscription', 'read_pos', 'position', 'acked_through',
-        'redeliver_below', 'unacked', 'ended', 'end_seq', 'lost_seen',
+        'topic', 'broker', 'subscription', 'read_pos', 'position',
+        'acked_through', 'redeliver_below', 'unacked', 'ended', 'end_seq',
+        'lost_seen',
     )
 
-    def __init__(
-        self,
-        topic: str,
-        subscription: Any,
-        committed: Any,
-        watermark: int,
-    ) -> None:
+    def __init__(self, topic: str, committed: Any, watermark: int) -> None:
         self.topic = topic
-        self.subscription = subscription
+        #: Ring node id of the broker the subscription reads from.
+        self.broker: str | None = None
+        #: The claim's cursor (``bus.subscribe``), opened by the core.
+        self.subscription: Any = None
         #: Next sequence number to read from the subscription (dedup guard).
         self.read_pos = committed
         #: Next sequence number to *yield to the caller* — everything the
@@ -606,7 +600,7 @@ class _PartitionClaim:
         self.ended = False
         #: Sequence number of the end-of-stream marker (once delivered).
         self.end_seq: int | None = None
-        #: Subscription lost-count already folded into the consumer's total.
+        #: The cursor's lost-count already folded into the consumer's total.
         self.lost_seen = 0
 
 
@@ -621,6 +615,10 @@ class _DeliveryCore:
     *yielded*, not when it is read: only then does the claim's cursor move
     and (through :meth:`_deliver`) its key join the un-acked ledger.
 
+    Each claim reads one ``bus.subscribe`` cursor, opened by :meth:`_open`
+    and re-opened from its position on the next live owner when a fetch
+    fails; ``lost`` sums across the hops.
+
     A subclass keeps ``_claims`` current in ``_sync_claims()`` (``True``
     when they changed, which restarts the deadline) and may cap one wait
     with ``_poll_slice`` (``None``: the whole remaining timeout).
@@ -631,14 +629,15 @@ class _DeliveryCore:
     def __init__(
         self,
         store: 'Store',
-        topic: str,
+        router: PartitionRouter,
         timeout: float | None,
         prefetch: int,
     ) -> None:
         if prefetch < 0:
             raise ValueError('prefetch must be non-negative')
         self.store = store
-        self.topic = topic
+        self.router = router
+        self.topic = router.topic
         self.timeout = timeout
         self.prefetch = prefetch
         self._claims: dict[str, _PartitionClaim] = {}
@@ -660,6 +659,22 @@ class _DeliveryCore:
             if not event.inline and type(item) is Proxy:
                 resolve_async(item)
 
+    def _open(self, claim: _PartitionClaim, from_seq: int | None) -> None:
+        """Open the claim's cursor at ``from_seq`` on its first live owner.
+
+        The owner walk tries owners alive-first and walks past any broker
+        that refuses the subscription; a lone owner that stays down is
+        backed off (≈ 1 s) before the error is raised.
+        """
+        claim.broker, claim.subscription = self.router.first_live(
+            claim.topic,
+            lambda node: self.router.bus_of(node).subscribe(
+                claim.topic, from_seq=from_seq,
+            ),
+            walk_past=ConnectorError,
+        )
+        claim.lost_seen = 0
+
     def _poll_once(self, wait: float | None) -> None:
         """Read one pass over the open claims into the ready window.
 
@@ -673,7 +688,24 @@ class _DeliveryCore:
         per_claim = None if wait is None else wait / len(claims)
         for offset in range(len(claims)):
             claim = claims[(self._rr + offset) % len(claims)]
-            batch = claim.subscription.next_batch(timeout=per_claim)
+            cursor = claim.subscription
+            try:
+                batch = cursor.next_batch(timeout=per_claim)
+            except ConnectorError as e:
+                # The broker under the cursor failed: count it against
+                # the broker and resume from the cursor on the next live
+                # owner.  Until that succeeds the old cursor stays the
+                # claim's, so the next pass tries again.
+                self.router.record(
+                    claim.broker,  # type: ignore[arg-type]
+                    ok=False,
+                    unavailable=isinstance(e, NodeUnavailableError),
+                    error=e,
+                )
+                self._harvest_lost(claim)
+                self._open(claim, cursor.position)
+                cursor.close()
+                continue
             self._harvest_lost(claim)
             for seq, data in batch:
                 if seq < claim.read_pos:
@@ -855,8 +887,12 @@ class GroupConsumer(_DeliveryCore):
             raise ValueError('session_timeout must be positive')
         from repro.connectors.protocol import new_object_id
 
-        super().__init__(store, topic, timeout, prefetch)
-        self.router = PartitionRouter(topic, partitions, bus, replicas=replicas)
+        super().__init__(
+            store,
+            PartitionRouter(topic, partitions, bus, replicas=replicas),
+            timeout,
+            prefetch,
+        )
         self.group = group
         self.member = member if member is not None else f'member-{new_object_id()}'
         self.session_timeout = session_timeout
@@ -1005,12 +1041,9 @@ class GroupConsumer(_DeliveryCore):
                 entry = offsets.get(topic, {})
                 committed = int(entry.get('committed', 0))
                 watermark = int(entry.get('watermark', 0))
-                subscription = self.router.subscribe(
-                    topic, from_seq=committed,
-                )
-                self._claims[topic] = _PartitionClaim(
-                    topic, subscription, committed, watermark,
-                )
+                claim = _PartitionClaim(topic, committed, watermark)
+                self._open(claim, committed)
+                self._claims[topic] = claim
         self._synced_generation = view['generation']
         return True
 

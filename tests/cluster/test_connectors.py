@@ -52,8 +52,8 @@ def test_dim_connector_cluster_config_round_trips():
         clone = ZMQConnector(**pickle.loads(pickle.dumps(config)))
         try:
             # The clone computes identical placement: deterministic ring.
-            ring_a = conn._client.ring
-            ring_b = clone._client.ring
+            ring_a = conn._client.cluster.membership.ring
+            ring_b = clone._client.cluster.membership.ring
             assert ring_a == ring_b
             assert all(
                 ring_a.owners(f'k{i}', 2) == ring_b.owners(f'k{i}', 2)
@@ -247,7 +247,7 @@ def _margo_family():
     return SimpleNamespace(
         connector=connector, field='peers', ids=ids,
         join=connector.join_peer, leave=connector.leave_peer,
-        ring=lambda c: c._client.ring, stop=lambda: None,
+        ring=lambda c: c._client.cluster.membership.ring, stop=lambda: None,
     )
 
 

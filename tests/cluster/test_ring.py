@@ -10,7 +10,6 @@ import pytest
 
 from repro.cluster import DEFAULT_VNODES
 from repro.cluster import HashRing
-from repro.cluster import LegacyRing
 from repro.cluster import placement_delta
 
 NODES = ['alpha', 'bravo', 'charlie', 'delta']
@@ -131,15 +130,3 @@ def test_load_spread_is_reasonably_even():
 def test_vnodes_validation():
     with pytest.raises(ValueError):
         HashRing(NODES, vnodes=0)
-
-
-def test_legacy_ring_pins_everything_to_one_node():
-    ring = LegacyRing('solo')
-    assert ring.nodes == ('solo',)
-    assert len(ring) == 1
-    assert 'solo' in ring and 'other' not in ring
-    for key in KEYS[:10]:
-        assert ring.owners(key, 3) == ('solo',)
-        assert ring.primary(key) == 'solo'
-    assert ring == LegacyRing('solo')
-    assert ring != LegacyRing('other')

@@ -103,6 +103,7 @@ TRANSCRIPT = [
 
 FETCH_BOUNDS = 'FETCH since and max_events must be ints >= 0'
 FETCH_WAIT = 'FETCH wait must be seconds in [0, 60.0]'
+REPL_SEQ = 'REPL_PUBLISH seq must be an int >= 0'
 
 REJECTED = [
     ('GROUP_JOIN', {'member': ''}, 'GROUP_JOIN requires a member id'),
@@ -127,6 +128,9 @@ REJECTED = [
     ('FETCH', {'since': 0, 'wait': float('inf')}, FETCH_WAIT),
     ('FETCH', {'since': 0, 'wait': float('nan')}, FETCH_WAIT),
     ('FETCH', {'since': 0, 'wait': '1'}, FETCH_WAIT),
+    ('REPL_PUBLISH', [(-3, b'x')], REPL_SEQ),
+    ('REPL_PUBLISH', [(2.7, b'x')], REPL_SEQ),
+    ('REPL_PUBLISH', [('x', b'x')], REPL_SEQ),
 ]
 
 

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+import repro
 from repro.kvserver.server import KVServer
 from repro.stream import KVEventBus
 from repro.stream import LocalEventBus
@@ -58,3 +59,13 @@ def make_bus(request, kv_server):
 def topic():
     """A topic name unique to the test (topics outlive bus handles)."""
     return f'topic-{next(_COUNTER)}'
+
+
+@pytest.fixture()
+def stream_store():
+    """A local store per test, cleared on teardown."""
+    store = repro.store_from_url(
+        f'local:///stream-test-store-{next(_COUNTER)}',
+    )
+    yield store
+    store.close(clear=True)

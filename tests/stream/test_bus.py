@@ -15,9 +15,10 @@ import pytest
 from repro.exceptions import NodeUnavailableError
 from repro.kvserver import KVServer
 from repro.stream import KVEventBus
+from repro.stream import StreamConsumer
+from repro.stream import StreamProducer
 from repro.stream import event_bus_from_url
 from repro.stream.bus import LocalEventBus
-from repro.stream.groups import PartitionRouter
 
 
 def test_publish_assigns_monotonic_seqs(make_bus, topic):
@@ -250,26 +251,27 @@ def test_kv_slow_consumer_backpressure(make_bus, topic):
     sub.close()
 
 
-def test_kv_subscription_survives_reconnect(make_bus, topic):
+def test_kv_subscription_survives_reconnect(make_bus, topic, stream_store):
     if make_bus.transport != 'kv':
         pytest.skip('pooled client connections are KV-transport behavior')
     bus = make_bus()
-    # Through the one-owner router, as the stream consumers subscribe.
-    sub = PartitionRouter(topic, 1, bus).subscribe(topic)
-    bus.publish(topic, b'before')
-    assert [bytes(d) for _, d in sub.next_batch(timeout=5.0)] == [b'before']
-    # Kill every pooled connection out from under the subscription.
+    producer = StreamProducer(stream_store, bus, topic, policy='inline')
+    consumer = StreamConsumer(
+        stream_store, bus, topic, from_seq=0, timeout=10.0,
+    )
+    items = iter(consumer)
+    producer.send('before')
+    assert next(items) == 'before'
+    cursor = consumer._claims[topic].subscription
+    # Kill every pooled connection out from under the consumer's cursor.
     for connection in bus.client._pool:
         connection.sock.shutdown(socket.SHUT_RDWR)
-    bus.publish(topic, b'after')
-    received = []
-    deadline = time.monotonic() + 10.0
-    while not received and time.monotonic() < deadline:
-        received = sub.next_batch(timeout=1.0)
-    assert [bytes(d) for _, d in received] == [b'after']
+    producer.send('after')
+    assert next(items) == 'after'
     # The client's stale-connection retry rode it out: no owner walk.
-    assert sub.failovers == 0 and sub.lost == 0
-    sub.close()
+    assert consumer._claims[topic].subscription is cursor
+    assert consumer.lost == 0
+    consumer.close()
 
 
 def test_raw_kv_subscription_reports_a_dead_connection(make_bus, topic):
@@ -288,25 +290,29 @@ def test_raw_kv_subscription_reports_a_dead_connection(make_bus, topic):
 
 @pytest.mark.timeout(60)
 def test_routed_subscription_on_a_dead_lone_broker_backs_off_then_raises(
-    make_bus, topic,
+    make_bus, topic, stream_store,
 ):
     """A lone owner that stays down: re-subscribing from the cursor must
-    reach the broker, so the router's owner walk backs off (≈ 1 s) and
-    ``next_batch`` raises instead of failing over in a busy loop."""
+    reach the broker, so the consumer's owner walk backs off (≈ 1 s) and
+    iteration raises instead of failing over in a busy loop."""
     if make_bus.transport != 'kv':
         pytest.skip('a stopped SimKV server is KV-transport behavior')
     server = KVServer()
     server.start()
     bus = KVEventBus(server.host, server.port)
-    sub = PartitionRouter(topic, 1, bus).subscribe(topic)
+    producer = StreamProducer(stream_store, bus, topic, policy='inline')
+    consumer = StreamConsumer(
+        stream_store, bus, topic, from_seq=0, timeout=None,
+    )
+    items = iter(consumer)
+    producer.send('before')
+    assert next(items) == 'before'
     server.stop()
     started = time.monotonic()
     with pytest.raises(NodeUnavailableError):
-        while time.monotonic() - started < 10.0:
-            sub.next_batch(timeout=None)
+        next(items)
     assert 0.3 < time.monotonic() - started < 5.0  # backed off, then raised
-    assert sub.failovers == 1
-    sub.close()
+    consumer.close()
     bus.close()
 
 

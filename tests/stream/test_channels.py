@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.exceptions import NodeUnavailableError
 from repro.exceptions import StoreError
 from repro.exceptions import StoreKeyError
 from repro.exceptions import UseAfterFreeError
@@ -21,19 +22,6 @@ from repro.store import ContextLifetime
 from repro.store.factory import StoreFactory
 from repro.stream import StreamConsumer
 from repro.stream import StreamProducer
-
-_STORE_COUNTER = iter(range(10**6))
-
-
-@pytest.fixture()
-def stream_store():
-    """A local store per test, cleared on teardown."""
-    store = repro.store_from_url(
-        f'local:///stream-test-store-{next(_STORE_COUNTER)}',
-    )
-    yield store
-    store.close(clear=True)
-
 
 def _channel(stream_store, make_bus, topic, **consumer_kwargs):
     bus = make_bus()
@@ -168,6 +156,31 @@ def test_consumer_catches_up_from_retention(stream_store, make_bus, topic):
     assert items == [13, 14, 15, 16]
     assert consumer.lost == 13
     assert consumer.delivered == 4
+
+
+def test_lost_sums_across_a_cursor_failover(stream_store, make_bus, topic):
+    """A cursor whose broker fails is re-opened from its position, and
+    what each cursor lost adds up in the consumer's ``lost``."""
+    bus = make_bus()
+    bus.configure_topic(topic, retention=4)
+    producer = StreamProducer(stream_store, bus, topic, policy='inline')
+    producer.send_batch(list(range(10)))  # 0..5 age out
+    consumer = StreamConsumer(
+        stream_store, bus, topic, from_seq=0, timeout=10.0,
+    )
+    items = iter(consumer)
+    assert [next(items) for _ in range(4)] == [6, 7, 8, 9]
+    cursor = consumer._claims[topic].subscription
+
+    def broker_died(timeout=None):
+        raise NodeUnavailableError('broker gone')
+
+    cursor.next_batch = broker_died
+    producer.send_batch(list(range(10, 20)))  # 10..15 age out
+    assert [next(items) for _ in range(4)] == [16, 17, 18, 19]
+    assert consumer._claims[topic].subscription is not cursor
+    assert consumer.lost == 6 + 6
+    consumer.close()
 
 
 def test_consumer_timeout_raises(stream_store, make_bus, topic):

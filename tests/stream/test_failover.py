@@ -19,11 +19,14 @@ from repro.kvserver.client import KVClient
 from repro.kvserver.server import KVServer
 from repro.stream import GroupConsumer
 from repro.stream import StreamProducer
-from repro.stream.failover import FailoverSubscription
 from repro.stream.groups import GroupCoordinator
 from repro.stream.groups import PartitionRouter
+from repro.stream.groups import partition_for
 
 _STORE_COUNTER = iter(range(10**6))
+
+#: Partition key the subscriber-failover test publishes under.
+KEY = 'failover-key'
 
 
 @pytest.fixture()
@@ -124,7 +127,7 @@ def test_publish_fails_over_when_primary_dies(fleet):
 # Subscriber failover
 # --------------------------------------------------------------------------- #
 @pytest.mark.timeout(120)
-def test_subscription_fails_over_and_resumes_from_cursor(fleet, monkeypatch):
+def test_subscription_fails_over_and_resumes_from_cursor(fleet, store, monkeypatch):
     backoff_sleeps = []
 
     def counting_sleep(seconds):
@@ -134,38 +137,51 @@ def test_subscription_fails_over_and_resumes_from_cursor(fleet, monkeypatch):
     monkeypatch.setattr(
         'repro.faults.retry.time', types.SimpleNamespace(sleep=counting_sleep),
     )
-    router = PartitionRouter('sub-topic', 2, _urls(fleet), replicas=2)
+    urls = _urls(fleet)
+    router = PartitionRouter('sub-topic', 2, urls, replicas=2)
+    topic = router.topics[partition_for(KEY, 2)]
+    victim = router.owners(topic)[0]
+    # A group whose acting coordinator is not the victim, so the member
+    # keeps its claims and only the partition's cursor fails over.
+    group = next(
+        name for name in (f'sub-group-{i}' for i in range(1000))
+        if GroupCoordinator(name, router).designated_broker != victim
+    )
+    router.close()
+    producer = StreamProducer(
+        store, urls, 'sub-topic', policy='inline', partitions=2, replicas=2,
+    )
+    consumer = GroupConsumer(
+        store, urls, 'sub-topic',
+        group=group, partitions=2, replicas=2, timeout=30.0,
+    )
     try:
-        topic = router.topics[0]
-        router.publish_batch(topic, [b'e0', b'e1', b'e2'])
-        subscription = router.subscribe(topic, from_seq=0)
-        assert isinstance(subscription, FailoverSubscription)
-        got = []
-        deadline = time.monotonic() + 30.0
-        while len(got) < 3 and time.monotonic() < deadline:
-            got.extend(subscription.next_batch(timeout=1.0))
-        assert [seq for seq, _ in got] == [0, 1, 2]
+        for i in range(3):
+            producer.send(f'e{i}', partition_key=KEY)
+        events = consumer.events()
+        got = [next(events) for _ in range(3)]
+        claim = consumer._claims[topic]
+        assert claim.broker == victim
 
-        victim = subscription.broker
         _server_of(fleet, victim).stop()
         stopped = time.monotonic()
         backoff_sleeps.clear()
-        router.publish_batch(topic, [b'e3', b'e4'])
+        for i in range(3, 5):
+            producer.send(f'e{i}', partition_key=KEY)
+        got += [next(events) for _ in range(2)]
 
-        deadline = time.monotonic() + 30.0
-        while len(got) < 5 and time.monotonic() < deadline:
-            got.extend(subscription.next_batch(timeout=1.0))
-        assert [seq for seq, _ in got] == [0, 1, 2, 3, 4]
+        assert [event.seq for event, _ in got] == [0, 1, 2, 3, 4]
+        assert [item for _, item in got] == [f'e{i}' for i in range(5)]
         # With a live replica the owner walk is the only reconnect loop and
         # it never backs off: the dead owner costs one refused connect.
         assert backoff_sleeps == []
         assert time.monotonic() - stopped < 0.5
-        assert subscription.failovers >= 1
-        assert subscription.broker != victim
-        assert subscription.lost == 0
-        subscription.close()
+        assert claim.broker != victim
+        assert consumer._claims[topic] is claim  # no rejoin: a cursor hop
+        assert consumer.lost == 0
     finally:
-        router.close()
+        consumer.close()
+        producer.close(end=False)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,79 +1,85 @@
 """Subscriber reconnect-resume: a broker restart must not lose the gap.
 
-The satellite scenario for broker failover: a subscriber's ``FETCH``
-fails when its broker goes down; the broker comes back on the *same*
-port (here: a fresh server process whose ring is repopulated at the
-original sequence numbers, exactly what ``REPL_PUBLISH`` mirroring
-produces); the one-owner router's walk opens a cursor at the old
-position and its first ``FETCH`` delivers the missed events exactly once.
+The satellite scenario for broker failover: a consumer's ``FETCH`` fails
+when its broker goes down; the broker comes back on the *same* port (here:
+a fresh server whose ring is repopulated at the original sequence numbers,
+exactly what ``REPL_PUBLISH`` mirroring produces); the consumer's owner
+walk rides out the restart, opens a cursor at the old position, and its
+first ``FETCH`` delivers the missed events exactly once.
 """
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
 from repro.kvserver.client import KVClient
 from repro.kvserver.server import KVServer
-from repro.stream.groups import PartitionRouter
+from repro.stream import StreamConsumer
+from repro.stream import StreamProducer
 
 TOPIC = 'reconnect-topic'
 
 
-def _collect(subscription, count, deadline_s=30.0):
-    """Drain ``count`` events from ``subscription`` (bounded wait)."""
-    deadline = time.monotonic() + deadline_s
-    events = []
-    while len(events) < count:
-        assert time.monotonic() < deadline, (
-            f'only {len(events)}/{count} events before deadline'
-        )
-        events.extend(subscription.next_batch(timeout=1.0))
-    return events
-
-
 @pytest.mark.timeout(120)
-def test_restarted_broker_backfills_cursor_gap_exactly_once():
+def test_restarted_broker_backfills_cursor_gap_exactly_once(stream_store):
     from repro.stream.kv import KVEventBus
 
     server = KVServer()
     host, port = server.start()
 
     bus = KVEventBus(host, port)
-    payloads = [f'event-{i}'.encode() for i in range(10)]
-    for payload in payloads[:5]:
-        bus.publish(TOPIC, payload)
+    producer = StreamProducer(stream_store, bus, TOPIC, policy='inline')
+    consumer = StreamConsumer(stream_store, bus, TOPIC, from_seq=0, timeout=30.0)
+    items = [f'event-{i}' for i in range(10)]
+    for item in items[:5]:
+        producer.send(item)
+    events = consumer.events()
+    first = [next(events) for _ in range(5)]
+    assert [event.seq for event, _ in first] == [0, 1, 2, 3, 4]
 
-    subscription = PartitionRouter(TOPIC, 1, bus).subscribe(TOPIC, from_seq=0)
-    first = _collect(subscription, 5)
-    assert [seq for seq, _ in first] == [0, 1, 2, 3, 4]
-    assert subscription.position == 5
+    # Published while the consumer is not reading, so its cursor stays
+    # at 5; the broker holds the gap when it dies.
+    for item in items[5:]:
+        producer.send(item)
+    with KVClient(host, port) as client:
+        gap_events = [
+            (seq, bytes(data))
+            for seq, data in client.fetch_events(TOPIC, since=5)['events']
+        ]
+    assert [seq for seq, _ in gap_events] == [5, 6, 7, 8, 9]
 
-    # The broker dies and restarts on the same port.  Its replacement's
-    # ring is repopulated at the ORIGINAL sequence numbers — the same
-    # explicit-seq REPL_PUBLISH path replicas use to mirror a primary.
+    # The broker dies and restarts on the same port while the consumer
+    # reads.  The replacement's ring is repopulated at the ORIGINAL
+    # sequence numbers — the same explicit-seq REPL_PUBLISH path replicas
+    # use to mirror a primary.
+    cursor = consumer._claims[TOPIC].subscription
     server.stop()
     restarted = KVServer(host, port)
-    restarted.start()
-    try:
-        mirror = KVClient(host, port)
-        mirror.repl_publish(
-            TOPIC,
-            [(seq, payloads[seq]) for seq in range(5, 10)],
-        )
-        mirror.close()
 
-        # The subscription reports the dead connection, the owner walk
-        # re-subscribes, and the new cursor's first FETCH returns 5..9.
-        gap = _collect(subscription, 5)
-        assert [seq for seq, _ in gap] == [5, 6, 7, 8, 9]
-        assert [bytes(data) for _seq, data in gap] == payloads[5:]
-        assert subscription.position == 10
-        assert subscription.lost == 0
+    def restart():
+        time.sleep(0.2)
+        restarted.start()
+        with KVClient(host, port) as mirror:
+            mirror.repl_publish(TOPIC, gap_events)
+
+    thread = threading.Thread(target=restart)
+    thread.start()
+    try:
+        # The cursor's FETCH fails, the owner walk backs off until the
+        # broker is back and opens a cursor at 5, whose FETCH returns 5..9.
+        gap = [next(events) for _ in range(5)]
+        assert consumer._claims[TOPIC].subscription is not cursor
+        assert [event.seq for event, _ in gap] == [5, 6, 7, 8, 9]
+        assert [item for _, item in gap] == items[5:]
+        assert consumer.lost == 0
         # Exactly once: no event delivered twice across the restart.
-        all_seqs = [seq for seq, _ in first + gap]
+        all_seqs = [event.seq for event, _ in first + gap]
         assert len(all_seqs) == len(set(all_seqs)) == 10
+        assert consumer.delivered == 10
     finally:
-        subscription.close()
+        thread.join()
+        consumer.close()
         bus.close()
         restarted.stop()

@@ -180,8 +180,7 @@ def test_one_module_opens_client_sockets_and_two_read_frames():
 
 def test_one_way_to_read_a_topic():
     """A topic is read by long-polling ``FETCH`` only: no server push, no
-    client reader thread, and one cursor class (plus the failover wrapper
-    around it) in ``repro.stream``."""
+    client reader thread, and one cursor class in ``repro.stream``."""
     library = REPO / 'src' / 'repro'
     assert 'threading.Thread' not in _calls(library / 'kvserver' / 'client.py')
     pushes = []
@@ -202,7 +201,7 @@ def test_one_way_to_read_a_topic():
             for item in node.body
         )
     )
-    assert readers == ['bus.py:Subscription', 'failover.py:FailoverSubscription']
+    assert readers == ['bus.py:Subscription']
 
 
 # --------------------------------------------------------------------------- #
