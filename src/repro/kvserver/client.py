@@ -18,9 +18,12 @@ wire's capability.  This client removes that serialization:
   deliver; a leader that leaves wakes one remaining waiter to take over.
   A lone requester therefore does ``sendmsg``, ``recv``, done — no
   context switch inside the client.  What it pays around those two calls
-  is kept small too: its waiter is a bare pre-acquired lock (not a
-  ``threading.Event``), the pool slot comes from a lock-free counter, and
-  a frame of at most ``IOV_MAX`` segments is one ``sendmsg``.  The
+  is kept small too: it finds the receive role free and takes it before
+  it sends, so it reads its own reply and needs no waiter; the only other
+  lock it takes is the send lock; request id and pool slot come from
+  lock-free counters; and a frame of at most ``IOV_MAX`` segments is one
+  ``sendmsg``.  A requester that finds the role taken waits on a bare
+  pre-acquired lock (not a ``threading.Event``).  The
   server sends nothing but replies, so nothing needs a reader thread: a
   stream subscriber's long-polling ``FETCH`` (:mod:`repro.stream.kv`) is
   one more request on a pooled connection.
@@ -64,7 +67,7 @@ from repro.kvserver.broker import GroupCommands
 from repro.kvserver.protocol import READ_AHEAD_BYTES
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import UNKNOWN_MEMBER
-from repro.kvserver.protocol import encode_message
+from repro.kvserver.protocol import _encode_frame
 from repro.serialize.buffers import IOV_MAX
 from repro.serialize.buffers import SerializedObject
 from repro.serialize.buffers import payload_nbytes
@@ -93,6 +96,8 @@ def _wrap_value(data: 'bytes | bytearray | memoryview | SerializedObject') -> li
     buffer here saves every later reader the cost of several.  A larger
     payload goes out segment by segment, never joined.
     """
+    if isinstance(data, (bytes, bytearray)):
+        return [pickle.PickleBuffer(data)] if data else []  # one flat buffer
     segments = segments_of(data)
     if len(segments) > 1 and payload_nbytes(data) < READ_AHEAD_BYTES:
         segments = [b''.join(segments)]
@@ -114,7 +119,7 @@ class _StaleConnectionError(NodeUnavailableError):
 
 
 class _Pending:
-    """A waiter for one in-flight request.
+    """A waiter for one in-flight request sent while another thread led.
 
     Its wake-up is a bare lock the waiter holds from birth (a fraction of
     the cost of a ``threading.Event`` and the ``Condition`` inside it):
@@ -175,12 +180,16 @@ class _Connection:
                 pass
         self._send_lock = threading.Lock()
         #: The receive role: held by the requester that is reading the
-        #: socket.  Taken before ``_state_lock``, never the other way.
+        #: socket.  Taken before ``_state_lock`` and ``_send_lock``, never
+        #: the other way.
         self._read_lock = threading.Lock()
         self._decoder = StreamDecoder()
         self._state_lock = threading.Lock()
+        #: Waiters of the requests sent while another thread held the
+        #: receive role, by request id.
         self._pending: dict[int, _Pending] = {}
-        self._next_id = 0
+        # next() on a count is atomic under the GIL: no lock for an id.
+        self._ids = itertools.count()
         self.dead = False
         self.dead_error: Exception | None = None
         #: Monotonic timestamp of the last bytes received — a large response
@@ -192,53 +201,58 @@ class _Connection:
     def _touch(self, _nbytes: int) -> None:
         self.last_activity = time.monotonic()
 
-    def _receive_until(self, own: _Pending) -> None:
-        """Dispatch incoming frames until ``own`` has its answer.
+    def _receive_until(self, request_id: int) -> 'tuple[Any, Any] | None':
+        """Dispatch incoming frames until the reply to ``request_id``; return it.
 
-        Run by whoever holds the receive role (the leader), which also
-        returns when a receive times out, for :meth:`request` to judge.
+        Run by whoever holds the receive role (the leader).  Returns
+        ``None`` when a receive saw no byte for a whole timeout, for
+        :meth:`request` to judge, or when the connection failed
+        (:meth:`_fail` has run).  ``last_activity`` moves once per frame,
+        and on every receive of a frame that needs several.
         """
-        while own.result is None and own.error is None:
+        while True:
             try:
-                message = self._decoder.read_message(self.sock, on_bytes=self._touch)
+                message = self._decoder.read_message(self.sock, self._touch)
             except BlockingIOError:
-                return  # SO_RCVTIMEO: no byte for a whole timeout
+                return None  # SO_RCVTIMEO: no byte for a whole timeout
             # repro: ignore[RP004] - not swallowed: _fail() delivers the
             # error to every waiter and poisons the connection
             except Exception as e:  # noqa: BLE001 - any failure kills the conn
                 self._fail(e)
-                return
+                return None
             if message is None:
                 self._fail(ConnectionError('SimKV server closed the connection'))
-                return
+                return None
+            self.last_activity = time.monotonic()
             try:
-                request_id, status, payload = message
+                replied_to, status, payload = message
             except (TypeError, ValueError):
                 self._fail(ConnectorError(f'malformed SimKV response: {message!r}'))
-                return
+                return None
+            if replied_to == request_id:
+                return status, payload
             with self._state_lock:
-                pending = self._pending.pop(request_id, None)
+                pending = self._pending.pop(replied_to, None)
             if pending is not None:
                 pending.result = (status, payload)
-                if pending is not own:
-                    pending.wake()
+                pending.wake()
 
     def _hand_on(self, leaving: '_Pending | None' = None) -> None:
         """Wake one waiter (not ``leaving``) to try for the receive role.
 
-        The unlocked peek at ``_pending`` cannot miss anyone: a waiter
-        registers before it sends, hence before it first tries
-        ``_read_lock``, so one that registers after the peek finds the
-        role free by itself.
+        Called after the role is released, whenever ``_pending`` is not
+        empty.  That unlocked peek cannot miss anyone: a waiter registers
+        before it sends, hence before it tries ``_read_lock`` after its
+        send, so one that registers after the peek finds the role free by
+        itself.
         """
-        if self._pending:
-            with self._state_lock:
-                successor = next(
-                    (w for w in self._pending.values() if w is not leaving),
-                    None,
-                )
-            if successor is not None:
-                successor.wake()
+        with self._state_lock:
+            successor = next(
+                (w for w in self._pending.values() if w is not leaving),
+                None,
+            )
+        if successor is not None:
+            successor.wake()
 
     def _fail(self, error: Exception) -> None:
         """Mark the connection dead and wake every in-flight waiter."""
@@ -272,10 +286,12 @@ class _Connection:
     def request(self, message_tail: tuple, timeout: float | None) -> tuple[Any, Any]:
         """Issue one request and wait for its response.
 
-        After the send the thread takes the receive role if it is free and
-        reads the socket itself until its own response arrives (handing
-        the others to their waiters); otherwise it waits for whoever holds
-        the role to deliver — or to leave and wake it to take over.
+        A thread that finds the receive role free takes it *before* its
+        send: it reads its own reply, so it needs no waiter, and pays one
+        more lock (``_send_lock``) than the bare syscalls; any other reply
+        it reads goes to that request's waiter.  A thread that finds the
+        role taken registers a waiter, sends, and follows
+        (:meth:`_follow`).
 
         ``timeout`` bounds *inactivity*, not total duration: as long as the
         connection keeps receiving bytes (a large response streaming in, or
@@ -285,46 +301,75 @@ class _Connection:
         Raises ``_StaleConnectionError`` when the connection died (before,
         during, or after the send) — the caller may retry on a fresh one.
         """
-        waiter = _Pending()
-        with self._state_lock:
-            if self.dead:
-                raise _StaleConnectionError(self.dead_error)
-            request_id = self._next_id
-            self._next_id += 1
-            self._pending[request_id] = waiter
+        request_id = next(self._ids)
         # Pickle outside the send lock so concurrent senders only serialize
         # on the actual socket write.
-        segments = encode_message((request_id, *message_tail))
+        segments, size = _encode_frame((request_id, *message_tail))
+        leading = self._read_lock.acquire(False)
+        if not leading:
+            waiter = _Pending()
+            with self._state_lock:
+                if self.dead:
+                    raise _StaleConnectionError(self.dead_error)
+                self._pending[request_id] = waiter
         try:
             with self._send_lock:
                 # One sendmsg for the whole frame; only after a partial
                 # send (or past IOV_MAX segments) does the rest go through
                 # the loop — still the caller's memory, never joined.
-                rest = (
-                    segments if len(segments) > IOV_MAX
-                    else unsent(segments, self.sock.sendmsg(segments))
-                )
-                if rest:
-                    vectored_write(self.sock.sendmsg, rest)
+                sent = self.sock.sendmsg(segments) if len(segments) <= IOV_MAX else 0
+                if sent != size:
+                    vectored_write(self.sock.sendmsg, unsent(segments, sent))
         except OSError as e:
             # Drop the frame's reference to the wire segments before the
             # exception (whose traceback pins this frame) escapes: their
             # memoryviews hold pickle buffer exports, and an exported view
             # caught in a GC cycle crashes the collector's tp_clear.
             del segments
-            with self._state_lock:
-                self._pending.pop(request_id, None)
-            self._fail(e)
+            if leading:
+                self._read_lock.release()
+            self._fail(e)  # wakes every waiter, this one's included
             raise _StaleConnectionError(e) from e
+        if not leading:
+            return self._follow(request_id, waiter, timeout)
+        try:
+            reply = self._receive_until(request_id)
+        finally:
+            self._read_lock.release()
+            if self._pending:
+                self._hand_on()
+        if reply is None:
+            if self.dead:
+                raise _StaleConnectionError(self.dead_error)
+            # Only this thread read the socket since the send, and its
+            # receive saw no byte for a whole timeout: idle that long.
+            raise self._timed_out(timeout)
+        return reply
+
+    def _follow(
+        self, request_id: int, waiter: _Pending, timeout: float | None,
+    ) -> tuple[Any, Any]:
+        """Wait for the reply to a request sent while another thread led.
+
+        Whoever holds the receive role hands the reply to ``waiter``.
+        Woken without one (the leader left), the thread takes the role
+        itself if it is free.
+        """
         sent_at = time.monotonic()
         remaining = timeout  # the first pass: nothing has been idle yet
         while True:
             if self._read_lock.acquire(blocking=False):
                 try:
-                    self._receive_until(waiter)
+                    if waiter.result is None and waiter.error is None:
+                        reply = self._receive_until(request_id)
+                        if reply is not None:
+                            waiter.result = reply
+                            with self._state_lock:
+                                self._pending.pop(request_id, None)
                 finally:
                     self._read_lock.release()
-                    self._hand_on(waiter)
+                    if self._pending:
+                        self._hand_on(waiter)
             else:
                 waiter.wait(remaining)
             if waiter.result is not None or waiter.error is not None:
@@ -335,15 +380,19 @@ class _Connection:
                 if remaining <= 0:
                     with self._state_lock:
                         self._pending.pop(request_id, None)
-                    self._hand_on()  # this thread may be the one woken to lead
-                    raise ConnectorError(
-                        f'SimKV request timed out after {timeout}s of '
-                        'connection inactivity',
-                    )
+                    if self._pending:
+                        self._hand_on()  # this thread may be the one woken to lead
+                    raise self._timed_out(timeout)
         if waiter.error is not None:
             raise _StaleConnectionError(waiter.error)
         assert waiter.result is not None
         return waiter.result
+
+    @staticmethod
+    def _timed_out(timeout: float | None) -> ConnectorError:
+        return ConnectorError(
+            f'SimKV request timed out after {timeout}s of connection inactivity',
+        )
 
     def close(self) -> None:
         """Fail the connection, waking every waiter (idempotent)."""

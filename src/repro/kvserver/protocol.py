@@ -36,7 +36,10 @@ receive is reported again), and
 :meth:`StreamDecoder.read_message` blocks for one frame on whichever client
 thread holds the connection's receive role (see
 :mod:`repro.kvserver.client`).  A decoder belongs to one socket for that
-socket's life.
+socket's life.  A frame that lies wholly in the read-ahead is decoded in
+one step, with one :func:`_check_frame`; the sender gets the frame's length
+with its segments (:func:`_encode_frame`), so a ``sendmsg`` that wrote it
+all needs no further look at them.
 """
 from __future__ import annotations
 
@@ -65,7 +68,11 @@ __all__ = [
 UNKNOWN_MEMBER = 'unknown member'
 
 _HEADER = struct.Struct('>II')
+_HEADER_SIZE = _HEADER.size
+#: The header of a frame with one buffer, its length included.
+_HEADER_1 = struct.Struct('>IIQ')
 _U64 = struct.Struct('>Q')
+_U64_SIZE = _U64.size
 
 #: Defensive bound on one frame (pickle stream + out-of-band buffers).
 #: Real payloads are far smaller; without it a corrupt or desynchronized
@@ -110,28 +117,43 @@ def _check_frame(pickle_len: int, n_buffers: int, buffer_bytes: int = 0) -> None
         )
 
 
-def encode_message(message: Any) -> list[memoryview]:
-    """Pickle ``message`` (buffers out-of-band) into wire-order segments.
+def _encode_frame(message: Any) -> tuple[list, int]:
+    """Pickle ``message`` (buffers out-of-band): wire-order segments and their size.
 
     ``PickleBuffer``-wrapped segments inside ``message`` are *aliased*, not
     copied: the returned list holds views over the caller's memory, ready
-    for one scatter/gather send (or an event loop's outgoing queue).
+    for one scatter/gather send (or an event loop's outgoing queue).  The
+    size is the frame's length in bytes, so a sender can tell a complete
+    send from a partial one without walking the segments.
     """
     pickle_buffers: list[pickle.PickleBuffer] = []
     payload = pickle.dumps(
         message, protocol=5, buffer_callback=pickle_buffers.append,
     )
+    pickle_len = len(payload)
+    if not pickle_buffers:
+        return [_HEADER.pack(pickle_len, 0), payload], _HEADER_SIZE + pickle_len
     # Out-of-band buffers come from segments_of()/PickleBuffer wrapping of
     # flat byte views, so raw() cannot fail with BufferError here (pickle
     # itself rejects non-contiguous PickleBuffers even in-band).
+    if len(pickle_buffers) == 1:
+        raw = pickle_buffers[0].raw()
+        return (
+            [_HEADER_1.pack(pickle_len, 1, raw.nbytes), payload, raw],
+            _HEADER_1.size + pickle_len + raw.nbytes,
+        )
     raws = [b.raw() for b in pickle_buffers]
-    header = b''.join(
-        [
-            _HEADER.pack(len(payload), len(raws)),
-            *(_U64.pack(r.nbytes) for r in raws),
-        ],
-    )
-    return [memoryview(header), memoryview(payload), *raws]
+    lengths = [r.nbytes for r in raws]
+    header = struct.pack(f'>II{len(lengths)}Q', pickle_len, len(lengths), *lengths)
+    return [header, payload, *raws], len(header) + pickle_len + sum(lengths)
+
+
+def encode_message(message: Any) -> list:
+    """Pickle ``message`` (buffers out-of-band) into wire-order segments.
+
+    The segments of :func:`_encode_frame`, without the frame's length.
+    """
+    return _encode_frame(message)[0]
 
 
 def send_message(sock: socket.socket, message: Any) -> None:
@@ -161,14 +183,15 @@ class StreamDecoder:
     Every receive lands in one fixed scratch buffer of
     :data:`READ_AHEAD_BYTES`, so a single ``recv_into`` brings a whole small
     frame — and any pipelined frames behind it.  A frame that lies wholly
-    in the scratch is decoded in one step.  Otherwise its sections (header,
-    buffer-length table, pickle bytes, each out-of-band buffer) are filled
-    from the scratch, one allocation per section, no join; a section that
-    still misses at least a scratch-full is received straight into its own
-    memory (see :func:`_section_buffer`), so the body of a bulk payload is
-    never copied nor zero-filled.  Decoding
-    is restartable at any byte boundary, so a single event-loop thread can
-    interleave many connections.
+    in the scratch is decoded in one step, with one :func:`_check_frame`.
+    Otherwise its sections (header, buffer-length table, pickle bytes, each
+    out-of-band buffer) are filled from the scratch, one allocation per
+    section, no join; a section that still misses at least a scratch-full
+    is received straight into its own memory (see :func:`_section_buffer`),
+    so the body of a bulk payload is never copied nor zero-filled.  Those
+    are the only two ways a frame is decoded.  Decoding is restartable at
+    any byte boundary, so a single event-loop thread can interleave many
+    connections.
 
     A decoder owns its socket's read-ahead: keep **one decoder per socket**
     for the socket's whole life.  A throwaway ``StreamDecoder()`` per frame
@@ -185,19 +208,17 @@ class StreamDecoder:
         #: Received bytes not yet decoded are ``_scratch[_start:_end]``.
         self._scratch = memoryview(bytearray(READ_AHEAD_BYTES))
         self._start = self._end = 0
-        self._reset()
-
-    def _reset(self) -> None:
+        #: The section being filled; ``None`` between frames.
+        self._target: memoryview | None = None
         self._stage = _STAGE_HEADER
-        self._target = memoryview(bytearray(_HEADER.size))
         self._filled = 0
         self._pickle: bytearray | memoryview | None = None
         self._buffers: list[bytearray | memoryview] = []
         self._buffer_index = 0
 
-    def _begin(self, stage: int, size: int) -> None:
+    def _begin(self, stage: int, target: 'bytearray | memoryview') -> None:
         self._stage = stage
-        self._target = memoryview(bytearray(size))
+        self._target = memoryview(target)
         self._filled = 0
 
     def _next_buffer_stage(self) -> Any:
@@ -205,9 +226,7 @@ class StreamDecoder:
         while self._buffer_index < len(self._buffers):
             buffer = self._buffers[self._buffer_index]
             if len(buffer):
-                self._stage = _STAGE_BUFFERS
-                self._target = memoryview(buffer)
-                self._filled = 0
+                self._begin(_STAGE_BUFFERS, buffer)
                 return _NO_MESSAGE
             self._buffer_index += 1
         return self._finish()
@@ -215,122 +234,108 @@ class StreamDecoder:
     def _finish(self) -> Any:
         assert self._pickle is not None
         message = pickle.loads(self._pickle, buffers=self._buffers)
-        self._reset()
+        self._target = self._pickle = None
+        self._buffers = []
         return message
 
     def _advance(self) -> Any:
-        """Handle a completely filled target; returns a message when done."""
+        """Handle a completely filled section; returns a message when done."""
         if self._stage == _STAGE_HEADER:
             pickle_len, n_buffers = _HEADER.unpack(self._target)
             _check_frame(pickle_len, n_buffers)
             self._pickle = _section_buffer(pickle_len)
             if n_buffers:
-                self._begin(_STAGE_LENGTHS, _U64.size * n_buffers)
+                self._begin(_STAGE_LENGTHS, bytearray(_U64.size * n_buffers))
             else:
-                self._stage = _STAGE_PICKLE
-                self._target = memoryview(self._pickle)
-                self._filled = 0
+                self._begin(_STAGE_PICKLE, self._pickle)
             return _NO_MESSAGE
         if self._stage == _STAGE_LENGTHS:
-            raw = self._target
-            lengths = [
-                _U64.unpack_from(raw, i * _U64.size)[0]
-                for i in range(len(raw) // _U64.size)
-            ]
-            assert self._pickle is not None
+            assert self._target is not None and self._pickle is not None
+            lengths = [length for (length,) in _U64.iter_unpack(self._target)]
             _check_frame(len(self._pickle), len(lengths), sum(lengths))
             self._buffers = [_section_buffer(length) for length in lengths]
-            self._stage = _STAGE_PICKLE
-            self._target = memoryview(self._pickle)
-            self._filled = 0
+            self._begin(_STAGE_PICKLE, self._pickle)
             return _NO_MESSAGE
         if self._stage == _STAGE_PICKLE:
-            if self._buffers:
-                self._buffer_index = 0
-                return self._next_buffer_stage()
-            return self._finish()
+            self._buffer_index = 0
+            return self._next_buffer_stage()
         # _STAGE_BUFFERS: current buffer filled, move to the next one.
         self._buffer_index += 1
         return self._next_buffer_stage()
 
-    def _whole_frame(self) -> Any:
-        """Decode a frame that lies wholly in the scratch, in one step.
-
-        The caller found a complete header at ``_start``.  Returns
-        ``_NO_MESSAGE`` (and consumes nothing) when the rest of the frame
-        is not all there: it then goes section by section.
-        """
-        scratch, start, end = self._scratch, self._start, self._end
-        pickle_len, n_buffers = _HEADER.unpack_from(scratch, start)
-        _check_frame(pickle_len, n_buffers)
-        body = start + _HEADER.size + _U64.size * n_buffers
-        if body + pickle_len > end:
-            return _NO_MESSAGE
-        lengths = [
-            _U64.unpack_from(scratch, offset)[0]
-            for offset in range(start + _HEADER.size, body, _U64.size)
-        ]
-        buffer_bytes = sum(lengths)
-        _check_frame(pickle_len, n_buffers, buffer_bytes)
-        offset = body + pickle_len
-        if offset + buffer_bytes > end:
-            return _NO_MESSAGE
-        buffers = []
-        for length in lengths:
-            # A copy: the message must not alias the scratch.
-            buffers.append(bytearray(scratch[offset:offset + length]))
-            offset += length
-        message = pickle.loads(scratch[body:body + pickle_len], buffers=buffers)
-        self._start = offset
-        return message
-
-    def _next(self) -> Any:
+    def _decode(self) -> Any:
         """Decode from the bytes already received.
 
         Returns the next message, or ``_NO_MESSAGE`` once the scratch is
-        used up and the current section still misses bytes.
+        used up and the frame still misses bytes.  Between frames, a frame
+        that lies wholly in the scratch is decoded in one step; any other
+        goes section by section from here on.
         """
-        while True:
-            if (
-                self._stage == _STAGE_HEADER
-                and not self._filled
-                and self._end - self._start >= _HEADER.size
-            ):
-                message = self._whole_frame()
-                if message is not _NO_MESSAGE:
+        if self._target is not None:
+            return self._decode_sections()
+        scratch, start, end = self._scratch, self._start, self._end
+        if end - start >= _HEADER_SIZE:
+            pickle_len, n_buffers = _HEADER.unpack_from(scratch, start)
+            body = start + _HEADER_SIZE + _U64_SIZE * n_buffers
+            offset = body + pickle_len
+            if offset <= end:
+                if n_buffers > 1:
+                    _check_frame(pickle_len, n_buffers)  # before a table that long
+                lengths = struct.unpack_from(f'>{n_buffers}Q', scratch, start + _HEADER_SIZE)
+                last = offset + sum(lengths)
+                _check_frame(pickle_len, n_buffers, last - offset)
+                if last <= end:
+                    # Copies: the message must not alias the scratch.
+                    buffers = []
+                    for length in lengths:
+                        buffers.append(bytearray(scratch[offset:offset + length]))
+                        offset += length
+                    message = pickle.loads(scratch[body:body + pickle_len], buffers=buffers)
+                    self._start = last
                     return message
-            missing = len(self._target) - self._filled
+        if start == end:
+            return _NO_MESSAGE
+        self._begin(_STAGE_HEADER, bytearray(_HEADER_SIZE))
+        return self._decode_sections()
+
+    def _decode_sections(self) -> Any:
+        """Fill the frame's sections from the scratch, one after another.
+
+        Returns the message once its last section is full, or
+        ``_NO_MESSAGE`` once the scratch is used up.
+        """
+        scratch = self._scratch
+        while True:
+            target, filled = self._target, self._filled
+            assert target is not None
+            missing = len(target) - filled
             if missing:
-                taken = min(missing, self._end - self._start)
+                start = self._start
+                taken = min(missing, self._end - start)
                 if taken:
-                    self._target[self._filled:self._filled + taken] = (
-                        self._scratch[self._start:self._start + taken]
-                    )
-                    self._filled += taken
-                    self._start += taken
+                    target[filled:filled + taken] = scratch[start:start + taken]
+                    self._filled = filled + taken
+                    self._start = start + taken
                 if taken < missing:
                     return _NO_MESSAGE
             message = self._advance()
             if message is not _NO_MESSAGE:
                 return message
 
-    def _receive(self, sock: socket.socket) -> tuple[int, bool]:
-        """One ``recv_into`` (only once :meth:`_next` has emptied the scratch).
+    def _receive_in_place(self, sock: socket.socket) -> tuple[int, bool]:
+        """One ``recv_into`` the current section's own memory.
 
-        The bytes go to the scratch — whatever they turn out to be — unless
-        the current section still misses at least a scratch-full: then they
-        can only be that section's, and go straight to its own memory.
-        Returns the byte count and whether the receive was short (brought
-        less than it had room for: the kernel had no more to give).
+        For a section that still misses at least a scratch-full: the bytes
+        can then only be that section's.  Every other receive lands in the
+        scratch, which :meth:`_decode` has used up first.  Returns the byte
+        count and whether the receive was short (brought less than it had
+        room for: the kernel had no more to give).
         """
+        assert self._target is not None
         missing = len(self._target) - self._filled
-        if missing >= READ_AHEAD_BYTES:
-            received = sock.recv_into(self._target[self._filled:])
-            self._filled += received
-            return received, received < missing
-        received = sock.recv_into(self._scratch)
-        self._start, self._end = 0, received
-        return received, received < READ_AHEAD_BYTES
+        received = sock.recv_into(self._target[self._filled:])
+        self._filled += received
+        return received, received < missing
 
     def read_message(
         self,
@@ -339,19 +344,28 @@ class StreamDecoder:
     ) -> Any | None:
         """Blocking receive of one message; ``None`` on a closed peer.
 
-        ``on_bytes(n)`` is invoked after every successful ``recv_into`` so a
-        caller can observe byte-level progress (e.g. to distinguish a large
-        transfer that is still streaming from a dead connection).
+        ``on_bytes(n)`` is invoked after every successful ``recv_into``
+        that did not complete the frame, so a caller can observe
+        byte-level progress (e.g. to distinguish a large transfer that is
+        still streaming from a dead connection); the receive that does
+        complete it returns the message instead.
         """
+        received = 0
         while True:
-            message = self._next()
-            if message is not _NO_MESSAGE:
-                return message
-            received, _short = self._receive(sock)
+            if self._start != self._end or self._target is not None:
+                message = self._decode()
+                if message is not _NO_MESSAGE:
+                    return message
+                if received and on_bytes is not None:
+                    on_bytes(received)
+            target = self._target
+            if target is not None and len(target) - self._filled >= READ_AHEAD_BYTES:
+                received = self._receive_in_place(sock)[0]
+            else:
+                received = sock.recv_into(self._scratch)
+                self._start, self._end = 0, received
             if received == 0:
                 return None
-            if on_bytes is not None:
-                on_bytes(received)
 
     def read_from(self, sock: socket.socket) -> tuple[list[Any], bool]:
         """Read what ``sock`` has ready; returns ``(messages, closed)``.
@@ -367,12 +381,21 @@ class StreamDecoder:
         messages: list[Any] = []
         short = False
         while True:
-            while (message := self._next()) is not _NO_MESSAGE:
+            while self._start != self._end or self._target is not None:
+                message = self._decode()
+                if message is _NO_MESSAGE:
+                    break
                 messages.append(message)
             if short:
                 return messages, False
+            target = self._target
             try:
-                received, short = self._receive(sock)
+                if target is not None and len(target) - self._filled >= READ_AHEAD_BYTES:
+                    received, short = self._receive_in_place(sock)
+                else:
+                    received = sock.recv_into(self._scratch)
+                    self._start, self._end = 0, received
+                    short = received < READ_AHEAD_BYTES
             except (BlockingIOError, InterruptedError):
                 return messages, False
             except OSError:

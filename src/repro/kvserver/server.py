@@ -55,7 +55,7 @@ from repro.kvserver.broker import GroupState
 from repro.kvserver.broker import TopicRing
 from repro.kvserver.protocol import UNKNOWN_MEMBER
 from repro.kvserver.protocol import StreamDecoder
-from repro.kvserver.protocol import encode_message
+from repro.kvserver.protocol import _encode_frame
 from repro.serialize.buffers import IOV_MAX
 from repro.serialize.buffers import unsent
 
@@ -74,15 +74,16 @@ _PARKED = 'parked'
 class _ClientConn:
     """Per-connection state tracked by the event loop."""
 
-    __slots__ = ('sock', 'decoder', 'out', 'events')
+    __slots__ = ('sock', 'decoder', 'out', 'writing')
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.decoder = StreamDecoder()
         #: Outgoing wire segments not yet accepted by the kernel.
-        self.out: deque[memoryview] = deque()
-        #: Currently registered selector interest mask.
-        self.events = selectors.EVENT_READ
+        self.out: deque = deque()
+        #: Whether the selector also watches for writability (it does
+        #: while ``out`` holds bytes, and only then).
+        self.writing = False
 
 
 class _ParkedFetch:
@@ -253,7 +254,9 @@ class KVServer:
                         break  # quiet pass with nothing left to flush: drained
                 else:
                     # Sleep until a socket is ready or a parked fetch is due.
-                    events = selector.select(timeout=self._expire_parked())
+                    events = selector.select(
+                        self._expire_parked() if self._deadlines else None,
+                    )
                 for key, _mask in events:
                     if key.data == 'listener':
                         self._accept_ready()
@@ -319,30 +322,30 @@ class KVServer:
             pass
 
     def _service_conn(self, conn: _ClientConn, mask: int) -> None:
-        closed = False
+        """Flush what is queued for ``conn``, then answer what it sent."""
+        if mask & selectors.EVENT_WRITE and not self._flush(conn):
+            self._close_conn(conn)
+            return
         if mask & selectors.EVENT_READ:
             messages, closed = conn.decoder.read_from(conn.sock)
             for request in messages:
                 reply = self._handle(request, conn)
-                if reply is not None and not self._send(conn, encode_message(reply)):
+                if reply is not None and not self._send(conn, *_encode_frame(reply)):
                     closed = True
-        if conn.out:
-            # Optimistic flush: most responses fit the socket buffer, so
-            # this usually completes without a round through the selector.
-            if not self._flush(conn):
-                closed = True
-        if closed:
-            self._close_conn(conn)
-        else:
+            if closed:
+                self._close_conn(conn)
+                return
+        if conn.out or conn.writing:
             self._update_interest(conn)
 
-    def _send(self, conn: _ClientConn, segments: list[memoryview]) -> bool:
+    def _send(self, conn: _ClientConn, segments: list, size: int) -> bool:
         """Send a reply straight away; queue only what the kernel left.
 
-        With nothing queued ahead of it the frame goes out in one
-        ``sendmsg`` of at most ``IOV_MAX`` segments, and only an unsent
-        tail reaches ``conn.out``.  Returns False when the connection
-        failed and must be closed.
+        With nothing queued ahead of it the frame (``segments``, ``size``
+        bytes in all) goes out in one ``sendmsg`` of at most ``IOV_MAX``
+        segments, and only an unsent tail reaches ``conn.out`` (the
+        selector then reports the socket writable when there is room).
+        Returns False when the connection failed and must be closed.
         """
         if not conn.out:
             try:
@@ -353,6 +356,8 @@ class KVServer:
                 sent = 0
             except OSError:
                 return False
+            if sent == size:
+                return True
             segments = unsent(segments, sent)
         conn.out.extend(segments)
         return True
@@ -382,11 +387,12 @@ class KVServer:
         return True
 
     def _update_interest(self, conn: _ClientConn) -> None:
-        wanted = selectors.EVENT_READ
-        if conn.out:
-            wanted |= selectors.EVENT_WRITE
-        if wanted != conn.events:
-            conn.events = wanted
+        writing = bool(conn.out)
+        if writing != conn.writing:
+            conn.writing = writing
+            wanted = selectors.EVENT_READ
+            if writing:
+                wanted |= selectors.EVENT_WRITE
             assert self._selector is not None
             self._selector.modify(conn.sock, wanted, conn)
 
@@ -457,19 +463,23 @@ class KVServer:
         Requests are ``(request_id, command, key, value)``; any other
         shape is answered *malformed request* with a ``None`` request id.
         The command picks its handler from :attr:`_HANDLERS` in one
-        lookup.  ``conn`` is the issuing connection.  A ``FETCH`` that
-        parks returns ``None``: its reply is sent later, by
-        :meth:`_release`.
+        lookup (a second one, upper-cased, if the first misses).  ``conn``
+        is the issuing connection.  A ``FETCH`` that parks returns
+        ``None``: its reply is sent later, by :meth:`_release`.
         """
         try:
             request_id, command, key, value = request
         except (TypeError, ValueError):
             return (None, 'error', f'malformed request: {request!r}')
         try:
-            command = str(command).upper()
-            handler = self._HANDLERS.get(command)
-            if handler is None:
-                return (request_id, 'error', f'unknown command {command!r}')
+            try:
+                handler = self._HANDLERS[command]
+            except (KeyError, TypeError):
+                # Not spelled as listed: normalise, then look again.
+                command = str(command).upper()
+                handler = self._HANDLERS.get(command)
+                if handler is None:
+                    return (request_id, 'error', f'unknown command {command!r}')
             status, payload = handler(self, key, value, conn)
         # repro: ignore[RP004] - not swallowed: the failure is returned
         # to the client as an error response
@@ -584,7 +594,7 @@ class KVServer:
             if self._conns.get(conn.sock) is not conn:
                 continue  # an earlier failed reply closed its connection
             reply = (fetch.request_id, 'ok', _fetch_reply(topic, fetch.since, fetch.limit))
-            if self._send(conn, encode_message(reply)):
+            if self._send(conn, *_encode_frame(reply)):
                 self._update_interest(conn)
             else:
                 self._close_conn(conn)

@@ -212,7 +212,7 @@ def test_frames_past_iov_max_segments_round_trip(server, client, monkeypatch):
     client.mset(list(zip(keys, values)))
     sends = _spy(monkeypatch, server, '_send')
     assert [bytes(v) for v in client.mget(keys)] == values
-    ((conn, segments),) = sends
+    ((conn, segments, _size),) = sends
     assert len(segments) > IOV_MAX
     assert server.faulted_connections == 0
 
