@@ -11,10 +11,11 @@ not by keeping two implementations in step.
   ring (publish, explicit-seq replicated insert, catch-up read, trim).
 * :class:`GroupState` — a consumer group's leased membership, generation,
   committed offsets, delivered watermarks and end markers.
-* :class:`GroupCommands` — the client half: the group/offset command
-  methods, building each request's option dict once over an abstract
-  ``_request(command, key, value)``; :meth:`GroupState.execute` is the
-  broker half that reads those dicts.
+* :data:`GROUP_COMMANDS` — the group commands: the :class:`GroupState`
+  operation each runs and whether it is mirrored.
+  :class:`~repro.stream.groups.GroupCoordinator` builds each command's
+  option dict once, :meth:`GroupState.execute` runs it, and
+  :meth:`GroupState.apply_delta` replays it on a replica.
 
 The state classes are pure: no locks, no sockets, no clock — every method
 that depends on time takes ``now`` (seconds, monotonic), so the caller
@@ -34,13 +35,44 @@ from repro.exceptions import GroupMembershipError
 
 __all__ = [
     'DEFAULT_SESSION_TIMEOUT',
-    'GroupCommands',
+    'GROUP_COMMANDS',
     'GroupState',
     'TopicRing',
 ]
 
 #: Default seconds without a heartbeat before a group member is expired.
 DEFAULT_SESSION_TIMEOUT = 10.0
+
+#: Wire command -> (the :class:`GroupState` operation it runs, whether it
+#: is mirrored).  A mirrored command changes the group, so its coordinator
+#: replays it on the replica brokers as ``REPL_GROUP`` ``{'op': operation,
+#: **options, 'generation': ...}`` (see :meth:`GroupState.apply_delta`).
+GROUP_COMMANDS: dict[str, tuple[str, bool]] = {
+    'GROUP_JOIN': ('join', True),
+    'GROUP_HEARTBEAT': ('heartbeat', True),
+    'GROUP_LEAVE': ('leave', True),
+    'OFFSET_COMMIT': ('commit', True),
+    'OFFSET_FETCH': ('fetch', False),
+    'GROUP_STATS': ('stats', False),
+}
+
+
+def _check_values(options: dict[str, Any]) -> None:
+    """Raise :class:`ConnectorError` before anything changes unless the
+    positions, offsets, ends and generation are ints >= 0 (as ``FETCH``
+    requires of ``since``) and a session timeout is ``None`` or positive."""
+    timeout = options.get('session_timeout')
+    if timeout is not None and not (isinstance(timeout, (int, float)) and timeout > 0):
+        raise ConnectorError('session_timeout must be positive')
+    for name in ('positions', 'offsets', 'ends'):
+        values = options.get(name)
+        if isinstance(values, dict) and not all(
+            isinstance(n, int) and n >= 0 for n in values.values()
+        ):
+            raise ConnectorError(f'{name} must be ints >= 0')
+    generation = options.get('generation', 0)
+    if not (isinstance(generation, int) and generation >= 0):
+        raise ConnectorError('generation must be an int >= 0')
 
 
 def _nbytes(payload: Any) -> int:
@@ -208,7 +240,6 @@ class GroupState:
         """Fold ``reported`` positions into ``current``, never backwards."""
         if isinstance(reported, dict):
             for topic, position in reported.items():
-                position = int(position)
                 if position > current.get(topic, 0):
                     current[topic] = position
 
@@ -216,7 +247,7 @@ class GroupState:
         """Record end-of-stream markers ``member`` delivered."""
         if isinstance(ends, dict):
             for topic, end_seq in ends.items():
-                self.ends[topic] = (int(end_seq), member)
+                self.ends[topic] = (end_seq, member)
 
     def _view(self) -> dict[str, Any]:
         """The membership snapshot every mutating operation returns."""
@@ -295,20 +326,20 @@ class GroupState:
         }
 
     def apply_delta(self, delta: dict[str, Any], now: float) -> dict[str, Any]:
-        """Apply a mirrored coordinator-state delta *leniently*.
+        """Replay a mirrored group command *leniently*.
 
-        ``delta`` is what the acting coordinator's client mirrors after a
-        mutating command: ``op`` ('join'/'heartbeat'/'commit'/'leave'),
-        ``member``, the primary's post-op ``generation``, and whichever of
-        ``session_timeout``/``offsets``/``positions``/``ends`` the command
-        carried.  The member lease is created if missing (no error, and
-        no generation bump — the primary's bump arrives as ``generation``),
-        offsets merge monotonically and the generation only moves
-        forward, so deltas may arrive late, duplicated or out of order
-        without corrupting the replica's view.
+        ``delta`` is a mirrored command's options plus ``op``, its
+        :data:`GROUP_COMMANDS` operation, and the primary's post-op
+        ``generation``.  The member lease is created if missing (no error,
+        and no generation bump — the primary's bump arrives as
+        ``generation``), offsets merge monotonically and the generation
+        only moves forward, so deltas may arrive late, duplicated or out
+        of order without corrupting the replica's view.  A malformed
+        value raises :class:`ConnectorError` and changes nothing.
         """
+        _check_values(delta)
         self._sweep(now)
-        self.generation = max(self.generation, int(delta.get('generation', 0)))
+        self.generation = max(self.generation, delta.get('generation', 0))
         member = str(delta.get('member', ''))
         op = str(delta.get('op', 'heartbeat'))
         if member and op in ('join', 'heartbeat', 'commit'):
@@ -321,137 +352,41 @@ class GroupState:
         return self._view()
 
     def execute(self, command: str, options: dict[str, Any], now: float) -> Any:
-        """Run one group command from the option dict :class:`GroupCommands` built.
+        """Run one group command on the option dict its coordinator built.
 
-        This is also where the options are checked, for both transports.
+        This is also where the options are checked, for both transports:
+        a refused command changes nothing.
 
         Raises:
             ConnectorError: the options are malformed (no member id to
-                join with, a non-positive ``session_timeout``, no offsets
-                dict to commit, no topics list to fetch).
+                join with, a malformed value, no offsets dict to commit,
+                no topics list to fetch).
+            ValueError: ``command`` is not in :data:`GROUP_COMMANDS`.
         """
+        if command not in GROUP_COMMANDS:
+            raise ValueError(f'unknown group command {command!r}')
+        _check_values(options)
+        op = GROUP_COMMANDS[command][0]
         member = str(options.get('member', ''))
-        if command == 'GROUP_JOIN':
+        positions, ends = options.get('positions'), options.get('ends')
+        if op == 'join':
             if not member:
                 raise ConnectorError('GROUP_JOIN requires a member id')
-            timeout = float(options.get('session_timeout') or DEFAULT_SESSION_TIMEOUT)
-            if timeout <= 0:
-                raise ConnectorError('session_timeout must be positive')
-            return self.join(member, timeout, now)
-        if command == 'GROUP_HEARTBEAT':
-            return self.heartbeat(
-                member, options.get('positions'), options.get('ends'), now,
-            )
-        if command == 'GROUP_LEAVE':
-            return self.leave(member, options.get('positions'), now)
-        if command == 'OFFSET_COMMIT':
-            if not isinstance(options.get('offsets'), dict):
+            return self.join(member, options.get('session_timeout'), now)
+        if op == 'heartbeat':
+            return self.heartbeat(member, positions, ends, now)
+        if op == 'leave':
+            return self.leave(member, positions, now)
+        if op == 'commit':
+            offsets = options.get('offsets')
+            if not isinstance(offsets, dict):
                 raise ConnectorError('OFFSET_COMMIT requires an offsets dict')
-            return self.commit(
-                member, options.get('offsets'), options.get('positions'),
-                options.get('ends'), now,
-            )
-        if command == 'OFFSET_FETCH':
-            if not isinstance(options.get('topics'), (list, tuple)):
+            return self.commit(member, offsets, positions, ends, now)
+        if op == 'fetch':
+            topics = options.get('topics')
+            if not isinstance(topics, (list, tuple)):
                 raise ConnectorError('OFFSET_FETCH requires a topics list')
-            return self.fetch(options['topics'], now)
-        if command == 'GROUP_STATS':
-            return self.stats(now)
-        raise ValueError(f'unknown group command {command!r}')
-
-
-class GroupCommands:
-    """The consumer-group commands, over any ``_request`` transport.
-
-    :class:`~repro.kvserver.client.KVClient` sends each request to a SimKV
-    server; the in-process bus hands it straight to a :class:`GroupState`.
-    Either way the caller sees the same methods and the same replies.
-    """
-
-    def _request(self, command: str, key: str | None = None, value: Any = None) -> Any:
-        raise NotImplementedError
-
-    def group_join(
-        self,
-        group: str,
-        member: str,
-        *,
-        session_timeout: float | None = None,
-    ) -> dict[str, Any]:
-        """Join ``group`` as ``member``; returns ``{'generation', 'members'}``.
-
-        ``session_timeout`` is the member's heartbeat lease: miss it and
-        the broker expires the member, bumping the group generation so
-        survivors rebalance its partitions.
-        """
-        return self._request('GROUP_JOIN', group, {
-            'member': member, 'session_timeout': session_timeout,
-        })
-
-    def group_heartbeat(
-        self,
-        group: str,
-        member: str,
-        positions: dict[str, int] | None = None,
-        ends: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        """Refresh ``member``'s lease, reporting delivered ``positions``.
-
-        ``ends`` reports partitions whose end-of-stream marker this member
-        delivered (topic -> marker seq) — the group-completion signal.
-        Returns the current ``{'generation', 'members'}`` view; raises
-        :class:`~repro.exceptions.GroupMembershipError` if the member was
-        already expired (it must rejoin and resync before consuming
-        further).
-        """
-        return self._request('GROUP_HEARTBEAT', group, {
-            'member': member, 'positions': positions or {},
-            'ends': ends or {},
-        })
-
-    def group_leave(
-        self,
-        group: str,
-        member: str,
-        positions: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        """Leave ``group`` voluntarily (bumps the generation immediately)."""
-        return self._request('GROUP_LEAVE', group, {
-            'member': member, 'positions': positions or {},
-        })
-
-    def offset_commit(
-        self,
-        group: str,
-        offsets: dict[str, int],
-        *,
-        member: str | None = None,
-        positions: dict[str, int] | None = None,
-        ends: dict[str, int] | None = None,
-    ) -> dict[str, Any]:
-        """Commit per-partition offsets (monotonic: stale commits are kept).
-
-        ``offsets`` maps partition topic to the first *un-acked* sequence
-        number; a successor claiming the partition resumes there.  ``ends``
-        reports delivered end-of-stream markers.  A commit from a live
-        ``member`` doubles as a heartbeat.
-        """
-        return self._request('OFFSET_COMMIT', group, {
-            'offsets': offsets,
-            'member': member or '',
-            'positions': positions or {},
-            'ends': ends or {},
-        })
-
-    def offset_fetch(self, group: str, topics: Sequence[str]) -> dict[str, Any]:
-        """Fetch per-partition offset state for ``topics``.
-
-        Each entry carries ``committed`` (replay point), ``watermark``
-        (furthest delivered), ``end`` (end-marker seq or ``None``) and
-        ``end_member`` (who reported it).
-        """
-        return self._request('OFFSET_FETCH', group, {'topics': list(topics)})
-
-    def group_stats(self, group: str) -> dict[str, Any]:
-        """Return the group's full broker-side state (members, offsets)."""
-        return self._request('GROUP_STATS', group)
+            if not all(isinstance(topic, str) for topic in topics):
+                raise ConnectorError('OFFSET_FETCH topics must be strings')
+            return self.fetch(topics, now)
+        return self.stats(now)

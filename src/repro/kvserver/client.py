@@ -63,7 +63,6 @@ from typing import Sequence
 from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
 from repro.exceptions import NodeUnavailableError
-from repro.kvserver.broker import GroupCommands
 from repro.kvserver.protocol import READ_AHEAD_BYTES
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import UNKNOWN_MEMBER
@@ -414,11 +413,11 @@ def open_connection(host: str, port: int, timeout: float) -> _Connection:
         ) from e
 
 
-class KVClient(GroupCommands):
+class KVClient:
     """Pipelined client for a :class:`~repro.kvserver.server.KVServer`.
 
-    The consumer-group commands (``group_join`` … ``group_stats``) come
-    from :class:`~repro.kvserver.broker.GroupCommands`.
+    The consumer-group commands travel through :meth:`group_command`, with
+    the option dicts :class:`~repro.stream.groups.GroupCoordinator` builds.
 
     Args:
         host: server host name.
@@ -638,6 +637,16 @@ class KVClient(GroupCommands):
         """Set ``topic``'s ring-buffer retention (trimming immediately)."""
         return self._request('TCONFIG', topic, {'retention': retention})
 
+    def group_command(
+        self, command: str, group: str, options: dict[str, Any] | None = None,
+    ) -> Any:
+        """Run one of :data:`~repro.kvserver.broker.GROUP_COMMANDS` on ``group``.
+
+        Raises :class:`~repro.exceptions.GroupMembershipError` when the
+        member was expired (it must rejoin before consuming further).
+        """
+        return self._request(command, group, options)
+
     # -- replication commands (broker failover) ------------------------------ #
     def repl_publish(
         self,
@@ -659,14 +668,13 @@ class KVClient(GroupCommands):
         )
 
     def repl_group(self, group: str, state: dict[str, Any]) -> dict[str, Any]:
-        """Mirror a coordinator-state delta for ``group`` onto a replica.
+        """Mirror a mutating group command for ``group`` onto a replica.
 
-        ``state`` carries ``op`` ('join'/'heartbeat'/'commit'/'leave'),
-        ``member``, ``generation``, and optionally ``session_timeout``,
-        ``offsets``, ``positions``, and ``ends``.  Applied leniently and
-        monotonically server-side, so deltas may arrive late, duplicated,
-        or out of order.  Returns the replica's ``{'generation', 'members'}``
-        view.
+        ``state`` is the command's options plus ``op`` (its operation:
+        'join'/'heartbeat'/'commit'/'leave') and the primary's post-op
+        ``generation``.  Applied leniently and monotonically server-side,
+        so mirrored commands may arrive late, duplicated, or out of order.
+        Returns the replica's ``{'generation', 'members'}`` view.
         """
         return self._request('REPL_GROUP', group, dict(state))
 

@@ -735,13 +735,16 @@ class KVServer:
         return ('ok', {'accepted': accepted, 'next_seq': topic.next_seq})
 
     def _cmd_repl_group(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
-        """Apply a coordinator-state delta leniently (see
+        """Replay a mirrored group command leniently (see
         :meth:`~repro.kvserver.broker.GroupState.apply_delta`), so mirrored
-        deltas may arrive late, duplicated, or out of order without
+        commands may arrive late, duplicated, or out of order without
         corrupting the replica's view.
         """
         options = value if isinstance(value, dict) else {}
-        return ('ok', self._group(key).apply_delta(options, time.monotonic()))
+        try:
+            return ('ok', self._group(key).apply_delta(options, time.monotonic()))
+        except ConnectorError as e:
+            return ('error', str(e))
 
     #: Command → handler ``(self, key, value, conn) -> (status, payload)``:
     #: the one list of the commands the server understands.

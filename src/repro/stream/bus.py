@@ -42,7 +42,6 @@ from typing import runtime_checkable
 
 from repro.connectors.registry import StoreURL
 from repro.exceptions import UnknownConnectorSchemeError
-from repro.kvserver.broker import GroupCommands
 from repro.kvserver.broker import GroupState
 from repro.kvserver.broker import TopicRing
 
@@ -258,14 +257,14 @@ def _lookup_scheme(scheme: str) -> type | None:
 # --------------------------------------------------------------------------- #
 # In-process bus
 # --------------------------------------------------------------------------- #
-class _LocalBroker(GroupCommands):
+class _LocalBroker:
     """The in-process broker behind every bus handle with one ``bus_id``.
 
     Holds the same state a SimKV server holds — a
     :class:`~repro.kvserver.broker.TopicRing` per topic (paired with the
     condition its fetches wait on) and a
     :class:`~repro.kvserver.broker.GroupState` per consumer group — and
-    answers the group commands the way :class:`~repro.kvserver.KVClient`
+    answers :meth:`group_command` the way :class:`~repro.kvserver.KVClient`
     does, minus the socket.
     """
 
@@ -284,12 +283,15 @@ class _LocalBroker(GroupCommands):
                 )
             return topic
 
-    def _request(self, command: str, key: str | None = None, value: Any = None) -> Any:
+    def group_command(
+        self, command: str, group: str, options: dict[str, Any] | None = None,
+    ) -> Any:
+        """Run one consumer-group command on ``group``; returns its reply."""
         with self.lock:
-            group = self.groups.get(key)
-            if group is None:
-                group = self.groups[key] = GroupState()
-            return group.execute(command, value or {}, time.monotonic())
+            state = self.groups.get(group)
+            if state is None:
+                state = self.groups[group] = GroupState()
+            return state.execute(command, options or {}, time.monotonic())
 
 
 # Named in-process brokers so a bus re-created from its config (or URL) in
@@ -331,8 +333,8 @@ class LocalEventBus:
         self.bus_id = bus_id if bus_id is not None else new_object_id()
         self.retention = retention
         with _BROKERS_LOCK:
-            #: The broker's request client — the group and offset commands,
-            #: under the same names ``KVEventBus.client`` answers to.
+            #: The broker's request client — ``group_command``, as
+            #: ``KVEventBus.client`` answers it.
             self.client = _BROKERS.setdefault(self.bus_id, _LocalBroker())
 
     def __repr__(self) -> str:

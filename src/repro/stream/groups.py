@@ -87,6 +87,7 @@ from repro.proxy.resolve import resolve
 from repro.proxy.resolve import resolve_async
 from repro.faults.retry import DEFAULT_RECONNECT_POLICY
 from repro.kvserver.broker import DEFAULT_SESSION_TIMEOUT
+from repro.kvserver.broker import GROUP_COMMANDS
 from repro.store.factory import StoreFactory
 from repro.stream.bus import EventBus
 from repro.stream.bus import broker_id
@@ -428,10 +429,11 @@ class GroupCoordinator:
     finds the coordinator without any lookup service (the same
     coordinator-free placement partitions use).  Every command goes to the
     *acting* coordinator, the first live owner, through the broker's
-    request client (``bus.client``: a SimKV connection, or the in-process
-    broker itself); mutating commands are then mirrored to the other live
-    owners as a lenient ``REPL_GROUP`` delta carrying the primary's
-    post-op generation.  When the acting broker dies the owner walk lands
+    request client's ``group_command`` (``bus.client``: a SimKV
+    connection, or the in-process broker itself); mutating commands are
+    then mirrored to the other live owners as a lenient ``REPL_GROUP``:
+    the same options plus the operation and the primary's post-op
+    generation.  When the acting broker dies the owner walk lands
     on the next live replica, whose mirrored state — membership leases,
     generation, committed offsets, recorded ends — lets the group continue
     without losing a commit.  With ``replicas=1`` the same path runs with
@@ -445,7 +447,7 @@ class GroupCoordinator:
         self._router = router
         self._owner_key = f'coordinator:group:{group}'
         for node in router.owners(self._owner_key):
-            if not hasattr(router.client_of(node), 'group_join'):
+            if not hasattr(router.client_of(node), 'group_command'):
                 raise StreamGroupError(
                     f'bus {router.bus_of(node)!r} does not expose the '
                     'consumer-group commands',
@@ -471,42 +473,38 @@ class GroupCoordinator:
         """
         return self._acting or self.designated_broker
 
-    def _call(
-        self,
-        command: str,
-        *args: Any,
-        delta: dict[str, Any] | None = None,
-        **kwargs: Any,
-    ) -> Any:
-        """Run ``client.<command>(group, ...)`` on the acting coordinator.
+    def _call(self, command: str, options: dict[str, Any] | None = None) -> Any:
+        """Run ``command`` with ``options`` on the acting coordinator.
 
-        ``delta`` is what a mutating command mirrors as ``REPL_GROUP``.
+        A mirrored command (see :data:`~repro.kvserver.broker.GROUP_COMMANDS`)
+        is then replayed on the other live owners as ``REPL_GROUP``: the
+        same options plus its operation and the primary's generation.
         """
         node, result = self._router.first_live(
             self._owner_key,
-            lambda node: getattr(self._router.client_of(node), command)(
-                self.group, *args, **kwargs,
+            lambda node: self._router.client_of(node).group_command(
+                command, self.group, options,
             ),
         )
         if self._acting is not None and node != self._acting:
             self.failovers += 1
         self._acting = node
-        if delta is not None:
-            delta['generation'] = result['generation']
+        op, mirrored = GROUP_COMMANDS[command]
+        if mirrored:
             self._router.mirror(
-                self._owner_key, node, 'repl_group', self.group, delta,
+                self._owner_key, node, 'repl_group', self.group,
+                {'op': op, **options, 'generation': result['generation']},
             )
         return result
 
-    def join(self, member: str, session_timeout: float) -> dict[str, Any]:
-        """Register ``member``; returns the ``{'generation', 'members'}`` view."""
-        return self._call(
-            'group_join', member, session_timeout=session_timeout,
-            delta={
-                'op': 'join', 'member': member,
-                'session_timeout': session_timeout,
-            },
-        )
+    def join(self, member: str, session_timeout: float | None) -> dict[str, Any]:
+        """Register ``member``; returns the ``{'generation', 'members'}`` view.
+
+        ``session_timeout`` ``None`` takes the broker's default lease.
+        """
+        return self._call('GROUP_JOIN', {
+            'member': member, 'session_timeout': session_timeout,
+        })
 
     def heartbeat(
         self,
@@ -521,22 +519,13 @@ class GroupCoordinator:
             NodeUnavailableError: no coordinator broker is reachable
                 (transient — the caller retries on the next beat).
         """
-        return self._call(
-            'group_heartbeat', member, positions, ends,
-            delta={
-                'op': 'heartbeat', 'member': member,
-                'positions': positions, 'ends': ends or {},
-            },
-        )
+        return self._call('GROUP_HEARTBEAT', {
+            'member': member, 'positions': positions, 'ends': ends or {},
+        })
 
     def leave(self, member: str, positions: dict[str, int]) -> None:
         """Deregister ``member`` voluntarily (immediate generation bump)."""
-        self._call(
-            'group_leave', member, positions,
-            delta={
-                'op': 'leave', 'member': member, 'positions': positions,
-            },
-        )
+        self._call('GROUP_LEAVE', {'member': member, 'positions': positions})
 
     def commit(
         self,
@@ -546,22 +535,18 @@ class GroupCoordinator:
         ends: dict[str, int] | None = None,
     ) -> None:
         """Commit per-partition offsets (monotonic), positions, and ends."""
-        self._call(
-            'offset_commit', offsets,
-            member=member, positions=positions, ends=ends,
-            delta={
-                'op': 'commit', 'member': member, 'offsets': offsets,
-                'positions': positions, 'ends': ends or {},
-            },
-        )
+        self._call('OFFSET_COMMIT', {
+            'offsets': offsets, 'member': member, 'positions': positions,
+            'ends': ends or {},
+        })
 
     def fetch(self, topics: Sequence[str]) -> dict[str, dict[str, Any]]:
         """Fetch ``{topic: {'committed', 'watermark', 'end', 'end_member'}}``."""
-        return self._call('offset_fetch', list(topics))
+        return self._call('OFFSET_FETCH', {'topics': list(topics)})
 
     def stats(self) -> dict[str, Any]:
         """Return the group's full coordinator-side state."""
-        return self._call('group_stats')
+        return self._call('GROUP_STATS')
 
 
 # --------------------------------------------------------------------------- #

@@ -22,9 +22,13 @@ from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
 from repro.kvserver import KVClient
 from repro.kvserver import KVServer
+from repro.kvserver.broker import GROUP_COMMANDS
 from repro.kvserver.protocol import StreamDecoder
 from repro.kvserver.protocol import send_message
+from repro.stream import KVEventBus
 from repro.stream import LocalEventBus
+from repro.stream.groups import GroupCoordinator
+from repro.stream.groups import PartitionRouter
 
 G_VIEW = {'generation': 2, 'members': ['m1', 'm2']}
 
@@ -131,6 +135,27 @@ REJECTED = [
     ('REPL_PUBLISH', [(-3, b'x')], REPL_SEQ),
     ('REPL_PUBLISH', [(2.7, b'x')], REPL_SEQ),
     ('REPL_PUBLISH', [('x', b'x')], REPL_SEQ),
+    ('GROUP_HEARTBEAT', {'member': 'ghost', 'positions': {'t': 'x'}},
+     'positions must be ints >= 0'),
+    ('GROUP_HEARTBEAT', {'member': 'ghost', 'positions': {'t': -1}},
+     'positions must be ints >= 0'),
+    ('GROUP_HEARTBEAT', {'member': 'ghost', 'ends': {'t': 'z'}},
+     'ends must be ints >= 0'),
+    ('GROUP_LEAVE', {'member': 'm', 'positions': {'t': 1.5}},
+     'positions must be ints >= 0'),
+    ('OFFSET_COMMIT', {'offsets': {'t': None}}, 'offsets must be ints >= 0'),
+    ('OFFSET_COMMIT', {'offsets': {'t': 2.7}}, 'offsets must be ints >= 0'),
+    ('GROUP_JOIN', {'member': 'm', 'session_timeout': 'x'},
+     'session_timeout must be positive'),
+    ('GROUP_JOIN', {'member': 'm', 'session_timeout': float('nan')},
+     'session_timeout must be positive'),
+    ('REPL_GROUP', {'op': 'commit', 'member': 'b', 'generation': 'x'},
+     'generation must be an int >= 0'),
+    ('REPL_GROUP', {'op': 'join', 'member': 'b', 'session_timeout': 'y'},
+     'session_timeout must be positive'),
+    ('REPL_GROUP', {'op': 'commit', 'member': 'b', 'offsets': {'t': 'q'}},
+     'offsets must be ints >= 0'),
+    ('OFFSET_FETCH', {'topics': [['t']]}, 'OFFSET_FETCH topics must be strings'),
 ]
 
 
@@ -162,38 +187,91 @@ def server():
         yield server
 
 
+def _recording_bus(server):
+    """A SimKV bus whose request client records every request and reply."""
+    bus = KVEventBus(server.host, server.port)
+    bus.client.close()
+    bus.client = _RecordingClient(server.host, server.port)
+    return bus
+
+
 def test_broker_commands_keep_their_request_and_reply_shapes(server):
-    with _RecordingClient(server.host, server.port) as c:
-        c.group_join('g', 'm1', session_timeout=5.0)
-        c.group_join('g', 'm2')
-        c.group_heartbeat('g', 'm1', {'t.p0': 4}, {'t.p0': 9})
-        c.group_heartbeat('g', 'm1')
-        c.offset_commit('g', {'t.p0': 3}, member='m1',
-                        positions={'t.p0': 4}, ends={'t.p1': 7})
-        c.offset_commit('g', {'t.p0': 1})
-        c.offset_fetch('g', ['t.p0', 't.p1', 't.p2'])
-        c.group_leave('g', 'm2', {'t.p1': 2})
-        c.group_leave('g', 'm2')
-        c.group_stats('g')
-        c.repl_group('g2', {'op': 'join', 'member': 'm1',
-                            'session_timeout': 5.0, 'generation': 3})
-        c.repl_group('g2', {'op': 'commit', 'member': 'm1',
-                            'offsets': {'t.p0': 5}, 'positions': {'t.p0': 6},
-                            'ends': {'t.p0': 9}, 'generation': 2})
-        c.group_stats('g2')
-        for i in range(6):
-            c.publish('t', b'x%d' % i)
-        c.publish_batch('t', [b'aa', b'bb'])
-        c.fetch_events('t', 5, 2)
-        c.fetch_events('t', 0)
-        c.topic_stats('t')
-        c.topic_stats('nope')
-        c.topic_config('t', retention=2)
-        c.topic_stats('t')
-        c.repl_publish('r', [(1, b'a'), (3, b'c'), (3, b'c'), (2, b'b')])
-        c.fetch_events('r', 0)
-        c.topic_stats('r')
-        assert c.transcript == TRANSCRIPT
+    """The group rows are the option dicts ``GroupCoordinator`` builds."""
+    bus = _recording_bus(server)
+    c = bus.client
+    router = PartitionRouter('t', 1, bus)
+    coordinator = GroupCoordinator('g', router)
+    coordinator.join('m1', session_timeout=5.0)
+    coordinator.join('m2', session_timeout=None)
+    coordinator.heartbeat('m1', {'t.p0': 4}, {'t.p0': 9})
+    coordinator.heartbeat('m1', {})
+    coordinator.commit('m1', {'t.p0': 3}, {'t.p0': 4}, {'t.p1': 7})
+    coordinator.commit('', {'t.p0': 1}, {})
+    coordinator.fetch(['t.p0', 't.p1', 't.p2'])
+    coordinator.leave('m2', {'t.p1': 2})
+    coordinator.leave('m2', {})
+    coordinator.stats()
+    c.repl_group('g2', {'op': 'join', 'member': 'm1',
+                        'session_timeout': 5.0, 'generation': 3})
+    c.repl_group('g2', {'op': 'commit', 'member': 'm1',
+                        'offsets': {'t.p0': 5}, 'positions': {'t.p0': 6},
+                        'ends': {'t.p0': 9}, 'generation': 2})
+    GroupCoordinator('g2', router).stats()
+    for i in range(6):
+        c.publish('t', b'x%d' % i)
+    c.publish_batch('t', [b'aa', b'bb'])
+    c.fetch_events('t', 5, 2)
+    c.fetch_events('t', 0)
+    c.topic_stats('t')
+    c.topic_stats('nope')
+    c.topic_config('t', retention=2)
+    c.topic_stats('t')
+    c.repl_publish('r', [(1, b'a'), (3, b'c'), (3, b'c'), (2, b'b')])
+    c.fetch_events('r', 0)
+    c.topic_stats('r')
+    bus.close()
+    assert c.transcript == TRANSCRIPT
+
+
+def test_mirror_replays_each_mutating_command_with_its_own_options():
+    """``REPL_GROUP`` carries the command's options plus ``op`` and the
+    primary's generation; fetch and stats are not mirrored."""
+    with KVServer() as first, KVServer() as second:
+        buses = [_recording_bus(first), _recording_bus(second)]
+        router = PartitionRouter('t', 1, buses, replicas=2)
+        coordinator = GroupCoordinator('g', router)
+        coordinator.join('m1', session_timeout=5.0)
+        coordinator.heartbeat('m1', {'t': 4}, {'t': 9})
+        coordinator.commit('m1', {'t': 3}, {'t': 4})
+        coordinator.fetch(['t'])
+        coordinator.stats()
+        coordinator.leave('m1', {'t': 5})
+        primary = router.bus_of(coordinator.acting_broker).client
+        replica, = (bus.client for bus in buses if bus.client is not primary)
+        for bus in buses:
+            bus.close()
+    assert [row[0] for row in primary.transcript] == [
+        'GROUP_JOIN', 'GROUP_HEARTBEAT', 'OFFSET_COMMIT', 'OFFSET_FETCH',
+        'GROUP_STATS', 'GROUP_LEAVE',
+    ]
+    expected = [
+        {'op': GROUP_COMMANDS[command][0], **options,
+         'generation': reply['generation']}
+        for command, _group, options, reply in primary.transcript
+        if GROUP_COMMANDS[command][1]
+    ]
+    assert [row[:2] for row in replica.transcript] == [('REPL_GROUP', 'g')] * 4
+    mirrored = [row[2] for row in replica.transcript]
+    assert mirrored == expected
+    assert [list(delta) for delta in mirrored] == [list(d) for d in expected]
+    assert mirrored == [
+        {'op': 'join', 'member': 'm1', 'session_timeout': 5.0, 'generation': 1},
+        {'op': 'heartbeat', 'member': 'm1', 'positions': {'t': 4},
+         'ends': {'t': 9}, 'generation': 1},
+        {'op': 'commit', 'offsets': {'t': 3}, 'member': 'm1',
+         'positions': {'t': 4}, 'ends': {}, 'generation': 1},
+        {'op': 'leave', 'member': 'm1', 'positions': {'t': 5}, 'generation': 2},
+    ]
 
 
 @pytest.mark.parametrize(('command', 'value', 'message'), REJECTED)
@@ -204,7 +282,7 @@ def test_server_rejects_malformed_wire_input(server, command, value, message):
         assert str(caught.value) == f'SimKV error: {message}'
         # Only the expired-member reply is typed; it is still a
         # ConnectorError for callers that predate the type.
-        expired = command == 'GROUP_HEARTBEAT'
+        expired = message.startswith('unknown member')
         assert isinstance(caught.value, GroupMembershipError) is expired
         assert client.ping()  # the connection survived the bad request
 
@@ -212,15 +290,46 @@ def test_server_rejects_malformed_wire_input(server, command, value, message):
 @pytest.mark.parametrize(
     ('command', 'value', 'message'),
     [row for row in REJECTED
-     if row[0] in ('GROUP_JOIN', 'OFFSET_COMMIT', 'OFFSET_FETCH')],
+     if row[0] in GROUP_COMMANDS and not row[2].startswith('unknown member')],
 )
 def test_in_process_broker_rejects_what_the_server_rejects(command, value, message):
     broker = LocalEventBus().client
     with pytest.raises(ConnectorError) as caught:
-        broker._request(command, 'g', value)
+        broker.group_command(command, 'g', value)
     assert str(caught.value) == message
     assert not isinstance(caught.value, GroupMembershipError)
-    assert broker.group_stats('g')['members'] == []
+    assert broker.group_command('GROUP_STATS', 'g')['members'] == []
+
+
+@pytest.mark.parametrize('transport', ['kv', 'local'])
+def test_a_refused_group_command_changes_nothing(server, transport):
+    if transport == 'kv':
+        client = KVClient(server.host, server.port)
+    else:
+        client = LocalEventBus().client
+    client.group_command('GROUP_JOIN', 'g', {'member': 'a', 'session_timeout': 30.0})
+    client.group_command('OFFSET_COMMIT', 'g', {'offsets': {'t': 1}, 'member': 'a'})
+    before = client.group_command('GROUP_STATS', 'g')
+    refused = [
+        ('GROUP_HEARTBEAT', {'member': 'a', 'positions': {'t': 4, 'u': 'x'},
+                             'ends': {'t': 9}}),
+        ('GROUP_LEAVE', {'member': 'a', 'positions': {'t': 4, 'u': -1}}),
+        ('OFFSET_COMMIT', {'offsets': {'t': 3, 'u': None}, 'member': 'a'}),
+        ('OFFSET_COMMIT', {'offsets': {'t': 3}, 'member': 'a',
+                           'ends': {'t': 'z'}}),
+        ('GROUP_JOIN', {'member': 'b', 'session_timeout': 'x'}),
+    ]
+    for command, options in refused:
+        with pytest.raises(ConnectorError):
+            client.group_command(command, 'g', options)
+    if transport == 'kv':
+        with pytest.raises(ConnectorError):
+            client.repl_group('g', {'op': 'commit', 'member': 'b',
+                                    'offsets': {'t': 5, 'u': 'q'},
+                                    'generation': 7})
+    assert client.group_command('GROUP_STATS', 'g') == before
+    if transport == 'kv':
+        client.close()
 
 
 # --------------------------------------------------------------------------- #

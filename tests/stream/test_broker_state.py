@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import GroupMembershipError
 from repro.kvserver.broker import DEFAULT_SESSION_TIMEOUT
-from repro.kvserver.broker import GroupCommands
 from repro.kvserver.broker import GroupState
 from repro.kvserver.broker import TopicRing
+from repro.stream import LocalEventBus
+from repro.stream.groups import GroupCoordinator
+from repro.stream.groups import PartitionRouter
 
 
 # --------------------------------------------------------------------------- #
@@ -140,25 +142,19 @@ def test_fetch_sweeps_first_so_a_dead_end_member_is_seen_dead():
     assert stats['members'] == [] and stats['generation'] == before + 1
 
 
-def test_execute_reads_the_dicts_the_client_mixin_builds():
-    class Direct(GroupCommands):
-        def __init__(self):
-            self.state = GroupState()
-
-        def _request(self, command, key=None, value=None):
-            return self.state.execute(command, value or {}, 0.0)
-
-    client = Direct()
-    assert client.group_join('g', 'a', session_timeout=5.0)['members'] == ['a']
-    client.group_heartbeat('g', 'a', {'t': 3}, {'t': 8})
-    client.offset_commit('g', {'t': 2}, member='a')
-    assert client.offset_fetch('g', ['t']) == {
+def test_execute_runs_the_dicts_the_coordinator_builds():
+    coordinator = GroupCoordinator('g', PartitionRouter('t', 1, LocalEventBus()))
+    assert coordinator.join('a', session_timeout=5.0)['members'] == ['a']
+    coordinator.heartbeat('a', {'t': 3}, {'t': 8})
+    coordinator.commit('a', {'t': 2}, {})
+    assert coordinator.fetch(['t']) == {
         't': {'committed': 2, 'watermark': 3, 'end': 8, 'end_member': 'a'},
     }
-    assert client.group_leave('g', 'a')['members'] == []
-    assert client.group_stats('g')['generation'] == 2
+    coordinator.leave('a', {})
+    stats = coordinator.stats()
+    assert stats['members'] == [] and stats['generation'] == 2
     with pytest.raises(ValueError):
-        client.state.execute('GROUP_DANCE', {}, 0.0)
+        GroupState().execute('GROUP_DANCE', {}, 0.0)
 
 
 # -- replicated deltas ------------------------------------------------------ #
