@@ -9,9 +9,9 @@ benchmarks.
 
 Alongside the entry bound, an optional ``max_bytes`` bound caps the
 *resident bytes* of cached values (sizes are estimated with a best-effort
-``sizeof``).  An individual value larger than ``max_bytes`` is simply not
-cached — a multi-GB proxy resolution cannot silently evict the entire
-working set.
+:func:`estimate_nbytes`).  An individual value larger than ``max_bytes`` is
+simply not cached — a multi-GB proxy resolution cannot silently evict the
+entire working set.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
-from typing import Callable
 from typing import Hashable
 from typing import Iterator
 
@@ -77,7 +76,6 @@ class LRUCache:
         max_bytes: optional bound on total estimated resident bytes.  Values
             individually larger than the bound are not cached at all rather
             than evicting everything else.
-        sizeof: optional override for the per-value size estimate.
     """
 
     def __init__(
@@ -85,7 +83,6 @@ class LRUCache:
         maxsize: int = 16,
         *,
         max_bytes: int | None = None,
-        sizeof: Callable[[Any], int] | None = None,
     ) -> None:
         if maxsize < 0:
             raise ValueError('maxsize must be non-negative')
@@ -93,7 +90,6 @@ class LRUCache:
             raise ValueError('max_bytes must be non-negative')
         self.maxsize = maxsize
         self.max_bytes = max_bytes
-        self._sizeof = sizeof if sizeof is not None else estimate_nbytes
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._sizes: dict[Hashable, int] = {}
         self._resident_bytes = 0
@@ -131,7 +127,7 @@ class LRUCache:
         either bound (entries or bytes) is exceeded."""
         if self.maxsize == 0:
             return
-        size = self._sizeof(value)
+        size = estimate_nbytes(value)
         with self._lock:
             if self.max_bytes is not None and size > self.max_bytes:
                 # Caching this value would evict the whole working set;

@@ -63,6 +63,10 @@ DEFAULT_HEDGE_THRESHOLD = 0.05
 #: Upper bound on threads used for one client's replicated fan-out.
 _MAX_PARALLEL = 8
 
+#: Times a put is re-placed against the updated ring after a
+#: replica-unavailable failure.
+_PUT_RETRIES = 2
+
 
 @runtime_checkable
 class NodeBackend(Protocol):
@@ -148,8 +152,6 @@ class ClusterClient:
         replicas: copies written per key (1 = no replication).
         hedge_threshold: seconds of primary silence before a read is
             hedged to the second replica (``0`` disables hedging).
-        put_retries: times a put is re-placed against the updated ring
-            after a replica-unavailable failure.
     """
 
     def __init__(
@@ -159,14 +161,12 @@ class ClusterClient:
         *,
         replicas: int = 2,
         hedge_threshold: float = DEFAULT_HEDGE_THRESHOLD,
-        put_retries: int = 2,
     ) -> None:
         if replicas < 1:
             raise ValueError('replicas must be at least 1')
         self.membership = membership
         self.replicas = replicas
         self.hedge_threshold = hedge_threshold
-        self.put_retries = put_retries
         self.stats = ClusterStats()
         self._node_for = node_for
         self._lock = threading.Lock()
@@ -242,7 +242,7 @@ class ClusterClient:
         remaining: Dict[str, Any] = dict(items)
         placements: Dict[str, Tuple[str, ...]] = {}
         last_error: Exception | None = None
-        for attempt in range(self.put_retries + 1):
+        for attempt in range(_PUT_RETRIES + 1):
             if not remaining:
                 return placements
             ring = self.membership.ring
@@ -298,11 +298,11 @@ class ClusterClient:
                 raise hard[0]
             last_error = next(iter(failed.values()))
             remaining = affected
-            if attempt < self.put_retries:
+            if attempt < _PUT_RETRIES:
                 self._bump('put_retries')
         raise NodeUnavailableError(
             f'replicated put failed for {len(remaining)} key(s) after '
-            f'{self.put_retries + 1} placement attempts: {last_error}',
+            f'{_PUT_RETRIES + 1} placement attempts: {last_error}',
         )
 
     def _evict_orphans(

@@ -30,6 +30,7 @@ from typing import Set
 
 from repro.cluster.client import ClusterClient
 from repro.exceptions import NodeUnavailableError
+from repro.serialize.buffers import payload_nbytes
 
 __all__ = ['RebalanceStats', 'Rebalancer']
 
@@ -74,14 +75,14 @@ class Rebalancer:
         cluster: the replication engine whose membership/backends to heal.
         throttle_bytes_per_s: byte-rate cap on migration copies (``None``
             = unthrottled).
-        batch_size: keys copied between pauses.
-        pause_s: sleep between batches so foreground traffic keeps
-            priority.
         key_filter: predicate selecting which stored keys participate in
             ring placement (the DIM layer excludes stripe shards, whose
             locations are pinned in their parent key).
-        drop_drained: remove copies from nodes that are no longer owners
-            once every owner holds the key (frees departed/stale memory).
+
+    Every :data:`DEFAULT_BATCH_SIZE` copied keys the worker sleeps
+    :data:`DEFAULT_PAUSE_S` so foreground traffic keeps priority.  Once
+    every owner holds a key, the copies left on nodes that no longer own
+    it are dropped (this frees departed and stale memory).
     """
 
     def __init__(
@@ -89,17 +90,11 @@ class Rebalancer:
         cluster: ClusterClient,
         *,
         throttle_bytes_per_s: float | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        pause_s: float = DEFAULT_PAUSE_S,
         key_filter: Callable[[str], bool] | None = None,
-        drop_drained: bool = True,
     ) -> None:
         self.cluster = cluster
         self.throttle_bytes_per_s = throttle_bytes_per_s
-        self.batch_size = max(1, batch_size)
-        self.pause_s = pause_s
         self.key_filter = key_filter
-        self.drop_drained = drop_drained
         self.stats = RebalanceStats()
         self._cond = threading.Condition()
         self._dirty_reasons: List[str] = []
@@ -211,16 +206,15 @@ class Rebalancer:
                         if self._write_copy(node_id, key, value):
                             holding.add(node_id)
                             copied += 1
-                            copied_bytes += _nbytes(value)
+                            copied_bytes += payload_nbytes(value)
                             in_batch += 1
-            if self.drop_drained and owners and owners <= holding:
+            if owners and owners <= holding:
                 for node_id in sorted(holding - owners):
                     if self._drop_copy(node_id, key):
                         dropped += 1
-            if in_batch >= self.batch_size:
+            if in_batch >= DEFAULT_BATCH_SIZE:
                 in_batch = 0
-                if self.pause_s:
-                    time.sleep(self.pause_s)
+                time.sleep(DEFAULT_PAUSE_S)
                 if self.throttle_bytes_per_s:
                     target = copied_bytes / self.throttle_bytes_per_s
                     excess = target - (time.monotonic() - bucket_started)
@@ -270,10 +264,3 @@ class Rebalancer:
             return True
         except NodeUnavailableError:
             return False
-
-
-def _nbytes(value: Any) -> int:
-    try:
-        return len(value)
-    except TypeError:
-        return 0

@@ -4,10 +4,10 @@ Globus Transfer is a cloud-hosted software-as-a-service for reliable bulk
 file movement between registered endpoints.  It is not reachable offline, so
 this module provides a functional stand-in: endpoints are directories on the
 local file system, transfers are asynchronous tasks executed by a background
-worker (with configurable per-task overhead and failure injection), and
-clients poll task status by task id — the same interaction pattern
-:class:`~repro.connectors.globus.GlobusConnector` uses (submit, poll, read
-file from the destination endpoint's directory).
+worker (with configurable per-task overhead and one-shot failure
+injection), and clients poll task status by task id — the same interaction
+pattern :class:`~repro.connectors.globus.GlobusConnector` uses (submit,
+poll, read file from the destination endpoint's directory).
 """
 from __future__ import annotations
 
@@ -31,6 +31,9 @@ __all__ = [
     'get_transfer_service',
     'reset_transfer_service',
 ]
+
+#: Seconds :meth:`GlobusTransferService.wait` sleeps between task polls.
+_POLL_INTERVAL_S = 0.005
 
 
 class TransferStatus(enum.Enum):
@@ -81,20 +84,16 @@ class GlobusTransferService:
             modelling the SaaS submission/polling overhead (kept tiny by
             default so tests are fast; the benchmarks account for the real
             overhead on the virtual clock instead).
-        failure_rate: probability in [0, 1] that a submitted task fails, for
-            failure-injection tests (default never fails).
+
+    :meth:`fail_next_transfer` makes the next submitted task fail.
     """
 
-    def __init__(self, *, task_delay_s: float = 0.0, failure_rate: float = 0.0) -> None:
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError('failure_rate must be within [0, 1]')
+    def __init__(self, *, task_delay_s: float = 0.0) -> None:
         self.task_delay_s = task_delay_s
-        self.failure_rate = failure_rate
         self._endpoints: dict[str, GlobusEndpointSpec] = {}
         self._tasks: dict[str, TransferTask] = {}
         self._lock = threading.Lock()
         self._fail_next = False
-        self._rng_state = 12345
         #: Live transfer worker threads, joined by :meth:`close` so the
         #: service never leaks workers past its owner's teardown.
         self._workers: list[threading.Thread] = []
@@ -123,16 +122,6 @@ class GlobusTransferService:
         """Force the next submitted transfer task to fail (for tests)."""
         self._fail_next = True
 
-    def _should_fail(self) -> bool:
-        if self._fail_next:
-            self._fail_next = False
-            return True
-        if self.failure_rate <= 0.0:
-            return False
-        # Small deterministic LCG so failure injection is reproducible.
-        self._rng_state = (1103515245 * self._rng_state + 12345) % (2**31)
-        return (self._rng_state / 2**31) < self.failure_rate
-
     # -- transfers ------------------------------------------------------------ #
     def submit_transfer(
         self,
@@ -155,7 +144,7 @@ class GlobusTransferService:
         )
         with self._lock:
             self._tasks[task.task_id] = task
-        fail = self._should_fail()
+        fail, self._fail_next = self._fail_next, False
         worker = threading.Thread(
             target=self._execute, args=(task, src, dst, fail), daemon=True,
         )
@@ -211,7 +200,7 @@ class GlobusTransferService:
             except KeyError:
                 raise TransferError(f'unknown transfer task {task_id!r}') from None
 
-    def wait(self, task_id: str, *, timeout: float = 30.0, poll_interval: float = 0.005) -> TransferTask:
+    def wait(self, task_id: str, *, timeout: float = 30.0) -> TransferTask:
         """Block until the task completes; raises :class:`TransferError` on failure/timeout."""
         deadline = time.time() + timeout
         while True:
@@ -224,7 +213,7 @@ class GlobusTransferService:
                 return task
             if time.time() > deadline:
                 raise TransferError(f'Globus transfer task {task_id} timed out')
-            time.sleep(poll_interval)
+            time.sleep(_POLL_INTERVAL_S)
 
 
 # Process-global service instance used by default so that producer and

@@ -22,17 +22,6 @@ class ConnectorError(ReproError):
     """Base class for connector-level failures."""
 
 
-class ConnectorKeyError(ConnectorError, KeyError):
-    """Raised when a key is missing from a connector and the operation requires it."""
-
-    def __str__(self) -> str:  # KeyError quotes its message; keep it readable.
-        return Exception.__str__(self)
-
-
-class ConnectorClosedError(ConnectorError):
-    """Raised when an operation is attempted on a closed connector."""
-
-
 class NodeUnavailableError(ConnectorError):
     """Raised when a storage node cannot be reached at all.
 
@@ -51,10 +40,6 @@ class UnknownConnectorSchemeError(ConnectorError):
 
 class ConnectorSchemeExistsError(ConnectorError):
     """Raised when registering a scheme already claimed by a different connector."""
-
-
-class DeferredWriteError(ConnectorError):
-    """Raised when a connector cannot pre-allocate keys for deferred writes."""
 
 
 class StoreError(ReproError):

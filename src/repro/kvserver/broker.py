@@ -162,11 +162,23 @@ class TopicRing:
             del events[limit:]
         return events, max(0, oldest - seq)
 
-    def set_retention(self, retention: int) -> None:
-        """Bound the ring to ``retention`` events, trimming immediately."""
+    @staticmethod
+    def check_retention(retention: Any) -> int:
+        """``retention`` if it can bound a ring: an int of at least 1.
+
+        Both brokers call it before configuring a topic creates it, so a
+        refused retention changes nothing.  Raises :class:`ValueError`
+        otherwise.
+        """
+        if not isinstance(retention, int):
+            raise ValueError('retention must be an int')
         if retention < 1:
             raise ValueError('retention must be at least 1')
-        self.retention = retention
+        return retention
+
+    def set_retention(self, retention: int) -> None:
+        """Bound the ring to ``retention`` events, trimming immediately."""
+        self.retention = self.check_retention(retention)
         self._trim()
 
     def stats(self) -> dict[str, int]:

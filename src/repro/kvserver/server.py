@@ -444,18 +444,20 @@ class KVServer:
         memory the decoder received them into, fresh and owned by this
         server alone.  One non-empty segment is kept as that buffer; several
         are kept as the tuple of the buffers received, never joined
-        (:func:`_wire_value` sends them back the same way).  Plain
-        ``bytes``/``bytearray`` values are accepted for backward
-        compatibility.  ``None`` for anything else.
+        (:func:`_wire_value` sends them back the same way).  ``None`` for
+        anything but a list of ``bytes``/``bytearray``/``memoryview``.
         """
-        if isinstance(value, (bytes, bytearray)):
-            return value
-        if isinstance(value, list):
-            segments = tuple(v for v in value if len(v))
-            if len(segments) > 1:
-                return segments
-            return segments[0] if segments else b''
-        return None
+        if not isinstance(value, list):
+            return None
+        segments = []
+        for segment in value:
+            if not isinstance(segment, (bytes, bytearray, memoryview)):
+                return None
+            if len(segment):
+                segments.append(segment)
+        if len(segments) > 1:
+            return tuple(segments)
+        return segments[0] if segments else b''
 
     def _handle(self, request: Any, conn: _ClientConn) -> tuple[Any, str, Any] | None:
         """Execute one request; returns the ``(request_id, status, payload)``.
@@ -657,14 +659,14 @@ class KVServer:
 
     def _cmd_tconfig(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         options = value if isinstance(value, dict) else {}
-        topic = self._topic(key)
         retention = options.get('retention')
         if retention is not None:
             try:
-                topic.set_retention(int(retention))
+                TopicRing.check_retention(retention)
             except ValueError as e:
                 return ('error', str(e))
-        return ('ok', {'retention': topic.retention})
+            self._topic(key).set_retention(retention)
+        return ('ok', {'retention': self._topic(key).retention})
 
     def _cmd_tstats(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         topic = self._topics.get(key)
@@ -718,8 +720,7 @@ class KVServer:
         """
         if not isinstance(value, list):
             return ('error', 'REPL_PUBLISH value must be [(seq, payload), ...]')
-        topic = self._topic(key)
-        accepted = 0
+        entries = []
         for entry in value:
             try:
                 seq, raw = entry
@@ -730,7 +731,9 @@ class KVServer:
             payload = self._own_value(raw)
             if payload is None:
                 return ('error', 'REPL_PUBLISH payloads must be bytes')
-            accepted += topic.append_at(seq, payload)
+            entries.append((seq, payload))
+        topic = self._topic(key)
+        accepted = sum(topic.append_at(seq, payload) for seq, payload in entries)
         self._release(key, lambda fetch: fetch.since < topic.next_seq)
         return ('ok', {'accepted': accepted, 'next_seq': topic.next_seq})
 

@@ -8,7 +8,6 @@ from repro.serialize.buffers import to_bytes
 from repro.serialize.buffers import write_segments
 from repro.serialize.serializer import deserialize
 from repro.serialize.serializer import serialize
-from repro.serialize.serializer import set_small_frame_threshold
 from repro.serialize.serializer import small_frame_threshold
 from repro.serialize.registry import SerializerRegistry
 from repro.serialize.registry import default_registry
@@ -26,7 +25,6 @@ __all__ = [
     'register_serializer',
     'segments_of',
     'serialize',
-    'set_small_frame_threshold',
     'small_frame_threshold',
     'to_bytes',
     'unregister_serializer',

@@ -98,7 +98,6 @@ __all__ = [
     'serialize',
     'deserialize',
     'small_frame_threshold',
-    'set_small_frame_threshold',
     'BytesLike',
     'SerializedObject',
 ]
@@ -107,34 +106,18 @@ __all__ = [
 # --------------------------------------------------------------------------- #
 # Small-frame threshold
 # --------------------------------------------------------------------------- #
-_DEFAULT_SMALL_FRAME_THRESHOLD = 16 * 1024
-
-
-_small_threshold = _DEFAULT_SMALL_FRAME_THRESHOLD
+_SMALL_FRAME_THRESHOLD = 16 * 1024
 
 
 def small_frame_threshold() -> int:
-    """Return the current small-frame threshold in bytes.
+    """Return the small-frame threshold in bytes (16 KiB).
 
     Payloads strictly smaller than this are serialized as one compact
     ``bytes`` frame instead of a segmented :class:`SerializedObject`.  The
-    initial value is 16 KiB.
+    threshold only decides which *container* the writer produces: the wire
+    bytes are identical either way.
     """
-    return _small_threshold
-
-
-def set_small_frame_threshold(nbytes: int) -> int:
-    """Set the small-frame threshold; returns the previous value.
-
-    ``0`` disables the small-frame path entirely (every payload becomes a
-    :class:`SerializedObject`, the pre-threshold behaviour).  The threshold
-    only affects which *container* the writer produces — the wire bytes are
-    identical either way, so readers need no coordination.
-    """
-    global _small_threshold
-    previous = _small_threshold
-    _small_threshold = max(0, int(nbytes))
-    return previous
+    return _SMALL_FRAME_THRESHOLD
 
 
 # --------------------------------------------------------------------------- #
@@ -200,10 +183,9 @@ class _BufferSieve:
     at or above the threshold are captured for the out-of-band 0x06 layout.
     """
 
-    __slots__ = ('threshold', 'oob')
+    __slots__ = ('oob',)
 
-    def __init__(self, threshold: int) -> None:
-        self.threshold = threshold
+    def __init__(self) -> None:
         self.oob: list[memoryview] = []
 
     def __call__(self, buf: pickle.PickleBuffer) -> bool:
@@ -213,20 +195,20 @@ class _BufferSieve:
             # A contributing buffer is non-contiguous; the caller falls back
             # to a fully in-band dumps.
             raise _NonContiguousBuffer from None
-        if raw.nbytes < self.threshold:
+        if raw.nbytes < _SMALL_FRAME_THRESHOLD:
             return True
         self.oob.append(raw)
         return False
 
 
-def _pickle_payload(obj: Any, threshold: int) -> 'bytes | SerializedObject':
+def _pickle_payload(obj: Any) -> 'bytes | SerializedObject':
     """Pickle ``obj``, keeping large buffers out-of-band (wire id 0x06).
 
-    Small results (no out-of-band buffers, payload below ``threshold``)
+    Small results (no out-of-band buffers, payload below the threshold)
     produce a compact 0x05 frame; in-band results at or above the threshold
     keep the classic two-segment 0x05 layout.
     """
-    sieve = _BufferSieve(threshold if threshold > 0 else 1)
+    sieve = _BufferSieve()
     try:
         payload = _pickle_dumps(
             obj, protocol=_PICKLE_PROTOCOL, buffer_callback=sieve,
@@ -236,7 +218,7 @@ def _pickle_payload(obj: Any, threshold: int) -> 'bytes | SerializedObject':
         sieve.oob = []
     oob = sieve.oob
     if not oob:
-        if len(payload) < threshold:
+        if len(payload) < _SMALL_FRAME_THRESHOLD:
             return _IDENT_PICKLE + payload
         return SerializedObject([_IDENT_PICKLE, payload])
     header = b''.join(
@@ -250,12 +232,12 @@ def _pickle_payload(obj: Any, threshold: int) -> 'bytes | SerializedObject':
     return SerializedObject([header, payload, *oob])
 
 
-def _numpy_payload(arr: np.ndarray, threshold: int) -> 'bytes | SerializedObject':
+def _numpy_payload(arr: np.ndarray) -> 'bytes | SerializedObject':
     """Serialize an ndarray as ``.npy`` header + its data buffer.
 
-    Arrays with fewer than ``threshold`` data bytes are joined into one
-    compact frame (the copy is cheaper than segment bookkeeping at that
-    scale); larger arrays keep a zero-copy view of their buffer.
+    Arrays with fewer data bytes than the small-frame threshold are joined
+    into one compact frame (the copy is cheaper than segment bookkeeping at
+    that scale); larger arrays keep a zero-copy view of their buffer.
     """
     if arr.dtype.hasobject:
         raise SerializationError(
@@ -280,15 +262,15 @@ def _numpy_payload(arr: np.ndarray, threshold: int) -> 'bytes | SerializedObject
         buffer = io.BytesIO()
         np.save(buffer, arr, allow_pickle=False)
         payload = buffer.getvalue()
-        if len(payload) < threshold:
+        if len(payload) < _SMALL_FRAME_THRESHOLD:
             return _IDENT_NUMPY + payload
         return SerializedObject([_IDENT_NUMPY, payload])
-    if arr.nbytes < threshold:
+    if arr.nbytes < _SMALL_FRAME_THRESHOLD:
         return b''.join((_IDENT_NUMPY, header_io.getvalue(), raw))
     return SerializedObject([_IDENT_NUMPY, header_io.getvalue(), raw])
 
 
-def _custom_payload(obj: Any, threshold: int) -> 'bytes | SerializedObject':
+def _custom_payload(obj: Any) -> 'bytes | SerializedObject':
     """Serialize ``obj`` through its registered custom serializer (0x04)."""
     custom = default_registry.find(obj)
     if custom is None:
@@ -310,7 +292,7 @@ def _custom_payload(obj: Any, threshold: int) -> 'bytes | SerializedObject':
             f'{type(payload).__name__}',
         )
     head = _IDENT_CUSTOM + name.encode('utf-8') + b'\n'
-    if len(payload) < threshold:
+    if len(payload) < _SMALL_FRAME_THRESHOLD:
         return head + bytes(payload)
     return SerializedObject([head, payload])
 
@@ -338,8 +320,6 @@ def serialize(obj: Any) -> 'bytes | SerializedObject':
     if route is None:
         route = _classify(obj)
         _routes[tp] = route
-    threshold = _small_threshold
-
     if route == _R_PICKLE:
         # Optimistic: no buffer_callback, matching the minimal legacy work.
         try:
@@ -348,7 +328,7 @@ def serialize(obj: Any) -> 'bytes | SerializedObject':
             raise SerializationError(
                 f'Object of type {tp.__name__} could not be pickled: {e}',
             ) from e
-        if len(payload) < threshold:
+        if len(payload) < _SMALL_FRAME_THRESHOLD:
             return _IDENT_PICKLE + payload
         # Overflow: this type carries real data — permanently upgrade it to
         # the sieved route so large buffers travel out-of-band (zero-copy)
@@ -357,7 +337,7 @@ def serialize(obj: Any) -> 'bytes | SerializedObject':
         route = _R_PICKLE_SIEVED
     if route == _R_PICKLE_SIEVED:
         try:
-            return _pickle_payload(obj, threshold)
+            return _pickle_payload(obj)
         except SerializationError:
             raise
         except Exception as e:  # noqa: BLE001
@@ -365,16 +345,16 @@ def serialize(obj: Any) -> 'bytes | SerializedObject':
                 f'Object of type {tp.__name__} could not be pickled: {e}',
             ) from e
     if route == _R_BYTES:
-        if len(obj) < threshold:
+        if len(obj) < _SMALL_FRAME_THRESHOLD:
             return _IDENT_BYTES + obj
         return SerializedObject([_IDENT_BYTES, obj])
     if route == _R_STR:
         encoded = obj.encode('utf-8')
-        if len(encoded) < threshold:
+        if len(encoded) < _SMALL_FRAME_THRESHOLD:
             return _IDENT_STR + encoded
         return SerializedObject([_IDENT_STR, encoded])
     if route == _R_NDARRAY:
-        return _numpy_payload(obj, threshold)
+        return _numpy_payload(obj)
     if route == _R_BYTEVIEW:
         # Zero-copy on the large path: the segment aliases the caller's
         # buffer until the connector writes (or freezes) it.  Views that
@@ -382,18 +362,18 @@ def serialize(obj: Any) -> 'bytes | SerializedObject':
         # are materialized here.
         if isinstance(obj, memoryview) and not obj.c_contiguous:
             obj = bytes(obj)
-            if len(obj) < threshold:
+            if len(obj) < _SMALL_FRAME_THRESHOLD:
                 return _IDENT_BYTES + obj
             return SerializedObject([_IDENT_BYTES, obj])
-        if len(obj) < threshold:
+        if len(obj) < _SMALL_FRAME_THRESHOLD:
             return _IDENT_BYTES + bytes(obj)
         return SerializedObject([_IDENT_BYTES, obj])
     if route == _R_PROXY:
         payload = _pickle_dumps(obj, protocol=_PICKLE_PROTOCOL)
-        if len(payload) < threshold:
+        if len(payload) < _SMALL_FRAME_THRESHOLD:
             return _IDENT_PICKLE + payload
         return SerializedObject([_IDENT_PICKLE, payload])
-    return _custom_payload(obj, threshold)
+    return _custom_payload(obj)
 
 
 # --------------------------------------------------------------------------- #
@@ -667,7 +647,7 @@ def deserialize(data: 'BytesLike | SerializedObject') -> Any:
         n = len(data)
         if n == 0:
             raise SerializationError('cannot deserialize an empty byte string')
-        if n <= _small_threshold + 1:
+        if n <= _SMALL_FRAME_THRESHOLD + 1:
             # Small frames: plain slices beat memoryview indirection here.
             ident = data[0]
             if ident == 1:

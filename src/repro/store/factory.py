@@ -60,7 +60,6 @@ def _load(
     self.store_name = config_wire[0]
     self.evict = bool(flags & _EVICT)
     self.owned = bool(flags & _OWNED)
-    self.deserializer_name = None
     self.connector_kwargs = {}
     self._config = None
     self._config_wire = (flags & CONFIG_BITS, config_wire)
@@ -82,8 +81,6 @@ class StoreFactory(Factory[T]):
         store_config: configuration from which the Store can be re-created.
         evict: if true, the object is evicted from the store when the factory
             first resolves it (for ephemeral intermediate values).
-        deserializer_name: reserved hook for custom deserializers registered
-            through :mod:`repro.serialize.registry`; ``None`` uses the default.
         connector_kwargs: the connector ``put`` keyword arguments the object
             was originally stored with (e.g. MultiConnector routing
             constraints such as ``subset_tags``).  Carried so any layer that
@@ -108,7 +105,6 @@ class StoreFactory(Factory[T]):
         store_config: StoreConfig,
         *,
         evict: bool = False,
-        deserializer_name: str | None = None,
         connector_kwargs: dict[str, Any] | None = None,
         owned: bool = False,
     ) -> None:
@@ -121,7 +117,6 @@ class StoreFactory(Factory[T]):
         self.key = key
         self.store_name = store_config.name
         self.evict = evict
-        self.deserializer_name = deserializer_name
         self.connector_kwargs = dict(connector_kwargs) if connector_kwargs else {}
         self.owned = owned
         self._config: StoreConfig | None = store_config
@@ -140,8 +135,6 @@ class StoreFactory(Factory[T]):
     def _wire_attrs(self) -> dict[str, Any]:
         """The factory's own attributes that differ from their defaults."""
         attrs: dict[str, Any] = {}
-        if self.deserializer_name is not None:
-            attrs['deserializer_name'] = self.deserializer_name
         if self.connector_kwargs:
             attrs['connector_kwargs'] = self.connector_kwargs
         return attrs

@@ -26,7 +26,6 @@ from repro.stream.bus import Subscription
 from repro.stream.bus import broker_id
 from repro.stream.bus import bus_from_config
 from repro.stream.bus import event_bus_from_url
-from repro.stream.bus import list_event_buses
 from repro.stream.bus import register_event_bus
 from repro.stream.channels import StreamConsumer
 from repro.stream.channels import StreamProducer
@@ -63,7 +62,6 @@ __all__ = [
     'broker_id',
     'bus_from_config',
     'event_bus_from_url',
-    'list_event_buses',
     'partition_topics',
     'register_event_bus',
 ]

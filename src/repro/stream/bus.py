@@ -53,7 +53,6 @@ __all__ = [
     'Subscription',
     'broker_id',
     'event_bus_from_url',
-    'list_event_buses',
     'register_event_bus',
 ]
 
@@ -209,12 +208,6 @@ def register_event_bus(scheme: str, cls: type, *, replace: bool = False) -> None
                 f'{existing.__module__}:{existing.__qualname__}',
             )
         _BUS_SCHEMES[scheme] = cls
-
-
-def list_event_buses() -> dict[str, type]:
-    """Return a snapshot of the scheme -> event-bus-class mapping."""
-    with _REGISTRY_LOCK:
-        return dict(sorted(_BUS_SCHEMES.items()))
 
 
 def event_bus_from_url(url: 'str | StoreURL') -> EventBus:
@@ -382,6 +375,7 @@ class LocalEventBus:
 
     def configure_topic(self, topic: str, *, retention: int) -> None:
         """Set ``topic``'s ring retention, trimming immediately."""
+        TopicRing.check_retention(retention)  # a refused one creates no topic
         ring, cond = self._topic(topic)
         with cond:
             ring.set_retention(retention)

@@ -307,9 +307,14 @@ class PartitionRouter:
 
         The first live ring owner assigns the sequence numbers; the events
         are then mirrored — with those explicit numbers — onto the other
-        live owners via ``REPL_PUBLISH`` *before returning*, so a single
-        broker death after the publish cannot lose an event the caller was
-        told succeeded.
+        live owners via ``REPL_PUBLISH`` *before returning*.  With one
+        producer per partition, a single broker death after the publish
+        cannot lose an event the caller was told succeeded.  With two
+        producers on one partition it can: if the second producer's mirror
+        lands on the replica before the first's, and the primary then
+        fails over, a consumer reading the replica starts past the first
+        producer's events and counts them as ``lost``, although this call
+        returned their seqs.
         """
         payloads = list(payloads)
         node, seqs = self.first_live(
@@ -831,9 +836,8 @@ class GroupConsumer(_DeliveryCore):
         member: this member's id (generated when omitted; must be unique
             within the group).
         session_timeout: heartbeat lease seconds — miss it and the broker
-            expires this member and survivors take its partitions.
-        heartbeat_interval: seconds between heartbeats (default: a third
-            of the session timeout).
+            expires this member and survivors take its partitions.  The
+            member heartbeats three times per lease.
         timeout: seconds without any delivered event before iteration
             raises ``TimeoutError`` (``None`` = wait forever).
         prefetch: kick off background resolution of up to this many
@@ -863,7 +867,6 @@ class GroupConsumer(_DeliveryCore):
         partitions: int,
         member: str | None = None,
         session_timeout: float = DEFAULT_SESSION_TIMEOUT,
-        heartbeat_interval: float | None = None,
         timeout: float | None = 30.0,
         prefetch: int = 0,
         replicas: int = 1,
@@ -881,10 +884,6 @@ class GroupConsumer(_DeliveryCore):
         self.group = group
         self.member = member if member is not None else f'member-{new_object_id()}'
         self.session_timeout = session_timeout
-        self.heartbeat_interval = (
-            heartbeat_interval if heartbeat_interval is not None
-            else session_timeout / _HEARTBEAT_FRACTION
-        )
         self.coordinator = GroupCoordinator(group, self.router)
 
         self._view_lock = threading.Lock()
@@ -957,7 +956,8 @@ class GroupConsumer(_DeliveryCore):
         return True
 
     def _heartbeat_loop(self) -> None:
-        while not self._closed.wait(self.heartbeat_interval):
+        interval = self.session_timeout / _HEARTBEAT_FRACTION
+        while not self._closed.wait(interval):
             try:
                 self._heartbeat()
             except ConnectorError:

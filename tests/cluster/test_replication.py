@@ -157,7 +157,7 @@ def test_partial_put_failure_evicts_orphan_replicas():
     nodes = {f'n{i}': FakeNode(f'n{i}') for i in range(3)}
     membership = ClusterMembership(nodes, vnodes=16, failure_threshold=100)
     cluster = ClusterClient(
-        lambda node_id: nodes[node_id], membership, replicas=2, put_retries=1,
+        lambda node_id: nodes[node_id], membership, replicas=2,
     )
     # Find a key whose replica set includes n1, then take n1 down.
     key = next(
@@ -231,7 +231,7 @@ def test_put_with_no_alive_nodes_raises():
 
 def test_rebalancer_re_replicates_after_crash():
     cluster, nodes = make_cluster()
-    rebalancer = Rebalancer(cluster, pause_s=0)
+    rebalancer = Rebalancer(cluster)
     try:
         placements = cluster.mset([(f'k{i}', b'x') for i in range(40)])
         victim = 'n2'
@@ -247,7 +247,7 @@ def test_rebalancer_re_replicates_after_crash():
 
 def test_rebalancer_drains_voluntary_leave():
     cluster, nodes = make_cluster()
-    rebalancer = Rebalancer(cluster, pause_s=0)
+    rebalancer = Rebalancer(cluster)
     try:
         placements = cluster.mset([(f'k{i}', b'x') for i in range(40)])
         cluster.membership.leave('n0')  # still reachable: drains, not lost
@@ -264,7 +264,7 @@ def test_rebalancer_drains_voluntary_leave():
 
 def test_rebalancer_pulls_share_to_new_node():
     cluster, nodes = make_cluster()
-    rebalancer = Rebalancer(cluster, pause_s=0)
+    rebalancer = Rebalancer(cluster)
     try:
         cluster.mset([(f'k{i}', b'x') for i in range(60)])
         nodes['n3'] = FakeNode('n3')
@@ -283,7 +283,7 @@ def test_rebalancer_pulls_share_to_new_node():
 def test_rebalancer_key_filter_excludes_keys():
     cluster, nodes = make_cluster()
     rebalancer = Rebalancer(
-        cluster, pause_s=0, key_filter=lambda key: '.s' not in key,
+        cluster, key_filter=lambda key: '.s' not in key,
     )
     try:
         cluster.set('plain', b'x')

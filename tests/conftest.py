@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import multiprocessing.resource_tracker
+import operator
 import os
 import signal
 import threading
@@ -87,8 +88,10 @@ def _clean_global_state():
 
 
 #: Test directories whose every test must leave no socket and no thread
-#: behind (widened one directory at a time).
-LEAK_CHECKED_DIRS = ('kvserver', 'stream')
+#: behind (widened one directory at a time), each with its rule: ``False``
+#: gives the counts :data:`GRACE_S` to come back to their level, ``True``
+#: demands the very same counts the moment the test ends.
+LEAK_CHECKED_DIRS = {'kvserver': False, 'stream': False, 'endpoint': True}
 
 #: Seconds the fd and thread counts get to return to their level.
 GRACE_S = 2.0
@@ -106,10 +109,13 @@ def _no_leaked_fds_or_threads(request):
     open file descriptor or a live thread that was not there before the
     test.  Servers drain and clients close asynchronously (a loop thread
     exits after ``stop`` returns, a closed socket's peer notices later),
-    so the counts get a short grace period to come back.
+    so the counts get a short grace period to come back, with garbage
+    collected only while a count is over (collecting can only lower one).
+    A strict directory (``Endpoint.stop()`` must release everything
+    before it returns) gets no grace: the counts must be equal at once.
     """
-    if (request.path.parent.name not in LEAK_CHECKED_DIRS
-            or not os.path.isdir('/proc/self/fd')):
+    strict = LEAK_CHECKED_DIRS.get(request.path.parent.name)
+    if strict is None or not os.path.isdir('/proc/self/fd'):
         yield
         return
     # The first test that spawns a process starts the process-wide
@@ -118,14 +124,19 @@ def _no_leaked_fds_or_threads(request):
     fds, threads = _fd_count(), threading.active_count()
     yield
     deadline = time.monotonic() + GRACE_S
+    collected = False
     while True:
-        gc.collect()
         fds_now, threads_now = _fd_count(), threading.active_count()
-        if (fds_now <= fds and threads_now <= threads) or time.monotonic() > deadline:
+        if (strict or (fds_now <= fds and threads_now <= threads)
+                or time.monotonic() > deadline):
             break
-        time.sleep(0.05)
-    assert fds_now <= fds, f'{fds_now - fds} file descriptor(s) leaked'
-    assert threads_now <= threads, (
+        if collected:
+            time.sleep(0.05)
+        gc.collect()
+        collected = True
+    within = operator.eq if strict else operator.le
+    assert within(fds_now, fds), f'{fds_now - fds} file descriptor(s) leaked'
+    assert within(threads_now, threads), (
         f'{threads_now - threads} thread(s) leaked: '
         f'{sorted(t.name for t in threading.enumerate())}'
     )

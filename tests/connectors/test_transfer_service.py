@@ -97,11 +97,6 @@ def test_injected_failure(service, endpoints):
     assert service.wait(task_id).status is TransferStatus.SUCCEEDED
 
 
-def test_failure_rate_validation():
-    with pytest.raises(ValueError):
-        GlobusTransferService(failure_rate=1.5)
-
-
 def test_unknown_task_raises(service):
     with pytest.raises(TransferError):
         service.get_task('bogus')

@@ -156,6 +156,21 @@ REJECTED = [
     ('REPL_GROUP', {'op': 'commit', 'member': 'b', 'offsets': {'t': 'q'}},
      'offsets must be ints >= 0'),
     ('OFFSET_FETCH', {'topics': [['t']]}, 'OFFSET_FETCH topics must be strings'),
+    # A value is a list of buffers and nothing else: a stored string or a
+    # bare value would fail every later GET or FETCH of its key or topic.
+    ('SET', ['a'], 'SET value must be bytes'),
+    ('SET', [b'a', 'b'], 'SET value must be bytes'),
+    ('SET', b'a', 'SET value must be bytes'),
+    ('MSET', [('k', ['a'])], 'MSET values must be bytes'),
+    ('MSET', [('k', [b'a', 'b'])], 'MSET values must be bytes'),
+    ('PUBLISH', ['a'], 'PUBLISH payload must be bytes'),
+    ('PUBLISH', [b'a', 'b'], 'PUBLISH payload must be bytes'),
+    ('PUBLISH', [(0, b'a')], 'PUBLISH payload must be bytes'),
+    ('MPUBLISH', [['a']], 'MPUBLISH payloads must be bytes'),
+    ('MPUBLISH', [[b'a', 'b']], 'MPUBLISH payloads must be bytes'),
+    ('TCONFIG', {'retention': [1]}, 'retention must be an int'),
+    ('TCONFIG', {'retention': 'x'}, 'retention must be an int'),
+    ('TCONFIG', {'retention': 2.7}, 'retention must be an int'),
 ]
 
 
@@ -330,6 +345,34 @@ def test_a_refused_group_command_changes_nothing(server, transport):
     assert client.group_command('GROUP_STATS', 'g') == before
     if transport == 'kv':
         client.close()
+
+
+def test_a_refused_write_changes_nothing(server):
+    with KVClient(server.host, server.port) as client:
+        client.set('k', b'v')
+        client.publish('t', b'e0')
+        before = (client.size(), client.topic_stats('t'), client.topic_stats('new'))
+        refused = [
+            ('SET', 'k', ['a']),
+            ('SET', 'k', [b'a', 'b']),
+            ('MSET', None, [('k', [b'x']), ('k2', ['a'])]),
+            ('PUBLISH', 't', ['a']),
+            ('PUBLISH', 't', [(0, b'a')]),
+            ('MPUBLISH', 't', [[b'x'], [b'a', 'b']]),
+            ('REPL_PUBLISH', 't', [(1, [b'x']), (2, ['a'])]),
+            ('TCONFIG', 'new', {'retention': [1]}),
+            ('TCONFIG', 'new', {'retention': 'x'}),
+            ('TCONFIG', 'new', {'retention': 0}),
+            ('TCONFIG', 't', {'retention': 2.7}),
+        ]
+        for command, key, value in refused:
+            with pytest.raises(ConnectorError):
+                client._request(command, key, value)
+        assert (client.size(), client.topic_stats('t'), client.topic_stats('new')) == before
+        assert bytes(client.get('k')) == b'v' and client.get('k2') is None
+        assert _plain(client.fetch_events('t', 0)) == {
+            'events': [(0, b'e0')], 'next_seq': 1, 'lost': 0,
+        }
 
 
 # --------------------------------------------------------------------------- #

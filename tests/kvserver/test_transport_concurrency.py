@@ -6,6 +6,7 @@ pass the connection's receive role among themselves (leader/follower).
 from __future__ import annotations
 
 import functools
+import pickle
 import socket
 import sys
 import threading
@@ -233,7 +234,7 @@ def test_graceful_shutdown_drains_in_flight_request():
     server = KVServer()
     server.start()
     with socket.create_connection((server.host, server.port)) as sock:
-        send_message(sock, (7, 'SET', 'k', b'drained'))
+        send_message(sock, (7, 'SET', 'k', [pickle.PickleBuffer(b'drained')]))
         send_message(sock, (8, 'GET', 'k', None))
         stopper = threading.Thread(target=server.stop)
         stopper.start()
@@ -439,8 +440,6 @@ def _close_under_the_leader(pool_size: int) -> None:
 
 def test_inactivity_timeout_allows_slow_streaming_responses():
     """The timeout bounds idle time, not total transfer duration."""
-    import pickle
-
     from repro.kvserver.protocol import encode_message
 
     listener = socket.socket()
@@ -481,7 +480,6 @@ def test_inactivity_timeout_allows_slow_streaming_responses():
 def test_malformed_frame_kills_only_that_connection(server):
     """Garbage on one connection must not take down the event loop, and
     neither must a frame cut short by a peer that dies mid-write."""
-    import pickle
     import struct
 
     healthy = KVClient(server.host, server.port)
@@ -499,7 +497,7 @@ def test_malformed_frame_kills_only_that_connection(server):
     # A strict prefix of a valid SET frame with a 4 KiB out-of-band value,
     # then the socket closes: the partial value is never stored.
     frame = b''.join(
-        encode_message((1, 'SET', 'cut', pickle.PickleBuffer(b'x' * 4096))),
+        encode_message((1, 'SET', 'cut', [pickle.PickleBuffer(b'x' * 4096)])),
     )
     with socket.create_connection((server.host, server.port)) as cut:
         cut.sendall(frame[: len(frame) // 2])
@@ -527,7 +525,7 @@ def test_request_level_exception_returns_error_response(server):
     """A request the handler chokes on yields an error, not a dead server."""
     client = KVClient(server.host, server.port)
     with pytest.raises(ConnectorError, match='internal error'):
-        client._request('SET', ['unhashable', 'key'], b'x')
+        client._request('SET', ['unhashable', 'key'], [pickle.PickleBuffer(b'x')])
     assert client.ping()
     assert server.running
     client.close()

@@ -188,16 +188,13 @@ def test_many_segment_payload_exceeding_iov_max():
     # writev/sendmsg call; the vectored-write loops must chunk.
     from repro.connectors.file import FileConnector
     from repro.connectors.redis import RedisConnector
-    from repro.serialize import set_small_frame_threshold
+    from repro.serialize import small_frame_threshold
 
-    # Threshold 0 forces every pickle-5 buffer out-of-band so the payload
-    # genuinely exceeds IOV_MAX segments.
-    previous = set_small_frame_threshold(0)
-    try:
-        many = [np.full(4, i, dtype=np.int32) for i in range(1200)]
-        serialized = serialize(many)
-    finally:
-        set_small_frame_threshold(previous)
+    # Arrays of exactly the threshold travel out-of-band, one segment each,
+    # so the payload genuinely exceeds IOV_MAX segments.
+    items = small_frame_threshold() // 4
+    many = [np.full(items, i, dtype=np.int32) for i in range(1200)]
+    serialized = serialize(many)
     assert len(serialized.pieces) > 1100
     import tempfile
 

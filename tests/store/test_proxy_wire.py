@@ -486,11 +486,10 @@ _lifetimes = st.sampled_from([(False, False), (True, False), (False, True)])
     config=_configs,
     key=_keys,
     lifetime=_lifetimes,
-    deserializer_name=st.one_of(st.none(), _names),
     connector_kwargs=st.dictionaries(_names, st.lists(_names, max_size=2), max_size=2),
 )
 def test_wire_form_round_trips_exactly(
-    config, key, lifetime, deserializer_name, connector_kwargs,
+    config, key, lifetime, connector_kwargs,
 ):
     evict, owned = lifetime
     factory = StoreFactory(
@@ -498,7 +497,6 @@ def test_wire_form_round_trips_exactly(
         config,
         evict=evict,
         owned=owned,
-        deserializer_name=deserializer_name,
         connector_kwargs=connector_kwargs,
     )
     once = pickle.loads(pickle.dumps(factory))
@@ -512,7 +510,6 @@ def test_wire_form_round_trips_exactly(
         assert dataclasses.asdict(restored.store_config) == dataclasses.asdict(config)
         assert len(dataclasses.fields(restored.store_config)) == 9
         assert (restored.evict, restored.owned) == (evict, owned)
-        assert restored.deserializer_name == deserializer_name
         assert restored.connector_kwargs == connector_kwargs
         assert restored == factory and hash(restored) == hash(factory)
         assert not any(name.startswith('_async') for name in vars(restored))

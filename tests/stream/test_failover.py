@@ -5,12 +5,14 @@ with SIGKILL lives in ``test_broker_chaos.py`` under the ``chaos`` marker.
 """
 from __future__ import annotations
 
+import threading
 import time
 import types
 
 import pytest
 
 import repro
+from repro.serialize import serialize
 from repro.exceptions import ConnectorError
 from repro.exceptions import GroupMembershipError
 from repro.exceptions import NodeUnavailableError
@@ -18,6 +20,7 @@ from repro.exceptions import StreamGroupError
 from repro.kvserver.client import KVClient
 from repro.kvserver.server import KVServer
 from repro.stream import GroupConsumer
+from repro.stream import StreamEvent
 from repro.stream import StreamProducer
 from repro.stream.groups import GroupCoordinator
 from repro.stream.groups import PartitionRouter
@@ -240,3 +243,69 @@ def test_coordinator_calls_raise_when_every_owner_is_dead(fleet):
             coordinator.join('m1', 5.0)
     finally:
         router.close()
+
+
+# --------------------------------------------------------------------------- #
+# The replication loss window
+# --------------------------------------------------------------------------- #
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason='the replica numbers past a mirror that has not landed yet: two '
+    'producers on one partition, then a failover, lose the first '
+    "producer's acknowledged events",
+)
+@pytest.mark.timeout(120)
+def test_failover_delivers_every_event_a_producer_was_told_succeeded(store):
+    servers = [KVServer(), KVServer()]
+    for server in servers:
+        server.start()
+    urls = _urls(servers)
+    first = PartitionRouter('window', 1, urls, replicas=2)
+    second = PartitionRouter('window', 1, urls, replicas=2)
+    topic = first.topics[0]
+    primary, replica = first.owners(topic)
+    events = [StreamEvent(payload=serialize(i)).encode() for i in range(8)]
+
+    # The first producer's mirror to the replica waits at a gate.
+    mirror = first.client_of(replica).repl_publish
+    waiting, gate = threading.Event(), threading.Event()
+
+    def gated_mirror(*args):
+        waiting.set()
+        gate.wait(30)
+        return mirror(*args)
+
+    first.client_of(replica).repl_publish = gated_mirror
+    told = []
+    publisher = threading.Thread(
+        target=lambda: told.extend(first.publish_batch(topic, events[:4])),
+    )
+    consumer = None
+    try:
+        publisher.start()
+        assert waiting.wait(30)  # seqs 0-3 are on the primary only
+        assert second.publish_batch(topic, events[4:]) == [4, 5, 6, 7]
+        _server_of(servers, primary).stop()
+        consumer = GroupConsumer(
+            store, urls, 'window', group='g', partitions=1, replicas=2,
+            timeout=30.0,
+        )
+        delivered = consumer.events()
+        seqs = [next(delivered)[0].seq for _ in range(4)]  # read off the replica
+        gate.set()
+        publisher.join(30)
+        assert told == [0, 1, 2, 3]
+        second.publish(topic, StreamEvent(end=True).encode())
+        seqs += [event.seq for event, _ in delivered]
+        assert sorted(seqs) == list(range(8))
+        assert consumer.lost == 0
+    finally:
+        gate.set()
+        publisher.join(30)
+        if consumer is not None:
+            consumer.close()
+        first.close()
+        second.close()
+        for server in servers:
+            server.stop()
