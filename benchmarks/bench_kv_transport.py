@@ -51,7 +51,7 @@ import threading
 import time
 from typing import Any
 
-from repro.dim.client import DIMClient
+from repro.connectors.zmq import ZMQConnector
 from repro.dim.node import reset_nodes
 from repro.kvserver.client import KVClient
 from repro.kvserver.protocol import StreamDecoder
@@ -147,7 +147,9 @@ class EmulatedLink:
                 return
 
 
-def _node_main(report: Any, latency_s: float, bandwidth_bps: float | None) -> None:
+def _node_main(
+    index: int, report: Any, latency_s: float, bandwidth_bps: float | None,
+) -> None:
     """Subprocess body: one KV node server behind an emulated link."""
     server = KVServer()
     server.start()
@@ -157,7 +159,7 @@ def _node_main(report: Any, latency_s: float, bandwidth_bps: float | None) -> No
         latency_s=latency_s,
         bandwidth_bps=bandwidth_bps,
     )
-    report.put(link.address)
+    report.put((index, link.address))
     while True:  # killed by the parent
         time.sleep(3600)
 
@@ -169,14 +171,17 @@ def _spawn_nodes(
     report = context.Queue()
     procs = [
         context.Process(
-            target=_node_main, args=(report, latency_s, bandwidth_bps), daemon=True,
+            target=_node_main, args=(i, report, latency_s, bandwidth_bps),
+            daemon=True,
         )
-        for _ in range(count)
+        for i in range(count)
     ]
     for proc in procs:
         proc.start()
-    addresses = [report.get(timeout=30) for _ in procs]
-    return procs, addresses
+    # Nodes report in the order they come up: ``addresses[i]`` must be
+    # ``procs[i]``'s, or the chaos run kills another node than its victim.
+    addresses = dict(report.get(timeout=30) for _ in procs)
+    return procs, [addresses[i] for i in range(count)]
 
 
 # --------------------------------------------------------------------------- #
@@ -273,9 +278,8 @@ def bench_sharding(*, payload_bytes: int, repetitions: int) -> dict:
     ]
     try:
         def measure(peer_list: list) -> dict:
-            client = DIMClient(
+            client = ZMQConnector(
                 'bench-client',
-                transport='tcp',
                 peers=peer_list,
                 shard_threshold=1024 * 1024,
                 pool_size=2,
@@ -345,9 +349,8 @@ def bench_chaos(*, n_keys: int, ops: int) -> dict:
         # is the honest cost of the second copy.
         overhead = {}
         for replicas in (1, 2):
-            client = DIMClient(
+            client = ZMQConnector(
                 'bench-overhead',
-                transport='tcp',
                 peers=peers,
                 replicas=replicas,
                 ring_vnodes=64,
@@ -375,9 +378,8 @@ def bench_chaos(*, n_keys: int, ops: int) -> dict:
 
         # Chaos run: read workload over a replicated key set, then SIGKILL
         # the node holding the most primaries with no warning.
-        client = DIMClient(
+        client = ZMQConnector(
             'bench-chaos',
-            transport='tcp',
             peers=peers,
             replicas=2,
             hedge_threshold=0.02,
@@ -410,18 +412,18 @@ def bench_chaos(*, n_keys: int, ops: int) -> dict:
 
             # Recovery: the crash discovered by the reads above triggered
             # the rebalancer; wait for it and verify full re-replication.
-            recovered = client.cluster.rebalancer.wait_idle(120)
+            recovered = client._cluster.rebalancer.wait_idle(120)
             survivors = [node_id for node_id, _, _ in peers if node_id != victim]
             under_replicated = sum(
                 1 for key in keys
                 if sum(
                     1 for node_id in survivors
-                    if client.cluster.client.backend(node_id).exists(key.object_id)
+                    if client._cluster.client.backend(node_id).exists(key.object_id)
                 ) < 2
             )
             recovery_s = time.perf_counter() - kill_time
-            stats = client.cluster.client.stats.as_dict()
-            rebalance = client.cluster.rebalancer.stats.as_dict()
+            stats = client._cluster.client.stats.as_dict()
+            rebalance = client._cluster.rebalancer.stats.as_dict()
         finally:
             client.close()
     finally:

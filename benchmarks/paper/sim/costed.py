@@ -71,8 +71,6 @@ class CostedConnector(Connector):
         self.clock = clock
         self.ledger = CostLedger()
         self.capabilities = inner.capabilities
-        # Buffer support is inherited: the wrapper forwards payloads as-is.
-        self.supports_buffers = getattr(inner, 'supports_buffers', False)
         # A costed wrapper's config() describes the *inner* connector, so a
         # scheme-carrying StoreConfig must name the inner connector's scheme
         # for proxies to be resolvable in other processes.

@@ -1,6 +1,8 @@
 """Self-healing cluster substrate: placement, membership, replication, repair.
 
-This package turns the fixed-topology DIM store into an elastic service:
+This package turns a fixed set of storage nodes — the DIM connectors'
+per-node servers, or the clustered Redis connector's SimKV servers — into
+an elastic service:
 
 * :mod:`repro.cluster.ring` — a consistent-hash ring with virtual nodes:
   the deterministic placement function every client computes locally, so
@@ -19,9 +21,11 @@ This package turns the fixed-topology DIM store into an elastic service:
   the one call (:class:`ClusterAttachment`) that wires the parts above
   together for a connector.
 
-The DIM connectors (``zmq://``, ``ucx://``, ``margo://``) and the
-clustered Redis connector all join the tier through that one attachment;
-see ``docs/ARCHITECTURE.md`` ("Reaching a storage node").
+The DIM connectors (``zmq://``, ``ucx://``, ``margo://``, all one class,
+:class:`repro.connectors.dim_base.DIMConnectorBase`) and the clustered
+Redis connector each hold that one attachment as ``_cluster`` and pass it
+their own node resolver; see ``docs/ARCHITECTURE.md`` ("Reaching a storage
+node").
 """
 from repro.cluster.attach import ClusterAttachment
 from repro.cluster.attach import ClusterOptions

@@ -11,7 +11,7 @@ list (which is what a connector's ``config()`` must report, so that a
 consumer rebuilding the connector places keys on the producer's current
 ring), and answers ``health()``.
 
-A connector that is not clustered (a single SimKV server, a DIM client on
+A connector that is not clustered (a single SimKV server, a DIM connector on
 the static topology) holds a *detached* attachment — the degenerate case:
 no members, no engine, ``health()`` says so and ``join``/``leave`` refuse.
 """

@@ -2,11 +2,15 @@
 
 :class:`ClusterClient` is the generic replication engine shared by the DIM
 connectors (per-node storage servers) and the clustered Redis connector
-(multiple SimKV servers).  It is parameterized by a *resolver* that maps a
-node id to a :class:`NodeBackend` — anything speaking the eight storage
-verbs, in practice a :class:`~repro.kvserver.client.KVClient` or an
-in-process :class:`~repro.dim.node.DIMNode` — so the engine itself
-contains no socket code.  The engine speaks the same eight verbs (a
+(multiple SimKV servers); each reaches it through its
+:class:`~repro.cluster.attach.ClusterAttachment` (``_cluster``).  It is
+parameterized by a *resolver* that maps a node id to a
+:class:`NodeBackend` — anything speaking the eight storage verbs, in
+practice a :class:`~repro.kvserver.client.KVClient` or an in-process
+:class:`~repro.dim.node.DIMNode`.  The resolver is the connector's own:
+``DIMConnectorBase._node`` for a DIM peer id, the Redis connector's
+per-node client table for a ``host:port`` — so the engine itself contains
+no socket code.  The engine speaks the same eight verbs (a
 cluster *is* a node, just a replicated one), which is what lets a
 connector bind either a single server or a cluster to one attribute.
 

@@ -55,7 +55,6 @@ class EndpointConnector(Connector):
 
     connector_name = 'endpoint'
     scheme = 'endpoint'
-    supports_buffers = True
     capabilities = ConnectorCapabilities(
         storage='hybrid',
         intra_site=True,

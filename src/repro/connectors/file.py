@@ -54,7 +54,6 @@ class FileConnector(Connector):
 
     connector_name = 'file'
     scheme = 'file'
-    supports_buffers = True
     capabilities = ConnectorCapabilities(
         storage='disk',
         intra_site=True,

@@ -90,7 +90,6 @@ class GlobusConnector(Connector):
 
     connector_name = 'globus'
     scheme = 'globus'
-    supports_buffers = True
     capabilities = ConnectorCapabilities(
         storage='disk',
         intra_site=True,

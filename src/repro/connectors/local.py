@@ -45,7 +45,6 @@ class LocalConnector(Connector):
 
     connector_name = 'local'
     scheme = 'local'
-    supports_buffers = True
     capabilities = ConnectorCapabilities(
         storage='memory',
         intra_site=False,

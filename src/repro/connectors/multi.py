@@ -25,7 +25,6 @@ from repro.connectors.registry import StoreURL
 from repro.connectors.registry import get_connector_class
 from repro.exceptions import NoPolicyMatchError
 from repro.serialize.buffers import payload_nbytes
-from repro.serialize.buffers import to_bytes
 
 __all__ = ['MultiConnector', 'MultiKey']
 
@@ -47,7 +46,6 @@ class MultiConnector(Connector):
 
     connector_name = 'multi'
     scheme = 'multi'
-    supports_buffers = True
     capabilities = ConnectorCapabilities(
         storage='hybrid',
         intra_site=True,
@@ -113,8 +111,6 @@ class MultiConnector(Connector):
         label, connector = self._select(
             payload_nbytes(data), subset_tags, superset_tags,
         )
-        if not getattr(connector, 'supports_buffers', False):
-            data = to_bytes(data)
         inner_key = connector.put(data)
         return MultiKey(connector_label=label, inner_key=inner_key)
 
@@ -148,8 +144,6 @@ class MultiConnector(Connector):
 
     def set(self, key: MultiKey, data: PutData) -> None:
         connector = self.connector_for(key.connector_label)
-        if not getattr(connector, 'supports_buffers', False):
-            data = to_bytes(data)
         connector.set(key.inner_key, data)
 
     def get(self, key: MultiKey) -> Any | None:

@@ -112,12 +112,6 @@ class Connector(ABC):
     scheme: str | None = None
     #: Capability summary (Table 1).
     capabilities: ConnectorCapabilities = ConnectorCapabilities()
-    #: Whether ``put``/``put_batch``/``set`` consume
-    #: :class:`~repro.serialize.buffers.SerializedObject` segments without
-    #: first joining them into one contiguous byte string (the zero-copy
-    #: data path).  Connectors without the flag still accept a
-    #: ``SerializedObject`` — it is coerced with ``bytes()`` (one copy).
-    supports_buffers: bool = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -132,9 +126,10 @@ class Connector(ABC):
     def put(self, data: PutData) -> Any:
         """Store ``data`` and return a unique, picklable key.
 
-        ``data`` may be any :data:`PutData`; connectors with
-        ``supports_buffers`` write a ``SerializedObject``'s segments
-        directly, others coerce it to contiguous bytes first.
+        ``data`` may be any :data:`PutData`: a ``SerializedObject``'s
+        segments are written as they are (the zero-copy data path), and a
+        connector that needs one contiguous byte string calls
+        :func:`~repro.serialize.buffers.to_bytes` itself.
         """
 
     @abstractmethod

@@ -91,7 +91,6 @@ class RedisConnector(Connector):
 
     connector_name = 'redis'
     scheme = 'redis'
-    supports_buffers = True
     capabilities = ConnectorCapabilities(
         storage='hybrid',
         intra_site=True,

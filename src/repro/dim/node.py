@@ -88,7 +88,8 @@ class DIMNode:
     stand-in for RDMA access to a remote node's memory.  ``tcp`` nodes run a
     real socket server instead: their objects live in that server, and the
     handle speaking the verbs is a :class:`~repro.kvserver.client.KVClient`
-    at :attr:`address` (see ``DIMClient``'s resolver).
+    at :attr:`address` (see the DIM connector's resolver,
+    ``DIMConnectorBase._node``).
     """
 
     def __init__(self, node_id: str, transport: str = 'memory') -> None:

@@ -114,9 +114,12 @@ def _wire_value(data: Any) -> Any:
     return pickle.PickleBuffer(data) if data else data
 
 
-def _fetch_reply(topic: TopicRing, since: int, limit: int) -> dict[str, Any]:
+def _fetch_reply(topic: TopicRing | None, since: int, limit: int) -> dict[str, Any]:
     """A ``FETCH`` reply: the retained events from ``since`` (at most
-    ``limit``, 0 = all), payloads wrapped to travel out of band."""
+    ``limit``, 0 = all), payloads wrapped to travel out of band.  A topic
+    nothing was published to reads as empty (``None``: no ring made)."""
+    if topic is None:
+        return {'events': [], 'next_seq': 0, 'lost': 0}
     events, lost = topic.since(since, limit or None)
     return {
         'events': [(seq, _wire_value(payload)) for seq, payload in events],
@@ -574,7 +577,12 @@ class KVServer:
     # server's own: checking what arrived from the wire, out-of-band
     # payload wrapping, and parked fetches.
     def _topic(self, name: Any) -> TopicRing:
-        """Return (creating on first use) the broker state for ``name``."""
+        """Return (creating on first use) the broker state for ``name``.
+
+        Only a write makes a ring — ``PUBLISH``, ``MPUBLISH``,
+        ``REPL_PUBLISH``, a ``TCONFIG`` that sets ``retention`` — so a
+        reader asking about made-up names grows no broker state.
+        """
         topic = self._topics.get(name)
         if topic is None:
             topic = self._topics[name] = TopicRing(self.stream_retention)
@@ -590,7 +598,7 @@ class KVServer:
             (ready if due(fetch) else kept).append(fetch)
         if kept:
             self._parked[key] = kept
-        topic = self._topic(key)
+        topic = self._topics.get(key)
         for fetch in ready:
             conn = fetch.conn
             if self._conns.get(conn.sock) is not conn:
@@ -650,8 +658,9 @@ class KVServer:
             return ('error', 'FETCH since and max_events must be ints >= 0')
         if not (isinstance(wait, (int, float)) and 0 <= wait <= MAX_FETCH_WAIT):
             return ('error', f'FETCH wait must be seconds in [0, {MAX_FETCH_WAIT}]')
-        topic = self._topic(key)
-        if wait and topic.next_seq <= since and self._running.is_set():
+        topic = self._topics.get(key)
+        next_seq = 0 if topic is None else topic.next_seq
+        if wait and next_seq <= since and self._running.is_set():
             # Nothing at or past since: the next publish here answers it,
             # or its deadline does (a draining server answers at once).
             return (_PARKED, _ParkedFetch(conn, None, since, limit, time.monotonic() + wait))
@@ -666,7 +675,10 @@ class KVServer:
             except ValueError as e:
                 return ('error', str(e))
             self._topic(key).set_retention(retention)
-        return ('ok', {'retention': self._topic(key).retention})
+        topic = self._topics.get(key)
+        return ('ok', {
+            'retention': self.stream_retention if topic is None else topic.retention,
+        })
 
     def _cmd_tstats(self, key: Any, value: Any, conn: _ClientConn) -> tuple[str, Any]:
         topic = self._topics.get(key)

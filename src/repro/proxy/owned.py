@@ -497,7 +497,7 @@ def flush(proxy: 'RefMutProxy[Any]') -> None:
     store._record('serialize', t_ser.elapsed, nbytes)
     try:
         with Timer() as t_set:
-            store.connector.set(factory.key, store._outbound(data))
+            store.connector.set(factory.key, data)
     except NotImplementedError as e:
         raise OwnershipError(
             f'connector {type(store.connector).__name__} does not support '

@@ -3,11 +3,11 @@
 :func:`repro.serialize.serialize` produces a :class:`SerializedObject`: a
 small header plus a list of byte segments that *alias* the source object's
 memory wherever possible (the raw ``bytes`` payload, a NumPy array's data
-buffer, pickle-5 out-of-band buffers).  Buffer-aware connectors
-(``Connector.supports_buffers``) write the segments directly — scatter/gather
-socket sends, ``writev`` file writes, or storing the segments as-is for
-in-process channels — so a ``put`` never concatenates the payload into one
-large intermediate byte string.
+buffer, pickle-5 out-of-band buffers).  Every connector writes the
+segments directly — scatter/gather socket sends, ``writev`` file writes, or
+storing the segments as-is for in-process channels — so a ``put`` never
+concatenates the payload into one large intermediate byte string; a
+connector that needs contiguous bytes calls :func:`to_bytes` itself.
 
 Legacy code paths keep working: a ``SerializedObject`` joins itself into a
 single contiguous byte string on demand (``bytes(obj)``), supports ``len``,

@@ -197,7 +197,7 @@ class ProxyFuture(Generic[T]):
         nbytes = payload_nbytes(data)
         self._store._record('serialize', t_ser.elapsed, nbytes)
         with Timer() as t_set:
-            self._store.connector.set(self.key, self._store._outbound(data))
+            self._store.connector.set(self.key, data)
         self._store._record('set', t_set.elapsed, nbytes)
         if not self.evict and not is_failure:
             self._store.cache.set(self.key, obj)

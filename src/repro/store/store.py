@@ -268,18 +268,6 @@ class Store:
     # of a ``Timer`` per step, whose cost shows on 1 KB objects.  Batch and
     # rare operations keep the ``Timer`` form.
 
-    def _outbound(self, data: Any) -> Any:
-        """Adapt a serialized payload to what the connector can consume.
-
-        Buffer-aware connectors (``supports_buffers``) receive the
-        ``SerializedObject`` and scatter/gather its segments; legacy
-        connectors get one contiguous byte string (a single join — the only
-        copy on that path).
-        """
-        if getattr(self.connector, 'supports_buffers', False):
-            return data
-        return to_bytes(data)
-
     def _inbound(self, data: Any, deserializer: Callable[[bytes], Any]) -> Any:
         """Adapt connector output for the deserializer.
 
@@ -473,9 +461,9 @@ class Store:
             self._record('serialize', perf_counter() - start, nbytes)
             start = perf_counter()
         if connector_kwargs:
-            key = self.connector.put(self._outbound(data), **connector_kwargs)  # type: ignore[call-arg]
+            key = self.connector.put(data, **connector_kwargs)  # type: ignore[call-arg]
         else:
-            key = self.connector.put(self._outbound(data))
+            key = self.connector.put(data)
         if timed:
             self._record('put', perf_counter() - start, nbytes)
         if cache_local:
@@ -498,12 +486,11 @@ class Store:
             datas = [serializer(obj) for obj in objs]
         total = sum(payload_nbytes(d) for d in datas)
         self._record('serialize', t_ser.elapsed, total)
-        outbound = [self._outbound(d) for d in datas]
         with Timer() as t_put:
             if connector_kwargs:
-                keys = self.connector.put_batch(outbound, **connector_kwargs)  # type: ignore[call-arg]
+                keys = self.connector.put_batch(datas, **connector_kwargs)  # type: ignore[call-arg]
             else:
-                keys = self.connector.put_batch(outbound)
+                keys = self.connector.put_batch(datas)
         self._record('put_batch', t_put.elapsed, total)
         return keys, datas
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dim import DIMClient
+from repro.connectors.zmq import ZMQConnector
 from repro.dim import lookup_node
 from repro.dim import reset_nodes
 from repro.kvserver.server import launch_server
@@ -16,8 +16,8 @@ def _clean_nodes():
 
 
 def test_kill_one_dim_node_mid_workload_loses_nothing():
-    client = DIMClient(
-        'c0', 'tcp', peers=['c0', 'c1', 'c2'], replicas=2,
+    client = ZMQConnector(
+        'c0', peers=['c0', 'c1', 'c2'], replicas=2,
     )
     try:
         # Phase 1: steady-state workload.
@@ -46,17 +46,17 @@ def test_kill_one_dim_node_mid_workload_loses_nothing():
             assert victim not in {r.node_id for r in key.replicas}
 
         # The crash was detected and the membership reflects it.
-        assert client.cluster.membership.state_of(victim) == 'dead'
-        assert client.cluster.client.stats.failovers >= 1
+        assert client._cluster.membership.state_of(victim) == 'dead'
+        assert client._cluster.client.stats.failovers >= 1
 
         # Phase 4: background self-healing restored full replication of
         # every key onto the survivors.
-        assert client.cluster.rebalancer.wait_idle(15)
+        assert client._cluster.rebalancer.wait_idle(15)
         survivors = [n for n in ('c0', 'c1', 'c2') if n != victim]
         for key in list(keys.values()) + post:
             held = sum(
                 1 for n in survivors
-                if client.cluster.client.backend(n).exists(key.object_id)
+                if client._cluster.client.backend(n).exists(key.object_id)
             )
             assert held == 2, (key.object_id, held)
     finally:
@@ -91,8 +91,8 @@ def test_kill_one_simkv_node_mid_workload_loses_nothing():
 
 
 def test_crashed_node_can_rejoin_and_reacquire_share():
-    client = DIMClient(
-        'r0', 'tcp', peers=['r0', 'r1', 'r2'], replicas=2,
+    client = ZMQConnector(
+        'r0', peers=['r0', 'r1', 'r2'], replicas=2,
     )
     try:
         keys = [client.put(b'v%d' % i) for i in range(30)]
@@ -100,16 +100,16 @@ def test_crashed_node_can_rejoin_and_reacquire_share():
         lookup_node(victim, 'tcp').close()
         for i, key in enumerate(keys):
             assert bytes(client.get(key)) == b'v%d' % i
-        assert client.cluster.rebalancer.wait_idle(15)
+        assert client._cluster.rebalancer.wait_idle(15)
 
         # Rejoin under the same id: a fresh empty server on a fresh port.
         client.join_peer(victim)
-        assert client.cluster.membership.state_of(victim) == 'alive'
-        assert client.cluster.rebalancer.wait_idle(15)
+        assert client._cluster.membership.state_of(victim) == 'alive'
+        assert client._cluster.rebalancer.wait_idle(15)
         # All data still present, and the rejoined node holds its share.
         for i, key in enumerate(keys):
             assert bytes(client.get(key)) == b'v%d' % i
-        rejoined = client.cluster.client.backend(victim)
+        rejoined = client._cluster.client.backend(victim)
         assert rejoined.keys()  # reacquired part of the key space
     finally:
         client.close()

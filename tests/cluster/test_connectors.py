@@ -52,8 +52,8 @@ def test_dim_connector_cluster_config_round_trips():
         clone = ZMQConnector(**pickle.loads(pickle.dumps(config)))
         try:
             # The clone computes identical placement: deterministic ring.
-            ring_a = conn._client.cluster.membership.ring
-            ring_b = clone._client.cluster.membership.ring
+            ring_a = conn._cluster.membership.ring
+            ring_b = clone._cluster.membership.ring
             assert ring_a == ring_b
             assert all(
                 ring_a.owners(f'k{i}', 2) == ring_b.owners(f'k{i}', 2)
@@ -72,14 +72,14 @@ def test_dim_cluster_url_parameters():
         '&rebalance_throttle=1000000',
     )
     try:
-        client = store.connector._client
-        options = client.cluster.options
+        conn = store.connector
+        options = conn._cluster.options
         assert options.replicas == 2
         assert options.ring_vnodes == 16
         assert options.hedge_threshold == 0.1
         assert options.failure_threshold == 3
-        assert client.cluster.rebalancer is not None
-        assert client.cluster.rebalancer.throttle_bytes_per_s == 1000000
+        assert conn._cluster.rebalancer is not None
+        assert conn._cluster.rebalancer.throttle_bytes_per_s == 1000000
         proxy_target = store.put('clustered value')
         assert store.get(proxy_target) == 'clustered value'
     finally:
@@ -91,8 +91,8 @@ def test_dim_url_rebalance_can_be_disabled():
         'zmq://d0/no-rebalance?peers=d0,d1&replicas=2&rebalance=0',
     )
     try:
-        assert store.connector._client.cluster.attached
-        assert store.connector._client.cluster.rebalancer is None
+        assert store.connector._cluster.attached
+        assert store.connector._cluster.rebalancer is None
     finally:
         store.close()
 
@@ -100,8 +100,8 @@ def test_dim_url_rebalance_can_be_disabled():
 def test_legacy_mode_is_unchanged():
     conn = ZMQConnector('solo')
     try:
-        assert not conn._client.cluster.attached
-        assert conn._client.cluster.rebalancer is None
+        assert not conn._cluster.attached
+        assert conn._cluster.rebalancer is None
         key = conn.put(b'plain')
         assert key.replicas is None  # legacy keys carry no replica list
         assert conn.config()['replicas'] == 1
@@ -124,14 +124,14 @@ def test_join_and_leave_through_connector():
     try:
         keys = [conn.put(b'x%d' % i) for i in range(10)]
         conn.join_peer('j2')
-        assert 'j2' in conn._client.cluster.membership.ring
-        assert conn._client.cluster.rebalancer.wait_idle(10)
+        assert 'j2' in conn._cluster.membership.ring
+        assert conn._cluster.rebalancer.wait_idle(10)
         conn.leave_peer('j1')
-        assert conn._client.cluster.rebalancer.wait_idle(10)
+        assert conn._cluster.rebalancer.wait_idle(10)
         for i, key in enumerate(keys):
             assert bytes(conn.get(key)) == b'x%d' % i
         # Drained: the departed node's share now lives on j0/j2 only.
-        assert conn._client.cluster.membership.state_of('j1') == 'left'
+        assert conn._cluster.membership.state_of('j1') == 'left'
     finally:
         conn.close()
 
@@ -165,6 +165,14 @@ def test_redis_cluster_from_url_and_config():
             server.stop()
 
 
+def _stop_launched(conn):
+    """Stop the SimKV servers ``conn`` launched (``launch_server`` hands back
+    the server already running on a port it started)."""
+    for node in conn.nodes or [f'{conn.host}:{conn.port}']:
+        host, _, port = node.rpartition(':')
+        launch_server(host, int(port)).stop()
+
+
 def test_redis_launch_nodes_convenience():
     conn = RedisConnector(launch_nodes=2, replicas=2)
     try:
@@ -175,6 +183,7 @@ def test_redis_launch_nodes_convenience():
         assert len(health['ring']) == 2
     finally:
         conn.close(clear=True)
+        _stop_launched(conn)
 
 
 def test_redis_single_server_mode_unchanged():
@@ -187,6 +196,7 @@ def test_redis_single_server_mode_unchanged():
         assert 'nodes' not in conn.config()
     finally:
         conn.close(clear=True)
+        _stop_launched(conn)
 
 
 def test_redis_rejects_conflicting_node_options():
@@ -247,7 +257,7 @@ def _margo_family():
     return SimpleNamespace(
         connector=connector, field='peers', ids=ids,
         join=connector.join_peer, leave=connector.leave_peer,
-        ring=lambda c: c._client.cluster.membership.ring, stop=lambda: None,
+        ring=lambda c: c._cluster.membership.ring, stop=lambda: None,
     )
 
 

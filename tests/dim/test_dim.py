@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dim import DIMClient
+from repro.connectors.margo import MargoConnector
+from repro.connectors.zmq import ZMQConnector
 from repro.dim import get_local_node
 from repro.dim import reset_nodes
 from repro.dim.node import DIMKey
@@ -42,7 +43,7 @@ def test_invalid_transport_rejected():
 
 
 def test_client_put_records_node_identity():
-    client = DIMClient('node-a')
+    client = MargoConnector('node-a')
     key = client.put(b'payload')
     assert key.node_id == 'node-a'
     assert key.transport == 'memory'
@@ -50,8 +51,8 @@ def test_client_put_records_node_identity():
 
 
 def test_client_cross_node_get_memory_transport():
-    producer = DIMClient('producer-node')
-    consumer = DIMClient('consumer-node')
+    producer = MargoConnector('producer-node')
+    consumer = MargoConnector('consumer-node')
     key = producer.put(b'produced here')
     # The consumer fetches from the producer's node server directly.
     assert consumer.get(key) == b'produced here'
@@ -63,7 +64,7 @@ def test_client_cross_node_get_memory_transport():
 
 
 def test_memory_transport_unknown_node_raises():
-    client = DIMClient('local')
+    client = MargoConnector('local')
     bogus = DIMKey('obj', 'never-created', 'memory', None)
     with pytest.raises(ConnectorError):
         client.get(bogus)
@@ -71,8 +72,8 @@ def test_memory_transport_unknown_node_raises():
 
 
 def test_tcp_transport_roundtrip():
-    producer = DIMClient('tcp-node-a', transport='tcp')
-    consumer = DIMClient('tcp-node-b', transport='tcp')
+    producer = ZMQConnector('tcp-node-a')
+    consumer = ZMQConnector('tcp-node-b')
     try:
         key = producer.put(b'over tcp')
         assert key.transport == 'tcp'
@@ -87,7 +88,7 @@ def test_tcp_transport_roundtrip():
 
 
 def test_tcp_key_without_address_rejected():
-    client = DIMClient('tcp-node', transport='tcp')
+    client = ZMQConnector('tcp-node')
     try:
         with pytest.raises(ConnectorError):
             client.get(DIMKey('obj', 'tcp-node', 'tcp', None))

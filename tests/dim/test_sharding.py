@@ -3,7 +3,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dim import DIMClient
+from repro.connectors.margo import MargoConnector
+from repro.connectors.zmq import ZMQConnector
 from repro.dim import get_local_node
 from repro.dim import reset_nodes
 from repro.exceptions import ConnectorError
@@ -23,8 +24,8 @@ def _pattern(nbytes: int) -> bytes:
 @pytest.mark.parametrize('n_nodes', [1, 2, 4])
 def test_tcp_shard_roundtrip_integrity(n_nodes):
     peers = [f'shard-node-{i}' for i in range(n_nodes)]
-    client = DIMClient(
-        'shard-node-0', transport='tcp', peers=peers, shard_threshold=1024,
+    client = ZMQConnector(
+        'shard-node-0', peers=peers, shard_threshold=1024,
     )
     payload = _pattern(64 * 1024 + 13)
     try:
@@ -40,7 +41,7 @@ def test_tcp_shard_roundtrip_integrity(n_nodes):
 
 def test_shards_land_on_every_node():
     peers = [f'spread-{i}' for i in range(4)]
-    client = DIMClient('spread-0', transport='tcp', peers=peers, shard_threshold=64)
+    client = ZMQConnector('spread-0', peers=peers, shard_threshold=64)
     try:
         key = client.put(_pattern(4096))
         nodes = {shard.node_id for shard in key.shards}
@@ -52,8 +53,8 @@ def test_shards_land_on_every_node():
 
 
 def test_small_objects_stay_on_one_node():
-    client = DIMClient(
-        'small-0', transport='tcp', peers=['small-0', 'small-1'],
+    client = ZMQConnector(
+        'small-0', peers=['small-0', 'small-1'],
         shard_threshold=1024 * 1024,
     )
     try:
@@ -65,7 +66,7 @@ def test_small_objects_stay_on_one_node():
 
 
 def test_no_peers_disables_sharding():
-    client = DIMClient('lonely', transport='tcp', shard_threshold=1)
+    client = ZMQConnector('lonely', shard_threshold=1)
     try:
         key = client.put(_pattern(4096))
         assert key.shards is None
@@ -74,8 +75,8 @@ def test_no_peers_disables_sharding():
 
 
 def test_zero_threshold_disables_sharding():
-    client = DIMClient(
-        'thresh-0', transport='tcp', peers=['thresh-0', 'thresh-1'],
+    client = ZMQConnector(
+        'thresh-0', peers=['thresh-0', 'thresh-1'],
         shard_threshold=0,
     )
     try:
@@ -86,7 +87,7 @@ def test_zero_threshold_disables_sharding():
 
 def test_sharded_exists_and_evict():
     peers = ['ev-0', 'ev-1', 'ev-2']
-    client = DIMClient('ev-0', transport='tcp', peers=peers, shard_threshold=16)
+    client = ZMQConnector('ev-0', peers=peers, shard_threshold=16)
     try:
         key = client.put(_pattern(3000))
         assert client.exists(key)
@@ -101,8 +102,8 @@ def test_sharded_exists_and_evict():
 
 def test_memory_transport_sharding():
     peers = ['mem-0', 'mem-1']
-    producer = DIMClient('mem-0', peers=peers, shard_threshold=8)
-    consumer = DIMClient('mem-consumer')
+    producer = MargoConnector('mem-0', peers=peers, shard_threshold=8)
+    consumer = MargoConnector('mem-consumer')
     payload = _pattern(999)
     try:
         key = producer.put(payload)
@@ -116,7 +117,7 @@ def test_memory_transport_sharding():
 
 def test_sharded_get_is_zero_join():
     """Sharded gets reassemble as segment views, not one joined copy."""
-    client = DIMClient('zj-0', transport='tcp', peers=['zj-0', 'zj-1'], shard_threshold=8)
+    client = ZMQConnector('zj-0', peers=['zj-0', 'zj-1'], shard_threshold=8)
     try:
         key = client.put(_pattern(512))
         got = client.get(key)
@@ -130,8 +131,8 @@ def test_addressed_peer_tuples():
     """Peers in other processes are addressed as (node_id, host, port)."""
     remote = get_local_node('addr-remote', 'tcp')
     host, port = remote.address
-    client = DIMClient(
-        'addr-local', transport='tcp',
+    client = ZMQConnector(
+        'addr-local', 
         peers=[('addr-remote', host, port), 'addr-local'],
         shard_threshold=16,
     )
@@ -146,7 +147,7 @@ def test_addressed_peer_tuples():
 
 
 def test_addressed_peers_require_tcp():
-    client = DIMClient('memaddr', peers=[('x', 'localhost', 1)], shard_threshold=1)
+    client = MargoConnector('memaddr', peers=[('x', 'localhost', 1)], shard_threshold=1)
     try:
         with pytest.raises(ConnectorError):
             client.put(_pattern(64))
@@ -155,7 +156,7 @@ def test_addressed_peers_require_tcp():
 
 
 def test_malformed_peer_rejected():
-    client = DIMClient('badpeer', transport='tcp', peers=[1234], shard_threshold=1)
+    client = ZMQConnector('badpeer', peers=[1234], shard_threshold=1)
     try:
         with pytest.raises(ConnectorError):
             client.put(_pattern(64))
@@ -165,7 +166,7 @@ def test_malformed_peer_rejected():
 
 def test_batch_roundtrip_mixed_sizes():
     peers = ['batch-0', 'batch-1']
-    client = DIMClient('batch-0', transport='tcp', peers=peers, shard_threshold=1024)
+    client = ZMQConnector('batch-0', peers=peers, shard_threshold=1024)
     small = [b'a', b'bb', b'ccc']
     big = _pattern(8192)
     try:
@@ -182,11 +183,11 @@ def test_batch_roundtrip_mixed_sizes():
 
 
 def test_get_batch_uses_one_mget_per_node(monkeypatch):
-    client = DIMClient('mget-0', transport='tcp')
+    client = ZMQConnector('mget-0')
     calls: list[list[str]] = []
     try:
         keys = client.put_batch([b'one', b'two', b'three'])
-        kv = client._tcp_client(client.local_node.address)
+        kv = client._tcp_client(client._local_node.address)
         original = kv.mget
 
         def spy(ids):

@@ -375,6 +375,22 @@ def test_a_refused_write_changes_nothing(server):
         }
 
 
+def test_reading_an_unknown_topic_creates_no_topic(server):
+    """``FETCH`` (plain or waited until it expires) and a ``TCONFIG``
+    without ``retention`` answer an unknown topic from an empty view; only
+    a write makes a ring, so made-up names cannot grow the broker."""
+    empty = {'events': [], 'next_seq': 0, 'lost': 0}
+    with KVClient(server.host, server.port) as client:
+        assert _plain(client.fetch_events('a', 3)) == empty
+        assert _plain(client.fetch_events('c', 0, wait=0.05)) == empty
+        assert client._request('TCONFIG', 'b', {}) == {'retention': 4}
+        assert [client.topic_stats(t) for t in 'abc'] == [None, None, None]
+        assert len(server._topics) == 0
+        client.topic_config('b', retention=2)
+        assert client._request('TCONFIG', 'b', {}) == {'retention': 2}
+        assert list(server._topics) == ['b']
+
+
 # --------------------------------------------------------------------------- #
 # A FETCH with a wait parks on its topic
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,8 @@
 """Docstring coverage enforcement for the documented packages.
 
 CI runs ruff's pydocstyle rules (D100–D104 plus public-method D102) over
-the packages in ``DOCUMENTED_PACKAGES``; this test enforces the same
+the packages in ``DOCUMENTED_PACKAGES`` and the modules in
+``DOCUMENTED_MODULES``; this test enforces the same
 contract from the tier-1 suite so coverage cannot regress on machines
 without ruff installed.  Every module, public class, and public function/method in
 those packages must carry a docstring.
@@ -21,10 +22,14 @@ DOCUMENTED_PACKAGES = (
     'store', 'proxy', 'stream', 'cluster', 'dim', 'faults', 'analysis',
     'endpoint', 'kvserver', 'serialize', 'cache', 'workflow',
 )
+#: Single modules of ``connectors`` held to the same rule: the DIM
+#: connectors' routing, striping and replication, which is the ``dim``
+#: package's client side.
+DOCUMENTED_MODULES = ('connectors/dim_base.py',)
 
 
 def _documented_modules() -> list[pathlib.Path]:
-    paths = []
+    paths = [REPO_SRC / module for module in DOCUMENTED_MODULES]
     for package in DOCUMENTED_PACKAGES:
         paths.extend(sorted((REPO_SRC / package).rglob('*.py')))
     assert paths, 'documented packages not found (repo layout changed?)'
