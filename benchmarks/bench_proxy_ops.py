@@ -24,7 +24,10 @@ Run directly (also used as a CI step)::
 
     PYTHONPATH=src python benchmarks/bench_proxy_ops.py --out BENCH_proxy.json
 
-``--smoke`` shrinks the op counts for CI.
+``--smoke`` shrinks the op counts for CI.  ``--gate`` exits 1 when a pickled
+plain or owned proxy exceeds :data:`PROXY_WIRE_BUDGET`, or a proxy in a list
+of 100 adds more than :data:`PER_PROXY_IN_LIST` (the byte budgets
+``tests/store/test_proxy_wire.py`` holds every built-in connector to).
 """
 from __future__ import annotations
 
@@ -46,6 +49,11 @@ from repro.store import ContextLifetime
 from repro.store import Store
 
 PAYLOAD = {'weights': list(range(256)), 'tag': 'bench'}
+
+#: Bytes a pickled proxy may cost.
+PROXY_WIRE_BUDGET = 200
+#: Bytes each further proxy of the same store adds to a pickled list.
+PER_PROXY_IN_LIST = 60
 
 
 def _time_per_op(fn, ops: int, repeats: int) -> float:
@@ -231,6 +239,11 @@ def main(argv: list[str] | None = None) -> int:
         action='store_true',
         help='shrink op counts for CI',
     )
+    parser.add_argument(
+        '--gate',
+        action='store_true',
+        help='exit 1 when a pickled proxy exceeds its byte budget',
+    )
     args = parser.parse_args(argv)
 
     # Many short interleaved rounds: the plain/owned pairs sit closer
@@ -285,7 +298,20 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, 'w') as f:
         json.dump(report, f, indent=2)
     print(f'wrote {args.out}')
-    return 0
+    if not args.gate:
+        return 0
+    failures = [
+        f'{name} {wire[name]:.1f} B > {budget} B'
+        for name, budget in (
+            ('proxy_bytes', PROXY_WIRE_BUDGET),
+            ('owned_proxy_bytes', PROXY_WIRE_BUDGET),
+            ('bytes_per_proxy_in_list_of_100', PER_PROXY_IN_LIST),
+        )
+        if wire[name] > budget
+    ]
+    for failure in failures:
+        print(f'GATE FAILED: {failure}')
+    return 1 if failures else 0
 
 
 if __name__ == '__main__':

@@ -55,6 +55,7 @@ from repro.connectors.protocol import Connector
 from repro.connectors.protocol import ConnectorCapabilities
 from repro.connectors.protocol import PutData
 from repro.connectors.protocol import new_object_id
+from repro.connectors.protocol import without_defaults
 from repro.connectors.registry import StoreURL
 from repro.dim.node import DIMKey
 from repro.dim.node import DIMReplica
@@ -644,8 +645,9 @@ class DIMConnectorBase(Connector):
 
     # -- configuration / lifecycle ------------------------------------------- #
     def config(self) -> dict[str, Any]:
-        """The constructor arguments, with the live peer list when clustered."""
-        return {
+        """The non-default constructor arguments, with the live peer list
+        and the cluster options."""
+        return without_defaults(self, {
             'node_id': self.node_id,
             'peers': [
                 list(peer) if isinstance(peer, tuple) else peer
@@ -655,7 +657,7 @@ class DIMConnectorBase(Connector):
             'pool_size': self.pool_size,
             'timeout': self.timeout,
             **self._cluster.config(),
-        }
+        })
 
     @classmethod
     def from_url(cls, url: StoreURL | str) -> 'DIMConnectorBase':

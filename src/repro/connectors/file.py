@@ -27,6 +27,7 @@ from repro.connectors.protocol import ConnectorCapabilities
 from repro.connectors.protocol import ConnectorKey
 from repro.connectors.protocol import PutData
 from repro.connectors.protocol import new_object_id
+from repro.connectors.protocol import without_defaults
 from repro.connectors.registry import StoreURL
 from repro.serialize.buffers import segments_of
 from repro.serialize.buffers import write_segments
@@ -129,7 +130,9 @@ class FileConnector(Connector):
 
     # -- configuration / lifecycle --------------------------------------- #
     def config(self) -> dict[str, Any]:
-        return {'store_dir': self.store_dir, 'mmap_read': self.mmap_read}
+        return without_defaults(
+            self, {'store_dir': self.store_dir, 'mmap_read': self.mmap_read},
+        )
 
     @classmethod
     def from_url(cls, url: StoreURL | str) -> 'FileConnector':

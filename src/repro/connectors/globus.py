@@ -26,6 +26,7 @@ from repro.connectors.protocol import Connector
 from repro.connectors.protocol import ConnectorCapabilities
 from repro.connectors.protocol import PutData
 from repro.connectors.protocol import new_object_id
+from repro.connectors.protocol import without_defaults
 from repro.connectors.registry import StoreURL
 from repro.serialize.buffers import write_payload_to_path
 from repro.exceptions import ConnectorError
@@ -200,10 +201,10 @@ class GlobusConnector(Connector):
 
     # -- configuration / lifecycle --------------------------------------- #
     def config(self) -> dict[str, Any]:
-        return {
+        return without_defaults(self, {
             'endpoints': dict(self.endpoints),
             'transfer_timeout': self.transfer_timeout,
-        }
+        })
 
     @classmethod
     def from_url(cls, url: StoreURL | str) -> 'GlobusConnector':

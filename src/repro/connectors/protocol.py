@@ -14,7 +14,8 @@ MultiConnector, the FaaS and workflow substrates, and the benchmarks).
 from __future__ import annotations
 
 import importlib
-import uuid
+import inspect
+import os
 from abc import ABC
 from abc import abstractmethod
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ __all__ = [
     'connector_from_path',
     'connector_path',
     'new_object_id',
+    'without_defaults',
 ]
 
 PutData = Union[BytesLike, SerializedObject]
@@ -75,8 +77,36 @@ class ConnectorCapabilities:
 
 
 def new_object_id() -> str:
-    """Return a fresh globally-unique object identifier."""
-    return uuid.uuid4().hex
+    """Return a fresh globally-unique object identifier (32 lowercase hex)."""
+    return os.urandom(16).hex()
+
+
+# Constructor defaults per connector class, read once per class.
+_DEFAULTS: dict[type, dict[str, Any]] = {}
+
+
+def without_defaults(connector: 'Connector', config: dict[str, Any]) -> dict[str, Any]:
+    """``config`` minus every entry equal to its constructor default.
+
+    For connectors whose ``from_config`` is ``cls(**config)``: an omitted
+    argument takes the same default in every process, so leaving it out of
+    ``config()`` keeps the dict exact and keeps it off every proxy's wire.
+    Entries the constructor has no constant default for (required
+    arguments, ``**kwargs`` options) always stay.
+    """
+    cls = type(connector)
+    defaults = _DEFAULTS.get(cls)
+    if defaults is None:
+        defaults = _DEFAULTS[cls] = {
+            name: parameter.default
+            for name, parameter in inspect.signature(cls).parameters.items()
+            if parameter.default is not parameter.empty
+        }
+    return {
+        name: value
+        for name, value in config.items()
+        if name not in defaults or value != defaults[name]
+    }
 
 
 def connector_path(connector: 'Connector | type[Connector]') -> str:
@@ -172,7 +202,14 @@ class Connector(ABC):
     # -- configuration / lifecycle --------------------------------------- #
     @abstractmethod
     def config(self) -> dict[str, Any]:
-        """Return a picklable dict sufficient to re-create this connector."""
+        """Return a picklable dict sufficient to re-create this connector.
+
+        The dict travels inside every proxy of a store on this connector,
+        so it should hold only what a fresh process cannot assume: a
+        connector rebuilt by ``cls(**config)`` passes its entries through
+        :func:`without_defaults`.  It must stay exact:
+        ``type(c).from_config(c.config()).config() == c.config()``.
+        """
 
     @classmethod
     def from_config(cls, config: dict[str, Any]) -> 'Connector':

@@ -35,6 +35,7 @@ from repro.connectors.protocol import ConnectorCapabilities
 from repro.connectors.protocol import ConnectorKey
 from repro.connectors.protocol import PutData
 from repro.connectors.protocol import new_object_id
+from repro.connectors.protocol import without_defaults
 from repro.connectors.registry import StoreURL
 from repro.exceptions import ConnectorError
 from repro.kvserver.client import DEFAULT_POOL_SIZE
@@ -236,7 +237,7 @@ class RedisConnector(Connector):
             # The live member list: a store rebuilt from this config places
             # keys on the ring this connector uses now, not at start-up.
             config.update(nodes=list(self.nodes), **self._cluster.config())
-        return config
+        return without_defaults(self, config)
 
     @classmethod
     def from_url(cls, url: StoreURL | str) -> 'RedisConnector':

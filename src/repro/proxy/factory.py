@@ -81,6 +81,16 @@ class Factory(Generic[T]):
         self._async_thread.start()
 
     # -- pickling -------------------------------------------------------- #
+    def reduce_proxy(self, proxy_type: type) -> tuple[Any, tuple[Any, ...]] | None:
+        """The ``__reduce__`` value of ``proxy_type(self)``, or ``None``.
+
+        ``None`` (the default) pickles the proxy as ``proxy_type(factory)``.
+        A factory that can rebuild such a proxy itself in one call returns
+        that call, saving the proxy class's global and a ``REDUCE`` on the
+        wire.
+        """
+        return None
+
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
         for name in ('_async_thread', '_async_result', '_async_error'):

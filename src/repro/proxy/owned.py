@@ -35,6 +35,7 @@ from repro.exceptions import UseAfterFreeError
 from repro.proxy.proxy import Proxy
 from repro.proxy.proxy import UNRESOLVED
 from repro.proxy.proxy import _do_resolve
+from repro.proxy.proxy import _reduce_as
 from repro.proxy.proxy import get_factory
 
 T = TypeVar('T')
@@ -219,7 +220,7 @@ class _TrackedProxy(Proxy[T]):
         factory = object.__getattribute__(self, '__factory__')
         if getattr(factory, 'owned', False):
             factory = _unowned_factory(factory)
-        return (RefProxy, (factory,))
+        return _reduce_as(RefProxy, factory)
 
     def __reduce_ex__(self, protocol: int):
         return self.__reduce__()

@@ -24,6 +24,9 @@ Two properties make proxies suitable as wide-area object references:
 Pickling a proxy serializes *only the factory* (never the target), so proxies
 stay small on the wire and remain resolvable after being communicated to
 another process — the core mechanism of the ProxyStore programming model.
+A :class:`~repro.proxy.factory.Factory` may ship a proxy of itself as one
+call (:meth:`~repro.proxy.factory.Factory.reduce_proxy`) in place of
+``Proxy(factory)``.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from typing import Iterator
 from typing import TypeVar
 
 from repro.exceptions import ProxyResolveError
+from repro.proxy.factory import Factory
 
 T = TypeVar('T')
 
@@ -75,6 +79,18 @@ def _do_resolve(proxy: 'Proxy[Any]') -> Any:
         ) from e
     object.__setattr__(proxy, '__target__', target)
     return target
+
+
+def _reduce_as(proxy_type: type, factory: Callable[[], Any]) -> tuple[Any, tuple[Any, ...]]:
+    """The ``__reduce__`` value of ``proxy_type(factory)``: the factory's
+    own one-call form when it offers one."""
+    # type(), not isinstance(): the latter would consult a proxied
+    # factory's __class__ and resolve it.
+    if issubclass(type(factory), Factory):
+        reduced = factory.reduce_proxy(proxy_type)
+        if reduced is not None:
+            return reduced
+    return (proxy_type, (factory,))
 
 
 def get_factory(proxy: 'Proxy[T]') -> Callable[[], T]:
@@ -168,8 +184,7 @@ class Proxy(Generic[T]):
     # Pickling: only the factory travels.
     # ------------------------------------------------------------------ #
     def __reduce__(self):
-        factory = object.__getattribute__(self, '__factory__')
-        return (type(self), (factory,))
+        return _reduce_as(type(self), object.__getattribute__(self, '__factory__'))
 
     def __reduce_ex__(self, protocol: int):
         return self.__reduce__()

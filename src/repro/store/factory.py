@@ -11,6 +11,14 @@ hundred bytes smaller than its ``__dict__``::
 
     (flags, attrs, key, key_connector, name, scheme, connector_config, *pairs)
 
+A :class:`~repro.proxy.Proxy` of a plain ``StoreFactory`` pickles to one
+call that returns the proxy, ``_proxy(*tuple)`` (or ``_ref(*tuple)`` for
+the :class:`~repro.proxy.owned.RefProxy` every ownership-aware proxy
+pickles to), through the factory's
+:meth:`~repro.proxy.factory.Factory.reduce_proxy` hook.  Any other proxy
+type, or a factory subclass, pickles as two calls: the proxy class around
+``_load(*tuple)`` (``_load_as(cls, *tuple)`` for a subclass).
+
 ``flags`` holds ``evict``/``owned``, whether ``key`` is a plain
 :class:`~repro.connectors.protocol.ConnectorKey` travelling as its two bare
 fields (richer key types travel whole, with ``key_connector`` ``None``), and
@@ -19,7 +27,8 @@ factory's own non-default attributes; the rest is
 :meth:`StoreConfig.wire() <repro.store.config.StoreConfig.wire>`.  The
 consumer side is lazy: an unpickled factory keeps that tail, finds its Store
 in the registry by name, and only builds a ``StoreConfig`` on a registry
-miss (or when ``store_config`` is read).
+miss (or when ``store_config`` is read).  ``connector_config`` is the
+connector's ``config()``, which leaves out constructor defaults.
 """
 from __future__ import annotations
 
@@ -29,6 +38,8 @@ from typing import TypeVar
 from repro.connectors.protocol import ConnectorKey
 from repro.exceptions import StoreKeyError
 from repro.proxy.factory import Factory
+from repro.proxy.owned import RefProxy
+from repro.proxy.proxy import Proxy
 from repro.store.config import CONFIG_BITS
 from repro.store.config import StoreConfig
 from repro.store.registry import get_or_create_store
@@ -71,6 +82,20 @@ def _load(
 def _load_as(cls: 'type[StoreFactory]', *wire: Any) -> 'StoreFactory':
     """:func:`_load` for a subclass, which travels with its class."""
     return _load(*wire, cls=cls)
+
+
+def _proxy(*wire: Any) -> Proxy:
+    """A plain proxy of the factory :func:`_load` rebuilds from ``wire``."""
+    return Proxy(_load(*wire))
+
+
+def _ref(*wire: Any) -> RefProxy:
+    """A non-owning :class:`RefProxy` of the factory ``wire`` describes."""
+    return RefProxy(_load(*wire))
+
+
+# The proxy types a plain factory pickles inside its own one call.
+_PROXY_LOADERS = {Proxy: _proxy, RefProxy: _ref}
 
 
 class StoreFactory(Factory[T]):
@@ -139,7 +164,8 @@ class StoreFactory(Factory[T]):
             attrs['connector_kwargs'] = self.connector_kwargs
         return attrs
 
-    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
+    def _wire(self) -> tuple[Any, ...]:
+        """The flat tuple :func:`_load` rebuilds this factory from."""
         config = self._config
         bits, tail = self._config_wire if config is None else config.wire()  # type: ignore[misc]
         if self.evict:
@@ -148,12 +174,19 @@ class StoreFactory(Factory[T]):
             bits |= _OWNED
         key = self.key
         if type(key) is ConnectorKey:
-            wire = (bits | _PLAIN_KEY, self._wire_attrs() or None, *key, *tail)
-        else:
-            wire = (bits, self._wire_attrs() or None, key, None, *tail)
+            return (bits | _PLAIN_KEY, self._wire_attrs() or None, *key, *tail)
+        return (bits, self._wire_attrs() or None, key, None, *tail)
+
+    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
         if type(self) is StoreFactory:
-            return _load, wire
-        return _load_as, (type(self), *wire)
+            return _load, self._wire()
+        return _load_as, (type(self), *self._wire())
+
+    def reduce_proxy(self, proxy_type: type) -> tuple[Any, tuple[Any, ...]] | None:
+        """``proxy_type(self)`` as one loader call, for a ``Proxy`` or
+        ``RefProxy`` of a plain ``StoreFactory`` (otherwise ``None``)."""
+        loader = _PROXY_LOADERS.get(proxy_type) if type(self) is StoreFactory else None
+        return None if loader is None else (loader, self._wire())
 
     def __copy__(self) -> 'StoreFactory[T]':
         duplicate = type(self).__new__(type(self))
@@ -200,14 +233,15 @@ class StoreFactory(Factory[T]):
             StoreKeyError: if the key no longer exists in the store.
         """
         store = self.get_store()
-        obj = store.get(self.key, default=_MISSING)
+        if self.evict:
+            obj = store._take(self.key, default=_MISSING)
+        else:
+            obj = store.get(self.key, default=_MISSING)
         if obj is _MISSING:
             raise StoreKeyError(
                 f'Object with key {self.key!r} does not exist in store '
                 f'{self.store_name!r} (it may have been evicted).',
             )
-        if self.evict:
-            store.evict(self.key)
         return obj  # type: ignore[return-value]
 
     def resolve_async(self) -> None:

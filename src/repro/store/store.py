@@ -313,6 +313,17 @@ class Store:
         if cached is not _MISSING:
             self._record('get_cached', 0.0)
             return cached
+        obj = self._fetch(key, deserializer)
+        if obj is _MISSING:
+            return default
+        self.cache.set(key, obj)
+        return obj
+
+    def _fetch(
+        self, key: Any, deserializer: Callable[[bytes], Any] | None = None,
+    ) -> Any:
+        """Read and deserialize ``key`` from the connector (``_MISSING`` if
+        absent), leaving the cache alone."""
         deserializer = deserializer if deserializer is not None else self.deserializer
         timed = self.metrics is not None
         start = perf_counter() if timed else 0.0
@@ -320,7 +331,7 @@ class Store:
         if data is None:
             if timed:
                 self._record('get_miss', perf_counter() - start)
-            return default
+            return _MISSING
         if timed:
             nbytes = payload_nbytes(data)
             self._record('get', perf_counter() - start, nbytes)
@@ -328,7 +339,23 @@ class Store:
         obj = deserializer(self._inbound(data, deserializer))
         if timed:
             self._record('deserialize', perf_counter() - start, nbytes)
-        self.cache.set(key, obj)
+        return obj
+
+    def _take(self, key: Any, *, default: Any = None) -> Any:
+        """Return ``key``'s object (or ``default``) and evict the key.
+
+        What an evict-on-resolve proxy does: a cached value is served from
+        the cache, any other is fetched without entering it, since nothing
+        can read it there again.  A missing key evicts nothing.
+        """
+        obj = self.cache.get(key, default=_MISSING)
+        if obj is _MISSING:
+            obj = self._fetch(key)
+            if obj is _MISSING:
+                return default
+        else:
+            self._record('get_cached', 0.0)
+        self.evict(key)
         return obj
 
     def get_batch(

@@ -263,6 +263,9 @@ class _LocalBroker:
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
+        #: Notified when a topic is created, for fetches waiting on a name
+        #: nothing has written to yet.
+        self.created = threading.Condition(self.lock)
         self.topics: dict[str, tuple[TopicRing, threading.Condition]] = {}
         self.groups: dict[str, GroupState] = {}
 
@@ -274,7 +277,19 @@ class _LocalBroker:
                 topic = self.topics[name] = (
                     TopicRing(retention), threading.Condition(),
                 )
+                self.created.notify_all()
             return topic
+
+    def find(
+        self, name: str, wait: float,
+    ) -> tuple[TopicRing, threading.Condition] | None:
+        """Return topic ``name``, waiting up to ``wait`` seconds for a write
+        to create it; ``None`` if it still does not exist.  Reading never
+        creates a topic, so made-up names cannot grow the broker."""
+        with self.created:
+            if wait > 0:
+                self.created.wait_for(lambda: name in self.topics, timeout=wait)
+            return self.topics.get(name)
 
     def group_command(
         self, command: str, group: str, options: dict[str, Any] | None = None,
@@ -353,10 +368,17 @@ class LocalEventBus:
     def fetch(self, topic: str, since: int, wait: float = 0.0) -> tuple[list, int]:
         """Read ``topic``'s ring from ``since``, waiting up to ``wait``
         seconds for a publish when nothing is there yet."""
-        ring, cond = self._topic(topic)
+        deadline = time.monotonic() + wait
+        found = self.client.find(topic, wait)
+        if found is None:  # the empty view: no events, none lost
+            return [], 0
+        ring, cond = found
         with cond:
             if wait > 0:
-                cond.wait_for(lambda: ring.next_seq > since, timeout=wait)
+                cond.wait_for(
+                    lambda: ring.next_seq > since,
+                    timeout=max(0.0, deadline - time.monotonic()),
+                )
             return ring.since(since)
 
     def subscribe(self, topic: str, *, from_seq: int | None = None) -> Subscription:

@@ -19,7 +19,12 @@ Two special forms exist:
   topic stops when it sees one.
 
 Events are pickled for the wire (both event transports treat payloads as
-opaque bytes), so keys may be any picklable connector key type.
+opaque bytes), so keys may be any picklable connector key type.  An event
+is one flat tuple: ``(key, metadata, nbytes, payload, end)``, except that a
+plain :class:`~repro.connectors.protocol.ConnectorKey` travels as its two
+bare fields, ``(object_id, connector, metadata, nbytes, payload, end)``,
+without naming its class; :meth:`StreamEvent.decode` tells the two forms
+apart by length.
 """
 from __future__ import annotations
 
@@ -27,6 +32,8 @@ import pickle
 from dataclasses import dataclass
 from dataclasses import field
 from typing import Any
+
+from repro.connectors.protocol import ConnectorKey
 
 __all__ = ['StreamEvent']
 
@@ -62,15 +69,22 @@ class StreamEvent:
 
     def encode(self) -> bytes:
         """Serialize this event for publication on an event bus."""
-        return pickle.dumps(
-            (self.key, self.metadata, self.nbytes, self.payload, self.end),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        key = self.key
+        if type(key) is ConnectorKey:
+            fields = (*key, self.metadata, self.nbytes, self.payload, self.end)
+        else:
+            fields = (key, self.metadata, self.nbytes, self.payload, self.end)
+        return pickle.dumps(fields, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def decode(cls, data: 'bytes | bytearray | memoryview', seq: int = -1) -> 'StreamEvent':
         """Rebuild an event from :meth:`encode` output (``seq`` from the bus)."""
-        key, metadata, nbytes, payload, end = pickle.loads(bytes(data))
+        fields = pickle.loads(data)
+        if len(fields) == 6:
+            object_id, connector, metadata, nbytes, payload, end = fields
+            key = ConnectorKey(object_id, connector)
+        else:
+            key, metadata, nbytes, payload, end = fields
         return cls(
             key=key,
             metadata=metadata,

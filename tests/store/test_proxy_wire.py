@@ -9,8 +9,11 @@ field) and backward compatible (pickles written before it existed load).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import os
 import pickle
+import pickletools
 import shutil
 import subprocess
 import sys
@@ -27,9 +30,19 @@ from repro.connectors import FileConnector
 from repro.connectors import LocalConnector
 from repro.connectors import RedisConnector
 from repro.connectors.multi import MultiKey
+from repro.connectors.protocol import new_object_id
 from repro.kvserver import launch_server
+from repro.connectors.endpoint import EndpointConnector
+from repro.connectors.globus import GlobusConnector
+from repro.connectors.globus_service import reset_transfer_service
+from repro.connectors.margo import MargoConnector
+from repro.connectors.ucx import UCXConnector
+from repro.connectors.zmq import ZMQConnector
+from repro.dim import reset_nodes
 from repro.proxy import Proxy
 from repro.proxy import SimpleFactory
+from repro.proxy import borrow
+from repro.proxy import drop
 from repro.proxy import extract
 from repro.proxy import get_factory
 from repro.proxy import resolve
@@ -44,9 +57,13 @@ from repro.store import get_store
 from repro.store import unregister_store
 
 #: Bytes a pickled plain proxy may cost (BENCHMARK.json: ``proxy_wire_bytes``).
-PROXY_WIRE_BUDGET = 250
+PROXY_WIRE_BUDGET = 200
 #: Bytes each further proxy of the same store adds to a pickled list.
-PER_PROXY_IN_LIST = 70
+PER_PROXY_IN_LIST = 60
+#: A ``file://`` proxy carries its store directory; the budget holds for a
+#: directory of this many bytes, and a longer temporary directory (another
+#: user name or ``TMPDIR``) adds its excess.
+BUDGET_DIR_BYTES = 72
 
 
 # --------------------------------------------------------------------------- #
@@ -63,16 +80,67 @@ PER_PROXY_IN_LIST = 70
 )
 def test_pickled_proxy_fits_the_byte_budget(tmp_path, url):
     store = Store.from_url(url.format(tmp_path=tmp_path))
+    budget = PROXY_WIRE_BUDGET
+    if url.startswith('file'):
+        budget += max(0, len(f'{tmp_path}/wire-data') - BUDGET_DIR_BYTES)
     try:
         obj = {'id': 1 << 24, 'blob': bytes(1000)}
         for evict in (False, True):
             wire = pickle.dumps(store.proxy(obj, evict=evict))
-            assert len(wire) <= PROXY_WIRE_BUDGET, len(wire)
+            assert len(wire) <= budget, len(wire)
             assert pickle.loads(wire) == obj
         wire = pickle.dumps(store.proxy_from_key(store.put(obj)))
-        assert len(wire) <= PROXY_WIRE_BUDGET, len(wire)
+        assert len(wire) <= budget, len(wire)
+        owner = store.owned_proxy(obj)
+        assert len(pickle.dumps(owner)) <= budget, len(pickle.dumps(owner))
+        drop(owner)
     finally:
         store.close(clear=True)
+
+
+def _globals(wire: bytes) -> list[str]:
+    """The ``module.name`` of every global a pickle loads, in order."""
+    strings: list[str] = []
+    names = []
+    for opcode, arg, _ in pickletools.genops(wire):
+        if opcode.name in ('SHORT_BINUNICODE', 'BINUNICODE'):
+            strings.append(arg)
+        elif opcode.name == 'STACK_GLOBAL':
+            names.append('.'.join(strings[-2:]))
+    return names
+
+
+def test_a_proxy_pickles_to_one_call(local_store):
+    # Only the loader is named: no Proxy/RefProxy class, no key class.
+    plain = local_store.proxy('plain')
+    owner = local_store.owned_proxy('owned')
+    assert _globals(pickle.dumps(plain)) == ['repro.store.factory._proxy']
+    assert _globals(pickle.dumps(owner)) == ['repro.store.factory._ref']
+    assert _globals(pickle.dumps(borrow(owner))) == ['repro.store.factory._ref']
+    assert type(pickle.loads(pickle.dumps(plain))) is Proxy
+    assert type(pickle.loads(pickle.dumps(owner))) is RefProxy
+    assert pickle.loads(pickle.dumps(owner)) == 'owned'
+    # A factory subclass, or a proxy type the factory does not know, keeps
+    # the two-call form.
+    future = local_store.future().proxy()
+    assert _globals(pickle.dumps(future)) == [
+        'repro.proxy.proxy.Proxy', 'repro.store.factory._load_as',
+        'repro.store.future.FutureFactory',
+    ]
+    factory = get_factory(plain)
+    custom = pickle.loads(pickle.dumps(_CustomProxy(factory)))
+    assert type(custom) is _CustomProxy and custom == 'plain'
+    assert _globals(pickle.dumps(_CustomProxy(factory)))[-1] == 'repro.store.factory._load'
+    # A proxy whose factory is itself a proxy is pickled without resolving it.
+    nested = Proxy(Proxy(SimpleFactory(functools.partial(str, 'nested'))))
+    restored = pickle.loads(pickle.dumps(nested))
+    assert not get_factory(nested).__resolved__
+    assert restored == 'nested'
+    drop(owner)
+
+
+class _CustomProxy(Proxy):
+    __slots__ = ()
 
 
 def test_non_default_options_ship_only_what_differs(tmp_path):
@@ -207,6 +275,52 @@ LEGACY_CONFIG = StoreConfig(
 )
 
 
+# Exact ``pickle.dumps`` bytes of proxies of the same store at commit
+# 032bad6, the two-call form: the proxy class as a global around a
+# ``_load`` (or ``_load_as``) tuple, ``mmap_read`` spelled out.
+TWO_CALL_PLAIN = bytes.fromhex(  # store.proxy({'answer': 42}, cache_local=False)
+    '800495d6000000000000008c11726570726f2e70726f78792e70726f7879948c'
+    '0550726f78799493948c13726570726f2e73746f72652e666163746f7279948c'
+    '055f6c6f6164949394284b844e8c203631363437363964376239663430666238'
+    '336465316333303862333235666461948c0466696c65948c0e6c65676163792d'
+    '666978747572659468077d94288c0973746f72655f646972948c1f2f746d702f'
+    '726570726f2d6c65676163792d70726f78792d66697874757265948c096d6d61'
+    '705f726561649488758c0a63616368655f73697a65944b087494529485945294'
+    '2e'
+)
+TWO_CALL_EVICT = bytes.fromhex(  # store.proxy('read once', evict=True, cache_local=False)
+    '800495d6000000000000008c11726570726f2e70726f78792e70726f7879948c'
+    '0550726f78799493948c13726570726f2e73746f72652e666163746f7279948c'
+    '055f6c6f6164949394284b854e8c203331323139383862353939643461356462'
+    '633366303631666261643034396430948c0466696c65948c0e6c65676163792d'
+    '666978747572659468077d94288c0973746f72655f646972948c1f2f746d702f'
+    '726570726f2d6c65676163792d70726f78792d66697874757265948c096d6d61'
+    '705f726561649488758c0a63616368655f73697a65944b087494529485945294'
+    '2e'
+)
+TWO_CALL_FUTURE = bytes.fromhex(  # store.future(timeout=5.0).proxy()
+    '80049515010000000000008c11726570726f2e70726f78792e70726f7879948c'
+    '0550726f78799493948c13726570726f2e73746f72652e666163746f7279948c'
+    '085f6c6f61645f6173949394288c12726570726f2e73746f72652e6675747572'
+    '65948c0d467574757265466163746f72799493944b847d948c0774696d656f75'
+    '7494474014000000000000738c20616232633631663039626130343563636262'
+    '6362336661656634333934663661948c0466696c65948c0e6c65676163792d66'
+    '69787475726594680c7d94288c0973746f72655f646972948c1f2f746d702f72'
+    '6570726f2d6c65676163792d70726f78792d66697874757265948c096d6d6170'
+    '5f726561649488758c0a63616368655f73697a65944b0874945294859452942e'
+)
+TWO_CALL_OWNED = bytes.fromhex(  # store.owned_proxy([1, 2, 3], cache_local=False)
+    '800495d9000000000000008c11726570726f2e70726f78792e6f776e6564948c'
+    '0852656650726f78799493948c13726570726f2e73746f72652e666163746f72'
+    '79948c055f6c6f6164949394284b844e8c206131316564663639396234663461'
+    '653738333038373364386333616530666465948c0466696c65948c0e6c656761'
+    '63792d666978747572659468077d94288c0973746f72655f646972948c1f2f74'
+    '6d702f726570726f2d6c65676163792d70726f78792d66697874757265948c09'
+    '6d6d61705f726561649488758c0a63616368655f73697a65944b087494529485'
+    '9452942e'
+)
+
+
 @pytest.fixture()
 def legacy_dir():
     """The directory the legacy pickles point at, with a writer into it."""
@@ -257,6 +371,44 @@ def test_legacy_pickles_still_load_and_resolve(
     assert get_factory(again).store_config == LEGACY_CONFIG
     assert type(get_factory(again)) is factory_type
     assert again == value
+
+
+@pytest.mark.parametrize(
+    ('wire', 'proxy_type', 'factory_type', 'object_id', 'value', 'evict'),
+    [
+        (TWO_CALL_PLAIN, Proxy, StoreFactory,
+         '6164769d7b9f40fb83de1c308b325fda', {'answer': 42}, False),
+        (TWO_CALL_EVICT, Proxy, StoreFactory,
+         '3121988b599d4a5dbc3f061fbad049d0', 'read once', True),
+        (TWO_CALL_FUTURE, Proxy, FutureFactory,
+         'ab2c61f09ba045ccbbcb3faef4394f6a', 'produced later', False),
+        (TWO_CALL_OWNED, RefProxy, StoreFactory,
+         'a11edf699b4f4ae7830873d8c3ae0fde', [1, 2, 3], False),
+    ],
+    ids=['plain', 'evict', 'future', 'owned'],
+)
+def test_two_call_pickles_still_load_and_resolve(
+    legacy_dir, wire, proxy_type, factory_type, object_id, value, evict,
+):
+    proxy = pickle.loads(wire)
+    assert type(proxy) is proxy_type
+    factory = get_factory(proxy)
+    assert type(factory) is factory_type
+    assert factory.key == ConnectorKey(object_id, 'file')
+    assert factory.store_config == LEGACY_CONFIG
+    assert (factory.evict, factory.owned) == (evict, False)
+    again = pickle.dumps(proxy)
+    # Re-pickled: one call for a plain factory; the connector config stays
+    # exactly as it was written, ``mmap_read`` included.
+    if factory_type is StoreFactory:
+        assert len(again) < len(wire)
+    assert get_factory(pickle.loads(again)).store_config == LEGACY_CONFIG
+    assert type(pickle.loads(again)) is proxy_type
+    assert get_store('legacy-fixture') is None
+    legacy_dir.set(factory.key, to_bytes(serialize(value)))
+    assert proxy == value
+    assert legacy_dir.exists(factory.key) is not evict
+    assert get_store('legacy-fixture').cache.maxsize == 8
 
 
 # --------------------------------------------------------------------------- #
@@ -522,3 +674,73 @@ def test_the_budget_survives_warnings_as_errors(local_store):
         proxy = pickle.loads(pickle.dumps(local_store.proxy('quiet')))
         resolve(proxy)
     assert proxy == 'quiet'
+
+
+# --------------------------------------------------------------------------- #
+# (g) connector configs leave their defaults out, and stay exact
+# --------------------------------------------------------------------------- #
+# Every built-in connector whose ``from_config`` is ``cls(**config)``, built
+# with its defaults and with every defaulted argument changed.
+_CONNECTORS = {
+    'local': lambda d: [LocalConnector('wire-exact')],
+    'file': lambda d: [
+        FileConnector(str(d / 'f')), FileConnector(str(d / 'f'), mmap_read=False),
+    ],
+    'redis': lambda d: [
+        RedisConnector('127.0.0.1', 7001),
+        RedisConnector('10.0.0.1', 7001, pool_size=4, timeout=5.0),
+        RedisConnector(nodes=['127.0.0.1:7001', '127.0.0.1:7002'], replicas=2),
+    ],
+    'endpoint': lambda d: [EndpointConnector(['0' * 32])],
+    'globus': lambda d: [
+        GlobusConnector({'.*': ('ep', str(d / 'g'))}),
+        GlobusConnector({'.*': ('ep', str(d / 'g'))}, transfer_timeout=5.0),
+    ],
+    **{
+        cls.scheme: lambda d, cls=cls: [
+            cls('wire-exact'),
+            cls('wire-exact', shard_threshold=1024, pool_size=4, timeout=5.0),
+        ]
+        for cls in (MargoConnector, UCXConnector, ZMQConnector)
+    },
+}
+
+
+@pytest.mark.parametrize('scheme', sorted(_CONNECTORS))
+def test_connector_config_round_trips_without_defaults(tmp_path, scheme):
+    connectors = _CONNECTORS[scheme](tmp_path)
+    try:
+        for connector in connectors:
+            config = connector.config()
+            clone = type(connector).from_config(config)
+            try:
+                assert list(clone.config().items()) == list(config.items())
+            finally:
+                clone.close()
+            defaults = {
+                name: parameter.default
+                for name, parameter in inspect.signature(type(connector)).parameters.items()
+            }
+            assert not [
+                name for name, value in config.items()
+                if name in defaults and defaults[name] == value
+            ], config
+    finally:
+        for connector in connectors:
+            connector.close()
+        reset_nodes()
+        reset_transfer_service()
+
+
+def test_object_ids_are_32_lowercase_hex_characters():
+    ids = {new_object_id() for _ in range(1000)}
+    assert len(ids) == 1000
+    assert all(len(i) == 32 and set(i) <= set('0123456789abcdef') for i in ids)
+
+
+def test_the_ci_gate_holds_proxies_to_these_budgets():
+    from benchmarks import bench_proxy_ops as bench
+
+    assert (bench.PROXY_WIRE_BUDGET, bench.PER_PROXY_IN_LIST) == (
+        PROXY_WIRE_BUDGET, PER_PROXY_IN_LIST,
+    )

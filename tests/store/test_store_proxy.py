@@ -294,3 +294,32 @@ def test_extract_evict_rejects_owned_proxies(local_store):
         extract(p, evict=True)
     # The owner still controls the key.
     assert local_store.connector.exists(get_factory(p).key)
+
+
+def test_an_evicting_resolve_fetches_past_the_cache():
+    store = Store.from_url('local:///evicting-resolve?cache_size=1')
+    try:
+        kept = store.proxy('kept', cache_local=False)
+        assert kept == 'kept'  # the one cache slot now holds it
+        gets = []
+        fetch = store.connector.get
+        store.connector.get = lambda key: gets.append(key) or fetch(key)
+        once = store.proxy('read once', evict=True)
+        assert once == 'read once'
+        # One connector get, and nothing inserted: 'kept' was not pushed out.
+        assert gets == [get_factory(once).key]
+        assert not store.connector.exists(get_factory(once).key)
+        stats = store.cache_stats()
+        assert (stats['entries'], stats['evictions']) == (1, 0)
+        assert store.is_cached(get_factory(kept).key)
+        # A value already cached is served from the cache, then evicted.
+        gets.clear()
+        cached = store.proxy('cached', evict=True)
+        key = get_factory(cached).key
+        store.get(key)
+        gets.clear()
+        assert cached == 'cached'
+        assert gets == []
+        assert not store.is_cached(key) and not store.connector.exists(key)
+    finally:
+        store.close(clear=True)

@@ -110,6 +110,30 @@ def test_unknown_topic_stats_is_none(make_bus):
     assert bus.topic_stats('never-used') is None
 
 
+def test_reading_an_unknown_topic_creates_no_topic(make_bus, topic):
+    """A plain or expired fetch answers an unknown topic from an empty view;
+    only a write makes a ring, so made-up names cannot grow the broker."""
+    bus = make_bus()
+    assert bus.fetch(topic, 0) == ([], 0)
+    assert bus.fetch(topic, 3, wait=0.05) == ([], 0)
+    assert bus.topic_stats(topic) is None
+    # A waited fetch still wakes on the publish that creates the topic.
+    replies = []
+    reader = threading.Thread(
+        target=lambda: replies.append(bus.fetch(topic, 0, wait=10.0)),
+    )
+    start = time.monotonic()
+    reader.start()
+    time.sleep(0.1)
+    bus.publish(topic, b'first')
+    reader.join(10.0)
+    assert time.monotonic() - start < 5.0
+    [(events, lost)] = replies
+    assert [(seq, bytes(payload)) for seq, payload in events] == [(0, b'first')]
+    assert lost == 0
+    assert bus.topic_stats(topic)['next_seq'] == 1
+
+
 def test_fanout_to_multiple_subscribers(make_bus, topic):
     bus = make_bus()
     subs = [bus.subscribe(topic) for _ in range(3)]
