@@ -23,9 +23,11 @@ there is no network to win back — every transport is equally CPU-bound:
    3 node processes serves a read workload; one node process is killed
    with SIGKILL mid-run.  Recorded: replication overhead at put/get time
    (``replicas=2`` vs ``replicas=1`` over the same ring — the honest
-   cost), degraded-mode throughput while failing over, lost keys (must be
-   zero), and recovery time until the background rebalancer restored full
-   replication on the survivors.
+   cost — timed in alternating blocks and reported as the median of the
+   per-block put-rate ratios, ``put_overhead_factor``), degraded-mode
+   throughput while failing over, lost keys (must be zero), and recovery
+   time until the background rebalancer restored full replication on the
+   survivors.
 
 Run directly (also used as a CI step)::
 
@@ -45,7 +47,7 @@ import multiprocessing
 import platform
 import queue
 import socket
-
+import statistics
 import sys
 import threading
 import time
@@ -336,6 +338,60 @@ def bench_sharding(*, payload_bytes: int, repetitions: int) -> dict:
 # --------------------------------------------------------------------------- #
 # Scenario 3: chaos — kill one replicated node mid-workload
 # --------------------------------------------------------------------------- #
+def _replication_overhead(
+    peers: list, *, payload: bytes, blocks: int, block_ops: int,
+) -> tuple[dict, float]:
+    """Put/get rates at ``replicas=1`` and ``replicas=2``, and their put ratio.
+
+    Same ring, same remote nodes, one copy vs two.  ``replicas=1`` uses
+    ring placement (not the local-node path), so both configurations pay a
+    remote round trip and the delta is the honest cost of the second copy.
+    The two run in alternating blocks of ``block_ops`` puts (then gets),
+    the first of each pair swapped every block, so host drift lands on
+    both sides; the factor is the median of the per-block put-rate ratios.
+    """
+    clients = {
+        replicas: ZMQConnector(
+            f'bench-overhead-{replicas}',
+            peers=peers,
+            replicas=replicas,
+            ring_vnodes=64,
+            rebalance=False,
+        )
+        for replicas in (1, 2)
+    }
+    rates: dict[int, dict[str, list[float]]] = {
+        replicas: {'put': [], 'get': []} for replicas in clients
+    }
+    ratios = []
+    try:
+        for client in clients.values():  # warm-up: connect to every node
+            client.evict_batch([client.put(payload) for _ in range(len(peers))])
+        for block in range(blocks):
+            for replicas in (1, 2) if block % 2 == 0 else (2, 1):
+                client = clients[replicas]
+                start = time.perf_counter()
+                keys = [client.put(payload) for _ in range(block_ops)]
+                rates[replicas]['put'].append(block_ops / (time.perf_counter() - start))
+                start = time.perf_counter()
+                for key in keys:
+                    assert client.get(key) is not None
+                rates[replicas]['get'].append(block_ops / (time.perf_counter() - start))
+                client.evict_batch(keys)
+            ratios.append(rates[1]['put'][-1] / rates[2]['put'][-1])
+    finally:
+        for client in clients.values():
+            client.close()
+    overhead = {
+        f'replicas_{replicas}': {
+            f'{op}_ops_per_s': round(statistics.median(samples), 1)
+            for op, samples in by_op.items()
+        }
+        for replicas, by_op in rates.items()
+    }
+    return overhead, statistics.median(ratios)
+
+
 def bench_chaos(*, n_keys: int, ops: int) -> dict:
     payload = b'x' * 4096
     procs, addresses = _spawn_nodes(3, latency_s=0.0001, bandwidth_bps=None)
@@ -343,37 +399,8 @@ def bench_chaos(*, n_keys: int, ops: int) -> dict:
         (f'node-{i}', host, port) for i, (host, port) in enumerate(addresses)
     ]
     try:
-        # Replication overhead: same ring, same remote nodes, one copy vs
-        # two.  replicas=1 with ring placement (not the legacy local-node
-        # path) so both configurations pay a remote round trip — the delta
-        # is the honest cost of the second copy.
-        overhead = {}
-        for replicas in (1, 2):
-            client = ZMQConnector(
-                'bench-overhead',
-                peers=peers,
-                replicas=replicas,
-                ring_vnodes=64,
-                rebalance=False,
-            )
-            try:
-                start = time.perf_counter()
-                keys = [client.put(payload) for _ in range(ops)]
-                put_ops = ops / (time.perf_counter() - start)
-                start = time.perf_counter()
-                for key in keys:
-                    assert client.get(key) is not None
-                get_ops = ops / (time.perf_counter() - start)
-                client.evict_batch(keys)
-            finally:
-                client.close()
-            overhead[f'replicas_{replicas}'] = {
-                'put_ops_per_s': round(put_ops, 1),
-                'get_ops_per_s': round(get_ops, 1),
-            }
-        put_cost = (
-            overhead['replicas_1']['put_ops_per_s']
-            / overhead['replicas_2']['put_ops_per_s']
+        overhead, put_cost = _replication_overhead(
+            peers, payload=payload, blocks=8, block_ops=max(10, ops // 4),
         )
 
         # Chaos run: read workload over a replicated key set, then SIGKILL

@@ -13,8 +13,9 @@ cheap enough for any bookkeeping overhead to show:
 * ``borrow``: taking and dropping a shared borrow (pure bookkeeping, no
   store traffic).
 * ``wire``: bytes of a pickled proxy (plain, owned, and per proxy in a list
-  of 100) — what a task queue carries in place of the object; printed and
-  written to the report so the CI artifact records it.
+  of 100) — what a task queue carries in place of the object — and of a
+  proxied item's :class:`~repro.stream.StreamEvent`, what a stream topic
+  carries; printed and written to the report so the CI artifact records it.
 
 The acceptance target for the ownership layer is **< 5% overhead** on the
 create and resolve paths; the report records the measured overhead so the
@@ -25,9 +26,11 @@ Run directly (also used as a CI step)::
     PYTHONPATH=src python benchmarks/bench_proxy_ops.py --out BENCH_proxy.json
 
 ``--smoke`` shrinks the op counts for CI.  ``--gate`` exits 1 when a pickled
-plain or owned proxy exceeds :data:`PROXY_WIRE_BUDGET`, or a proxy in a list
+plain or owned proxy exceeds :data:`PROXY_WIRE_BUDGET`, a proxy in a list
 of 100 adds more than :data:`PER_PROXY_IN_LIST` (the byte budgets
-``tests/store/test_proxy_wire.py`` holds every built-in connector to).
+``tests/store/test_proxy_wire.py`` holds every built-in connector to), or a
+proxied item's encoded event exceeds :data:`EVENT_WIRE_BUDGET` (pinned by
+``tests/stream/test_events.py``).
 """
 from __future__ import annotations
 
@@ -47,13 +50,16 @@ from repro.proxy import extract
 from repro.proxy import get_factory
 from repro.store import ContextLifetime
 from repro.store import Store
+from repro.stream import StreamEvent
 
 PAYLOAD = {'weights': list(range(256)), 'tag': 'bench'}
 
 #: Bytes a pickled proxy may cost.
 PROXY_WIRE_BUDGET = 200
 #: Bytes each further proxy of the same store adds to a pickled list.
-PER_PROXY_IN_LIST = 60
+PER_PROXY_IN_LIST = 45
+#: Bytes a proxied item's encoded stream event may cost.
+EVENT_WIRE_BUDGET = 64
 
 
 def _time_per_op(fn, ops: int, repeats: int) -> float:
@@ -216,6 +222,8 @@ def bench_wire(store: Store) -> dict:
     """Exact pickled sizes of the references this store hands out."""
     proxies = [store.proxy(PAYLOAD) for _ in range(100)]
     owner = store.owned_proxy(PAYLOAD)
+    # What a StreamProducer publishes for an item it stores by proxy.
+    event = StreamEvent(key=store.put(PAYLOAD), metadata={'id': 1 << 24})
     try:
         one = len(pickle.dumps(proxies[:1]))
         return {
@@ -225,10 +233,11 @@ def bench_wire(store: Store) -> dict:
             'bytes_per_proxy_in_list_of_100': (
                 (len(pickle.dumps(proxies)) - one) / 99
             ),
+            'proxied_event_bytes': len(event.encode()),
         }
     finally:
         drop(owner)
-        store.evict_batch([get_factory(p).key for p in proxies])
+        store.evict_batch([event.key, *(get_factory(p).key for p in proxies)])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -267,7 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f'pickled proxy {wire["proxy_bytes"]} B, owned '
         f'{wire["owned_proxy_bytes"]} B, '
-        f'{wire["bytes_per_proxy_in_list_of_100"]:.1f} B per proxy in a list of 100',
+        f'{wire["bytes_per_proxy_in_list_of_100"]:.1f} B per proxy in a list of 100, '
+        f'proxied stream event {wire["proxied_event_bytes"]} B',
     )
     for entry in results:
         overhead = entry.get('overhead_pct')
@@ -306,6 +316,7 @@ def main(argv: list[str] | None = None) -> int:
             ('proxy_bytes', PROXY_WIRE_BUDGET),
             ('owned_proxy_bytes', PROXY_WIRE_BUDGET),
             ('bytes_per_proxy_in_list_of_100', PER_PROXY_IN_LIST),
+            ('proxied_event_bytes', EVENT_WIRE_BUDGET),
         )
         if wire[name] > budget
     ]

@@ -9,7 +9,9 @@ tier the same way: the six knobs of :class:`ClusterOptions` configure a
 ids.  :class:`ClusterAttachment` builds the three, owns the *live* member
 list (which is what a connector's ``config()`` must report, so that a
 consumer rebuilding the connector places keys on the producer's current
-ring), and answers ``health()``.
+ring), and answers ``health()``.  Every edit of a member list bumps the
+process-wide :attr:`ClusterAttachment.config_version`, which is how a
+Store knows its cached config is stale without asking the connector.
 
 A connector that is not clustered (a single SimKV server, a DIM connector on
 the static topology) holds a *detached* attachment — the degenerate case:
@@ -112,7 +114,13 @@ class ClusterAttachment:
             listed so it can rejoin under the same id).
         membership / client / rebalancer: the three parts, ``None`` while
             detached (``rebalancer`` also with ``rebalance=False``).
+        config_version: a class-wide count of member-list edits on every
+            attachment in the process, bumped after each edit.  Only
+            ``join``/``leave`` edit the list: a crash the failure detector
+            declares leaves the node listed, so no ``config()`` moves.
     """
+
+    config_version = 0
 
     def __init__(
         self,
@@ -185,6 +193,7 @@ class ClusterAttachment:
         self.require('join')
         self.membership.join(node_id)  # type: ignore[union-attr]
         self.members = tuple(dict.fromkeys((*self.members, node_id)))
+        ClusterAttachment.config_version += 1
 
     def leave(self, node_id: str) -> None:
         """Voluntarily retire a member; its keys drain to the new owners.
@@ -196,6 +205,7 @@ class ClusterAttachment:
         self.require('leave')
         self.membership.leave(node_id)  # type: ignore[union-attr]
         self.members = tuple(n for n in self.members if n != node_id)
+        ClusterAttachment.config_version += 1
 
     def bind_metrics(self, metrics: Any) -> None:
         """Thread per-node health and cluster events into store metrics."""

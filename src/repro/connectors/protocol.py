@@ -39,6 +39,7 @@ __all__ = [
     'connector_from_path',
     'connector_path',
     'new_object_id',
+    'packed_object_id',
     'without_defaults',
 ]
 
@@ -79,6 +80,23 @@ class ConnectorCapabilities:
 def new_object_id() -> str:
     """Return a fresh globally-unique object identifier (32 lowercase hex)."""
     return os.urandom(16).hex()
+
+
+def packed_object_id(object_id: Any) -> bytes | None:
+    """The raw bytes a hex ``object_id`` spells, if they spell it back exactly.
+
+    A :func:`new_object_id` packs to its 16 bytes, and ``raw.hex()`` is the
+    same str again.  Any id that would not come back equal (upper case, an
+    odd length, not hex, not a ``str``) gives ``None`` and travels as it is.
+    """
+    if type(object_id) is str:
+        try:
+            raw = bytes.fromhex(object_id)
+        except ValueError:
+            return None
+        if raw.hex() == object_id:
+            return raw
+    return None
 
 
 # Constructor defaults per connector class, read once per class.

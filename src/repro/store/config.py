@@ -37,10 +37,10 @@ from repro.exceptions import UnknownConnectorSchemeError
 
 __all__ = ['StoreConfig']
 
-# Flag bits of the wire form.  Bits 1, 2 and 4 belong to the factory that
-# embeds the config (repro.store.factory); 64 is retired (older compact
-# pickles used it for ``coalesce_writes``).  The whole int stays below 256
-# so it pickles to two bytes.
+# Flag bits of the wire form.  Bits 1, 2, 4 and 256 belong to the factory
+# that embeds the config (repro.store.factory); 64 is retired (older compact
+# pickles used it for ``coalesce_writes``).  The config's bits stay below
+# 256, so only the factory's packed-id bit makes the int take three bytes.
 METRICS = 8
 CUSTOM_SERIALIZER = 16
 CUSTOM_DESERIALIZER = 32

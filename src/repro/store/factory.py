@@ -21,8 +21,13 @@ type, or a factory subclass, pickles as two calls: the proxy class around
 
 ``flags`` holds ``evict``/``owned``, whether ``key`` is a plain
 :class:`~repro.connectors.protocol.ConnectorKey` travelling as its two bare
-fields (richer key types travel whole, with ``key_connector`` ``None``), and
-the config's boolean fields; ``attrs`` is ``None`` or a dict of the
+fields (richer key types travel whole, with ``key_connector`` ``None``),
+whether that plain key's object id is packed, and the config's boolean
+fields.  A packed id is the 16 raw bytes a
+:func:`~repro.connectors.protocol.new_object_id` spells in 32 hex
+characters (:func:`~repro.connectors.protocol.packed_object_id`), which
+the loader turns back into the same str; an id that would not come back
+exactly travels as it is.  ``attrs`` is ``None`` or a dict of the
 factory's own non-default attributes; the rest is
 :meth:`StoreConfig.wire() <repro.store.config.StoreConfig.wire>`.  The
 consumer side is lazy: an unpickled factory keeps that tail, finds its Store
@@ -36,6 +41,7 @@ from typing import Any
 from typing import TypeVar
 
 from repro.connectors.protocol import ConnectorKey
+from repro.connectors.protocol import packed_object_id
 from repro.exceptions import StoreKeyError
 from repro.proxy.factory import Factory
 from repro.proxy.owned import RefProxy
@@ -55,6 +61,8 @@ _MISSING = object()
 _EVICT = 1
 _OWNED = 2
 _PLAIN_KEY = 4
+#: The plain key's object id travels as raw bytes (one more flag byte).
+_PACKED_ID = 256
 
 
 def _load(
@@ -67,7 +75,9 @@ def _load(
 ) -> 'StoreFactory':
     """Rebuild a factory from its wire tuple (what ``__reduce__`` ships)."""
     self = StoreFactory.__new__(cls or StoreFactory)
-    self.key = ConnectorKey(key, key_connector) if flags & _PLAIN_KEY else key
+    if flags & _PLAIN_KEY:
+        key = ConnectorKey(key.hex() if flags & _PACKED_ID else key, key_connector)
+    self.key = key
     self.store_name = config_wire[0]
     self.evict = bool(flags & _EVICT)
     self.owned = bool(flags & _OWNED)
@@ -173,9 +183,16 @@ class StoreFactory(Factory[T]):
         if self.owned:
             bits |= _OWNED
         key = self.key
-        if type(key) is ConnectorKey:
-            return (bits | _PLAIN_KEY, self._wire_attrs() or None, *key, *tail)
-        return (bits, self._wire_attrs() or None, key, None, *tail)
+        if type(key) is not ConnectorKey:
+            return (bits, self._wire_attrs() or None, key, None, *tail)
+        object_id, connector = key
+        raw = packed_object_id(object_id)
+        if raw is None:
+            bits |= _PLAIN_KEY
+        else:
+            bits |= _PLAIN_KEY | _PACKED_ID
+            object_id = raw
+        return (bits, self._wire_attrs() or None, object_id, connector, *tail)
 
     def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
         if type(self) is StoreFactory:

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from typing import TypeVar
 
 from repro.cache.lru import LRUCache
+from repro.cluster.attach import ClusterAttachment
 from repro.connectors.protocol import Connector
 from repro.connectors.protocol import new_object_id
 from repro.connectors.registry import StoreURL
@@ -103,6 +104,7 @@ class Store:
             # events into the same metrics the store's timings land in.
             connector.bind_metrics(self.metrics)
         self._config: StoreConfig | None = None
+        self._config_version = 0
         self._registered = False
         self._closed = False
         if register:
@@ -125,15 +127,19 @@ class Store:
         """Return a picklable config from which an equivalent store can be built.
 
         One (frozen) instance is cached and shared by every factory this
-        store creates; it is rebuilt only when ``connector.config()`` stops
-        matching it (e.g. after a cluster ``join_node``).
+        store creates.  It is rebuilt only after a clustered connector's
+        member list changed (``join_node``/``leave_node``, or a DIM
+        connector's ``join_peer``/``leave_peer``), the one thing that moves
+        a connector's ``config()``: the store compares
+        :attr:`ClusterAttachment.config_version
+        <repro.cluster.attach.ClusterAttachment.config_version>` instead of
+        calling ``connector.config()`` per proxy.
         """
+        version = ClusterAttachment.config_version
         config = self._config
-        if (
-            config is None
-            or config.connector_config != self.connector.config()
-        ):
+        if config is None or self._config_version != version:
             config = self._config = StoreConfig.from_store(self)
+            self._config_version = version
         return config
 
     @classmethod
@@ -268,17 +274,6 @@ class Store:
     # of a ``Timer`` per step, whose cost shows on 1 KB objects.  Batch and
     # rare operations keep the ``Timer`` form.
 
-    def _inbound(self, data: Any, deserializer: Callable[[bytes], Any]) -> Any:
-        """Adapt connector output for the deserializer.
-
-        The default deserializer consumes every buffer form natively;
-        custom deserializers are documented to take ``bytes`` and get a
-        materialized payload.
-        """
-        if deserializer is default_deserializer:
-            return data
-        return to_bytes(data)
-
     # ------------------------------------------------------------------ #
     # Object-level operations
     # ------------------------------------------------------------------ #
@@ -336,7 +331,11 @@ class Store:
             nbytes = payload_nbytes(data)
             self._record('get', perf_counter() - start, nbytes)
             start = perf_counter()
-        obj = deserializer(self._inbound(data, deserializer))
+        if deserializer is not default_deserializer:
+            # The default deserializer reads every buffer form; a custom
+            # one is documented to take ``bytes``.
+            data = to_bytes(data)
+        obj = deserializer(data)
         if timed:
             self._record('deserialize', perf_counter() - start, nbytes)
         return obj
@@ -392,7 +391,9 @@ class Store:
                         results[i] = None
                         self._record('get_miss', 0.0)
                     else:
-                        obj = deserializer(self._inbound(data, deserializer))
+                        if deserializer is not default_deserializer:
+                            data = to_bytes(data)
+                        obj = deserializer(data)
                         self.cache.set(key, obj)
                         results[i] = obj
                         hits += 1

@@ -22,9 +22,13 @@ Events are pickled for the wire (both event transports treat payloads as
 opaque bytes), so keys may be any picklable connector key type.  An event
 is one flat tuple: ``(key, metadata, nbytes, payload, end)``, except that a
 plain :class:`~repro.connectors.protocol.ConnectorKey` travels as its two
-bare fields, ``(object_id, connector, metadata, nbytes, payload, end)``,
-without naming its class; :meth:`StreamEvent.decode` tells the two forms
-apart by length.
+bare fields, without naming its class.  A proxied item's event (a plain
+key, no payload, not the end) is the 4-tuple ``(raw_id, connector,
+metadata, nbytes)``, its object id packed to raw bytes by
+:func:`~repro.connectors.protocol.packed_object_id`; any other plain-key
+event, or one whose id does not pack exactly, is the 6-tuple
+``(object_id, connector, metadata, nbytes, payload, end)``.
+:meth:`StreamEvent.decode` tells the three forms apart by length.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from dataclasses import field
 from typing import Any
 
 from repro.connectors.protocol import ConnectorKey
+from repro.connectors.protocol import packed_object_id
 
 __all__ = ['StreamEvent']
 
@@ -70,16 +75,28 @@ class StreamEvent:
     def encode(self) -> bytes:
         """Serialize this event for publication on an event bus."""
         key = self.key
-        if type(key) is ConnectorKey:
-            fields = (*key, self.metadata, self.nbytes, self.payload, self.end)
-        else:
+        if type(key) is not ConnectorKey:
             fields = (key, self.metadata, self.nbytes, self.payload, self.end)
+        elif self.payload is None and not self.end and (
+            raw := packed_object_id(key.object_id)
+        ) is not None:
+            fields = (raw, key.connector, self.metadata, self.nbytes)
+        else:
+            fields = (*key, self.metadata, self.nbytes, self.payload, self.end)
         return pickle.dumps(fields, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def decode(cls, data: 'bytes | bytearray | memoryview', seq: int = -1) -> 'StreamEvent':
         """Rebuild an event from :meth:`encode` output (``seq`` from the bus)."""
         fields = pickle.loads(data)
+        if len(fields) == 4:
+            raw, connector, metadata, nbytes = fields
+            return cls(
+                key=ConnectorKey(raw.hex(), connector),
+                metadata=metadata,
+                nbytes=nbytes,
+                seq=seq,
+            )
         if len(fields) == 6:
             object_id, connector, metadata, nbytes, payload, end = fields
             key = ConnectorKey(object_id, connector)

@@ -214,6 +214,8 @@ class PartitionRouter:
         self.ring = HashRing(self._by_id)
         self.topics = partition_topics(topic, partitions)
         self.replicas = min(replicas, len(self._by_id))
+        # Each key's fixed owners, hashed onto the static ring once.
+        self._owners: dict[str, tuple[str, ...]] = {}
         #: Failure detector over the broker fleet — present only when
         #: replication is on (with one owner per partition there is no
         #: live replica to fail over to, so detection buys nothing).
@@ -241,11 +243,14 @@ class PartitionRouter:
             return True
         return self.membership.state_of(node) != 'dead'
 
-    def owners(self, key: str) -> list[str]:
+    def owners(self, key: str) -> tuple[str, ...]:
         """The fixed ring-owner node ids for ``key`` (primary first)."""
-        return list(self.ring.owners(key, self.replicas))
+        owners = self._owners.get(key)
+        if owners is None:
+            owners = self._owners[key] = self.ring.owners(key, self.replicas)
+        return owners
 
-    def ordered_owners(self, key: str) -> list[str]:
+    def ordered_owners(self, key: str) -> Sequence[str]:
         """Owner node ids for ``key``, live brokers first.
 
         The order is the failover walk: the ring primary when healthy,
@@ -351,7 +356,8 @@ class PartitionRouter:
         Returns ``(node, result)``.
         """
         last: Exception | None = None
-        for _attempt in DEFAULT_RECONNECT_POLICY.attempts():
+        retries = None
+        while True:
             for node in self.ordered_owners(key):
                 try:
                     result = op(node)
@@ -366,6 +372,13 @@ class PartitionRouter:
                     continue
                 self.record(node, ok=True)
                 return node, result
+            # Only a walk that failed builds the backoff schedule; its
+            # attempt 0 is the walk just made.
+            if retries is None:
+                retries = DEFAULT_RECONNECT_POLICY.attempts()
+                next(retries)
+            if next(retries, None) is None:
+                break
         raise last if last is not None else NodeUnavailableError(
             f'no broker reachable for {key!r}',
         )
@@ -378,6 +391,8 @@ class PartitionRouter:
         fleet is merely under-replicated until the replica recovers.  With
         one owner per key (``replicas=1``) there is nobody to mirror to.
         """
+        if self.replicas == 1:
+            return
         for node in self.owners(key):
             if node == primary or not self._alive(node):
                 continue

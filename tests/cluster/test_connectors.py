@@ -290,6 +290,13 @@ def test_config_follows_membership_after_join_and_leave(family):
         # The departed node is drained, not forgotten by the membership.
         health = f.connector.cluster_health()
         assert health['nodes'][ids[1]]['state'] == 'left'
+        # A crash the failure detector declares keeps the node listed, so
+        # the connector's config() does not move and the Store keeps its own.
+        kept = store.config()
+        f.connector._cluster.membership.mark_dead(ids[2], 'crashed')
+        assert f.ring(f.connector).nodes != f.ring(consumer.connector).nodes
+        assert f.connector.config() == kept.connector_config
+        assert store.config() is kept
     finally:
         store.close()
         f.stop()

@@ -29,8 +29,13 @@ from repro.connectors import ConnectorKey
 from repro.connectors import FileConnector
 from repro.connectors import LocalConnector
 from repro.connectors import RedisConnector
+from repro.connectors.globus import GlobusKey
 from repro.connectors.multi import MultiKey
 from repro.connectors.protocol import new_object_id
+from repro.connectors.protocol import packed_object_id
+from repro.dim import DIMKey
+from repro.dim import DIMReplica
+from repro.endpoint import EndpointKey
 from repro.kvserver import launch_server
 from repro.connectors.endpoint import EndpointConnector
 from repro.connectors.globus import GlobusConnector
@@ -59,7 +64,7 @@ from repro.store import unregister_store
 #: Bytes a pickled plain proxy may cost (BENCHMARK.json: ``proxy_wire_bytes``).
 PROXY_WIRE_BUDGET = 200
 #: Bytes each further proxy of the same store adds to a pickled list.
-PER_PROXY_IN_LIST = 60
+PER_PROXY_IN_LIST = 45
 #: A ``file://`` proxy carries its store directory; the budget holds for a
 #: directory of this many bytes, and a longer temporary directory (another
 #: user name or ``TMPDIR``) adds its excess.
@@ -411,6 +416,130 @@ def test_two_call_pickles_still_load_and_resolve(
     assert get_store('legacy-fixture').cache.maxsize == 8
 
 
+# Exact ``pickle.dumps`` bytes at commit c42079a, before object ids were
+# packed: ``store.proxy({'id': 1 << 24, 'blob': bytes(1000)}, evict=True)``
+# of ``Store.from_url('redis://127.0.0.1:42827/e2e-w')`` (the 119-byte
+# proxy of the e2e benchmark's ``rt_small``), and a ``Proxy`` of a
+# ``StoreFactory`` of that store whose plain key has a non-str id.
+ONE_CALL_REDIS = bytes.fromhex(
+    '8004956c000000000000008c13726570726f2e73746f72652e666163746f7279'
+    '948c065f70726f7879949394284b854e8c206466376564653462316165656663'
+    '383237383035653139666563346362356362948c057265646973948c05653265'
+    '2d779468047d948c04706f7274944d4ba773749452942e'
+)
+ONE_CALL_BYTES_ID = bytes.fromhex(
+    '8004955c000000000000008c13726570726f2e73746f72652e666163746f7279'
+    '948c065f70726f7879949394284b854e43100101010101010101010101010101'
+    '0101948c057265646973948c056532652d779468047d948c04706f7274944d4b'
+    'a773749452942e'
+)
+
+
+@pytest.fixture()
+def e2e_w_store():
+    """A live ``redis://`` store under the name the one-call pickles carry."""
+    server = launch_server()
+    store = Store('e2e-w', RedisConnector('127.0.0.1', server.port))
+    try:
+        yield store
+    finally:
+        store.close()
+        server.stop()
+
+
+@pytest.mark.parametrize(
+    ('wire', 'object_id'),
+    [
+        (ONE_CALL_REDIS, 'df7ede4b1aeefc827805e19fec4cb5cb'),
+        (ONE_CALL_BYTES_ID, b'\x01' * 16),
+    ],
+    ids=['hex-id', 'bytes-id'],
+)
+def test_one_call_pickles_still_load_and_resolve(e2e_w_store, wire, object_id):
+    assert len(ONE_CALL_REDIS) == 119
+    proxy = pickle.loads(wire)
+    factory = get_factory(proxy)
+    assert type(proxy) is Proxy and type(factory) is StoreFactory
+    assert factory.key == ConnectorKey(object_id, 'redis')
+    assert type(factory.key.object_id) is type(object_id)
+    assert factory.store_config.connector_config == {'port': 42827}
+    assert (factory.evict, factory.owned) == (True, False)
+    # Re-pickled, the hex id packs to its 16 bytes; a bytes id cannot.
+    again = pickle.dumps(proxy)
+    assert len(again) == len(wire) - (15 if isinstance(object_id, str) else 0)
+    assert get_factory(pickle.loads(again)).key == factory.key
+    # The registered store of that name serves it (registry hit).
+    value = {'id': 1 << 24, 'blob': bytes(1000)}
+    e2e_w_store.connector.set(factory.key, to_bytes(serialize(value)))
+    assert proxy == value
+    assert not e2e_w_store.connector.exists(factory.key)
+
+
+# --------------------------------------------------------------------------- #
+# (c') object ids: a minted id travels as its 16 bytes, any other exactly
+# --------------------------------------------------------------------------- #
+_MINTED = new_object_id()
+OBJECT_IDS = {
+    'minted': _MINTED,
+    'upper-case': _MINTED.upper(),
+    '31-chars': _MINTED[:31],
+    '33-chars': _MINTED + 'a',
+    'non-hex': 'z' * 32,
+    'bytes': bytes.fromhex(_MINTED),
+    'int': 1 << 24,
+}
+
+
+def _key_types(object_id):
+    """Every key type a built-in connector hands out, around ``object_id``."""
+    return {
+        'connector': ConnectorKey(object_id, 'redis'),
+        'multi': MultiKey('fast', ConnectorKey(object_id, 'local')),
+        'dim': DIMKey(
+            object_id, 'n0', 'tcp', ('127.0.0.1', 7000),
+            replicas=(DIMReplica('n1', 'tcp', ('127.0.0.1', 7001)),),
+        ),
+        'globus': GlobusKey(object_id, ('task-1',)),
+        'endpoint': EndpointKey(object_id, '0' * 32),
+        'bare-tuple': (object_id, 'redis'),
+    }
+
+
+@pytest.mark.parametrize('id_name', sorted(OBJECT_IDS))
+def test_every_object_id_round_trips_exactly(local_store, id_name):
+    object_id = OBJECT_IDS[id_name]
+    for key in _key_types(object_id).values():
+        for evict in (False, True):
+            factory = StoreFactory(key, local_store.config(), evict=evict)
+            for restored in (
+                pickle.loads(pickle.dumps(factory)),
+                get_factory(pickle.loads(pickle.dumps(Proxy(factory)))),
+                get_factory(pickle.loads(pickle.dumps(RefProxy(factory)))),
+            ):
+                assert restored.key == key and type(restored.key) is type(key)
+                assert type(_object_id_of(restored.key)) is type(object_id)
+                assert restored.evict is evict
+
+
+def _object_id_of(key):
+    return key.inner_key.object_id if type(key) is MultiKey else key[0]
+
+
+def test_only_an_exact_hex_id_is_packed(local_store):
+    def wire(object_id):
+        return pickle.dumps(local_store.proxy_from_key(ConnectorKey(object_id, 'local')))
+
+    assert packed_object_id(_MINTED) == bytes.fromhex(_MINTED)
+    assert bytes.fromhex(_MINTED) in wire(_MINTED)
+    assert _MINTED.encode() not in wire(_MINTED)
+    # 34 bytes of str become 18 of bytes, and the flags int takes one more.
+    assert len(wire(_MINTED)) == len(wire(_MINTED.upper())) - 15
+    for name, object_id in OBJECT_IDS.items():
+        if name != 'minted':
+            assert packed_object_id(object_id) is None, name
+    assert packed_object_id(_MINTED[:30]) == bytes.fromhex(_MINTED[:30])
+
+
 # --------------------------------------------------------------------------- #
 # (d) self-contained: a fresh process with nothing registered resolves it
 # --------------------------------------------------------------------------- #
@@ -521,6 +650,22 @@ def test_config_follows_the_connector_after_join_node():
             server.stop()
 
 
+def test_a_proxy_does_not_ask_the_connector_for_its_config(local_store, monkeypatch):
+    config = local_store.config()
+    calls = []
+    real = local_store.connector.config
+    monkeypatch.setattr(
+        local_store.connector, 'config', lambda: calls.append(1) or real(),
+    )
+    proxies = [
+        local_store.proxy('a'),
+        local_store.proxy_from_key(local_store.put('b')),
+        local_store.future().proxy(),
+    ]
+    assert calls == []
+    assert all(get_factory(p).store_config is config for p in proxies)
+
+
 def test_unpickled_factory_never_builds_a_config_on_a_registry_hit(
     local_store, monkeypatch,
 ):
@@ -624,8 +769,15 @@ _configs = st.builds(
     custom_serializer=st.booleans(),
     custom_deserializer=st.booleans(),
 )
+_object_ids = st.one_of(
+    _names,
+    st.binary(max_size=20).map(bytes.hex),
+    st.binary(max_size=20).map(lambda raw: raw.hex().upper()),
+    st.binary(max_size=20),
+    st.integers(),
+)
 _keys = st.one_of(
-    st.builds(ConnectorKey, _names, _names),
+    st.builds(ConnectorKey, _object_ids, _names),
     st.builds(MultiKey, _names, st.builds(ConnectorKey, _names, _names)),
     st.tuples(_names, st.integers()),
     _names,

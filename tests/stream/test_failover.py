@@ -5,6 +5,8 @@ with SIGKILL lives in ``test_broker_chaos.py`` under the ``chaos`` marker.
 """
 from __future__ import annotations
 
+import os
+import sys
 import threading
 import time
 import types
@@ -124,6 +126,60 @@ def test_publish_fails_over_when_primary_dies(fleet):
         assert router.membership.state_of(primary) == 'dead'
     finally:
         router.close()
+
+
+def test_a_single_owner_publish_calls_nothing_in_cluster_or_faults(fleet):
+    roots = tuple(
+        os.path.dirname(package.__file__) + os.sep
+        for package in (repro.cluster, repro.faults)
+    )
+    calls: list[str] = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == 'call' and code.co_filename.startswith(roots):
+            calls.append(f'{code.co_filename}:{code.co_name}')
+
+    def publishes(replicas: int) -> list[str]:
+        router = PartitionRouter(f'solo-{replicas}', 4, _urls(fleet), replicas=replicas)
+        try:
+            for topic in router.topics:  # warm-up: each key's owners
+                router.publish_batch(topic, [b'warm'])
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                for topic in router.topics:
+                    assert len(router.publish_batch(topic, [b'a', b'b'])) == 2
+            finally:
+                sys.setprofile(None)
+            return list(calls)
+        finally:
+            router.close()
+
+    assert publishes(1) == []
+    # The counter sees the health record and the mirror of a replicated one.
+    assert publishes(2)
+
+
+def test_a_single_owner_publish_rides_out_a_broker_restart():
+    server = KVServer()
+    server.start()
+    host, port = server.host, server.port
+    router = PartitionRouter('restart', 1, [f'kv://{host}:{port}'])
+    restarted = KVServer(host, port)
+    try:
+        topic = router.topics[0]
+        assert router.publish_batch(topic, [b'before']) == [0]
+        server.stop()
+        thread = threading.Timer(0.3, restarted.start)
+        thread.start()
+        # The first walk fails at once; the backoff outlasts the restart.
+        # The restarted broker is empty, so numbering starts over.
+        assert router.publish_batch(topic, [b'after']) == [0]
+        thread.join()
+    finally:
+        router.close()
+        restarted.stop()
 
 
 # --------------------------------------------------------------------------- #
