@@ -4,10 +4,10 @@ Globus Transfer is a cloud-hosted software-as-a-service for reliable bulk
 file movement between registered endpoints.  It is not reachable offline, so
 this module provides a functional stand-in: endpoints are directories on the
 local file system, transfers are asynchronous tasks executed by a background
-worker (with configurable per-task overhead and one-shot failure
-injection), and clients poll task status by task id — the same interaction
-pattern :class:`~repro.connectors.globus.GlobusConnector` uses (submit,
-poll, read file from the destination endpoint's directory).
+worker (with one-shot hold and failure injection), and clients poll task
+status by task id — the same interaction pattern
+:class:`~repro.connectors.globus.GlobusConnector` uses (submit, poll, read
+file from the destination endpoint's directory).
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from dataclasses import field
+from typing import Callable
 from typing import Sequence
 
 from repro.exceptions import TransferError
@@ -79,21 +80,18 @@ class TransferTask:
 class GlobusTransferService:
     """Executes transfer tasks between registered endpoint directories.
 
-    Args:
-        task_delay_s: artificial wall-clock delay before a task completes,
-            modelling the SaaS submission/polling overhead (kept tiny by
-            default so tests are fast; the benchmarks account for the real
-            overhead on the virtual clock instead).
-
-    :meth:`fail_next_transfer` makes the next submitted task fail.
+    Tasks complete as fast as the copy does; the benchmarks account for the
+    real SaaS overhead on the virtual clock instead.
+    :meth:`hold_next_transfer` keeps the next submitted task in flight until
+    released, and :meth:`fail_next_transfer` makes it fail.
     """
 
-    def __init__(self, *, task_delay_s: float = 0.0) -> None:
-        self.task_delay_s = task_delay_s
+    def __init__(self) -> None:
         self._endpoints: dict[str, GlobusEndpointSpec] = {}
         self._tasks: dict[str, TransferTask] = {}
         self._lock = threading.Lock()
         self._fail_next = False
+        self._hold_next: threading.Event | None = None
         #: Live transfer worker threads, joined by :meth:`close` so the
         #: service never leaks workers past its owner's teardown.
         self._workers: list[threading.Thread] = []
@@ -122,6 +120,17 @@ class GlobusTransferService:
         """Force the next submitted transfer task to fail (for tests)."""
         self._fail_next = True
 
+    def hold_next_transfer(self) -> Callable[[], None]:
+        """Keep the next submitted transfer task ``ACTIVE`` until released.
+
+        Returns the release callable: the task's worker waits on it before
+        it copies (or fails), so a test can observe the in-flight state
+        without sleeping.
+        """
+        hold = threading.Event()
+        self._hold_next = hold
+        return hold.set
+
     # -- transfers ------------------------------------------------------------ #
     def submit_transfer(
         self,
@@ -145,8 +154,9 @@ class GlobusTransferService:
         with self._lock:
             self._tasks[task.task_id] = task
         fail, self._fail_next = self._fail_next, False
+        hold, self._hold_next = self._hold_next, None
         worker = threading.Thread(
-            target=self._execute, args=(task, src, dst, fail), daemon=True,
+            target=self._execute, args=(task, src, dst, fail, hold), daemon=True,
         )
         with self._lock:
             # Opportunistically prune finished workers so a long-lived
@@ -162,9 +172,10 @@ class GlobusTransferService:
         src: GlobusEndpointSpec,
         dst: GlobusEndpointSpec,
         fail: bool,
+        hold: threading.Event | None,
     ) -> None:
-        if self.task_delay_s > 0:
-            time.sleep(self.task_delay_s)
+        if hold is not None:
+            hold.wait()
         if fail:
             task.status = TransferStatus.FAILED
             task.error = 'injected transfer failure'

@@ -38,7 +38,8 @@ byte  payload
 ====  =======================================================
 0x01  raw bytes (no transformation)
 0x02  UTF-8 encoded ``str``
-0x03  NumPy array in ``.npy`` format (header + raw array data)
+0x03  NumPy array in ``.npy`` format (header + raw array data);
+      read-only: payloads written before the 0x07 frame existed
 0x04  payload produced by a registered custom serializer; the
       identifier name (UTF-8) and a newline precede the payload
 0x05  pickle (in-band, highest protocol)
@@ -46,7 +47,23 @@ byte  payload
 
           uint32 n  |  uint64 pickle_len  |  n x uint64 buffer_len
           pickle bytes  |  buffer 0  |  ...  |  buffer n-1
+0x07  NumPy array: a compact little-endian head, then the raw
+      data in the array's own memory order::
+
+          u8 len(code)  |  u8 ndim  |  u8 fortran
+          dtype code (ASCII, e.g. ``<f8``)  |  ndim x u64 dims
+          data (prod(dims) x itemsize bytes)
 ====  =======================================================
+
+An ndarray (or ``np.memmap``) takes 0x07 when its dtype's ``.str`` code
+rebuilds that dtype exactly: no fields, no subarray, no metadata, no
+object, itemsize above 0.  Large arrays travel as two segments, the head
+(identifier included: 15 bytes for a 1-D ``<f8`` array) and a zero-copy
+view of the data.  Structured arrays, dtypes with metadata and every
+ndarray subclass other than ``np.memmap`` (masked arrays, ``np.matrix``,
+``np.recarray``) travel as pickle, which keeps their type and extra state;
+object-dtype arrays are refused.  Nothing writes 0x03 any more; a reader
+that predates 0x07 cannot read it.
 
 ``deserialize`` accepts ``bytes``, ``bytearray``, ``memoryview`` (and any
 other single contiguous buffer, e.g. an ``mmap``) or a ``SerializedObject``
@@ -65,7 +82,9 @@ from __future__ import annotations
 import ast
 import functools
 import io
+import math
 import pickle
+import re
 import struct
 from typing import Any
 
@@ -86,9 +105,22 @@ _IDENT_NUMPY = b'\x03'
 _IDENT_CUSTOM = b'\x04'
 _IDENT_PICKLE = b'\x05'
 _IDENT_PICKLE5 = b'\x06'
+_IDENT_ARRAY = b'\x07'
 
 _U32 = struct.Struct('>I')
 _U64 = struct.Struct('>Q')
+
+#: The 0x07 head: identifier, len(code), ndim, fortran; then the code and
+#: ``_ARRAY_DIMS[ndim]``.
+_ARRAY_HEAD = struct.Struct('<4B')
+_ARRAY_FIELDS = struct.Struct('<3B')
+_ARRAY_MAX_NDIM = 64
+_ARRAY_DIMS = tuple(struct.Struct(f'<{n}Q') for n in range(_ARRAY_MAX_NDIM + 1))
+#: Entries each 0x07 memo keeps before it starts over.
+_ARRAY_MEMO_SIZE = 256
+#: What a simple dtype's ``.str`` looks like: ``<f8``, ``|S5``, ``<M8[25ns]``
+#: (never the deprecated ``a`` alias, which ``.str`` spells ``S``).
+_CODE_SHAPE = re.compile(rb'[<>|][b-zA-Z][0-9]+(\[[0-9]*[A-Za-z]+\])?')
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _pickle_dumps = pickle.dumps
@@ -165,7 +197,9 @@ def _classify(obj: Any) -> int:
         return _R_BYTEVIEW
     if issubclass(tp, str):
         return _R_STR
-    if issubclass(tp, np.ndarray):
+    # Exact types only: a subclass (masked array, matrix, recarray) carries
+    # state or a type that the array frame would drop, and pickle keeps both.
+    if tp is np.ndarray or tp is np.memmap:
         return _R_NDARRAY
     return _R_PICKLE
 
@@ -232,42 +266,102 @@ def _pickle_payload(obj: Any) -> 'bytes | SerializedObject':
     return SerializedObject([header, payload, *oob])
 
 
-def _numpy_payload(arr: np.ndarray) -> 'bytes | SerializedObject':
-    """Serialize an ndarray as ``.npy`` header + its data buffer.
+#: dtype -> its 0x07 code, or ``b''`` when the dtype travels as pickle.
+_array_codes: dict[np.dtype, bytes] = {}
+#: 0x07 code -> the dtype it names (valid codes only).
+_code_dtypes: dict[bytes, np.dtype] = {}
+
+
+def _code_dtype(code: bytes) -> 'np.dtype | None':
+    """The dtype a 0x07 code names, or ``None`` when it names none exactly.
+
+    A code is accepted only when it has the shape of a simple dtype's
+    ``.str`` (byte order, type letter, size, optional datetime unit), so
+    NumPy's comma and tuple dtype grammars never see wire input;
+    ``np.dtype(code).str`` gives it back; and the dtype has no fields, no
+    subarray, no object and an itemsize above 0.  Accepted codes go into
+    ``_code_dtypes``, which readers consult first; dtype codes are
+    unbounded in variety, so that memo starts over when it fills.
+    """
+    if _CODE_SHAPE.fullmatch(code) is None:
+        return None
+    text = code.decode('ascii')
+    try:
+        dtype = np.dtype(text)
+    except (TypeError, ValueError):
+        return None
+    if (
+        dtype.str != text
+        or dtype.fields is not None
+        or dtype.subdtype is not None
+        or dtype.hasobject
+        or dtype.itemsize == 0
+    ):
+        return None
+    if len(_code_dtypes) >= _ARRAY_MEMO_SIZE:
+        _code_dtypes.clear()
+    _code_dtypes[code] = dtype
+    return dtype
+
+
+def _array_code(dtype: np.dtype) -> bytes:
+    """``dtype``'s 0x07 code, or ``b''`` when the code would not rebuild it.
+
+    ``dtype`` has no metadata (which dtype equality, and so the
+    ``_array_codes`` memo this fills, ignores).
+    """
+    code = dtype.str.encode()
+    rebuilt = _code_dtype(code)
+    if rebuilt is None or rebuilt != dtype:
+        code = b''
+    if len(_array_codes) >= _ARRAY_MEMO_SIZE:
+        _array_codes.clear()
+    _array_codes[dtype] = code
+    return code
+
+
+def _array_payload(arr: np.ndarray) -> 'bytes | SerializedObject':
+    """Serialize an ndarray as a 0x07 head + its data buffer.
 
     Arrays with fewer data bytes than the small-frame threshold are joined
     into one compact frame (the copy is cheaper than segment bookkeeping at
     that scale); larger arrays keep a zero-copy view of their buffer.
+    Arrays whose dtype has no exact code take the sieved pickle route.
     """
-    if arr.dtype.hasobject:
-        raise SerializationError(
-            'object-dtype NumPy arrays cannot use the array fast path '
-            '(allow_pickle is disabled); wrap the data in a picklable '
-            'container instead',
-        )
-    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+    dtype = arr.dtype
+    code = _array_codes.get(dtype) if dtype.metadata is None else b''
+    if code is None:
+        code = _array_code(dtype)
+    if not code:
+        if dtype.hasobject:
+            raise SerializationError(
+                'object-dtype NumPy arrays cannot use the array fast path '
+                '(allow_pickle is disabled); wrap the data in a picklable '
+                'container instead',
+            )
+        return _pickle_payload(arr)
+    flags = arr.flags
+    if not (flags.c_contiguous or flags.f_contiguous):
         arr = np.ascontiguousarray(arr)
+        flags = arr.flags
+    shape = arr.shape
+    ndim = len(shape)
+    head = (
+        _ARRAY_HEAD.pack(_IDENT_ARRAY[0], len(code), ndim, not flags.c_contiguous)
+        + code
+        + _ARRAY_DIMS[ndim].pack(*shape)
+    )
+    # 'A' keeps whichever memory order the array already has, so the flat
+    # view aliases the array's buffer instead of copying it.
+    flat = arr.ravel('A')
     try:
-        header_io = io.BytesIO()
-        np.lib.format.write_array_header_1_0(
-            header_io, np.lib.format.header_data_from_array_1_0(arr),
-        )
-        # 'A' keeps whichever memory order the array already has, so the
-        # flat view aliases the array's buffer instead of copying it.
-        flat = arr.reshape(-1, order='A')
         raw = memoryview(flat).cast('B')
-    except (ValueError, BufferError, TypeError):
-        # Dtypes outside the buffer protocol (datetime64, timedelta64, ...):
-        # fall back to NumPy's own writer — one copy, same wire bytes.
-        buffer = io.BytesIO()
-        np.save(buffer, arr, allow_pickle=False)
-        payload = buffer.getvalue()
-        if len(payload) < _SMALL_FRAME_THRESHOLD:
-            return _IDENT_NUMPY + payload
-        return SerializedObject([_IDENT_NUMPY, payload])
+    except ValueError:
+        # datetime64/timedelta64 export no buffer; their bytes do.
+        raw = memoryview(flat.view(np.uint8))
     if arr.nbytes < _SMALL_FRAME_THRESHOLD:
-        return b''.join((_IDENT_NUMPY, header_io.getvalue(), raw))
-    return SerializedObject([_IDENT_NUMPY, header_io.getvalue(), raw])
+        return head + raw
+    return SerializedObject([head, raw])
 
 
 def _custom_payload(obj: Any) -> 'bytes | SerializedObject':
@@ -354,7 +448,7 @@ def serialize(obj: Any) -> 'bytes | SerializedObject':
             return _IDENT_STR + encoded
         return SerializedObject([_IDENT_STR, encoded])
     if route == _R_NDARRAY:
-        return _numpy_payload(obj)
+        return _array_payload(obj)
     if route == _R_BYTEVIEW:
         # Zero-copy on the large path: the segment aliases the caller's
         # buffer until the connector writes (or freezes) it.  Views that
@@ -460,26 +554,76 @@ def _parse_npy_header(
     return dtype, shape, 'F' if fortran_order else 'C', data_start
 
 
-def _npy_from_buffer(
-    raw: memoryview,
+def _array_over(
+    data: memoryview,
     dtype: np.dtype,
     shape: tuple,
     order: str,
 ) -> np.ndarray:
-    """Zero-copy array over ``raw``; always read-only.
+    """Zero-copy array over ``data``, which must hold exactly its bytes.
 
-    The array aliases storage it does not own (received buffers, mmapped
-    files, an in-process producer's memory), so it is uniformly marked
-    read-only regardless of connector — mutating a fetched array would
-    otherwise silently corrupt shared or producer state on some channels
-    and not others.  Consumers that need to mutate call ``np.copy``.
+    The array is always read-only: it aliases storage it does not own
+    (received buffers, mmapped files, an in-process producer's memory), so
+    mutating a fetched array would otherwise silently corrupt shared or
+    producer state on some channels and not others.  Consumers that need
+    to mutate call ``np.copy``.
+
+    Raises:
+        SerializationError: when ``data`` is not ``prod(shape) x itemsize``
+            bytes, or NumPy refuses the shape.
     """
-    count = 1
-    for dim in shape:
-        count *= dim
-    arr = np.frombuffer(raw, dtype=dtype, count=count)
-    arr.flags.writeable = False
-    return arr.reshape(shape, order=order)
+    try:
+        count = math.prod(shape)
+        if count * dtype.itemsize != len(data):
+            raise SerializationError(
+                f'array frame holds {len(data)} data bytes, its head '
+                f'describes {count} x {dtype.itemsize}',
+            )
+        arr = np.frombuffer(data.toreadonly(), dtype)
+        if len(shape) != 1:
+            arr = arr.reshape(shape, order=order)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SerializationError(f'corrupt array frame: {e}') from None
+    return arr
+
+
+def _read_array(
+    frame: 'bytes | memoryview',
+    data: 'memoryview | None' = None,
+) -> np.ndarray:
+    """Parse the 0x07 frame whose head starts ``frame`` (identifier included).
+
+    The data is ``data`` when given (the head segment of a two-piece frame
+    is then exactly the head), else the rest of ``frame``, a flat view.
+
+    Raises:
+        SerializationError: for a truncated head, ``ndim`` above 64, a
+            fortran flag other than 0 or 1, a dtype code that does not name
+            a dtype exactly (see :func:`_code_dtype`), or data that is not
+            ``prod(dims) x itemsize`` bytes.
+    """
+    size = len(frame)
+    if size < 4:
+        raise SerializationError('truncated array frame head')
+    code_len, ndim, fortran = _ARRAY_FIELDS.unpack_from(frame, 1)
+    dims_at = 4 + code_len
+    data_at = dims_at + 8 * ndim
+    if ndim > _ARRAY_MAX_NDIM or fortran > 1:
+        raise SerializationError(
+            f'corrupt array frame head (ndim {ndim}, fortran {fortran})',
+        )
+    if size < data_at:
+        raise SerializationError('truncated array frame head')
+    code = bytes(frame[4:dims_at])
+    dtype = _code_dtypes.get(code)
+    if dtype is None:
+        dtype = _code_dtype(code)
+        if dtype is None:
+            raise SerializationError(f'unsupported array dtype code {code!r}')
+    shape = _ARRAY_DIMS[ndim].unpack_from(frame, dims_at)
+    if data is None:
+        data = frame[data_at:]
+    return _array_over(data, dtype, shape, 'F' if fortran else 'C')
 
 
 def _read_npy(view: memoryview) -> np.ndarray:
@@ -489,7 +633,7 @@ def _read_npy(view: memoryview) -> np.ndarray:
         # Unknown container: fall back to NumPy's own reader (one copy).
         return np.load(io.BytesIO(bytes(view)), allow_pickle=False)
     dtype, shape, order, data_start = parsed
-    return _npy_from_buffer(view[data_start:], dtype, shape, order)
+    return _array_over(view[data_start:], dtype, shape, order)
 
 
 def _read_pickle5(payload: memoryview) -> Any:
@@ -505,7 +649,7 @@ def _read_pickle5(payload: memoryview) -> Any:
     buffers: list[memoryview] = []
     for length in lengths:
         # toreadonly: reconstructed arrays alias storage they do not own,
-        # so they surface uniformly read-only (same rule as _npy_from_buffer).
+        # so they surface uniformly read-only (same rule as _array_over).
         buffers.append(payload[offset:offset + length].toreadonly())
         offset += length
     return pickle.loads(pickled, buffers=buffers)
@@ -524,6 +668,8 @@ def _find_newline(view: memoryview) -> int:
 def _deserialize_view(view: memoryview) -> Any:
     """Deserialize a contiguous wire payload held in a flat byte view."""
     identifier = view[0]
+    if identifier == _IDENT_ARRAY[0]:
+        return _read_array(view)
     payload = view[1:]
     if identifier == _IDENT_BYTES[0]:
         return bytes(payload)
@@ -592,12 +738,14 @@ def _deserialize_structured(data: SerializedObject) -> Any:
                 return pickle.loads(pieces[1])
             except Exception as e:  # noqa: BLE001
                 raise SerializationError(f'Unpickling failed: {e}') from e
-    if len(pieces) == 3 and len(head) == 1 and head[0] == _IDENT_NUMPY[0]:
-        header = pieces[1]
-        raw = pieces[2]
-        combined = memoryview(bytes(header))  # header is small
-        arr_view = raw if isinstance(raw, memoryview) else memoryview(raw)
-        return _read_npy_split(combined, arr_view.cast('B'))
+    if (
+        len(pieces) == 2
+        and len(head) >= 4
+        and head[0] == _IDENT_ARRAY[0]
+        and len(head) == 4 + head[1] + 8 * head[2]
+    ):
+        # The head segment is exactly the 0x07 head; the data is pieces[1].
+        return _read_array(head, _flat_view(pieces[1]))
     if len(head) >= 1 and head[0] == _IDENT_PICKLE5[0] and len(pieces) >= 3:
         # head = ident + counts/lengths; pieces[1] = pickle; rest = buffers.
         try:
@@ -613,15 +761,6 @@ def _deserialize_structured(data: SerializedObject) -> Any:
     if not joined:
         raise SerializationError('cannot deserialize an empty byte string')
     return _deserialize_view(_flat_view(joined))
-
-
-def _read_npy_split(header_view: memoryview, raw: memoryview) -> np.ndarray:
-    """Like :func:`_read_npy` but with the header and data in two buffers."""
-    parsed = _parse_npy_header(header_view)
-    if parsed is None:
-        raise SerializationError('corrupt npy header segment')
-    dtype, shape, order, _data_start = parsed
-    return _npy_from_buffer(raw, dtype, shape, order)
 
 
 def _flat_view(data: Any) -> memoryview:

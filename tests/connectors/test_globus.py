@@ -114,7 +114,7 @@ def test_failed_transfer_raises_on_get(tmp_path, service):
 
 
 def test_exists_false_before_transfer_completes(tmp_path):
-    service = GlobusTransferService(task_delay_s=0.3)
+    service = GlobusTransferService()
     spec_a = GlobusEndpointSpec.create(str(tmp_path / 'a'))
     spec_b = GlobusEndpointSpec.create(str(tmp_path / 'b'))
     service.register_endpoint(spec_a)
@@ -127,9 +127,13 @@ def test_exists_false_before_transfer_completes(tmp_path):
         service=service,
     )
     set_current_hostname('site-a-login')
+    release = service.hold_next_transfer()
     key = conn.put(b'slow')
     set_current_hostname('site-b-node')
-    assert conn.exists(key) is False  # task still in flight
+    try:
+        assert conn.exists(key) is False  # task still in flight
+    finally:
+        release()
     assert conn.get(key) == b'slow'   # get waits for completion
     assert conn.exists(key) is True
 

@@ -187,7 +187,7 @@ def test_close_clear_single_server_is_one_flush():
 
 
 def _segmented_arrays(count: int) -> list[np.ndarray]:
-    """Arrays that serialize to >= ``READ_AHEAD_BYTES`` in three segments."""
+    """Arrays that serialize to >= ``READ_AHEAD_BYTES`` in two segments."""
     return [np.full(READ_AHEAD_BYTES + i, i, dtype=np.uint8) for i in range(count)]
 
 
@@ -210,7 +210,7 @@ def test_replicated_store_round_trips_segmented_arrays():
         copies = [c.get(keys[0].object_id) for c in clients]
         held = [c for c in copies if c is not None]
         assert len(held) == 2
-        assert all(isinstance(c, SerializedObject) and len(c.pieces) == 3 for c in held)
+        assert all(isinstance(c, SerializedObject) and len(c.pieces) == 2 for c in held)
     finally:
         store.close(clear=True)
 

@@ -102,18 +102,34 @@ def test_unknown_task_raises(service):
         service.get_task('bogus')
 
 
-def test_wait_timeout(tmp_path):
-    service = GlobusTransferService(task_delay_s=0.5)
-    a = GlobusEndpointSpec.create(str(tmp_path / 'a'))
-    b = GlobusEndpointSpec.create(str(tmp_path / 'b'))
-    service.register_endpoint(a)
-    service.register_endpoint(b)
+def test_wait_timeout(service, endpoints):
+    a, b = endpoints
     _write(a, 'f', b'x')
+    release = service.hold_next_transfer()
     task_id = service.submit_transfer(a.endpoint_uuid, b.endpoint_uuid, [('f', 'f')])
-    with pytest.raises(TransferError, match='timed out'):
-        service.wait(task_id, timeout=0.05)
-    # Eventually succeeds.
+    try:
+        with pytest.raises(TransferError, match='timed out'):
+            service.wait(task_id, timeout=0)
+        assert service.get_task(task_id).status is TransferStatus.ACTIVE
+        assert not os.path.exists(os.path.join(b.endpoint_path, 'f'))
+    finally:
+        release()
+    # Succeeds once released.
     assert service.wait(task_id, timeout=5).status is TransferStatus.SUCCEEDED
+
+
+def test_hold_applies_to_the_next_transfer_only(service, endpoints):
+    a, b = endpoints
+    _write(a, 'f', b'x')
+    release = service.hold_next_transfer()
+    held = service.submit_transfer(a.endpoint_uuid, b.endpoint_uuid, [('f', 'f')])
+    free = service.submit_transfer(a.endpoint_uuid, b.endpoint_uuid, [('f', 'g')])
+    try:
+        assert service.wait(free, timeout=5).status is TransferStatus.SUCCEEDED
+        assert service.get_task(held).status is TransferStatus.ACTIVE
+    finally:
+        release()
+    assert service.wait(held, timeout=5).status is TransferStatus.SUCCEEDED
 
 
 def test_global_service_singleton():

@@ -291,12 +291,13 @@ def _array(nbytes: int) -> np.ndarray:
 def test_bulk_segments_are_stored_as_received_and_served_as_segments(
     server, client, section_buffers,
 ):
-    """A >= 64 KiB three-segment ``SET`` is kept as the decoder's own
-    buffers, never joined, and ``GET`` hands back the same segments."""
+    """A >= 64 KiB two-segment ``SET`` (array head, array data) is kept as
+    the decoder's own buffers, never joined, and ``GET`` hands back the same
+    segments."""
     array = _array(READ_AHEAD_BYTES + 4096)
     payload = serialize(array)
     lengths = [len(p) for p in payload.segments()]
-    assert len(lengths) == 3
+    assert lengths == [15, array.nbytes]
     client.set('bulk', payload)
     stored = server._data['bulk']
     assert isinstance(stored, tuple)
@@ -315,7 +316,7 @@ def test_mid_sized_segments_are_joined_by_the_sender(server, client):
     for nbytes in (16 << 10, 32 << 10, READ_AHEAD_BYTES - 200):
         array = _array(nbytes)
         payload = serialize(array)
-        assert isinstance(payload, SerializedObject) and len(payload.segments()) == 3
+        assert isinstance(payload, SerializedObject) and len(payload.segments()) == 2
         client.set('mid', payload)
         stored = server._data['mid']
         assert not isinstance(stored, tuple) and len(stored) == len(payload)
@@ -334,7 +335,7 @@ def test_mset_mget_mix_whole_and_segmented_values(server, client):
     assert isinstance(server._data['large'], tuple)
     assert not isinstance(server._data['small'], tuple)
     small, large, plain, missing = client.mget(['small', 'large', 'bytes', 'gone'])
-    assert isinstance(large, SerializedObject) and len(large.pieces) == 3
+    assert isinstance(large, SerializedObject) and len(large.pieces) == 2
     assert not isinstance(small, SerializedObject)
     assert np.array_equal(deserialize(small), arrays['small'])
     assert np.array_equal(deserialize(large), arrays['large'])
@@ -349,7 +350,7 @@ def test_published_segments_round_trip_through_fetch(server, client):
     reply = client.fetch_events('t', 0)
     assert [seq for seq, _ in reply['events']] == [0, 1, 2]
     for (_, got), array in zip(reply['events'], arrays):
-        assert isinstance(got, SerializedObject) and len(got.pieces) == 3
+        assert isinstance(got, SerializedObject) and len(got.pieces) == 2
         assert np.array_equal(deserialize(got), array)
     # The ring counts bytes, not segments.
     assert client.topic_stats('t')['ring_bytes'] == sum(len(p) for p in payloads)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.serialize import unregister_serializer
 IDENTIFIERS = {
     'bytes': 0x01,
     'str': 0x02,
-    'numpy': 0x03,
+    'numpy': 0x07,
     'custom': 0x04,
     'pickle': 0x05,
     'pickle5': 0x06,
@@ -131,7 +132,7 @@ def test_small_payloads_serialize_to_compact_frames():
     for obj, ident in (
         (b'z' * 1024, 0x01),
         ('y' * 1024, 0x02),
-        (np.arange(128, dtype=np.float64), 0x03),
+        (np.arange(128, dtype=np.float64), 0x07),
         ({'k': [1, 2, 3]}, 0x05),
     ):
         serialized = serialize(obj)
@@ -147,7 +148,9 @@ def test_small_payloads_serialize_to_compact_frames():
 def test_serialize_ndarray_aliases_array_buffer():
     arr = np.arange(LARGE // 8, dtype=np.float64)
     serialized = serialize(arr)
-    raw = np.frombuffer(serialized.pieces[2], dtype=np.float64)
+    # Two segments: identifier + head, then the array's own buffer.
+    assert [len(p) for p in serialized.pieces] == [15, arr.nbytes]
+    raw = np.frombuffer(serialized.pieces[1], dtype=np.float64)
     assert np.shares_memory(raw, arr)
 
 
@@ -180,7 +183,7 @@ def test_deserialized_arrays_are_read_only():
     # Small frames copy the data, so those arrays own fresh memory and may
     # surface writable through pickle; correctness is the round trip.
     small = deserialize(serialize(np.arange(64, dtype=np.float64)))
-    assert not small.flags.writeable  # npy frames still parse as views
+    assert not small.flags.writeable  # array frames still parse as views
 
 
 def test_many_segment_payload_exceeding_iov_max():
@@ -248,19 +251,171 @@ def test_non_contiguous_array_roundtrip():
 
 
 def test_datetime64_array_roundtrip():
-    # datetime64/timedelta64 have no buffer protocol: serialize must fall
-    # back to NumPy's own writer instead of crashing on the zero-copy cast.
+    # datetime64/timedelta64 export no buffer: serialize views their bytes
+    # instead of crashing on the zero-copy cast, and large ones alias.
     arr = np.array(['2024-01-01', '2026-07-29'], dtype='datetime64[D]')
     for form in _input_forms(serialize(arr)):
         restored = deserialize(form)
         assert np.array_equal(restored, arr)
         assert restored.dtype == arr.dtype
+    big = np.arange(LARGE // 8, dtype='m8[s]')
+    serialized = serialize(big)
+    assert np.shares_memory(np.frombuffer(serialized.pieces[1], np.uint8), big)
+    restored = deserialize(serialized)
+    assert restored.dtype == big.dtype and np.array_equal(restored, big)
 
 
 def test_object_dtype_array_raises():
     arr = np.array([object(), object()])
     with pytest.raises(SerializationError):
         serialize(arr)
+
+
+# --------------------------------------------------------------------------- #
+# The 0x07 array frame
+# --------------------------------------------------------------------------- #
+def _array_frame(code: bytes, dims, data: bytes = b'', *, ndim=None, fortran=0):
+    """A hand-built 0x07 frame: the head fields as given, then ``data``."""
+    ndim = len(dims) if ndim is None else ndim
+    head = bytes([0x07, len(code), ndim, fortran]) + code
+    return head + struct.pack(f'<{len(dims)}Q', *dims) + data
+
+
+def test_array_frame_bytes_are_pinned():
+    arr = np.asfortranarray(np.arange(6, dtype='<i2').reshape(2, 3))
+    frame = serialize(arr)
+    assert frame == (
+        b'\x07\x03\x02\x01<i2'
+        b'\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00'
+        b'\x00\x00\x03\x00\x01\x00\x04\x00\x02\x00\x05\x00'
+    )
+    restored = deserialize(frame)
+    assert restored.flags.f_contiguous and np.array_equal(restored, arr)
+
+
+def test_a_one_dimensional_float_array_has_a_15_byte_head():
+    arr = np.arange(LARGE // 8, dtype=np.float64)
+    head, data = serialize(arr).pieces
+    assert head == b'\x07\x03\x01\x00<f8' + struct.pack('<Q', arr.size)
+    assert len(data) == arr.nbytes
+
+
+@pytest.mark.parametrize(
+    'frame',
+    [
+        pytest.param(b'\x07', id='ident-only'),
+        pytest.param(b'\x07\x03\x01', id='fixed-fields'),
+        pytest.param(b'\x07\x03\x01\x00<f', id='code'),
+        pytest.param(_array_frame(b'<f8', [2])[:-3], id='dims'),
+        pytest.param(_array_frame(b'<f8', [2], bytes(15)), id='short-data'),
+        pytest.param(_array_frame(b'<f8', [2], bytes(17)), id='long-data'),
+        pytest.param(_array_frame(b'<f8', [3, 2], bytes(16)), id='dims-mismatch'),
+        pytest.param(_array_frame(b'|O', [2], bytes(16)), id='object'),
+        pytest.param(_array_frame(b'|O8', [2], bytes(16)), id='object8'),
+        pytest.param(_array_frame(b'(2,)<f8', [1], bytes(16)), id='subarray'),
+        pytest.param(_array_frame('<f\u00e98'.encode(), [1], bytes(8)), id='non-ascii'),
+        pytest.param(_array_frame(b'float64', [1], bytes(8)), id='not-canonical'),
+        pytest.param(_array_frame(b'<f3', [1], bytes(8)), id='no-such-dtype'),
+        pytest.param(_array_frame(b'|V0', [0]), id='zero-itemsize'),
+        pytest.param(
+            _array_frame(b'|u1', [1] * 65, bytes(1)), id='ndim-65',
+        ),
+        pytest.param(_array_frame(b'<f8', [1], bytes(8), fortran=2), id='fortran-2'),
+        pytest.param(_array_frame(b'<f8', [0, 1 << 63]), id='dim-too-large'),
+        pytest.param(
+            _array_frame(b'<f8', [0, 1 << 62, 1 << 62]), id='size-too-large',
+        ),
+    ],
+)
+def test_malformed_array_frames_are_refused(frame):
+    """Every malformed head raises SerializationError, in every container."""
+    forms = [frame, memoryview(frame), bytearray(frame)]
+    for cut in (4, len(frame) - 16, len(frame) - 8):
+        if 1 < cut < len(frame):
+            forms.append(SerializedObject([frame[:cut], frame[cut:]]))
+    for form in forms:
+        with pytest.raises(SerializationError):
+            deserialize(form)
+
+
+def test_an_exact_two_piece_frame_is_read_without_a_join():
+    arr = np.arange(LARGE // 8, dtype='>f8').reshape(2, -1)
+    head, data = serialize(arr).pieces
+    received = bytearray(data)
+    restored = deserialize(SerializedObject([head, received]))
+    assert restored.dtype == arr.dtype and np.array_equal(restored, arr)
+    assert np.shares_memory(restored, np.frombuffer(received, np.uint8))
+    assert not restored.flags.writeable
+
+
+def test_a_frame_split_inside_its_head_still_reads():
+    arr = np.arange(LARGE // 8, dtype=np.float64)
+    wire = bytes(serialize(arr))
+    for cut in (2, 9, 16, 20):
+        split = SerializedObject([wire[:cut], wire[cut:]])
+        assert np.array_equal(deserialize(split), arr)
+
+
+def test_the_dtype_code_memo_is_bounded():
+    from repro.serialize import serializer
+
+    for width in range(1, 400):
+        restored = deserialize(_array_frame(f'|S{width}'.encode(), [1], bytes(width)))
+        assert restored.dtype == np.dtype(f'S{width}')
+        assert len(serializer._code_dtypes) <= 256
+
+
+@pytest.mark.parametrize('size', [3, LARGE // 8])
+def test_structured_arrays_travel_as_pickle(size):
+    arr = np.zeros(size, dtype=[('x', '<i8'), ('y', '<f8', (2,))])
+    arr['x'] = np.arange(size)
+    serialized = serialize(arr)
+    assert bytes(serialized[:1])[0] in (IDENTIFIERS['pickle'], IDENTIFIERS['pickle5'])
+    restored = deserialize(serialized)
+    assert restored.dtype == arr.dtype and np.array_equal(restored, arr)
+
+
+def test_dtype_metadata_travels_as_pickle():
+    arr = np.zeros(3, dtype=np.dtype('<f8', metadata={'unit': 'm'}))
+    serialized = serialize(arr)
+    assert serialized[0] == IDENTIFIERS['pickle']
+    assert deserialize(serialized).dtype.metadata == {'unit': 'm'}
+
+
+# --------------------------------------------------------------------------- #
+# ndarray subclasses keep their type and state
+# --------------------------------------------------------------------------- #
+def test_masked_array_keeps_its_mask():
+    arr = np.ma.array([1.0, 2.0, 3.0], mask=[0, 1, 0])
+    restored = deserialize(serialize(arr))
+    assert type(restored) is np.ma.MaskedArray
+    assert restored.mask.tolist() == [False, True, False]
+    assert restored.sum() == 4.0
+
+
+@pytest.mark.filterwarnings('ignore::PendingDeprecationWarning')
+def test_matrix_stays_a_matrix():
+    arr = np.matrix([[1, 2], [3, 4]])
+    restored = deserialize(serialize(arr))
+    assert type(restored) is np.matrix
+    assert np.array_equal(restored @ restored, arr @ arr)
+
+
+def test_recarray_stays_a_recarray():
+    arr = np.rec.array([(1, 2.0), (3, 4.0)], dtype=[('a', '<i4'), ('b', '<f8')])
+    restored = deserialize(serialize(arr))
+    assert type(restored) is np.recarray
+    assert restored.a.tolist() == [1, 3] and restored.b.tolist() == [2.0, 4.0]
+
+
+def test_memmap_takes_the_array_frame(tmp_path):
+    arr = np.memmap(tmp_path / 'm.bin', dtype='<f4', mode='w+', shape=(4, 5))
+    arr[:] = np.arange(20).reshape(4, 5)
+    serialized = serialize(arr)
+    assert serialized[0] == IDENTIFIERS['numpy']
+    restored = deserialize(serialized)
+    assert restored.dtype == arr.dtype and np.array_equal(restored, arr)
+    del arr
 
 
 # --------------------------------------------------------------------------- #
@@ -431,14 +586,24 @@ def test_legacy_contiguous_format_still_parses():
 
 
 # --------------------------------------------------------------------------- #
-# The memoised .npy header parse
+# The memoised .npy header parse (legacy 0x03 frames)
 # --------------------------------------------------------------------------- #
+def _legacy_frame(arr: np.ndarray) -> bytes:
+    """A 0x03 frame as serializers before the 0x07 array frame wrote it."""
+    import io
+
+    npy = io.BytesIO()
+    np.save(npy, arr, allow_pickle=False)
+    return b'\x03' + npy.getvalue()
+
+
 def test_renaming_fields_does_not_leak_into_the_next_deserialize():
     """Only the header literal is cached; every array gets its own dtype."""
     from repro.serialize.serializer import _npy_header_fields
 
     arr = np.zeros(4096, dtype=[('x', '<i8'), ('y', '<f8', (2,))])
-    for frame in (serialize(arr), bytes(serialize(arr))):
+    frame = _legacy_frame(arr)
+    for frame in (frame, SerializedObject([frame[:1], frame[1:]])):
         _npy_header_fields.cache_clear()
         first = deserialize(frame)
         first.dtype.names = ('p', 'q')

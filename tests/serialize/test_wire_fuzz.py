@@ -23,10 +23,12 @@ import dataclasses
 import os
 import random
 import string
+import struct
 
 import numpy as np
 import pytest
 
+from repro.exceptions import SerializationError
 from repro.serialize import SerializedObject
 from repro.serialize import deserialize
 from repro.serialize import serialize
@@ -84,8 +86,29 @@ def _make_str(rng: random.Random, size: int) -> str:
     return ''.join(rng.choices(alphabet, k=size))
 
 
+#: Every dtype family the 0x07 frame carries (``|u1`` keeps the exact
+#: boundary sizes; the others land within one item of them).
+ARRAY_DTYPES = (
+    '|u1', '|b1', '<i2', '>f8', '<c16', '<U3', '|S5', '<M8[ns]', '<m8[s]', '|V8',
+)
+
+
 def _make_ndarray(rng: random.Random, size: int) -> np.ndarray:
-    return np.frombuffer(rng.randbytes(size), dtype=np.uint8).copy()
+    """A random-bytes array of a drawn dtype, shape and memory order.
+
+    Shapes are 1-D (most draws), ``()``, ``(0, 3)`` or 3-D; multi-dimensional
+    arrays are Fortran-ordered half the time.
+    """
+    dtype = np.dtype(rng.choice(ARRAY_DTYPES))
+    count = size // dtype.itemsize
+    shape = rng.choice(
+        [(count,), (count,), (), (0, 3), (max(count // 6, 1), 2, 3)],
+    )
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    arr = np.frombuffer(rng.randbytes(nbytes), dtype=dtype).reshape(shape)
+    if len(shape) > 1 and rng.random() < 0.5:
+        return np.asfortranarray(arr)
+    return arr.copy()
 
 
 def _make_pickled(rng: random.Random, size: int) -> Sample:
@@ -118,7 +141,14 @@ def _check_str_coverage(kind: str, sizes: set[int]) -> None:
 
 def _values_equal(a: object, b: object) -> bool:
     if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+        # Bitwise, so NaN and NaT payloads compare equal to themselves.
+        return (
+            type(b) is np.ndarray
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.flags.f_contiguous == b.flags.f_contiguous
+            and a.tobytes() == b.tobytes()
+        )
     if isinstance(a, (bytearray, memoryview)):
         # bytearray/memoryview payloads round-trip as immutable bytes.
         return bytes(a) == b
@@ -229,6 +259,29 @@ def test_fuzz_large_path_zero_copy_aliasing() -> None:
                 aliased = True
                 break
         assert aliased, f'deserialized array copied its {size}-byte payload'
+
+
+def test_fuzz_array_dtype_codes_are_exact_or_refused() -> None:
+    """A 0x07 frame with any code reads as that exact dtype or raises
+    SerializationError, never a NumPy error."""
+    rng = random.Random(f'{SEED}-codes')
+    alphabet = '<>|=()[],:0123456789bcfimMOSUVaehlqstuwxyz '
+    for draw in range(2000):
+        # A valid code with 0-2 one-character edits.
+        code = rng.choice(ARRAY_DTYPES)
+        for _ in range(rng.randrange(3)):
+            at = rng.randrange(len(code) + 1)
+            cut = rng.randrange(2)
+            code = code[:at] + rng.choice(alphabet) + code[at + cut:]
+        itemsize = rng.choice((1, 2, 3, 4, 5, 8, 12, 16, 20))
+        frame = bytes([7, len(code), 1, 0]) + code.encode() + struct.pack('<Q', 1)
+        try:
+            arr = deserialize(frame + bytes(itemsize))
+        except SerializationError:
+            continue
+        assert arr.dtype.str == code and arr.dtype.itemsize == itemsize, (
+            f'seed={SEED} draw={draw} code={code!r}'
+        )
 
 
 def test_fuzz_empty_and_single_byte_payloads() -> None:
